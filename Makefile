@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # the test suite under the race detector, a repeated-run concurrency stress
 # pass, a seeded kill-and-recover torture pass over the persistence layer,
-# and a short fuzz pass over the engine, fault-schedule, and on-disk-format
-# fuzzers.
+# vet and tests of the benchmark module, and a short fuzz pass over the
+# engine, fault-schedule, and on-disk-format fuzzers.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -13,9 +13,9 @@ STRESSCOUNT ?= 5
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 
-.PHONY: ci fmt vet test race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke build bench bench-smoke bench-json fuzz-smoke docs-check
+.PHONY: ci fmt vet test race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke build bench bench-smoke bench-module bench-json fuzz-smoke docs-check
 
-ci: fmt vet docs-check race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke bench-smoke fuzz-smoke
+ci: fmt vet docs-check race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke bench-smoke bench-module fuzz-smoke
 
 # gofmt -l prints offending files; fail when the list is non-empty.
 fmt:
@@ -104,11 +104,17 @@ bench:
 bench-smoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
+# The benchmark (perfbench/, see BENCHMARK.json) is a module of its own, so
+# the root `go vet ./...` and `go test ./...` never compile it; this keeps an
+# internal API change from breaking it unnoticed.
+bench-module:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
 # sharded-sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
-# clients), then write BENCH_core.json (benchstat-comparable names, mean
-# ns/op, B/op, allocs/op). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change
+# clients), then write BENCH_core.json (benchstat-comparable names, the
+# package of each entry, mean ns/op, B/op, allocs/op). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change
 # capture), it is embedded as the document's baseline section so the
 # before/after pair travels together.
 bench-json:

@@ -17,12 +17,12 @@ import (
 
 // BenchReport is the BENCH_core.json document. Baseline, when present, holds
 // the pre-change numbers the current run is compared against, so a single
-// artefact records the before/after pair.
+// artefact records the before/after pair. The input may concatenate several
+// packages' runs, so the package is recorded per entry, not per document.
 type BenchReport struct {
 	Schema     string       `json:"schema"`
 	Goos       string       `json:"goos,omitempty"`
 	Goarch     string       `json:"goarch,omitempty"`
-	Pkg        string       `json:"pkg,omitempty"`
 	CPU        string       `json:"cpu,omitempty"`
 	Benchmarks []BenchEntry `json:"benchmarks"`
 	Baseline   *BenchReport `json:"baseline,omitempty"`
@@ -33,6 +33,7 @@ type BenchReport struct {
 // does); per-op values are means across repetitions.
 type BenchEntry struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Runs       int                `json:"runs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
@@ -45,13 +46,15 @@ type BenchEntry struct {
 // into a BenchReport, averaging repeated runs of the same benchmark.
 func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 	rep := &BenchReport{Schema: "dvbp-bench/v1"}
+	type key struct{ pkg, name string }
 	type agg struct {
 		runs  int
 		iters int64
 		sums  map[string]float64 // unit -> summed value
 	}
-	byName := make(map[string]*agg)
-	var order []string
+	byKey := make(map[key]*agg)
+	var order []key
+	pkg := ""
 
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -67,7 +70,7 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -91,11 +94,12 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 		if err != nil {
 			continue
 		}
-		a := byName[name]
+		k := key{pkg, name}
+		a := byKey[k]
 		if a == nil {
 			a = &agg{sums: make(map[string]float64)}
-			byName[name] = a
-			order = append(order, name)
+			byKey[k] = a
+			order = append(order, k)
 		}
 		a.runs++
 		a.iters += iters
@@ -111,9 +115,9 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found")
 	}
 
-	for _, name := range order {
-		a := byName[name]
-		e := BenchEntry{Name: name, Runs: a.runs, Iterations: a.iters}
+	for _, k := range order {
+		a := byKey[k]
+		e := BenchEntry{Name: k.name, Pkg: k.pkg, Runs: a.runs, Iterations: a.iters}
 		n := float64(a.runs)
 		for unit, sum := range a.sums {
 			mean := sum / n

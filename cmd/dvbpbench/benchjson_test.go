@@ -28,7 +28,7 @@ func TestParseBenchOutput(t *testing.T) {
 	if rep.Schema != "dvbp-bench/v1" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "dvbp/internal/core" {
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU == "" {
 		t.Errorf("env header not parsed: %+v", rep)
 	}
 	if len(rep.Benchmarks) != 2 {
@@ -38,6 +38,9 @@ func TestParseBenchOutput(t *testing.T) {
 	ff := rep.Benchmarks[1]
 	if ff.Name != "BenchmarkChurnHotPath/policy=FirstFit/d=2" {
 		t.Fatalf("name = %q (GOMAXPROCS suffix must be stripped)", ff.Name)
+	}
+	if ff.Pkg != "dvbp/internal/core" {
+		t.Errorf("pkg = %q, want dvbp/internal/core", ff.Pkg)
 	}
 	if ff.Runs != 2 || ff.Iterations != 60 {
 		t.Errorf("runs=%d iterations=%d, want 2/60", ff.Runs, ff.Iterations)
@@ -50,6 +53,32 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if got := ff.Metrics["events/s"]; math.Abs(got-(322119.0+322218.0)/2) > 1e-6 {
 		t.Errorf("events/s = %v", got)
+	}
+}
+
+// TestParseBenchOutputPkgPerEntry: make bench-json concatenates several
+// packages' runs into one input, so each entry must keep the package whose
+// header preceded it rather than inherit whichever package ran last.
+func TestParseBenchOutputPkgPerEntry(t *testing.T) {
+	in := sampleBenchOutput + `pkg: dvbp/internal/server
+BenchmarkServerPlaceThroughput/clients=1-8	10	585177 ns/op	1880 req/sec
+`
+	rep, err := parseBenchOutput(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkChurnHotPath/policy=BestFit/d=2":  "dvbp/internal/core",
+		"BenchmarkChurnHotPath/policy=FirstFit/d=2": "dvbp/internal/core",
+		"BenchmarkServerPlaceThroughput/clients=1":  "dvbp/internal/server",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("got %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for _, e := range rep.Benchmarks {
+		if e.Pkg != want[e.Name] {
+			t.Errorf("%s: pkg %q, want %q", e.Name, e.Pkg, want[e.Name])
+		}
 	}
 }
 

@@ -100,10 +100,12 @@ func WithClairvoyance() Option { return core.WithClairvoyance() }
 // WithAudit records every packing decision into a, for invariant checking.
 func WithAudit(a *Audit) Option { return core.WithAudit(a) }
 
-// WithLinearSelect forces the O(n) linear policy scan instead of the default
-// indexed bin store (DESIGN.md §11). Decisions are bit-identical either way;
+// WithLinearSelect makes every policy run its own O(n) Select scan. By
+// default Best Fit and Worst Fit are served from the indexed bin store and
+// AdaptiveHybrid reads engine-held load totals (DESIGN.md §11); every other
+// policy scans either way. Decisions are bit-identical with or without it;
 // the scan survives as the differential oracle and for apples-to-apples
-// measurements against the indexed path.
+// measurements against those two fast paths.
 func WithLinearSelect() Option { return core.WithLinearSelect() }
 
 // Observer receives engine lifecycle callbacks during a simulation

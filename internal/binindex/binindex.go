@@ -72,21 +72,10 @@ type Store[P any] struct {
 	free  []int32
 	byID  map[int]int32
 
-	// nextFront is the next recency key InsertFront/PromoteFront will
-	// assign; it only ever decreases, so the freshest entry sorts first.
-	nextFront int64
-
 	// checks counts feasibility evaluations (per-entry fit checks and
 	// subtree prune checks) since the last ResetChecks — the quantity the
 	// engine reports through the SelectObserver seam.
 	checks int
-
-	// totals holds the exact per-dimension sum of all indexed loads, on the
-	// same order-independent superaccumulator the bins themselves use, so
-	// TotalLoad is bit-identical to a fresh summation over the indexed
-	// multiset no matter what mutation history produced it (the property
-	// AdaptiveHybrid's regime switch relies on).
-	totals []vector.Acc
 }
 
 // New returns an empty store for d-dimensional loads.
@@ -94,7 +83,7 @@ func New[P any](d int) *Store[P] {
 	if d < 0 {
 		panic("binindex: negative dimension")
 	}
-	return &Store[P]{d: d, root: nilNode, byID: make(map[int]int32), totals: make([]vector.Acc, d)}
+	return &Store[P]{d: d, root: nilNode, byID: make(map[int]int32)}
 }
 
 // prioOf is the deterministic priority hash (the splitmix64 finaliser). It
@@ -119,43 +108,8 @@ func (s *Store[P]) Len() int {
 // ResetChecks.
 func (s *Store[P]) Checks() int { return s.checks }
 
-// TotalLoad writes the exact per-dimension sum of every indexed bin's load
-// into dst (len(dst) must equal the store dimension). The sum is maintained
-// on vector.Acc, so it is a pure function of the indexed load multiset —
-// independent of insertion, update and removal order.
-func (s *Store[P]) TotalLoad(dst vector.Vector) {
-	if len(dst) != s.d {
-		panic(fmt.Sprintf("binindex: TotalLoad dst dimension %d, store dimension %d", len(dst), s.d))
-	}
-	for j := range s.totals {
-		dst[j] = s.totals[j].Round()
-	}
-}
-
-// totalsAdd folds a load vector into the running totals with the given sign.
-func (s *Store[P]) totalsAdd(load []float64, sign int) {
-	if sign > 0 {
-		for j, x := range load {
-			s.totals[j].Add(x)
-		}
-	} else {
-		for j, x := range load {
-			s.totals[j].Sub(x)
-		}
-	}
-}
-
 // ResetChecks zeroes the feasibility-evaluation counter.
 func (s *Store[P]) ResetChecks() { s.checks = 0 }
-
-// Get returns the payload stored for the given bin ID.
-func (s *Store[P]) Get(id int) (P, bool) {
-	if n, ok := s.byID[id]; ok {
-		return s.nodes[n].payload, true
-	}
-	var zero P
-	return zero, false
-}
 
 // Insert adds a bin under the given key. It panics if the ID is already
 // indexed — the engine inserts every bin exactly once per open.
@@ -165,69 +119,29 @@ func (s *Store[P]) Insert(kf float64, ks int64, id int, load vector.Vector, payl
 	}
 	n := s.alloc(kf, ks, id, load, payload)
 	s.byID[id] = n
-	s.totalsAdd(s.nodes[n].load, +1)
 	s.root = s.insertRec(s.root, n)
 }
 
-// InsertFront adds a bin under a fresh recency key that sorts before every
-// existing entry (Move To Front's discipline: a freshly packed bin leads).
-func (s *Store[P]) InsertFront(id int, load vector.Vector, payload P) {
-	k := s.nextFront
-	s.nextFront--
-	s.Insert(0, k, id, load, payload)
-}
-
-// PromoteFront re-keys an indexed bin to a fresh front key, making it the
-// first entry in key order while preserving the relative order of the rest.
-func (s *Store[P]) PromoteFront(id int) {
-	n, ok := s.byID[id]
-	if !ok {
-		panic(fmt.Sprintf("binindex: promote of unindexed bin %d", id))
-	}
-	nd := &s.nodes[n]
-	s.root = s.removeRec(s.root, nd.kf, nd.ks)
-	nd.kf = 0
-	nd.ks = s.nextFront
-	s.nextFront--
-	s.root = s.insertRec(s.root, n)
-}
-
-// Update refreshes a bin's load and key after a pack or departure. When the
-// key is unchanged (First/Last/Random Fit key by immutable bin ID) only the
-// pruning augmentations on the root path are recomputed; a changed key
-// (Best/Worst Fit key by load measure) relocates the node.
+// Update refreshes a bin's load and key after a pack, departure or
+// migration move. A changed key relocates the node; when the load measure
+// the key is built from did not move (a pack below the bin's peak
+// dimension under the max norm, say), only the pruning augmentations on the
+// root path are recomputed.
 func (s *Store[P]) Update(id int, kf float64, ks int64, load vector.Vector) {
 	n, ok := s.byID[id]
 	if !ok {
 		panic(fmt.Sprintf("binindex: update of unindexed bin %d", id))
 	}
 	nd := &s.nodes[n]
+	copy(nd.load, load)
+	nd.selfMask = residMask(nd.load)
 	if nd.kf == kf && nd.ks == ks {
-		s.UpdateLoad(id, load)
+		s.refreshPath(s.root, kf, ks)
 		return
 	}
 	s.root = s.removeRec(s.root, nd.kf, nd.ks)
 	nd.kf, nd.ks = kf, ks
-	s.totalsAdd(nd.load, -1)
-	copy(nd.load, load)
-	s.totalsAdd(nd.load, +1)
-	nd.selfMask = residMask(nd.load)
 	s.root = s.insertRec(s.root, n)
-}
-
-// UpdateLoad refreshes a bin's load without re-keying it (the recency
-// discipline: load changes never reorder Move To Front's list).
-func (s *Store[P]) UpdateLoad(id int, load vector.Vector) {
-	n, ok := s.byID[id]
-	if !ok {
-		panic(fmt.Sprintf("binindex: update of unindexed bin %d", id))
-	}
-	nd := &s.nodes[n]
-	s.totalsAdd(nd.load, -1)
-	copy(nd.load, load)
-	s.totalsAdd(nd.load, +1)
-	nd.selfMask = residMask(nd.load)
-	s.refreshPath(s.root, nd.kf, nd.ks)
 }
 
 // Remove drops a bin from the index (bin closed or crashed).
@@ -237,7 +151,6 @@ func (s *Store[P]) Remove(id int) {
 		panic(fmt.Sprintf("binindex: remove of unindexed bin %d", id))
 	}
 	nd := &s.nodes[n]
-	s.totalsAdd(nd.load, -1)
 	s.root = s.removeRec(s.root, nd.kf, nd.ks)
 	delete(s.byID, id)
 	var zero P
@@ -245,25 +158,9 @@ func (s *Store[P]) Remove(id int) {
 	s.free = append(s.free, n)
 }
 
-// Clear empties the store, keeping the arena for reuse.
-func (s *Store[P]) Clear() {
-	var zero P
-	for i := range s.nodes {
-		s.nodes[i].payload = zero
-	}
-	s.nodes = s.nodes[:0]
-	s.free = s.free[:0]
-	s.root = nilNode
-	clear(s.byID)
-	s.nextFront = 0
-	for j := range s.totals {
-		s.totals[j].Reset()
-	}
-}
-
 // FirstFeasible returns the first entry in key order whose bin fits an item
-// of the given size — for each policy's key discipline, exactly the bin its
-// linear scan would choose. ok is false when no indexed bin fits.
+// of the given size — for Best and Worst Fit's keys, exactly the bin their
+// linear scans choose. ok is false when no indexed bin fits.
 func (s *Store[P]) FirstFeasible(size vector.Vector) (P, bool) {
 	fm := feasMask(size)
 	if n := s.firstFeasible(s.root, size, fm); n != nilNode {
@@ -271,14 +168,6 @@ func (s *Store[P]) FirstFeasible(size vector.Vector) (P, bool) {
 	}
 	var zero P
 	return zero, false
-}
-
-// AscendFeasible calls yield for every feasible bin in ascending key order,
-// stopping early when yield returns false. Random Fit reservoir-samples over
-// it with the same draw sequence as its linear scan.
-func (s *Store[P]) AscendFeasible(size vector.Vector, yield func(P) bool) {
-	fm := feasMask(size)
-	s.ascendFeasible(s.root, size, fm, yield)
 }
 
 // --- queries ---
@@ -316,23 +205,6 @@ func (s *Store[P]) firstFeasible(n int32, size vector.Vector, fm uint64) int32 {
 		n = r
 	}
 	return nilNode
-}
-
-func (s *Store[P]) ascendFeasible(n int32, size vector.Vector, fm uint64, yield func(P) bool) bool {
-	if n == nilNode || !s.subtreeFeasible(n, size, fm) {
-		return true
-	}
-	nd := &s.nodes[n]
-	if !s.ascendFeasible(nd.left, size, fm, yield) {
-		return false
-	}
-	s.checks++
-	if vector.Vector(nd.load).FitsWithin(size) {
-		if !yield(nd.payload) {
-			return false
-		}
-	}
-	return s.ascendFeasible(nd.right, size, fm, yield)
 }
 
 // --- residual-capacity bucketing ---
@@ -432,8 +304,8 @@ func (s *Store[P]) pull(n int32) {
 // the new subtree root with augmentations recomputed along the path.
 func (s *Store[P]) insertRec(n, x int32) int32 {
 	if n == nilNode {
-		// x may be a just-detached node being re-keyed (Update,
-		// PromoteFront); drop whatever children it had in its old position.
+		// x may be a just-detached node being re-keyed (Update); drop
+		// whatever children it had in its old position.
 		s.nodes[x].left, s.nodes[x].right = nilNode, nilNode
 		s.pull(x)
 		return x
@@ -524,27 +396,7 @@ func (s *Store[P]) refreshPath(n int32, kf float64, ks int64) {
 	s.pull(n)
 }
 
-// --- introspection for tests and the differential oracle ---
-
-// Ascend calls yield for every entry in ascending key order (no feasibility
-// filter), stopping early when yield returns false.
-func (s *Store[P]) Ascend(yield func(P) bool) {
-	s.ascend(s.root, yield)
-}
-
-func (s *Store[P]) ascend(n int32, yield func(P) bool) bool {
-	if n == nilNode {
-		return true
-	}
-	nd := &s.nodes[n]
-	if !s.ascend(nd.left, yield) {
-		return false
-	}
-	if !yield(nd.payload) {
-		return false
-	}
-	return s.ascend(nd.right, yield)
-}
+// --- introspection for tests ---
 
 // Shape returns a canonical preorder encoding of the tree structure
 // ((id, depth) pairs). Tests use it to verify history independence: any
@@ -638,17 +490,6 @@ func (s *Store[P]) Validate() error {
 	}
 	if seen != len(s.byID) {
 		return fmt.Errorf("binindex: tree has %d nodes, byID has %d", seen, len(s.byID))
-	}
-	fresh := make([]vector.Acc, s.d)
-	for _, n := range s.byID {
-		for j, x := range s.nodes[n].load {
-			fresh[j].Add(x)
-		}
-	}
-	for j := range fresh {
-		if got, want := s.totals[j].Round(), fresh[j].Round(); got != want {
-			return fmt.Errorf("binindex: total load stale in dim %d: %v != %v", j, got, want)
-		}
 	}
 	return nil
 }

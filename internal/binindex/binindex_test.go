@@ -43,16 +43,6 @@ func (m *refModel) firstFeasible(size vector.Vector) (int, bool) {
 	return 0, false
 }
 
-func (m *refModel) ascendFeasible(size vector.Vector) []int {
-	var ids []int
-	for _, e := range m.sorted() {
-		if e.load.FitsWithin(size) {
-			ids = append(ids, e.id)
-		}
-	}
-	return ids
-}
-
 func (m *refModel) find(id int) *refEntry {
 	for i := range m.entries {
 		if m.entries[i].id == id {
@@ -88,8 +78,8 @@ func randSize(r *rand.Rand, d int) vector.Vector {
 }
 
 // checkAgainstRef cross-checks every query the engine issues against the
-// naive model: structural invariants, first-feasible answers for a spread of
-// item sizes, and the full feasible enumeration order.
+// naive model: structural invariants and first-feasible answers for a spread
+// of item sizes.
 func checkAgainstRef(t *testing.T, s *binindex.Store[int], m *refModel, r *rand.Rand, d int) {
 	t.Helper()
 	if err := s.Validate(); err != nil {
@@ -104,20 +94,6 @@ func checkAgainstRef(t *testing.T, s *binindex.Store[int], m *refModel, r *rand.
 		wantID, wantOK := m.firstFeasible(size)
 		if gotOK != wantOK || (gotOK && gotID != wantID) {
 			t.Fatalf("FirstFeasible(%v) = (%d, %v), reference (%d, %v)", size, gotID, gotOK, wantID, wantOK)
-		}
-		var asc []int
-		s.AscendFeasible(size, func(id int) bool {
-			asc = append(asc, id)
-			return true
-		})
-		want := m.ascendFeasible(size)
-		if len(asc) != len(want) {
-			t.Fatalf("AscendFeasible(%v) yielded %v, reference %v", size, asc, want)
-		}
-		for i := range asc {
-			if asc[i] != want[i] {
-				t.Fatalf("AscendFeasible(%v) yielded %v, reference %v", size, asc, want)
-			}
 		}
 	}
 }
@@ -162,84 +138,6 @@ func TestStoreMatchesLinearScanKeyed(t *testing.T) {
 	}
 }
 
-// TestStoreMatchesLinearScanRecency drives a recency-keyed store (the Move To
-// Front discipline: InsertFront / PromoteFront / UpdateLoad) and checks that
-// the store's key order always equals the model's explicit recency list.
-func TestStoreMatchesLinearScanRecency(t *testing.T) {
-	const d = 2
-	r := rand.New(rand.NewSource(7))
-	s := binindex.New[int](d)
-	// front-first list of IDs plus loads by ID
-	var order []int
-	loads := map[int]vector.Vector{}
-	nextID := 0
-	promote := func(id int) {
-		for i, x := range order {
-			if x == id {
-				order = append(order[:i], order[i+1:]...)
-				break
-			}
-		}
-		order = append([]int{id}, order...)
-	}
-	for op := 0; op < 2000; op++ {
-		switch {
-		case len(order) == 0 || r.Intn(4) == 0: // insert at front
-			load := randLoad(r, d)
-			s.InsertFront(nextID, load, nextID)
-			loads[nextID] = load
-			order = append([]int{nextID}, order...)
-			nextID++
-		case r.Intn(3) == 0: // promote
-			id := order[r.Intn(len(order))]
-			s.PromoteFront(id)
-			promote(id)
-		case r.Intn(2) == 0: // load change without re-ordering
-			id := order[r.Intn(len(order))]
-			load := randLoad(r, d)
-			s.UpdateLoad(id, load)
-			copy(loads[id], load)
-		default: // remove
-			i := r.Intn(len(order))
-			id := order[i]
-			s.Remove(id)
-			order = append(order[:i], order[i+1:]...)
-			delete(loads, id)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var got []int
-		s.Ascend(func(id int) bool {
-			got = append(got, id)
-			return true
-		})
-		if len(got) != len(order) {
-			t.Fatalf("op %d: store order %v, want %v", op, got, order)
-		}
-		for i := range got {
-			if got[i] != order[i] {
-				t.Fatalf("op %d: store order %v, want %v", op, got, order)
-			}
-		}
-		if op%13 == 0 {
-			size := randSize(r, d)
-			gotID, gotOK := s.FirstFeasible(size)
-			wantOK := false
-			wantID := 0
-			for _, id := range order {
-				if loads[id].FitsWithin(size) {
-					wantID, wantOK = id, true
-					break
-				}
-			}
-			if gotOK != wantOK || (gotOK && gotID != wantID) {
-				t.Fatalf("op %d: FirstFeasible(%v) = (%d, %v), want (%d, %v)", op, size, gotID, gotOK, wantID, wantOK)
-			}
-		}
-	}
-}
-
 // TestStoreChecksCounting pins the feasibility-evaluation counter: a query
 // over a single-node store performs exactly one evaluation, and ResetChecks
 // zeroes the counter.
@@ -260,8 +158,8 @@ func TestStoreChecksCounting(t *testing.T) {
 }
 
 // TestStoreSteadyStateAllocs pins the hot path: with the arena warmed up,
-// queries, load updates, re-keying updates, promotions and remove/insert
-// cycles must not allocate.
+// queries, same-key load updates, re-keying updates and remove/insert cycles
+// must not allocate.
 func TestStoreSteadyStateAllocs(t *testing.T) {
 	const d, n = 2, 256
 	s := binindex.New[int](d)
@@ -288,27 +186,15 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 		t.Errorf("re-keying Update allocates %v per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		s.UpdateLoad(9, load)
+		s.Update(9, -0.9, 9, load) // key unchanged: path refresh only
 	}); a != 0 {
-		t.Errorf("UpdateLoad allocates %v per call, want 0", a)
+		t.Errorf("same-key Update allocates %v per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		s.Remove(5)
 		s.Insert(-0.42, 5, 5, load, 5)
 	}); a != 0 {
 		t.Errorf("Remove+Insert cycle allocates %v per call, want 0", a)
-	}
-
-	rec := binindex.New[int](d)
-	for i := 0; i < n; i++ {
-		rec.InsertFront(i, randLoad(r, d), i)
-	}
-	i := 0
-	if a := testing.AllocsPerRun(100, func() {
-		i = (i + 97) % n
-		rec.PromoteFront(i)
-	}); a != 0 {
-		t.Errorf("PromoteFront allocates %v per call, want 0", a)
 	}
 }
 
@@ -328,32 +214,7 @@ func TestStorePanicsOnMisuse(t *testing.T) {
 	mustPanic("duplicate insert", func() { s.Insert(1, 1, 0, vector.Of(0.1), 0) })
 	mustPanic("remove missing", func() { s.Remove(42) })
 	mustPanic("update missing", func() { s.Update(42, 0, 0, vector.Of(0.1)) })
-	mustPanic("promote missing", func() { s.PromoteFront(42) })
 	mustPanic("dimension mismatch", func() { s.Insert(2, 2, 1, vector.Of(0.1, 0.2), 1) })
-}
-
-// TestStoreGetAndClear covers the remaining surface.
-func TestStoreGetAndClear(t *testing.T) {
-	s := binindex.New[string](1)
-	s.Insert(0, 1, 1, vector.Of(0.2), "a")
-	s.Insert(0, 2, 2, vector.Of(0.4), "b")
-	if v, ok := s.Get(2); !ok || v != "b" {
-		t.Errorf("Get(2) = (%q, %v)", v, ok)
-	}
-	if _, ok := s.Get(3); ok {
-		t.Error("Get(3) should miss")
-	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Errorf("Len after Clear = %d", s.Len())
-	}
-	if _, ok := s.Get(1); ok {
-		t.Error("Get(1) after Clear should miss")
-	}
-	s.Insert(0, 1, 1, vector.Of(0.2), "c")
-	if v, ok := s.Get(1); !ok || v != "c" {
-		t.Errorf("reuse after Clear: Get(1) = (%q, %v)", v, ok)
-	}
 }
 
 // TestStoreShapeHistoryIndependent pins the treap's canonical-shape
@@ -439,84 +300,6 @@ func TestStoreShapeHistoryIndependent(t *testing.T) {
 			if live.Checks() != rebuilt.Checks() {
 				t.Fatalf("trial %d: check counts diverge: live %d, rebuilt %d", trial, live.Checks(), rebuilt.Checks())
 			}
-		}
-	}
-}
-
-// TestTotalLoadTracksMutations drives a random mutation sequence (insert,
-// update, re-key, remove, clear) against an exact-summation oracle: after
-// every operation TotalLoad must equal a fresh superaccumulator sum over the
-// surviving loads — the order-independence AdaptiveHybrid's regime switch
-// depends on. Validate cross-checks the same invariant internally.
-func TestTotalLoadTracksMutations(t *testing.T) {
-	const d = 3
-	r := rand.New(rand.NewSource(11))
-	s := binindex.New[int](d)
-	live := map[int]vector.Vector{}
-	nextID := 0
-	randLoad := func() vector.Vector {
-		v := vector.New(d)
-		for j := range v {
-			v[j] = float64(r.Intn(1000)) / 1000
-		}
-		return v
-	}
-	check := func(op string) {
-		t.Helper()
-		var fresh [d]vector.Acc
-		for _, l := range live {
-			for j, x := range l {
-				fresh[j].Add(x)
-			}
-		}
-		got := vector.New(d)
-		s.TotalLoad(got)
-		for j := range got {
-			if want := fresh[j].Round(); got[j] != want {
-				t.Fatalf("after %s: TotalLoad[%d] = %v, want %v", op, j, got[j], want)
-			}
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("after %s: %v", op, err)
-		}
-	}
-	ids := func() []int {
-		out := make([]int, 0, len(live))
-		for id := range live {
-			out = append(out, id)
-		}
-		sort.Ints(out)
-		return out
-	}
-	for step := 0; step < 2000; step++ {
-		switch op := r.Intn(10); {
-		case op < 4 || len(live) == 0: // insert
-			l := randLoad()
-			s.Insert(r.Float64(), int64(nextID), nextID, l, nextID)
-			live[nextID] = l
-			nextID++
-			check("insert")
-		case op < 6: // in-place load update
-			id := ids()[r.Intn(len(live))]
-			l := randLoad()
-			s.UpdateLoad(id, l)
-			live[id] = l
-			check("update-load")
-		case op < 8: // re-keying update
-			id := ids()[r.Intn(len(live))]
-			l := randLoad()
-			s.Update(id, r.Float64(), int64(id), l)
-			live[id] = l
-			check("update")
-		case op < 9: // remove
-			id := ids()[r.Intn(len(live))]
-			s.Remove(id)
-			delete(live, id)
-			check("remove")
-		default:
-			s.Clear()
-			live = map[int]vector.Vector{}
-			check("clear")
 		}
 	}
 }

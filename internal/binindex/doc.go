@@ -1,21 +1,16 @@
 // Package binindex implements the sub-linear indexed bin store behind the
-// engine's Any Fit policies: a self-balancing order-statistic tree over the
+// engine's Best Fit and Worst Fit policies: an order-statistic tree over the
 // open bins, augmented with residual-capacity pruning metadata, that answers
-// every policy's Select as a single "leftmost feasible entry in key order"
-// query.
+// their Select as a single "leftmost feasible entry in key order" query.
 //
-// # One query, seven policies
+// # One query, two policies
 //
-// Each Any Fit policy of the source paper reduces its Select to a
-// feasibility-filtered extremum over the open bins, and every such extremum
-// is the *first feasible entry* under a policy-specific total order:
+// Best Fit and Worst Fit reduce their Select to a feasibility-filtered
+// argmax/argmin of a load measure w, and each is the *first feasible entry*
+// under a total order on the open bins:
 //
-//	First Fit      key (0, +binID)       — earliest-opened feasible bin
-//	Last Fit       key (0, -binID)       — latest-opened feasible bin
 //	Best Fit (w)   key (-w(bin), binID)  — max load measure, ties to lowest ID
 //	Worst Fit (w)  key (+w(bin), binID)  — min load measure, ties to lowest ID
-//	Move To Front  recency keys          — most recently packed feasible bin
-//	Random Fit     key (0, +binID)       — reservoir sample over AscendFeasible
 //
 // Keys are (float64, int64) pairs compared lexicographically. Because bin IDs
 // are unique, keys are unique, and the first feasible entry in key order is
@@ -23,12 +18,19 @@
 // tie-breaking — so indexed and scanned decisions are bit-identical (the
 // contract DESIGN.md §11 specifies and the differential suites enforce).
 //
+// Every other Any Fit policy scans: where the key is a bin ID or a recency
+// rank, or the score depends on the item, the index could only prune the
+// scan, and on measured fleets the plain scan was faster (DESIGN.md §11).
+//
 // # Structure and complexity
 //
-// The store is an AVL tree in a flat node arena (int32 links, free-list
+// The store is a treap in a flat node arena (int32 links, free-list
 // recycling), so steady-state Insert/Remove/Update/queries allocate nothing.
-// Every node carries order-statistic counts plus two pruning augmentations
-// over its subtree:
+// Its priorities are a fixed hash of the bin ID, which makes the tree's shape
+// a pure function of its contents; an AVL or red-black tree would not give
+// that, and DESIGN.md §11 explains why the canonical shape matters. Every
+// node carries order-statistic counts plus two pruning augmentations over its
+// subtree:
 //
 //   - minLoad: the component-wise minimum load vector. A subtree can contain
 //     a feasible bin only if minLoad itself fits the item; because float64
@@ -39,13 +41,13 @@
 //     all lie below the item's largest component cannot fit it. The mask is
 //     a conservative O(1) pre-filter in front of the O(d) minLoad check.
 //
-// FirstFeasible therefore runs in O(d·log n) guaranteed for d = 1 (the
-// minLoad prune is exact and sufficient in one dimension) and degrades
-// gracefully for d ≥ 2, where component-wise pruning can admit false
-// positives: worst case O(d·n), in practice near-logarithmic (the fleet
-// benchmarks in BENCH_core.json pin the measured behaviour).
+// FirstFeasible therefore runs in expected O(d·log n) for d = 1 (the minLoad
+// prune is exact and sufficient in one dimension) and degrades for d ≥ 2,
+// where component-wise pruning admits false positives: worst case O(d·n).
+// The fleet benchmarks in BENCH_core.json pin the measured behaviour.
 //
-// The engine owns index maintenance (insert on open, update on pack/depart,
-// remove on close/crash, rebuild on checkpoint restore); policies only issue
-// queries. See core.IndexedPolicy for the binding contract.
+// The engine owns index maintenance (insert on open, update on pack, depart
+// and migration move, remove on close/crash, rebuild on checkpoint restore);
+// policies only supply their key. See core.IndexedPolicy for the binding
+// contract.
 package binindex

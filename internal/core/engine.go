@@ -7,6 +7,7 @@ import (
 	"dvbp/internal/binindex"
 	"dvbp/internal/eventq"
 	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
 
 // binRef renders a bin choice for divergence diagnostics.
@@ -46,18 +47,21 @@ func WithClairvoyance() Option {
 }
 
 // WithAudit records every packing decision into a (caller-owned) Audit for
-// invariant checking in tests. Audit mode also arms the index oracle: on the
-// indexed Select path every decision is re-derived through the policy's
-// linear scan and compared, and the index's structural invariants are
-// re-validated after every mutation.
+// invariant checking in tests. Audit mode also arms the fast-path oracle: on
+// either fast Select path (the bin index or the held open-load totals) every
+// decision is re-derived through the policy's own Select and compared, and
+// after every mutation of the open set the index's structural invariants are
+// re-validated and the held totals are checked against a fresh sum.
 func WithAudit(a *Audit) Option {
 	return func(c *config) { c.audit = a }
 }
 
-// WithLinearSelect forces the original O(open) linear-scan Select path even
-// for policies that implement IndexedPolicy. The scan is the differential
-// oracle the indexed path is tested against (DESIGN.md §11); production runs
-// have no reason to use this option.
+// WithLinearSelect makes the engine call every policy's own Select, the
+// O(open) scan, where it would otherwise take a fast path: the bin index for
+// Best and Worst Fit (IndexedPolicy) or the engine-held open-load totals for
+// AdaptiveHybrid. The scan is the differential oracle both fast paths are
+// tested against (DESIGN.md §11); production runs have no reason to use this
+// option.
 func WithLinearSelect() Option {
 	return func(c *config) { c.linearSelect = true }
 }
@@ -291,15 +295,17 @@ type Engine struct {
 	passTime     float64
 	redirects    map[int64]int
 
-	// Indexed Select path (nil/unset when the policy is not an
-	// IndexedPolicy or WithLinearSelect forces the scan). The engine owns
-	// the index: it mirrors the open set on every open, pack, departure and
-	// close, and ip queries it in place of Policy.Select.
-	idx       *BinIndex
-	ip        IndexedPolicy
-	ixKey     func(*Bin) (float64, int64)
-	ixRecency bool
-	ixRekey   func(*BinIndex) error
+	// Fast Select paths, nil unless the policy takes one and
+	// WithLinearSelect does not force the scan. The engine mirrors every
+	// change to the open set into them. idx, keyed by ixKey, answers an
+	// IndexedPolicy's Select with its leftmost feasible entry; totals holds
+	// the exact per-dimension sum of the open bins' loads, which tp reads in
+	// place of re-summing the bins (tot is its rounding scratch).
+	idx    *BinIndex
+	ixKey  func(*Bin) (float64, int64)
+	tp     totalsPolicy
+	totals []vector.Acc
+	tot    vector.Vector
 
 	evictIDs []int // scratch reused across crashes
 
@@ -372,43 +378,83 @@ func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
 	if cfg.migrate != nil {
 		e.migPass = 1
 	}
-	if ip, ok := p.(IndexedPolicy); ok && !cfg.linearSelect {
-		prof := ip.IndexProfile()
-		if prof.Recency == (prof.Key != nil) {
-			panic(fmt.Sprintf("core: policy %s declares an IndexProfile with exactly one of Key and Recency unset", p.Name()))
+	if !cfg.linearSelect {
+		switch fp := p.(type) {
+		case IndexedPolicy:
+			e.ixKey = fp.indexKey
+			e.idx = binindex.New[*Bin](l.Dim)
+		case totalsPolicy:
+			e.tp = fp
+			e.totals = make([]vector.Acc, l.Dim)
+			e.tot = vector.New(l.Dim)
 		}
-		e.ip = ip
-		e.ixKey = prof.Key
-		e.ixRecency = prof.Recency
-		e.ixRekey = prof.Rekey
-		e.idx = binindex.New[*Bin](l.Dim)
 	}
 	return e
 }
 
-// idxInsert mirrors a freshly opened (and just-packed) bin into the index.
-func (e *Engine) idxInsert(b *Bin) {
-	if e.ixRecency {
-		e.idx.InsertFront(b.ID, b.load, b)
-		return
-	}
-	kf, ks := e.ixKey(b)
-	e.idx.Insert(kf, ks, b.ID, b.load, b)
+// totalsPolicy is implemented by policies whose Select reads the exact
+// per-dimension load totals of the open bins (AdaptiveHybrid's regime
+// switch). On the engine path the engine supplies the totals it holds, so a
+// decision costs one scan instead of a re-sum plus a scan.
+type totalsPolicy interface {
+	selectWithTotals(req Request, open []*Bin, tot vector.Vector) *Bin
 }
 
-// idxUpdate refreshes an existing bin's index entry after a load change.
-// promote marks a pack under the recency discipline (the bin becomes the
-// front); departures refresh the load without re-ordering.
-func (e *Engine) idxUpdate(b *Bin, promote bool) {
-	if e.ixRecency {
-		e.idx.UpdateLoad(b.ID, b.load)
-		if promote {
-			e.idx.PromoteFront(b.ID)
-		}
+// totalsSub removes b's current load from the held totals; totalsAdd folds
+// it back in. Both are no-ops unless the engine holds totals. Every change to
+// an open bin's load is bracketed by the pair, and closing a bin removes what
+// is left of its load, so the totals always equal a fresh vector.Acc sum over
+// the open bins. Acc is exact and order-independent, so no mutation history
+// can make them drift.
+func (e *Engine) totalsSub(b *Bin) {
+	for j := range e.totals {
+		e.totals[j].Sub(b.load[j])
+	}
+}
+
+func (e *Engine) totalsAdd(b *Bin) {
+	for j := range e.totals {
+		e.totals[j].Add(b.load[j])
+	}
+}
+
+// idxPut mirrors a just-packed, departed-from or migration-touched bin into
+// the index: inserted when fresh, re-keyed otherwise.
+func (e *Engine) idxPut(b *Bin, fresh bool) {
+	if e.idx == nil {
 		return
 	}
 	kf, ks := e.ixKey(b)
-	e.idx.Update(b.ID, kf, ks, b.load)
+	if fresh {
+		e.idx.Insert(kf, ks, b.ID, b.load, b)
+	} else {
+		e.idx.Update(b.ID, kf, ks, b.load)
+	}
+}
+
+// auditOpenSet re-validates the fast paths' mirrors of the open set after a
+// mutation (audit mode only): the index's structural invariants, and the
+// held totals against a fresh exact sum over the open bins.
+func (e *Engine) auditOpenSet() error {
+	if e.cfg.audit == nil {
+		return nil
+	}
+	if e.idx != nil {
+		if err := e.idx.Validate(); err != nil {
+			return err
+		}
+	}
+	if e.totals == nil {
+		return nil
+	}
+	// The reference is the fresh sum AdaptiveHybrid's own Select computes.
+	want := new(AdaptiveHybrid).totals(len(e.totals), e.AppendOpenBins(nil))
+	for j, w := range want {
+		if got := e.totals[j].Round(); got != w {
+			return fmt.Errorf("core: held open-load total in dimension %d is %v, a fresh sum over the open bins gives %v", j, got, w)
+		}
+	}
+	return nil
 }
 
 // Close releases the policy-reuse guard. It is idempotent and implied by
@@ -463,6 +509,7 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	if e.idx != nil {
 		e.idx.Remove(b.ID)
 	}
+	e.totalsSub(b)
 	e.p.OnClose(b)
 	if e.cfg.observer != nil {
 		e.cfg.observer.BinClosed(b, t)
@@ -502,10 +549,16 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 		e.probe.armed, e.probe.n = true, 0
 	}
 	var b *Bin
-	if e.idx != nil {
+	switch {
+	case e.idx != nil:
 		e.idx.ResetChecks()
-		b = e.ip.SelectIndexed(req, e.idx)
-	} else {
+		b, _ = e.idx.FirstFeasible(req.Size)
+	case e.tp != nil:
+		for j := range e.totals {
+			e.tot[j] = e.totals[j].Round()
+		}
+		b = e.tp.selectWithTotals(req, e.open, e.tot)
+	default:
 		b = e.p.Select(req, e.open)
 	}
 	if e.probe != nil {
@@ -516,16 +569,13 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 		}
 		e.selObs.AfterSelect(req, b, n)
 	}
-	if e.idx != nil && e.cfg.audit != nil {
-		// Per-decision oracle: the linear scan must agree with the index.
-		// Random Fit is excluded (its Select consumes RNG draws); the
-		// whole-run WithLinearSelect differential covers it instead.
-		if _, draws := e.p.(selectDrawsRandomness); !draws {
-			if want := e.p.Select(req, e.open); want != b {
-				return false, -1, false, fmt.Errorf(
-					"core: policy %s: indexed select chose %s, linear scan chose %s (item %d)",
-					e.p.Name(), binRef(b), binRef(want), it.ID)
-			}
+	if e.cfg.audit != nil && (e.idx != nil || e.tp != nil) {
+		// Per-decision oracle: the policy's own scan must agree with the
+		// fast path.
+		if want := e.p.Select(req, e.open); want != b {
+			return false, -1, false, fmt.Errorf(
+				"core: policy %s: fast-path select chose %s, linear scan chose %s (item %d)",
+				e.p.Name(), binRef(b), binRef(want), it.ID)
 		}
 	}
 	if b == nil {
@@ -567,26 +617,20 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 		// the policy actually saw.
 		e.cfg.audit.record(req, b, opened, e.open)
 	}
+	e.totalsSub(b) // a fresh bin's load is zero
 	if err := b.pack(it.ID, it.Size); err != nil {
 		return false, -1, false, fmt.Errorf("core: policy %s chose unfit bin: %w", e.p.Name(), err)
 	}
+	e.totalsAdd(b)
 	if e.cfg.audit != nil {
 		// Audit mode cross-checks the incremental load against the
 		// original canonical recompute after every mutation.
 		b.auditCrossCheckLoad()
 	}
 	e.p.OnPack(req, b, opened)
-	if e.idx != nil {
-		if opened {
-			e.idxInsert(b)
-		} else {
-			e.idxUpdate(b, true)
-		}
-		if e.cfg.audit != nil {
-			if err := e.idx.Validate(); err != nil {
-				return false, -1, false, err
-			}
-		}
+	e.idxPut(b, opened)
+	if err := e.auditOpenSet(); err != nil {
+		return false, -1, false, err
 	}
 	if e.cfg.observer != nil {
 		e.cfg.observer.AfterPack(req, b, opened)
@@ -654,6 +698,7 @@ func (e *Engine) handleDeparture(t float64, ev departure) (binID int, err error)
 		}
 		return -1, fmt.Errorf("core: departure from unknown bin %d", ev.binID)
 	}
+	e.totalsSub(b)
 	if err := b.remove(ev.itemID); err != nil {
 		return -1, fmt.Errorf("core: %w", err)
 	}
@@ -665,12 +710,14 @@ func (e *Engine) handleDeparture(t float64, ev departure) (binID int, err error)
 	if b.Empty() {
 		e.closeBinAt(b, t, false)
 	} else {
-		if e.idx != nil {
-			e.idxUpdate(b, false)
-		}
+		e.totalsAdd(b)
+		e.idxPut(b, false)
 		if e.dObs != nil {
 			e.dObs.ItemDeparted(ev.itemID, b, t)
 		}
+	}
+	if err := e.auditOpenSet(); err != nil {
+		return -1, err
 	}
 	return ev.binID, e.drainQueue(t)
 }
@@ -687,6 +734,9 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 	evicted := e.evictIDs
 	e.res.Crashes++
 	e.closeBinAt(b, t, true)
+	if err := e.auditOpenSet(); err != nil {
+		return err
+	}
 	if e.fObs != nil {
 		e.fObs.BinCrashed(b, t, len(evicted))
 	}

@@ -184,8 +184,6 @@ func TestInvalidInputRejected(t *testing.T) {
 }
 
 // badPolicy returns a bin that does not fit, to exercise engine defences.
-// The embedded *FirstFit promotes IndexedPolicy, so the runs below force
-// WithLinearSelect to make the engine consult the overridden Select.
 type badPolicy struct{ *FirstFit }
 
 func (badPolicy) Name() string { return "Bad" }
@@ -201,7 +199,7 @@ func TestEngineRejectsUnfitChoice(t *testing.T) {
 		[]float64{0, 2, 0.9},
 		[]float64{1, 2, 0.9},
 	)
-	if _, err := Simulate(l, badPolicy{NewFirstFit()}, WithLinearSelect()); err == nil {
+	if _, err := Simulate(l, badPolicy{NewFirstFit()}); err == nil {
 		t.Error("policy returning unfit bin: want error")
 	}
 }
@@ -216,7 +214,7 @@ func (foreignPolicy) Select(req Request, open []*Bin) *Bin {
 
 func TestEngineRejectsForeignBin(t *testing.T) {
 	l := list(t, 1, []float64{0, 2, 0.5})
-	if _, err := Simulate(l, foreignPolicy{NewFirstFit()}, WithLinearSelect()); err == nil {
+	if _, err := Simulate(l, foreignPolicy{NewFirstFit()}); err == nil {
 		t.Error("policy returning foreign bin: want error")
 	}
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // fleet builds n open bins with heterogeneous loads (uniform on the 1%-grid
-// in [0.30, 0.99] per dimension) plus the matching indexed store for the
-// policy's key discipline — the steady state of a fleet-scale run, isolated
-// from the event loop so the benchmark times nothing but Select.
+// in [0.30, 0.99] per dimension) plus the matching indexed store under the
+// policy's key — the steady state of a fleet-scale run, isolated from the
+// event loop so the benchmark times nothing but Select.
 func fleet(p IndexedPolicy, n, d int, seed int64) ([]*Bin, *BinIndex) {
 	r := rand.New(rand.NewSource(seed))
-	prof := p.IndexProfile()
 	ix := binindex.New[*Bin](d)
 	open := make([]*Bin, n)
 	size := vector.New(d)
@@ -28,71 +27,68 @@ func fleet(p IndexedPolicy, n, d int, seed int64) ([]*Bin, *BinIndex) {
 			panic(err)
 		}
 		open[i] = b
-		if prof.Recency {
-			ix.InsertFront(b.ID, b.load, b)
-		} else {
-			kf, ks := prof.Key(b)
-			ix.Insert(kf, ks, b.ID, b.load, b)
-		}
+		kf, ks := p.indexKey(b)
+		ix.Insert(kf, ks, b.ID, b.load, b)
 	}
 	return open, ix
 }
 
-// fleetRequests cycles item sizes from small (most bins fit; Best Fit's
+// fleetSizes cycles item sizes from small (most bins fit; Best Fit's
 // linear scan still walks the whole fleet to take the argmax) to large (few
 // bins fit; every policy's scan walks a long infeasible prefix).
 var fleetSizes = []float64{0.05, 0.15, 0.35, 0.55}
 
+// fleetCases are the (policy, d) pairs the fleet benchmark and its guard
+// cover: the two indexed policies in the dimensions where the index wins
+// (BestFit d=1, WorstFit d=2) and the one where it loses (BestFit d=2).
+var fleetCases = []struct {
+	policy string
+	d      int
+}{{"BestFit", 1}, {"BestFit", 2}, {"WorstFit", 2}}
+
 // BenchmarkFleetSelect times one policy decision over a fleet of n open
-// bins, linear scan vs indexed store — the tentpole claim of DESIGN.md §11.
-// ns/op is the per-item Select cost; the "checks" metric would show the
-// same gap (O(n) probes vs O(log n) pruned descent). Fleet sizes above 10⁴
-// are skipped in -short mode so `make ci` stays fast; `make bench-json`
-// runs the full ladder.
+// bins, linear scan vs indexed store — the claim of DESIGN.md §11. ns/op is
+// the per-item Select cost. Each fleet is built inside its own
+// sub-benchmark, so a -bench filter that skips a rung never allocates it.
+// Fleet sizes above 10⁴ are skipped in -short mode so `make ci` stays fast;
+// `make bench-json` runs the full ladder.
 func BenchmarkFleetSelect(b *testing.B) {
-	for _, tc := range []struct {
-		policy string
-		d      int
-	}{
-		{"BestFit", 1},
-		{"BestFit", 2},
-		{"FirstFit", 1},
-		{"WorstFit", 2},
-	} {
+	for _, tc := range fleetCases {
 		p, err := NewPolicy(tc.policy, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ip := p.(IndexedPolicy)
 		for _, n := range []int{10_000, 100_000, 1_000_000} {
 			if testing.Short() && n > 10_000 {
 				continue
 			}
-			open, ix := fleet(ip, n, tc.d, 42)
-			req := Request{Size: vector.New(tc.d)}
-			for _, mode := range []string{"linear", "indexed"} {
-				b.Run(fmt.Sprintf("policy=%s/d=%d/n=%d/mode=%s", tc.policy, tc.d, n, mode), func(b *testing.B) {
-					b.ReportAllocs()
-					hits := 0
-					for i := 0; i < b.N; i++ {
-						for j := range req.Size {
-							req.Size[j] = fleetSizes[i%len(fleetSizes)]
+			b.Run(fmt.Sprintf("policy=%s/d=%d/n=%d", tc.policy, tc.d, n), func(b *testing.B) {
+				open, ix := fleet(p.(IndexedPolicy), n, tc.d, 42)
+				req := Request{Size: vector.New(tc.d)}
+				for _, mode := range []string{"linear", "indexed"} {
+					b.Run("mode="+mode, func(b *testing.B) {
+						b.ReportAllocs()
+						hits := 0
+						for i := 0; i < b.N; i++ {
+							for j := range req.Size {
+								req.Size[j] = fleetSizes[i%len(fleetSizes)]
+							}
+							var chosen *Bin
+							if mode == "linear" {
+								chosen = p.Select(req, open)
+							} else {
+								chosen, _ = ix.FirstFeasible(req.Size)
+							}
+							if chosen != nil {
+								hits++
+							}
 						}
-						var chosen *Bin
-						if mode == "linear" {
-							chosen = p.Select(req, open)
-						} else {
-							chosen = ip.SelectIndexed(req, ix)
+						if hits == 0 {
+							b.Fatal("no request ever fit: benchmark is measuring nothing")
 						}
-						if chosen != nil {
-							hits++
-						}
-					}
-					if hits == 0 {
-						b.Fatal("no request ever fit: benchmark is measuring nothing")
-					}
-				})
-			}
+					})
+				}
+			})
 		}
 	}
 }
@@ -102,22 +98,19 @@ func BenchmarkFleetSelect(b *testing.B) {
 // probe size (a divergence would mean the benchmark compares two different
 // computations).
 func TestFleetSelectAgreement(t *testing.T) {
-	for _, tc := range []struct {
-		policy string
-		d      int
-	}{{"BestFit", 1}, {"BestFit", 2}, {"FirstFit", 1}, {"WorstFit", 2}} {
+	for _, tc := range fleetCases {
 		p, err := NewPolicy(tc.policy, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ip := p.(IndexedPolicy)
-		open, ix := fleet(ip, 10_000, tc.d, 42)
+		open, ix := fleet(p.(IndexedPolicy), 10_000, tc.d, 42)
 		req := Request{Size: vector.New(tc.d)}
 		for _, s := range fleetSizes {
 			for j := range req.Size {
 				req.Size[j] = s
 			}
-			lin, idx := p.Select(req, open), ip.SelectIndexed(req, ix)
+			lin := p.Select(req, open)
+			idx, _ := ix.FirstFeasible(req.Size)
 			if lin != idx {
 				t.Errorf("%s d=%d size=%v: linear chose %v, indexed chose %v", tc.policy, tc.d, s, lin, idx)
 			}

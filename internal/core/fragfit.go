@@ -8,14 +8,11 @@ import (
 
 // This file implements the fragmentation-aware policy family (DESIGN.md §13).
 // All four policies score fitting bins with an item-dependent function, so —
-// unlike Best/Worst Fit — the score cannot be a static index sort key. They
-// still ride the §11 indexed store: the engine keys them by opening order
-// (binIDKey) and SelectIndexed enumerates the *feasible* bins in ascending ID
-// order via AscendFeasible — exactly the order and the feasibility predicate
-// the linear scan uses — computing the same score with the same float64
-// operations on the same *Bin. Decisions are therefore bit-identical to
-// Select by construction; the gain over the scan is the index's feasibility
-// pruning (residual-bucket mask + exact minLoad), not a sub-linear argmin.
+// unlike Best/Worst Fit — the score cannot be a static index sort key, and
+// the engine runs their Select: one ascending scan over the open bins. The
+// one engine-side shortcut is AdaptiveHybrid's: the engine holds the exact
+// open-load totals its regime switch reads, so it need not re-sum every bin
+// on each decision.
 
 // FragmentationAwareNames returns the canonical names of the four
 // fragmentation-aware policies in presentation order (the order the
@@ -55,21 +52,6 @@ func scoredSelect(req Request, open []*Bin, score func(Request, *Bin) float64) *
 			best, bestScore = b, s
 		}
 	}
-	return best
-}
-
-// scoredSelectIndexed is the indexed twin of scoredSelect: AscendFeasible
-// yields the fitting bins in ascending binIDKey order — the linear scan's
-// probe order — so the argmin and its tie-break are reproduced exactly.
-func scoredSelectIndexed(req Request, ix *BinIndex, score func(Request, *Bin) float64) *Bin {
-	var best *Bin
-	bestScore := math.Inf(1)
-	ix.AscendFeasible(req.Size, func(b *Bin) bool {
-		if s := score(req, b); s < bestScore {
-			best, bestScore = b, s
-		}
-		return true
-	})
 	return best
 }
 
@@ -113,15 +95,6 @@ func (*DotProduct) OnPack(Request, *Bin, bool) {}
 // OnClose implements Policy.
 func (*DotProduct) OnClose(*Bin) {}
 
-// IndexProfile implements IndexedPolicy: keyed by opening order; the score is
-// item-dependent, so feasibility pruning is the index's contribution.
-func (*DotProduct) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy.
-func (*DotProduct) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	return scoredSelectIndexed(req, ix, dotProductScore)
-}
-
 // L2Residual packs an arriving item into the fitting bin that minimises the
 // Euclidean norm of the post-placement residual, Σ_j (residual_j − size_j)²
 // — Best Fit generalised to "leave the least leftover in all dimensions at
@@ -163,14 +136,6 @@ func (*L2Residual) OnPack(Request, *Bin, bool) {}
 
 // OnClose implements Policy.
 func (*L2Residual) OnClose(*Bin) {}
-
-// IndexProfile implements IndexedPolicy.
-func (*L2Residual) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy.
-func (*L2Residual) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	return scoredSelectIndexed(req, ix, l2ResidualScore)
-}
 
 // FARB weights for the composite score. Balance dominates (stranding comes
 // from dimensional spread), fullness closes bins sooner (the usage-time
@@ -238,14 +203,6 @@ func (*FARB) OnPack(Request, *Bin, bool) {}
 // OnClose implements Policy.
 func (*FARB) OnClose(*Bin) {}
 
-// IndexProfile implements IndexedPolicy.
-func (*FARB) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy.
-func (*FARB) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	return scoredSelectIndexed(req, ix, farbScore)
-}
-
 // AdaptiveHybrid regime thresholds (see mode): per-bin dimensional load
 // spread above hybridImbalance triggers rebalancing; mean fullness above
 // hybridHighUtil triggers tight packing.
@@ -259,11 +216,11 @@ const (
 // per-dimension total loads have drifted apart (stranding risk) it scores
 // with FARB to rebalance; when the cluster is uniformly full it scores with
 // Best Fit (L∞) to pack tight and release bins; otherwise it scores with
-// DotProduct to keep placements aligned. The regime statistics are computed
-// with the exact superaccumulator (vector.Acc) over the current open-bin
-// loads, so the linear path (fresh sum over open) and the indexed path (the
-// store's incrementally maintained TotalLoad) observe bit-identical totals
-// and always pick the same regime.
+// DotProduct to keep placements aligned. The regime statistics are the exact
+// superaccumulator (vector.Acc) sums of the current open-bin loads, so Select
+// (a fresh sum over open) and the engine's path (totals the engine keeps up
+// to date on every load change) observe bit-identical totals and always pick
+// the same regime.
 //
 // The struct's fields are Select-local scratch, not run state: every
 // decision recomputes them from the engine's open set, so the policy is
@@ -362,10 +319,16 @@ func (ah *AdaptiveHybrid) totals(d int, open []*Bin) vector.Vector {
 // Select implements Policy: pick the regime from exact cluster totals, then
 // run the regime's scored scan; ties break toward the earliest-opened bin.
 func (ah *AdaptiveHybrid) Select(req Request, open []*Bin) *Bin {
+	return ah.selectWithTotals(req, open, ah.totals(len(req.Size), open))
+}
+
+// selectWithTotals implements totalsPolicy: Select with the open bins'
+// per-dimension load totals supplied by the caller. The engine passes the
+// totals it holds, which round to the same values Select's fresh sum does.
+func (ah *AdaptiveHybrid) selectWithTotals(req Request, open []*Bin, tot vector.Vector) *Bin {
 	if len(open) == 0 {
 		return nil
 	}
-	tot := ah.totals(len(req.Size), open)
 	return scoredSelect(req, open, hybridScore(ah.mode(len(open), tot)))
 }
 
@@ -374,23 +337,3 @@ func (*AdaptiveHybrid) OnPack(Request, *Bin, bool) {}
 
 // OnClose implements Policy.
 func (*AdaptiveHybrid) OnClose(*Bin) {}
-
-// IndexProfile implements IndexedPolicy.
-func (*AdaptiveHybrid) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy: the store's TotalLoad is the same
-// exact Acc sum over the same bin multiset the linear path computes, so the
-// regime choice — and then the AscendFeasible argmin — is bit-identical.
-func (ah *AdaptiveHybrid) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	n := ix.Len()
-	if n == 0 {
-		return nil
-	}
-	d := len(req.Size)
-	if cap(ah.tot) < d {
-		ah.tot = vector.New(d)
-	}
-	ah.tot = ah.tot[:d]
-	ix.TotalLoad(ah.tot)
-	return scoredSelectIndexed(req, ix, hybridScore(ah.mode(n, ah.tot)))
-}

@@ -1,187 +1,40 @@
 package core
 
-import (
-	"fmt"
-
-	"dvbp/internal/binindex"
-)
+import "dvbp/internal/binindex"
 
 // BinIndex is the engine-owned indexed bin store over the open bins (see
-// internal/binindex). The engine maintains it on every open, pack, departure
-// and close; policies only query it through SelectIndexed.
+// internal/binindex). The engine maintains it on every open, pack, departure,
+// migration move and close, and answers an IndexedPolicy's Select with its
+// leftmost feasible entry.
 type BinIndex = binindex.Store[*Bin]
 
-// IndexProfile declares how a policy keys the indexed bin store. Exactly one
-// of Key and Recency is set: Key maps a bin to the composite sort key whose
-// leftmost feasible entry is the policy's choice, while Recency selects the
-// store's front-key discipline (InsertFront on open, PromoteFront after every
-// pack) for most-recently-used orders.
+// IndexedPolicy is implemented by the two policies whose Select is a
+// load-ordered argmax/argmin — Best Fit and Worst Fit — and which the engine
+// therefore serves from the indexed bin store instead of calling Select
+// (unless WithLinearSelect forces the scan). The policy supplies only its
+// key: the engine keys every open bin with it, and the leftmost feasible
+// entry in key order is the decision. The contract, specified in DESIGN.md
+// §11 and enforced by the differential suites, is bit-identical decisions:
 //
-// Rekey, when non-nil, re-establishes the policy's order after a checkpoint
-// restore: the engine first inserts every open bin (ascending ID), then hands
-// the index to Rekey to promote bins into the policy's true order. It must
-// fail — not guess — when the policy's restored state does not cover the
-// index exactly, so corrupt snapshots surface as errors rather than silently
-// diverging runs.
-type IndexProfile struct {
-	Key     func(b *Bin) (kf float64, ks int64)
-	Recency bool
-	Rekey   func(ix *BinIndex) error
-}
-
-// IndexedPolicy is the optional Policy extension the sub-linear Select path
-// is built on. The engine uses SelectIndexed instead of Select whenever the
-// policy implements it (unless WithLinearSelect forces the scan); the
-// contract, specified in DESIGN.md §11 and enforced by the differential
-// suites, is bit-identical decisions:
+//	leftmost feasible entry under indexKey == Select(req, open)
 //
-//	SelectIndexed(req, ix) == Select(req, open)
-//
-// for every reachable engine state, where ix indexes exactly the bins in
-// open. Policies remain stateless with respect to the index — it is passed
-// as an argument and owned by the engine, so a zero-sized policy stays
-// zero-sized and the concurrent-reuse guard semantics are unchanged.
-//
-// Next Fit does not implement IndexedPolicy: its Select is already O(1)
-// (it probes only its current bin). Harmonic Fit keeps the linear path too;
-// it is not an Any Fit policy, and its per-class discipline is outside the
-// single-key-order model.
+// for every reachable engine state. Every other policy scans: for a key by
+// bin ID or recency, or an item-dependent score, the index could only prune
+// the scan, and the scan measured faster.
 type IndexedPolicy interface {
 	Policy
-	// IndexProfile returns the policy's keying discipline. It must be
-	// constant for the life of the policy.
-	IndexProfile() IndexProfile
-	// SelectIndexed answers Select through the index. Like Select it must
-	// not mutate the bins; it must not mutate the index either.
-	SelectIndexed(req Request, ix *BinIndex) *Bin
+	// indexKey maps an open bin to its composite sort key. It must be a
+	// pure function of the bin's load and ID.
+	indexKey(b *Bin) (kf float64, ks int64)
 }
 
-// selectDrawsRandomness marks policies whose Select consumes RNG draws, so
-// the audit-mode per-decision oracle (which would run Select a second time)
-// skips them; whole-run differentials against WithLinearSelect cover them
-// instead.
-type selectDrawsRandomness interface {
-	selectDrawsRandomness()
-}
-
-// binIDKey is the opening-order key (0, +binID): ascending key order is
-// ascending bin ID, the order First Fit scans and Random Fit enumerates.
-func binIDKey(b *Bin) (kf float64, ks int64) { return 0, int64(b.ID) }
-
-// IndexProfile implements IndexedPolicy: First Fit keys by opening order.
-func (*FirstFit) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy: the leftmost feasible entry under
-// (0, +binID) is the lowest-ID fitting bin.
-func (*FirstFit) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	b, _ := ix.FirstFeasible(req.Size)
-	return b
-}
-
-// IndexProfile implements IndexedPolicy: Last Fit keys by reverse opening
-// order (0, -binID).
-func (*LastFit) IndexProfile() IndexProfile {
-	return IndexProfile{Key: func(b *Bin) (float64, int64) { return 0, -int64(b.ID) }}
-}
-
-// SelectIndexed implements IndexedPolicy: the leftmost feasible entry under
-// (0, -binID) is the highest-ID fitting bin.
-func (*LastFit) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	b, _ := ix.FirstFeasible(req.Size)
-	return b
-}
-
-// IndexProfile implements IndexedPolicy: Best Fit keys by (-w(bin), binID).
+// indexKey implements IndexedPolicy: Best Fit keys by (-w(bin), binID).
 // Negating the measure is exact for float64 and order-reversing, so ascending
 // key order is descending load; the ID in the low word reproduces the linear
 // scan's strictly-greater tie-break (lowest ID among the argmax).
-func (bf *BestFit) IndexProfile() IndexProfile {
-	eval := bf.measure.eval
-	return IndexProfile{Key: func(b *Bin) (float64, int64) { return -eval(b), int64(b.ID) }}
-}
+func (bf *BestFit) indexKey(b *Bin) (float64, int64) { return -bf.measure.eval(b), int64(b.ID) }
 
-// SelectIndexed implements IndexedPolicy: the leftmost feasible entry under
-// (-w(bin), binID) is the most-loaded fitting bin, ties to the lowest ID.
-func (*BestFit) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	b, _ := ix.FirstFeasible(req.Size)
-	return b
-}
-
-// IndexProfile implements IndexedPolicy: Worst Fit keys by (+w(bin), binID) —
+// indexKey implements IndexedPolicy: Worst Fit keys by (+w(bin), binID) —
 // ascending load, ties to the lowest ID (the linear scan's strictly-less
 // rule).
-func (wf *WorstFit) IndexProfile() IndexProfile {
-	eval := wf.measure.eval
-	return IndexProfile{Key: func(b *Bin) (float64, int64) { return eval(b), int64(b.ID) }}
-}
-
-// SelectIndexed implements IndexedPolicy: the leftmost feasible entry under
-// (+w(bin), binID) is the least-loaded fitting bin, ties to the lowest ID.
-func (*WorstFit) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	b, _ := ix.FirstFeasible(req.Size)
-	return b
-}
-
-// IndexProfile implements IndexedPolicy: Move To Front uses the recency
-// discipline — the engine inserts fresh bins at the front and promotes the
-// receiving bin after every pack, mirroring the policy's own list.
-func (mf *MoveToFront) IndexProfile() IndexProfile {
-	return IndexProfile{Recency: true, Rekey: mf.rekeyIndex}
-}
-
-// SelectIndexed implements IndexedPolicy: the leftmost feasible entry in
-// recency-key order is the most recently used fitting bin.
-func (*MoveToFront) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	b, _ := ix.FirstFeasible(req.Size)
-	return b
-}
-
-// rekeyIndex promotes every indexed bin into the policy's recency order
-// after a restore (least recent first, so the true leader ends up at the
-// front). The recency list and the index must cover exactly the same bins;
-// any mismatch means the snapshot's policy state was inconsistent with its
-// open-bin set.
-func (mf *MoveToFront) rekeyIndex(ix *BinIndex) error {
-	ids := make([]int, 0, ix.Len())
-	for i := mf.head; i != -1; i = mf.nodes[i].next {
-		ids = append(ids, mf.nodes[i].bin.ID)
-	}
-	if len(ids) != ix.Len() {
-		return fmt.Errorf("recency list covers %d bins, index holds %d", len(ids), ix.Len())
-	}
-	// The list is duplicate-free (pos is keyed by ID), so equal cardinality
-	// plus membership makes this a bijection.
-	for k := len(ids) - 1; k >= 0; k-- {
-		if _, ok := ix.Get(ids[k]); !ok {
-			return fmt.Errorf("recency list bin %d is not indexed", ids[k])
-		}
-		ix.PromoteFront(ids[k])
-	}
-	return nil
-}
-
-// selectDrawsRandomness marks Random Fit: its Select advances the seeded RNG
-// once per fitting bin, so running it a second time as an oracle would
-// consume draws the real decision path needs.
-func (*RandomFit) selectDrawsRandomness() {}
-
-// IndexProfile implements IndexedPolicy: Random Fit keys by opening order and
-// samples over the feasible entries.
-func (*RandomFit) IndexProfile() IndexProfile { return IndexProfile{Key: binIDKey} }
-
-// SelectIndexed implements IndexedPolicy: reservoir sampling over
-// AscendFeasible. The enumeration visits fitting bins in ascending ID order —
-// exactly the order the linear scan probes them — so the RNG draw sequence,
-// and therefore the chosen bin, is bit-identical to Select's.
-func (rf *RandomFit) SelectIndexed(req Request, ix *BinIndex) *Bin {
-	var chosen *Bin
-	n := 0
-	ix.AscendFeasible(req.Size, func(b *Bin) bool {
-		n++
-		if rf.rng.Intn(n) == 0 {
-			chosen = b
-		}
-		return true
-	})
-	return chosen
-}
+func (wf *WorstFit) indexKey(b *Bin) (float64, int64) { return wf.measure.eval(b), int64(b.ID) }

@@ -8,18 +8,12 @@ import (
 	"dvbp/internal/vector"
 )
 
-// indexedDiffPolicies returns the policy set the scan-vs-index differentials
-// run over: all seven experiment policies (the six IndexedPolicy
-// implementations plus Next Fit, whose Select is already O(1) and must be
-// untouched by the option) and a Harmonic Fit baseline.
-func indexedDiffPolicies(seed int64) []Policy {
-	return append(StandardPolicies(seed), NewHarmonicFit(3))
-}
-
 // TestIndexedSelectMatchesLinearScan is the core bit-identity contract of
-// DESIGN.md §11: for every policy and instance, the default indexed Select
-// path and the WithLinearSelect scan produce byte-identical results —
-// identical placements, bins, cost, and counters.
+// DESIGN.md §11: for every policy and instance, the default engine path
+// (the bin index for Best/Worst Fit, the held open-load totals for
+// AdaptiveHybrid, the policy's own scan for the rest) and the
+// WithLinearSelect scan produce byte-identical results — identical
+// placements, bins, cost, and counters.
 func TestIndexedSelectMatchesLinearScan(t *testing.T) {
 	for seed := int64(400); seed < 406; seed++ {
 		for _, d := range []int{1, 2, 3} {
@@ -93,16 +87,17 @@ func TestIndexedSelectMatchesLinearAcrossRestore(t *testing.T) {
 }
 
 // TestIndexedAuditOracle arms the per-decision oracle: under WithAudit the
-// engine re-derives every indexed decision with the linear scan and
-// re-validates the store's structural invariants after every mutation, so a
-// single run per policy sweeps thousands of equivalence checks. Random Fit
-// is skipped by the oracle (Select draws randomness) but still validated.
+// engine re-derives every fast-path decision with the policy's own scan,
+// re-validates the store's structural invariants and checks the held
+// open-load totals against a fresh sum after every mutation, so a single
+// run per policy sweeps thousands of equivalence checks. Crashes are on, so
+// crash closes and evictions are among the audited mutations.
 func TestIndexedAuditOracle(t *testing.T) {
 	for seed := int64(700); seed < 703; seed++ {
 		l := randomList(seed, 300, 2, 25)
-		for _, p := range indexedDiffPolicies(seed) {
+		for _, name := range policyNamesWith(t) {
 			var a Audit
-			mustSimulate(t, l, p, WithAudit(&a), snapshotOpts()[0])
+			mustSimulate(t, l, newPolicyT(t, name, seed), WithAudit(&a), snapshotOpts()[0])
 		}
 	}
 }
@@ -139,27 +134,150 @@ func TestIndexedCrashRetrySameEvent(t *testing.T) {
 	}
 }
 
-// TestLinearSelectOptionForcesScan pins WithLinearSelect's contract: the
-// engine must not build an index at all, so fit-check accounting reverts to
-// the policy's own probe counts.
+// TestLinearSelectOptionForcesScan pins WithLinearSelect's contract for both
+// fast paths: the engine must build neither the bin index (Worst Fit) nor
+// the held totals (AdaptiveHybrid), so every decision is the policy's own
+// Select and fit-check accounting is its own probe count.
 func TestLinearSelectOptionForcesScan(t *testing.T) {
 	l := item.NewList(1)
 	l.Add(0, 10, vector.Of(0.6))
 	l.Add(1, 10, vector.Of(0.6))
-	e, err := NewEngine(l, NewFirstFit(), WithLinearSelect())
+	for _, p := range []Policy{NewWorstFit(MaxLoad()), NewAdaptiveHybrid()} {
+		fast, err := NewEngine(l, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.idx == nil && fast.totals == nil {
+			t.Fatalf("%s: the default engine took no fast path, so this test proves nothing", p.Name())
+		}
+		fast.Close()
+		e, err := NewEngine(l, p, WithLinearSelect())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.idx != nil || e.tp != nil || e.totals != nil {
+			t.Errorf("%s: WithLinearSelect must suppress the bin index and the held totals", p.Name())
+		}
+		e.Close()
+	}
+}
+
+// TestSelectPathRouting pins which Select path the engine takes for every
+// policy the registry advertises: the bin index for Best and Worst Fit under
+// every load measure, the held open-load totals for AdaptiveHybrid, and the
+// policy's own scan for everything else. Parameter placeholders (<p>, <K>)
+// are filled with representative values.
+func TestSelectPathRouting(t *testing.T) {
+	l := item.NewList(2)
+	l.Add(0, 1, vector.Of(0.1, 0.2))
+	for _, line := range PolicySpellings() {
+		head := strings.TrimSpace(strings.SplitN(line, "(", 2)[0])
+		for _, sp := range strings.Split(head, "|") {
+			sp = strings.NewReplacer("<p>", "3", "<K>", "4").Replace(strings.TrimSpace(sp))
+			p := newPolicyT(t, sp, 1)
+			e, err := NewEngine(l, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got string
+			switch {
+			case e.idx != nil && e.tp == nil && e.totals == nil:
+				got = "index"
+			case e.idx == nil && e.tp != nil && e.totals != nil:
+				got = "totals"
+			case e.idx == nil && e.tp == nil && e.totals == nil:
+				got = "scan"
+			default:
+				got = "mixed"
+			}
+			e.Close()
+			want := "scan"
+			switch name := p.Name(); {
+			case strings.HasPrefix(name, "BestFit"), strings.HasPrefix(name, "WorstFit"):
+				want = "index"
+			case name == "AdaptiveHybrid":
+				want = "totals"
+			}
+			if got != want {
+				t.Errorf("%q (%s): engine path %s, want %s", sp, p.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestOpenLoadTotalsTrackMutations drives AdaptiveHybrid — the policy whose
+// engine path reads the held open-load totals — through every kind of
+// open-set mutation: packs into fresh and existing bins, departures, crash
+// closes with evictions and retries, migration moves and drains, and
+// checkpoint restores. After each of them the held totals must round to
+// exactly a fresh vector.Acc sum over the open bins.
+func TestOpenLoadTotalsTrackMutations(t *testing.T) {
+	l := randomList(800, 300, 2, 20)
+	opts := []Option{
+		snapshotOpts()[0], // crashes, evictions and retries
+		WithMigration(testConsolidator{}, 3, MigrationBudget{MaxMoves: 4}),
+	}
+	check := func(e *Engine, after string) {
+		t.Helper()
+		fresh := make([]vector.Acc, l.Dim)
+		for _, b := range e.AppendOpenBins(nil) {
+			for j := range fresh {
+				fresh[j].Add(b.LoadAt(j))
+			}
+		}
+		for j := range fresh {
+			if got, want := e.totals[j].Round(), fresh[j].Round(); got != want {
+				t.Fatalf("after %s at event %d: held total[%d] = %v, fresh sum %v", after, e.EventSeq(), j, got, want)
+			}
+		}
+	}
+	e, err := NewEngine(l, NewAdaptiveHybrid(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if e.idx != nil || e.ip != nil {
-		t.Fatal("WithLinearSelect must suppress the bin index")
+	seen := map[EventClass]int{}
+	restores := 0
+	for {
+		if e.EventSeq()%97 == 50 {
+			s, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			if e, err = RestoreEngine(l, NewAdaptiveHybrid(), s, opts...); err != nil {
+				t.Fatal(err)
+			}
+			restores++
+			check(e, "restore")
+		}
+		rec, ok, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		seen[rec.Class]++
+		check(e, rec.Class.String())
 	}
+	if _, err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []EventClass{EventArrival, EventDeparture, EventCrash, EventRetry, EventMigration} {
+		if seen[c] == 0 {
+			t.Errorf("no %s events: the workload misses a mutation site", c)
+		}
+	}
+	if restores == 0 {
+		t.Error("no restore: the workload misses a mutation site")
+	}
+	t.Logf("events by class %v, %d restores", seen, restores)
 }
 
 // policyNamesWith lists the canonical registry names the differentials run
 // over, including both Best/Worst Fit load measures (their keys exercise the
-// float word of the composite key, unlike the ID-keyed policies) and the
-// fragmentation-aware family (item-dependent scores over AscendFeasible).
+// float word of the composite key) and the fragmentation-aware family
+// (AdaptiveHybrid is the held-totals fast path).
 func policyNamesWith(t *testing.T) []string {
 	t.Helper()
 	return append(append(PolicyNames(), "BestFit-L1", "WorstFit-L1", "HarmonicFit-3"),
@@ -175,26 +293,3 @@ func newPolicyT(t *testing.T, name string, seed int64) Policy {
 	}
 	return p
 }
-
-// TestIndexProfileValidated pins the constructor guard: a policy declaring
-// both or neither of Key and Recency is a programming error the engine
-// refuses to run with.
-func TestIndexProfileValidated(t *testing.T) {
-	l := item.NewList(1)
-	l.Add(0, 1, vector.Of(0.1))
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("want panic for invalid IndexProfile")
-		}
-		if !strings.Contains(r.(string), "IndexProfile") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	_, _ = NewEngine(l, badProfilePolicy{NewFirstFit()})
-}
-
-// badProfilePolicy declares an IndexProfile with neither Key nor Recency.
-type badProfilePolicy struct{ *FirstFit }
-
-func (badProfilePolicy) IndexProfile() IndexProfile { return IndexProfile{} }

@@ -267,12 +267,15 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 	if !to.Fits(size) {
 		return -1, -1, fmt.Errorf("core: migration move of item %d (size %v) overflows bin %d (load %v)", mv.ItemID, size, to.ID, to.load)
 	}
+	e.totalsSub(from)
+	e.totalsSub(to)
 	if err := from.remove(mv.ItemID); err != nil {
 		return -1, -1, fmt.Errorf("core: %w", err)
 	}
 	if err := to.pack(mv.ItemID, size); err != nil {
 		return -1, -1, fmt.Errorf("core: %w", err)
 	}
+	e.totalsAdd(to)
 	if e.cfg.audit != nil {
 		from.auditCrossCheckLoad()
 		to.auditCrossCheckLoad()
@@ -294,20 +297,17 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 	}
 	e.redirects[depSeq(mv.ItemID, attempt)] = to.ID
 
-	if e.idx != nil {
-		e.idxUpdate(to, false)
-	}
+	e.idxPut(to, false)
 	drained := from.Empty()
 	if drained {
 		e.res.BinsDrained++
 		e.closeBinAt(from, t, false)
-	} else if e.idx != nil {
-		e.idxUpdate(from, false)
+	} else {
+		e.totalsAdd(from)
+		e.idxPut(from, false)
 	}
-	if e.idx != nil && e.cfg.audit != nil {
-		if err := e.idx.Validate(); err != nil {
-			return -1, -1, err
-		}
+	if err := e.auditOpenSet(); err != nil {
+		return -1, -1, err
 	}
 	if e.mObs != nil {
 		e.mObs.ItemMigrated(mv.ItemID, from, to, t, cost, drained)

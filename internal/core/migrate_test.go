@@ -387,13 +387,15 @@ func (o *migInvariantObs) recheckLoads(b *Bin) {
 
 // TestMigrationInvariants is the property wall: a consolidating planner over
 // all policies × the three trace models, with the audit seam (index
-// structural validation and load cross-checks after every event) armed and
-// the observer above verifying every move.
+// structural validation, held open-load totals against a fresh sum, and load
+// cross-checks after every event) armed and the observer above verifying
+// every move. AdaptiveHybrid rides along so its held totals are audited
+// across moves and drains.
 func TestMigrationInvariants(t *testing.T) {
 	budget := MigrationBudget{MaxMoves: 5, MaxCost: 40}
 	migrated := 0
 	for _, tr := range migTraces(t, 45) {
-		for _, name := range PolicyNames() {
+		for _, name := range append(PolicyNames(), "AdaptiveHybrid") {
 			p, err := NewPolicy(name, 45)
 			if err != nil {
 				t.Fatal(err)

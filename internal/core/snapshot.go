@@ -484,23 +484,25 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if err := unmarshalPolicyState(p, s.PolicyState, resolve); err != nil {
 		return nil, err
 	}
+	// Move To Front's Select walks its recency list, so an open bin missing
+	// from the list would silently never be chosen again. The list's entries
+	// are open and distinct, so equal sizes mean it names every open bin.
+	if mf, ok := p.(*MoveToFront); ok && len(mf.pos) != len(e.open) {
+		return nil, corruptf("MoveToFront recency list covers %d bins, %d are open", len(mf.pos), len(e.open))
+	}
 
-	// Rebuild the indexed bin store. Insertion order (ascending bin ID) does
-	// not affect answers — they are a pure function of the key order — and
-	// keyed profiles compute keys from the restored loads, which the limb
-	// check above proved bit-identical to the original run's. Recency
-	// profiles are then re-keyed from the restored policy state (which must
-	// cover the open set exactly), so the rebuilt order, and hence every
-	// later decision, matches the uninterrupted run.
-	if e.idx != nil {
-		for _, b := range e.open {
-			e.idxInsert(b)
-		}
-		if e.ixRekey != nil {
-			if err := e.ixRekey(e.idx); err != nil {
-				return nil, corruptf("rebuilding %s bin index: %v", p.Name(), err)
-			}
-		}
+	// Rebuild the fast paths' mirrors of the open set. Keys and totals are
+	// computed from the restored loads, which the limb check above proved
+	// bit-identical to the original run's. The treap's shape is a pure
+	// function of its contents, so insertion order does not matter and the
+	// rebuilt index counts the same fit checks as the uninterrupted run's;
+	// Acc sums are order-independent, so the totals round identically too.
+	for _, b := range e.open {
+		e.idxPut(b, true)
+		e.totalsAdd(b)
+	}
+	if err := e.auditOpenSet(); err != nil {
+		return nil, err
 	}
 	ok = true
 	return e, nil

@@ -272,6 +272,9 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 			mf.Reset()
 			s.PolicyState = []byte{1, 0xCE, 0x10} // count=1, varint id=1063
 		}, "unknown bin"},
+		{"policy-state-misses-open-bin", func(s *Snapshot) {
+			s.PolicyState = []byte{0} // a well-formed, empty recency list
+		}, "recency list covers 0 bins"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,16 +85,30 @@ func TestCollectorFitChecksHandComputed(t *testing.T) {
 		t.Errorf("linear fit checks = %g, want 4", got)
 	}
 
-	// The indexed path counts the store's feasibility evaluations instead:
-	// 0 (empty index), 1 (single-node probe on bin0), 1 (bin0 at the root
-	// fits), 1 (bin0 at the root fails and the 0.5 item's residual bucket
-	// mask prunes bin1's subtree in O(1), which is not a load evaluation).
+	// Worst Fit scans the same items with 0, 1 (bin0 fails), 2 (both bins
+	// fit; the argmin must see both) and 2 (both fail) checks.
 	col = NewCollector()
-	if _, err := core.Simulate(l, core.NewFirstFit(), core.WithObserver(col)); err != nil {
+	if _, err := core.Simulate(l, core.NewWorstFit(core.MaxLoad()), core.WithObserver(col), core.WithLinearSelect()); err != nil {
+		t.Fatal(err)
+	}
+	if got := counterValue(t, col.Snapshot(), MetricFitChecks); got != 5 {
+		t.Errorf("linear Worst Fit fit checks = %g, want 5", got)
+	}
+
+	// Its default path, the bin index, counts the store's feasibility
+	// evaluations instead. Keys are (load, binID), and bin0's priority hash
+	// beats bin1's, so bin0 is the root whenever both are indexed: 0 (empty
+	// index), 1 (bin0 alone fails), 1 (bin1 keys after bin0 at equal load,
+	// so bin0's left subtree is empty and bin0 itself fits), 1 (bin0 now
+	// keys last at 0.9, bin1 at 0.6 sits in its left subtree, the 0.5
+	// item's residual bucket mask prunes that subtree in O(1), which is not
+	// a load evaluation, and bin0 at the root fails).
+	col = NewCollector()
+	if _, err := core.Simulate(l, core.NewWorstFit(core.MaxLoad()), core.WithObserver(col)); err != nil {
 		t.Fatal(err)
 	}
 	if got := counterValue(t, col.Snapshot(), MetricFitChecks); got != 3 {
-		t.Errorf("indexed fit checks = %g, want 3", got)
+		t.Errorf("indexed Worst Fit fit checks = %g, want 3", got)
 	}
 }
 

@@ -187,14 +187,6 @@ type TenantStatus struct {
 	// Stranded; DESIGN.md §13). StrandedCapacity is its dimension sum.
 	StrandedPerDim   []float64 `json:"stranded_per_dim"`
 	StrandedCapacity float64   `json:"stranded_capacity"`
-	// StrandedBins is the legacy dominant-dimension heuristic
-	// OpenBins − max_d OpenLoad[d].
-	//
-	// Deprecated: it undercounts mixed-imbalance fleets — a bin free in
-	// dimension 0 next to a bin free in dimension 1 strands capacity in
-	// both, but the fleet-level max sees neither. Kept for JSON
-	// compatibility; read StrandedPerDim / StrandedCapacity instead.
-	StrandedBins float64 `json:"stranded_bins"`
 }
 
 // PlacementRecord is one acknowledged placement in a placements listing.
@@ -676,10 +668,10 @@ func (t *Tenant) applyAdvance(req *request) *AdvanceResult {
 }
 
 // status builds the stats view (worker goroutine only). The fragmentation
-// fields — stranded_per_dim, stranded_capacity and the deprecated
-// stranded_bins — are all derived from one metrics.FragOf recompute over the
-// engine's open bins, so the three can never drift apart (or away from the
-// fragmentation tracker's definition) under bin close/crash churn.
+// fields — open_load, stranded_per_dim and stranded_capacity — are all
+// derived from one metrics.FragOf recompute over the engine's open bins, so
+// they can never drift apart (or away from the fragmentation tracker's
+// definition) under bin close/crash churn.
 func (t *Tenant) status() *TenantStatus {
 	e := t.session.Engine()
 	st := e.Stats()
@@ -702,13 +694,6 @@ func (t *Tenant) status() *TenantStatus {
 	for _, v := range fs.Stranded {
 		out.StrandedCapacity += v
 	}
-	maxLoad := 0.0
-	for _, v := range fs.Load {
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	out.StrandedBins = float64(fs.OpenBins) - maxLoad
 	return out
 }
 
