@@ -101,11 +101,12 @@ func WithClairvoyance() Option { return core.WithClairvoyance() }
 func WithAudit(a *Audit) Option { return core.WithAudit(a) }
 
 // WithLinearSelect makes every policy run its own O(n) Select scan. By
-// default Best Fit and Worst Fit are served from the indexed bin store and
-// AdaptiveHybrid reads engine-held load totals (DESIGN.md §11); every other
-// policy scans either way. Decisions are bit-identical with or without it;
-// the scan survives as the differential oracle and for apples-to-apples
-// measurements against those two fast paths.
+// default Worst Fit, and Best Fit at d = 1, are served from the indexed bin
+// store and AdaptiveHybrid reads engine-held load totals (DESIGN.md §11);
+// every other policy, Best Fit at d ≥ 2 included, scans either way.
+// Decisions are bit-identical with or without it; the scan survives as the
+// differential oracle and for apples-to-apples measurements against those
+// two fast paths.
 func WithLinearSelect() Option { return core.WithLinearSelect() }
 
 // Observer receives engine lifecycle callbacks during a simulation

@@ -1,7 +1,8 @@
 // Package binindex implements the sub-linear indexed bin store behind the
-// engine's Best Fit and Worst Fit policies: an order-statistic tree over the
-// open bins, augmented with residual-capacity pruning metadata, that answers
-// their Select as a single "leftmost feasible entry in key order" query.
+// engine's Worst Fit policy at every dimension and its Best Fit policy at
+// d = 1: an order-statistic tree over the open bins, augmented with
+// residual-capacity pruning metadata, that answers their Select as a single
+// "leftmost feasible entry in key order" query.
 //
 // # One query, two policies
 //
@@ -21,6 +22,7 @@
 // Every other Any Fit policy scans: where the key is a bin ID or a recency
 // rank, or the score depends on the item, the index could only prune the
 // scan, and on measured fleets the plain scan was faster (DESIGN.md §11).
+// Best Fit at d ≥ 2 scans too: see below.
 //
 // # Structure and complexity
 //
@@ -44,7 +46,12 @@
 // FirstFeasible therefore runs in expected O(d·log n) for d = 1 (the minLoad
 // prune is exact and sufficient in one dimension) and degrades for d ≥ 2,
 // where component-wise pruning admits false positives: worst case O(d·n).
-// The fleet benchmarks in BENCH_core.json pin the measured behaviour.
+// Worst Fit escapes the worst case, because its leftmost entries are the
+// emptiest bins, which nearly always fit. Best Fit's leftmost entries are
+// the fullest bins, tight in different dimensions, so at d ≥ 2 its descent
+// visits a large part of the tree and the scan is faster, so the engine
+// routes it there. The fleet benchmarks in BENCH_core.json pin the measured
+// behaviour.
 //
 // The engine owns index maintenance (insert on open, update on pack, depart
 // and migration move, remove on close/crash, rebuild on checkpoint restore);

@@ -35,13 +35,14 @@ type Bin struct {
 	// openIdx is the bin's current index in the engine's open slice, kept
 	// up to date by the engine so closing a bin needs no linear scan.
 	openIdx int
-	// probe, when armed by the engine around Policy.Select, counts Fits
-	// evaluations for the SelectObserver instrumentation seam.
+	// probe, when armed by the engine around Policy.Select, counts fit
+	// checks for the SelectObserver instrumentation seam.
 	probe *fitProbe
 }
 
-// fitProbe counts Bin.Fits evaluations while armed. The engine shares one
-// probe across all of a run's bins and arms it only for the duration of
+// fitProbe counts fit checks while armed: Bin.Fits evaluations and the bins
+// the shared scan loops of policy.go test. The engine shares one probe
+// across all of a run's bins and arms it only for the duration of
 // Policy.Select, so the engine's own feasibility re-check inside pack is
 // never counted.
 type fitProbe struct {

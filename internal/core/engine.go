@@ -58,10 +58,10 @@ func WithAudit(a *Audit) Option {
 
 // WithLinearSelect makes the engine call every policy's own Select, the
 // O(open) scan, where it would otherwise take a fast path: the bin index for
-// Best and Worst Fit (IndexedPolicy) or the engine-held open-load totals for
-// AdaptiveHybrid. The scan is the differential oracle both fast paths are
-// tested against (DESIGN.md §11); production runs have no reason to use this
-// option.
+// Worst Fit and for Best Fit at d = 1 (IndexedPolicy) or the engine-held
+// open-load totals for AdaptiveHybrid. The scan is the differential oracle
+// both fast paths are tested against (DESIGN.md §11); production runs have
+// no reason to use this option.
 func WithLinearSelect() Option {
 	return func(c *config) { c.linearSelect = true }
 }
@@ -89,14 +89,15 @@ func WithObserver(o Observer) Option {
 }
 
 // SelectObserver is an optional extension of Observer. When the attached
-// Observer also implements SelectObserver, the engine counts the Bin.Fits
-// evaluations each Policy.Select performs and reports them after every
-// decision — the per-decision accounting the metrics layer records.
+// Observer also implements SelectObserver, the engine counts the fit checks
+// each Policy.Select performs and reports them after every decision — the
+// per-decision accounting the metrics layer records.
 //
 // chosen is Select's return value: nil means the policy declined every open
 // bin and the engine opened a fresh one. fitChecks counts the feasibility
 // evaluations the decision performed: on the linear path these are the
-// policy's own Bin.Fits calls, on the indexed path the bin store's per-entry
+// policy's own Bin.Fits calls and the bins its shared scan loops tested (one
+// check per bin examined), on the indexed path the bin store's per-entry
 // and subtree-prune evaluations (its O(1) bucket-mask rejections are not
 // counted — they evaluate no load vector). The engine's feasibility re-check
 // while packing is never included. Runs whose observer does not implement
@@ -295,12 +296,13 @@ type Engine struct {
 	passTime     float64
 	redirects    map[int64]int
 
-	// Fast Select paths, nil unless the policy takes one and
-	// WithLinearSelect does not force the scan. The engine mirrors every
-	// change to the open set into them. idx, keyed by ixKey, answers an
-	// IndexedPolicy's Select with its leftmost feasible entry; totals holds
-	// the exact per-dimension sum of the open bins' loads, which tp reads in
-	// place of re-summing the bins (tot is its rounding scratch).
+	// Fast Select paths, nil unless the policy takes one at the run's
+	// dimension and WithLinearSelect does not force the scan. The engine
+	// mirrors every change to the open set into them. idx, keyed by ixKey,
+	// answers an IndexedPolicy's Select with its leftmost feasible entry;
+	// totals holds the exact per-dimension sum of the open bins' loads,
+	// which tp reads in place of re-summing the bins (tot is its rounding
+	// scratch).
 	idx    *BinIndex
 	ixKey  func(*Bin) (float64, int64)
 	tp     totalsPolicy
@@ -381,8 +383,10 @@ func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
 	if !cfg.linearSelect {
 		switch fp := p.(type) {
 		case IndexedPolicy:
-			e.ixKey = fp.indexKey
-			e.idx = binindex.New[*Bin](l.Dim)
+			if fp.indexedAt(l.Dim) {
+				e.ixKey = fp.indexKey
+				e.idx = binindex.New[*Bin](l.Dim)
+			}
 		case totalsPolicy:
 			e.tp = fp
 			e.totals = make([]vector.Acc, l.Dim)

@@ -17,10 +17,8 @@ func (*FirstFit) Reset() {}
 
 // Select implements Policy: the lowest-ID (earliest-opened) bin that fits.
 func (*FirstFit) Select(req Request, open []*Bin) *Bin {
-	for _, b := range open {
-		if b.Fits(req.Size) {
-			return b
-		}
+	if i := first(open, 0, len(open), 1, req.Size); i < len(open) {
+		return open[i]
 	}
 	return nil
 }
@@ -47,10 +45,8 @@ func (*LastFit) Reset() {}
 
 // Select implements Policy: the highest-ID (latest-opened) bin that fits.
 func (*LastFit) Select(req Request, open []*Bin) *Bin {
-	for i := len(open) - 1; i >= 0; i-- {
-		if open[i].Fits(req.Size) {
-			return open[i]
-		}
+	if i := first(open, len(open)-1, -1, -1, req.Size); i >= 0 {
+		return open[i]
 	}
 	return nil
 }

@@ -39,17 +39,19 @@ func fleet(p IndexedPolicy, n, d int, seed int64) ([]*Bin, *BinIndex) {
 var fleetSizes = []float64{0.05, 0.15, 0.35, 0.55}
 
 // fleetCases are the (policy, d) pairs the fleet benchmark and its guard
-// cover: the two indexed policies in the dimensions where the index wins
-// (BestFit d=1, WorstFit d=2) and the one where it loses (BestFit d=2).
+// cover: both indexed policies at d = 1, 2 and 5. They fix the engine's
+// routing (TestSelectPathRouting): the index where it wins (BestFit d=1,
+// WorstFit at every d), the scan where it does not (BestFit d ≥ 2).
 var fleetCases = []struct {
 	policy string
 	d      int
-}{{"BestFit", 1}, {"BestFit", 2}, {"WorstFit", 2}}
+}{{"BestFit", 1}, {"BestFit", 2}, {"BestFit", 5}, {"WorstFit", 1}, {"WorstFit", 2}, {"WorstFit", 5}}
 
 // BenchmarkFleetSelect times one policy decision over a fleet of n open
-// bins, linear scan vs indexed store — the claim of DESIGN.md §11. ns/op is
-// the per-item Select cost. Each fleet is built inside its own
-// sub-benchmark, so a -bench filter that skips a rung never allocates it.
+// bins, the policy's own Select scan (mode=linear) vs indexed store — the
+// claim of DESIGN.md §11. ns/op is the per-item Select cost. Each fleet
+// is built inside its own sub-benchmark, so a -bench filter that skips a
+// rung never allocates it.
 // Fleet sizes above 10⁴ are skipped in -short mode so `make ci` stays fast;
 // `make bench-json` runs the full ladder.
 func BenchmarkFleetSelect(b *testing.B) {
@@ -94,9 +96,9 @@ func BenchmarkFleetSelect(b *testing.B) {
 }
 
 // TestFleetSelectAgreement guards the benchmark itself: on the exact fleets
-// BenchmarkFleetSelect times, both modes must choose the same bin for every
-// probe size (a divergence would mean the benchmark compares two different
-// computations).
+// BenchmarkFleetSelect times, the scan and the index must choose the
+// same bin for every probe size (a divergence would mean the benchmark
+// compares two different computations).
 func TestFleetSelectAgreement(t *testing.T) {
 	for _, tc := range fleetCases {
 		p, err := NewPolicy(tc.policy, 1)

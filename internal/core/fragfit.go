@@ -41,15 +41,13 @@ func FragmentationAwarePolicies(seed int64) []Policy {
 // scoredSelect is the shared linear Select of the scored family: the fitting
 // bin with the strictly smallest score wins, ties break toward the
 // earliest-opened bin (ascending scan + strict '<', the loadfit.go rule).
-func scoredSelect(req Request, open []*Bin, score func(Request, *Bin) float64) *Bin {
+// scan is the calling policy's scratch.
+func scoredSelect(scan *fitScan, req Request, open []*Bin, score func(Request, *Bin) float64) *Bin {
 	var best *Bin
 	bestScore := math.Inf(1)
-	for _, b := range open {
-		if !b.Fits(req.Size) {
-			continue
-		}
-		if s := score(req, b); s < bestScore {
-			best, bestScore = b, s
+	for _, i := range scan.fitting(open, req.Size) {
+		if s := score(req, open[i]); s < bestScore {
+			best, bestScore = open[i], s
 		}
 	}
 	return best
@@ -60,7 +58,7 @@ func scoredSelect(req Request, open []*Bin, score func(Request, *Bin) float64) *
 // (Panigrahy et al.'s dot-product heuristic, per the FARB snippets). Large
 // demands steer toward bins with matching headroom, which keeps residuals
 // balanced across dimensions.
-type DotProduct struct{}
+type DotProduct struct{ scan fitScan }
 
 // NewDotProduct returns a DotProduct policy.
 func NewDotProduct() *DotProduct { return &DotProduct{} }
@@ -85,8 +83,8 @@ func dotProductScore(req Request, b *Bin) float64 {
 
 // Select implements Policy: argmax residual·size among fitting bins; ties
 // break toward the earliest-opened bin.
-func (*DotProduct) Select(req Request, open []*Bin) *Bin {
-	return scoredSelect(req, open, dotProductScore)
+func (dp *DotProduct) Select(req Request, open []*Bin) *Bin {
+	return scoredSelect(&dp.scan, req, open, dotProductScore)
 }
 
 // OnPack implements Policy.
@@ -99,7 +97,7 @@ func (*DotProduct) OnClose(*Bin) {}
 // Euclidean norm of the post-placement residual, Σ_j (residual_j − size_j)²
 // — Best Fit generalised to "leave the least leftover in all dimensions at
 // once" rather than under a single load measure.
-type L2Residual struct{}
+type L2Residual struct{ scan fitScan }
 
 // NewL2Residual returns an L2Residual policy.
 func NewL2Residual() *L2Residual { return &L2Residual{} }
@@ -127,8 +125,8 @@ func l2ResidualScore(req Request, b *Bin) float64 {
 
 // Select implements Policy: argmin ‖residual − size‖₂ among fitting bins;
 // ties break toward the earliest-opened bin.
-func (*L2Residual) Select(req Request, open []*Bin) *Bin {
-	return scoredSelect(req, open, l2ResidualScore)
+func (l2 *L2Residual) Select(req Request, open []*Bin) *Bin {
+	return scoredSelect(&l2.scan, req, open, l2ResidualScore)
 }
 
 // OnPack implements Policy.
@@ -156,7 +154,7 @@ const (
 // spread — nothing stranded), full (low mean residual), and small in norm.
 // Every term lies in [0, 1], so the weights express the intended trade-off
 // directly.
-type FARB struct{}
+type FARB struct{ scan fitScan }
 
 // NewFARB returns a FARB policy.
 func NewFARB() *FARB { return &FARB{} }
@@ -193,8 +191,8 @@ func farbScore(req Request, b *Bin) float64 {
 
 // Select implements Policy: argmin FARB score among fitting bins; ties break
 // toward the earliest-opened bin.
-func (*FARB) Select(req Request, open []*Bin) *Bin {
-	return scoredSelect(req, open, farbScore)
+func (f *FARB) Select(req Request, open []*Bin) *Bin {
+	return scoredSelect(&f.scan, req, open, farbScore)
 }
 
 // OnPack implements Policy.
@@ -227,8 +225,9 @@ const (
 // semantically stateless (pure function of request + open set) and snapshots
 // need no codec. The concurrent-reuse guard protects the scratch.
 type AdaptiveHybrid struct {
-	acc []vector.Acc  // scratch: exact per-dimension total-load accumulators
-	tot vector.Vector // scratch: rounded totals
+	acc  []vector.Acc  // scratch: exact per-dimension total-load accumulators
+	tot  vector.Vector // scratch: rounded totals
+	scan fitScan       // scratch: the fitting bins
 }
 
 // NewAdaptiveHybrid returns an AdaptiveHybrid policy.
@@ -329,7 +328,7 @@ func (ah *AdaptiveHybrid) selectWithTotals(req Request, open []*Bin, tot vector.
 	if len(open) == 0 {
 		return nil
 	}
-	return scoredSelect(req, open, hybridScore(ah.mode(len(open), tot)))
+	return scoredSelect(&ah.scan, req, open, hybridScore(ah.mode(len(open), tot)))
 }
 
 // OnPack implements Policy.

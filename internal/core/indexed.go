@@ -10,11 +10,12 @@ type BinIndex = binindex.Store[*Bin]
 
 // IndexedPolicy is implemented by the two policies whose Select is a
 // load-ordered argmax/argmin — Best Fit and Worst Fit — and which the engine
-// therefore serves from the indexed bin store instead of calling Select
-// (unless WithLinearSelect forces the scan). The policy supplies only its
-// key: the engine keys every open bin with it, and the leftmost feasible
-// entry in key order is the decision. The contract, specified in DESIGN.md
-// §11 and enforced by the differential suites, is bit-identical decisions:
+// therefore serves from the indexed bin store instead of calling Select, in
+// the dimensions where the index beats the scan (unless WithLinearSelect
+// forces the scan). The policy supplies only its key: the
+// engine keys every open bin with it, and the leftmost feasible entry in key
+// order is the decision. The contract, specified in DESIGN.md §11 and
+// enforced by the differential suites, is bit-identical decisions:
 //
 //	leftmost feasible entry under indexKey == Select(req, open)
 //
@@ -26,6 +27,10 @@ type IndexedPolicy interface {
 	// indexKey maps an open bin to its composite sort key. It must be a
 	// pure function of the bin's load and ID.
 	indexKey(b *Bin) (kf float64, ks int64)
+	// indexedAt reports whether the engine serves the policy from the index
+	// at dimension d; otherwise the engine calls its Select, the scan. The
+	// rule is fixed by measurement (DESIGN.md §11).
+	indexedAt(d int) bool
 }
 
 // indexKey implements IndexedPolicy: Best Fit keys by (-w(bin), binID).
@@ -34,7 +39,17 @@ type IndexedPolicy interface {
 // scan's strictly-greater tie-break (lowest ID among the argmax).
 func (bf *BestFit) indexKey(b *Bin) (float64, int64) { return -bf.measure.eval(b), int64(b.ID) }
 
+// indexedAt implements IndexedPolicy: Best Fit is indexed at d = 1 only. At
+// d ≥ 2 the residual bucket mask cannot prune bins that are full in
+// different dimensions, and the scan is the faster route.
+func (*BestFit) indexedAt(d int) bool { return d == 1 }
+
 // indexKey implements IndexedPolicy: Worst Fit keys by (+w(bin), binID) —
 // ascending load, ties to the lowest ID (the linear scan's strictly-less
 // rule).
 func (wf *WorstFit) indexKey(b *Bin) (float64, int64) { return wf.measure.eval(b), int64(b.ID) }
+
+// indexedAt implements IndexedPolicy: Worst Fit is indexed at every d. Its
+// leftmost entries are the emptiest bins, which fit almost every item, so
+// the index answers in a few steps where the scan must test every bin.
+func (*WorstFit) indexedAt(int) bool { return true }

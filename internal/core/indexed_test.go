@@ -16,7 +16,7 @@ import (
 // placements, bins, cost, and counters.
 func TestIndexedSelectMatchesLinearScan(t *testing.T) {
 	for seed := int64(400); seed < 406; seed++ {
-		for _, d := range []int{1, 2, 3} {
+		for _, d := range []int{1, 2, 5} {
 			l := randomList(seed, 300, d, 25)
 			for _, name := range policyNamesWith(t) {
 				want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed), WithLinearSelect()))
@@ -35,13 +35,15 @@ func TestIndexedSelectMatchesLinearScan(t *testing.T) {
 // engine must still follow the linear scan decision for decision.
 func TestIndexedSelectMatchesLinearScanUnderFaults(t *testing.T) {
 	for seed := int64(500); seed < 505; seed++ {
-		l := randomList(seed, 250, 2, 20)
-		for _, name := range policyNamesWith(t) {
-			want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed),
-				append(snapshotOpts(), WithLinearSelect())...))
-			got := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed), snapshotOpts()...))
-			if got != want {
-				t.Errorf("%s seed=%d: indexed result diverges from linear scan under faults", name, seed)
+		for _, d := range []int{1, 2, 5} {
+			l := randomList(seed, 250, d, 20)
+			for _, name := range policyNamesWith(t) {
+				want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed),
+					append(snapshotOpts(), WithLinearSelect())...))
+				got := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed), snapshotOpts()...))
+				if got != want {
+					t.Errorf("%s seed=%d d=%d: indexed result diverges from linear scan under faults", name, seed, d)
+				}
 			}
 		}
 	}
@@ -52,35 +54,37 @@ func TestIndexedSelectMatchesLinearScanUnderFaults(t *testing.T) {
 // a fresh engine (index rebuilt from the snapshot, never serialised) must
 // finish with the same result as an uninterrupted linear-scan run.
 func TestIndexedSelectMatchesLinearAcrossRestore(t *testing.T) {
-	l := randomList(600, 200, 2, 20)
-	for _, name := range policyNamesWith(t) {
-		want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, 600),
-			append(snapshotOpts(), WithLinearSelect())...))
+	for _, d := range []int{1, 2, 5} {
+		l := randomList(600, 200, d, 20)
+		for _, name := range policyNamesWith(t) {
+			want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, 600),
+				append(snapshotOpts(), WithLinearSelect())...))
 
-		for _, cut := range []int{0, 1, 37, 150} {
-			e, err := NewEngine(l, newPolicyT(t, name, 600), snapshotOpts()...)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			for k := 0; k < cut; k++ {
-				if _, ok, err := e.Step(); err != nil {
-					t.Fatalf("%s: Step %d: %v", name, k, err)
-				} else if !ok {
-					break
+			for _, cut := range []int{0, 1, 37, 150} {
+				e, err := NewEngine(l, newPolicyT(t, name, 600), snapshotOpts()...)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
 				}
-			}
-			s, err := e.Snapshot()
-			if err != nil {
-				t.Fatalf("%s: Snapshot at %d: %v", name, cut, err)
-			}
-			e.Close()
-			re, err := RestoreEngine(l, newPolicyT(t, name, 999), s, snapshotOpts()...)
-			if err != nil {
-				t.Fatalf("%s: RestoreEngine at %d: %v", name, cut, err)
-			}
-			_, res := stepAll(t, re)
-			if got := resultJSON(t, res); got != want {
-				t.Errorf("%s: restored-at-%d indexed run diverges from linear scan", name, cut)
+				for k := 0; k < cut; k++ {
+					if _, ok, err := e.Step(); err != nil {
+						t.Fatalf("%s d=%d: Step %d: %v", name, d, k, err)
+					} else if !ok {
+						break
+					}
+				}
+				s, err := e.Snapshot()
+				if err != nil {
+					t.Fatalf("%s d=%d: Snapshot at %d: %v", name, d, cut, err)
+				}
+				e.Close()
+				re, err := RestoreEngine(l, newPolicyT(t, name, 999), s, snapshotOpts()...)
+				if err != nil {
+					t.Fatalf("%s d=%d: RestoreEngine at %d: %v", name, d, cut, err)
+				}
+				_, res := stepAll(t, re)
+				if got := resultJSON(t, res); got != want {
+					t.Errorf("%s d=%d: restored-at-%d indexed run diverges from linear scan", name, d, cut)
+				}
 			}
 		}
 	}
@@ -94,10 +98,12 @@ func TestIndexedSelectMatchesLinearAcrossRestore(t *testing.T) {
 // crash closes and evictions are among the audited mutations.
 func TestIndexedAuditOracle(t *testing.T) {
 	for seed := int64(700); seed < 703; seed++ {
-		l := randomList(seed, 300, 2, 25)
-		for _, name := range policyNamesWith(t) {
-			var a Audit
-			mustSimulate(t, l, newPolicyT(t, name, seed), WithAudit(&a), snapshotOpts()[0])
+		for _, d := range []int{1, 2, 5} {
+			l := randomList(seed, 300, d, 25)
+			for _, name := range policyNamesWith(t) {
+				var a Audit
+				mustSimulate(t, l, newPolicyT(t, name, seed), WithAudit(&a), snapshotOpts()[0])
+			}
 		}
 	}
 }
@@ -163,43 +169,46 @@ func TestLinearSelectOptionForcesScan(t *testing.T) {
 }
 
 // TestSelectPathRouting pins which Select path the engine takes for every
-// policy the registry advertises: the bin index for Best and Worst Fit under
-// every load measure, the held open-load totals for AdaptiveHybrid, and the
-// policy's own scan for everything else. Parameter placeholders (<p>, <K>)
-// are filled with representative values.
+// policy the registry advertises, at d = 1, 2 and 5: the bin index for Best
+// Fit at d = 1 only and for Worst Fit at every d, under every load measure;
+// the held open-load totals for AdaptiveHybrid; and the policy's own scan
+// for everything else (DESIGN.md §11 has the measurements behind the rule).
+// Parameter placeholders (<p>, <K>) are filled with representative values.
 func TestSelectPathRouting(t *testing.T) {
-	l := item.NewList(2)
-	l.Add(0, 1, vector.Of(0.1, 0.2))
-	for _, line := range PolicySpellings() {
-		head := strings.TrimSpace(strings.SplitN(line, "(", 2)[0])
-		for _, sp := range strings.Split(head, "|") {
-			sp = strings.NewReplacer("<p>", "3", "<K>", "4").Replace(strings.TrimSpace(sp))
-			p := newPolicyT(t, sp, 1)
-			e, err := NewEngine(l, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got string
-			switch {
-			case e.idx != nil && e.tp == nil && e.totals == nil:
-				got = "index"
-			case e.idx == nil && e.tp != nil && e.totals != nil:
-				got = "totals"
-			case e.idx == nil && e.tp == nil && e.totals == nil:
-				got = "scan"
-			default:
-				got = "mixed"
-			}
-			e.Close()
-			want := "scan"
-			switch name := p.Name(); {
-			case strings.HasPrefix(name, "BestFit"), strings.HasPrefix(name, "WorstFit"):
-				want = "index"
-			case name == "AdaptiveHybrid":
-				want = "totals"
-			}
-			if got != want {
-				t.Errorf("%q (%s): engine path %s, want %s", sp, p.Name(), got, want)
+	for _, d := range []int{1, 2, 5} {
+		l := item.NewList(d)
+		l.Add(0, 1, vector.New(d))
+		for _, line := range PolicySpellings() {
+			head := strings.TrimSpace(strings.SplitN(line, "(", 2)[0])
+			for _, sp := range strings.Split(head, "|") {
+				sp = strings.NewReplacer("<p>", "3", "<K>", "4").Replace(strings.TrimSpace(sp))
+				p := newPolicyT(t, sp, 1)
+				e, err := NewEngine(l, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got string
+				switch {
+				case e.idx != nil && e.tp == nil && e.totals == nil:
+					got = "index"
+				case e.idx == nil && e.tp != nil && e.totals != nil:
+					got = "totals"
+				case e.idx == nil && e.tp == nil && e.totals == nil:
+					got = "scan"
+				default:
+					got = "mixed"
+				}
+				e.Close()
+				want := "scan"
+				switch name := p.Name(); {
+				case strings.HasPrefix(name, "BestFit") && d == 1, strings.HasPrefix(name, "WorstFit"):
+					want = "index"
+				case name == "AdaptiveHybrid":
+					want = "totals"
+				}
+				if got != want {
+					t.Errorf("%q (%s) at d=%d: engine path %s, want %s", sp, p.Name(), d, got, want)
+				}
 			}
 		}
 	}

@@ -59,6 +59,7 @@ func PNormLoad(p float64) LoadMeasure {
 // average-case behaviour is close to First Fit (Section 7).
 type BestFit struct {
 	measure LoadMeasure
+	scan    fitScan
 }
 
 // NewBestFit returns a Best Fit policy with the given load measure; the
@@ -81,12 +82,9 @@ func (*BestFit) Reset() {}
 func (bf *BestFit) Select(req Request, open []*Bin) *Bin {
 	var best *Bin
 	bestLoad := math.Inf(-1)
-	for _, b := range open {
-		if !b.Fits(req.Size) {
-			continue
-		}
-		if l := bf.measure.Eval(b); l > bestLoad {
-			best, bestLoad = b, l
+	for _, i := range bf.scan.fitting(open, req.Size) {
+		if l := bf.measure.Eval(open[i]); l > bestLoad {
+			best, bestLoad = open[i], l
 		}
 	}
 	return best
@@ -103,6 +101,7 @@ func (*BestFit) OnClose(*Bin) {}
 // worst average-case cost of the studied family.
 type WorstFit struct {
 	measure LoadMeasure
+	scan    fitScan
 }
 
 // NewWorstFit returns a Worst Fit policy with the given load measure.
@@ -124,12 +123,9 @@ func (*WorstFit) Reset() {}
 func (wf *WorstFit) Select(req Request, open []*Bin) *Bin {
 	var worst *Bin
 	worstLoad := math.Inf(1)
-	for _, b := range open {
-		if !b.Fits(req.Size) {
-			continue
-		}
-		if l := wf.measure.Eval(b); l < worstLoad {
-			worst, worstLoad = b, l
+	for _, i := range wf.scan.fitting(open, req.Size) {
+		if l := wf.measure.Eval(open[i]); l < worstLoad {
+			worst, worstLoad = open[i], l
 		}
 	}
 	return worst

@@ -2,10 +2,80 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
+
+// TestScanLoopsMatchBinFits checks the shared scan loops of policy.go
+// against Bin.Fits, bin by bin, on random fleets at d = 1, 2, 3 and 5. Loads
+// and sizes sit on a tenths grid, so many sums land on the capacity, and
+// sizes are sometimes nudged by half or twice vector.Eps, so some sums land
+// just inside or just outside the tolerance. fitScan.fitting must return
+// exactly the bins Bin.Fits accepts, first must stop where a Bin.Fits loop
+// stops in either direction, and each must count one fit check per bin it
+// examines, as Bin.Fits does.
+func TestScanLoopsMatchBinFits(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	nudges := []float64{0, 0, -2 * vector.Eps, -vector.Eps / 2, vector.Eps / 2, 2 * vector.Eps}
+	tenths := func(d int) vector.Vector {
+		v := vector.New(d)
+		for j := range v {
+			v[j] = math.Min(1, math.Max(0, float64(r.Intn(11))/10+nudges[r.Intn(len(nudges))]))
+		}
+		return v
+	}
+	var scan fitScan
+	for _, d := range []int{1, 2, 3, 5} {
+		for trial := 0; trial < 300; trial++ {
+			probe := &fitProbe{armed: true}
+			open := make([]*Bin, r.Intn(12))
+			for i := range open {
+				b := newBin(i, d, 0)
+				b.probe = probe
+				if err := b.pack(i, tenths(d)); err != nil {
+					t.Fatal(err)
+				}
+				open[i] = b
+			}
+			size := tenths(d)
+			var want []int
+			for i, b := range open {
+				if b.Fits(size) {
+					want = append(want, i)
+				}
+			}
+			n := len(open)
+
+			probe.n = 0
+			if got := scan.fitting(open, size); !slices.Equal(got, want) || probe.n != n {
+				t.Fatalf("d=%d trial %d: fitting = %v with %d checks, Bin.Fits accepts %v of %d bins", d, trial, got, probe.n, want, n)
+			}
+
+			wantFirst, wantChecks := n, n
+			if len(want) > 0 {
+				wantFirst, wantChecks = want[0], want[0]+1
+			}
+			probe.n = 0
+			if got := first(open, 0, n, 1, size); got != wantFirst || probe.n != wantChecks {
+				t.Fatalf("d=%d trial %d: first forward = %d with %d checks, want %d with %d", d, trial, got, probe.n, wantFirst, wantChecks)
+			}
+
+			wantLast, wantChecks := -1, n
+			if len(want) > 0 {
+				wantLast = want[len(want)-1]
+				wantChecks = n - wantLast
+			}
+			probe.n = 0
+			if got := first(open, n-1, -1, -1, size); got != wantLast || probe.n != wantChecks {
+				t.Fatalf("d=%d trial %d: first backward = %d with %d checks, want %d with %d", d, trial, got, probe.n, wantLast, wantChecks)
+			}
+		}
+	}
+}
 
 // --- First Fit / Last Fit ------------------------------------------------
 

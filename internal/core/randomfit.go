@@ -12,6 +12,7 @@ type RandomFit struct {
 	seed int64
 	src  countingSource
 	rng  *rand.Rand
+	scan fitScan
 }
 
 // countingSource wraps the standard PRNG source and counts its draws. Every
@@ -61,13 +62,10 @@ func (rf *RandomFit) Reset() {
 func (rf *RandomFit) Select(req Request, open []*Bin) *Bin {
 	var chosen *Bin
 	n := 0
-	for _, b := range open {
-		if !b.Fits(req.Size) {
-			continue
-		}
+	for _, i := range rf.scan.fitting(open, req.Size) {
 		n++
 		if rf.rng.Intn(n) == 0 {
-			chosen = b
+			chosen = open[i]
 		}
 	}
 	return chosen

@@ -83,12 +83,13 @@ func primePolicy(t *testing.T, p Policy) []*Bin {
 }
 
 // TestSelectSteadyStateAllocs pins the hot path: once a run is in steady
-// state, Select must not allocate for any of the seven standard policies.
-// This is the regression fence for the per-Select map rebuild MoveToFront
-// used to do (and for any future policy tempted to build scratch state per
-// decision).
+// state, Select must not allocate for any of the seven standard policies or
+// the four fragmentation-aware ones. This is the regression fence for the
+// per-Select map rebuild MoveToFront used to do, for the scan scratch the
+// weighing policies keep (fitScan), and for any future policy tempted to
+// build scratch state per decision.
 func TestSelectSteadyStateAllocs(t *testing.T) {
-	for _, p := range StandardPolicies(1) {
+	for _, p := range append(StandardPolicies(1), FragmentationAwarePolicies(1)...) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			open := primePolicy(t, p)

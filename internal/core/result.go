@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -188,11 +189,14 @@ func (r *Result) String() string {
 
 // sortBins normalises Bins/Placements ordering for deterministic output.
 func (r *Result) sortBins() {
-	sort.Slice(r.Bins, func(i, j int) bool { return r.Bins[i].BinID < r.Bins[j].BinID })
-	sort.Slice(r.Placements, func(i, j int) bool {
-		if r.Placements[i].Time != r.Placements[j].Time {
-			return r.Placements[i].Time < r.Placements[j].Time
+	slices.SortFunc(r.Bins, func(a, b BinUsage) int { return cmp.Compare(a.BinID, b.BinID) })
+	slices.SortFunc(r.Placements, func(a, b Placement) int {
+		if a.Time != b.Time {
+			if a.Time < b.Time {
+				return -1
+			}
+			return 1
 		}
-		return r.Placements[i].ItemID < r.Placements[j].ItemID
+		return cmp.Compare(a.ItemID, b.ItemID)
 	})
 }

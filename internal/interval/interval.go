@@ -2,7 +2,7 @@ package interval
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Interval is a half-open interval [Lo, Hi). Empty intervals (Hi <= Lo) have
@@ -114,11 +114,20 @@ func (s Set) Merge() Set {
 	if len(in) == 0 {
 		return Set{}
 	}
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].Lo != in[j].Lo {
-			return in[i].Lo < in[j].Lo
+	slices.SortFunc(in, func(a, b Interval) int {
+		if a.Lo != b.Lo {
+			if a.Lo < b.Lo {
+				return -1
+			}
+			return 1
 		}
-		return in[i].Hi < in[j].Hi
+		switch {
+		case a.Hi < b.Hi:
+			return -1
+		case a.Hi > b.Hi:
+			return 1
+		}
+		return 0
 	})
 	out := Set{in[0]}
 	for _, iv := range in[1:] {

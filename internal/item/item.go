@@ -1,9 +1,11 @@
 package item
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dvbp/internal/interval"
@@ -228,11 +230,14 @@ func (l *List) LoadAt(t float64) vector.Vector {
 func (l *List) SortedByArrival() []Item {
 	out := make([]Item, len(l.Items))
 	copy(out, l.Items)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
+	slices.SortFunc(out, func(a, b Item) int {
+		if a.Arrival != b.Arrival {
+			if a.Arrival < b.Arrival {
+				return -1
+			}
+			return 1
 		}
-		return out[i].SeqNo < out[j].SeqNo
+		return cmp.Compare(a.SeqNo, b.SeqNo)
 	})
 	return out
 }

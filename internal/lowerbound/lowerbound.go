@@ -2,7 +2,7 @@ package lowerbound
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
@@ -55,13 +55,22 @@ func IntegralBound(l *item.List) float64 {
 			ev{t: it.Departure, delta: it.Size, sign: -1},
 		)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b ev) int {
+		if a.t != b.t {
+			if a.t < b.t {
+				return -1
+			}
+			return 1
 		}
 		// Departures first: intervals are half-open, so at time t a departing
 		// item no longer contributes.
-		return events[i].sign < events[j].sign
+		switch {
+		case a.sign < b.sign:
+			return -1
+		case a.sign > b.sign:
+			return 1
+		}
+		return 0
 	})
 
 	load := vector.New(l.Dim)

@@ -18,11 +18,12 @@ const (
 	// MetricBinsClosed counts bins whose last item departed.
 	MetricBinsClosed = "dvbp_bins_closed_total"
 	// MetricFitChecks counts feasibility evaluations performed inside
-	// policy Select: Bin.Fits calls on the linear-scan path, or the indexed
-	// bin store's per-entry fit checks plus subtree prune evaluations on
-	// the default sub-linear path (O(1) residual-bucket mask rejections
-	// evaluate no load vector and are not counted). Engine-internal
-	// feasibility re-checks are excluded. See DESIGN.md §11.
+	// policy Select: on the scan path, one per bin the policy tested; on
+	// the indexed path (Worst Fit, and Best Fit at d = 1), the bin store's
+	// per-entry fit checks plus subtree prune evaluations (O(1)
+	// residual-bucket mask rejections evaluate no load vector and are not
+	// counted). Engine-internal feasibility re-checks are excluded. See
+	// DESIGN.md §11.
 	MetricFitChecks = "dvbp_fit_checks_total"
 	// MetricOpenBins gauges the currently open bin population.
 	MetricOpenBins = "dvbp_open_bins"

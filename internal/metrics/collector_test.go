@@ -110,6 +110,29 @@ func TestCollectorFitChecksHandComputed(t *testing.T) {
 	if got := counterValue(t, col.Snapshot(), MetricFitChecks); got != 3 {
 		t.Errorf("indexed Worst Fit fit checks = %g, want 3", got)
 	}
+
+	// Best Fit at d = 2 scans on its default path, and the scan tests every
+	// open bin: (0.6, 0.2) twice, then (0.3, 0.3) and (0.2, 0.6).
+	// Checks per Select: 0 (no open bins), 1 (bin0 fails), 2 (both fit, the
+	// argmax must see both; equal loads, so bin0 takes it at (0.9, 0.5)) and
+	// 2 (bin0 fails, bin1 fits) — where First Fit would stop after 1 in the
+	// third decision.
+	l2 := item.NewList(2)
+	l2.Add(0, 10, vector.Of(0.6, 0.2))
+	l2.Add(1, 10, vector.Of(0.6, 0.2))
+	l2.Add(2, 10, vector.Of(0.3, 0.3))
+	l2.Add(3, 10, vector.Of(0.2, 0.6))
+	col = NewCollector()
+	res, err := core.Simulate(l2, core.NewBestFit(core.MaxLoad()), core.WithObserver(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counterValue(t, col.Snapshot(), MetricFitChecks); got != 5 {
+		t.Errorf("Best Fit d=2 fit checks = %g, want 5", got)
+	}
+	if got := []int{res.Placements[2].BinID, res.Placements[3].BinID}; got[0] != 0 || got[1] != 1 {
+		t.Errorf("Best Fit d=2 placed items 2 and 3 into bins %v, want [0 1]", got)
+	}
 }
 
 // sequencedClock advances a Manual clock by a fixed step on every reading,
