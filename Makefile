@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
-# the test suite under the race detector, a repeated-run concurrency stress
-# pass, a seeded kill-and-recover torture pass over the persistence layer,
-# vet and tests of the benchmark module, and a short fuzz pass over the
-# engine, fault-schedule, and on-disk-format fuzzers.
+# the whole test suite under the race detector (the kill-and-recover,
+# crash-point, server and CLI tortures included), a repeated-run concurrency
+# stress pass, vet and tests of the benchmark module, and a short fuzz pass
+# over the engine, fault-schedule, and on-disk-format fuzzers.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -13,9 +13,9 @@ STRESSCOUNT ?= 5
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 
-.PHONY: ci fmt vet test race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke build bench bench-smoke bench-module bench-json fuzz-smoke docs-check
+.PHONY: ci fmt vet test race stress build bench bench-smoke bench-module bench-json fuzz-smoke docs-check
 
-ci: fmt vet docs-check race stress torture-smoke serve-smoke frag-smoke defrag-smoke disk-smoke bench-smoke bench-module fuzz-smoke
+ci: fmt vet docs-check race stress bench-smoke bench-module fuzz-smoke
 
 # gofmt -l prints offending files; fail when the list is non-empty.
 fmt:
@@ -44,55 +44,6 @@ stress:
 		./internal/parallel ./internal/experiments ./internal/metrics \
 		./internal/core ./internal/faults ./internal/vector ./internal/server \
 		./internal/migrate
-
-# Seeded kill-and-recover torture: random WAL truncations, snapshot
-# deletions, and bit flips at the package level, plus real process kills
-# (-kill-at hard exits and SIGKILL) at the CLI level — every recovery must be
-# byte-identical to an uninterrupted run. Runs under the race detector.
-# cmd/dvbpserver contributes the restart-under-load server torture: SIGKILL
-# mid-load, restart, every acknowledged placement still served identically.
-# internal/persist contributes the mid-migration tortures (TestTortureMigration*):
-# kills landing between a drain's moves must recover byte-identically.
-torture-smoke:
-	$(GO) test -race -run='Torture|KillAt|SIGKILL|Recover|Restore' \
-		./internal/persist ./internal/server ./cmd/dvbpchaos ./cmd/dvbpsim ./cmd/dvbpserver
-
-# End-to-end smoke for the placement service: boot dvbpserver, create a
-# tenant, place, drain on SIGTERM; plus the policy-spelling round-trip and
-# the dvbpbench -serve-load / -serve-verify audit loop.
-serve-smoke:
-	$(GO) test -run='ServeSmoke|ListPolicySpellings|ServeLoadVerify' \
-		./cmd/dvbpserver ./cmd/dvbpbench
-
-# Fragmentation gate (DESIGN.md §13): the metric's recompute and reorder
-# invariants, the scored policies' hand-worked decisions and registry
-# round-trips, the datacenter trace generators' degenerate-draw audit, the
-# head-to-head experiment, the server's per-dimension stranded accounting,
-# and the ranking-flip figure.
-frag-smoke:
-	$(GO) test -run='Frag|Datacenter|Stranded|CheckItem' \
-		./internal/metrics ./internal/core ./internal/workload \
-		./internal/experiments ./internal/server ./cmd/dvbpfigs
-
-# Defragmentation gate (DESIGN.md §14): planner/budget/plan-validation
-# invariants, the budget-0 differential identity (disabled migration is
-# byte-identical to no migration), engine migration invariants and hostile-plan
-# rejection, mid-migration kill-and-recover, and the budgeted-defragmentation
-# study with its azure acceptance property. Runs under the race detector
-# because the differential and kill-and-recover checks must hold there too.
-defrag-smoke:
-	$(GO) test -race -run='Migration|Planner|ValidatePlan|Defrag' \
-		./internal/migrate ./internal/core ./internal/persist ./internal/experiments
-
-# Disk-fault gate (DESIGN.md §15): the vfs crash/fault model itself, the
-# exhaustive crash-point sweeps (power loss at EVERY filesystem operation of
-# a static and a dynamic run, recovery byte-identical), the compaction
-# invariants (bounded WAL, no from-scratch fallback past the compaction
-# base), the writer rollback/retry paths, the error taxonomy, the server's
-# degraded read-only mode, and the CLI-level -disk-faults/-compact runs.
-disk-smoke:
-	$(GO) test -race -run='Vfs|Mem|Injector|Crash|DiskTorture|Compact|Rollback|SyncsParent|SweepsOrphan|Classification|Degraded|SickDisk|DiskFault' \
-		./internal/vfs ./internal/persist ./internal/server ./cmd/dvbpchaos ./cmd/dvbpbench
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -56,7 +56,6 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 0, "per-tenant request queue bound; a full queue answers 429 (0 = default 256)")
 		batchMax   = flag.Int("batch-max", 0, "max requests per group commit (0 = default 64)")
 		deadline   = flag.Duration("deadline", 0, "per-request budget from enqueue; expired requests answer 503 (0 = none)")
-		syncEvery  = flag.Int("sync-every", 0, "persist-layer fsync batching between the durability barriers (0 = default 64)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "budget for the graceful drain on SIGTERM/SIGINT")
 		ioRetries  = flag.Int("io-retries", 0, "transient I/O failure retries at each durability barrier before the tenant degrades to read-only (0 = default 3, negative = none)")
 		ioBackoff  = flag.Duration("io-backoff", 0, "sleep before the first I/O retry, doubling per attempt up to 100ms (0 = default 2ms)")
@@ -77,7 +76,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		BatchMax:      *batchMax,
 		Deadline:      *deadline,
-		SyncEvery:     *syncEvery,
 		RetryAttempts: *ioRetries,
 		RetryBackoff:  *ioBackoff,
 	}, reg)

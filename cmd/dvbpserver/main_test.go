@@ -44,10 +44,9 @@ type runningServer struct {
 // startServer launches the built binary on addr (may be "127.0.0.1:0") over
 // data and waits for the listening line; the bound URL comes from stdout so
 // port 0 works.
-func startServer(t *testing.T, bin, addr, data string, extra ...string) *runningServer {
+func startServer(t *testing.T, bin, addr, data string) *runningServer {
 	t.Helper()
-	args := append([]string{"-addr", addr, "-data", data}, extra...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(bin, "-addr", addr, "-data", data)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +130,10 @@ func httpJSON(t *testing.T, method, url string, body, out any) int {
 	return resp.StatusCode
 }
 
-// TestServeSmoke is the end-to-end happy path make serve-smoke pins: boot on
-// an ephemeral port, create a tenant, place an item, read it back, and drain
-// cleanly on SIGTERM with exit 0.
+// TestServeSmoke is the end-to-end happy path: boot on an ephemeral port,
+// create a tenant, place an item, read it back, and drain cleanly on SIGTERM
+// with exit 0. `go test -race -run='ServeSmoke|ListPolicySpellings|ServeLoadVerify'
+// ./cmd/dvbpserver ./cmd/dvbpbench` runs it with its neighbours.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -294,7 +294,7 @@ func TestSIGKILLRestartUnderLoad(t *testing.T) {
 	base := "http://" + addr
 	acks := filepath.Join(t.TempDir(), "acks.jsonl")
 
-	rs := startServer(t, srvBin, addr, data, "-sync-every", "8")
+	rs := startServer(t, srvBin, addr, data)
 
 	load := exec.Command(benchBin,
 		"-serve-load", base, "-serve-acks", acks,
@@ -314,7 +314,7 @@ func TestSIGKILLRestartUnderLoad(t *testing.T) {
 	rs.cmd.Process.Kill()
 	rs.cmd.Wait()
 
-	rs2 := startServer(t, srvBin, addr, data, "-sync-every", "8")
+	rs2 := startServer(t, srvBin, addr, data)
 	if err := load.Wait(); err != nil {
 		t.Fatalf("load driver failed across the restart: %v\n%s", err, &loadOut)
 	}

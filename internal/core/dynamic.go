@@ -127,16 +127,6 @@ type EngineStats struct {
 	// is CostAt(t) = CostClosed + OpenBins·t − OpenedAtSum.
 	CostClosed  float64
 	OpenedAtSum float64
-	// OpenLoad is the per-dimension total load across open bins.
-	OpenLoad []float64
-	// Stranded is the per-dimension stranded open capacity (DESIGN.md §13):
-	// for each open bin, headroom beyond its binding dimension's usable
-	// headroom — residual_d − min_j residual_j, summed over open bins. It is
-	// capacity that exists in dimension d but cannot host any item shaped
-	// like the bin's scarcest dimension. The deprecated dominant-dimension
-	// heuristic (OpenBins − max_d OpenLoad[d]) undercounts mixed-imbalance
-	// bins; Stranded is per-bin and per-dimension exact.
-	Stranded []float64
 	// Failure/admission accounting (zero on a fault-free, uncapped run).
 	Rejected  int
 	TimedOut  int
@@ -164,32 +154,14 @@ func (e *Engine) Stats() EngineStats {
 		OpenBins:        len(e.open) - e.holes,
 		BinsOpened:      e.nextBinID,
 		CostClosed:      e.res.Cost,
-		OpenLoad:        make([]float64, e.list.Dim),
-		Stranded:        make([]float64, e.list.Dim),
 		Rejected:        e.res.Rejected,
 		TimedOut:        e.res.TimedOut,
 		ItemsLost:       e.res.ItemsLost,
 		QueueLen:        len(e.waitq),
 	}
 	for _, b := range e.open {
-		if b == nil {
-			continue
-		}
-		s.OpenedAtSum += b.OpenedAt
-		usable := math.Inf(1)
-		for d, v := range b.load {
-			s.OpenLoad[d] += v
-			if r := 1 - v; r < usable {
-				usable = r
-			}
-		}
-		if usable < 0 {
-			usable = 0
-		}
-		for d, v := range b.load {
-			if r := 1 - v; r > usable {
-				s.Stranded[d] += r - usable
-			}
+		if b != nil {
+			s.OpenedAtSum += b.OpenedAt
 		}
 	}
 	return s

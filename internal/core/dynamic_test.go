@@ -153,6 +153,42 @@ func TestDynamicSnapshotRestoreMidStream(t *testing.T) {
 	resultsEqual(t, "restored dynamic", got, want)
 }
 
+// TestAppendPlacementsMatchesSnapshot pins the listing accessor against the
+// deep copy it replaces: for every from, including ones outside [0, total],
+// it appends exactly the snapshot's placements from the clamped index on,
+// keeps dst's prefix, and reports the committed total.
+func TestAppendPlacementsMatchesSnapshot(t *testing.T) {
+	src, err := workload.Uniform(workload.UniformConfig{D: 2, N: 60, Mu: 10, T: 30, B: 20}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := NewPolicy("FirstFit", 1)
+	e, err := NewEngine(item.NewList(src.Dim), p, WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	feedDynamic(t, e, src.SortedByArrival())
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := snap.Result.Placements
+	head := Placement{ItemID: -1}
+	for _, from := range []int{-3, 0, 1, len(all) / 2, len(all), len(all) + 5} {
+		got, total := e.AppendPlacements([]Placement{head}, from)
+		start := min(max(from, 0), len(all))
+		if total != len(all) || len(got) != 1+len(all)-start || got[0] != head {
+			t.Fatalf("from %d: %d records, total %d; want dst's 1 + %d, total %d", from, len(got), total, len(all)-start, len(all))
+		}
+		for i, pl := range got[1:] {
+			if pl != all[start+i] {
+				t.Fatalf("from %d: record %d = %+v, want %+v", from, i, pl, all[start+i])
+			}
+		}
+	}
+}
+
 // TestDynamicGuards pins the admission discipline's error cases.
 func TestDynamicGuards(t *testing.T) {
 	p, _ := NewPolicy("FirstFit", 1)

@@ -487,6 +487,16 @@ func (e *Engine) AppendOpenBins(dst []*Bin) []*Bin {
 	return dst
 }
 
+// AppendPlacements appends the committed placements from index from on to
+// dst, clamping from into [0, total], and returns the extended slice and the
+// total committed so far. It copies only the suffix, so a listing costs
+// O(answer) where Snapshot would deep-copy the whole run.
+func (e *Engine) AppendPlacements(dst []Placement, from int) ([]Placement, int) {
+	all := e.res.Placements
+	from = min(max(from, 0), len(all))
+	return append(dst, all[from:]...), len(all)
+}
+
 // Policy returns the policy driving the run.
 func (e *Engine) Policy() Policy { return e.p }
 

@@ -23,10 +23,8 @@
 //
 //   - Run is the primitive: n indexed shards, a context for cancellation,
 //     RunOptions for worker count and ProgressFunc reporting.
-//   - MapShards collects per-shard results by index on top of Run.
-//   - Map and Reduce (parallel.go) are the convenience layer used by the
-//     experiment sweeps; Reduce folds in index order, keeping aggregate
-//     statistics deterministic too.
+//   - MapShards collects per-shard results by index on top of Run; callers
+//     fold them in index order, keeping aggregate statistics deterministic.
 //   - SeedFor and Derive split a base seed into per-shard and per-label
 //     streams with a SplitMix64 step, so adding a new randomness consumer
 //     never perturbs existing streams.

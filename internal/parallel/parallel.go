@@ -1,58 +1,5 @@
 package parallel
 
-import (
-	"context"
-	"runtime"
-)
-
-// Options configures a parallel map.
-type Options struct {
-	// Workers is the number of concurrent workers; <= 0 means GOMAXPROCS.
-	Workers int
-	// Context cancels outstanding work early; nil means Background.
-	Context context.Context
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) context() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
-// Map runs fn(i) for i in [0, n) across workers and returns the results in
-// index order. It is MapShards without the context parameter, for trial
-// functions that do not poll cancellation mid-shard; the scheduler still
-// stops claiming new indices once the context is cancelled or any invocation
-// fails.
-func Map[T any](n int, fn func(i int) (T, error), opts Options) ([]T, error) {
-	return MapShards(n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	}, RunOptions{Workers: opts.Workers, Context: opts.Context})
-}
-
-// Reduce folds results in index order: deterministic regardless of execution
-// order. It is a convenience over Map + sequential fold.
-func Reduce[T, A any](n int, fn func(i int) (T, error), fold func(acc A, v T) A, init A, opts Options) (A, error) {
-	vs, err := Map(n, fn, opts)
-	if err != nil {
-		var zero A
-		return zero, err
-	}
-	acc := init
-	for _, v := range vs {
-		acc = fold(acc, v)
-	}
-	return acc, nil
-}
-
 // SeedFor derives the per-trial RNG seed used throughout the experiment
 // harness: a SplitMix64 step over (base, index), so neighbouring trials get
 // decorrelated streams and the mapping is stable across releases.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestMapOrdersResults(t *testing.T) {
-	got, err := Map(100, func(i int) (int, error) { return i * i, nil }, Options{})
+	got, err := MapShards(100, func(_ context.Context, i int) (int, error) { return i * i, nil }, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,18 +22,18 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestMapZeroAndNegative(t *testing.T) {
-	got, err := Map(0, func(i int) (int, error) { return 0, nil }, Options{})
+	got, err := MapShards(0, func(_ context.Context, i int) (int, error) { return 0, nil }, RunOptions{})
 	if err != nil || len(got) != 0 {
 		t.Errorf("n=0: got %v, %v", got, err)
 	}
-	if _, err := Map(-1, func(i int) (int, error) { return 0, nil }, Options{}); err == nil {
+	if _, err := MapShards(-1, func(_ context.Context, i int) (int, error) { return 0, nil }, RunOptions{}); err == nil {
 		t.Error("n=-1: want error")
 	}
 }
 
 func TestMapWorkerCounts(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 7, 64} {
-		got, err := Map(50, func(i int) (int, error) { return i, nil }, Options{Workers: w})
+		got, err := MapShards(50, func(_ context.Context, i int) (int, error) { return i, nil }, RunOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -47,7 +47,7 @@ func TestMapWorkerCounts(t *testing.T) {
 
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []int64 {
-		out, err := Map(64, func(i int) (int64, error) { return SeedFor(7, i), nil }, Options{Workers: workers})
+		out, err := MapShards(64, func(_ context.Context, i int) (int64, error) { return SeedFor(7, i), nil }, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,12 +63,12 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestMapPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(100, func(i int) (int, error) {
+	_, err := MapShards(100, func(_ context.Context, i int) (int, error) {
 		if i == 42 {
 			return 0, boom
 		}
 		return i, nil
-	}, Options{Workers: 4})
+	}, RunOptions{Workers: 4})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -77,12 +77,12 @@ func TestMapPropagatesError(t *testing.T) {
 func TestMapReturnsSmallestIndexError(t *testing.T) {
 	// With one worker the scheduler owns a single sequential block, so index 3
 	// is guaranteed to fail first and be the reported error.
-	_, err := Map(100, func(i int) (int, error) {
+	_, err := MapShards(100, func(_ context.Context, i int) (int, error) {
 		if i%10 == 3 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
 		return i, nil
-	}, Options{Workers: 1})
+	}, RunOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -95,12 +95,12 @@ func TestMapReturnsSmallestIndexError(t *testing.T) {
 func TestMapReportsSmallestObservedFailure(t *testing.T) {
 	// Under concurrency the reported index is the smallest among the failures
 	// that ran before cancellation — always one of the failing indices.
-	_, err := Map(100, func(i int) (int, error) {
+	_, err := MapShards(100, func(_ context.Context, i int) (int, error) {
 		if i%10 == 3 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
 		return i, nil
-	}, Options{Workers: 8})
+	}, RunOptions{Workers: 8})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -112,40 +112,17 @@ func TestMapReportsSmallestObservedFailure(t *testing.T) {
 func TestMapCancellationStopsWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	_, err := Map(1_000_000, func(i int) (int, error) {
+	_, err := MapShards(1_000_000, func(_ context.Context, i int) (int, error) {
 		if calls.Add(1) == 10 {
 			cancel()
 		}
 		return i, nil
-	}, Options{Workers: 2, Context: ctx})
+	}, RunOptions{Workers: 2, Context: ctx})
 	if err == nil {
 		t.Fatal("cancelled run should error")
 	}
 	if calls.Load() > 100_000 {
 		t.Errorf("cancellation did not stop work early (%d calls)", calls.Load())
-	}
-}
-
-func TestReduce(t *testing.T) {
-	sum, err := Reduce(100,
-		func(i int) (int, error) { return i, nil },
-		func(acc, v int) int { return acc + v },
-		0, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 4950 {
-		t.Errorf("sum = %d, want 4950", sum)
-	}
-}
-
-func TestReduceError(t *testing.T) {
-	_, err := Reduce(10,
-		func(i int) (int, error) { return 0, errors.New("x") },
-		func(acc, v int) int { return acc + v },
-		0, Options{})
-	if err == nil {
-		t.Error("want error")
 	}
 }
 
@@ -169,7 +146,7 @@ func TestSeedForProperties(t *testing.T) {
 func BenchmarkMapOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Map(64, func(j int) (int, error) { return j, nil }, Options{}); err != nil {
+		if _, err := MapShards(64, func(_ context.Context, j int) (int, error) { return j, nil }, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"path/filepath"
-
-	"dvbp/internal/vfs"
 )
 
 // WAL compaction (DESIGN.md §15). Once a snapshot at event k is durable, the
@@ -68,10 +66,13 @@ func decodeCompactMarker(payload []byte) (int64, error) {
 // O(events since that snapshot), so a run that checkpoints every E events
 // keeps its directory at O(E) regardless of run length.
 //
-// Failure atomicity: every error return leaves the old WAL intact and the
-// session writing to it — except a failed reopen after the atomic swap,
-// which discards the writer and returns a fatal error (the session cannot
-// continue on a file it cannot open; recovery handles it like any crash).
+// An I/O error is retryable and leaves the session writing to the file that
+// wal.dvbp names. Before the rename the old WAL stays in place and in use.
+// Once the rename has landed the session always switches to a writer on the
+// new file, which it opens by name at its next Sync. If the directory sync
+// after the rename failed, that Sync re-runs it before it can return nil,
+// and the snapshots below the new base stay until a later compaction: rule 2
+// forbids pruning them while the rename may still be undone.
 func (s *Session) Compact() error {
 	if s.lastSnap <= s.walBase {
 		return nil // nothing durable to drop
@@ -105,24 +106,19 @@ func (s *Session) Compact() error {
 	for _, r := range evs[skip:] {
 		content = appendRecord(content, r)
 	}
-	oldSize := fd.Size
-	if err := writeFileAtomic(s.fsys, path, content); err != nil {
+	if err := replaceFile(s.fsys, path, content); err != nil {
 		return err
 	}
 	// The old descriptor now points at an unlinked inode; swap writers.
 	s.wal.Discard()
-	w, err := openAppend(s.fsys, path, int64(len(content)), s.cfg.SyncEvery)
-	if err != nil {
-		// The new WAL is durable and consistent but this session lost its
-		// handle; only recovery can continue. Poison the session.
-		s.wal = &Writer{discarded: true}
-		return &CorruptionError{Run: s.cfg.Label, Path: path, Offset: -1, Record: -1,
-			Reason: "compaction swapped the WAL but could not reopen it", Err: err}
-	}
-	s.wal = w
+	dirErr := syncDir(s.fsys, s.cfg.Dir)
+	s.wal = reopen(s.fsys, path, int64(len(content)), s.cfg.SyncEvery, dirErr != nil)
 	s.walBase = s.lastSnap
 	s.stats.Compactions++
-	s.stats.ReclaimedBytes += oldSize - int64(len(content))
+	s.stats.ReclaimedBytes += fd.Size - int64(len(content))
+	if dirErr != nil {
+		return dirErr
+	}
 
 	// Garbage-collect snapshots that predate the base: recovery can no
 	// longer use them (the events to replay past them are gone). Failures
@@ -143,74 +139,4 @@ func (s *Session) Compact() error {
 		}
 	}
 	return nil
-}
-
-// CompactOpLog rewrites a dynamic run's operation log in place, collapsing
-// every clock-advance record into a single advance to the log's largest
-// target, positioned after exactly the items that were admitted before it.
-// Item records — the durable source of the item list, whose IDs are
-// positional — are preserved bit-for-bit, so the rebuilt list, the final
-// watermark, and MaxAdvance are unchanged; only redundant advance spam goes.
-// The rewrite is atomic (temp + rename + dir-sync) and only runs on a clean,
-// fully-synced log.
-//
-// Returns a fresh append writer positioned at the new tail and the bytes
-// reclaimed. When nothing would shrink (fewer than two advances), it returns
-// (nil, 0, nil) and the caller keeps its current writer.
-func CompactOpLog(fsys vfs.FS, path, label string, syncEvery int) (*Writer, int64, error) {
-	fsys = vfs.OrOS(fsys)
-	logged, err := ReadOpLog(fsys, path, label)
-	if err != nil {
-		return nil, 0, err
-	}
-	if logged.Torn != nil {
-		return nil, 0, logged.Torn // only compact logs with no torn tail
-	}
-	advances := 0
-	itemsBeforeLast := 0
-	items := 0
-	for _, op := range logged.Ops {
-		switch op.Kind {
-		case OpItem:
-			items++
-		case OpAdvance:
-			advances++
-			itemsBeforeLast = items
-		}
-	}
-	if advances <= 1 {
-		return nil, 0, nil
-	}
-	content := appendHeader(nil, KindOpLog)
-	content = appendRecord(content, encodeMeta(logged.Meta))
-	var scratch []byte
-	n := 0
-	for _, op := range logged.Ops {
-		if op.Kind != OpItem {
-			continue
-		}
-		if n == itemsBeforeLast {
-			scratch = AppendAdvanceOp(scratch[:0], logged.MaxAdvance)
-			content = appendRecord(content, scratch)
-		}
-		scratch = AppendItemOp(scratch[:0], op.Arrival, op.Departure, op.Size)
-		content = appendRecord(content, scratch)
-		n++
-	}
-	if n == itemsBeforeLast { // the advance came after every item
-		scratch = AppendAdvanceOp(scratch[:0], logged.MaxAdvance)
-		content = appendRecord(content, scratch)
-	}
-	if int64(len(content)) >= logged.ValidSize {
-		return nil, 0, nil
-	}
-	if err := writeFileAtomic(fsys, path, content); err != nil {
-		return nil, 0, err
-	}
-	w, err := openAppend(fsys, path, int64(len(content)), syncEvery)
-	if err != nil {
-		return nil, 0, &CorruptionError{Run: label, Path: path, Offset: -1, Record: -1,
-			Reason: "compaction swapped the op log but could not reopen it", Err: err}
-	}
-	return w, logged.ValidSize - int64(len(content)), nil
 }

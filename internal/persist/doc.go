@@ -39,6 +39,14 @@
 //     DecodeSnapshot).
 //   - session.go: Session/Begin — the producer side: append events, cut
 //     snapshots every N events, rotate files.
+//   - compact.go: WAL compaction, the only file rewrite: once a snapshot at
+//     event k is durable, the WAL keeps only events past k. After the
+//     rename lands, the session always switches to a writer that opens the
+//     WAL by name at its next Sync and finishes a failed directory sync
+//     there, so every fault in that window is a retryable Sync error.
+//   - oplog.go: a dynamic run's op log (the admitted items and clock
+//     advances), append-only; recovery rebuilds the item list from it.
+//   - errors.go: the corruption/disk-full/transient/fatal error taxonomy.
 //   - recover.go: Recover — the consumer side described above.
 //
 // The kill-and-recover torture tests (torture_test.go and cmd/dvbpchaos)

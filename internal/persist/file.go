@@ -28,7 +28,7 @@ const SyncManual = -1
 // durable size. A Writer is single-goroutine, like the engine it records.
 type Writer struct {
 	fsys      vfs.FS
-	f         vfs.File
+	f         vfs.File // nil until the next Sync opens path (see reopen)
 	path      string
 	buf       []byte // bytes appended since the last successful Sync
 	flushed   int    // prefix of buf already written to the file (not yet fsynced)
@@ -37,6 +37,7 @@ type Writer struct {
 	pending   int
 	size      int64 // logical size including buffered bytes
 	synced    int64 // size the device has durably acknowledged
+	dirSync   bool  // path's directory entry is not yet durable
 	discarded bool
 }
 
@@ -93,6 +94,17 @@ func openAppend(fsys vfs.FS, path string, validSize int64, syncEvery int) (*Writ
 	return w, nil
 }
 
+// reopen returns a writer that continues a file just renamed into place at
+// path, whose size bytes are all durable. It touches nothing yet: its next
+// Sync opens path by name and, with dirSync set (the rename's directory
+// sync failed), fsyncs the directory before it may report success. Every
+// failure there is an ordinary retryable Sync error.
+func reopen(fsys vfs.FS, path string, size int64, syncEvery int, dirSync bool) *Writer {
+	w := newWriter(fsys, nil, path, syncEvery)
+	w.size, w.synced, w.dirSync = size, size, dirSync
+	return w
+}
+
 func newWriter(fsys vfs.FS, f vfs.File, path string, syncEvery int) *Writer {
 	if syncEvery == 0 {
 		syncEvery = defaultSyncEvery
@@ -120,13 +132,31 @@ func (w *Writer) Append(payload []byte) error {
 	return nil
 }
 
-// Sync writes the buffered bytes to the file and fsyncs it. On failure the
-// buffer is kept (minus the prefix the device already took, which the next
-// attempt skips) and the error is retryable; nothing is acknowledged until a
-// Sync returns nil.
+// Sync writes the buffered bytes to the file and fsyncs it; a writer from
+// reopen first opens its file and finishes its directory sync. On failure
+// the buffer is kept (minus the prefix the device already took, which the
+// next attempt skips) and the error is retryable; nothing is acknowledged
+// until a Sync returns nil.
 func (w *Writer) Sync() error {
 	if w.discarded {
 		return errDiscarded
+	}
+	if w.f == nil {
+		f, err := w.fsys.OpenFile(w.path, os.O_RDWR, 0)
+		if err != nil {
+			return ioErr("open", w.path, err)
+		}
+		if _, err := f.Seek(w.synced, io.SeekStart); err != nil {
+			f.Close()
+			return ioErr("seek", w.path, err)
+		}
+		w.f = f
+	}
+	if w.dirSync {
+		if err := syncDir(w.fsys, filepath.Dir(w.path)); err != nil {
+			return err
+		}
+		w.dirSync = false
 	}
 	for w.flushed < len(w.buf) {
 		n, err := w.f.Write(w.buf[w.flushed:])
@@ -176,16 +206,16 @@ func (w *Writer) Size() int64 { return w.size }
 // Synced returns the durably acknowledged size.
 func (w *Writer) Synced() int64 { return w.synced }
 
-// Buffered reports whether records are waiting for a Sync.
-func (w *Writer) Buffered() bool { return len(w.buf) > 0 }
-
 // Close syncs and closes the file.
 func (w *Writer) Close() error {
 	if w.discarded {
 		return nil
 	}
 	syncErr := w.Sync()
-	closeErr := w.f.Close()
+	var closeErr error
+	if w.f != nil {
+		closeErr = w.f.Close()
+	}
 	if syncErr != nil {
 		return syncErr
 	}
@@ -203,7 +233,9 @@ func (w *Writer) Discard() {
 		return
 	}
 	w.discarded = true
-	w.f.Close()
+	if w.f != nil {
+		w.f.Close()
+	}
 }
 
 // FileData is the decoded content of one persist file.
@@ -268,6 +300,17 @@ func WriteFileAtomic(fsys vfs.FS, path string, content []byte) error {
 // writeFileAtomic writes content to path via a temp file + rename + directory
 // sync, so a crash never leaves a half-written file under the final name.
 func writeFileAtomic(fsys vfs.FS, path string, content []byte) error {
+	if err := replaceFile(fsys, path, content); err != nil {
+		return err
+	}
+	return syncDir(fsys, filepath.Dir(path))
+}
+
+// replaceFile is writeFileAtomic without the directory sync: a durable temp
+// file renamed over path. After a nil return path names the new content in
+// the live namespace, but a power loss may still revert the rename until
+// the directory is synced.
+func replaceFile(fsys vfs.FS, path string, content []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -291,5 +334,5 @@ func writeFileAtomic(fsys vfs.FS, path string, content []byte) error {
 		fsys.Remove(tmpName)
 		return ioErr("rename", path, err)
 	}
-	return syncDir(fsys, dir)
+	return nil
 }

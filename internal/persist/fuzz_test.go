@@ -91,8 +91,8 @@ func opLogCorpusSeeds() [][]byte {
 
 // FuzzOpLogDecode: the op-log record codec and the compaction marker parser
 // must survive arbitrary bytes — no panic, only *CorruptionError — and any
-// accepted payload must re-encode bit-identically (the bijection CompactOpLog
-// relies on when it rewrites item records positionally).
+// accepted payload must re-encode bit-identically, so no two byte strings
+// decode to the same op.
 func FuzzOpLogDecode(f *testing.F) {
 	for _, seed := range opLogCorpusSeeds() {
 		f.Add(seed)

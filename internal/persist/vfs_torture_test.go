@@ -21,8 +21,7 @@ import (
 // crash point. The invariant under test is total: for each op index i, a
 // power loss at i followed by recovery must reach a final result
 // byte-identical to the uninterrupted run — including crashes that land in
-// the middle of a checkpoint rename, a WAL compaction swap, or an op-log
-// rewrite.
+// the middle of a checkpoint rename or a WAL compaction swap.
 
 // tortureCrashOK reports whether a recovery failure is the one legitimate
 // kind: the crash predates the first durable run meta, so there is no run to
@@ -129,8 +128,8 @@ func dynTortureMeta() RunMeta { return NewDynamicRunMeta(2, "firstfit", 11, "") 
 
 // driveDynamicTorture runs the tenant-shaped two-barrier protocol over fsys:
 // op durable (barrier 1) before the engine steps, WAL durable (barrier 2)
-// before the next item, an advance every third item, a WAL compaction behind
-// every checkpoint, and an op-log compaction every tenth item. fresh=false
+// before the next item, an advance every third item, and a WAL compaction
+// behind every checkpoint. fresh=false
 // resumes from whatever the directory durably holds, exactly like the
 // server's recoverTenant: rebuild the list from the op log, replay the WAL,
 // re-run the clock to the last durable advance, then feed the remaining
@@ -256,16 +255,6 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 		if err := s.Sync(); err != nil { // barrier 2: events durable
 			return fail(err)
 		}
-		if i%10 == 9 {
-			w, _, err := CompactOpLog(fsys, path, "dyn", SyncManual)
-			if err != nil {
-				return fail(err)
-			}
-			if w != nil {
-				ops.Discard()
-				ops = w
-			}
-		}
 	}
 	if err := ops.Close(); err != nil {
 		s.Close()
@@ -275,8 +264,8 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 }
 
 // TestDiskTortureCrashPointsDynamic is the dynamic-run (multi-tenant-shaped)
-// crash-point sweep: the two-barrier op-log + WAL protocol, with both
-// compaction paths active, killed at every FS operation in turn and resumed
+// crash-point sweep: the two-barrier op-log + WAL protocol, with WAL
+// compaction active, killed at every FS operation in turn and resumed
 // through the same recovery the server uses. The final packing must come out
 // byte-identical at every crash point — that is the acknowledged-placements
 // contract made exhaustive.
@@ -432,92 +421,135 @@ func TestRecoverCompactedWALRefusesScratch(t *testing.T) {
 	}
 }
 
-// TestCompactOpLogCollapsesAdvances checks the op-log rewrite directly: item
-// records and the recovered state (list, watermark, max advance) are
-// untouched, advance spam collapses to one record, and the returned writer
-// continues the log.
-func TestCompactOpLogCollapsesAdvances(t *testing.T) {
-	m := vfs.NewMem()
-	if err := m.MkdirAll("d", 0o755); err != nil {
-		t.Fatal(err)
+// renameWatch records the injector's per-kind operation counts at the moment
+// the first rename onto a WAL lands: the first compaction's swap.
+type renameWatch struct {
+	*vfs.Injector
+	at map[vfs.FaultKind]int64
+}
+
+func (w *renameWatch) Rename(oldpath, newpath string) error {
+	err := w.Injector.Rename(oldpath, newpath)
+	if err == nil && w.at == nil && filepath.Base(newpath) == walFile {
+		w.at = w.Injector.Counts()
 	}
-	path := "d/ops.dvbp"
-	meta := dynTortureMeta()
-	w, err := CreateOpLog(m, path, meta, SyncManual)
+	return err
+}
+
+// driveSwapFault runs a compacting session (a snapshot every 4 events, WAL
+// syncs only at checkpoints and barriers) up to its first compaction, then
+// runs the barrier a server would: one Sync, whose error it returns as
+// swapErr, and a second that must succeed. Then it finishes the run.
+func driveSwapFault(t *testing.T, l *item.List, fsys vfs.FS) (swapErr error, res *core.Result, err error) {
+	t.Helper()
+	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	items := dynItems(12)
-	for i, it := range items {
-		if err := w.Append(AppendItemOp(nil, it.Arrival, it.Departure, it.Size)); err != nil {
-			t.Fatal(err)
+	cfg := Config{Dir: "d", Every: 4, SyncEvery: SyncManual, FS: fsys, Compact: true}
+	s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), cfg)
+	if err != nil {
+		e.Close()
+		return nil, nil, err
+	}
+	for s.walBase == 0 {
+		_, ok, err := s.Step()
+		if err == nil && !ok {
+			err = errors.New("the run never compacted")
 		}
-		if i%2 == 1 {
-			if err := w.Append(AppendAdvanceOp(nil, it.Arrival)); err != nil {
-				t.Fatal(err)
+		if err != nil {
+			s.Close()
+			return nil, nil, fmt.Errorf("step %d: %w", s.engine.EventSeq(), err)
+		}
+	}
+	if swapErr = s.Sync(); swapErr != nil && !Recoverable(swapErr) {
+		s.Close()
+		return swapErr, nil, swapErr
+	}
+	if err := s.Sync(); err != nil {
+		s.Close()
+		return swapErr, nil, fmt.Errorf("second sync after the swap: %w", err)
+	}
+	res, err = s.Run()
+	return swapErr, res, err
+}
+
+// TestCompactionSwapFaultsAreRecoverable pins the window between a WAL
+// compaction's rename and the session's next durable write. One fault lands
+// on the first operation of its kind after the swap: the directory sync
+// that makes the rename durable, the open of the new WAL, or its first
+// fsync. Each must surface at most as an ordinary retryable Sync error, the
+// run must finish byte-identical to a clean one, and a power loss at any
+// filesystem op of the faulted run must recover byte-identically too.
+func TestCompactionSwapFaultsAreRecoverable(t *testing.T) {
+	l := testList(t, 20)
+	clean := &renameWatch{Injector: vfs.NewInjector(vfs.NewMem())}
+	_, res, err := driveSwapFault(t, l, clean)
+	if err != nil {
+		t.Fatalf("clean drive: %v", err)
+	}
+	if clean.at == nil {
+		t.Fatalf("clean drive never renamed a WAL into place")
+	}
+	want := resultJSON(t, res)
+
+	cases := []struct {
+		name  string
+		kind  vfs.FaultKind
+		errno error
+		// class of the first Sync after the swap: the directory sync fault
+		// is absorbed by the compaction and retried inside that Sync.
+		class ErrorClass
+	}{
+		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO, ClassNone},
+		{"open-eio", vfs.FaultOpen, syscall.EIO, ClassTransient},
+		{"fsync-enospc", vfs.FaultSync, syscall.ENOSPC, ClassDiskFull},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fault := vfs.Fault{Kind: tc.kind, Nth: clean.at[tc.kind] + 1, Err: tc.errno}
+			m := vfs.NewMem()
+			swapErr, res, err := driveSwapFault(t, l, vfs.NewInjector(m, fault))
+			if err != nil {
+				t.Fatalf("drive with %v: %v", fault, err)
 			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := ReadOpLog(m, path, "dyn")
-	if err != nil {
-		t.Fatal(err)
-	}
+			if got := Classify(swapErr); got != tc.class {
+				t.Fatalf("first Sync after the swap returned %v (%s), want class %s", swapErr, got, tc.class)
+			}
+			if got := resultJSON(t, res); got != want {
+				t.Fatalf("result diverged from the clean run\n got %s\nwant %s", got, want)
+			}
 
-	w2, reclaimed, err := CompactOpLog(m, path, "dyn", SyncManual)
-	if err != nil {
-		t.Fatalf("CompactOpLog: %v", err)
-	}
-	if w2 == nil || reclaimed <= 0 {
-		t.Fatalf("compaction was a no-op (writer %v, reclaimed %d) on a log with 6 advances", w2, reclaimed)
-	}
-	after, err := ReadOpLog(m, path, "dyn")
-	if err != nil {
-		t.Fatalf("rewritten log unreadable: %v", err)
-	}
-	if after.List.Len() != before.List.Len() {
-		t.Fatalf("compaction changed the item count: %d != %d", after.List.Len(), before.List.Len())
-	}
-	for i, b := range before.List.Items {
-		a := after.List.Items[i]
-		if a.Arrival != b.Arrival || a.Departure != b.Departure || !a.Size.Equal(b.Size, 0) {
-			t.Fatalf("compaction changed item %d: %+v != %+v", i, a, b)
-		}
-	}
-	if after.Watermark != before.Watermark || after.MaxAdvance != before.MaxAdvance {
-		t.Fatalf("compaction moved the watermark: %g/%g != %g/%g",
-			after.Watermark, after.MaxAdvance, before.Watermark, before.MaxAdvance)
-	}
-	advances := 0
-	for _, op := range after.Ops {
-		if op.Kind == OpAdvance {
-			advances++
-		}
-	}
-	if advances != 1 {
-		t.Fatalf("rewritten log holds %d advances, want 1", advances)
-	}
-
-	// The returned writer continues the log.
-	if err := w2.Append(AppendItemOp(nil, after.Watermark+1, after.Watermark+2, items[0].Size)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := ReadOpLog(m, path, "dyn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.List.Len() != before.List.Len()+1 {
-		t.Fatalf("append after compaction lost: %d items", final.List.Len())
-	}
-
-	// A log with a single advance has nothing to collapse.
-	if w3, _, err := CompactOpLog(m, path, "dyn", SyncManual); err != nil || w3 != nil {
-		t.Fatalf("second compaction: writer %v err %v, want no-op", w3, err)
+			total, recovered := m.Ops(), 0
+			for i := int64(1); i <= total; i++ {
+				m := vfs.NewMem()
+				m.SetCrashPoint(i, vfs.CrashMode(i%3), 5+13*i)
+				if _, _, err := driveSwapFault(t, l, vfs.NewInjector(m, fault)); !errors.Is(err, vfs.ErrCrashed) {
+					t.Fatalf("crash point %d/%d: drive returned %v, want ErrCrashed", i, total, err)
+				}
+				m.Restart()
+				cfg := Config{Dir: "d", Every: 4, FS: m, Compact: true}
+				rec, err := Recover(l, cfg, faultOpts()...)
+				if err != nil {
+					if !tortureCrashOK(err) {
+						t.Fatalf("crash point %d/%d (mode %s): recovery failed: %v", i, total, vfs.CrashMode(i%3), err)
+					}
+					continue // nothing durable yet: a fresh run is the honest restart
+				}
+				res, err := rec.Session.Run()
+				if err != nil {
+					t.Fatalf("crash point %d/%d: resumed run failed: %v", i, total, err)
+				}
+				if got := resultJSON(t, res); got != want {
+					t.Fatalf("crash point %d/%d (mode %s): result diverged\n got %s\nwant %s",
+						i, total, vfs.CrashMode(i%3), got, want)
+				}
+				recovered++
+			}
+			if recovered == 0 {
+				t.Fatalf("all %d crash points predate durable state; recovery was never exercised", total)
+			}
+		})
 	}
 }
 

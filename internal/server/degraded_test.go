@@ -2,6 +2,8 @@ package server
 
 import (
 	"net/http"
+	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -118,8 +120,7 @@ func TestServerDegradedModeSickDisk(t *testing.T) {
 		t.Fatalf("ENOSPC was retried: io_retries_total %v -> %v", retriesBefore, got)
 	}
 
-	// Full recovery: drive the rest of the stream, with advances mixed in so
-	// the op log accumulates compactable records.
+	// Full recovery: drive the rest of the stream, with advances mixed in.
 	for i, it := range items[11:] {
 		if code, e := place(it); code != http.StatusOK {
 			t.Fatalf("place %d after second heal: status %d code %q", i, code, e.Code)
@@ -152,7 +153,7 @@ func TestServerDegradedModeSickDisk(t *testing.T) {
 	}
 
 	// The sickness window must not have poisoned compaction either: with
-	// CheckpointEvery set and advances logged, both compaction paths ran.
+	// CheckpointEvery set, the WAL kept compacting.
 	if got := metricValue(t, ts.URL, "dvbp_server_compactions_total"); got < 1 {
 		t.Fatalf("compactions_total %v, want >= 1", got)
 	}
@@ -223,6 +224,117 @@ func TestServerDegradedRecoversAcrossRestart(t *testing.T) {
 	for i := range want {
 		if pl.Placements[i] != want[i] {
 			t.Fatalf("recovered placement %d = %+v, want %+v", i, pl.Placements[i], want[i])
+		}
+	}
+}
+
+// sickAfterWALSwap holds one kind of disk operation sick from the moment the
+// first compaction's rename lands on a tenant's WAL until the test heals it.
+type sickAfterWALSwap struct {
+	*vfs.Injector
+	kind vfs.FaultKind
+	err  error
+	sick atomic.Bool
+}
+
+func (s *sickAfterWALSwap) Rename(oldpath, newpath string) error {
+	err := s.Injector.Rename(oldpath, newpath)
+	if err == nil && filepath.Base(newpath) == "wal.dvbp" && s.sick.CompareAndSwap(false, true) {
+		s.SetSticky(s.err, s.kind)
+	}
+	return err
+}
+
+// TestServerDegradedNotPoisonedAtWALSwap pins the window between a WAL
+// compaction's rename and the tenant's next WAL barrier. The disk refuses
+// the directory sync that makes the rename durable, the open of the new
+// WAL, or its fsync, until the refused request has been answered. Each
+// fault must degrade the tenant (one 503), the next request's probe must
+// resume it, and no request may answer 500. Every acknowledged placement
+// must then be served identically after a graceful restart and after a
+// power loss. The listing may hold more than the acks: the refused item
+// passed the op-log barrier, so it stays placed without an ack.
+func TestServerDegradedNotPoisonedAtWALSwap(t *testing.T) {
+	cfg := TenantConfig{Name: "swap", Dim: 2, Policy: "FirstFit", Seed: 5, CheckpointEvery: 4}
+	items := stream(2, 40, 3)
+	cases := []struct {
+		name  string
+		kind  vfs.FaultKind
+		errno error
+	}{
+		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO},
+		{"open-eio", vfs.FaultOpen, syscall.EIO},
+		{"fsync-enospc", vfs.FaultSync, syscall.ENOSPC},
+	}
+	for _, tc := range cases {
+		for _, restart := range []string{"graceful", "power-loss"} {
+			t.Run(tc.name+"/"+restart, func(t *testing.T) {
+				m := vfs.NewMem()
+				fsys := &sickAfterWALSwap{Injector: vfs.NewInjector(m), kind: tc.kind, err: tc.errno}
+				reg := metrics.NewRegistry()
+				store, err := OpenStore("data", Limits{FS: fsys, RetryBackoff: 50 * time.Microsecond}, reg)
+				if err != nil {
+					t.Fatalf("OpenStore: %v", err)
+				}
+				url := newLocalServer(t, New(store, reg))
+				mustStatus(t, http.StatusCreated, call(t, "POST", url+"/v1/tenants", cfg, nil), "create")
+
+				var acks []PlaceResult
+				window, refused := 0, 0 // status answered while the disk was sick; 503 count
+				for i, it := range items {
+					var resp struct {
+						PlaceResult
+						errorBody
+					}
+					code := call(t, "POST", url+"/v1/tenants/swap/place",
+						placeBody{Arrival: f(it.arrival), Departure: f(it.departure), Size: it.size}, &resp)
+					switch {
+					case code == http.StatusOK:
+						acks = append(acks, resp.PlaceResult)
+					case code == http.StatusServiceUnavailable && resp.Code == "degraded":
+						refused++
+					default:
+						t.Fatalf("place %d: status %d code %q: %s", i, code, resp.Code, resp.Error)
+					}
+					if window == 0 && fsys.sick.Load() {
+						window = code
+						fsys.ClearSticky()
+					}
+				}
+				if window != http.StatusServiceUnavailable || refused != 1 {
+					t.Fatalf("the sick window answered %d and %d requests were refused; want one 503", window, refused)
+				}
+				if got := metricValue(t, url, "dvbp_server_degraded_tenants"); got != 0 {
+					t.Fatalf("degraded_tenants %v after the probe, want 0", got)
+				}
+				if got := metricValue(t, url, "dvbp_server_compactions_total"); got < 2 {
+					t.Fatalf("compactions_total %v, want compactions after the healed one too", got)
+				}
+
+				if restart == "power-loss" {
+					m.CrashNow(vfs.CrashLost)
+				}
+				store.Close()
+				m.Restart()
+				reg2 := metrics.NewRegistry()
+				store2, err := OpenStore("data", Limits{FS: m}, reg2)
+				if err != nil {
+					t.Fatalf("reopening: %v", err)
+				}
+				defer store2.Close()
+				var pl PlacementsResult
+				mustStatus(t, http.StatusOK, call(t, "GET", newLocalServer(t, New(store2, reg2))+"/v1/tenants/swap/placements", nil, &pl), "placements")
+				listed := make(map[int]PlacementRecord, len(pl.Placements))
+				for _, p := range pl.Placements {
+					listed[p.Item] = p
+				}
+				for _, a := range acks {
+					want := PlacementRecord{Item: a.Item, Bin: a.Bin, Time: a.Time}
+					if got, ok := listed[a.Item]; !ok || got != want {
+						t.Fatalf("acknowledged placement %+v listed as %+v (present %v) among %d", want, got, ok, len(pl.Placements))
+					}
+				}
+			})
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 func TestStoreRecoverAcknowledgedPlacements(t *testing.T) {
 	root := t.TempDir()
 	reg := metrics.NewRegistry()
-	store, err := OpenStore(root, Limits{SyncEvery: 1}, reg)
+	store, err := OpenStore(root, Limits{}, reg)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestStoreRecoverAcknowledgedPlacements(t *testing.T) {
 
 	// Restart: a fresh registry and store over the same directory.
 	reg2 := metrics.NewRegistry()
-	store2, err := OpenStore(root, Limits{SyncEvery: 1}, reg2)
+	store2, err := OpenStore(root, Limits{}, reg2)
 	if err != nil {
 		t.Fatalf("reopening store: %v", err)
 	}

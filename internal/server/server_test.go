@@ -228,7 +228,7 @@ func TestServerStrandedAccounting(t *testing.T) {
 func TestServerStrandedChurnConsistent(t *testing.T) {
 	root := t.TempDir()
 	reg := metrics.NewRegistry()
-	store, err := OpenStore(root, Limits{SyncEvery: 1}, reg)
+	store, err := OpenStore(root, Limits{}, reg)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -264,7 +264,7 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 		fh.Close()
 	}
 	reg2 := metrics.NewRegistry()
-	store2, err := OpenStore(root, Limits{SyncEvery: 1}, reg2)
+	store2, err := OpenStore(root, Limits{}, reg2)
 	if err != nil {
 		t.Fatalf("reopening store: %v", err)
 	}

@@ -66,7 +66,7 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		corruptions:    reg.Counter("dvbp_server_recovery_corruptions_total", "corruptions tolerated during tenant recovery (torn tails, skipped snapshots)"),
 		ioRetries:      reg.Counter("dvbp_server_io_retries_total", "transient I/O failures retried or absorbed instead of poisoning a tenant"),
 		degraded:       reg.Gauge("dvbp_server_degraded_tenants", "tenants currently in read-only degraded mode"),
-		compactions:    reg.Counter("dvbp_server_compactions_total", "WAL and op-log compactions completed across tenants"),
+		compactions:    reg.Counter("dvbp_server_compactions_total", "WAL compactions completed across tenants"),
 		reclaimed:      reg.Counter("dvbp_server_compaction_reclaimed_bytes_total", "on-disk bytes reclaimed by compaction"),
 	}
 }
@@ -210,7 +210,7 @@ func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 		return nil, errf(http.StatusInternalServerError, "engine", "%v", err)
 	}
 	session, err := persist.Begin(engine, meta, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery, SyncEvery: s.limits.SyncEvery,
+		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery,
 		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
 	})
 	if err != nil {
@@ -250,7 +250,7 @@ func (s *Store) recoverTenant(cfg TenantConfig) (*Tenant, error) {
 		return nil, fmt.Errorf("op log identity %+v disagrees with manifest %+v", logged.Meta, want)
 	}
 	rec, err := persist.Recover(logged.List, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery, SyncEvery: s.limits.SyncEvery,
+		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery,
 		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
 	}, core.WithDynamicArrivals())
 	if err != nil {

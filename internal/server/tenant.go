@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +42,6 @@ type Limits struct {
 	// Deadline is the per-request time budget measured from enqueue; a
 	// request still queued past it answers 503. 0 means no deadline.
 	Deadline time.Duration
-	// SyncEvery batches persist-layer fsyncs between the explicit barriers.
-	SyncEvery int
 	// RetryAttempts is how many times a transient I/O failure (EIO) is
 	// retried at a commit barrier before the tenant degrades; disk-full
 	// errors skip the retries (waiting microseconds for space is pointless).
@@ -65,9 +62,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.BatchMax <= 0 {
 		l.BatchMax = 64
-	}
-	if l.SyncEvery <= 0 {
-		l.SyncEvery = 64
 	}
 	if l.RetryAttempts == 0 {
 		l.RetryAttempts = 3
@@ -183,8 +177,8 @@ type TenantStatus struct {
 	OpenLoad []float64 `json:"open_load"`
 	// StrandedPerDim is the per-dimension stranded open capacity: free
 	// capacity in dimension d that cannot be used because some other
-	// dimension has less headroom, summed over open bins (core.EngineStats
-	// Stranded; DESIGN.md §13). StrandedCapacity is its dimension sum.
+	// dimension has less headroom, summed over open bins (metrics.FragOf;
+	// DESIGN.md §13). StrandedCapacity is its dimension sum.
 	StrandedPerDim   []float64 `json:"stranded_per_dim"`
 	StrandedCapacity float64   `json:"stranded_capacity"`
 }
@@ -212,7 +206,6 @@ type Tenant struct {
 	cfg    TenantConfig
 	limits Limits
 	dir    string
-	fs     vfs.FS
 	m      *storeMetrics
 
 	// degradedFlag mirrors the worker-owned degraded state for readers on
@@ -239,7 +232,6 @@ func newTenant(cfg TenantConfig, dir string, limits Limits, m *storeMetrics) *Te
 		cfg:    cfg,
 		limits: limits,
 		dir:    dir,
-		fs:     vfs.OrOS(limits.FS),
 		m:      m,
 		ch:     make(chan *request, limits.QueueDepth),
 		done:   make(chan struct{}),
@@ -534,9 +526,7 @@ func (t *Tenant) probe() {
 }
 
 // harvest drains the session's I/O counters into the server metrics after a
-// batch, and piggybacks op-log compaction on a just-finished WAL compaction:
-// the session compacts its own WAL and snapshots, but only the tenant knows
-// the op log, so the two shrink in tandem here.
+// batch.
 func (t *Tenant) harvest() {
 	st := t.session.TakeIOStats()
 	if n := st.SyncFailures + st.CheckpointsSkipped; n > 0 {
@@ -545,31 +535,7 @@ func (t *Tenant) harvest() {
 	if st.Compactions > 0 {
 		t.m.compactions.Add(uint64(st.Compactions))
 		t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
-		if t.failed == nil && t.degraded == nil && !t.ops.Buffered() {
-			t.compactOps()
-		}
 	}
-}
-
-// compactOps rewrites the op log with its advance spam collapsed, swapping
-// the worker's writer for one on the rewritten file. Recoverable failures
-// skip (the next compaction window retries); only corruption or a lost
-// handle poisons.
-func (t *Tenant) compactOps() {
-	w, reclaimed, err := persist.CompactOpLog(t.fs, filepath.Join(t.dir, opsFile), t.cfg.Name, persist.SyncManual)
-	if err != nil {
-		if !persist.Recoverable(err) {
-			t.fail("op log compaction: %v", err)
-		}
-		return
-	}
-	if w == nil {
-		return
-	}
-	t.ops.Discard()
-	t.ops = w
-	t.m.compactions.Inc()
-	t.m.reclaimed.Add(uint64(reclaimed))
 }
 
 // fail poisons the tenant: a persistence write failed, so no further
@@ -700,20 +666,9 @@ func (t *Tenant) status() *TenantStatus {
 // listPlacements copies the committed placements from index from on
 // (worker goroutine only).
 func (t *Tenant) listPlacements(from int) *PlacementsResult {
-	snap, err := t.session.Engine().Snapshot()
-	if err != nil {
-		t.fail("snapshot: %v", err)
-		return nil
-	}
-	all := snap.Result.Placements
-	if from < 0 {
-		from = 0
-	}
-	if from > len(all) {
-		from = len(all)
-	}
-	out := &PlacementsResult{Tenant: t.cfg.Name, From: from, Total: len(all)}
-	for _, p := range all[from:] {
+	ps, total := t.session.Engine().AppendPlacements(nil, from)
+	out := &PlacementsResult{Tenant: t.cfg.Name, From: total - len(ps), Total: total}
+	for _, p := range ps {
 		out.Placements = append(out.Placements, PlacementRecord{Item: p.ItemID, Bin: p.BinID, Time: p.Time})
 	}
 	return out
