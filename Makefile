@@ -97,14 +97,13 @@ docs-check:
 	@echo "docs-check ok"
 
 # Short differential-fuzz pass: the clean engine, the engine under fault
-# injection, the fault-schedule parsers, and the persistence layer's WAL and
-# snapshot decoders (seed corpus committed under internal/persist/testdata).
+# injection, the fault-schedule parsers, and the persistence layer's op-log
+# and snapshot decoders (seed corpus committed under internal/persist/testdata).
 # Each fuzzer gets FUZZTIME.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSimulate$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSimulateFaulty$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrationPlan$$' -fuzztime=$(FUZZTIME) ./internal/migrate
-	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzOpLogDecode$$' -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/persist

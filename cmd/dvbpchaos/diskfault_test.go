@@ -2,13 +2,12 @@ package main
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestDiskFaultsAbsorbedByteIdentical is the -disk-faults acceptance check:
-// a run whose WAL syncs, snapshot writes, and directory fsyncs fail on
+// a run whose op-log syncs, snapshot writes, and directory fsyncs fail on
 // schedule must absorb every planned fault (ride-out, skip, retry-later) and
 // still print stdout byte-identical to a clean run — the disk weather is
 // reported on stderr, never in the results.
@@ -24,11 +23,12 @@ func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 		t.Fatalf("clean run exited %d", code)
 	}
 
-	// Begin consumes the first few operations of each kind (WAL header, the
-	// meta barrier, snapshot 0) and is rightly fatal there — a run that can't
-	// establish durability must not start. These indices all land at runtime,
-	// where the absorb machinery has to ride them out: WAL batch syncs,
-	// checkpoint temp writes, snapshot renames' directory syncs.
+	// Begin consumes the first operation of each kind (the op log's create,
+	// its header and meta write, fsync and directory sync) and is rightly
+	// fatal there — a run that can't establish durability must not start.
+	// These indices all land at runtime, where the absorb machinery has to
+	// ride them out: op-log batch syncs, checkpoint temp writes, snapshot
+	// renames' directory syncs.
 	plan := "sync:5:eio,sync:6:enospc,syncdir:4:eio,write:8:enospc,sync:10:eio"
 	faulty, stderr, code := runChaos(t, bin, append(append([]string{}, base...),
 		"-checkpoint-dir", t.TempDir(), "-disk-faults", plan)...)
@@ -56,51 +56,46 @@ func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCompactKeepsResultShrinksWAL: -compact must leave stdout byte-identical
-// to an uncompacted persisted run while the on-disk WAL ends up strictly
-// smaller (the pre-snapshot prefix is truncated away).
-func TestCompactKeepsResultShrinksWAL(t *testing.T) {
+// TestCheckpointDirKeepsOneSnapshot: a persisted run leaves its op log and
+// one snapshot behind, whatever its length — every checkpoint deletes the
+// ones before it — and restoring the finished directory reproduces stdout
+// byte for byte.
+func TestCheckpointDirKeepsOneSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
 	}
 	bin := buildChaos(t)
-	base := append([]string{"-policy", "FirstFit", "-json", "-checkpoint-every", "32"}, chaosArgs...)
-
-	plainDir, compactDir := t.TempDir(), t.TempDir()
-	plain, _, code := runChaos(t, bin, append(append([]string{}, base...), "-checkpoint-dir", plainDir)...)
+	base := append([]string{"-policy", "MoveToFront", "-json", "-checkpoint-every", "16"}, chaosArgs...)
+	plain, _, code := runChaos(t, bin, base...)
 	if code != 0 {
 		t.Fatalf("plain run exited %d", code)
 	}
-	compacted, stderr, code := runChaos(t, bin, append(append([]string{}, base...),
-		"-checkpoint-dir", compactDir, "-compact")...)
+	dir := t.TempDir()
+	persisted, stderr, code := runChaos(t, bin, append(append([]string{}, base...), "-checkpoint-dir", dir)...)
 	if code != 0 {
-		t.Fatalf("compacting run exited %d\nstderr: %s", code, stderr)
+		t.Fatalf("persisted run exited %d\nstderr: %s", code, stderr)
 	}
-	if compacted != plain {
-		t.Fatalf("compaction changed the results\n--- plain ---\n%s\n--- compacted ---\n%s", plain, compacted)
+	if persisted != plain {
+		t.Fatalf("persisting changed the results\n--- plain ---\n%s\n--- persisted ---\n%s", plain, persisted)
 	}
-	if !strings.Contains(stderr, "compactions") {
-		t.Fatalf("no compaction summary on stderr:\n%s", stderr)
-	}
-	pi, err := os.Stat(filepath.Join(plainDir, "wal.dvbp"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := os.Stat(filepath.Join(compactDir, "wal.dvbp"))
-	if err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	if ci.Size() >= pi.Size() {
-		t.Fatalf("compacted WAL is %d bytes, plain %d — nothing was reclaimed", ci.Size(), pi.Size())
+	if len(names) != 2 || names[0] != "ops.dvbp" || !strings.HasPrefix(names[1], "snap-") {
+		t.Fatalf("checkpoint directory holds %v, want ops.dvbp and one snapshot", names)
 	}
 
-	// The compacted directory must still restore to the same results.
 	restored, stderr, code := runChaos(t, bin, append(append([]string{}, base...),
-		"-checkpoint-dir", compactDir, "-restore")...)
+		"-checkpoint-dir", dir, "-restore")...)
 	if code != 0 {
-		t.Fatalf("restore from compacted dir exited %d\nstderr: %s", code, stderr)
+		t.Fatalf("restore exited %d\nstderr: %s", code, stderr)
 	}
 	if restored != plain {
-		t.Fatalf("restore from a compacted WAL diverged\n--- plain ---\n%s\n--- restored ---\n%s", plain, restored)
+		t.Fatalf("restore diverged\n--- plain ---\n%s\n--- restored ---\n%s", plain, restored)
 	}
 }

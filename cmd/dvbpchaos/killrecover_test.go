@@ -111,17 +111,17 @@ func TestSIGKILLAndRestore(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "wal.dvbp")
+	log := filepath.Join(dir, "ops.dvbp")
 	cmd := exec.Command(bin, append(append([]string{}, args...), "-checkpoint-dir", dir, "-checkpoint-every", "512")...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as the WAL has durably started growing past its meta
+	// Kill as soon as the op log has durably started growing past its meta
 	// record; if the child outruns us and finishes, recovery of the complete
 	// log is still exercised.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if fi, err := os.Stat(wal); err == nil && fi.Size() > 256 {
+		if fi, err := os.Stat(log); err == nil && fi.Size() > 256 {
 			break
 		}
 		time.Sleep(time.Millisecond)

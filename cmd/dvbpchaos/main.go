@@ -86,11 +86,10 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the comparison as JSON instead of a table")
 		metricsF  = flag.Bool("metrics", false, "dump JSON + Prometheus metric snapshots per policy")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none); partial results are flushed on expiry")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist the faulty run (WAL + snapshots) into this directory; single policy only")
-		ckptEvery = flag.Int64("checkpoint-every", 64, "events between automatic snapshots when -checkpoint-dir is set (0 = WAL only)")
+		ckptDir   = flag.String("checkpoint-dir", "", "persist the faulty run (op log + snapshots) into this directory; single policy only")
+		ckptEvery = flag.Int64("checkpoint-every", 64, "events between automatic snapshots when -checkpoint-dir is set (0 = none: -restore re-steps the run from its start)")
 		restoreF  = flag.Bool("restore", false, "resume the faulty run persisted in -checkpoint-dir instead of starting fresh")
 		killAt    = flag.Int64("kill-at", -1, "crash on purpose (exit 3, no cleanup) once this many events are persisted; requires -checkpoint-dir")
-		compactF  = flag.Bool("compact", false, "compact the WAL after each automatic snapshot; requires -checkpoint-dir")
 		diskF     = flag.String("disk-faults", "", "inject disk faults into the persisted run: comma-separated kind:n:errno triples (kinds "+strings.Join(vfs.SortedKinds(), "/")+", errnos eio/enospc), e.g. 'sync:2:eio,write:5:enospc'; requires -checkpoint-dir")
 	)
 	var spec faults.Spec
@@ -110,8 +109,8 @@ func main() {
 	if !plan.Active() {
 		fatal(fmt.Errorf("no fault plan configured: set -mtbf, -crash-trace or -max-servers (this command exists to run chaos; for fault-free runs use dvbpsim)"))
 	}
-	if (*killAt >= 0 || *restoreF || *diskF != "" || *compactF) && *ckptDir == "" {
-		fatal(fmt.Errorf("-kill-at, -restore, -disk-faults and -compact act on a persisted run: set -checkpoint-dir"))
+	if (*killAt >= 0 || *restoreF || *diskF != "") && *ckptDir == "" {
+		fatal(fmt.Errorf("-kill-at, -restore and -disk-faults act on a persisted run: set -checkpoint-dir"))
 	}
 	diskPlan, err := vfs.ParsePlan(*diskF)
 	if err != nil {
@@ -173,7 +172,7 @@ func main() {
 			col = collectors[p.Name()]
 		}
 		faulty, err := faultyRun(ctx, l, p, opts, chaosRun{
-			dir: *ckptDir, every: *ckptEvery, compact: *compactF, restore: *restoreF, killAt: *killAt,
+			dir: *ckptDir, every: *ckptEvery, restore: *restoreF, killAt: *killAt,
 			seed: *seed, faults: plan.String(), migration: mig.String(), col: col, diskPlan: diskPlan,
 		})
 		if err != nil {
@@ -237,7 +236,6 @@ func main() {
 type chaosRun struct {
 	dir       string
 	every     int64
-	compact   bool
 	restore   bool
 	killAt    int64
 	seed      int64
@@ -247,8 +245,8 @@ type chaosRun struct {
 	diskPlan  []vfs.Fault
 }
 
-// faultyRun executes the faulty leg. In checkpoint mode every committed event
-// is appended to the WAL before the next one runs; -kill-at then dies with
+// faultyRun executes the faulty leg. In checkpoint mode the op log gets a
+// digest mark of the committed events at every sync; -kill-at then dies with
 // os.Exit, deliberately skipping every flush and sync, so the directory is
 // left exactly as a SIGKILL would leave it.
 func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Option, rc chaosRun) (*core.Result, error) {
@@ -258,7 +256,7 @@ func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 		}
 		return core.Simulate(l, p, opts...)
 	}
-	pcfg := persist.Config{Dir: rc.dir, Every: rc.every, Compact: rc.compact}
+	pcfg := persist.Config{Dir: rc.dir, Every: rc.every}
 	if rc.col != nil {
 		pcfg.Aux = []persist.AuxCodec{rc.col.Registry()}
 	}
@@ -282,7 +280,7 @@ func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 			fmt.Fprintln(os.Stderr, "dvbpchaos: tolerated:", ce)
 		}
 		fmt.Fprintf(os.Stderr, "dvbpchaos: resumed at event %d (snapshot %d + %d replayed)\n",
-			rec.Session.Logged(), rec.SnapshotSeq, rec.Replayed)
+			rec.Session.Engine().EventSeq(), rec.SnapshotSeq, rec.Replayed)
 		s = rec.Session
 	} else {
 		e, err := core.NewEngine(l, p, opts...)
@@ -298,7 +296,7 @@ func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 		}
 	}
 	for {
-		if rc.killAt >= 0 && s.Logged() >= rc.killAt {
+		if rc.killAt >= 0 && s.Engine().EventSeq() >= rc.killAt {
 			fmt.Fprintf(os.Stderr, "dvbpchaos: kill-at %d reached: dying without cleanup\n", rc.killAt)
 			os.Exit(cli.ExitKilled)
 		}
@@ -312,10 +310,10 @@ func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 			return nil, err
 		}
 		if !ok {
-			if inj != nil || rc.compact {
+			if inj != nil {
 				st := s.TakeIOStats()
-				fmt.Fprintf(os.Stderr, "dvbpchaos: disk weather: %d absorbed sync failures, %d skipped checkpoints, %d compactions, %d bytes reclaimed\n",
-					st.SyncFailures, st.CheckpointsSkipped, st.Compactions, st.ReclaimedBytes)
+				fmt.Fprintf(os.Stderr, "dvbpchaos: disk weather: %d absorbed sync failures, %d skipped checkpoints\n",
+					st.SyncFailures, st.CheckpointsSkipped)
 			}
 			return s.Finish()
 		}

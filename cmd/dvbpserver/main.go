@@ -2,7 +2,7 @@
 // multi-tenant HTTP service (DESIGN.md §12).
 //
 // Each tenant is an independent online packing run — its own Any Fit policy,
-// dimension, seed, op log, WAL and snapshots under -data/<tenant>/ — driven
+// dimension, seed, op log and snapshots under -data/<tenant>/ — driven
 // through a JSON API:
 //
 //	POST /v1/tenants                    create a tenant
@@ -14,9 +14,10 @@
 //	GET  /v1/tenants/{name}/placements  the acknowledged placement stream
 //	GET  /healthz, /readyz, /metrics    liveness, readiness, Prometheus/JSON
 //
-// Every acknowledged placement survives SIGKILL: the op log is fsynced before
-// the engine steps and the WAL before the client hears back. On restart the
-// store replays every manifest tenant and /readyz turns 200 only once all of
+// Every acknowledged placement survives SIGKILL: a batch's ops are fsynced to
+// the op log before the engine steps them and the client hears back. On
+// restart the store re-steps every manifest tenant from its newest snapshot
+// to the position its op log pins, and /readyz turns 200 only once all of
 // them are byte-identically recovered.
 //
 // SIGTERM and SIGINT drain gracefully: /readyz flips to 503, mutating
@@ -52,7 +53,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (use port 0 to pick a free port; the bound address is printed)")
-		dataDir    = flag.String("data", "", "data directory holding the tenant manifest, op logs, WALs and snapshots (required)")
+		dataDir    = flag.String("data", "", "data directory holding the tenant manifest, op logs and snapshots (required)")
 		queueDepth = flag.Int("queue-depth", 0, "per-tenant request queue bound; a full queue answers 429 (0 = default 256)")
 		batchMax   = flag.Int("batch-max", 0, "max requests per group commit (0 = default 64)")
 		deadline   = flag.Duration("deadline", 0, "per-request budget from enqueue; expired requests answer 503 (0 = none)")

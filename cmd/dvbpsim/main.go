@@ -53,10 +53,9 @@ func main() {
 		metricsF  = flag.Bool("metrics", false, "collect engine metrics per policy and dump JSON + Prometheus snapshots")
 		list      = flag.Bool("list", false, "list policy names and exit")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); on expiry the exit code is 2 and a checkpointed run stays resumable")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist the run (WAL + snapshots) into this directory; single policy only")
-		ckptEvery = flag.Int64("checkpoint-every", 256, "events between automatic snapshots when -checkpoint-dir is set (0 = WAL only)")
+		ckptDir   = flag.String("checkpoint-dir", "", "persist the run (op log + snapshots) into this directory; single policy only")
+		ckptEvery = flag.Int64("checkpoint-every", 256, "events between automatic snapshots when -checkpoint-dir is set (0 = none: -restore re-steps the run from its start)")
 		restoreF  = flag.Bool("restore", false, "resume the run persisted in -checkpoint-dir instead of starting fresh")
-		compactF  = flag.Bool("compact", false, "compact the WAL after each automatic snapshot, bounding on-disk size by -checkpoint-every")
 	)
 	var spec faults.Spec
 	spec.Register(flag.CommandLine, "")
@@ -172,7 +171,7 @@ func main() {
 			collectors[p.Name()] = col
 			opts = append(opts, core.WithObserver(col))
 		}
-		rc := runConfig{dir: *ckptDir, every: *ckptEvery, compact: *compactF, restore: *restoreF,
+		rc := runConfig{dir: *ckptDir, every: *ckptEvery, restore: *restoreF,
 			seed: *seed, faults: faultStr, migration: mig.String(), col: collectors[p.Name()]}
 		res, err := runPolicy(ctx, l, p, opts, rc)
 		if err != nil {
@@ -229,7 +228,6 @@ func main() {
 type runConfig struct {
 	dir       string
 	every     int64
-	compact   bool
 	restore   bool
 	seed      int64
 	faults    string
@@ -248,7 +246,7 @@ func runPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 		}
 		return core.Simulate(l, p, opts...)
 	}
-	pcfg := persist.Config{Dir: rc.dir, Every: rc.every, Compact: rc.compact}
+	pcfg := persist.Config{Dir: rc.dir, Every: rc.every}
 	if rc.col != nil {
 		pcfg.Aux = []persist.AuxCodec{rc.col.Registry()}
 	}
@@ -264,7 +262,7 @@ func runPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 			fmt.Fprintln(os.Stderr, "dvbpsim: tolerated:", ce)
 		}
 		fmt.Fprintf(os.Stderr, "dvbpsim: resumed at event %d (snapshot %d + %d replayed)\n",
-			rec.Session.Logged(), rec.SnapshotSeq, rec.Replayed)
+			rec.Session.Engine().EventSeq(), rec.SnapshotSeq, rec.Replayed)
 		s = rec.Session
 	} else {
 		e, err := core.NewEngine(l, p, opts...)

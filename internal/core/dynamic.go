@@ -18,7 +18,7 @@ import (
 // (and at or after every earlier arrival), so the committed event sequence of
 // an incrementally-grown run is bit-identical to a from-scratch run over the
 // final list. That equivalence is what lets the persistence layer recover a
-// dynamic run by ordinary WAL replay against the list rebuilt from the
+// dynamic run by re-stepping the engine over the list rebuilt from the
 // tenant's op log.
 func WithDynamicArrivals() Option {
 	return func(c *config) { c.dynamic = true }

@@ -182,8 +182,8 @@ const (
 
 // EventClass labels one committed engine event in an EventRecord. The values
 // mirror the engine's same-instant processing order (departure < crash <
-// retry < arrival) and are stable across versions: the write-ahead log
-// (internal/persist) stores them on disk.
+// retry < arrival) and are stable across versions: internal/persist folds
+// them into the event digest it stores on disk.
 type EventClass uint8
 
 // The five event classes a Step can commit. EventMigration is last in the
@@ -215,10 +215,10 @@ func (c EventClass) String() string {
 }
 
 // EventRecord describes one committed engine event — the unit the
-// write-ahead log persists and replay verification compares. Because the
-// engine is deterministic, the sequence of EventRecords is a pure function
-// of (instance, policy, options); a recovered engine must regenerate the
-// logged suffix bit for bit.
+// persistence layer's event digest folds in. Because the engine is
+// deterministic, the sequence of EventRecords is a pure function of
+// (instance, policy, options); a recovered engine must regenerate it bit
+// for bit.
 type EventRecord struct {
 	// Seq is the 1-based index of the event in the run.
 	Seq int64
@@ -250,7 +250,7 @@ type EventRecord struct {
 //
 // Stepping exists for the persistence layer: between any two Steps the
 // engine's complete state can be captured with Snapshot and later rebuilt
-// with RestoreEngine, and the EventRecord stream feeds the write-ahead log.
+// with RestoreEngine, and the EventRecord stream feeds the event digest.
 // An Engine is single-goroutine; it holds its Policy exclusively (the
 // concurrent-reuse guard) until Finish or Close releases it.
 type Engine struct {

@@ -64,12 +64,13 @@ type MigrationView struct {
 // MigrationPlanner plans one consolidation pass. Implementations must be
 // deterministic pure functions of the view and budget — no wall clock, no
 // global RNG, no state carried between passes — because the engine re-plans
-// a pass from the same view during WAL replay and the regenerated moves must
-// match the logged ones bit for bit. The returned moves are applied in order,
-// one engine event each; the whole plan must respect the budget, and every
-// move must be feasible when its turn comes (earlier moves in the same pass
-// included). A plan that violates either contract poisons the run with an
-// error, never a panic. internal/migrate provides the standard planners.
+// a pass from the same view when recovery re-steps the run, and the
+// regenerated moves must match the original ones bit for bit. The returned
+// moves are applied in order, one engine event each; the whole plan must
+// respect the budget, and every move must be feasible when its turn comes
+// (earlier moves in the same pass included). A plan that violates either
+// contract poisons the run with an error, never a panic. internal/migrate
+// provides the standard planners.
 type MigrationPlanner interface {
 	// Name returns a stable identifier, e.g. "drain-emptiest".
 	Name() string

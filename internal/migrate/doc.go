@@ -12,7 +12,7 @@
 // wiring that resolves a planner by name into a core.WithMigration option.
 //
 // Every planner is a deterministic pure function of the migration view and
-// budget, the property the engine's WAL-replay recovery depends on
+// budget, the property the engine's re-step recovery depends on
 // (DESIGN.md §14). Plans never exceed the budget and never overflow a target
 // bin; the engine re-verifies both against its exact accumulator loads when
 // the moves apply.

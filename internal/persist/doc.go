@@ -1,16 +1,19 @@
 // Package persist is the crash-consistent checkpoint/restore layer for the
-// packing engine: a write-ahead log of committed engine events plus periodic
-// full-state snapshots, both stored in a versioned, CRC-checksummed,
-// length-prefixed record format.
+// packing engine: one durable op log per run plus periodic full-state
+// snapshots, both stored in a versioned, CRC-checksummed, length-prefixed
+// record format.
 //
 // # Recovery model
 //
 // The design leans on the engine's determinism contract: the event stream is
-// a pure function of (instance, policy, options), so recovery does not need
-// to re-apply logged events as mutations. Instead it restores the newest
-// valid snapshot and re-steps the engine, verifying that every regenerated
-// event is bit-identical to the logged suffix — the WAL tells recovery how
-// far the run had progressed and doubles as an end-to-end determinism check.
+// a pure function of (instance, policy, options), so durable state only has
+// to pin where a run was, not what it computed. The op log holds the run's
+// identity, a dynamic run's inputs (admitted items and clock advances, each
+// durable before the engine steps it), and digest marks: a rolling CRC-64 of
+// the committed events, appended at every sync barrier. Recovery restores
+// the newest snapshot that carries a digest (or starts a fresh engine) and
+// re-steps the engine to the position the log pins, comparing its own digest
+// at every mark it passes; a mismatch is a replay divergence.
 //
 // Derived structures are deliberately absent from the on-disk format. In
 // particular the engine's indexed bin store (internal/binindex) and its
@@ -23,33 +26,32 @@
 //
 // # Corruption handling
 //
-// Corruption never panics. Torn or bit-flipped tails are truncated at the
-// first bad checksum, damaged snapshots are skipped in favour of older ones
-// (or a from-scratch replay), and every tolerated defect is surfaced as a
+// Corruption never panics. A torn or bit-flipped op-log tail is truncated at
+// the first bad checksum, damaged snapshots are skipped in favour of older
+// ones (or a fresh engine), and every tolerated defect is surfaced as a
 // structured *CorruptionError in the recovery report.
 //
 // # Structure
 //
 //   - format.go, file.go: the record container — magic, version, FileKind,
-//     per-record length prefix + CRC32C, fsync policy (Writer, ReadFile).
+//     per-record length prefix + CRC32C, the buffered Writer with its
+//     retryable Sync and Rollback, ReadFile, WriteFileAtomic.
 //   - meta.go: RunMeta identity block (workload hash, policy, seed, fault
 //     plan) that guards against restoring a checkpoint into the wrong run.
-//   - wal.go: event-record codec (AppendEventRecord, DecodeEventRecord).
+//   - digest.go: the event record encoding (AppendEventRecord) and the
+//     rolling event digest the marks carry.
 //   - snapcodec.go: the engine snapshot codec (EncodeSnapshot,
 //     DecodeSnapshot).
-//   - session.go: Session/Begin — the producer side: append events, cut
-//     snapshots every N events, rotate files.
-//   - compact.go: WAL compaction, the only file rewrite: once a snapshot at
-//     event k is durable, the WAL keeps only events past k. After the
-//     rename lands, the session always switches to a writer that opens the
-//     WAL by name at its next Sync and finishes a failed directory sync
-//     there, so every fault in that window is a retryable Sync error.
-//   - oplog.go: a dynamic run's op log (the admitted items and clock
-//     advances), append-only; recovery rebuilds the item list from it.
+//   - oplog.go: the op log's record codec (items, advances, marks) and
+//     ReadOpLog, which rebuilds a dynamic run's item list and watermark.
+//   - session.go: Session/Begin — the producer side: append ops, step the
+//     engine, sync with a digest mark, cut snapshots every N events and
+//     prune the older ones.
 //   - errors.go: the corruption/disk-full/transient/fatal error taxonomy.
 //   - recover.go: Recover — the consumer side described above.
 //
-// The kill-and-recover torture tests (torture_test.go and cmd/dvbpchaos)
-// exercise the full matrix: process kills at arbitrary event indices, WAL
+// The kill-and-recover torture tests (torture_test.go, vfs_torture_test.go
+// and cmd/dvbpchaos) exercise the full matrix: process kills at arbitrary
+// event indices, power loss at every filesystem operation, op-log
 // truncations, snapshot deletions, and random bit flips.
 package persist

@@ -52,8 +52,8 @@ const (
 	// ClassTransient: an I/O error that may heal (EIO and everything else
 	// wrapped in an IOError). Retry with capped backoff, then degrade.
 	ClassTransient
-	// ClassFatal: not an I/O outcome at all — a simulated power loss, a
-	// write through a discarded writer, a programming error. Fail-stop.
+	// ClassFatal: not an I/O outcome at all — a simulated power loss or a
+	// programming error. Fail-stop.
 	ClassFatal
 )
 
@@ -72,10 +72,6 @@ func (c ErrorClass) String() string {
 	}
 }
 
-// errDiscarded reports use of a Writer after Discard — always a bug in the
-// caller's compaction/swap sequencing, never retryable.
-var errDiscarded = errors.New("persist: writer was discarded")
-
 // Classify maps an error onto its ErrorClass. Corruption dominates (a
 // CorruptionError wrapping an errno is still corruption), then the simulated
 // power loss, then the errno taxonomy; anything not wrapped as an IOError is
@@ -88,7 +84,7 @@ func Classify(err error) ErrorClass {
 	if errors.As(err, &ce) {
 		return ClassCorruption
 	}
-	if errors.Is(err, vfs.ErrCrashed) || errors.Is(err, errDiscarded) {
+	if errors.Is(err, vfs.ErrCrashed) {
 		return ClassFatal
 	}
 	if errors.Is(err, syscall.ENOSPC) || errors.Is(err, syscall.EDQUOT) {

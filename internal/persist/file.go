@@ -8,16 +8,16 @@ import (
 	"dvbp/internal/vfs"
 )
 
-// defaultSyncEvery is the fsync batch size: the writer fsyncs after this many
-// appended records (and always on Sync/Close). Batching amortises the fsync
-// cost over a window of events; a crash can lose at most the current batch,
-// which recovery treats as an ordinary torn tail.
+// defaultSyncEvery is the session's fsync batch size: Step syncs the op log
+// after this many events (and Sync/Close always do). Batching amortises the
+// fsync cost over a window of events; a crash can lose at most the current
+// batch's progress, which recovery re-steps.
 const defaultSyncEvery = 64
 
-// SyncManual disables automatic fsyncs entirely: records accumulate in the
-// writer's buffer until an explicit Sync (or Rollback). The server's op-log
-// writers use it so a group commit is all-or-nothing — no auto-sync can make
-// half a batch durable behind the barrier's back.
+// SyncManual disables the session's automatic fsyncs entirely: records
+// accumulate in the op log's buffer until an explicit Sync (or Rollback).
+// The server's tenants use it so a group commit is all-or-nothing — no
+// auto-sync can make half a batch durable behind the barrier's back.
 const SyncManual = -1
 
 // Writer appends checksummed records to a persist-format file. Appends land
@@ -27,34 +27,30 @@ const SyncManual = -1
 // Rollback abandons the buffered suffix by truncating back to the last
 // durable size. A Writer is single-goroutine, like the engine it records.
 type Writer struct {
-	fsys      vfs.FS
-	f         vfs.File // nil until the next Sync opens path (see reopen)
-	path      string
-	buf       []byte // bytes appended since the last successful Sync
-	flushed   int    // prefix of buf already written to the file (not yet fsynced)
-	scratch   []byte
-	syncEvery int
-	pending   int
-	size      int64 // logical size including buffered bytes
-	synced    int64 // size the device has durably acknowledged
-	dirSync   bool  // path's directory entry is not yet durable
-	discarded bool
+	f       vfs.File
+	path    string
+	buf     []byte // bytes appended since the last successful Sync
+	flushed int    // prefix of buf already written to the file (not yet fsynced)
+	size    int64  // logical size including buffered bytes
+	synced  int64  // size the device has durably acknowledged
 }
 
 // Create creates (truncating) a persist file of the given kind, writes its
-// header durably, and fsyncs the parent directory so the file's entry — not
-// just its contents — survives a crash. syncEvery: 0 selects the default
-// batch size, SyncManual disables auto-sync. fsys nil means the real
-// filesystem.
-func Create(fsys vfs.FS, path string, kind FileKind, syncEvery int) (*Writer, error) {
+// header and the given records durably, and fsyncs the parent directory so
+// the file's entry — not just its contents — survives a crash. fsys nil
+// means the real filesystem.
+func Create(fsys vfs.FS, path string, kind FileKind, records ...[]byte) (*Writer, error) {
 	fsys = vfs.OrOS(fsys)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, ioErr("create", path, err)
 	}
-	w := newWriter(fsys, f, path, syncEvery)
+	w := &Writer{f: f, path: path}
 	w.buf = appendHeader(w.buf, kind)
 	w.size = headerSize
+	for _, r := range records {
+		w.Append(r)
+	}
 	if err := w.Sync(); err != nil {
 		f.Close()
 		return nil, err
@@ -71,8 +67,7 @@ func Create(fsys vfs.FS, path string, kind FileKind, syncEvery int) (*Writer, er
 // openAppend reopens an existing persist file for appending after truncating
 // it to validSize — the recovery path that discards a torn tail and continues
 // the log in place.
-func openAppend(fsys vfs.FS, path string, validSize int64, syncEvery int) (*Writer, error) {
-	fsys = vfs.OrOS(fsys)
+func openAppend(fsys vfs.FS, path string, validSize int64) (*Writer, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, ioErr("open", path, err)
@@ -85,8 +80,7 @@ func openAppend(fsys vfs.FS, path string, validSize int64, syncEvery int) (*Writ
 		f.Close()
 		return nil, ioErr("seek", path, err)
 	}
-	w := newWriter(fsys, f, path, syncEvery)
-	w.size = validSize
+	w := &Writer{f: f, path: path, size: validSize}
 	if err := w.Sync(); err != nil { // persist the truncation itself
 		f.Close()
 		return nil, err
@@ -94,70 +88,19 @@ func openAppend(fsys vfs.FS, path string, validSize int64, syncEvery int) (*Writ
 	return w, nil
 }
 
-// reopen returns a writer that continues a file just renamed into place at
-// path, whose size bytes are all durable. It touches nothing yet: its next
-// Sync opens path by name and, with dirSync set (the rename's directory
-// sync failed), fsyncs the directory before it may report success. Every
-// failure there is an ordinary retryable Sync error.
-func reopen(fsys vfs.FS, path string, size int64, syncEvery int, dirSync bool) *Writer {
-	w := newWriter(fsys, nil, path, syncEvery)
-	w.size, w.synced, w.dirSync = size, size, dirSync
-	return w
-}
-
-func newWriter(fsys vfs.FS, f vfs.File, path string, syncEvery int) *Writer {
-	if syncEvery == 0 {
-		syncEvery = defaultSyncEvery
-	}
-	return &Writer{fsys: fsys, f: f, path: path, syncEvery: syncEvery}
-}
-
 // Append frames one record into the writer's buffer; the payload is copied
-// before Append returns. The buffered record cannot be lost to an I/O error —
-// only a Sync moves bytes to the device. When the auto-sync batch fills,
-// Append attempts that Sync and reports its error; the record itself remains
-// buffered either way, so a recoverable error here may be tolerated and the
-// sync retried later.
-func (w *Writer) Append(payload []byte) error {
-	if w.discarded {
-		return errDiscarded
-	}
-	w.scratch = appendRecord(w.scratch[:0], payload)
-	w.buf = append(w.buf, w.scratch...)
-	w.size += int64(len(w.scratch))
-	w.pending++
-	if w.syncEvery > 0 && w.pending >= w.syncEvery {
-		return w.Sync()
-	}
-	return nil
+// before Append returns. Nothing reaches the device until Sync.
+func (w *Writer) Append(payload []byte) {
+	n := len(w.buf)
+	w.buf = appendRecord(w.buf, payload)
+	w.size += int64(len(w.buf) - n)
 }
 
-// Sync writes the buffered bytes to the file and fsyncs it; a writer from
-// reopen first opens its file and finishes its directory sync. On failure
-// the buffer is kept (minus the prefix the device already took, which the
-// next attempt skips) and the error is retryable; nothing is acknowledged
-// until a Sync returns nil.
+// Sync writes the buffered bytes to the file and fsyncs it. On failure the
+// buffer is kept (minus the prefix the device already took, which the next
+// attempt skips) and the error is retryable; nothing is acknowledged until a
+// Sync returns nil.
 func (w *Writer) Sync() error {
-	if w.discarded {
-		return errDiscarded
-	}
-	if w.f == nil {
-		f, err := w.fsys.OpenFile(w.path, os.O_RDWR, 0)
-		if err != nil {
-			return ioErr("open", w.path, err)
-		}
-		if _, err := f.Seek(w.synced, io.SeekStart); err != nil {
-			f.Close()
-			return ioErr("seek", w.path, err)
-		}
-		w.f = f
-	}
-	if w.dirSync {
-		if err := syncDir(w.fsys, filepath.Dir(w.path)); err != nil {
-			return err
-		}
-		w.dirSync = false
-	}
 	for w.flushed < len(w.buf) {
 		n, err := w.f.Write(w.buf[w.flushed:])
 		w.flushed += n
@@ -171,7 +114,6 @@ func (w *Writer) Sync() error {
 	w.synced = w.size
 	w.buf = w.buf[:0]
 	w.flushed = 0
-	w.pending = 0
 	return nil
 }
 
@@ -182,9 +124,6 @@ func (w *Writer) Sync() error {
 // means even the truncation failed and the on-disk tail is unknown, which the
 // caller must treat as fatal.
 func (w *Writer) Rollback() error {
-	if w.discarded {
-		return errDiscarded
-	}
 	if w.flushed > 0 {
 		if err := w.f.Truncate(w.synced); err != nil {
 			return ioErr("truncate", w.path, err)
@@ -195,7 +134,6 @@ func (w *Writer) Rollback() error {
 	}
 	w.buf = w.buf[:0]
 	w.flushed = 0
-	w.pending = 0
 	w.size = w.synced
 	return nil
 }
@@ -208,14 +146,8 @@ func (w *Writer) Synced() int64 { return w.synced }
 
 // Close syncs and closes the file.
 func (w *Writer) Close() error {
-	if w.discarded {
-		return nil
-	}
 	syncErr := w.Sync()
-	var closeErr error
-	if w.f != nil {
-		closeErr = w.f.Close()
-	}
+	closeErr := w.f.Close()
 	if syncErr != nil {
 		return syncErr
 	}
@@ -223,19 +155,6 @@ func (w *Writer) Close() error {
 		return ioErr("close", w.path, closeErr)
 	}
 	return nil
-}
-
-// Discard closes the descriptor without syncing — for a writer whose file was
-// just atomically replaced (compaction): its inode is unlinked, so syncing it
-// would be wasted and confusing. Any further use of the writer fails.
-func (w *Writer) Discard() {
-	if w.discarded {
-		return
-	}
-	w.discarded = true
-	if w.f != nil {
-		w.f.Close()
-	}
 }
 
 // FileData is the decoded content of one persist file.
@@ -257,24 +176,27 @@ type FileData struct {
 // ReadFile reads and validates a persist file. A damaged header (or an
 // unreadable file) is fatal and returned as the error; damaged records only
 // truncate: the intact prefix comes back in FileData with Torn describing
-// the defect. The returned payloads are private copies. fsys nil means the
-// real filesystem.
+// the defect. The returned payloads alias the bytes read, which nothing else
+// holds. fsys nil means the real filesystem.
 func ReadFile(fsys vfs.FS, path string) (*FileData, error) {
 	data, err := vfs.OrOS(fsys).ReadFile(path)
 	if err != nil {
 		return nil, ioErr("read", path, err)
 	}
+	return decodeFile(data, path)
+}
+
+// decodeFile validates the bytes of a persist file read from path.
+func decodeFile(data []byte, path string) (*FileData, error) {
 	kind, herr := parseHeader(data)
 	if herr != nil {
 		herr.Path = path
 		return nil, herr
 	}
 	recs, offs, torn := scanRecords(data[headerSize:], headerSize)
-	if torn != nil {
-		torn.Path = path
-	}
 	fd := &FileData{Kind: kind, Records: recs, Offsets: offs, Size: int64(len(data)), ValidSize: int64(len(data)), Torn: torn}
 	if torn != nil {
+		torn.Path = path
 		fd.ValidSize = torn.Offset
 	}
 	return fd, nil
@@ -294,23 +216,7 @@ func syncDir(fsys vfs.FS, dir string) error {
 // server layer uses it for its tenant manifest; snapshots go through it too.
 // fsys nil means the real filesystem.
 func WriteFileAtomic(fsys vfs.FS, path string, content []byte) error {
-	return writeFileAtomic(vfs.OrOS(fsys), path, content)
-}
-
-// writeFileAtomic writes content to path via a temp file + rename + directory
-// sync, so a crash never leaves a half-written file under the final name.
-func writeFileAtomic(fsys vfs.FS, path string, content []byte) error {
-	if err := replaceFile(fsys, path, content); err != nil {
-		return err
-	}
-	return syncDir(fsys, filepath.Dir(path))
-}
-
-// replaceFile is writeFileAtomic without the directory sync: a durable temp
-// file renamed over path. After a nil return path names the new content in
-// the live namespace, but a power loss may still revert the rename until
-// the directory is synced.
-func replaceFile(fsys vfs.FS, path string, content []byte) error {
+	fsys = vfs.OrOS(fsys)
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -334,5 +240,5 @@ func replaceFile(fsys vfs.FS, path string, content []byte) error {
 		fsys.Remove(tmpName)
 		return ioErr("rename", path, err)
 	}
-	return nil
+	return syncDir(fsys, dir)
 }

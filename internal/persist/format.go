@@ -12,7 +12,7 @@ import (
 //	records : ( length uint32 LE | crc32c(payload) uint32 LE | payload )*
 //
 // The magic pins the file family, the version the record-level format, and
-// the kind what the payloads mean (WAL vs snapshot). Every payload is guarded
+// the kind what the payloads mean (op log vs snapshot). Every payload is guarded
 // by its own CRC-32/Castagnoli, so a torn tail or a bit flip is detected at
 // the first damaged record and everything before it remains trustworthy.
 
@@ -35,18 +35,17 @@ var magic = [8]byte{'D', 'V', 'B', 'P', 'P', 'E', 'R', 'S'}
 // FileKind distinguishes the persisted file types.
 type FileKind uint32
 
-// The persisted file kinds.
+// The persisted file kinds. Kind 1 was the write-ahead event log, which the
+// op log replaced; a file of that kind is refused as an unknown kind.
 const (
-	// KindWAL is the write-ahead event log: a meta record followed by one
-	// record per committed engine event.
-	KindWAL FileKind = 1
-	// KindSnapshot is a checkpoint: a meta record, the engine snapshot, and
-	// any auxiliary state records.
+	// KindSnapshot is a checkpoint: a meta record, the event digest mark at
+	// the snapshot's event, the engine snapshot, and any auxiliary state
+	// records.
 	KindSnapshot FileKind = 2
-	// KindOpLog is a dynamic run's operation log: a meta record followed by
-	// one record per admitted client operation (item arrival or clock
-	// advance). It is the durable source of the run's item list — the WAL
-	// references items by ID, the op log holds their content.
+	// KindOpLog is a run's operation log, its one durable log: a meta record
+	// followed, for a dynamic run, by one record per admitted client
+	// operation (item arrival or clock advance), and for every run by the
+	// digest marks the session appends at its barriers.
 	KindOpLog FileKind = 3
 )
 
@@ -74,7 +73,7 @@ func parseHeader(data []byte) (FileKind, *CorruptionError) {
 		return 0, &CorruptionError{Offset: 8, Record: -1, Reason: fmt.Sprintf("unsupported format version %d (supported: %d)", v, formatVersion)}
 	}
 	kind := FileKind(binary.LittleEndian.Uint32(data[12:16]))
-	if kind != KindWAL && kind != KindSnapshot && kind != KindOpLog {
+	if kind != KindSnapshot && kind != KindOpLog {
 		return 0, &CorruptionError{Offset: 12, Record: -1, Reason: fmt.Sprintf("unknown file kind %d", uint32(kind))}
 	}
 	return kind, nil

@@ -13,31 +13,11 @@ import (
 	"dvbp/internal/vector"
 )
 
-// corpusSeeds builds the committed seed inputs for both fuzzers: a valid
-// encoding of every payload family plus a few deliberately damaged ones. The
-// same bytes are written to testdata/fuzz/ by TestFuzzCorpusCommitted so `go
-// test -fuzz` starts from meaningful structures, not just empty input.
-func walCorpusSeeds() [][]byte {
-	rec := AppendEventRecord(nil, core.EventRecord{
-		Seq: 7, Class: core.EventArrival, Time: 3.5, ItemID: 12, BinID: 2, Placed: true, Opened: true,
-	})
-	crash := AppendEventRecord(nil, core.EventRecord{Seq: 9, Class: core.EventCrash, Time: 11.25, ItemID: -1, BinID: 4})
-	l := item.NewList(2)
-	l.Add(0, 4, vector.Vector{0.5, 0.25})
-	meta := encodeMeta(NewRunMeta(l, "FirstFit", 1, "mtbf(20)"))
-	aux := encodeAux("metrics", []byte(`{"metrics":[]}`))
-	return [][]byte{
-		rec,
-		crash,
-		meta,
-		aux,
-		rec[:len(rec)-2],     // truncated
-		append(rec, 1, 2, 3), // trailing bytes
-		{0xFF, 0x00, 0x01},   // junk
-		{},                   // empty
-	}
-}
-
+// The *CorpusSeeds functions build the committed seed inputs for the
+// fuzzers: a valid encoding of every payload family plus a few deliberately
+// damaged ones. The same bytes are written to testdata/fuzz/ by
+// TestFuzzCorpusCommitted so `go test -fuzz` starts from meaningful
+// structures, not just empty input.
 func snapshotCorpusSeeds() [][]byte {
 	l := item.NewList(2)
 	l.Add(0, 6, vector.Vector{0.5, 0.25})
@@ -74,37 +54,55 @@ func snapshotCorpusSeeds() [][]byte {
 func opLogCorpusSeeds() [][]byte {
 	itemOp := AppendItemOp(nil, 2.5, 7.75, vector.Vector{0.5, 0.125})
 	advance := AppendAdvanceOp(nil, 9.5)
-	marker := encodeCompactMarker(40)
+	mark := appendMark(nil, 40, 0x0123456789abcdef)
+	l := item.NewList(2)
+	l.Add(0, 4, vector.Vector{0.5, 0.25})
+	static := encodeMeta(NewRunMeta(l, "FirstFit", 1, "mtbf(20)"))
+	dynamic := encodeMeta(NewDynamicRunMeta(2, "BestFit", 3, ""))
+	file := func(records ...[]byte) []byte {
+		out := appendHeader(nil, KindOpLog)
+		for _, r := range records {
+			out = appendRecord(out, r)
+		}
+		return out
+	}
 	return [][]byte{
 		itemOp,
 		advance,
-		marker,
+		mark,
 		itemOp[:len(itemOp)-3],           // truncated item
 		append(advance, 0xEE),            // trailing byte
 		AppendAdvanceOp(nil, math.NaN()), // NaN advance must be rejected
 		{byte(OpItem)},                   // kind byte only
 		{0x7A, 0x01, 0x02},               // unknown kind
 		{},                               // empty
-		append([]byte{compactMarkerByte}, 0x80, 2), // non-canonical varint
+		append([]byte{byte(OpMark), 0x80, 2}, make([]byte, 8)...),                                                    // non-canonical varint
+		file(static, appendMark(nil, 64, 7), appendMark(nil, 128, 9)),                                                // a static log
+		file(dynamic, itemOp, advance, appendMark(nil, 2, 5), AppendItemOp(nil, 9.5, 12, vector.Vector{0.25, 0.25})), // a dynamic log
+		file(static, appendMark(nil, 64, 7), appendMark(nil, 64, 8)),                                                 // marks out of order
+		static,
 	}
 }
 
-// FuzzOpLogDecode: the op-log record codec and the compaction marker parser
-// must survive arbitrary bytes — no panic, only *CorruptionError — and any
-// accepted payload must re-encode bit-identically, so no two byte strings
-// decode to the same op.
+// FuzzOpLogDecode: the op-log record codec, the run meta decoder and the
+// op-log file reader must survive arbitrary bytes — no panic, only
+// *CorruptionError — and any accepted record must re-encode bit-identically,
+// so no two byte strings decode to the same op.
 func FuzzOpLogDecode(f *testing.F) {
 	for _, seed := range opLogCorpusSeeds() {
 		f.Add(seed)
+	}
+	structured := func(t *testing.T, what string, err error) {
+		var ce *CorruptionError
+		if err != nil && !errors.As(err, &ce) {
+			t.Fatalf("%s: non-corruption error %T: %v", what, err, err)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range []int{1, 2, 4} {
 			op, err := DecodeOp(data, d)
 			if err != nil {
-				var ce *CorruptionError
-				if !errors.As(err, &ce) {
-					t.Fatalf("DecodeOp(d=%d): non-corruption error %T: %v", d, err, err)
-				}
+				structured(t, "DecodeOp", err)
 				continue
 			}
 			var got []byte
@@ -113,6 +111,8 @@ func FuzzOpLogDecode(f *testing.F) {
 				got = AppendItemOp(nil, op.Arrival, op.Departure, op.Size)
 			case OpAdvance:
 				got = AppendAdvanceOp(nil, op.To)
+			case OpMark:
+				got = appendMark(nil, op.Seq, op.Digest)
 			default:
 				t.Fatalf("DecodeOp(d=%d) accepted unknown kind %#x", d, op.Kind)
 			}
@@ -120,65 +120,31 @@ func FuzzOpLogDecode(f *testing.F) {
 				t.Fatalf("re-encode mismatch (d=%d): % x -> %+v -> % x", d, data, op, got)
 			}
 		}
-		if base, err := decodeCompactMarker(data); err == nil {
-			if got := encodeCompactMarker(base); string(got) != string(data) {
-				t.Fatalf("marker re-encode mismatch: % x -> %d -> % x", data, base, got)
-			}
-		} else {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("decodeCompactMarker: non-corruption error %T: %v", err, err)
-			}
+		_, err := decodeMeta(data)
+		structured(t, "decodeMeta", err)
+		fd, err := decodeFile(data, "ops.dvbp")
+		structured(t, "decodeFile", err)
+		if err == nil {
+			_, err := decodeOpLog(fd, "ops.dvbp", "fuzz")
+			structured(t, "decodeOpLog", err)
 		}
 	})
 }
 
-// FuzzWALDecode: every decoder that consumes WAL record payloads must survive
-// arbitrary bytes — no panic, no runaway allocation, and any failure surfaced
-// as a structured *CorruptionError.
-func FuzzWALDecode(f *testing.F) {
-	for _, seed := range walCorpusSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if rec, err := DecodeEventRecord(data); err != nil {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("DecodeEventRecord: non-corruption error %T: %v", err, err)
-			}
-		} else {
-			// A successful decode must re-encode to the same bytes: the codec
-			// is a bijection on its valid domain.
-			if got := AppendEventRecord(nil, rec); string(got) != string(data) {
-				t.Fatalf("re-encode mismatch: % x -> %+v -> % x", data, rec, got)
-			}
-		}
-		if _, err := decodeMeta(data); err != nil {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("decodeMeta: non-corruption error %T: %v", err, err)
-			}
-		}
-		if _, _, err := decodeAux(data); err != nil {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("decodeAux: non-corruption error %T: %v", err, err)
-			}
-		}
-	})
-}
-
-// FuzzSnapshotDecode: the snapshot codec must survive arbitrary bytes — no
-// panic, only *CorruptionError — and anything it does accept must re-encode
-// to the identical payload.
+// FuzzSnapshotDecode: the snapshot codec and the aux record parser must
+// survive arbitrary bytes — no panic, only *CorruptionError — and any
+// snapshot payload the codec accepts must re-encode to the identical bytes.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, seed := range snapshotCorpusSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ce *CorruptionError
+		if _, _, err := decodeAux(data); err != nil && !errors.As(err, &ce) {
+			t.Fatalf("decodeAux: non-corruption error %T: %v", err, err)
+		}
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
-			var ce *CorruptionError
 			if !errors.As(err, &ce) {
 				t.Fatalf("DecodeSnapshot: non-corruption error %T: %v", err, err)
 			}
@@ -214,6 +180,5 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 		}
 	}
 	write("FuzzOpLogDecode", opLogCorpusSeeds())
-	write("FuzzWALDecode", walCorpusSeeds())
 	write("FuzzSnapshotDecode", snapshotCorpusSeeds())
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // RunMeta identifies the run a persisted file belongs to. It is the first
-// record of every WAL and snapshot file; recovery refuses to combine files
+// record of every op log and snapshot file; recovery refuses to combine files
 // whose metas disagree, and refuses to restore against an instance whose
 // shape or content hash does not match.
 type RunMeta struct {
@@ -34,9 +34,9 @@ type RunMeta struct {
 	Migration string `json:"migration,omitempty"`
 	// Dynamic marks a dynamic-arrival run (core.WithDynamicArrivals): the
 	// item list grows while the run is live, so Items and WorkloadHash cannot
-	// be pinned up front. Content integrity comes from the caller's op log
-	// (each op record is CRC-guarded) plus replay verification, which
-	// compares every regenerated event to the WAL bit for bit.
+	// be pinned up front. Content integrity comes from the op log (each op
+	// record is CRC-guarded) plus the digest marks recovery checks the
+	// re-stepped events against.
 	Dynamic bool `json:"dynamic,omitempty"`
 }
 

@@ -51,8 +51,8 @@ func migMeta(l *item.List) RunMeta {
 // TestTortureMigrationKillAndRecover SIGKILLs a migrating persisted run after
 // every event index — including every boundary inside the multi-move
 // consolidation pass — and requires recovery to resume to a byte-identical
-// result with byte-identical metrics. Moves are replayed from the WAL and
-// re-verified against the re-planned pass, never half-applied.
+// result with byte-identical metrics. Moves are re-stepped from the last
+// snapshot and checked against the op log's digest marks, never half-applied.
 func TestTortureMigrationKillAndRecover(t *testing.T) {
 	l := migList(8)
 	const every = 4
@@ -125,7 +125,7 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 			}
 		}
 		// SIGKILL: drop the handles, no clean shutdown.
-		s.wal.f.Close()
+		s.log.f.Close()
 		s.engine.Close()
 
 		col2 := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
@@ -154,10 +154,11 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 	}
 }
 
-// TestTortureMigrationTornWAL cuts a completed migrating run's WAL at random
-// byte offsets — mid-record, mid-migration-event — and requires recovery to
-// re-derive the byte-identical final result from the surviving prefix.
-func TestTortureMigrationTornWAL(t *testing.T) {
+// TestTortureMigrationTornOpLog cuts a completed migrating run's op log, with
+// a digest mark after every event, at random byte offsets — mid-record, at
+// marks inside a migration pass — and requires recovery to re-derive the
+// byte-identical final result from the surviving prefix.
+func TestTortureMigrationTornOpLog(t *testing.T) {
 	l := migList(8)
 	const every = 4
 
@@ -167,7 +168,7 @@ func TestTortureMigrationTornWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	s, err := Begin(e, migMeta(l), Config{Dir: refDir, Every: every, Aux: []AuxCodec{refCol.Registry()}})
+	s, err := Begin(e, migMeta(l), Config{Dir: refDir, Every: every, SyncEvery: 1, Aux: []AuxCodec{refCol.Registry()}})
 	if err != nil {
 		e.Close()
 		t.Fatalf("Begin: %v", err)
@@ -178,11 +179,11 @@ func TestTortureMigrationTornWAL(t *testing.T) {
 	}
 	wantRes := resultJSON(t, res)
 
-	refWAL, err := os.ReadFile(filepath.Join(refDir, walFile))
+	refLog, err := os.ReadFile(filepath.Join(refDir, opsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := ReadFile(nil, filepath.Join(refDir, walFile))
+	fd, err := ReadFile(nil, filepath.Join(refDir, opsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +193,8 @@ func TestTortureMigrationTornWAL(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		dir := t.TempDir()
 		copyRun(t, refDir, dir)
-		cut := metaEnd + rng.Int63n(int64(len(refWAL))-metaEnd+1)
-		truncate(t, filepath.Join(dir, walFile), cut)
+		cut := metaEnd + rng.Int63n(int64(len(refLog))-metaEnd+1)
+		truncate(t, filepath.Join(dir, opsFile), cut)
 		if trial%2 == 1 {
 			deleteRandomSnapshots(t, rng, dir)
 		}
@@ -217,10 +218,10 @@ func TestTortureMigrationTornWAL(t *testing.T) {
 // TestTortureMigrationOptionMismatch: recovering a migrating run without
 // re-supplying WithMigration (or with a different planner) must fail loudly
 // — either at snapshot restore (migration state present, option absent) or
-// at replay verification (regenerated events diverge) — never silently
-// produce a different packing. The run is killed mid-pass with snapshotting
-// effectively off, so recovery must re-plan the pass from the WAL's events:
-// that is the path a wrong planner poisons.
+// at the digest marks (regenerated events diverge) — never silently produce
+// a different packing. The run is killed mid-pass with snapshotting
+// effectively off, so recovery must re-plan the pass while re-stepping the
+// run from its start: that is the path a wrong planner poisons.
 func TestTortureMigrationOptionMismatch(t *testing.T) {
 	l := migList(8)
 	dir := t.TempDir()
@@ -244,7 +245,7 @@ func TestTortureMigrationOptionMismatch(t *testing.T) {
 			migs++
 		}
 	}
-	s.wal.f.Close()
+	s.log.f.Close()
 	s.engine.Close()
 
 	if _, err := Recover(l, cfg); err == nil {

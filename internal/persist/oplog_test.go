@@ -10,6 +10,7 @@ import (
 	"dvbp/internal/core"
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
+	"dvbp/internal/vfs"
 )
 
 // --- op codec ---
@@ -76,19 +77,15 @@ func TestOpLogFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "ops.dvbp")
 	meta := NewDynamicRunMeta(2, "firstfit", 7, "")
 
-	w, err := CreateOpLog(nil, path, meta, 1)
+	w, err := Create(nil, path, KindOpLog, encodeMeta(meta))
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
-	if err := w.Append(AppendItemOp(nil, 0, 5, vector.Vector{0.5, 0.25})); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := w.Append(AppendItemOp(nil, 1, 2, vector.Vector{0.125, 0.5})); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := w.Append(AppendAdvanceOp(nil, 3)); err != nil {
-		t.Fatalf("append: %v", err)
-	}
+	w.Append(AppendItemOp(nil, 0, 5, vector.Vector{0.5, 0.25}))
+	w.Append(appendMark(nil, 1, 0xfeed))
+	w.Append(AppendItemOp(nil, 1, 2, vector.Vector{0.125, 0.5}))
+	w.Append(AppendAdvanceOp(nil, 3))
+	w.Append(appendMark(nil, 4, 0xbeef))
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -103,19 +100,28 @@ func TestOpLogFileRoundTrip(t *testing.T) {
 	if !data.Meta.equal(meta) {
 		t.Fatalf("meta %+v, want %+v", data.Meta, meta)
 	}
-	if len(data.Ops) != 3 || data.List.Len() != 2 {
-		t.Fatalf("got %d ops, %d items; want 3, 2", len(data.Ops), data.List.Len())
+	if data.List.Len() != 2 || len(data.marks) != 2 {
+		t.Fatalf("got %d items and %d marks; want 2, 2", data.List.Len(), len(data.marks))
 	}
 	if data.List.Items[1].ID != 1 || data.List.Items[1].Arrival != 1 {
 		t.Fatalf("item 1 rebuilt wrong: %+v", data.List.Items[1])
+	}
+	if m := data.marks[1]; m.Seq != 4 || m.Digest != 0xbeef {
+		t.Fatalf("mark 1 read back as %+v", m)
 	}
 	if data.Watermark != 3 || data.MaxAdvance != 3 {
 		t.Fatalf("watermark=%g maxAdvance=%g, want 3, 3", data.Watermark, data.MaxAdvance)
 	}
 
-	// Static meta must be refused at create time and read time.
-	if _, err := CreateOpLog(nil, filepath.Join(dir, "bad.dvbp"), NewRunMeta(testList(t, 5), "firstfit", 1, ""), 1); err == nil {
-		t.Fatalf("CreateOpLog accepted a static run meta")
+	// A static run's log holds its meta and marks only.
+	static := filepath.Join(dir, "static.dvbp")
+	w, err = Create(nil, static, KindOpLog, encodeMeta(NewRunMeta(testList(t, 5), "firstfit", 1, "")), appendMark(nil, 64, 1))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	w.Close()
+	if data, err := ReadOpLog(nil, static, "static"); err != nil || data.List.Len() != 0 || len(data.marks) != 1 {
+		t.Fatalf("static log read back as %+v, %v", data, err)
 	}
 }
 
@@ -123,14 +129,12 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ops.dvbp")
 	meta := NewDynamicRunMeta(1, "nextfit", 1, "")
-	w, err := CreateOpLog(nil, path, meta, 1)
+	w, err := Create(nil, path, KindOpLog, encodeMeta(meta))
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.Append(AppendItemOp(nil, float64(i), float64(i)+1, vector.Vector{0.5})); err != nil {
-			t.Fatalf("append: %v", err)
-		}
+		w.Append(AppendItemOp(nil, float64(i), float64(i)+1, vector.Vector{0.5}))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -160,13 +164,11 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 	}
 
 	// Reopen at the valid prefix and continue; the log must read back whole.
-	w2, err := ReopenOpLog(nil, path, data.ValidSize, 1)
+	w2, err := openAppend(vfs.OS{}, path, data.ValidSize)
 	if err != nil {
-		t.Fatalf("ReopenOpLog: %v", err)
+		t.Fatalf("openAppend: %v", err)
 	}
-	if err := w2.Append(AppendItemOp(nil, 9, 11, vector.Vector{0.25})); err != nil {
-		t.Fatalf("append after reopen: %v", err)
-	}
+	w2.Append(AppendItemOp(nil, 9, 11, vector.Vector{0.25}))
 	if err := w2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -181,32 +183,33 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 
 func TestOpLogRejectsSemanticCorruption(t *testing.T) {
 	dir := t.TempDir()
-	build := func(name string, ops ...[]byte) string {
+	build := func(name string, meta RunMeta, ops ...[]byte) string {
 		path := filepath.Join(dir, name)
-		w, err := CreateOpLog(nil, path, NewDynamicRunMeta(1, "firstfit", 1, ""), 1)
+		w, err := Create(nil, path, KindOpLog, append([][]byte{encodeMeta(meta)}, ops...)...)
 		if err != nil {
-			t.Fatalf("CreateOpLog: %v", err)
-		}
-		for _, op := range ops {
-			if err := w.Append(op); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			t.Fatalf("Create: %v", err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 		return path
 	}
+	dyn := NewDynamicRunMeta(1, "firstfit", 1, "")
 
 	cases := map[string]string{
-		"regressing arrival": build("regress.dvbp",
+		"regressing arrival": build("regress.dvbp", dyn,
 			AppendItemOp(nil, 5, 6, vector.Vector{0.5}),
 			AppendItemOp(nil, 4, 6, vector.Vector{0.5})),
-		"regressing advance": build("advance.dvbp",
+		"regressing advance": build("advance.dvbp", dyn,
 			AppendAdvanceOp(nil, 5),
 			AppendAdvanceOp(nil, 4)),
-		"invalid item": build("invalid.dvbp",
+		"invalid item": build("invalid.dvbp", dyn,
 			AppendItemOp(nil, 2, 1, vector.Vector{0.5})),
+		"repeated mark": build("marks.dvbp", dyn,
+			appendMark(nil, 3, 1),
+			appendMark(nil, 3, 1)),
+		"item in a static log": build("static.dvbp", NewRunMeta(testList(t, 5), "firstfit", 1, ""),
+			AppendItemOp(nil, 0, 1, vector.Vector{0.5, 0.5, 0.5})),
 	}
 	for name, path := range cases {
 		_, err := ReadOpLog(nil, path, "tenant-c")
@@ -220,15 +223,15 @@ func TestOpLogRejectsSemanticCorruption(t *testing.T) {
 		}
 	}
 
-	// A WAL is not an op log.
-	wal := filepath.Join(dir, "wal.dvbp")
-	w, err := Create(nil, wal, KindWAL, 1)
+	// A snapshot is not an op log.
+	snap := filepath.Join(dir, snapName(0))
+	w, err := Create(nil, snap, KindSnapshot)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	w.Close()
-	if _, err := ReadOpLog(nil, wal, "tenant-c"); err == nil {
-		t.Fatalf("ReadOpLog accepted a WAL file")
+	if _, err := ReadOpLog(nil, snap, "tenant-c"); err == nil {
+		t.Fatalf("ReadOpLog accepted a snapshot file")
 	}
 }
 
@@ -256,15 +259,15 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Flip a byte mid-WAL: recovery tolerates the truncation but must name
-	// the tenant in the corruption it reports.
-	walPath := filepath.Join(dir, walFile)
-	raw, err := os.ReadFile(walPath)
+	// Flip a byte near the op log's end: recovery tolerates the truncation but
+	// must name the tenant in the corruption it reports.
+	logPath := filepath.Join(dir, opsFile)
+	raw, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	raw[len(raw)-20] ^= 0xff
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 
@@ -274,7 +277,7 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 	}
 	defer rec.Session.Close()
 	if len(rec.Corruptions) == 0 {
-		t.Fatalf("no corruption reported for a damaged WAL")
+		t.Fatalf("no corruption reported for a damaged op log")
 	}
 	for _, ce := range rec.Corruptions {
 		if ce.Run != "tenant-a" {
@@ -285,9 +288,9 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 		}
 	}
 
-	// A fatally damaged WAL header must also carry the label.
+	// A fatally damaged op-log header must also carry the label.
 	raw[0] ^= 0xff
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	_, err = Recover(l, cfg)
@@ -299,18 +302,14 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 
 // --- dynamic runs through the session layer ---
 
-// dynFeed appends one item to a dynamic session's engine, logs it to the op
-// log first (the durability ordering the server relies on), and steps the
-// session until the item's arrival event commits.
-func dynFeed(t *testing.T, ops *Writer, s *Session, arrival, departure float64, size vector.Vector) {
+// dynFeed logs one item to a dynamic session's op log and syncs it (the
+// durability ordering the server relies on), then appends it to the engine
+// and steps the session until the item's arrival event commits.
+func dynFeed(t *testing.T, s *Session, arrival, departure float64, size vector.Vector) {
 	t.Helper()
-	if ops != nil {
-		if err := ops.Append(AppendItemOp(nil, arrival, departure, size)); err != nil {
-			t.Fatalf("op append: %v", err)
-		}
-		if err := ops.Sync(); err != nil {
-			t.Fatalf("op sync: %v", err)
-		}
+	s.AppendOp(AppendItemOp(nil, arrival, departure, size))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("op log sync: %v", err)
 	}
 	id, err := s.Engine().AppendArrival(arrival, departure, size)
 	if err != nil {
@@ -361,7 +360,7 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 			t.Fatalf("Begin: %v", err)
 		}
 		for _, it := range items {
-			dynFeed(t, nil, s, it.Arrival, it.Departure, it.Size)
+			dynFeed(t, s, it.Arrival, it.Departure, it.Size)
 		}
 		res, err := s.Run()
 		if err != nil {
@@ -371,16 +370,11 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 	}
 	want := runAll(t.TempDir())
 
-	// Interrupted run: feed killAt items with an op log riding along, then
-	// abandon the session (Close syncs, standing in for the crash survivor
-	// state — torture_test covers literal torn tails).
+	// Interrupted run: feed killAt items, then abandon the session (Close
+	// syncs, standing in for the crash survivor state — the torture tests
+	// cover literal torn tails).
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Label: "tenant-dyn", Every: 25, SyncEvery: 1}
-	opsPath := filepath.Join(dir, "ops.dvbp")
-	ops, err := CreateOpLog(nil, opsPath, meta, 1)
-	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
-	}
 	e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "firstfit"), core.WithDynamicArrivals())
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -390,24 +384,27 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 		t.Fatalf("Begin: %v", err)
 	}
 	for _, it := range items[:killAt] {
-		dynFeed(t, ops, s, it.Arrival, it.Departure, it.Size)
+		dynFeed(t, s, it.Arrival, it.Departure, it.Size)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := ops.Close(); err != nil {
-		t.Fatalf("ops close: %v", err)
-	}
 
-	// Recover: rebuild the list from the op log, then replay the WAL against
-	// it. The snapshot taken mid-stream covers a strict prefix of the op-log
-	// list; recovery must accept it and replay the rest.
+	// Recover: rebuild the list from the op log, restore the newest snapshot
+	// and re-step to the log's position. The snapshot covers a strict prefix
+	// of the op-log list; recovery must accept it and re-step the rest.
+	opsPath := filepath.Join(dir, opsFile)
 	logged, err := ReadOpLog(nil, opsPath, "tenant-dyn")
 	if err != nil {
 		t.Fatalf("ReadOpLog: %v", err)
 	}
 	if logged.List.Len() != killAt {
 		t.Fatalf("op log rebuilt %d items, want %d", logged.List.Len(), killAt)
+	}
+	short := logged.List.Clone()
+	short.Items = short.Items[:killAt-1]
+	if _, err := Recover(short, cfg, core.WithDynamicArrivals()); err == nil {
+		t.Fatalf("Recover accepted a list that is not the op log's")
 	}
 	rec, err := Recover(logged.List, cfg, core.WithDynamicArrivals())
 	if err != nil {
@@ -416,19 +413,12 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 	if rec.SnapshotSeq == 0 {
 		t.Fatalf("recovery used no snapshot despite checkpoints every 25 events")
 	}
-	ops2, err := ReopenOpLog(nil, opsPath, logged.ValidSize, 1)
-	if err != nil {
-		t.Fatalf("ReopenOpLog: %v", err)
-	}
 	for _, it := range items[killAt:] {
-		dynFeed(t, ops2, rec.Session, it.Arrival, it.Departure, it.Size)
+		dynFeed(t, rec.Session, it.Arrival, it.Departure, it.Size)
 	}
 	res, err := rec.Session.Run()
 	if err != nil {
 		t.Fatalf("resumed Run: %v", err)
-	}
-	if err := ops2.Close(); err != nil {
-		t.Fatalf("ops close: %v", err)
 	}
 	if got := resultJSON(t, res); got != want {
 		t.Fatalf("recovered dynamic run diverged from uninterrupted run\ngot:  %s\nwant: %s", got, want)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,7 +32,7 @@ func testList(t *testing.T, n int) *item.List {
 
 // faultOpts is the engine configuration the persistence tests run under:
 // crashes, retries, capped bins, and an admission queue, so every event class
-// shows up in the WAL.
+// shows up in the digest.
 func faultOpts() []core.Option {
 	return []core.Option{
 		core.WithFaults(faults.MTBF{Mean: 30, Seed: 7}, faults.Fixed{Wait: 2.5}),
@@ -62,15 +63,13 @@ func resultJSON(t *testing.T, r *core.Result) string {
 
 func TestWriterReadFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rt.dvbp")
-	w, err := Create(nil, path, KindWAL, 2)
+	w, err := Create(nil, path, KindOpLog)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma-gamma"), {0, 1, 2, 255}}
 	for _, p := range payloads {
-		if err := w.Append(p); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		w.Append(p)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -79,7 +78,7 @@ func TestWriterReadFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if fd.Kind != KindWAL || fd.Torn != nil {
+	if fd.Kind != KindOpLog || fd.Torn != nil {
 		t.Fatalf("kind=%d torn=%v", fd.Kind, fd.Torn)
 	}
 	if fd.ValidSize != fd.Size || fd.Size != w.Size() {
@@ -98,14 +97,9 @@ func TestWriterReadFileRoundTrip(t *testing.T) {
 func TestReadFileTruncatesDamagedTail(t *testing.T) {
 	write := func(t *testing.T) (string, *FileData) {
 		path := filepath.Join(t.TempDir(), "dmg.dvbp")
-		w, err := Create(nil, path, KindSnapshot, 0)
+		w, err := Create(nil, path, KindSnapshot, []byte("one"), []byte("two"), []byte("three"))
 		if err != nil {
 			t.Fatalf("Create: %v", err)
-		}
-		for _, p := range [][]byte{[]byte("one"), []byte("two"), []byte("three")} {
-			if err := w.Append(p); err != nil {
-				t.Fatalf("Append: %v", err)
-			}
 		}
 		if err := w.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -186,13 +180,18 @@ func TestReadFileRejectsDamagedHeader(t *testing.T) {
 		{"short", magic[:4]},
 		{"bad magic", bytes.Repeat([]byte{'x'}, headerSize)},
 		{"bad version", func() []byte {
-			h := appendHeader(nil, KindWAL)
+			h := appendHeader(nil, KindOpLog)
 			h[8] = 99
 			return h
 		}()},
 		{"bad kind", func() []byte {
-			h := appendHeader(nil, KindWAL)
+			h := appendHeader(nil, KindOpLog)
 			h[12] = 77
+			return h
+		}()},
+		{"retired WAL kind", func() []byte {
+			h := appendHeader(nil, KindOpLog)
+			h[12] = 1
 			return h
 		}()},
 	}
@@ -215,55 +214,49 @@ func TestReadFileRejectsDamagedHeader(t *testing.T) {
 }
 
 func TestCorruptionErrorFormat(t *testing.T) {
-	ce := &CorruptionError{Path: "/x/wal.dvbp", Offset: 40, Record: 2, Reason: "checksum mismatch"}
-	for _, want := range []string{"/x/wal.dvbp", "40", "checksum mismatch"} {
+	ce := &CorruptionError{Path: "/x/ops.dvbp", Offset: 40, Record: 2, Reason: "checksum mismatch"}
+	for _, want := range []string{"/x/ops.dvbp", "40", "checksum mismatch"} {
 		if !strings.Contains(ce.Error(), want) {
 			t.Fatalf("Error() = %q lacks %q", ce.Error(), want)
 		}
 	}
 }
 
-// --- event record codec ---
+// --- event digest ---
 
-func TestEventRecordRoundTrip(t *testing.T) {
-	recs := []core.EventRecord{
-		{Seq: 1, Class: core.EventArrival, Time: 0, ItemID: 0, BinID: 0, Placed: true, Opened: true},
-		{Seq: 2, Class: core.EventDeparture, Time: 3.25, ItemID: 17, BinID: 4},
-		{Seq: 3, Class: core.EventCrash, Time: 1e-9, ItemID: -1, BinID: 2},
-		{Seq: 4, Class: core.EventRetry, Time: 1e17, ItemID: 1 << 30, BinID: -1, Placed: true},
+// TestEventDigestCoversEveryField pins what the digest marks can detect: a
+// change to any field of any committed event changes the event's record
+// bytes, and with them the rolling digest from that event on.
+func TestEventDigestCoversEveryField(t *testing.T) {
+	base := core.EventRecord{Seq: 4, Class: core.EventRetry, Time: 1e17, ItemID: 1 << 30, BinID: -1, Placed: true}
+	variants := []func(r *core.EventRecord){
+		func(r *core.EventRecord) { r.Seq++ },
+		func(r *core.EventRecord) { r.Class = core.EventArrival },
+		func(r *core.EventRecord) { r.Time = math.Nextafter(r.Time, 0) },
+		func(r *core.EventRecord) { r.ItemID-- },
+		func(r *core.EventRecord) { r.BinID = 0 },
+		func(r *core.EventRecord) { r.Placed = false },
+		func(r *core.EventRecord) { r.Opened = true },
 	}
-	var buf []byte
-	for _, want := range recs {
-		buf = AppendEventRecord(buf[:0], want)
-		got, err := DecodeEventRecord(buf)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", want, err)
-		}
-		if got != want {
-			t.Fatalf("round trip: got %+v want %+v", got, want)
+	prefix := core.EventRecord{Seq: 3, Class: core.EventDeparture, Time: 3.25, ItemID: 17, BinID: 4}
+	var want eventDigest
+	want.fold(prefix)
+	want.fold(base)
+	for i, mutate := range variants {
+		ev := base
+		mutate(&ev)
+		var got eventDigest
+		got.fold(prefix)
+		got.fold(ev)
+		if got.sum == want.sum {
+			t.Fatalf("variant %d (%+v) folds to the same digest as %+v", i, ev, base)
 		}
 	}
-}
-
-func TestDecodeEventRecordRejectsGarbage(t *testing.T) {
-	good := AppendEventRecord(nil, core.EventRecord{Seq: 5, Class: core.EventArrival, Time: 1, ItemID: 3, BinID: 2, Placed: true})
-	cases := [][]byte{
-		nil,
-		{250},                    // unknown class
-		good[:len(good)-1],       // truncated
-		append(good, 9),          // trailing byte
-		{0, 2, 0, 0, 0, 0, 0, 0}, // truncated time
-		func() []byte { b := append([]byte(nil), good...); b[len(b)-1] = 0xF0; return b }(), // unknown flags
-	}
-	for i, payload := range cases {
-		if _, err := DecodeEventRecord(payload); err == nil {
-			t.Fatalf("case %d: garbage decoded cleanly", i)
-		} else {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("case %d: want *CorruptionError, got %T", i, err)
-			}
-		}
+	var again eventDigest
+	again.fold(prefix)
+	again.fold(base)
+	if again.sum != want.sum {
+		t.Fatalf("the digest is not a function of the events: %016x vs %016x", again.sum, want.sum)
 	}
 }
 
@@ -360,8 +353,8 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 
 // --- session + recovery ---
 
-// referenceRun completes an uninterrupted persisted run and returns its final
-// result and metrics JSON.
+// referenceRun completes an uninterrupted persisted run, with a digest mark
+// after every event, and returns its final result and metrics JSON.
 func referenceRun(t *testing.T, l *item.List, policy string, dir string, every int64) (string, string) {
 	t.Helper()
 	col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
@@ -370,7 +363,7 @@ func referenceRun(t *testing.T, l *item.List, policy string, dir string, every i
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), Config{Dir: dir, Every: every, Aux: []AuxCodec{col.Registry()}})
+	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), Config{Dir: dir, Every: every, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}})
 	if err != nil {
 		e.Close()
 		t.Fatalf("Begin: %v", err)
@@ -413,7 +406,7 @@ func TestSessionRecoverResume(t *testing.T) {
 		// Simulate a hard kill: drop the session on the floor, releasing only
 		// the descriptor and the policy guard. Nothing is flushed or synced
 		// beyond what already happened.
-		s.wal.f.Close()
+		s.log.f.Close()
 		s.engine.Close()
 
 		rcol := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
@@ -424,8 +417,8 @@ func TestSessionRecoverResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crashAfter=%d Recover: %v", crashAfter, err)
 		}
-		if rec.Session.Logged() != crashAfter {
-			t.Fatalf("crashAfter=%d: recovered %d logged events", crashAfter, rec.Session.Logged())
+		if got := rec.Session.Engine().EventSeq(); got != crashAfter {
+			t.Fatalf("crashAfter=%d: recovered at event %d", crashAfter, got)
 		}
 		if want := (crashAfter / 16) * 16; rec.SnapshotSeq != want {
 			t.Fatalf("crashAfter=%d: restored from snapshot %d, want %d", crashAfter, rec.SnapshotSeq, want)
@@ -468,7 +461,7 @@ func TestRecoverWithoutSnapshotsReplaysFromScratch(t *testing.T) {
 			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	s.wal.f.Close()
+	s.log.f.Close()
 	s.engine.Close()
 
 	rec, err := Recover(l, cfg, faultOpts()...)
@@ -537,7 +530,7 @@ func TestRecoverMismatchedOptionsDiverges(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Replay verification must notice that the run is being resumed under a
+	// The digest marks must notice that the run is being resumed under a
 	// different fault schedule.
 	_, err = Recover(l, cfg, core.WithFaults(faults.MTBF{Mean: 5, Seed: 99}, faults.Fixed{Wait: 1}), core.WithMaxBins(4), core.WithAdmissionQueue(8))
 	var ce *CorruptionError

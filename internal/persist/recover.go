@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -14,47 +13,47 @@ import (
 )
 
 // Recovery reports how a run was brought back: which snapshot seeded the
-// engine, how many WAL events were verified by replay, and every corruption
-// that was detected and tolerated along the way.
+// engine, how many events were re-stepped past it, and every corruption that
+// was detected and tolerated along the way.
 type Recovery struct {
-	// Session is the resumed session, positioned exactly where the durable
-	// log ends; Step/Run continue the run, Finish seals it.
+	// Session is the resumed session, positioned exactly where the op log
+	// pins the run; Step/Run continue the run, Finish seals it.
 	Session *Session
 	// Meta is the recovered run's identity.
 	Meta RunMeta
 	// SnapshotSeq is the event sequence of the snapshot the engine was
-	// restored from (0 = no usable snapshot, replayed from scratch).
+	// restored from (0 = no usable snapshot, re-stepped from the start).
 	SnapshotSeq int64
 	// SnapshotPath is the file the engine was restored from ("" for scratch).
 	SnapshotPath string
-	// Replayed is the number of WAL events re-stepped and verified.
+	// Replayed is the number of events re-stepped past the snapshot.
 	Replayed int64
-	// CompactBase is the event sequence the WAL was compacted to (0 when the
-	// log was never compacted): events 1..CompactBase exist only inside a
-	// snapshot, and the WAL's first event record claims seq CompactBase+1.
-	CompactBase int64
 	// SweptTemp counts orphaned atomic-write temp files (".tmp-" leftovers
 	// from a crash mid-rename) deleted before recovery began.
 	SweptTemp int
-	// Corruptions lists every defect recovery tolerated: torn WAL tails,
-	// out-of-sequence log records, and snapshots it had to skip. Recovery
-	// only fails outright when nothing consistent remains.
+	// Corruptions lists every defect recovery tolerated: a torn op-log tail
+	// and the snapshots it had to skip. Recovery only fails outright when
+	// nothing consistent remains.
 	Corruptions []*CorruptionError
 }
 
-// Recover resumes the persisted run in cfg.Dir against the given instance.
-// The opts must reproduce the original run's configuration (injector, retry,
+// Recover resumes the persisted run in cfg.Dir against the given instance
+// (for a dynamic run, the list ReadOpLog rebuilt from the same log). The
+// opts must reproduce the original run's configuration (injector, retry,
 // admission control, observers) — the engine is deterministic in them, and
-// replay verification catches a mismatch as a divergence.
+// the digest marks catch a mismatch as a divergence.
 //
-// Recovery: sweep temp-file orphans; read the WAL, honouring a compaction
-// marker and truncating at the first torn or out-of-sequence record; restore
-// the newest snapshot that decodes cleanly, matches the run, and fits between
-// the compaction base and the durable log (older snapshots, then a fresh
-// engine when the log was never compacted, are the fallbacks); re-step the
-// engine through the logged suffix, checking every regenerated event against
-// the log bit for bit; then reopen the WAL for appending, with any torn tail
-// truncated away.
+// Recovery: sweep temp-file orphans; read the op log, truncating at the
+// first torn record; restore the newest snapshot that decodes cleanly,
+// carries an event digest and matches the run (a fresh engine when none
+// does); re-step the engine to the position the log pins, comparing the
+// rolling event digest at every mark it passes; then reopen the log for
+// appending, with any torn tail truncated away.
+//
+// The position of a static run is the later of the restored snapshot and
+// the last mark. A dynamic run's is where every logged item's arrival has
+// committed and then every pending event at or before the largest logged
+// advance target.
 func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("persist: no checkpoint directory configured")
@@ -64,14 +63,6 @@ func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	}
 	fsys := vfs.OrOS(cfg.FS)
 	rec := &Recovery{}
-	// Every corruption detected below carries the run's identity, so
-	// multi-tenant recovery logs name the damaged tenant, not just a path.
-	brand := func(ce *CorruptionError) *CorruptionError {
-		if ce.Run == "" {
-			ce.Run = cfg.Label
-		}
-		return ce
-	}
 
 	// 0. Sweep orphaned atomic-write temp files: a crash between CreateTemp
 	// and Rename leaves a ".tmp-" file that no future rename will claim.
@@ -79,33 +70,22 @@ func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	// renames a temp it just wrote — so deleting them is always safe.
 	rec.SweptTemp = sweepTempFiles(fsys, cfg.Dir)
 
-	// 1. The write-ahead log: meta record, an optional compaction marker,
-	// then one record per event past the compaction base.
-	walPath := filepath.Join(cfg.Dir, walFile)
-	fd, err := ReadFile(fsys, walPath)
+	// 1. The op log: the run's identity, a dynamic run's inputs, and the
+	// digest marks. Every corruption it reports carries the run's label.
+	path := filepath.Join(cfg.Dir, opsFile)
+	logged, err := ReadOpLog(fsys, path, cfg.Label)
 	if err != nil {
-		var ce *CorruptionError
-		if errors.As(err, &ce) {
-			brand(ce)
-		}
 		return nil, fmt.Errorf("recovering %s: %w", cfg.Dir, err)
 	}
-	if fd.Kind != KindWAL {
-		return nil, brand(&CorruptionError{Path: walPath, Offset: -1, Record: -1, Reason: fmt.Sprintf("expected a WAL file, found kind %d", fd.Kind)})
+	if logged.Torn != nil {
+		rec.Corruptions = append(rec.Corruptions, logged.Torn)
 	}
-	if fd.Torn != nil {
-		rec.Corruptions = append(rec.Corruptions, brand(fd.Torn))
+	meta := logged.Meta
+	err = meta.check(l)
+	if err == nil && meta.Dynamic && !sameItems(l, logged.List) {
+		err = fmt.Errorf("persist: the supplied %d-item list is not the %d items %s logs", l.Len(), logged.List.Len(), path)
 	}
-	if len(fd.Records) == 0 {
-		return nil, brand(&CorruptionError{Path: walPath, Offset: headerSize, Record: 0, Reason: "no run meta record survived"})
-	}
-	meta, err := decodeMeta(fd.Records[0])
 	if err != nil {
-		ce := err.(*CorruptionError)
-		ce.Path, ce.Offset, ce.Record = walPath, fd.Offsets[0], 0
-		return nil, brand(ce)
-	}
-	if err := meta.check(l); err != nil {
 		if cfg.Label != "" {
 			return nil, fmt.Errorf("run %q: %w", cfg.Label, err)
 		}
@@ -113,85 +93,93 @@ func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	}
 	rec.Meta = meta
 
-	// A compacted WAL declares its base in the record right after the meta.
-	// The marker is load-bearing — without it the event numbering cannot be
-	// verified — so an undecodable one is fatal, not a tolerated truncation.
-	var base int64
-	firstEvRec := 1 // file record index of the first event record
-	evRecords, evOffsets := fd.Records[1:], fd.Offsets[1:]
-	if len(evRecords) > 0 && isCompactMarker(evRecords[0]) {
-		base, err = decodeCompactMarker(evRecords[0])
-		if err != nil {
-			ce := err.(*CorruptionError)
-			ce.Path, ce.Offset, ce.Record = walPath, evOffsets[0], 1
-			return nil, brand(ce)
-		}
-		evRecords, evOffsets = evRecords[1:], evOffsets[1:]
-		firstEvRec = 2
-	}
-	rec.CompactBase = base
-
-	// Decode the event suffix, truncating at the first undecodable or
-	// out-of-sequence record (a valid checksum does not guarantee the run
-	// that wrote it agreed with this one about numbering).
-	events := make([]core.EventRecord, 0, len(evRecords))
-	validSize := fd.ValidSize
-	for i, payload := range evRecords {
-		ev, err := DecodeEventRecord(payload)
-		if err == nil && ev.Seq != base+int64(len(events))+1 {
-			err = corrupt("event out of sequence: record claims seq %d, expected %d", ev.Seq, base+int64(len(events))+1)
-		}
-		if err != nil {
-			ce := err.(*CorruptionError)
-			ce.Path, ce.Offset, ce.Record = walPath, evOffsets[i], i+firstEvRec
-			rec.Corruptions = append(rec.Corruptions, brand(ce))
-			validSize = evOffsets[i]
-			break
-		}
-		events = append(events, ev)
-	}
-	walEvents := base + int64(len(events))
-
-	// 2. The newest usable snapshot. Damaged or over-eager candidates (a
-	// snapshot ahead of the durable log after a tail truncation) are skipped,
-	// not fatal — unless the WAL was compacted, in which case a snapshot at
-	// or past the base is the only way back: the events below it are gone.
-	engine, err := restoreNewest(fsys, l, meta, cfg, opts, base, walEvents, rec)
+	// 2. The newest usable snapshot, or a fresh engine.
+	engine, digest, err := restoreNewest(fsys, l, meta, cfg, opts, rec)
 	if err != nil {
 		return nil, err
 	}
-
-	// 3. Replay with verification: the deterministic engine must regenerate
-	// the logged suffix exactly.
-	for walEvents > engine.EventSeq() {
-		want := events[engine.EventSeq()-base]
-		got, ok, err := engine.Step()
-		if err != nil {
-			engine.Close()
-			return nil, fmt.Errorf("persist: replay failed at event %d: %w", want.Seq, err)
-		}
-		if !ok {
-			engine.Close()
-			return nil, brand(&CorruptionError{Path: walPath, Offset: -1, Record: -1,
-				Reason: fmt.Sprintf("log holds events up to %d but the run ends after %d — wrong instance or options", walEvents, engine.EventSeq())})
-		}
-		if got != want {
-			engine.Close()
-			return nil, brand(&CorruptionError{Path: walPath, Offset: -1, Record: -1,
-				Reason: fmt.Sprintf("replay divergence at event %d: engine regenerated %+v, log holds %+v — corrupt log or mismatched run options", want.Seq, got, want)})
-		}
-		rec.Replayed++
+	corruptLog := func(reason string, args ...any) error {
+		engine.Close()
+		return &CorruptionError{Run: cfg.Label, Path: path, Offset: -1, Record: -1, Reason: fmt.Sprintf(reason, args...)}
 	}
 
-	// 4. Reopen the log for appending, truncated to its verified prefix.
-	wal, err := openAppend(fsys, walPath, validSize, cfg.SyncEvery)
+	// 3. Re-step to the position, checking the digest at every mark. Marks
+	// before the restored event cannot be checked: the snapshot carries only
+	// the digest at its own event.
+	marks := logged.marks
+	for len(marks) > 0 && marks[0].Seq < engine.EventSeq() {
+		marks = marks[1:]
+	}
+	verify := func(seq int64) error {
+		if len(marks) == 0 || marks[0].Seq != seq {
+			return nil
+		}
+		m := marks[0]
+		marks = marks[1:]
+		if m.Digest == digest.sum {
+			return nil
+		}
+		return corruptLog("replay divergence at event %d: the engine's event digest is %016x, the log marks %016x — corrupt log or mismatched run options", seq, digest.sum, m.Digest)
+	}
+	if err := verify(engine.EventSeq()); err != nil {
+		return nil, err
+	}
+	short := func() bool { return len(marks) > 0 }
+	if meta.Dynamic {
+		short = func() bool {
+			if engine.Stats().ArrivalsPending > 0 {
+				return true
+			}
+			t, ok := engine.PeekTime()
+			return ok && t <= logged.MaxAdvance
+		}
+	}
+	for short() {
+		ev, ok, err := engine.Step()
+		if err != nil {
+			engine.Close()
+			return nil, fmt.Errorf("persist: replay failed at event %d: %w", engine.EventSeq()+1, err)
+		}
+		if !ok {
+			break
+		}
+		digest.fold(ev)
+		rec.Replayed++
+		if err := verify(ev.Seq); err != nil {
+			return nil, err
+		}
+	}
+	if len(marks) > 0 {
+		return nil, corruptLog("the log marks event %d, past the run's end position %d — wrong instance or options", marks[0].Seq, engine.EventSeq())
+	}
+
+	// 4. Reopen the log for appending, truncated to its intact prefix.
+	log, err := openAppend(fsys, path, logged.ValidSize)
 	if err != nil {
 		engine.Close()
 		return nil, err
 	}
-	rec.Session = &Session{cfg: cfg, fsys: fsys, meta: meta, engine: engine, wal: wal,
-		logged: walEvents, walBase: base, lastSnap: rec.SnapshotSeq}
+	var last int64
+	if n := len(logged.marks); n > 0 {
+		last = logged.marks[n-1].Seq
+	}
+	rec.Session = &Session{cfg: cfg, fsys: fsys, meta: meta, engine: engine, log: log,
+		digest: digest, marked: last, durable: last}
 	return rec, nil
+}
+
+// sameItems reports whether two lists hold equal items in the same order.
+func sameItems(a, b *item.List) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i, x := range a.Items {
+		y := b.Items[i]
+		if x.Arrival != y.Arrival || x.Departure != y.Departure || !x.Size.Equal(y.Size, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // sweepTempFiles deletes atomic-write leftovers (names containing ".tmp-")
@@ -243,14 +231,13 @@ func listSnapshots(fsys vfs.FS, dir string) ([]snapFile, error) {
 	return out, nil
 }
 
-// restoreNewest restores the engine from the newest usable snapshot between
-// base and walEvents, falling back through older snapshots and — only when
-// the WAL was never compacted — to a fresh engine. Skipped snapshots are
-// recorded in rec.Corruptions.
-func restoreNewest(fsys vfs.FS, l *item.List, meta RunMeta, cfg Config, opts []core.Option, base, walEvents int64, rec *Recovery) (*core.Engine, error) {
+// restoreNewest restores the engine, and the event digest at its event, from
+// the newest usable snapshot, falling back through older snapshots to a
+// fresh engine. Skipped snapshots are recorded in rec.Corruptions.
+func restoreNewest(fsys vfs.FS, l *item.List, meta RunMeta, cfg Config, opts []core.Option, rec *Recovery) (*core.Engine, eventDigest, error) {
 	snaps, err := listSnapshots(fsys, cfg.Dir)
 	if err != nil {
-		return nil, err
+		return nil, eventDigest{}, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		sf := snaps[i]
@@ -259,97 +246,89 @@ func restoreNewest(fsys vfs.FS, l *item.List, meta RunMeta, cfg Config, opts []c
 			ce := &CorruptionError{Run: cfg.Label, Path: path, Offset: -1, Record: -1, Reason: why, Err: cause}
 			rec.Corruptions = append(rec.Corruptions, ce)
 		}
-		if sf.seq > walEvents {
-			skip(fmt.Sprintf("snapshot at event %d is ahead of the %d-event durable log", sf.seq, walEvents), nil)
-			continue
-		}
-		if sf.seq < base {
-			// The events between this snapshot and the base were compacted
-			// away; restoring it would leave an unreplayable gap.
-			skip(fmt.Sprintf("snapshot at event %d predates the compacted log base %d", sf.seq, base), nil)
-			continue
-		}
-		engine, err := restoreSnapshotFile(fsys, path, l, meta, cfg, opts)
+		engine, mark, err := restoreSnapshotFile(fsys, path, l, meta, cfg, opts)
 		if err != nil {
 			skip("unusable snapshot", err)
 			continue
 		}
-		if engine.EventSeq() != sf.seq {
+		if engine.EventSeq() != sf.seq || mark.Seq != sf.seq {
 			engine.Close()
-			skip(fmt.Sprintf("snapshot content is at event %d but file name claims %d", engine.EventSeq(), sf.seq), nil)
+			skip(fmt.Sprintf("snapshot content is at event %d with a digest at event %d but file name claims %d", engine.EventSeq(), mark.Seq, sf.seq), nil)
 			continue
 		}
 		rec.SnapshotSeq = sf.seq
 		rec.SnapshotPath = path
-		return engine, nil
+		return engine, eventDigest{sum: mark.Digest}, nil
 	}
-	if base > 0 {
-		// Compaction only ever truncates below a durable snapshot and prunes
-		// strictly below the base, so losing every snapshot >= base means the
-		// directory was damaged beyond what the log can reconstruct.
-		return nil, &CorruptionError{Run: cfg.Label, Path: cfg.Dir, Offset: -1, Record: -1,
-			Reason: fmt.Sprintf("WAL is compacted to event %d but no usable snapshot at or past it remains", base)}
-	}
-	// From scratch: a fresh engine replays the whole log.
+	// From scratch: a fresh engine re-steps the whole run.
 	p, err := core.NewPolicy(meta.Policy, meta.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, eventDigest{}, fmt.Errorf("persist: %w", err)
 	}
 	engine, err := core.NewEngine(l, p, opts...)
 	if err != nil {
-		return nil, err
+		return nil, eventDigest{}, err
 	}
-	return engine, nil
+	return engine, eventDigest{}, nil
 }
 
-// restoreSnapshotFile loads one snapshot file into a restored engine and
-// applies its aux blobs.
-func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, cfg Config, opts []core.Option) (*core.Engine, error) {
+// restoreSnapshotFile loads one snapshot file into a restored engine,
+// applies its aux blobs, and returns the digest mark it carries.
+func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, cfg Config, opts []core.Option) (*core.Engine, Op, error) {
+	var mark Op
 	fd, err := ReadFile(fsys, path)
 	if err != nil {
-		return nil, err
+		return nil, mark, err
 	}
 	if fd.Kind != KindSnapshot {
-		return nil, corrupt("expected a snapshot file, found kind %d", fd.Kind)
+		return nil, mark, corrupt("expected a snapshot file, found kind %d", fd.Kind)
 	}
 	if fd.Torn != nil {
-		// Unlike the WAL, a snapshot is all-or-nothing: a torn tail may have
-		// taken aux records with it, and partial aux state breaks the
+		// Unlike the op log, a snapshot is all-or-nothing: a torn tail may
+		// have taken aux records with it, and partial aux state breaks the
 		// checkpoint-equals-replay contract.
-		return nil, fd.Torn
+		return nil, mark, fd.Torn
 	}
-	if len(fd.Records) < 2 {
-		return nil, corrupt("snapshot file has %d records, want meta + snapshot", len(fd.Records))
+	if len(fd.Records) < 3 {
+		return nil, mark, corrupt("snapshot file has %d records, want meta + digest + snapshot", len(fd.Records))
 	}
 	fileMeta, err := decodeMeta(fd.Records[0])
 	if err != nil {
-		return nil, err
+		return nil, mark, err
 	}
 	if !fileMeta.equal(meta) {
-		return nil, corrupt("snapshot belongs to a different run (meta %+v, want %+v)", fileMeta, meta)
+		return nil, mark, corrupt("snapshot belongs to a different run (meta %+v, want %+v)", fileMeta, meta)
 	}
-	snap, err := DecodeSnapshot(fd.Records[1])
+	// A snapshot written before event digests holds the engine snapshot in
+	// this record, whose first byte is its codec version, never OpMark.
+	if p := fd.Records[1]; len(p) == 0 || OpKind(p[0]) != OpMark {
+		return nil, mark, corrupt("snapshot carries no event digest")
+	}
+	if mark, err = DecodeOp(fd.Records[1], meta.Dim); err != nil {
+		return nil, mark, err
+	}
+	snap, err := DecodeSnapshot(fd.Records[2])
 	if err != nil {
-		return nil, err
+		return nil, mark, err
 	}
 	p, err := core.NewPolicy(meta.Policy, meta.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, mark, fmt.Errorf("persist: %w", err)
 	}
 	engine, err := core.RestoreEngine(l, p, snap, opts...)
 	if err != nil {
-		return nil, err
+		return nil, mark, err
 	}
 	byKey := make(map[string][]byte)
-	for _, payload := range fd.Records[2:] {
+	for _, payload := range fd.Records[3:] {
 		key, blob, err := decodeAux(payload)
 		if err != nil {
 			engine.Close()
-			return nil, err
+			return nil, mark, err
 		}
 		if _, dup := byKey[key]; dup {
 			engine.Close()
-			return nil, corrupt("duplicate aux record %q", key)
+			return nil, mark, corrupt("duplicate aux record %q", key)
 		}
 		byKey[key] = blob
 	}
@@ -357,12 +336,12 @@ func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, c
 		blob, ok := byKey[aux.AuxKey()]
 		if !ok {
 			engine.Close()
-			return nil, corrupt("snapshot carries no aux record %q", aux.AuxKey())
+			return nil, mark, corrupt("snapshot carries no aux record %q", aux.AuxKey())
 		}
 		if err := aux.UnmarshalAux(blob); err != nil {
 			engine.Close()
-			return nil, &CorruptionError{Path: path, Offset: -1, Record: -1, Reason: fmt.Sprintf("aux %q rejected its blob", aux.AuxKey()), Err: err}
+			return nil, mark, &CorruptionError{Path: path, Offset: -1, Record: -1, Reason: fmt.Sprintf("aux %q rejected its blob", aux.AuxKey()), Err: err}
 		}
 	}
-	return engine, nil
+	return engine, mark, nil
 }

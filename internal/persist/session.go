@@ -11,7 +11,7 @@ import (
 
 // File names inside a checkpoint directory.
 const (
-	walFile    = "wal.dvbp"
+	opsFile    = "ops.dvbp"
 	snapPrefix = "snap-"
 	snapSuffix = ".dvbp"
 )
@@ -40,47 +40,42 @@ type Config struct {
 	Dir string
 	// Label names the run for error reporting — the tenant name in a
 	// multi-tenant directory layout. Every *CorruptionError that recovery
-	// detects or tolerates carries it, so logs say whose WAL was truncated
+	// detects or tolerates carries it, so logs say whose op log was truncated
 	// rather than just which file.
 	Label string
 	// Every takes an automatic checkpoint after this many events; 0 disables
-	// automatic checkpoints (the WAL alone still recovers via full replay).
+	// automatic checkpoints (recovery then re-steps the run from its start).
 	Every int64
-	// SyncEvery batches WAL fsyncs (default 64 records; SyncManual disables
-	// auto-sync so only explicit barriers reach the device).
+	// SyncEvery is how many events Step commits between automatic op-log
+	// fsyncs (default 64; SyncManual leaves every fsync to explicit Sync
+	// calls).
 	SyncEvery int
 	// Aux subsystems checkpointed alongside the engine.
 	Aux []AuxCodec
 	// FS is the filesystem seam every file operation goes through; nil means
 	// the real filesystem. Tests inject vfs.Mem or a vfs.Injector here.
 	FS vfs.FS
-	// Compact truncates the WAL prefix after each successful automatic
-	// checkpoint (and prunes snapshots below the new base), bounding on-disk
-	// size by the snapshot interval instead of the run length. See
-	// Session.Compact and DESIGN.md §15.
+	// Compact has no effect; it stays so existing callers compile. Every
+	// checkpoint deletes the snapshots older than itself (DESIGN.md §15).
 	Compact bool
 }
 
 // IOStats counts the I/O weather a session rode through: transient failures
-// it absorbed (to be retried by later barriers), checkpoints it skipped, and
-// the compactions it completed. TakeIOStats drains them; the server exports
-// them as metrics.
+// it absorbed (to be retried by later barriers) and checkpoints it skipped.
+// TakeIOStats drains them; the server exports them as metrics.
 type IOStats struct {
-	// SyncFailures counts recoverable WAL auto-sync failures that were
-	// absorbed: the records stayed buffered and a later Sync retried them.
+	// SyncFailures counts recoverable failures of Step's automatic op-log
+	// fsync that were absorbed: the records stayed buffered and a later Sync
+	// retried them.
 	SyncFailures int64
 	// CheckpointsSkipped counts automatic checkpoints skipped on recoverable
 	// I/O errors; the next interval tries again.
 	CheckpointsSkipped int64
-	// Compactions counts completed WAL compactions.
-	Compactions int64
-	// ReclaimedBytes sums the on-disk bytes compaction reclaimed (WAL prefix
-	// plus pruned snapshots).
-	ReclaimedBytes int64
 }
 
-// Session couples a stepping engine to its write-ahead log: every committed
-// event is appended to the WAL before the next one runs, and checkpoints
+// Session couples a stepping engine to its op log, the run's one durable
+// log: a dynamic run's inputs go in before the engine steps them, every
+// barrier adds a digest mark of the events committed so far, and checkpoints
 // capture engine + aux state between events. The caller owns the engine's
 // lifecycle through the session (Step/Finish/Close), never directly.
 type Session struct {
@@ -88,18 +83,18 @@ type Session struct {
 	fsys   vfs.FS
 	meta   RunMeta
 	engine *core.Engine
-	wal    *Writer
+	log    *Writer
+	digest eventDigest
 	buf    []byte
-	logged int64 // events in the WAL (lifetime count, compaction included)
 
-	walBase  int64 // events truncated away by compaction (WAL holds base+1..logged)
-	lastSnap int64 // event seq of the newest durable snapshot this session took
-	stats    IOStats
+	marked  int64 // event seq of the newest mark appended to the log
+	durable int64 // event seq of the newest mark the log holds durably
+	stats   IOStats
 }
 
-// Begin starts persisting a fresh run: it creates the directory, the WAL
-// (truncating any previous run in the directory), and an initial checkpoint
-// at event 0 when cfg.Every > 0.
+// Begin starts persisting a fresh run: it creates the directory and the op
+// log (truncating any previous run in the directory), whose durable meta
+// record identifies the run.
 func Begin(e *core.Engine, meta RunMeta, cfg Config) (*Session, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("persist: no checkpoint directory configured")
@@ -125,42 +120,15 @@ func Begin(e *core.Engine, meta RunMeta, cfg Config) (*Session, error) {
 			return nil, ioErr("remove", f.name, err)
 		}
 	}
-	wal, err := Create(fsys, filepath.Join(cfg.Dir, walFile), KindWAL, cfg.SyncEvery)
+	log, err := Create(fsys, filepath.Join(cfg.Dir, opsFile), KindOpLog, encodeMeta(meta))
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, fsys: fsys, meta: meta, engine: e, wal: wal}
-	if err := wal.Append(encodeMeta(meta)); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if err := wal.Sync(); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if err := syncDir(fsys, cfg.Dir); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if cfg.Every > 0 {
-		if err := s.Checkpoint(); err != nil {
-			wal.Close()
-			return nil, err
-		}
-	}
-	return s, nil
+	return &Session{cfg: cfg, fsys: fsys, meta: meta, engine: e, log: log}, nil
 }
 
 // Engine exposes the engine the session is persisting.
 func (s *Session) Engine() *core.Engine { return s.engine }
-
-// Logged returns the number of events appended to the WAL over the session's
-// lifetime (compaction does not reduce it).
-func (s *Session) Logged() int64 { return s.logged }
-
-// WALSize returns the WAL's current size, buffered bytes included — the
-// quantity compaction bounds.
-func (s *Session) WALSize() int64 { return s.wal.Size() }
 
 // TakeIOStats returns and resets the session's I/O counters.
 func (s *Session) TakeIOStats() IOStats {
@@ -169,66 +137,100 @@ func (s *Session) TakeIOStats() IOStats {
 	return st
 }
 
-// Step commits one engine event and appends it to the WAL, then takes an
-// automatic checkpoint (and, with cfg.Compact, a WAL compaction) when the
-// configured interval elapses. ok=false means the run is complete (call
+// AppendOp buffers one op-log record (AppendItemOp, AppendAdvanceOp) for the
+// next Sync. A dynamic run's ops must be durable before the engine steps the
+// events they cause: recovery re-steps the engine to what the log holds.
+func (s *Session) AppendOp(payload []byte) { s.log.Append(payload) }
+
+// Step commits one engine event and folds it into the event digest, syncs
+// the op log every SyncEvery events, and takes an automatic checkpoint when
+// the configured interval elapses. ok=false means the run is complete (call
 // Finish).
 //
-// Recoverable I/O errors (transient EIO, a full disk) on the auto-sync,
-// checkpoint, and compaction paths are absorbed and counted in IOStats, not
-// returned: the appended records stay buffered and the next barrier retries
-// them, a skipped checkpoint just means the next interval tries again. An
-// error from Step is therefore always corruption or fatal.
+// Recoverable I/O errors (transient EIO, a full disk) on the auto-sync and
+// checkpoint paths are absorbed and counted in IOStats, not returned: the
+// appended records stay buffered and the next barrier retries them, a skipped
+// checkpoint just means the next interval tries again. An error from Step is
+// therefore always corruption or fatal.
 func (s *Session) Step() (rec core.EventRecord, ok bool, err error) {
 	rec, ok, err = s.engine.Step()
 	if err != nil || !ok {
 		return rec, ok, err
 	}
-	s.buf = AppendEventRecord(s.buf[:0], rec)
-	if err := s.wal.Append(s.buf); err != nil {
-		if !Recoverable(err) {
-			return rec, false, err
-		}
-		s.stats.SyncFailures++ // records stay buffered; a later Sync retries
+	s.digest.fold(rec)
+	every := int64(s.cfg.SyncEvery)
+	if every == 0 {
+		every = defaultSyncEvery
 	}
-	s.logged++
-	if s.cfg.Every > 0 && s.logged%s.cfg.Every == 0 {
+	if every > 0 && rec.Seq-s.durable >= every {
+		if err := s.Sync(); err != nil {
+			if !Recoverable(err) {
+				return rec, false, err
+			}
+			s.stats.SyncFailures++ // records stay buffered; a later Sync retries
+		}
+	}
+	if s.cfg.Every > 0 && rec.Seq%s.cfg.Every == 0 {
 		if err := s.Checkpoint(); err != nil {
 			if !Recoverable(err) {
 				return rec, false, err
 			}
 			s.stats.CheckpointsSkipped++
-		} else if s.cfg.Compact {
-			if err := s.Compact(); err != nil && !Recoverable(err) {
-				return rec, false, err
-			}
 		}
 	}
 	return rec, true, nil
 }
 
-// Sync forces every appended WAL record down to the device — the group-commit
-// barrier a server runs between stepping a batch and acknowledging it, so no
-// client ever holds an acknowledgement for an event a crash can undo. Unlike
+// mark appends a digest mark for the current event when the engine has
+// moved since the last one.
+func (s *Session) mark() {
+	if seq := s.engine.EventSeq(); seq != s.marked {
+		s.buf = appendMark(s.buf[:0], seq, s.digest.sum)
+		s.log.Append(s.buf)
+		s.marked = seq
+	}
+}
+
+// Sync is the barrier: it appends a digest mark when the engine has moved
+// since the last one, then forces every appended record down to the device.
+// A server runs it between admitting a batch's ops and stepping them, so no
+// client ever holds an acknowledgement for an input a crash can undo. Unlike
 // Step's automatic paths, Sync reports recoverable errors to the caller: the
 // barrier is exactly where honesty about durability is due.
 func (s *Session) Sync() error {
-	return s.wal.Sync()
-}
-
-// Checkpoint captures the engine and aux state at the current event boundary
-// into an atomically-written snapshot file. The WAL is synced first so the
-// snapshot never gets ahead of the durable log.
-func (s *Session) Checkpoint() error {
-	if err := s.wal.Sync(); err != nil {
+	s.mark()
+	if err := s.log.Sync(); err != nil {
 		return err
 	}
+	s.durable = s.marked
+	return nil
+}
+
+// Rollback abandons every record appended since the last successful Sync —
+// ops and mark alike — so a failed barrier leaves the log exactly as it was.
+// An error means the truncation itself failed; the caller must treat the
+// on-disk tail as unknown.
+func (s *Session) Rollback() error {
+	if err := s.log.Rollback(); err != nil {
+		return err
+	}
+	s.marked = s.durable
+	return nil
+}
+
+// Checkpoint captures the engine and aux state at the current event boundary,
+// with the event digest there, into an atomically-written snapshot file.
+// Once it is durable every older snapshot is deleted. The op log needs no
+// sync first: a dynamic run's ops are durable before the engine steps them,
+// and a static snapshot pins its own position.
+func (s *Session) Checkpoint() error {
 	snap, err := s.engine.Snapshot()
 	if err != nil {
 		return err
 	}
 	content := appendHeader(nil, KindSnapshot)
 	content = appendRecord(content, encodeMeta(s.meta))
+	content = appendRecord(content, appendMark(nil, snap.EventSeq, s.digest.sum))
 	content = appendRecord(content, EncodeSnapshot(snap))
 	for _, aux := range s.cfg.Aux {
 		blob, err := aux.MarshalAux()
@@ -237,27 +239,38 @@ func (s *Session) Checkpoint() error {
 		}
 		content = appendRecord(content, encodeAux(aux.AuxKey(), blob))
 	}
-	if err := writeFileAtomic(s.fsys, filepath.Join(s.cfg.Dir, snapName(snap.EventSeq)), content); err != nil {
+	if err := WriteFileAtomic(s.fsys, filepath.Join(s.cfg.Dir, snapName(snap.EventSeq)), content); err != nil {
 		return err
 	}
-	s.lastSnap = snap.EventSeq
+	// Older snapshots are garbage now; a failed delete leaves one for the
+	// next checkpoint to retry.
+	if snaps, err := listSnapshots(s.fsys, s.cfg.Dir); err == nil {
+		for _, sf := range snaps {
+			if sf.seq < snap.EventSeq {
+				s.fsys.Remove(filepath.Join(s.cfg.Dir, sf.name))
+			}
+		}
+	}
 	return nil
 }
 
-// Finish syncs and closes the WAL and seals the engine into its Result.
+// Finish appends the final mark, syncs and closes the op log, and seals the
+// engine into its Result.
 func (s *Session) Finish() (*core.Result, error) {
-	if err := s.wal.Close(); err != nil {
+	s.mark()
+	if err := s.log.Close(); err != nil {
 		s.engine.Close()
 		return nil, err
 	}
 	return s.engine.Finish()
 }
 
-// Close abandons the session: the WAL is synced so everything logged
-// survives, and the engine's policy guard is released. A later Recover picks
-// the run back up.
+// Close abandons the session: the op log is synced with a final mark so
+// everything logged survives, and the engine's policy guard is released. A
+// later Recover picks the run back up.
 func (s *Session) Close() error {
-	err := s.wal.Close()
+	s.mark()
+	err := s.log.Close()
 	s.engine.Close()
 	return err
 }

@@ -16,7 +16,7 @@ import (
 
 // TestTortureKillAndRecover is the crash-consistency torture loop: a run is
 // persisted to completion once, then killed at dozens of random points — the
-// WAL cut at an arbitrary BYTE offset (not a record boundary), snapshots
+// op log cut at an arbitrary BYTE offset (not a record boundary), snapshots
 // randomly deleted, random bits flipped — and recovered. Every recovery must
 // either resume to a byte-identical final result (and byte-identical metrics
 // under a deterministic clock), or fail with a structured corruption error
@@ -30,16 +30,16 @@ func TestTortureKillAndRecover(t *testing.T) {
 	// Uninterrupted reference run, keeping its directory as the template.
 	refDir := t.TempDir()
 	wantRes, wantMet := referenceRun(t, l, policy, refDir, every)
-	refWAL, err := os.ReadFile(filepath.Join(refDir, walFile))
+	refLog, err := os.ReadFile(filepath.Join(refDir, opsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refFD, err := ReadFile(nil, filepath.Join(refDir, walFile))
+	refFD, err := ReadFile(nil, filepath.Join(refDir, opsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refFD.Records) < 2 {
-		t.Fatalf("reference WAL has %d records", len(refFD.Records))
+		t.Fatalf("reference op log has %d records", len(refFD.Records))
 	}
 	// metaEnd is the first byte after the run-meta record: any cut at or past
 	// it leaves a recoverable log.
@@ -52,17 +52,17 @@ func TestTortureKillAndRecover(t *testing.T) {
 		dir := t.TempDir()
 		copyRun(t, refDir, dir)
 		mode := trial % 4
-		cut := metaEnd + rng.Int63n(int64(len(refWAL))-metaEnd+1)
+		cut := metaEnd + rng.Int63n(int64(len(refLog))-metaEnd+1)
 		metaIntact := true
 		switch mode {
-		case 0: // kill: cut the WAL at a random byte
-			truncate(t, filepath.Join(dir, walFile), cut)
+		case 0: // kill: cut the op log at a random byte
+			truncate(t, filepath.Join(dir, opsFile), cut)
 		case 1: // kill + lose snapshots
-			truncate(t, filepath.Join(dir, walFile), cut)
+			truncate(t, filepath.Join(dir, opsFile), cut)
 			deleteRandomSnapshots(t, rng, dir)
-		case 2: // bit flip anywhere in the WAL
-			off := rng.Int63n(int64(len(refWAL)))
-			flipByte(t, filepath.Join(dir, walFile), off)
+		case 2: // bit flip anywhere in the op log
+			off := rng.Int63n(int64(len(refLog)))
+			flipByte(t, filepath.Join(dir, opsFile), off)
 			// A flip inside the header or the meta record destroys the run's
 			// identity; anywhere else only truncates the usable suffix.
 			metaIntact = off >= metaEnd
@@ -149,7 +149,7 @@ func TestTortureRepeatedCrashes(t *testing.T) {
 			}
 			return
 		}
-		s.wal.f.Close()
+		s.log.f.Close()
 		s.engine.Close()
 
 		col = metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))

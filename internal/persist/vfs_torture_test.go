@@ -21,7 +21,7 @@ import (
 // crash point. The invariant under test is total: for each op index i, a
 // power loss at i followed by recovery must reach a final result
 // byte-identical to the uninterrupted run — including crashes that land in
-// the middle of a checkpoint rename or a WAL compaction swap.
+// the middle of a checkpoint rename or the pruning behind it.
 
 // tortureCrashOK reports whether a recovery failure is the one legitimate
 // kind: the crash predates the first durable run meta, so there is no run to
@@ -35,10 +35,10 @@ func tortureCrashOK(err error) bool {
 }
 
 // staticTortureCfg is the session shape shared by the static sweep: automatic
-// checkpoints, WAL compaction behind them, frequent fsync batching so crash
-// points land between records as well as inside batches.
+// checkpoints, each pruning the one before it, and frequent fsync batching so
+// crash points land between marks as well as inside batches.
 func staticTortureCfg(fsys vfs.FS) Config {
-	return Config{Dir: "run", Every: 8, SyncEvery: 2, FS: fsys, Compact: true}
+	return Config{Dir: "run", Every: 8, SyncEvery: 2, FS: fsys}
 }
 
 // runStaticTorture drives one fresh static run to completion on fsys.
@@ -57,7 +57,7 @@ func runStaticTorture(t *testing.T, l *item.List, fsys vfs.FS) (*core.Result, er
 }
 
 // TestDiskTortureCrashPointsStatic records how many mutating FS operations an
-// uninterrupted compacting run performs, then replays the run once per
+// uninterrupted checkpointing run performs, then replays the run once per
 // operation index with a simulated power loss at exactly that operation —
 // cycling lost/flushed/torn crash modes — recovers, finishes, and demands the
 // byte-identical result every single time.
@@ -126,33 +126,26 @@ func TestDiskTortureCrashPointsStatic(t *testing.T) {
 // dynTortureMeta is the dynamic sweep's run identity.
 func dynTortureMeta() RunMeta { return NewDynamicRunMeta(2, "firstfit", 11, "") }
 
-// driveDynamicTorture runs the tenant-shaped two-barrier protocol over fsys:
-// op durable (barrier 1) before the engine steps, WAL durable (barrier 2)
-// before the next item, an advance every third item, and a WAL compaction
-// behind every checkpoint. fresh=false
-// resumes from whatever the directory durably holds, exactly like the
-// server's recoverTenant: rebuild the list from the op log, replay the WAL,
-// re-run the clock to the last durable advance, then feed the remaining
-// suffix of items (identified positionally — the op log's item count is the
-// resume cursor).
+// driveDynamicTorture runs the tenant-shaped one-barrier protocol over fsys:
+// each item's op (and an advance every third item) appended and synced
+// before the engine steps it, a checkpoint every 8 events, and at the end an
+// advance past every departure before the run finishes, as a tenant draining
+// its clock would. fresh=false resumes from whatever the directory durably
+// holds, exactly like the server's recoverTenant: rebuild the list from the
+// op log, recover to the position it pins, then feed the remaining suffix of
+// items (identified positionally — the op log's item count is the resume
+// cursor).
 func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh bool) (*core.Result, error) {
 	t.Helper()
 	const dir = "tenant"
-	path := filepath.Join(dir, "ops.dvbp")
 	meta := dynTortureMeta()
-	cfg := Config{Dir: dir, Label: "dyn", Every: 8, SyncEvery: 2, FS: fsys, Compact: true}
+	cfg := Config{Dir: dir, Label: "dyn", Every: 8, SyncEvery: SyncManual, FS: fsys}
 
 	var s *Session
-	var ops *Writer
 	from := 0
 	if fresh {
 		if err := vfs.OrOS(fsys).MkdirAll(dir, 0o755); err != nil {
 			return nil, ioErr("mkdir", dir, err)
-		}
-		var err error
-		ops, err = CreateOpLog(fsys, path, meta, SyncManual)
-		if err != nil {
-			return nil, err
 		}
 		e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "firstfit"), core.WithDynamicArrivals())
 		if err != nil {
@@ -161,11 +154,10 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 		s, err = Begin(e, meta, cfg)
 		if err != nil {
 			e.Close()
-			ops.Discard()
 			return nil, err
 		}
 	} else {
-		logged, err := ReadOpLog(fsys, path, "dyn")
+		logged, err := ReadOpLog(fsys, filepath.Join(dir, opsFile), "dyn")
 		if err != nil {
 			return nil, err
 		}
@@ -175,52 +167,41 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 		rec, err := Recover(logged.List, cfg, core.WithDynamicArrivals())
 		if err != nil {
 			if logged.List.Len() > 0 {
-				t.Fatalf("op log holds %d items but WAL recovery failed: %v", logged.List.Len(), err)
+				t.Fatalf("op log holds %d items but recovery failed: %v", logged.List.Len(), err)
 			}
 			return nil, err
 		}
 		s = rec.Session
-		for {
-			tt, ok := s.Engine().PeekTime()
-			if !ok || tt > logged.MaxAdvance {
-				break
-			}
-			if _, ok, err := s.Step(); err != nil {
-				s.Close()
-				return nil, err
-			} else if !ok {
-				break
-			}
-		}
-		if err := s.Sync(); err != nil {
-			s.Close()
-			return nil, err
-		}
-		ops, err = ReopenOpLog(fsys, path, logged.ValidSize, SyncManual)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
 		from = logged.List.Len()
 	}
 
 	fail := func(err error) (*core.Result, error) {
 		s.Close()
-		ops.Discard()
 		return nil, err
+	}
+	stepTo := func(to float64) error {
+		for {
+			tt, ok := s.Engine().PeekTime()
+			if !ok || tt > to {
+				return nil
+			}
+			if _, ok, err := s.Step(); err != nil || !ok {
+				return err
+			}
+		}
+	}
+	end := 0.0
+	for _, it := range items {
+		end = max(end, it.Departure)
 	}
 	for i := from; i < len(items); i++ {
 		it := items[i]
-		if err := ops.Append(AppendItemOp(nil, it.Arrival, it.Departure, it.Size)); err != nil {
-			return fail(err)
-		}
+		s.AppendOp(AppendItemOp(nil, it.Arrival, it.Departure, it.Size))
 		adv := i%3 == 2
 		if adv {
-			if err := ops.Append(AppendAdvanceOp(nil, it.Arrival)); err != nil {
-				return fail(err)
-			}
+			s.AppendOp(AppendAdvanceOp(nil, it.Arrival))
 		}
-		if err := ops.Sync(); err != nil { // barrier 1: admission durable
+		if err := s.Sync(); err != nil { // the barrier: admission durable
 			return fail(err)
 		}
 		id, err := s.Engine().AppendArrival(it.Arrival, it.Departure, it.Size)
@@ -240,33 +221,25 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 			}
 		}
 		if adv {
-			for {
-				tt, ok := s.Engine().PeekTime()
-				if !ok || tt > it.Arrival {
-					break
-				}
-				if _, ok, err := s.Step(); err != nil {
-					return fail(err)
-				} else if !ok {
-					break
-				}
+			if err := stepTo(it.Arrival); err != nil {
+				return fail(err)
 			}
 		}
-		if err := s.Sync(); err != nil { // barrier 2: events durable
-			return fail(err)
-		}
 	}
-	if err := ops.Close(); err != nil {
-		s.Close()
-		return nil, err
+	s.AppendOp(AppendAdvanceOp(nil, end))
+	if err := s.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := stepTo(end); err != nil {
+		return fail(err)
 	}
 	return s.Run()
 }
 
 // TestDiskTortureCrashPointsDynamic is the dynamic-run (multi-tenant-shaped)
-// crash-point sweep: the two-barrier op-log + WAL protocol, with WAL
-// compaction active, killed at every FS operation in turn and resumed
-// through the same recovery the server uses. The final packing must come out
+// crash-point sweep: the one-barrier op-log protocol, with snapshot pruning
+// active, killed at every FS operation in turn and resumed through the same
+// recovery the server uses. The final packing must come out
 // byte-identical at every crash point — that is the acknowledged-placements
 // contract made exhaustive.
 func TestDiskTortureCrashPointsDynamic(t *testing.T) {
@@ -320,109 +293,72 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	t.Logf("swept %d crash points: %d recovered, %d legitimate fresh restarts", total, recovered, fallbacks)
 }
 
-// TestCompactionBoundsWALSize proves the point of compaction: over many
-// snapshot intervals, a compacting session's WAL stays bounded by the
-// interval while the uncompacted twin grows with the run — and both reach the
-// same result.
-func TestCompactionBoundsWALSize(t *testing.T) {
+// TestCheckpointPrunesOlderSnapshots: once a checkpoint is durable, every
+// older snapshot is gone, so a run keeps one snapshot on disk however long it
+// runs, and reaches the same result as a run that never checkpoints.
+func TestCheckpointPrunesOlderSnapshots(t *testing.T) {
 	l := testList(t, 80)
 	const every = 8
 
-	run := func(compact bool) (string, int64, IOStats) {
-		m := vfs.NewMem()
+	run := func(every int64, m *vfs.Mem, each func(seq int64)) string {
 		e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"),
-			Config{Dir: "run", Every: every, SyncEvery: 1, FS: m, Compact: compact})
+		s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), Config{Dir: "run", Every: every, SyncEvery: 1, FS: m})
 		if err != nil {
 			e.Close()
 			t.Fatalf("Begin: %v", err)
 		}
-		maxWAL := s.WALSize()
 		for {
-			_, ok, err := s.Step()
+			rec, ok, err := s.Step()
 			if err != nil {
 				t.Fatalf("Step: %v", err)
-			}
-			if sz := s.WALSize(); sz > maxWAL {
-				maxWAL = sz
 			}
 			if !ok {
 				break
 			}
+			each(rec.Seq)
 		}
-		st := s.TakeIOStats()
 		res, err := s.Finish()
 		if err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
-		return resultJSON(t, res), maxWAL, st
+		return resultJSON(t, res)
 	}
 
-	plainRes, plainMax, _ := run(false)
-	compactRes, compactMax, st := run(true)
-	if plainRes != compactRes {
-		t.Fatalf("compaction changed the result\nplain   %s\ncompact %s", plainRes, compactRes)
-	}
-	if st.Compactions < 10 {
-		t.Fatalf("only %d compactions over the run; want >= 10 snapshot intervals exercised", st.Compactions)
-	}
-	if st.ReclaimedBytes <= 0 {
-		t.Fatalf("compaction reclaimed %d bytes", st.ReclaimedBytes)
-	}
-	if compactMax*3 > plainMax {
-		t.Fatalf("compacted WAL peak %d is not < 1/3 of uncompacted peak %d", compactMax, plainMax)
-	}
-}
-
-// TestRecoverCompactedWALRefusesScratch pins the one fallback compaction
-// forbids: with the WAL prefix gone, a from-scratch replay cannot exist, so
-// recovery with every snapshot deleted must fail loudly instead of silently
-// rebuilding a different history.
-func TestRecoverCompactedWALRefusesScratch(t *testing.T) {
-	l := testList(t, 80)
+	plain := run(0, vfs.NewMem(), func(int64) {})
 	m := vfs.NewMem()
-	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	cfg := staticTortureCfg(m)
-	s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), cfg)
-	if err != nil {
-		e.Close()
-		t.Fatalf("Begin: %v", err)
-	}
-	for i := 0; i < 40; i++ {
-		if _, ok, err := s.Step(); err != nil || !ok {
-			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if s.walBase == 0 {
-		t.Fatalf("run never compacted; the test is vacuous")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	snaps, err := listSnapshots(m, cfg.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sf := range snaps {
-		if err := m.Remove(filepath.Join(cfg.Dir, sf.name)); err != nil {
+	checkpoints := 0
+	got := run(every, m, func(seq int64) {
+		snaps, err := listSnapshots(m, "run")
+		if err != nil {
 			t.Fatal(err)
 		}
+		newest := seq / every * every
+		if newest == 0 {
+			if len(snaps) != 0 {
+				t.Fatalf("event %d: %d snapshots before the first checkpoint", seq, len(snaps))
+			}
+			return
+		}
+		if len(snaps) != 1 || snaps[0].seq != newest {
+			t.Fatalf("event %d: snapshots on disk %v, want only the one at %d", seq, snaps, newest)
+		}
+		if seq == newest {
+			checkpoints++
+		}
+	})
+	if got != plain {
+		t.Fatalf("checkpointing changed the result\nplain  %s\npruned %s", plain, got)
 	}
-	_, err = Recover(l, cfg, faultOpts()...)
-	var ce *CorruptionError
-	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "compacted") {
-		t.Fatalf("recovery of a compacted WAL without snapshots returned %v; want a compaction corruption error", err)
+	if checkpoints < 10 {
+		t.Fatalf("only %d checkpoints over the run; want >= 10 intervals exercised", checkpoints)
 	}
 }
 
 // renameWatch records the injector's per-kind operation counts at the moment
-// the first rename onto a WAL lands: the first compaction's swap.
+// the first rename onto a snapshot lands.
 type renameWatch struct {
 	*vfs.Injector
 	at map[vfs.FaultKind]int64
@@ -430,66 +366,62 @@ type renameWatch struct {
 
 func (w *renameWatch) Rename(oldpath, newpath string) error {
 	err := w.Injector.Rename(oldpath, newpath)
-	if err == nil && w.at == nil && filepath.Base(newpath) == walFile {
+	if err == nil && w.at == nil && strings.HasPrefix(filepath.Base(newpath), snapPrefix) {
 		w.at = w.Injector.Counts()
 	}
 	return err
 }
 
-// driveSwapFault runs a compacting session (a snapshot every 4 events, WAL
-// syncs only at checkpoints and barriers) up to its first compaction, then
-// runs the barrier a server would: one Sync, whose error it returns as
-// swapErr, and a second that must succeed. Then it finishes the run.
-func driveSwapFault(t *testing.T, l *item.List, fsys vfs.FS) (swapErr error, res *core.Result, err error) {
+// driveRenameFault runs a checkpointing session (a snapshot every 4 events,
+// op-log syncs only at barriers) up to its first checkpoint, then runs the
+// barrier a server would: one Sync, whose error it returns as firstErr, and
+// a second that must succeed. Then it finishes the run.
+func driveRenameFault(t *testing.T, l *item.List, fsys vfs.FS) (firstErr error, res *core.Result, err error) {
 	t.Helper()
 	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	cfg := Config{Dir: "d", Every: 4, SyncEvery: SyncManual, FS: fsys, Compact: true}
+	cfg := Config{Dir: "d", Every: 4, SyncEvery: SyncManual, FS: fsys}
 	s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), cfg)
 	if err != nil {
 		e.Close()
 		return nil, nil, err
 	}
-	for s.walBase == 0 {
-		_, ok, err := s.Step()
-		if err == nil && !ok {
-			err = errors.New("the run never compacted")
-		}
-		if err != nil {
+	for s.engine.EventSeq() < 4 {
+		if _, _, err := s.Step(); err != nil {
 			s.Close()
 			return nil, nil, fmt.Errorf("step %d: %w", s.engine.EventSeq(), err)
 		}
 	}
-	if swapErr = s.Sync(); swapErr != nil && !Recoverable(swapErr) {
+	if firstErr = s.Sync(); firstErr != nil && !Recoverable(firstErr) {
 		s.Close()
-		return swapErr, nil, swapErr
+		return firstErr, nil, firstErr
 	}
 	if err := s.Sync(); err != nil {
 		s.Close()
-		return swapErr, nil, fmt.Errorf("second sync after the swap: %w", err)
+		return firstErr, nil, fmt.Errorf("second sync after the rename: %w", err)
 	}
 	res, err = s.Run()
-	return swapErr, res, err
+	return firstErr, res, err
 }
 
-// TestCompactionSwapFaultsAreRecoverable pins the window between a WAL
-// compaction's rename and the session's next durable write. One fault lands
-// on the first operation of its kind after the swap: the directory sync
-// that makes the rename durable, the open of the new WAL, or its first
-// fsync. Each must surface at most as an ordinary retryable Sync error, the
-// run must finish byte-identical to a clean one, and a power loss at any
-// filesystem op of the faulted run must recover byte-identically too.
-func TestCompactionSwapFaultsAreRecoverable(t *testing.T) {
+// TestCheckpointRenameFaultsAreRecoverable pins the window after a snapshot
+// rename. One fault lands on the first operation of its kind after it: the
+// directory sync that makes the rename durable, the delete that prunes the
+// older snapshot, or the next fsync, which is the op log's barrier. Each
+// must surface at most as an ordinary retryable Sync error, the run must
+// finish byte-identical to a clean one, and a power loss at any filesystem
+// op of the faulted run must recover byte-identically too.
+func TestCheckpointRenameFaultsAreRecoverable(t *testing.T) {
 	l := testList(t, 20)
 	clean := &renameWatch{Injector: vfs.NewInjector(vfs.NewMem())}
-	_, res, err := driveSwapFault(t, l, clean)
+	_, res, err := driveRenameFault(t, l, clean)
 	if err != nil {
 		t.Fatalf("clean drive: %v", err)
 	}
 	if clean.at == nil {
-		t.Fatalf("clean drive never renamed a WAL into place")
+		t.Fatalf("clean drive never renamed a snapshot into place")
 	}
 	want := resultJSON(t, res)
 
@@ -497,24 +429,24 @@ func TestCompactionSwapFaultsAreRecoverable(t *testing.T) {
 		name  string
 		kind  vfs.FaultKind
 		errno error
-		// class of the first Sync after the swap: the directory sync fault
-		// is absorbed by the compaction and retried inside that Sync.
+		// class of the first Sync after the rename: a checkpoint absorbs its
+		// own faults, which only the barrier's fsync can surface.
 		class ErrorClass
 	}{
 		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO, ClassNone},
-		{"open-eio", vfs.FaultOpen, syscall.EIO, ClassTransient},
+		{"remove-eio", vfs.FaultRemove, syscall.EIO, ClassNone},
 		{"fsync-enospc", vfs.FaultSync, syscall.ENOSPC, ClassDiskFull},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fault := vfs.Fault{Kind: tc.kind, Nth: clean.at[tc.kind] + 1, Err: tc.errno}
 			m := vfs.NewMem()
-			swapErr, res, err := driveSwapFault(t, l, vfs.NewInjector(m, fault))
+			firstErr, res, err := driveRenameFault(t, l, vfs.NewInjector(m, fault))
 			if err != nil {
 				t.Fatalf("drive with %v: %v", fault, err)
 			}
-			if got := Classify(swapErr); got != tc.class {
-				t.Fatalf("first Sync after the swap returned %v (%s), want class %s", swapErr, got, tc.class)
+			if got := Classify(firstErr); got != tc.class {
+				t.Fatalf("first Sync after the rename returned %v (%s), want class %s", firstErr, got, tc.class)
 			}
 			if got := resultJSON(t, res); got != want {
 				t.Fatalf("result diverged from the clean run\n got %s\nwant %s", got, want)
@@ -524,11 +456,11 @@ func TestCompactionSwapFaultsAreRecoverable(t *testing.T) {
 			for i := int64(1); i <= total; i++ {
 				m := vfs.NewMem()
 				m.SetCrashPoint(i, vfs.CrashMode(i%3), 5+13*i)
-				if _, _, err := driveSwapFault(t, l, vfs.NewInjector(m, fault)); !errors.Is(err, vfs.ErrCrashed) {
+				if _, _, err := driveRenameFault(t, l, vfs.NewInjector(m, fault)); !errors.Is(err, vfs.ErrCrashed) {
 					t.Fatalf("crash point %d/%d: drive returned %v, want ErrCrashed", i, total, err)
 				}
 				m.Restart()
-				cfg := Config{Dir: "d", Every: 4, FS: m, Compact: true}
+				cfg := Config{Dir: "d", Every: 4, FS: m}
 				rec, err := Recover(l, cfg, faultOpts()...)
 				if err != nil {
 					if !tortureCrashOK(err) {
@@ -563,16 +495,14 @@ func TestWriterRollbackAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := vfs.NewInjector(mem)
-	w, err := Create(inj, "d/f.dvbp", KindWAL, SyncManual)
+	w, err := Create(inj, "d/f.dvbp", KindOpLog)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 
 	// Retry path: the write lands, the fsync fails, the retry syncs the same
 	// bytes without duplicating them.
-	if err := w.Append([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
+	w.Append([]byte("one"))
 	inj.SetSticky(syscall.EIO, vfs.FaultSync)
 	if err := w.Sync(); err == nil {
 		t.Fatalf("sync succeeded under sticky EIO")
@@ -590,9 +520,7 @@ func TestWriterRollbackAndRetry(t *testing.T) {
 
 	// Rollback path: a partial flush (write ok, fsync refused) is truncated
 	// away and the writer is back at its durable size.
-	if err := w.Append([]byte("two")); err != nil {
-		t.Fatal(err)
-	}
+	w.Append([]byte("two"))
 	inj.SetSticky(syscall.ENOSPC, vfs.FaultSync)
 	if err := w.Sync(); Classify(err) != ClassDiskFull {
 		t.Fatalf("sync error class %s, want disk_full", Classify(err))
@@ -604,9 +532,7 @@ func TestWriterRollbackAndRetry(t *testing.T) {
 	if w.Size() != w.Synced() {
 		t.Fatalf("rollback left size %d != synced %d", w.Size(), w.Synced())
 	}
-	if err := w.Append([]byte("three")); err != nil {
-		t.Fatal(err)
-	}
+	w.Append([]byte("three"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -623,27 +549,25 @@ func TestWriterRollbackAndRetry(t *testing.T) {
 }
 
 // TestCreateSyncsParentDir pins the fix for the unsynced-directory-entry bug:
-// a freshly created WAL must survive a power loss immediately after Create
+// a freshly created op log must survive a power loss immediately after Create
 // returns, which requires the parent directory fsync.
 func TestCreateSyncsParentDir(t *testing.T) {
 	m := vfs.NewMem()
 	if err := m.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Create(m, "d/wal.dvbp", KindWAL, 0)
-	if err != nil {
+	if _, err := Create(m, "d/ops.dvbp", KindOpLog, []byte("meta")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	m.CrashNow(vfs.CrashLost)
 	m.Restart()
-	fd, err := ReadFile(m, "d/wal.dvbp")
+	fd, err := ReadFile(m, "d/ops.dvbp")
 	if err != nil {
 		t.Fatalf("the created file did not survive a crash right after Create: %v", err)
 	}
-	if fd.Kind != KindWAL || len(fd.Records) != 0 || fd.Torn != nil {
+	if fd.Kind != KindOpLog || len(fd.Records) != 1 || fd.Torn != nil {
 		t.Fatalf("surviving file is damaged: kind %d, %d records, torn %v", fd.Kind, len(fd.Records), fd.Torn)
 	}
-	w.Discard()
 }
 
 // TestRecoverSweepsOrphanTempFiles: a crash between CreateTemp and Rename
@@ -652,7 +576,7 @@ func TestRecoverSweepsOrphanTempFiles(t *testing.T) {
 	l := testList(t, 40)
 	dir := t.TempDir()
 	referenceRun(t, l, "MoveToFront", dir, 16)
-	for _, name := range []string{"snap-0000000000000016.dvbp.tmp-1", "wal.dvbp.tmp-9"} {
+	for _, name := range []string{"snap-0000000000000016.dvbp.tmp-1", "snap-0000000000000032.dvbp.tmp-9"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half-written"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -693,7 +617,6 @@ func TestErrorClassification(t *testing.T) {
 		{"eio", ioErr("sync", "f", syscall.EIO), ClassTransient},
 		{"open-error", ioErr("open", "f", errors.New("weird")), ClassTransient},
 		{"simulated-crash", ioErr("write", "f", vfs.ErrCrashed), ClassFatal},
-		{"discarded", errDiscarded, ClassFatal},
 		{"naked", errors.New("who knows"), ClassFatal},
 	}
 	for _, tc := range cases {

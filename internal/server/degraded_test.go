@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -33,7 +34,8 @@ func metricValue(t *testing.T, base, name string) float64 {
 // single-threaded reference and the tenant must NOT be poisoned.
 func TestServerDegradedModeSickDisk(t *testing.T) {
 	inj := vfs.NewInjector(vfs.OS{})
-	ts, _ := newTestServer(t, t.TempDir(), Limits{
+	dataDir := t.TempDir()
+	ts, _ := newTestServer(t, dataDir, Limits{
 		FS:           inj,
 		RetryBackoff: 50 * time.Microsecond,
 	})
@@ -152,20 +154,34 @@ func TestServerDegradedModeSickDisk(t *testing.T) {
 		t.Fatalf("tenant still degraded after recovery: %+v", healthy)
 	}
 
-	// The sickness window must not have poisoned compaction either: with
-	// CheckpointEvery set, the WAL kept compacting.
-	if got := metricValue(t, ts.URL, "dvbp_server_compactions_total"); got < 1 {
-		t.Fatalf("compactions_total %v, want >= 1", got)
-	}
-	if got := metricValue(t, ts.URL, "dvbp_server_compaction_reclaimed_bytes_total"); got <= 0 {
-		t.Fatalf("compaction_reclaimed_bytes_total %v, want > 0", got)
+	// The sickness window must not have stopped checkpointing either: with
+	// CheckpointEvery set, the tenant kept snapshotting, and each snapshot
+	// pruned the ones before it.
+	if snaps := snapshotFiles(t, vfs.OS{}, filepath.Join(dataDir, "sick")); len(snaps) != 1 {
+		t.Fatalf("tenant directory holds snapshots %v, want exactly one", snaps)
 	}
 }
 
+// snapshotFiles lists the snapshot files in a tenant directory.
+func snapshotFiles(t *testing.T, fsys vfs.FS, dir string) []string {
+	t.Helper()
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading %s: %v", dir, err)
+	}
+	var out []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "snap-") {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
 // TestServerDegradedRecoversAcrossRestart: a tenant degraded mid-run, with
-// acknowledged-but-unacked-to-WAL state rolled back, must recover on a fresh
-// store with every acknowledged placement intact — the two-barrier protocol's
-// contract under a sick disk plus a crash.
+// the refused batches rolled back, must recover on a fresh store with every
+// acknowledged placement intact — the barrier's contract under a sick disk
+// plus a crash.
 func TestServerDegradedRecoversAcrossRestart(t *testing.T) {
 	root := t.TempDir()
 	inj := vfs.NewInjector(vfs.OS{})
@@ -228,49 +244,54 @@ func TestServerDegradedRecoversAcrossRestart(t *testing.T) {
 	}
 }
 
-// sickAfterWALSwap holds one kind of disk operation sick from the moment the
-// first compaction's rename lands on a tenant's WAL until the test heals it.
-type sickAfterWALSwap struct {
+// sickAfterSnapshotRename holds one kind of disk operation sick from the
+// moment the first snapshot rename lands in a tenant's directory until the
+// test heals it.
+type sickAfterSnapshotRename struct {
 	*vfs.Injector
 	kind vfs.FaultKind
 	err  error
 	sick atomic.Bool
+	at   map[vfs.FaultKind]int64 // operation counts when the fault went sticky
 }
 
-func (s *sickAfterWALSwap) Rename(oldpath, newpath string) error {
+func (s *sickAfterSnapshotRename) Rename(oldpath, newpath string) error {
 	err := s.Injector.Rename(oldpath, newpath)
-	if err == nil && filepath.Base(newpath) == "wal.dvbp" && s.sick.CompareAndSwap(false, true) {
+	if err == nil && strings.HasPrefix(filepath.Base(newpath), "snap-") && s.sick.CompareAndSwap(false, true) {
+		s.at = s.Counts()
 		s.SetSticky(s.err, s.kind)
 	}
 	return err
 }
 
-// TestServerDegradedNotPoisonedAtWALSwap pins the window between a WAL
-// compaction's rename and the tenant's next WAL barrier. The disk refuses
-// the directory sync that makes the rename durable, the open of the new
-// WAL, or its fsync, until the refused request has been answered. Each
-// fault must degrade the tenant (one 503), the next request's probe must
-// resume it, and no request may answer 500. Every acknowledged placement
-// must then be served identically after a graceful restart and after a
-// power loss. The listing may hold more than the acks: the refused item
-// passed the op-log barrier, so it stays placed without an ack.
-func TestServerDegradedNotPoisonedAtWALSwap(t *testing.T) {
+// TestServerDegradedNotPoisonedAtSnapshotRename pins the window after a
+// snapshot's rename. The disk refuses the directory sync that makes the
+// rename durable, any reopen of a file, or every fsync, from the rename
+// until a request is refused or eight more have been answered. The barrier
+// is one write and one fsync on the open op log, so only the fsync fault
+// reaches it: that case answers exactly one 503 and the next request's probe
+// resumes the tenant. The directory-sync fault only skips checkpoints (the
+// I/O weather counter shows it), and the serving path never reopens a file.
+// No request may answer 500, and every acknowledged placement must be served
+// identically after a graceful restart and after a power loss.
+func TestServerDegradedNotPoisonedAtSnapshotRename(t *testing.T) {
 	cfg := TenantConfig{Name: "swap", Dim: 2, Policy: "FirstFit", Seed: 5, CheckpointEvery: 4}
 	items := stream(2, 40, 3)
 	cases := []struct {
-		name  string
-		kind  vfs.FaultKind
-		errno error
+		name    string
+		kind    vfs.FaultKind
+		errno   error
+		refused int
 	}{
-		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO},
-		{"open-eio", vfs.FaultOpen, syscall.EIO},
-		{"fsync-enospc", vfs.FaultSync, syscall.ENOSPC},
+		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO, 0},
+		{"open-eio", vfs.FaultOpen, syscall.EIO, 0},
+		{"fsync-enospc", vfs.FaultSync, syscall.ENOSPC, 1},
 	}
 	for _, tc := range cases {
 		for _, restart := range []string{"graceful", "power-loss"} {
 			t.Run(tc.name+"/"+restart, func(t *testing.T) {
 				m := vfs.NewMem()
-				fsys := &sickAfterWALSwap{Injector: vfs.NewInjector(m), kind: tc.kind, err: tc.errno}
+				fsys := &sickAfterSnapshotRename{Injector: vfs.NewInjector(m), kind: tc.kind, err: tc.errno}
 				reg := metrics.NewRegistry()
 				store, err := OpenStore("data", Limits{FS: fsys, RetryBackoff: 50 * time.Microsecond}, reg)
 				if err != nil {
@@ -280,7 +301,8 @@ func TestServerDegradedNotPoisonedAtWALSwap(t *testing.T) {
 				mustStatus(t, http.StatusCreated, call(t, "POST", url+"/v1/tenants", cfg, nil), "create")
 
 				var acks []PlaceResult
-				window, refused := 0, 0 // status answered while the disk was sick; 503 count
+				refused, window := 0, 0 // 503s; requests answered while the disk was sick
+				var faulted map[vfs.FaultKind]int64
 				for i, it := range items {
 					var resp struct {
 						PlaceResult
@@ -296,19 +318,32 @@ func TestServerDegradedNotPoisonedAtWALSwap(t *testing.T) {
 					default:
 						t.Fatalf("place %d: status %d code %q: %s", i, code, resp.Code, resp.Error)
 					}
-					if window == 0 && fsys.sick.Load() {
-						window = code
-						fsys.ClearSticky()
+					if faulted == nil && fsys.sick.Load() {
+						if window++; code != http.StatusOK || window == 8 {
+							faulted = fsys.Counts()
+							fsys.ClearSticky()
+						}
 					}
 				}
-				if window != http.StatusServiceUnavailable || refused != 1 {
-					t.Fatalf("the sick window answered %d and %d requests were refused; want one 503", window, refused)
+				if faulted == nil || refused != tc.refused {
+					t.Fatalf("sick window of %d requests refused %d; want %d", window, refused, tc.refused)
 				}
 				if got := metricValue(t, url, "dvbp_server_degraded_tenants"); got != 0 {
-					t.Fatalf("degraded_tenants %v after the probe, want 0", got)
+					t.Fatalf("degraded_tenants %v after the window, want 0", got)
 				}
-				if got := metricValue(t, url, "dvbp_server_compactions_total"); got < 2 {
-					t.Fatalf("compactions_total %v, want compactions after the healed one too", got)
+				switch tc.kind {
+				case vfs.FaultSyncDir:
+					if got := metricValue(t, url, "dvbp_server_io_retries_total"); got < 1 {
+						t.Fatalf("io_retries_total %v: no checkpoint was skipped in the window", got)
+					}
+				case vfs.FaultOpen:
+					if n := faulted[vfs.FaultOpen] - fsys.at[vfs.FaultOpen]; n != 0 {
+						t.Fatalf("the serving path reopened %d files in the window", n)
+					}
+				}
+				// Checkpointing resumed after the window and pruned behind it.
+				if snaps := snapshotFiles(t, m, "data/swap"); len(snaps) != 1 {
+					t.Fatalf("tenant directory holds snapshots %v, want exactly one", snaps)
 				}
 
 				if restart == "power-loss" {

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,9 +14,9 @@ import (
 
 // TestStoreRecoverAcknowledgedPlacements is the package-level crash story:
 // acknowledged placements survive a crash byte-identically, even when the
-// crash tears the files mid-append. It feeds several tenants, abandons the
-// store without a graceful drain, appends garbage to every WAL and op log
-// (the torn tail a SIGKILL mid-write leaves), reopens the store, and then
+// crash tears the op log mid-append. It feeds several tenants, abandons the
+// store without a graceful drain, appends garbage to every op log (the torn
+// tail a SIGKILL mid-write leaves), reopens the store, and then
 // requires every acknowledged placement back, identical, with the watermark
 // intact and the tenants accepting new work. The process-level version — a
 // literal SIGKILL under HTTP load — lives in cmd/dvbpserver.
@@ -32,7 +35,7 @@ func TestStoreRecoverAcknowledgedPlacements(t *testing.T) {
 	}
 	tenants := []TenantConfig{
 		{Name: "alpha", Dim: 2, Policy: "FirstFit", Seed: 1, CheckpointEvery: 16},
-		{Name: "beta", Dim: 2, Policy: "MoveToFront", Seed: 2}, // no snapshots: full replay
+		{Name: "beta", Dim: 2, Policy: "MoveToFront", Seed: 2}, // no snapshots: re-stepped from the start
 		{Name: "gamma", Dim: 2, Policy: "RandomFit", Seed: 3, CheckpointEvery: 8},
 	}
 	acked := make(map[string][]ack)
@@ -54,20 +57,18 @@ func TestStoreRecoverAcknowledgedPlacements(t *testing.T) {
 	}
 
 	// Crash: no drain, no close. Every acknowledged response above was
-	// preceded by its fsync barriers, so the durable state covers them all.
-	// Then tear every persist file the way an interrupted append would.
+	// preceded by its fsync barrier, so the durable state covers them all.
+	// Then tear every op log the way an interrupted append would.
 	for _, cfg := range tenants {
-		for _, name := range []string{"wal.dvbp", "ops.dvbp"} {
-			path := filepath.Join(root, cfg.Name, name)
-			fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatalf("open %s: %v", path, err)
-			}
-			if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
-				t.Fatalf("tear %s: %v", path, err)
-			}
-			fh.Close()
+		path := filepath.Join(root, cfg.Name, opsFile)
+		fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
 		}
+		if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
+			t.Fatalf("tear %s: %v", path, err)
+		}
+		fh.Close()
 	}
 
 	// Restart: a fresh registry and store over the same directory.
@@ -144,5 +145,103 @@ func TestStoreRecoverRefusesForeignIdentity(t *testing.T) {
 	}
 	if _, err := OpenStore(root, Limits{}, metrics.NewRegistry()); err == nil {
 		t.Fatalf("OpenStore accepted a manifest that disagrees with the op log")
+	}
+}
+
+// TestStoreOpensParentDataDir opens a data directory written before the op
+// log became the only durable log (testdata/parent-store: two tenants, one
+// past a WAL compaction, with the acknowledgements they got). Every recorded
+// acknowledgement must be listed identically and every tenant must accept a
+// new placement. The old snapshots carry no event digest, so recovery skips
+// them and re-steps each tenant from its op log; the leftover wal.dvbp files
+// are ignored and left as they are.
+func TestStoreOpensParentDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "parent-store")
+	var recorded struct {
+		Places   []PlaceResult   `json:"places"`
+		Advances []AdvanceResult `json:"advances"`
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "acks.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	copyTree(t, filepath.Join(src, "data"), root)
+	wals := map[string][]byte{}
+	for _, name := range []string{"compacted", "walonly"} {
+		b, err := os.ReadFile(filepath.Join(root, name, "wal.dvbp"))
+		if err != nil {
+			t.Fatalf("fixture: %v", err)
+		}
+		wals[name] = b
+	}
+
+	reg := metrics.NewRegistry()
+	store, err := OpenStore(root, Limits{}, reg)
+	if err != nil {
+		t.Fatalf("OpenStore on a parent-era directory: %v", err)
+	}
+	defer store.Close()
+	url := newLocalServer(t, New(store, reg))
+	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value < 1 {
+		t.Fatalf("the digest-less snapshot was not reported as skipped")
+	}
+
+	listed := map[string]map[int]PlacementRecord{}
+	for _, name := range []string{"compacted", "walonly"} {
+		var pl PlacementsResult
+		mustStatus(t, http.StatusOK, call(t, "GET", url+"/v1/tenants/"+name+"/placements", nil, &pl), "placements")
+		listed[name] = map[int]PlacementRecord{}
+		for _, p := range pl.Placements {
+			listed[name][p.Item] = p
+		}
+	}
+	for _, a := range recorded.Places {
+		want := PlacementRecord{Item: a.Item, Bin: a.Bin, Time: a.Time}
+		if got, ok := listed[a.Tenant][a.Item]; !ok || got != want {
+			t.Fatalf("%s: acknowledged %+v, listed %+v (present %v)", a.Tenant, want, got, ok)
+		}
+	}
+	for _, a := range recorded.Advances {
+		var st TenantStatus
+		mustStatus(t, http.StatusOK, call(t, "GET", url+"/v1/tenants/"+a.Tenant, nil, &st), "status")
+		if st.Watermark < a.To {
+			t.Fatalf("%s: watermark %g behind the acknowledged advance to %g", a.Tenant, st.Watermark, a.To)
+		}
+	}
+	for name, want := range wals {
+		mustStatus(t, http.StatusOK, call(t, "POST", url+"/v1/tenants/"+name+"/place",
+			placeBody{Duration: f(1), Size: []float64{0.25, 0.25}}, nil), "new placement")
+		if got, err := os.ReadFile(filepath.Join(root, name, "wal.dvbp")); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the leftover wal.dvbp was touched (err %v)", name, err)
+		}
+	}
+}
+
+// copyTree copies the directory tree at src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -252,17 +252,15 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 	mustStatus(t, http.StatusOK, call(t, "POST", url+"/v1/tenants/churn/advance",
 		advanceBody{To: 10}, nil), "advance past the departures")
 
-	// Crash without a drain, tear the persist tails, and recover.
-	for _, name := range []string{"wal.dvbp", "ops.dvbp"} {
-		fh, err := os.OpenFile(filepath.Join(root, "churn", name), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatalf("open %s: %v", name, err)
-		}
-		if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
-			t.Fatalf("tear %s: %v", name, err)
-		}
-		fh.Close()
+	// Crash without a drain, tear the op log's tail, and recover.
+	fh, err := os.OpenFile(filepath.Join(root, "churn", opsFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatalf("open %s: %v", opsFile, err)
 	}
+	if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
+		t.Fatalf("tear %s: %v", opsFile, err)
+	}
+	fh.Close()
 	reg2 := metrics.NewRegistry()
 	store2, err := OpenStore(root, Limits{}, reg2)
 	if err != nil {

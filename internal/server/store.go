@@ -21,9 +21,10 @@ import (
 // Store directory layout:
 //
 //	root/tenants.json       manifest: []TenantConfig, atomically replaced
-//	root/<tenant>/ops.dvbp  the tenant's op log (persist.KindOpLog)
-//	root/<tenant>/wal.dvbp  the tenant's write-ahead log
-//	root/<tenant>/snap-*    the tenant's checkpoints
+//	root/<tenant>/ops.dvbp  the tenant's op log (persist.KindOpLog), its one durable log
+//	root/<tenant>/snap-*    the tenant's newest checkpoint
+//
+// A wal.dvbp left in a tenant directory by an older version is ignored.
 const (
 	manifestFile = "tenants.json"
 	opsFile      = "ops.dvbp"
@@ -48,8 +49,6 @@ type storeMetrics struct {
 	corruptions    *metrics.Counter
 	ioRetries      *metrics.Counter
 	degraded       *metrics.Gauge
-	compactions    *metrics.Counter
-	reclaimed      *metrics.Counter
 }
 
 func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
@@ -66,8 +65,6 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		corruptions:    reg.Counter("dvbp_server_recovery_corruptions_total", "corruptions tolerated during tenant recovery (torn tails, skipped snapshots)"),
 		ioRetries:      reg.Counter("dvbp_server_io_retries_total", "transient I/O failures retried or absorbed instead of poisoning a tenant"),
 		degraded:       reg.Gauge("dvbp_server_degraded_tenants", "tenants currently in read-only degraded mode"),
-		compactions:    reg.Counter("dvbp_server_compactions_total", "WAL compactions completed across tenants"),
-		reclaimed:      reg.Counter("dvbp_server_compaction_reclaimed_bytes_total", "on-disk bytes reclaimed by compaction"),
 	}
 }
 
@@ -173,8 +170,8 @@ func checkConfig(cfg TenantConfig) *apiError {
 	return nil
 }
 
-// Create provisions a fresh tenant: directory, op log, WAL, worker. The
-// manifest is updated only after the tenant's files are durably in place.
+// Create provisions a fresh tenant: directory, op log, worker. The manifest
+// is updated only after the op log is durably in place.
 func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 	if aerr := checkConfig(cfg); aerr != nil {
 		return nil, aerr
@@ -187,39 +184,22 @@ func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 	if _, dup := s.tenants[cfg.Name]; dup {
 		return nil, errf(http.StatusConflict, "tenant_exists", "tenant %q already exists", cfg.Name)
 	}
-	dir := filepath.Join(s.root, cfg.Name)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, errf(http.StatusInternalServerError, "io", "creating tenant directory: %v", err)
-	}
-	meta := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, "")
-	// The op log writer syncs only at the group-commit barrier (SyncManual):
-	// a failed barrier can then roll the whole batch back, all-or-nothing,
-	// with no auto-sync having leaked half of it to the device.
-	ops, err := persist.CreateOpLog(s.fs, filepath.Join(dir, opsFile), meta, persist.SyncManual)
-	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "io", "creating op log: %v", err)
-	}
 	p, err := core.NewPolicy(cfg.Policy, cfg.Seed)
 	if err != nil {
-		ops.Close()
 		return nil, errf(http.StatusBadRequest, "bad_policy", "%v", err)
 	}
 	engine, err := core.NewEngine(item.NewList(cfg.Dim), p, core.WithDynamicArrivals())
 	if err != nil {
-		ops.Close()
 		return nil, errf(http.StatusInternalServerError, "engine", "%v", err)
 	}
-	session, err := persist.Begin(engine, meta, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery,
-		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
-	})
+	pcfg := s.sessionConfig(cfg)
+	session, err := persist.Begin(engine, persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, ""), pcfg)
 	if err != nil {
 		engine.Close()
-		ops.Close()
 		return nil, errf(http.StatusInternalServerError, "io", "starting session: %v", err)
 	}
-	t := newTenant(cfg, dir, s.limits, s.m)
-	t.start(session, ops, 0)
+	t := newTenant(cfg, pcfg.Dir, s.limits, s.m)
+	t.start(session, 0)
 	s.tenants[cfg.Name] = t
 	if err := s.writeManifest(); err != nil {
 		delete(s.tenants, cfg.Name)
@@ -230,60 +210,40 @@ func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 	return t, nil
 }
 
+// sessionConfig is a tenant's persistence shape. The op log syncs only at
+// the group-commit barrier (SyncManual): a failed barrier can then roll the
+// whole batch back, all-or-nothing, with no auto-sync having leaked half of
+// it to the device.
+func (s *Store) sessionConfig(cfg TenantConfig) persist.Config {
+	return persist.Config{
+		Dir: filepath.Join(s.root, cfg.Name), Label: cfg.Name, Every: cfg.CheckpointEvery,
+		SyncEvery: persist.SyncManual, FS: s.fs,
+	}
+}
+
 // recoverTenant rebuilds one tenant from its directory: item list and
-// watermark from the op log, engine state from snapshot + verified WAL
-// replay, then the clock re-run to the last durable advance target so
-// acknowledged departures stay committed.
+// watermark from the op log, engine state from the newest snapshot
+// re-stepped to the position the log pins, which puts every acknowledged
+// placement and departure back.
 func (s *Store) recoverTenant(cfg TenantConfig) (*Tenant, error) {
 	if aerr := checkConfig(cfg); aerr != nil {
 		return nil, aerr
 	}
-	dir := filepath.Join(s.root, cfg.Name)
-	logged, err := persist.ReadOpLog(s.fs, filepath.Join(dir, opsFile), cfg.Name)
+	pcfg := s.sessionConfig(cfg)
+	logged, err := persist.ReadOpLog(s.fs, filepath.Join(pcfg.Dir, opsFile), cfg.Name)
 	if err != nil {
 		return nil, err
-	}
-	if logged.Torn != nil {
-		s.m.corruptions.Inc()
 	}
 	if want := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, ""); logged.Meta != want {
 		return nil, fmt.Errorf("op log identity %+v disagrees with manifest %+v", logged.Meta, want)
 	}
-	rec, err := persist.Recover(logged.List, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery,
-		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
-	}, core.WithDynamicArrivals())
+	rec, err := persist.Recover(logged.List, pcfg, core.WithDynamicArrivals())
 	if err != nil {
 		return nil, err
 	}
 	s.m.corruptions.Add(uint64(len(rec.Corruptions)))
-
-	// An advance op can be durable while the events it committed are not
-	// (crash between the two barriers). Re-run the clock to the last logged
-	// advance; determinism makes this produce the lost events verbatim.
-	for {
-		tt, ok := rec.Session.Engine().PeekTime()
-		if !ok || tt > logged.MaxAdvance {
-			break
-		}
-		if _, ok, err := rec.Session.Step(); err != nil {
-			rec.Session.Close()
-			return nil, fmt.Errorf("re-advancing to %g: %w", logged.MaxAdvance, err)
-		} else if !ok {
-			break
-		}
-	}
-	if err := rec.Session.Sync(); err != nil {
-		rec.Session.Close()
-		return nil, err
-	}
-	ops, err := persist.ReopenOpLog(s.fs, filepath.Join(dir, opsFile), logged.ValidSize, persist.SyncManual)
-	if err != nil {
-		rec.Session.Close()
-		return nil, err
-	}
-	t := newTenant(cfg, dir, s.limits, s.m)
-	t.start(rec.Session, ops, logged.Watermark)
+	t := newTenant(cfg, pcfg.Dir, s.limits, s.m)
+	t.start(rec.Session, logged.Watermark)
 	return t, nil
 }
 
@@ -349,8 +309,8 @@ func (s *Store) Degraded() []string {
 }
 
 // Close drains every tenant: intake stops, queued batches finish and are
-// acknowledged, WALs and op logs sync and close. The store refuses new
-// tenants afterwards.
+// acknowledged, op logs sync and close. The store refuses new tenants
+// afterwards.
 func (s *Store) Close() {
 	s.mu.Lock()
 	s.closed = true

@@ -28,7 +28,7 @@ type TenantConfig struct {
 	// Seed seeds the policy (RandomFit; ignored by the others).
 	Seed int64 `json:"seed"`
 	// CheckpointEvery takes an automatic snapshot after this many engine
-	// events; 0 disables snapshots (recovery replays the whole WAL).
+	// events; 0 disables snapshots (recovery re-steps the whole op log).
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
 }
 
@@ -136,8 +136,8 @@ type response struct {
 }
 
 // PlaceResult acknowledges one placement. By the time a client reads it, the
-// item's admission is in the fsynced op log and its placement event in the
-// fsynced WAL.
+// item's admission is in the fsynced op log, and the placement is what the
+// deterministic engine re-steps from that log on recovery.
 type PlaceResult struct {
 	Tenant string  `json:"tenant"`
 	Item   int     `json:"item"`
@@ -198,10 +198,10 @@ type PlacementsResult struct {
 	Placements []PlacementRecord `json:"placements"`
 }
 
-// Tenant is one independent run behind the server: a dynamic engine, its
-// persistence session, its op log, and the single worker goroutine that owns
-// all three. Everything mutable belongs to the worker; the front end only
-// enqueues.
+// Tenant is one independent run behind the server: a dynamic engine, the
+// persistence session that owns its op log, and the single worker goroutine
+// that owns both. Everything mutable belongs to the worker; the front end
+// only enqueues.
 type Tenant struct {
 	cfg    TenantConfig
 	limits Limits
@@ -219,7 +219,6 @@ type Tenant struct {
 	// Worker-owned state below; untouched outside the worker goroutine
 	// after start().
 	session   *persist.Session
-	ops       *persist.Writer
 	watermark float64
 	failed    *apiError
 	degraded  *apiError // non-nil while the tenant is read-only on a sick disk
@@ -241,10 +240,9 @@ func newTenant(cfg TenantConfig, dir string, limits Limits, m *storeMetrics) *Te
 // Config returns the tenant's manifest identity.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
 
-// start launches the worker goroutine over an opened session + op log.
-func (t *Tenant) start(session *persist.Session, ops *persist.Writer, watermark float64) {
+// start launches the worker goroutine over an opened session.
+func (t *Tenant) start(session *persist.Session, watermark float64) {
 	t.session = session
-	t.ops = ops
 	t.watermark = watermark
 	go t.run()
 }
@@ -308,23 +306,20 @@ func (t *Tenant) run() {
 		t.process(batch)
 	}
 	// Intake closed: the range loop above already drained everything, so
-	// only the files remain. Close syncs the WAL; the op log syncs on Close
-	// too, so nothing acknowledged — or even admitted — is lost.
+	// only the op log remains. Close syncs it with a final digest mark, so
+	// nothing acknowledged — or even admitted — is lost.
 	if t.session != nil {
 		t.session.Close()
 	}
-	if t.ops != nil {
-		t.ops.Close()
-	}
 }
 
-// process runs one batch as a group commit, honouring the two-barrier
-// durability order: validate and append every mutation's op, fsync the op
-// log, apply the mutations to the engine (appending WAL records), fsync the
-// WAL, then acknowledge. Transient barrier failures retry with capped
-// backoff; a disk that stays sick degrades the tenant to read-only (503 for
-// mutations, queries still served) instead of poisoning it — the worker
-// probes the disk at every batch and resumes when writes go through again.
+// process runs one batch as a group commit in four phases: validate and
+// append every mutation's op, fsync the op log (the one barrier), apply the
+// mutations to the engine, then acknowledge. A transient barrier failure
+// retries with capped backoff; a disk that stays sick rolls the batch back
+// and degrades the tenant to read-only (503 for mutations, queries still
+// served) instead of poisoning it — the worker probes the disk at every
+// batch and resumes when writes go through again.
 func (t *Tenant) process(batch []*request) {
 	if t.degraded != nil {
 		t.probe()
@@ -336,7 +331,7 @@ func (t *Tenant) process(batch []*request) {
 	}
 	out := make([]staged, 0, len(batch))
 	var mutations []int // indices in out, in batch order
-	wm0 := t.watermark  // admission rolls back here if barrier 1 fails
+	wm0 := t.watermark  // admission rolls back here if the barrier fails
 
 	// Phase 1: admission. Validate each mutation against the running
 	// watermark and append its op-log record (buffered, not yet synced).
@@ -376,29 +371,14 @@ func (t *Tenant) process(batch []*request) {
 		}
 	}
 
-	// refuse answers every still-pending mutation with the tenant's current
-	// terminal error (failed beats degraded).
-	refuse := func() {
-		for _, i := range mutations {
-			if out[i].resp.err == nil {
-				if t.failed != nil {
-					out[i].resp.err = t.failed
-				} else {
-					out[i].resp.err = t.degraded
-				}
-			}
-		}
-		mutations = nil
-	}
-
-	// Phase 2: first barrier — ops durable before the engine may step. On a
-	// recoverable failure the whole batch rolls back (the op-log writer is
-	// manual-sync, so nothing leaked) and the tenant degrades; only
-	// corruption, or a rollback that itself fails, poisons it.
+	// Phase 2: the barrier — ops durable before the engine may step. On a
+	// recoverable failure the whole batch rolls back (the op log syncs only
+	// here, so nothing leaked) and the tenant degrades; only corruption, or
+	// a rollback that itself fails, poisons it.
 	if len(mutations) > 0 && t.failed == nil {
-		if err := t.retryIO(t.ops.Sync); err != nil {
+		if err := t.retryIO(t.session.Sync); err != nil {
 			if persist.Recoverable(err) {
-				if rberr := t.ops.Rollback(); rberr != nil {
+				if rberr := t.session.Rollback(); rberr != nil {
 					t.fail("op log rollback after failed sync: %v", rberr)
 				} else {
 					t.watermark = wm0
@@ -407,7 +387,15 @@ func (t *Tenant) process(batch []*request) {
 			} else {
 				t.fail("op log sync: %v", err)
 			}
-			refuse()
+			// Refuse the batch's mutations with the tenant's terminal error
+			// (failed beats degraded).
+			for _, i := range mutations {
+				if t.failed != nil {
+					out[i].resp.err = t.failed
+				} else {
+					out[i].resp.err = t.degraded
+				}
+			}
 		}
 	}
 
@@ -438,25 +426,7 @@ func (t *Tenant) process(batch []*request) {
 		}
 	}
 
-	// Phase 4: second barrier — the WAL durable before anyone is told. The
-	// engine already stepped these events, so on a recoverable failure they
-	// stay applied (item IDs are positional; un-stepping would skew them
-	// against the durable op log) but unacknowledged: the records sit in the
-	// writer's buffer, the probe re-syncs them, and recovery after a crash
-	// regenerates them from the op log. The clients got 503, not an ack, so
-	// nothing acknowledged can be lost either way.
-	if len(mutations) > 0 && t.failed == nil {
-		if err := t.retryIO(t.session.Sync); err != nil {
-			if persist.Recoverable(err) {
-				t.degrade(err)
-			} else {
-				t.fail("wal sync: %v", err)
-			}
-			refuse()
-		}
-	}
-
-	// Phase 5: acknowledge.
+	// Phase 4: acknowledge.
 	for _, s := range out {
 		s.req.reply <- s.resp
 	}
@@ -505,20 +475,14 @@ func (t *Tenant) resume() {
 	t.m.degraded.Add(-1)
 }
 
-// probe re-runs both durability barriers against whatever is buffered (after
-// a barrier-2 failure that includes the unacknowledged WAL suffix). Both
-// clean means the disk recovered; a recoverable failure keeps degraded mode;
+// probe re-runs the barrier, which fsyncs the op log (and writes the digest
+// mark of the last applied batch when the failure came before it). Clean
+// means the disk recovered; a recoverable failure keeps degraded mode;
 // corruption or fatal errors poison.
 func (t *Tenant) probe() {
-	if err := t.ops.Sync(); err != nil {
-		if !persist.Recoverable(err) {
-			t.fail("op log sync: %v", err)
-		}
-		return
-	}
 	if err := t.session.Sync(); err != nil {
 		if !persist.Recoverable(err) {
-			t.fail("wal sync: %v", err)
+			t.fail("op log sync: %v", err)
 		}
 		return
 	}
@@ -531,10 +495,6 @@ func (t *Tenant) harvest() {
 	st := t.session.TakeIOStats()
 	if n := st.SyncFailures + st.CheckpointsSkipped; n > 0 {
 		t.m.ioRetries.Add(uint64(n))
-	}
-	if st.Compactions > 0 {
-		t.m.compactions.Add(uint64(st.Compactions))
-		t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
 	}
 }
 
@@ -561,10 +521,7 @@ func (t *Tenant) admitPlace(req *request) *apiError {
 	if err := probe.Validate(t.cfg.Dim); err != nil {
 		return errf(http.StatusBadRequest, "invalid_item", "%v", err)
 	}
-	if err := t.ops.Append(persist.AppendItemOp(nil, req.arrival, req.departure, req.size)); err != nil {
-		t.fail("op log append: %v", err)
-		return t.failed
-	}
+	t.session.AppendOp(persist.AppendItemOp(nil, req.arrival, req.departure, req.size))
 	t.watermark = req.arrival
 	return nil
 }
@@ -575,10 +532,7 @@ func (t *Tenant) admitAdvance(req *request) *apiError {
 		return errf(http.StatusConflict, "stale_advance",
 			"advance to %g is behind tenant %q watermark %g", req.to, t.cfg.Name, t.watermark)
 	}
-	if err := t.ops.Append(persist.AppendAdvanceOp(nil, req.to)); err != nil {
-		t.fail("op log append: %v", err)
-		return t.failed
-	}
+	t.session.AppendOp(persist.AppendAdvanceOp(nil, req.to))
 	t.watermark = req.to
 	return nil
 }

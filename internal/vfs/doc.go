@@ -11,7 +11,7 @@
 //     barrier. Every mutating operation is counted, so a test can re-run a
 //     recorded workload and cut power at filesystem-op N for every N — the
 //     exhaustive crash-point torture that
-//     `go test -race -run='Vfs|Mem|Injector|Crash|DiskTorture|Compact|Rollback|SyncsParent|SweepsOrphan|Classification|Degraded|SickDisk|DiskFault' ./internal/vfs ./internal/persist ./internal/server ./cmd/dvbpchaos ./cmd/dvbpbench`
+//     `go test -race -run='Vfs|Mem|Injector|Crash|DiskTorture|PowerLoss|RenameFault|Prunes|Rollback|SyncsParent|SweepsOrphan|Classification|Degraded|SickDisk|DiskFault' ./internal/vfs ./internal/persist ./internal/server ./cmd/dvbpchaos ./cmd/dvbpbench`
 //     runs (and `make race` with everything else).
 //   - Injector wraps any FS and fails chosen operations deterministically:
 //     a parsed plan ("write:3:enospc" fails the 3rd write with ENOSPC) for
