@@ -50,13 +50,23 @@ type fitProbe struct {
 	n     int
 }
 
-func newBin(id int, d int, openedAt float64) *Bin {
+// newBin returns an empty bin. acc and active, when non-nil, are a closed
+// bin's zeroed accumulators and emptied item map, taken off the engine's
+// spare lists; only what is nil is allocated. The load vector is always
+// fresh, because observers may still read a closed bin's load.
+func newBin(id int, d int, openedAt float64, acc []vector.Acc, active map[int]vector.Vector) *Bin {
+	if acc == nil {
+		acc = make([]vector.Acc, d)
+	}
+	if active == nil {
+		active = make(map[int]vector.Vector)
+	}
 	return &Bin{
 		ID:       id,
 		OpenedAt: openedAt,
 		load:     vector.New(d),
-		acc:      make([]vector.Acc, d),
-		active:   make(map[int]vector.Vector),
+		acc:      acc,
+		active:   active,
 	}
 }
 
@@ -124,7 +134,10 @@ func (b *Bin) pack(itemID int, size vector.Vector) error {
 	}
 	b.active[itemID] = size
 	b.packed++
-	for j := range b.acc {
+	// Ranging over load, not acc: a closed bin's acc is nil (it went to the
+	// engine's spare list), so a stale pack or remove that gets this far
+	// panics instead of writing into the limbs another bin now owns.
+	for j := range b.load {
 		b.acc[j].Add(size[j])
 		b.load[j] = b.acc[j].Round()
 	}
@@ -137,7 +150,7 @@ func (b *Bin) remove(itemID int) error {
 		return fmt.Errorf("bin %d: item %d not active", b.ID, itemID)
 	}
 	delete(b.active, itemID)
-	for j := range b.acc {
+	for j := range b.load {
 		b.acc[j].Sub(size[j])
 		b.load[j] = b.acc[j].Round()
 	}

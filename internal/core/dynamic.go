@@ -60,15 +60,22 @@ func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (
 	if err := it.Validate(e.list.Dim); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	if n := len(e.arrivals); n > 0 && arrival < e.arrivals[n-1].Arrival {
-		return 0, fmt.Errorf("core: arrival %g is before the previously admitted arrival %g", arrival, e.arrivals[n-1].Arrival)
+	if n := len(e.arrivals); n > 0 {
+		if prev := e.list.Items[e.arrivals[n-1]].Arrival; arrival < prev {
+			return 0, fmt.Errorf("core: arrival %g is before the previously admitted arrival %g", arrival, prev)
+		}
 	}
 	if arrival < e.lastTime {
 		return 0, fmt.Errorf("core: arrival %g is in the engine's past (last committed event at %g)", arrival, e.lastTime)
 	}
+	// The ID is the new item's list index, and the arrival order only grows
+	// at its end.
 	e.list.Items = append(e.list.Items, it)
-	e.arrivals = append(e.arrivals, it)
-	e.itemsByID[id] = it
+	e.arrivals = append(e.arrivals, int32(id))
+	if e.byID != nil {
+		e.byID[id] = int32(id)
+	}
+	e.shape.add(arrival, departure)
 	e.res.Items = e.list.Len()
 	return id, nil
 }
@@ -95,8 +102,10 @@ func (e *Engine) PeekTime() (float64, bool) {
 	if ev, ok := e.retries.Peek(); ok && ev.Time < t {
 		t, any = ev.Time, true
 	}
-	if e.ai < len(e.arrivals) && (e.arrivals[e.ai].Arrival < t || !any) {
-		t, any = e.arrivals[e.ai].Arrival, true
+	if e.ai < len(e.arrivals) {
+		if a := e.list.Items[e.arrivals[e.ai]].Arrival; a < t || !any {
+			t, any = a, true
+		}
 	}
 	return t, any
 }

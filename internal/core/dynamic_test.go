@@ -16,23 +16,11 @@ func feedDynamic(t *testing.T, e *Engine, items []item.Item) map[int]int {
 	t.Helper()
 	placed := make(map[int]int, len(items))
 	for _, it := range items {
-		id, err := e.AppendArrival(it.Arrival, it.Departure, it.Size)
+		rec, err := appendAndPlace(e, it)
 		if err != nil {
-			t.Fatalf("AppendArrival: %v", err)
+			t.Fatal(err)
 		}
-		for {
-			rec, ok, err := e.Step()
-			if err != nil {
-				t.Fatalf("Step: %v", err)
-			}
-			if !ok {
-				t.Fatalf("engine went idle before arrival %d committed", id)
-			}
-			if rec.Class == EventArrival && rec.ItemID == id {
-				placed[id] = rec.BinID
-				break
-			}
-		}
+		placed[rec.ItemID] = rec.BinID
 	}
 	return placed
 }

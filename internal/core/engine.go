@@ -146,8 +146,9 @@ type departure struct {
 // breaking snapshot/restore bit-identity. With the attempt in the low bits,
 // same-instant departures of distinct items still fire in ascending item-ID
 // order (the engine's documented tie-break) and an item's stale entries
-// deterministically precede its live one. Item IDs are list indices
-// (item.List.Add assigns them), so the shift cannot overflow.
+// deterministically precede its live one. Item.Validate bounds IDs to
+// [0, item.MaxID], so the shift cannot overflow and no two items share a
+// key.
 func depSeq(itemID, attempt int) int64 {
 	return int64(itemID)<<32 | int64(uint32(attempt))
 }
@@ -258,8 +259,12 @@ type Engine struct {
 	p    Policy
 	list *item.List
 
-	arrivals []item.Item
+	// arrivals holds the indices of list.Items in (Arrival, SeqNo) order;
+	// the items themselves are read in place (arrivals.go). shape folds
+	// span(R) and μ over the same order.
+	arrivals []int32
 	ai       int // next arrival index
+	shape    shape
 
 	open  []*Bin // opening order (ascending ID); may hold tombstones until compacted
 	holes int    // tombstone (nil) count in open
@@ -273,10 +278,17 @@ type Engine struct {
 	res       *Result
 	nextBinID int
 	binsByID  map[int]*Bin
-	itemsByID map[int]item.Item
-	attempts  map[int]int // item ID -> eviction count (allocated on first crash)
+	byID      map[int]int32 // item ID -> list index, built on first lookup (item)
+	attempts  map[int]int   // item ID -> eviction count (allocated on first crash)
 	served    int
 	eventSeq  int64
+
+	// Spare lists (closeBinAt): the zeroed accumulators of closed bins and
+	// the emptied item maps of bins that closed empty, which the next bins
+	// to open take first. Neither list holds more than the run's peak number
+	// of open bins, and neither is snapshot state.
+	spareAcc    [][]vector.Acc
+	spareActive []map[int]vector.Vector
 
 	probe  *fitProbe
 	selObs SelectObserver
@@ -326,6 +338,10 @@ type Engine struct {
 // NewEngine validates the instance and prepares a run. The returned engine
 // owns p until Finish or Close; callers that abandon a run without finishing
 // it must Close it to release the policy-reuse guard.
+//
+// The engine reads l.Items in place until Finish or Close, item sizes
+// included, so the caller must not mutate the list during the run. A dynamic
+// run grows the list itself (AppendArrival).
 func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
 	var cfg config
 	for _, o := range opts {
@@ -341,28 +357,26 @@ func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	p.Reset()
-	e := newEngineShell(l, p, cfg)
-	e.arrivals = l.SortedByArrival()
-	return e, nil
+	return newEngineShell(l, p, cfg), nil
 }
 
 // newEngineShell builds the run scaffolding shared by NewEngine and
-// RestoreEngine: the policy is already acquired and reset; no events have
-// been primed.
+// RestoreEngine: the policy is already acquired and reset; the arrival order
+// is built, but no events have been primed.
 func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
 	e := &Engine{
-		cfg:  cfg,
-		p:    p,
-		list: l,
-		res: &Result{
-			Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: l.Span(), Mu: l.Mu(),
-			Outcomes: make(map[int]Outcome, l.Len()),
-		},
-		binsByID:  make(map[int]*Bin),
-		itemsByID: make(map[int]item.Item, l.Len()),
+		cfg:      cfg,
+		p:        p,
+		list:     l,
+		arrivals: l.ArrivalOrder(),
+		binsByID: make(map[int]*Bin),
 	}
-	for _, it := range l.Items {
-		e.itemsByID[it.ID] = it
+	for _, i := range e.arrivals {
+		e.shape.add(l.Items[i].Arrival, l.Items[i].Departure)
+	}
+	e.res = &Result{
+		Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: e.shape.span(), Mu: e.shape.mu(),
+		Outcomes: make(map[int]Outcome, l.Len()),
 	}
 	if so, ok := cfg.observer.(SelectObserver); ok {
 		e.selObs = so
@@ -510,10 +524,17 @@ func (e *Engine) makeReq(it item.Item, now float64, attempt int) Request {
 	return req
 }
 
-// closeBinAt closes b at time t. Closing only tombstones the bin's slot —
-// O(1), so a burst of closings between two arrivals costs O(burst) instead
-// of the O(burst·open) repeated splicing would. The slice is compacted
-// (order preserved) before the next dispatch consults the policy.
+// closeBinAt closes b at time t; departures, crashes and migration drains
+// all close through it. Closing only tombstones the bin's slot — O(1), so a
+// burst of closings between two arrivals costs O(burst) instead of the
+// O(burst·open) repeated splicing would. The slice is compacted (order
+// preserved) before the next dispatch consults the policy.
+//
+// Once the policy and the observer have seen the close, the bin's
+// accumulators go, zeroed, onto the spare list the next bin to open takes
+// from, and so does its item map when the bin closed empty. A crashed bin
+// keeps its map, because BinCrashed observers read it after the close. The
+// load vector is never handed on: observers may read it later.
 func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	e.res.Bins = append(e.res.Bins, BinUsage{BinID: b.ID, OpenedAt: b.OpenedAt, ClosedAt: t, Packed: b.PackedItems(), Crashed: crashed})
 	e.res.Cost += t - b.OpenedAt
@@ -528,6 +549,25 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	if e.cfg.observer != nil {
 		e.cfg.observer.BinClosed(b, t)
 	}
+	for j := range b.acc {
+		b.acc[j].Reset()
+	}
+	e.spareAcc = append(e.spareAcc, b.acc)
+	b.acc = nil
+	if !crashed {
+		e.spareActive = append(e.spareActive, b.active)
+		b.active = nil
+	}
+}
+
+// popSpare takes the most recently pushed entry off a spare list, or returns
+// nil when the list is empty.
+func popSpare[T any](list *[]T) (v T) {
+	if n := len(*list); n > 0 {
+		v = (*list)[n-1]
+		*list = (*list)[:n-1]
+	}
+	return v
 }
 
 func (e *Engine) compact() {
@@ -611,7 +651,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 			}
 			return false, -1, false, nil
 		}
-		b = newBin(e.nextBinID, e.list.Dim, now)
+		b = newBin(e.nextBinID, e.list.Dim, now, popSpare(&e.spareAcc), popSpare(&e.spareActive))
 		b.openIdx = len(e.open)
 		b.probe = e.probe
 		e.nextBinID++
@@ -758,7 +798,7 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 		e.attempts = make(map[int]int)
 	}
 	for _, id := range evicted {
-		it := e.itemsByID[id]
+		it, _ := e.item(id)
 		e.attempts[id]++
 		attempt := e.attempts[id]
 		e.res.Evictions++
@@ -813,8 +853,10 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	if ev, ok := e.retries.Peek(); ok && (ev.Time < t || (ev.Time == t && evRetry < class)) {
 		t, class = ev.Time, evRetry
 	}
-	if e.ai < len(e.arrivals) && (e.arrivals[e.ai].Arrival < t || (e.arrivals[e.ai].Arrival == t && evArrival < class)) {
-		t, class = e.arrivals[e.ai].Arrival, evArrival
+	if e.ai < len(e.arrivals) {
+		if a := e.list.Items[e.arrivals[e.ai]].Arrival; a < t || (a == t && evArrival < class) {
+			t, class = a, evArrival
+		}
 	}
 	if class == evNone {
 		return EventRecord{}, false, nil
@@ -858,7 +900,7 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 		rec.ItemID = ev.Payload.it.ID
 		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(ev.Payload.it, ev.Payload.attempt, ev.Time, false)
 	case evArrival:
-		it := e.arrivals[e.ai]
+		it := e.list.Items[e.arrivals[e.ai]]
 		e.ai++
 		rec.ItemID = it.ID
 		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(it, 0, it.Arrival, false)
@@ -913,10 +955,10 @@ func (e *Engine) Finish() (*Result, error) {
 
 	if e.cfg.dynamic {
 		// A dynamic run's instance-shape summary is only known once the
-		// stream ends; recompute it so the sealed result is indistinguishable
-		// from a static run over the same final list.
-		e.res.Span = e.list.Span()
-		e.res.Mu = e.list.Mu()
+		// stream ends; read it off the fold AppendArrival kept, which equals
+		// a static run's over the same final list bit for bit.
+		e.res.Span = e.shape.span()
+		e.res.Mu = e.shape.mu()
 		e.res.Items = e.list.Len()
 	}
 	e.res.BinsOpened = e.nextBinID
@@ -928,7 +970,9 @@ func (e *Engine) Finish() (*Result, error) {
 
 // Simulate runs the Any Fit skeleton (Algorithm 1) over the item list with
 // the given policy and returns the resulting packing and its MinUsageTime
-// cost. The list is validated first; the input is not modified.
+// cost. The list is validated first; the input is not modified. The engine
+// reads the list in place while it runs, so the caller must not mutate it
+// until Simulate returns.
 //
 // Event order: items are processed by (arrival, SeqNo). Because active
 // intervals are half-open, departures at time t are processed before

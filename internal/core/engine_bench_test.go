@@ -137,3 +137,124 @@ func BenchmarkSimulateUniform(b *testing.B) {
 		})
 	}
 }
+
+// appendAndPlace admits one item into a dynamic engine and steps it until
+// that item's arrival commits, as a server tenant's worker does, and returns
+// the arrival's event record.
+func appendAndPlace(e *Engine, it item.Item) (EventRecord, error) {
+	id, err := e.AppendArrival(it.Arrival, it.Departure, it.Size)
+	if err != nil {
+		return EventRecord{}, err
+	}
+	for {
+		rec, ok, err := e.Step()
+		if err != nil {
+			return EventRecord{}, err
+		}
+		if !ok {
+			return EventRecord{}, fmt.Errorf("engine went idle before arrival %d committed", id)
+		}
+		if rec.Class == EventArrival && rec.ItemID == id {
+			return rec, nil
+		}
+	}
+}
+
+// drain steps e until no event is left and finishes it.
+func drain(tb testing.TB, e *Engine) *Result {
+	tb.Helper()
+	for {
+		_, ok, err := e.Step()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	res, err := e.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// uniformStream is the paper's uniform model at d = 2 and μ = 10 as a
+// placement server's tenant receives it: 1000-item instances, each in
+// arrival order and shifted past the previous one's arrival window, cut to
+// n items. A FirstFit fleet on it stays near 20 bins.
+func uniformStream(n int) ([]item.Item, error) {
+	cfg := workload.UniformConfig{D: 2, N: 1000, Mu: 10, T: 170, B: 100}
+	width := float64(cfg.T - cfg.Mu + 1)
+	out := make([]item.Item, 0, n+cfg.N)
+	for k := 0; len(out) < n; k++ {
+		l, err := workload.Uniform(cfg, int64(k+1))
+		if err != nil {
+			return nil, err
+		}
+		shift := float64(k) * width
+		for _, it := range l.SortedByArrival() {
+			it.Arrival += shift
+			it.Departure += shift
+			out = append(out, it)
+		}
+	}
+	return out[:n], nil
+}
+
+// azureStream is an Azure-like d = 2 trace at 22 times the generator's base
+// rate, without arrival bursts, cut to n items: long heavy-tailed sessions
+// that build a fleet of a few hundred bins.
+func azureStream(n int) ([]item.Item, error) {
+	cfg := workload.AzureLike(2)
+	cfg.Rate *= 22
+	cfg.Horizon = float64(n)/60 + 10
+	cfg.BurstFactor = 1
+	l, err := workload.Datacenter(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	if l.Len() < n {
+		return nil, fmt.Errorf("azure stream has %d items, want %d", l.Len(), n)
+	}
+	return l.SortedByArrival()[:n], nil
+}
+
+// BenchmarkDynamicAppendStep times a placement server tenant's engine path:
+// each item is admitted with AppendArrival and the engine is stepped until
+// that arrival commits; the run then drains and finishes. One op is a whole
+// stream of dynamicStreamLen items, so B/op and allocs/op divided by that
+// length are the bytes and allocations per placement; ns/item is the time.
+func BenchmarkDynamicAppendStep(b *testing.B) {
+	const dynamicStreamLen = 4096
+	for _, tc := range []struct {
+		stream, policy string
+		gen            func(int) ([]item.Item, error)
+	}{{"uniform", "FirstFit", uniformStream}, {"azure", "BestFit", azureStream}} {
+		b.Run(fmt.Sprintf("stream=%s/policy=%s", tc.stream, tc.policy), func(b *testing.B) {
+			items, err := tc.gen(dynamicStreamLen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := NewPolicy(tc.policy, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := NewEngine(item.NewList(2), p, WithDynamicArrivals())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, it := range items {
+					if _, err := appendAndPlace(e, it); err != nil {
+						b.Fatal(err)
+					}
+				}
+				drain(b, e)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dynamicStreamLen), "ns/item")
+		})
+	}
+}

@@ -209,7 +209,7 @@ type foreignPolicy struct{ *FirstFit }
 
 func (foreignPolicy) Name() string { return "Foreign" }
 func (foreignPolicy) Select(req Request, open []*Bin) *Bin {
-	return newBin(999, req.Size.Dim(), 0)
+	return newBin(999, req.Size.Dim(), 0, nil, nil)
 }
 
 func TestEngineRejectsForeignBin(t *testing.T) {

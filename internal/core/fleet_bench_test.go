@@ -19,7 +19,7 @@ func fleet(p IndexedPolicy, n, d int, seed int64) ([]*Bin, *BinIndex) {
 	open := make([]*Bin, n)
 	size := vector.New(d)
 	for i := range open {
-		b := newBin(i, d, 0)
+		b := newBin(i, d, 0, nil, nil)
 		for j := range size {
 			size[j] = float64(30+r.Intn(70)) / 100
 		}

@@ -10,7 +10,7 @@ import (
 // fragBin builds an open bin with the given load for direct Select tests.
 func fragBin(t *testing.T, id int, load ...float64) *Bin {
 	t.Helper()
-	b := newBin(id, len(load), 0)
+	b := newBin(id, len(load), 0, nil, nil)
 	if err := b.pack(1000+id, vector.Of(load...)); err != nil {
 		t.Fatal(err)
 	}

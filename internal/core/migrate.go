@@ -165,13 +165,13 @@ func (e *Engine) planMigrationPass(passAt float64) ([]MigrationMove, error) {
 		Dim:  e.list.Dim,
 		Bins: e.open,
 		Size: func(id int) vector.Vector {
-			if it, ok := e.itemsByID[id]; ok {
+			if it, ok := e.item(id); ok {
 				return it.Size
 			}
 			return nil
 		},
 		Departure: func(id int) float64 {
-			if it, ok := e.itemsByID[id]; ok {
+			if it, ok := e.item(id); ok {
 				return it.Departure
 			}
 			return math.NaN()
@@ -219,7 +219,7 @@ func (e *Engine) checkMigrationPlan(moves []MigrationMove, passAt float64) error
 		if !active {
 			return fmt.Errorf("move %d: item %d is not active in bin %d", i, mv.ItemID, mv.From)
 		}
-		it := e.itemsByID[mv.ItemID]
+		it, _ := e.item(mv.ItemID)
 		cost += MigrationMoveCost(size, it.Departure-passAt)
 	}
 	if budget.MaxCost > 0 && cost > budget.MaxCost {
@@ -281,7 +281,7 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 		from.auditCrossCheckLoad()
 		to.auditCrossCheckLoad()
 	}
-	it := e.itemsByID[mv.ItemID]
+	it, _ := e.item(mv.ItemID)
 	cost := MigrationMoveCost(size, it.Departure-t)
 	e.res.Migrations++
 	e.res.MigrationCost += cost

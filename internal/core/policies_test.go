@@ -34,7 +34,7 @@ func TestScanLoopsMatchBinFits(t *testing.T) {
 			probe := &fitProbe{armed: true}
 			open := make([]*Bin, r.Intn(12))
 			for i := range open {
-				b := newBin(i, d, 0)
+				b := newBin(i, d, 0, nil, nil)
 				b.probe = probe
 				if err := b.pack(i, tenths(d)); err != nil {
 					t.Fatal(err)

@@ -124,7 +124,7 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 		var target *refBin
 		if chosen == nil {
 			opened = true
-			nb := newBin(len(bins), l.Dim, it.Arrival)
+			nb := newBin(len(bins), l.Dim, it.Arrival, nil, nil)
 			target = &refBin{bin: nb}
 			bins = append(bins, target)
 		} else {

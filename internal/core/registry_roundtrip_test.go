@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvbp/internal/item"
 	"dvbp/internal/vector"
 	"dvbp/internal/workload"
 )
@@ -69,7 +70,7 @@ func primePolicy(t *testing.T, p Policy) []*Bin {
 	p.Reset()
 	open := make([]*Bin, 0, 8)
 	for i := 0; i < 8; i++ {
-		b := newBin(i, 2, 0)
+		b := newBin(i, 2, 0, nil, nil)
 		// Mixed loads so load-driven policies have real argmax/argmin work.
 		load := 0.1 + 0.08*float64(i)
 		if err := b.pack(1000+i, vector.Of(load, load/2)); err != nil {
@@ -138,6 +139,63 @@ func TestSimulateSteadyStateEventAllocs(t *testing.T) {
 		if perEvent > 0.1 {
 			t.Errorf("%s: %.2f allocs per steady-state event (short=%v long=%v), want ~0",
 				name, perEvent, short, long)
+		}
+	}
+}
+
+// TestBinOpenCloseSteadyStateAllocs pins what a bin that opens and closes
+// costs: every item of size 0.9 arrives after the previous one departed, so
+// each opens a bin and closes it again. The closed bin's accumulators and
+// item map go to the next bin, so an item's marginal allocations are the Bin
+// and its load vector on a static run, plus the size clone AppendArrival
+// makes on a dynamic one. As in TestSimulateSteadyStateEventAllocs, the
+// difference of two run lengths cancels the setup, and 0.1 per item is left
+// for amortised slice and map growth.
+func TestBinOpenCloseSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run")
+	}
+	sequential := func(d, n int) *item.List {
+		l := item.NewList(d)
+		for i := 0; i < n; i++ {
+			l.Add(float64(i), float64(i)+0.5, vector.Uniform(d, 0.9))
+		}
+		return l
+	}
+	static := func(l *item.List) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := Simulate(l, NewFirstFit())
+			if err != nil || res.BinsOpened != l.Len() {
+				t.Fatalf("Simulate: %v (bins %d of %d)", err, res.BinsOpened, l.Len())
+			}
+		})
+	}
+	dynamic := func(l *item.List) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e, err := NewEngine(item.NewList(l.Dim), NewFirstFit(), WithDynamicArrivals())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range l.Items {
+				if _, err := appendAndPlace(e, it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drain(t, e)
+		})
+	}
+	const short, long = 256, 1280
+	for _, d := range []int{1, 2, 5} {
+		for _, tc := range []struct {
+			mode string
+			run  func(*item.List) float64
+			want float64
+		}{{"static", static, 2}, {"dynamic", dynamic, 3}} {
+			a, b := tc.run(sequential(d, short)), tc.run(sequential(d, long))
+			if per := (b - a) / (long - short); per > tc.want+0.1 {
+				t.Errorf("d=%d %s: %.2f allocs per opened and closed bin (short=%v long=%v), want %v",
+					d, tc.mode, per, a, b, tc.want)
+			}
 		}
 	}
 }

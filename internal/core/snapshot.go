@@ -297,8 +297,6 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			e.Close()
 		}
 	}()
-	e.arrivals = l.SortedByArrival()
-
 	if s.ArrivalIdx < 0 || s.ArrivalIdx > len(e.arrivals) {
 		return nil, corruptf("arrival index %d outside [0, %d]", s.ArrivalIdx, len(e.arrivals))
 	}
@@ -335,10 +333,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		if bs.Packed < len(bs.ActiveIDs) {
 			return nil, corruptf("bin %d packed %d < %d active", bs.ID, bs.Packed, len(bs.ActiveIDs))
 		}
-		b := newBin(bs.ID, l.Dim, bs.OpenedAt)
+		b := newBin(bs.ID, l.Dim, bs.OpenedAt, nil, nil)
 		b.packed = bs.Packed
 		for _, id := range bs.ActiveIDs {
-			it, known := e.itemsByID[id]
+			it, known := e.item(id)
 			if !known {
 				return nil, corruptf("bin %d holds unknown item %d", bs.ID, id)
 			}
@@ -366,7 +364,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// (departures are keyed by item ID, crashes by bin ID, retries carry
 	// their assigned sequence).
 	for i, d := range s.Departures {
-		if _, known := e.itemsByID[d.ItemID]; !known {
+		if _, known := e.item(d.ItemID); !known {
 			return nil, corruptf("departure %d references unknown item %d", i, d.ItemID)
 		}
 		if d.Seq>>32 != int64(d.ItemID) {
@@ -381,7 +379,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		e.crashes.PushAt(c.Time, int64(c.BinID), c.BinID)
 	}
 	for i, r := range s.Retries {
-		it, known := e.itemsByID[r.ItemID]
+		it, known := e.item(r.ItemID)
 		if !known {
 			return nil, corruptf("retry %d references unknown item %d", i, r.ItemID)
 		}
@@ -394,7 +392,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		e.retries.PushAt(r.Time, r.Seq, retryDispatch{it: it, attempt: r.Attempt})
 	}
 	for i, q := range s.WaitQueue {
-		it, known := e.itemsByID[q.ItemID]
+		it, known := e.item(q.ItemID)
 		if !known {
 			return nil, corruptf("queue entry %d references unknown item %d", i, q.ItemID)
 		}
@@ -403,7 +401,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.Attempts != nil {
 		e.attempts = make(map[int]int, len(s.Attempts))
 		for id, n := range s.Attempts {
-			if _, known := e.itemsByID[id]; !known {
+			if _, known := e.item(id); !known {
 				return nil, corruptf("attempt count for unknown item %d", id)
 			}
 			if n < 1 {
@@ -456,7 +454,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			}
 			prevSeq = r.Seq
 			itemID := int(r.Seq >> 32)
-			if _, known := e.itemsByID[itemID]; !known {
+			if _, known := e.item(itemID); !known {
 				return nil, corruptf("redirect %d references unknown item %d", i, itemID)
 			}
 			if cfg.injector == nil {

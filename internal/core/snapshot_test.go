@@ -2,8 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"dvbp/internal/item"
 )
 
 // snapshotOpts is the option set the snapshot tests run under: faults with a
@@ -162,6 +165,47 @@ func TestSnapshotRoundTripFaultFree(t *testing.T) {
 		if got := resultJSON(t, res); got != want {
 			t.Fatalf("%s: restored result diverged:\n got %s\nwant %s", name, got, want)
 		}
+	}
+}
+
+// TestSnapshotRoundTripMaxItemID: the departure queue packs the item ID into
+// the high half of its 64-bit key, and RestoreEngine checks the key against
+// the item. A list holding the largest valid ID must survive a mid-run
+// Snapshot/RestoreEngine round trip, and the next ID must be refused.
+func TestSnapshotRoundTripMaxItemID(t *testing.T) {
+	l := randomList(3, 12, 2, 10)
+	// Arriving first and departing last, the item is in the departure queue
+	// at any mid-run snapshot.
+	l.Items[5].ID, l.Items[5].Arrival, l.Items[5].Departure = item.MaxID, 0, 200
+	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
+	e, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, ok, err := e.Step(); err != nil || !ok {
+			t.Fatalf("Step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if !slices.ContainsFunc(s.Departures, func(d DepartureSnapshot) bool { return d.ItemID == item.MaxID }) {
+		t.Fatal("snapshot holds no departure of the item with ID item.MaxID")
+	}
+	re, err := RestoreEngine(l, NewFirstFit(), s)
+	if err != nil {
+		t.Fatalf("RestoreEngine: %v", err)
+	}
+	if _, res := stepAll(t, re); resultJSON(t, res) != want {
+		t.Fatal("restored result diverged from the uninterrupted run")
+	}
+
+	l.Items[5].ID = item.MaxID + 1
+	if _, err := NewEngine(l, NewFirstFit()); err == nil {
+		t.Fatal("item ID past item.MaxID accepted")
 	}
 }
 

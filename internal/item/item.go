@@ -16,8 +16,9 @@ import (
 // SeqNo orders simultaneous arrivals (the paper's constructions rely on
 // items "arriving in that order" at the same time instant).
 type Item struct {
-	// ID identifies the item within its list. IDs are unique, non-negative,
-	// and stable across serialisation.
+	// ID identifies the item within its list. IDs are unique, lie in
+	// [0, MaxID], and are stable across serialisation. The bound lets the
+	// engine pack an ID into the high half of a 64-bit event key.
 	ID int
 	// SeqNo breaks ties among items with equal arrival time: lower SeqNo
 	// arrives first. List.Normalize assigns SeqNos from list order.
@@ -42,11 +43,16 @@ func (it Item) Duration() float64 { return it.Departure - it.Arrival }
 // ActiveAt reports whether the item is active at time t (t ∈ [a, e)).
 func (it Item) ActiveAt(t float64) bool { return t >= it.Arrival && t < it.Departure }
 
-// Validate checks the item is well-formed for a d-dimensional instance:
-// non-negative times, strictly positive duration, size in [0,1]^d with the
-// right dimension.
+// MaxID is the largest item ID a valid item may carry, 2³¹−1.
+const MaxID = math.MaxInt32
+
+// Validate checks the item is well-formed for a d-dimensional instance: an ID
+// in [0, MaxID], non-negative times, strictly positive duration, size in
+// [0,1]^d with the right dimension.
 func (it Item) Validate(d int) error {
 	switch {
+	case it.ID < 0 || it.ID > MaxID:
+		return fmt.Errorf("item %d: ID outside [0, %d]", it.ID, MaxID)
 	case math.IsNaN(it.Arrival) || math.IsNaN(it.Departure):
 		return fmt.Errorf("item %d: NaN time", it.ID)
 	case it.Arrival < 0:
@@ -229,17 +235,33 @@ func (l *List) LoadAt(t float64) vector.Vector {
 // order in which an online algorithm sees them. The receiver is unchanged.
 func (l *List) SortedByArrival() []Item {
 	out := make([]Item, len(l.Items))
-	copy(out, l.Items)
-	slices.SortFunc(out, func(a, b Item) int {
-		if a.Arrival != b.Arrival {
-			if a.Arrival < b.Arrival {
+	for k, i := range l.ArrivalOrder() {
+		out[k] = l.Items[i]
+	}
+	return out
+}
+
+// ArrivalOrder returns the indices of l.Items sorted by (Arrival, SeqNo),
+// the order SortedByArrival returns the items in, without copying them. An
+// int32 holds every index of a valid list, whose IDs are distinct and at most
+// MaxID.
+func (l *List) ArrivalOrder() []int32 {
+	items := l.Items
+	order := make([]int32, len(items))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := &items[a], &items[b]
+		if x.Arrival != y.Arrival {
+			if x.Arrival < y.Arrival {
 				return -1
 			}
 			return 1
 		}
-		return cmp.Compare(a.SeqNo, b.SeqNo)
+		return cmp.Compare(x.SeqNo, y.SeqNo)
 	})
-	return out
+	return order
 }
 
 // Clone returns a deep copy of the list.

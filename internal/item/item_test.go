@@ -36,6 +36,10 @@ func TestItemValidate(t *testing.T) {
 	if err := good.Validate(2); err != nil {
 		t.Errorf("valid item rejected: %v", err)
 	}
+	good.ID = MaxID
+	if err := good.Validate(2); err != nil {
+		t.Errorf("item with ID MaxID rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		it   Item
@@ -48,6 +52,8 @@ func TestItemValidate(t *testing.T) {
 		{"wrong dim", Item{Arrival: 0, Departure: 1, Size: v(0.5)}, 2},
 		{"negative size", Item{Arrival: 0, Departure: 1, Size: v(-0.1)}, 1},
 		{"oversize", Item{Arrival: 0, Departure: 1, Size: v(1.5)}, 1},
+		{"negative id", Item{ID: -1, Arrival: 0, Departure: 1, Size: v(0.5)}, 1},
+		{"id past MaxID", Item{ID: MaxID + 1, Arrival: 0, Departure: 1, Size: v(0.5)}, 1},
 	}
 	for _, c := range cases {
 		if err := c.it.Validate(c.d); err == nil {

@@ -237,6 +237,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"id,arrival,departure,s0\n0,0,1,x\n",              // bad size
 		"id,arrival,departure,s0\n0,0,1,1.5\n",            // oversize item
 		"id,arrival,departure,s0\n0,0,1,0.5\n0,0,1,0.5\n", // dup id
+		"id,arrival,departure,s0\n2147483648,0,1,0.5\n",   // id past item.MaxID
+		"id,arrival,departure,s0\n-1,0,1,0.5\n",           // negative id
 	}
 	for i, s := range cases {
 		if _, err := ReadCSV(strings.NewReader(s)); err == nil {
