@@ -35,12 +35,12 @@ race:
 	$(GO) test -race ./...
 
 # Repeated-run concurrency stress under the race detector: the scheduler,
-# sharded-sweep determinism, run-scoped metrics, the engine's policy-reuse
+# parallel-sweep determinism, run-scoped metrics, the engine's policy-reuse
 # guard, and concurrent-read contracts. GOMAXPROCS is forced above the core
 # count so goroutines interleave even on small machines.
 stress:
 	GOMAXPROCS=4 $(GO) test -race -count=$(STRESSCOUNT) \
-		-run='Concurrent|Stress|Steal|Sweep|Shard|Slice|ForRun|Progress|Cancellation|Panic|WorkerCounts|Migration|Planners' \
+		-run='Concurrent|Stress|Sweep|Shard|ForRun|Cancellation|Panic|WorkerCounts|Migration|Planners' \
 		./internal/parallel ./internal/experiments ./internal/metrics \
 		./internal/core ./internal/faults ./internal/vector ./internal/server \
 		./internal/migrate
@@ -62,7 +62,7 @@ bench-module:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
-# sharded-sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
+# Figure 4 sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, the
 # package of each entry, mean ns/op, B/op, allocs/op). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change

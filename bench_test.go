@@ -270,9 +270,10 @@ func BenchmarkOfflinePackers(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure4SweepThroughput measures shard-scheduler throughput on the
-// sharded Figure 4 sweep at 1 and 8 workers; the metric is shards completed
-// per second (one shard = one policy on one regenerated instance). The
+// BenchmarkFigure4SweepThroughput measures sweep throughput on the Figure 4
+// runner at 1 and 8 workers. A scheduler task is one instance under every
+// policy (generated and bounded once); the shards/sec metric still counts
+// cost/LB ratios, one per (instance, policy), i.e. ShardCount per sweep. The
 // "workers=N" spelling keeps the two entries distinct in BENCH_core.json
 // (the converter strips a trailing -N as the GOMAXPROCS suffix).
 func BenchmarkFigure4SweepThroughput(b *testing.B) {

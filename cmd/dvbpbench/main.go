@@ -16,13 +16,9 @@
 // -instances values keep the shape with wider error bars. Results print as
 // ASCII tables and, with -out DIR, are also written as CSV and SVG.
 //
-// Sharding: fig4 and table1 decompose into independent shards. -json-out
-// writes the run's raw per-shard results as a sweep document; -shard k/m
-// restricts one invocation to the shards congruent to k mod m (for splitting
-// a sweep across processes or machines) and requires -json-out. -merge
-// reassembles part files into the full sweep and renders it; the merged JSON
-// is byte-identical to a single-process run regardless of -workers or how the
-// work was sliced (DESIGN.md §9).
+// Parallelism: every experiment runs in this one process, its trials spread
+// over -workers goroutines; output is byte-identical for every -workers value
+// (DESIGN.md §9).
 //
 // Observability: -metrics attaches a shared metrics.Collector to every
 // simulation the chosen experiments run and dumps aggregate JSON +
@@ -34,7 +30,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -86,9 +81,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "master seed")
 		workers    = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		outDir     = flag.String("out", "", "directory for CSV/SVG artefacts (optional)")
-		shardF     = flag.String("shard", "", "run only sweep slice k/m (fig4/table1; requires -json-out)")
-		jsonOut    = flag.String("json-out", "", "write the fig4/table1 sweep document as JSON to this file (- = stdout)")
-		mergeF     = flag.String("merge", "", "merge comma-separated sweep part files into the full sweep, write it to -json-out (default stdout), render the result, and exit")
 		metricsF   = flag.Bool("metrics", false, "collect engine metrics across all runs and dump JSON + Prometheus snapshots")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -133,22 +125,6 @@ func main() {
 		}
 		return
 	}
-	if *mergeF != "" {
-		if err := runMerge(*mergeF, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	shard, err := experiments.ParseShardSlice(*shardF)
-	if err != nil {
-		fatal(err)
-	}
-	if sweepable := *experiment == "fig4" || *experiment == "table1"; (!shard.All() || *jsonOut != "") && !sweepable {
-		fatal(fmt.Errorf("-shard and -json-out apply only to -experiment fig4 or table1"))
-	}
-	if !shard.All() && *jsonOut == "" {
-		fatal(fmt.Errorf("-shard produces a partial sweep; give it a -json-out path to merge later"))
-	}
 
 	outDirGlobal = *outDir
 	if *timeout > 0 {
@@ -171,9 +147,9 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "fig4":
-			runFigure4(*dFlag, *instances, *mus, *seed, *workers, shard, *jsonOut, *outDir)
+			runFigure4(*dFlag, *instances, *mus, *seed, *workers, *outDir)
 		case "table1":
-			runTable1(*seed, *workers, shard, *jsonOut, *outDir)
+			runTable1(*seed, *workers, *outDir)
 		case "ubcheck":
 			runUBCheck(*instances, *seed, *workers)
 		case "ablation-bestfit":
@@ -280,7 +256,7 @@ func parseMus(s string) []int {
 	return out
 }
 
-func runFigure4(d, instances int, mus string, seed int64, workers int, shard experiments.ShardSlice, jsonOut, outDir string) {
+func runFigure4(d, instances int, mus string, seed int64, workers int, outDir string) {
 	cfg := experiments.DefaultFigure4()
 	cfg.Instances = instances
 	cfg.Mus = parseMus(mus)
@@ -288,20 +264,12 @@ func runFigure4(d, instances int, mus string, seed int64, workers int, shard exp
 	cfg.Workers = workers
 	cfg.Observer = observer()
 	cfg.Ctx = benchCtx
-	cfg.Shard = shard
 	if d != 0 {
 		cfg.Ds = []int{d}
 	}
-	fmt.Printf("== Figure 4: d=%v mu=%v instances=%d (n=%d T=%d B=%d) shard=%s ==\n",
-		cfg.Ds, cfg.Mus, cfg.Instances, cfg.N, cfg.T, cfg.B, shard)
-	sweep, err := experiments.RunFigure4Sweep(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if !writeSweep(sweep, jsonOut) {
-		return // partial slice: tables need the merged sweep
-	}
-	res, err := experiments.Figure4SweepResult(sweep)
+	fmt.Printf("== Figure 4: d=%v mu=%v instances=%d (n=%d T=%d B=%d) ==\n",
+		cfg.Ds, cfg.Mus, cfg.Instances, cfg.N, cfg.T, cfg.B)
+	res, err := experiments.RunFigure4(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -317,22 +285,14 @@ func runFigure4(d, instances int, mus string, seed int64, workers int, shard exp
 	}
 }
 
-func runTable1(seed int64, workers int, shard experiments.ShardSlice, jsonOut, outDir string) {
+func runTable1(seed int64, workers int, outDir string) {
 	cfg := experiments.DefaultTable1()
 	cfg.Seed = seed
 	cfg.Workers = workers
 	cfg.Observer = observer()
 	cfg.Ctx = benchCtx
-	cfg.Shard = shard
-	fmt.Printf("== Table 1 lower-bound constructions: d=%d mu=%g params=%v shard=%s ==\n", cfg.D, cfg.Mu, cfg.Params, shard)
-	sweep, err := experiments.RunTable1Sweep(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if !writeSweep(sweep, jsonOut) {
-		return
-	}
-	rows, err := experiments.Table1Rows(sweep)
+	fmt.Printf("== Table 1 lower-bound constructions: d=%d mu=%g params=%v ==\n", cfg.D, cfg.Mu, cfg.Params)
+	rows, err := experiments.RunTable1(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -537,128 +497,6 @@ func runQuality(instances int, seed int64, workers int, outDir string) {
 	if outDir != "" {
 		writeCSV(outDir, "quality.csv", tbl)
 	}
-}
-
-// writeSweep writes the sweep document to jsonOut when requested and reports
-// whether the sweep is complete (i.e. whether folded tables can be rendered).
-// A partial slice only produces the document; -merge folds it later.
-func writeSweep[T any](s *experiments.Sweep[T], jsonOut string) bool {
-	if jsonOut != "" {
-		if err := writeSweepOut(s, jsonOut); err != nil {
-			fatal(err)
-		}
-		if jsonOut != "-" {
-			fmt.Printf("wrote sweep slice %s (%d of %d shards) to %s\n", s.Slice, len(s.Values), s.Shards, jsonOut)
-		}
-	}
-	if !s.Complete() {
-		fmt.Println("partial slice: run every slice, then -merge the parts to fold tables")
-		return false
-	}
-	return true
-}
-
-// writeSweepOut encodes a sweep document to path ("-" = stdout).
-func writeSweepOut[T any](s *experiments.Sweep[T], path string) error {
-	if path == "-" {
-		return s.EncodeJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.EncodeJSON(f)
-}
-
-// runMerge reassembles sweep part files (written by -shard -json-out
-// invocations) into the full sweep, writes it to jsonOut (default stdout) and
-// renders the folded result. The experiment type is read from the first part.
-func runMerge(spec, jsonOut string) error {
-	files := strings.Split(spec, ",")
-	for i := range files {
-		files[i] = strings.TrimSpace(files[i])
-	}
-	exp, err := peekExperiment(files[0])
-	if err != nil {
-		return err
-	}
-	switch exp {
-	case "figure4":
-		merged, err := mergeParts[float64](files, exp)
-		if err != nil {
-			return err
-		}
-		if err := writeSweepOut(merged, orStdout(jsonOut)); err != nil {
-			return err
-		}
-		res, err := experiments.Figure4SweepResult(merged)
-		if err != nil {
-			return err
-		}
-		for _, d := range res.Config.Ds {
-			fmt.Print(res.Table(d).Render())
-		}
-	case "table1":
-		merged, err := mergeParts[experiments.AdversarialRow](files, exp)
-		if err != nil {
-			return err
-		}
-		if err := writeSweepOut(merged, orStdout(jsonOut)); err != nil {
-			return err
-		}
-		rows, err := experiments.Table1Rows(merged)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AdversarialTable(rows).Render())
-	default:
-		return fmt.Errorf("cannot merge %q sweeps (only figure4 and table1 shard)", exp)
-	}
-	return nil
-}
-
-func orStdout(path string) string {
-	if path == "" {
-		return "-"
-	}
-	return path
-}
-
-// peekExperiment reads just the experiment name from a sweep file, so -merge
-// can pick the right value type before the typed decode.
-func peekExperiment(file string) (string, error) {
-	b, err := os.ReadFile(file)
-	if err != nil {
-		return "", err
-	}
-	var hdr struct {
-		Experiment string `json:"experiment"`
-	}
-	if err := json.Unmarshal(b, &hdr); err != nil {
-		return "", fmt.Errorf("%s: %w", file, err)
-	}
-	if hdr.Experiment == "" {
-		return "", fmt.Errorf("%s: not a dvbp sweep document", file)
-	}
-	return hdr.Experiment, nil
-}
-
-func mergeParts[T any](files []string, experiment string) (*experiments.Sweep[T], error) {
-	parts := make([]*experiments.Sweep[T], 0, len(files))
-	for _, file := range files {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		s, err := experiments.DecodeSweep[T](f, experiment)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", file, err)
-		}
-		parts = append(parts, s)
-	}
-	return experiments.MergeSweeps(parts...)
 }
 
 func writeCSV(dir, name string, tbl *report.Table) {

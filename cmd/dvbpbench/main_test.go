@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"dvbp/internal/experiments"
 	"dvbp/internal/report"
 )
 
@@ -50,81 +48,12 @@ func TestAblationCfgCapsInstances(t *testing.T) {
 	}
 }
 
-// TestFigure4SliceMergeCLI exercises the full shard-and-merge workflow:
-// two -shard invocations write part files, runMerge reassembles them, and the
-// merged document is byte-identical to the one a single full run writes.
-func TestFigure4SliceMergeCLI(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	runFigure4(1, 2, "1,5", 1, 0, experiments.ShardSlice{}, full, "")
-	p0 := filepath.Join(dir, "p0.json")
-	p1 := filepath.Join(dir, "p1.json")
-	runFigure4(1, 2, "1,5", 1, 1, experiments.ShardSlice{Index: 0, Count: 2}, p0, "")
-	runFigure4(1, 2, "1,5", 1, 4, experiments.ShardSlice{Index: 1, Count: 2}, p1, "")
-	merged := filepath.Join(dir, "merged.json")
-	if err := runMerge(p0+","+p1, merged); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("merged sweep differs from full-run sweep:\n%s\nvs\n%s", got, want)
-	}
-}
-
-func TestTable1SliceMergeCLI(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	runTable1(1, 0, experiments.ShardSlice{}, full, "")
-	var parts []string
-	for i := 0; i < 3; i++ {
-		p := filepath.Join(dir, "part"+string(rune('0'+i))+".json")
-		runTable1(1, 2, experiments.ShardSlice{Index: i, Count: 3}, p, "")
-		parts = append(parts, p)
-	}
-	merged := filepath.Join(dir, "merged.json")
-	if err := runMerge(strings.Join(parts, ","), merged); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := os.ReadFile(full)
-	got, _ := os.ReadFile(merged)
-	if !bytes.Equal(got, want) {
-		t.Errorf("merged table1 sweep differs from full-run sweep")
-	}
-}
-
-func TestRunMergeRejectsBadInput(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"hello":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runMerge(bad, ""); err == nil || !strings.Contains(err.Error(), "not a dvbp sweep") {
-		t.Errorf("merge of non-sweep file: err = %v", err)
-	}
-	if err := runMerge(filepath.Join(dir, "missing.json"), ""); err == nil {
-		t.Error("merge of missing file succeeded")
-	}
-	// An incomplete partition must be rejected, not silently folded.
-	p0 := filepath.Join(dir, "p0.json")
-	runTable1(1, 0, experiments.ShardSlice{Index: 0, Count: 2}, p0, "")
-	if err := runMerge(p0, filepath.Join(dir, "out.json")); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("merge of partial coverage: err = %v", err)
-	}
-}
-
 // TestRunExperimentsSmoke drives the top-level run functions with tiny
 // parameters to make sure the wiring works end to end.
 func TestRunExperimentsSmoke(t *testing.T) {
 	dir := t.TempDir()
-	runFigure4(1, 2, "1,5", 1, 0, experiments.ShardSlice{}, "", dir)
-	runTable1(1, 0, experiments.ShardSlice{}, "", dir)
+	runFigure4(1, 2, "1,5", 1, 0, dir)
+	runTable1(1, 0, dir)
 	runUBCheck(2, 1, 0)
 	runAblationBestFit(2, 1, 0, dir)
 	runAblationClairvoyant(2, 1, 0, dir)

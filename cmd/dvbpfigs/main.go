@@ -14,11 +14,9 @@
 //	gain chart plus a markdown report of every policy's migrating leg against
 //	its irrevocable baseline.
 //
-// Each figure is an independent shard: -workers renders them in parallel and
-// -shard k/m restricts one invocation to a slice of them (shard index =
-// figure position above, Gantt last). Every figure re-simulates its own
-// policy instance from the seed, so output bytes are identical for any
-// worker count or slice partition (DESIGN.md §9).
+// Each figure is an independent shard and -workers renders them in
+// parallel. Every figure re-simulates its own policy instance from the seed,
+// so output bytes are identical for any worker count (DESIGN.md §9).
 //
 //	dvbpfigs -out figures
 package main
@@ -46,14 +44,9 @@ func main() {
 		seed    = flag.Int64("seed", 11, "workload seed for figures 1/2")
 		n       = flag.Int("n", 24, "items in the random instance for figures 1/2")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		shardF  = flag.String("shard", "", "render only figure slice k/m (0=figure1 1=figure2 2=figure3 3=gantt 4=frag-chart 5=frag-table 6=defrag-chart 7=defrag-table)")
 	)
 	flag.Parse()
-	shard, err := experiments.ParseShardSlice(*shardF)
-	if err != nil {
-		fatal(err)
-	}
-	wrote, err := renderFigures(*outDir, *seed, *n, *workers, shard)
+	wrote, err := renderFigures(*outDir, *seed, *n, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -68,8 +61,7 @@ type figure struct {
 	render func() (string, error)
 }
 
-// figures lists the renderers in shard-index order. The order is part of the
-// -shard contract documented in the command help.
+// figures lists the renderers in shard-index order.
 func figures(seed int64, n int) ([]figure, error) {
 	l, err := workload.Uniform(workload.UniformConfig{D: 1, N: n, Mu: 8, T: 40, B: 10}, seed)
 	if err != nil {
@@ -223,9 +215,9 @@ func policyList(names []string) string {
 	return strings.Join(names, ", ")
 }
 
-// renderFigures renders the selected figure shards into outDir through the
-// work-stealing scheduler and returns how many files were written.
-func renderFigures(outDir string, seed int64, n, workers int, shard experiments.ShardSlice) (int, error) {
+// renderFigures renders every figure into outDir through the shard
+// scheduler and returns how many files were written.
+func renderFigures(outDir string, seed int64, n, workers int) (int, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return 0, err
 	}
@@ -233,14 +225,8 @@ func renderFigures(outDir string, seed int64, n, workers int, shard experiments.
 	if err != nil {
 		return 0, err
 	}
-	var sel []int
-	for i := range figs {
-		if shard.Selects(i) {
-			sel = append(sel, i)
-		}
-	}
-	err = parallel.Run(len(sel), func(_ context.Context, j int) error {
-		f := figs[sel[j]]
+	err = parallel.Run(len(figs), func(_ context.Context, i int) error {
+		f := figs[i]
 		svg, err := f.render()
 		if err != nil {
 			return fmt.Errorf("%s: %w", f.name, err)
@@ -250,7 +236,7 @@ func renderFigures(outDir string, seed int64, n, workers int, shard experiments.
 	if err != nil {
 		return 0, err
 	}
-	return len(sel), nil
+	return len(figs), nil
 }
 
 func fatal(err error) {

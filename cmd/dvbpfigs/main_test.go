@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dvbp/internal/core"
-	"dvbp/internal/experiments"
 )
 
 // readAll returns name -> content for every file in dir.
@@ -28,12 +27,11 @@ func readAll(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestRenderFiguresDeterministic pins the -workers/-shard contract: the same
-// eight files, byte for byte, whether rendered sequentially, in parallel, or
-// as two merged shard slices into separate invocations.
+// TestRenderFiguresDeterministic pins the -workers contract: the same eight
+// files, byte for byte, whether rendered sequentially or in parallel.
 func TestRenderFiguresDeterministic(t *testing.T) {
 	seq := t.TempDir()
-	if wrote, err := renderFigures(seq, 11, 24, 1, experiments.ShardSlice{}); err != nil || wrote != 8 {
+	if wrote, err := renderFigures(seq, 11, 24, 1); err != nil || wrote != 8 {
 		t.Fatalf("sequential render: wrote=%d err=%v", wrote, err)
 	}
 	want := readAll(t, seq)
@@ -42,38 +40,16 @@ func TestRenderFiguresDeterministic(t *testing.T) {
 	}
 
 	par := t.TempDir()
-	if _, err := renderFigures(par, 11, 24, 4, experiments.ShardSlice{}); err != nil {
+	if _, err := renderFigures(par, 11, 24, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := readAll(t, par); len(got) != len(want) {
-		t.Fatalf("parallel render produced %d files, want %d", len(got), len(want))
-	} else {
-		for name, content := range want {
-			if got[name] != content {
-				t.Errorf("parallel render of %s differs from sequential", name)
-			}
-		}
-	}
-
-	sliced := t.TempDir()
-	w0, err := renderFigures(sliced, 11, 24, 2, experiments.ShardSlice{Index: 0, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := renderFigures(sliced, 11, 24, 2, experiments.ShardSlice{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w0+w1 != 8 {
-		t.Fatalf("slices wrote %d+%d figures, want 8 total", w0, w1)
-	}
-	got := readAll(t, sliced)
+	got := readAll(t, par)
 	if len(got) != len(want) {
-		t.Fatalf("sliced render produced %d files, want %d", len(got), len(want))
+		t.Fatalf("parallel render produced %d files, want %d", len(got), len(want))
 	}
 	for name, content := range want {
 		if got[name] != content {
-			t.Errorf("sliced render of %s differs from sequential", name)
+			t.Errorf("parallel render of %s differs from sequential", name)
 		}
 	}
 }

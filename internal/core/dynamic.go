@@ -25,13 +25,20 @@ func WithDynamicArrivals() Option {
 }
 
 // validateList applies the list validation appropriate to the run mode:
-// dynamic runs may (and usually do) start empty.
+// dynamic runs may (and usually do) start empty, and number their items by
+// list index — the k-th item has ID k, as the k-th item record of a
+// tenant's op log does — so the ID AppendArrival hands out next is free.
 func validateList(l *item.List, dynamic bool) error {
 	var err error
-	if dynamic {
-		err = l.ValidateDynamic()
-	} else {
+	if !dynamic {
 		err = l.Validate()
+	} else if err = l.ValidateDynamic(); err == nil {
+		for i, it := range l.Items {
+			if it.ID != i {
+				err = fmt.Errorf("item %d: at list index %d; a dynamic run numbers its items by list index", it.ID, i)
+				break
+			}
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("core: invalid input: %w", err)

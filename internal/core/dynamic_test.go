@@ -251,3 +251,55 @@ func TestDynamicGuards(t *testing.T) {
 		t.Error("static engine accepted AppendArrival")
 	}
 }
+
+// TestDynamicListNumberedByIndex pins the dynamic-mode ID rule: the k-th item
+// must have ID k, so the ID AppendArrival hands out next is never taken. A
+// list whose one item has ID 1 would otherwise get a second item 1 and fail
+// at its dispatch; NewEngine and RestoreEngine refuse it up front, naming
+// the item, while static runs keep accepting arbitrary unique IDs.
+func TestDynamicListNumberedByIndex(t *testing.T) {
+	offByOne := &item.List{Dim: 1, Items: []item.Item{{ID: 1, Arrival: 0, Departure: 4, Size: vector.Of(0.5)}}}
+	p, _ := NewPolicy("FirstFit", 1)
+	if _, err := NewEngine(offByOne, p, WithDynamicArrivals()); err == nil || !strings.Contains(err.Error(), "item 1:") {
+		t.Fatalf("dynamic engine over a list with ID 1 at index 0: err = %v, want one naming item 1", err)
+	}
+
+	indexed := item.NewList(1)
+	indexed.Add(0, 4, vector.Of(0.5))
+	p, _ = NewPolicy("FirstFit", 1)
+	e, err := NewEngine(indexed, p, WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if id, err := e.AppendArrival(1, 3, vector.Of(0.25)); err != nil || id != 1 {
+		t.Fatalf("AppendArrival = %d, %v; want ID 1", id, err)
+	}
+	if _, ok, err := e.Step(); err != nil || !ok {
+		t.Fatalf("Step = %v, %v", ok, err)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	renumbered := &item.List{Dim: 1, Items: []item.Item{indexed.Items[0], indexed.Items[1]}}
+	renumbered.Items[1].ID = 7
+	p, _ = NewPolicy("FirstFit", 1)
+	if _, err := RestoreEngine(renumbered, p, snap, WithDynamicArrivals()); err == nil || !strings.Contains(err.Error(), "item 7:") {
+		t.Fatalf("restore over a list with ID 7 at index 1: err = %v, want one naming item 7", err)
+	}
+	p, _ = NewPolicy("FirstFit", 1)
+	re, err := RestoreEngine(indexed, p, snap, WithDynamicArrivals())
+	if err != nil {
+		t.Fatalf("restore over the index-numbered list: %v", err)
+	}
+	defer re.Close()
+	if got, want := drain(t, re), drain(t, e); got.Cost != want.Cost || got.BinsOpened != want.BinsOpened {
+		t.Fatalf("restored run cost %g in %d bins, uninterrupted %g in %d", got.Cost, got.BinsOpened, want.Cost, want.BinsOpened)
+	}
+
+	p, _ = NewPolicy("FirstFit", 1)
+	if _, err := Simulate(offByOne, p); err != nil {
+		t.Fatalf("static run over a list with ID 1: %v", err)
+	}
+}

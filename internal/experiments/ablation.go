@@ -19,8 +19,7 @@ type AblationConfig struct {
 	D, N, Mu, T, B int
 	Instances      int
 	Seed           int64
-	// RunControl supplies the execution knobs; shard slices are not
-	// supported here (the result is not reassemblable from parts).
+	// RunControl supplies the execution knobs; none of them affect results.
 	RunControl
 }
 
@@ -40,10 +39,7 @@ func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed 
 	if err := wcfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.requireUnsharded("ablation"); err != nil {
-		return nil, err
-	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) ([]float64, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) ([]float64, error) {
 		// Observer scoping is per shard: views minted here are never shared
 		// between concurrent shards.
 		opts := append(cfg.observerOpts(), opts...)
@@ -66,7 +62,7 @@ func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed 
 			out[pi] = res.Cost / lb
 		}
 		return out, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -122,12 +118,9 @@ func RunBillingAblation(cfg AblationConfig, quantum float64) ([]BillingRow, erro
 	if err := wcfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.requireUnsharded("billing"); err != nil {
-		return nil, err
-	}
 	names := core.PolicyNames()
 	type trial struct{ usage, billed []float64 }
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) (trial, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (trial, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		l, err := workload.Uniform(wcfg, seed)
 		if err != nil {
@@ -154,7 +147,7 @@ func RunBillingAblation(cfg AblationConfig, quantum float64) ([]BillingRow, erro
 			}
 		}
 		return tr, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -131,9 +131,6 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.requireUnsharded("defrag"); err != nil {
-		return nil, err
-	}
 	migOpt, err := cfg.Migration.Option()
 	if err != nil {
 		return nil, err
@@ -150,7 +147,7 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 		offline []float64
 		exact   []float64 // NaN-free: -1 marks an infeasible instance
 	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) (shardOut, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (shardOut, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		out := shardOut{cells: make([][]cell, len(traces))}
 		for ti, tr := range traces {
@@ -219,7 +216,7 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 			}
 		}
 		return out, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}

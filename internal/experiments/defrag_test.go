@@ -24,11 +24,6 @@ func TestDefragConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	sharded := DefaultDefrag()
-	sharded.Shard = ShardSlice{Index: 0, Count: 2}
-	if _, err := RunDefrag(sharded); err == nil {
-		t.Error("shard slice accepted (defrag is not mergeable)")
-	}
 }
 
 // TestRunDefragDeterminism pins the scheduler contract and the study shape:

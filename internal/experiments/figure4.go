@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -31,34 +30,9 @@ type Figure4Config struct {
 	Policies []string
 	// Seed derives all per-trial seeds.
 	Seed int64
-	// RunControl supplies the execution knobs (Workers, Ctx, Progress,
-	// Shard, Observer); none of them affect results.
+	// RunControl supplies the execution knobs (Workers, Ctx, Observer);
+	// none of them affect results.
 	RunControl
-}
-
-// Figure4Grid is the result-affecting part of Figure4Config, serialised into
-// sweep documents so merge can reject parts run under different grids.
-type Figure4Grid struct {
-	Ds        []int    `json:"ds"`
-	Mus       []int    `json:"mus"`
-	Instances int      `json:"instances"`
-	N         int      `json:"n"`
-	T         int      `json:"t"`
-	B         int      `json:"b"`
-	Policies  []string `json:"policies"`
-	Seed      int64    `json:"seed"`
-}
-
-// Grid extracts the serialisable grid from the config.
-func (c Figure4Config) Grid() Figure4Grid {
-	return Figure4Grid{Ds: c.Ds, Mus: c.Mus, Instances: c.Instances,
-		N: c.N, T: c.T, B: c.B, Policies: c.Policies, Seed: c.Seed}
-}
-
-// Config rebuilds an executable config (zero RunControl) from a grid.
-func (g Figure4Grid) Config() Figure4Config {
-	return Figure4Config{Ds: g.Ds, Mus: g.Mus, Instances: g.Instances,
-		N: g.N, T: g.T, B: g.B, Policies: g.Policies, Seed: g.Seed}
 }
 
 // DefaultFigure4 returns the paper's exact experimental grid.
@@ -125,14 +99,16 @@ func (c Figure4Config) cellGrid() []figure4Cell {
 	return cells
 }
 
-// Figure 4 shard-index layout: one shard per (cell, instance, policy) triple,
-// flattened as ((cellIdx*Instances)+instance)*len(Policies)+policyIdx. Each
-// shard regenerates its instance's workload from (cell, instance) alone —
-// using the same seed derivation as the historical per-instance trials, so
-// recorded experiment outputs for a given root seed stay valid — and runs a
-// single policy. The shard value is that policy's cost/LB ratio.
+// Figure 4 work layout: the scheduler runs one task per (cell, instance)
+// pair, task = cellIdx*Instances+instance. A task generates its instance and
+// the Lemma 1(i) bound once, from (cell, instance) alone — using the same
+// seed derivation as the historical per-instance trials, so recorded
+// experiment outputs for a given root seed stay valid — and then runs every
+// policy on it. Its ratios land at dense indices task*len(Policies)+policyIdx,
+// i.e. ((cellIdx*Instances)+instance)*len(Policies)+policyIdx.
 
-// ShardCount returns the sweep's total shard count.
+// ShardCount returns the number of cost/LB ratios the sweep computes: one
+// per (cell, instance, policy) triple.
 func (c Figure4Config) ShardCount() int {
 	return len(c.Ds) * len(c.Mus) * c.Instances * len(c.Policies)
 }
@@ -143,56 +119,68 @@ func (c Figure4Config) cellSeed(d, mu int) int64 {
 	return c.Seed ^ (int64(d) << 32) ^ (int64(mu) << 16)
 }
 
-// figure4Shard computes one shard: cost/LB of a single policy on a single
-// regenerated instance.
-func figure4Shard(cfg Figure4Config, cells []figure4Cell, shard int) (float64, error) {
-	pi := shard % len(cfg.Policies)
-	rest := shard / len(cfg.Policies)
-	i := rest % cfg.Instances
-	cell := cells[rest/cfg.Instances]
-
+// figure4Instance runs one task: it generates instance i of cell and bounds
+// it once, then writes each policy's cost/LB ratio to out[policyIdx].
+func figure4Instance(cfg Figure4Config, cell figure4Cell, i int, out []float64) error {
 	wcfg := workload.UniformConfig{D: cell.d, N: cfg.N, Mu: cell.mu, T: cfg.T, B: cfg.B}
 	seed := parallel.SeedFor(cfg.cellSeed(cell.d, cell.mu), i)
 	l, err := workload.Uniform(wcfg, seed)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	lb := lowerbound.IntegralBound(l)
 	if lb <= 0 {
-		return 0, fmt.Errorf("non-positive lower bound")
+		return fmt.Errorf("non-positive lower bound")
 	}
-	p, err := core.NewPolicy(cfg.Policies[pi], seed)
-	if err != nil {
-		return 0, err
+	for pi, name := range cfg.Policies {
+		p, err := core.NewPolicy(name, seed)
+		if err != nil {
+			return err
+		}
+		r, err := core.Simulate(l, p, cfg.observerOpts()...)
+		if err != nil {
+			return err
+		}
+		out[pi] = r.Cost / lb
 	}
-	r, err := core.Simulate(l, p, cfg.observerOpts()...)
-	if err != nil {
-		return 0, err
-	}
-	return r.Cost / lb, nil
+	return nil
 }
 
-// RunFigure4Sweep executes the (possibly slice-restricted) sharded sweep and
-// returns the raw per-shard ratios as a serialisable sweep document.
+// Figure4Sweep is the raw outcome of a Figure 4 run: one cost/LB ratio per
+// (cell, instance, policy), in the dense order described above.
+type Figure4Sweep struct {
+	// Config is the grid the sweep ran; its RunControl is zero, since the
+	// execution knobs do not affect results.
+	Config Figure4Config
+	ratios []float64
+}
+
+// Dense returns the sweep's ratios in dense order. A sweep always covers
+// its whole grid, so the error is nil.
+func (s *Figure4Sweep) Dense() ([]float64, error) { return s.ratios, nil }
+
+// RunFigure4Sweep executes the sweep and returns the raw per-(cell,
+// instance, policy) ratios.
 func RunFigure4Sweep(cfg Figure4Config) (*Figure4Sweep, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cells := cfg.cellGrid()
-	dense, err := runShards(cfg.RunControl, cfg.ShardCount(), func(_ context.Context, s int) (float64, error) {
-		return figure4Shard(cfg, cells, s)
-	})
+	nP := len(cfg.Policies)
+	ratios := make([]float64, cfg.ShardCount())
+	err := parallel.Run(len(cells)*cfg.Instances, func(_ context.Context, task int) error {
+		return figure4Instance(cfg, cells[task/cfg.Instances], task%cfg.Instances, ratios[task*nP:(task+1)*nP])
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}
-	return newSweep("figure4", cfg.Grid(), cfg.Shard, dense)
+	cfg.RunControl = RunControl{}
+	return &Figure4Sweep{Config: cfg, ratios: ratios}, nil
 }
 
 // RunFigure4 executes the experiment. For each (d, μ) it generates Instances
 // random instances; each instance is normalised by the Lemma 1(i) lower
 // bound and every policy's cost/LB ratio is folded into its cell summary.
-// Slice-restricted configs cannot produce summaries — run RunFigure4Sweep per
-// slice and merge.
 func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
 	sweep, err := RunFigure4Sweep(cfg)
 	if err != nil {
@@ -201,83 +189,24 @@ func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
 	return Figure4SweepResult(sweep)
 }
 
-// Figure4Sweep is the sweep document for Figure 4: one cost/LB ratio per
-// (cell, instance, policy) shard.
-type Figure4Sweep = Sweep[float64]
-
-// Figure4SweepResult folds a complete sweep into per-cell summaries. Ratios
-// are folded in ascending instance order per (cell, policy) — the same order
-// as the sequential reference path, so summaries are bit-identical to it for
-// any worker count or slice partition.
+// Figure4SweepResult folds a sweep into per-cell summaries. Ratios are
+// folded in ascending instance order per (cell, policy) — the same order as
+// the sequential reference path, so summaries are bit-identical to it for
+// any worker count.
 func Figure4SweepResult(s *Figure4Sweep) (*Figure4Result, error) {
-	if s.Experiment != "figure4" {
-		return nil, fmt.Errorf("experiments: sweep is %q, not figure4", s.Experiment)
+	cfg := s.Config
+	if want := cfg.ShardCount(); len(s.ratios) != want {
+		return nil, fmt.Errorf("experiments: sweep holds %d ratios, its config implies %d", len(s.ratios), want)
 	}
-	var grid Figure4Grid
-	if err := json.Unmarshal(s.Grid, &grid); err != nil {
-		return nil, fmt.Errorf("experiments: decode figure4 grid: %w", err)
-	}
-	cfg := grid.Config()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if want := cfg.ShardCount(); s.Shards != want {
-		return nil, fmt.Errorf("experiments: sweep has %d shards, grid implies %d", s.Shards, want)
-	}
-	ratios, err := s.Dense()
-	if err != nil {
-		return nil, err
-	}
-	cells := cfg.cellGrid()
 	res := &Figure4Result{Config: cfg, Cells: make(map[Cell]stats.Summary)}
 	nP := len(cfg.Policies)
-	for ci, cell := range cells {
+	for ci, cell := range cfg.cellGrid() {
 		for pi, name := range cfg.Policies {
 			var acc stats.Accumulator
 			for i := 0; i < cfg.Instances; i++ {
-				acc.Add(ratios[(ci*cfg.Instances+i)*nP+pi])
+				acc.Add(s.ratios[(ci*cfg.Instances+i)*nP+pi])
 			}
 			res.Cells[Cell{D: cell.d, Mu: cell.mu, Policy: name}] = acc.Summarize()
-		}
-	}
-	return res, nil
-}
-
-// runFigure4Sequential is the single-goroutine reference implementation the
-// differential tests compare the sharded runner against: the plain nested
-// loop over cells, instances and policies, folding ratios as it goes.
-func runFigure4Sequential(cfg Figure4Config) (*Figure4Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Figure4Result{Config: cfg, Cells: make(map[Cell]stats.Summary)}
-	for _, cell := range cfg.cellGrid() {
-		wcfg := workload.UniformConfig{D: cell.d, N: cfg.N, Mu: cell.mu, T: cfg.T, B: cfg.B}
-		accs := make([]stats.Accumulator, len(cfg.Policies))
-		for i := 0; i < cfg.Instances; i++ {
-			seed := parallel.SeedFor(cfg.cellSeed(cell.d, cell.mu), i)
-			l, err := workload.Uniform(wcfg, seed)
-			if err != nil {
-				return nil, err
-			}
-			lb := lowerbound.IntegralBound(l)
-			if lb <= 0 {
-				return nil, fmt.Errorf("non-positive lower bound")
-			}
-			for pi, name := range cfg.Policies {
-				p, err := core.NewPolicy(name, seed)
-				if err != nil {
-					return nil, err
-				}
-				r, err := core.Simulate(l, p, cfg.observerOpts()...)
-				if err != nil {
-					return nil, err
-				}
-				accs[pi].Add(r.Cost / lb)
-			}
-		}
-		for pi, name := range cfg.Policies {
-			res.Cells[Cell{D: cell.d, Mu: cell.mu, Policy: name}] = accs[pi].Summarize()
 		}
 	}
 	return res, nil

@@ -170,15 +170,12 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.requireUnsharded("frag"); err != nil {
-		return nil, err
-	}
 	traces := cfg.fragTraces()
 	names := FragPolicyNames()
 	type cell struct {
 		ratio, waste, frag, imb, stranded float64
 	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) ([][]cell, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) ([][]cell, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		out := make([][]cell, len(traces))
 		for ti, tr := range traces {
@@ -217,7 +214,7 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 			}
 		}
 		return out, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,6 @@ func TestFragConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	sharded := DefaultFrag()
-	sharded.Shard = ShardSlice{Index: 0, Count: 2}
-	if _, err := RunFrag(sharded); err == nil {
-		t.Error("shard slice accepted (frag is not mergeable)")
-	}
 }
 
 // TestRunFragDeterminism pins the scheduler contract: identical results for

@@ -37,10 +37,7 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 	type trial struct {
 		util, strag, ratio []float64
 	}
-	if err := cfg.requireUnsharded("quality"); err != nil {
-		return nil, err
-	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) (trial, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (trial, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		l, err := workload.Uniform(wcfg, seed)
 		if err != nil {
@@ -70,7 +67,7 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 			tr.ratio[pi] = res.Cost / lb
 		}
 		return tr, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,20 +1,24 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"dvbp/internal/core"
+	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
+	"dvbp/internal/parallel"
+	"dvbp/internal/stats"
+	"dvbp/internal/workload"
 )
 
-// tinyFig4 is the grid used by the sharding tests: small enough that every
-// worker-count variant runs in well under a second, large enough that blocks
-// split unevenly across workers and stealing occurs.
+// tinyFig4 is the grid used by the scheduling tests: small enough that every
+// worker-count variant runs in well under a second, large enough that the
+// workers' claims interleave.
 func tinyFig4() Figure4Config {
 	return Figure4Config{
 		Ds:        []int{1, 2},
@@ -28,19 +32,14 @@ func tinyFig4() Figure4Config {
 	}
 }
 
-func encodeSweep[T any](t *testing.T, s *Sweep[T]) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.EncodeJSON(&buf); err != nil {
+// TestFigure4SweepByteIdenticalAcrossWorkerCounts is the determinism
+// regression test: the dense ratios must equal the sequential reference's
+// bit for bit, whatever the scheduler's parallelism.
+func TestFigure4SweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
+	_, want, err := runFigure4Sequential(tinyFig4())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// TestFigure4SweepByteIdenticalAcrossWorkerCounts is the determinism
-// regression test: the merged JSON must not depend on scheduler parallelism.
-func TestFigure4SweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	var want []byte
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := tinyFig4()
 		cfg.Workers = w
@@ -48,76 +47,23 @@ func TestFigure4SweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		got := encodeSweep(t, sweep)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: sweep JSON differs from workers=1", w)
-		}
-	}
-}
-
-// TestFigure4SliceMergeMatchesFullRun splits the sweep into slices, merges
-// the parts (after a JSON round trip, as the CLI does) and requires the
-// merged document to be byte-identical to a single full run.
-func TestFigure4SliceMergeMatchesFullRun(t *testing.T) {
-	full, err := RunFigure4Sweep(tinyFig4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON := encodeSweep(t, full)
-
-	const m = 3
-	parts := make([]*Figure4Sweep, m)
-	for k := 0; k < m; k++ {
-		cfg := tinyFig4()
-		cfg.Workers = 1 + k
-		cfg.Shard = ShardSlice{Index: k, Count: m}
-		part, err := RunFigure4Sweep(cfg)
+		got, err := sweep.Dense()
 		if err != nil {
-			t.Fatalf("slice %d/%d: %v", k, m, err)
+			t.Fatal(err)
 		}
-		if part.Complete() {
-			t.Fatalf("slice %d/%d claims completeness", k, m)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d ratios, want %d", w, len(got), len(want))
 		}
-		if _, err := Figure4SweepResult(part); err == nil {
-			t.Fatal("partial sweep folded into a result without error")
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d: ratio %d = %v, sequential %v", w, i, got[i], want[i])
+			}
 		}
-		// Round-trip through the wire format.
-		back, err := DecodeSweep[float64](bytes.NewReader(encodeSweep(t, part)), "figure4")
-		if err != nil {
-			t.Fatalf("slice %d/%d round trip: %v", k, m, err)
-		}
-		parts[k] = back
-	}
-	merged, err := MergeSweeps(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeSweep(t, merged); !bytes.Equal(got, wantJSON) {
-		t.Fatal("merged sweep JSON differs from single full run")
-	}
-
-	// Merge must reject overlapping and incomplete part sets.
-	if _, err := MergeSweeps(parts[0], parts[0]); err == nil {
-		t.Error("duplicate part accepted")
-	}
-	if _, err := MergeSweeps(parts[0], parts[1]); err == nil {
-		t.Error("incomplete coverage accepted")
-	}
-	other := tinyFig4()
-	other.Seed = 8
-	otherSweep, err := RunFigure4Sweep(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeSweeps(parts[0], parts[1], otherSweep); err == nil {
-		t.Error("mixed-grid parts accepted")
 	}
 }
 
 // TestFigure4ShardedMatchesSequential is the differential test: the
-// work-stealing sharded runner must reproduce the single-goroutine reference
+// parallel per-instance runner must reproduce the single-goroutine reference
 // implementation exactly — every cell summary bit-identical, which implies
 // per-policy usage-time totals are too.
 func TestFigure4ShardedMatchesSequential(t *testing.T) {
@@ -127,7 +73,7 @@ func TestFigure4ShardedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := runFigure4Sequential(tinyFig4())
+	seq, _, err := runFigure4Sequential(tinyFig4())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,144 +91,27 @@ func TestFigure4ShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable1SweepDeterminismAndMerge covers the adversarial study: byte-
-// identical JSON across worker counts, slices merge to the full document,
-// and rows (including ±Inf bounds) survive the wire format.
-func TestTable1SweepDeterminismAndMerge(t *testing.T) {
-	base := func() Table1Config {
-		return Table1Config{D: 2, Mu: 5, Params: []int{2, 4, 8}, Seed: 1}
-	}
-	cfg := base()
-	cfg.Workers = 1
-	full, err := RunTable1Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON := encodeSweep(t, full)
-
-	cfg = base()
-	cfg.Workers = 4
-	again, err := RunTable1Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeSweep(t, again), wantJSON) {
-		t.Fatal("table1 sweep JSON depends on worker count")
-	}
-
-	parts := make([]*Table1Sweep, 2)
-	for k := range parts {
-		cfg := base()
-		cfg.Shard = ShardSlice{Index: k, Count: 2}
-		part, err := RunTable1Sweep(cfg)
+// TestTable1RowsIdenticalAcrossWorkerCounts covers the adversarial study:
+// the rows, including their +Inf bounds, must not depend on scheduler
+// parallelism.
+func TestTable1RowsIdenticalAcrossWorkerCounts(t *testing.T) {
+	run := func(workers int) []AdversarialRow {
+		cfg := Table1Config{D: 2, Mu: 5, Params: []int{2, 4, 8}, Seed: 1}
+		cfg.Workers = workers
+		rows, err := RunTable1(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeSweep[AdversarialRow](bytes.NewReader(encodeSweep(t, part)), "table1")
-		if err != nil {
-			t.Fatal(err)
+		return rows
+	}
+	want := run(1)
+	if len(want) != 3*table1SpecCount {
+		t.Fatalf("%d rows, want %d", len(want), 3*table1SpecCount)
+	}
+	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		if got := run(w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: table1 rows differ from workers=1", w)
 		}
-		parts[k] = back
-	}
-	merged, err := MergeSweeps(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeSweep(t, merged), wantJSON) {
-		t.Fatal("merged table1 sweep differs from full run")
-	}
-
-	rows, err := Table1Rows(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunTable1(base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatal("merged rows differ from direct run")
-	}
-}
-
-// TestAdversarialRowJSONRoundTripsInf pins the Inf-safe wire format.
-func TestAdversarialRowJSONRoundTripsInf(t *testing.T) {
-	in := AdversarialRow{
-		Construction: "pillars", Policy: "BestFit", Param: 4,
-		MeasuredRatio: 1.25, TheoreticalTarget: math.Inf(1),
-		UpperBound: math.Inf(1), Cost: 10.5, OPTUpper: 8.4, Bins: 9,
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out AdversarialRow
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip changed row: %+v vs %+v", out, in)
-	}
-}
-
-// TestShardSliceSemantics covers selection, validation and parsing.
-func TestShardSliceSemantics(t *testing.T) {
-	all := ShardSlice{}
-	if !all.All() || !all.Selects(0) || !all.Selects(41) {
-		t.Error("zero slice must select everything")
-	}
-	s := ShardSlice{Index: 1, Count: 3}
-	for i := 0; i < 9; i++ {
-		if s.Selects(i) != (i%3 == 1) {
-			t.Errorf("slice 1/3 Selects(%d) = %v", i, s.Selects(i))
-		}
-	}
-	for _, bad := range []ShardSlice{{Index: -1, Count: 2}, {Index: 2, Count: 2}, {Index: 0, Count: -1}, {Index: 3, Count: 0}} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("slice %+v accepted", bad)
-		}
-	}
-	got, err := ParseShardSlice("2/5")
-	if err != nil || got != (ShardSlice{Index: 2, Count: 5}) {
-		t.Errorf("ParseShardSlice(2/5) = %+v, %v", got, err)
-	}
-	if _, err := ParseShardSlice("5/2"); err == nil {
-		t.Error("out-of-range spec accepted")
-	}
-	if _, err := ParseShardSlice("junk"); err == nil {
-		t.Error("junk spec accepted")
-	}
-	if got, err := ParseShardSlice(""); err != nil || !got.All() {
-		t.Errorf("empty spec = %+v, %v", got, err)
-	}
-}
-
-// TestShardSliceRejectedByNonMergeableExperiments pins the guard: studies
-// whose results cannot be reassembled from parts refuse slice-restricted
-// configs instead of silently producing partial statistics.
-func TestShardSliceRejectedByNonMergeableExperiments(t *testing.T) {
-	abl := AblationConfig{D: 1, N: 50, Mu: 2, T: 50, B: 100, Instances: 4, Seed: 1}
-	abl.Shard = ShardSlice{Index: 0, Count: 2}
-	if _, err := RunBestFitMeasureAblation(abl); err == nil {
-		t.Error("sharded ablation accepted")
-	}
-	if _, err := RunBillingAblation(abl, 1); err == nil {
-		t.Error("sharded billing ablation accepted")
-	}
-	if _, err := RunQuality(abl); err == nil {
-		t.Error("sharded quality study accepted")
-	}
-	tr := DefaultTrueRatio()
-	tr.Instances = 4
-	tr.Shard = ShardSlice{Index: 0, Count: 2}
-	if _, err := RunTrueRatio(tr); err == nil {
-		t.Error("sharded true-ratio study accepted")
-	}
-	ub := DefaultUpperBoundCheck()
-	ub.Instances = 2
-	ub.Shard = ShardSlice{Index: 1, Count: 2}
-	if _, _, err := RunUpperBoundCheck(ub); err == nil {
-		t.Error("sharded upper-bound check accepted")
 	}
 }
 
@@ -337,4 +166,48 @@ func TestConcurrentExperimentsShareNothing(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// runFigure4Sequential is the single-goroutine reference implementation the
+// differential tests compare the parallel runner against: the plain nested
+// loop over cells, instances and policies, folding ratios as it goes. It
+// also returns every ratio in the order it computed them, which is the
+// sweep's dense order.
+func runFigure4Sequential(cfg Figure4Config) (*Figure4Result, []float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	res := &Figure4Result{Config: cfg, Cells: make(map[Cell]stats.Summary)}
+	var ratios []float64
+	for _, cell := range cfg.cellGrid() {
+		wcfg := workload.UniformConfig{D: cell.d, N: cfg.N, Mu: cell.mu, T: cfg.T, B: cfg.B}
+		accs := make([]stats.Accumulator, len(cfg.Policies))
+		for i := 0; i < cfg.Instances; i++ {
+			seed := parallel.SeedFor(cfg.cellSeed(cell.d, cell.mu), i)
+			l, err := workload.Uniform(wcfg, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			lb := lowerbound.IntegralBound(l)
+			if lb <= 0 {
+				return nil, nil, fmt.Errorf("non-positive lower bound")
+			}
+			for pi, name := range cfg.Policies {
+				p, err := core.NewPolicy(name, seed)
+				if err != nil {
+					return nil, nil, err
+				}
+				r, err := core.Simulate(l, p, cfg.observerOpts()...)
+				if err != nil {
+					return nil, nil, err
+				}
+				accs[pi].Add(r.Cost / lb)
+				ratios = append(ratios, r.Cost/lb)
+			}
+		}
+		for pi, name := range cfg.Policies {
+			res.Cells[Cell{D: cell.d, Mu: cell.mu, Policy: name}] = accs[pi].Summarize()
+		}
+	}
+	return res, ratios, nil
 }

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 
 	"dvbp/internal/adversary"
 	"dvbp/internal/core"
@@ -76,70 +74,6 @@ func (r AdversarialRow) Consistent() bool {
 	return r.MeasuredRatio <= r.TheoreticalTarget+slack && r.MeasuredRatio <= r.UpperBound+slack
 }
 
-// adversarialRowJSON is the wire form of AdversarialRow. Floats travel as
-// shortest-round-trip strings because several bounds are legitimately +Inf
-// (Best Fit's upper bound), which plain JSON numbers cannot carry.
-type adversarialRowJSON struct {
-	Construction      string `json:"construction"`
-	Policy            string `json:"policy"`
-	Param             int    `json:"param"`
-	MeasuredRatio     string `json:"measured_ratio"`
-	TheoreticalTarget string `json:"theoretical_target"`
-	UpperBound        string `json:"upper_bound"`
-	Cost              string `json:"cost"`
-	OPTUpper          string `json:"opt_upper"`
-	Bins              int    `json:"bins"`
-}
-
-func ffmt(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// MarshalJSON implements json.Marshaler (Inf-safe, lossless round trip).
-func (r AdversarialRow) MarshalJSON() ([]byte, error) {
-	return json.Marshal(adversarialRowJSON{
-		Construction:      r.Construction,
-		Policy:            r.Policy,
-		Param:             r.Param,
-		MeasuredRatio:     ffmt(r.MeasuredRatio),
-		TheoreticalTarget: ffmt(r.TheoreticalTarget),
-		UpperBound:        ffmt(r.UpperBound),
-		Cost:              ffmt(r.Cost),
-		OPTUpper:          ffmt(r.OPTUpper),
-		Bins:              r.Bins,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *AdversarialRow) UnmarshalJSON(b []byte) error {
-	var w adversarialRowJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	parse := func(s string, dst *float64) error {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("experiments: bad float %q in adversarial row: %w", s, err)
-		}
-		*dst = v
-		return nil
-	}
-	r.Construction, r.Policy, r.Param, r.Bins = w.Construction, w.Policy, w.Param, w.Bins
-	for _, f := range []struct {
-		s   string
-		dst *float64
-	}{
-		{w.MeasuredRatio, &r.MeasuredRatio},
-		{w.TheoreticalTarget, &r.TheoreticalTarget},
-		{w.UpperBound, &r.UpperBound},
-		{w.Cost, &r.Cost},
-		{w.OPTUpper, &r.OPTUpper},
-	} {
-		if err := parse(f.s, f.dst); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Table1Config parameterises the adversarial study.
 type Table1Config struct {
 	// D is the dimension for Theorem 5/6 constructions.
@@ -151,28 +85,9 @@ type Table1Config struct {
 	Params []int
 	// Seed feeds RandomFit (the only randomised policy).
 	Seed int64
-	// RunControl supplies the execution knobs (Workers, Ctx, Progress,
-	// Shard, Observer); none of them affect results.
+	// RunControl supplies the execution knobs (Workers, Ctx, Observer);
+	// none of them affect results.
 	RunControl
-}
-
-// Table1Grid is the result-affecting part of Table1Config, serialised into
-// sweep documents so merge can reject parts run under different grids.
-type Table1Grid struct {
-	D      int     `json:"d"`
-	Mu     float64 `json:"mu"`
-	Params []int   `json:"params"`
-	Seed   int64   `json:"seed"`
-}
-
-// Grid extracts the serialisable grid from the config.
-func (c Table1Config) Grid() Table1Grid {
-	return Table1Grid{D: c.D, Mu: c.Mu, Params: c.Params, Seed: c.Seed}
-}
-
-// Config rebuilds an executable config (zero RunControl) from a grid.
-func (g Table1Grid) Config() Table1Config {
-	return Table1Config{D: g.D, Mu: g.Mu, Params: g.Params, Seed: g.Seed}
 }
 
 // DefaultTable1 returns a sweep matching the theory section's asymptotics.
@@ -236,40 +151,16 @@ func table1Shard(cfg Table1Config, shard int) (AdversarialRow, error) {
 	}, nil
 }
 
-// Table1Sweep is the sweep document for the adversarial study: one
-// AdversarialRow per (parameter, construction) shard.
-type Table1Sweep = Sweep[AdversarialRow]
-
-// RunTable1Sweep executes the (possibly slice-restricted) sharded study and
-// returns the rows as a serialisable sweep document.
-func RunTable1Sweep(cfg Table1Config) (*Table1Sweep, error) {
+// RunTable1 measures every construction across the parameter sweep, one
+// shard per (parameter, construction) pair, and returns the rows in the
+// sequential study's order.
+func RunTable1(cfg Table1Config) ([]AdversarialRow, error) {
 	if cfg.D < 1 || cfg.Mu < 1 || len(cfg.Params) == 0 {
 		return nil, fmt.Errorf("experiments: invalid Table1Config %+v", cfg)
 	}
-	dense, err := runShards(cfg.RunControl, cfg.ShardCount(), func(_ context.Context, s int) (AdversarialRow, error) {
+	return parallel.MapShards(cfg.ShardCount(), func(_ context.Context, s int) (AdversarialRow, error) {
 		return table1Shard(cfg, s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newSweep("table1", cfg.Grid(), cfg.Shard, dense)
-}
-
-// Table1Rows folds a complete sweep back into the sequential row order.
-func Table1Rows(s *Table1Sweep) ([]AdversarialRow, error) {
-	if s.Experiment != "table1" {
-		return nil, fmt.Errorf("experiments: sweep is %q, not table1", s.Experiment)
-	}
-	return s.Dense()
-}
-
-// RunTable1 measures every construction across the parameter sweep.
-func RunTable1(cfg Table1Config) ([]AdversarialRow, error) {
-	sweep, err := RunTable1Sweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Table1Rows(sweep)
+	}, cfg.runOptions())
 }
 
 // Table renders the adversarial study.
@@ -298,8 +189,7 @@ type UpperBoundCheckConfig struct {
 	D, N, Mu, T, B int
 	Instances      int
 	Seed           int64
-	// RunControl supplies the execution knobs; shard slices are not
-	// supported here (the result is not reassemblable from parts).
+	// RunControl supplies the execution knobs; none of them affect results.
 	RunControl
 }
 
@@ -325,14 +215,11 @@ func RunUpperBoundCheck(cfg UpperBoundCheckConfig) ([]UpperBoundViolation, int, 
 	if err := wcfg.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if err := cfg.requireUnsharded("upperbound"); err != nil {
-		return nil, 0, err
-	}
 	type trial struct {
 		violations []UpperBoundViolation
 		checked    int
 	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) (trial, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (trial, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		l, err := workload.Uniform(wcfg, seed)
 		if err != nil {
@@ -362,7 +249,7 @@ func RunUpperBoundCheck(cfg UpperBoundCheckConfig) ([]UpperBoundViolation, int, 
 			}
 		}
 		return tr, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -24,8 +24,7 @@ type TrueRatioConfig struct {
 	// MaxActive guards the exponential DP; instances whose peak concurrency
 	// exceeds it are skipped (and counted).
 	MaxActive int
-	// RunControl supplies the execution knobs; shard slices are not
-	// supported here (the result is not reassemblable from parts).
+	// RunControl supplies the execution knobs; none of them affect results.
 	RunControl
 }
 
@@ -73,10 +72,7 @@ func RunTrueRatio(cfg TrueRatioConfig) (*TrueRatioResult, error) {
 		opt, lb float64
 		costs   []float64
 	}
-	if err := cfg.requireUnsharded("trueratio"); err != nil {
-		return nil, err
-	}
-	trials, err := runShards(cfg.RunControl, cfg.Instances, func(_ context.Context, i int) (trial, error) {
+	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (trial, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
 		l, err := workload.Uniform(wcfg, seed)
 		if err != nil {
@@ -105,7 +101,7 @@ func RunTrueRatio(cfg TrueRatioConfig) (*TrueRatioResult, error) {
 			tr.costs[pi] = res.Cost
 		}
 		return tr, nil
-	})
+	}, cfg.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -75,8 +75,8 @@ func TestMapPropagatesError(t *testing.T) {
 }
 
 func TestMapReturnsSmallestIndexError(t *testing.T) {
-	// With one worker the scheduler owns a single sequential block, so index 3
-	// is guaranteed to fail first and be the reported error.
+	// With one worker shards run in index order, so index 3 is guaranteed to
+	// fail first and be the reported error.
 	_, err := MapShards(100, func(_ context.Context, i int) (int, error) {
 		if i%10 == 3 {
 			return 0, fmt.Errorf("fail-%d", i)

@@ -9,20 +9,18 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the work-stealing shard scheduler underneath the
-// experiment harness. A sweep is decomposed into n independent shards
-// (indices 0..n-1); each worker owns a contiguous block of indices and, when
-// its block runs dry, steals the upper half of the largest remaining block.
-// Compared to feeding indices through a channel, block stealing touches one
-// atomic word per claim instead of a channel handoff, so millions of
-// sub-millisecond shards schedule without contention.
+// This file implements the shard scheduler underneath the experiment
+// harness. A sweep is decomposed into n independent shards (indices 0..n-1);
+// every worker claims the next unclaimed index from one shared atomic counter
+// until the counter passes n. An idle worker simply takes the next index, so
+// skewed shard costs balance themselves without any stealing.
 //
 // Determinism contract: the scheduler decides only *when and where* a shard
 // runs, never what it computes. Shard functions receive their index, derive
 // all randomness from it (see SeedFor and Derive), and results are collected
-// by index — so the outcome is bit-identical for any worker count, steal
-// pattern, or completion order. The same holds for errors: the reported
-// failure is always the one with the smallest shard index.
+// by index — so the outcome is bit-identical for any worker count or
+// completion order. The same holds for errors: the reported failure is the
+// one with the smallest shard index among those that ran.
 
 // PanicError wraps a panic that escaped a shard function. The scheduler
 // converts panics into ordinary errors so one faulty shard cannot take down
@@ -41,13 +39,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("shard %d panicked: %v", e.Shard, e.Value)
 }
 
-// ProgressFunc observes scheduler progress: done shards out of total have
-// completed. It is called once per completed shard, from worker goroutines,
-// with done strictly increasing — implementations must be safe for concurrent
-// use and cheap (a counter increment, not I/O per call).
-type ProgressFunc func(done, total int)
-
-// RunOptions configures a work-stealing run.
+// RunOptions configures a run.
 type RunOptions struct {
 	// Workers is the number of concurrent workers; <= 0 means GOMAXPROCS.
 	Workers int
@@ -55,8 +47,6 @@ type RunOptions struct {
 	// shard function receives a context derived from it that is additionally
 	// cancelled as soon as any shard fails or panics.
 	Context context.Context
-	// OnProgress, when non-nil, is invoked after every completed shard.
-	OnProgress ProgressFunc
 }
 
 func (o RunOptions) workers() int {
@@ -73,101 +63,26 @@ func (o RunOptions) context() context.Context {
 	return context.Background()
 }
 
-// block is one worker's claimable index range [next, end), packed into a
-// single atomic word so both the owner's claim and a thief's split are plain
-// CAS operations. The padding keeps each block on its own cache line.
-type block struct {
-	v atomic.Int64
-	_ [7]int64
-}
-
-func packRange(next, end int32) int64 { return int64(next)<<32 | int64(uint32(end)) }
-func unpackRange(v int64) (next, end int32) {
-	return int32(v >> 32), int32(uint32(v))
-}
-
-// claim pops the next index from b, returning ok=false when b is empty.
-func (b *block) claim() (idx int32, ok bool) {
-	for {
-		v := b.v.Load()
-		next, end := unpackRange(v)
-		if next >= end {
-			return 0, false
-		}
-		if b.v.CompareAndSwap(v, packRange(next+1, end)) {
-			return next, true
-		}
-	}
-}
-
-// stealFrom removes the upper half (rounded up) of b's remaining range,
-// returning it for installation into the thief's own block.
-func (b *block) stealFrom() (lo, hi int32, ok bool) {
-	for {
-		v := b.v.Load()
-		next, end := unpackRange(v)
-		n := end - next
-		if n <= 0 {
-			return 0, 0, false
-		}
-		mid := end - (n+1)/2
-		if b.v.CompareAndSwap(v, packRange(next, mid)) {
-			return mid, end, true
-		}
-	}
-}
-
-// remaining returns the number of unclaimed indices in b.
-func (b *block) remaining() int32 {
-	next, end := unpackRange(b.v.Load())
-	if next >= end {
-		return 0
-	}
-	return end - next
-}
-
-// Run executes fn(ctx, i) for every i in [0, n) across a work-stealing worker
-// pool. It returns the first error by shard index, converting panics into
-// *PanicError; on error (or parent-context cancellation) the shared context
-// is cancelled so in-flight shards can bail out early. See the package
+// Run executes fn(ctx, i) for every i in [0, n) across a pool of workers
+// that claim indices from one shared counter. It returns the first error by
+// shard index, converting panics into *PanicError; on error (or
+// parent-context cancellation) the shared context is cancelled so in-flight
+// shards can bail out early and no further shard starts. See the package
 // comment for the determinism contract.
 func Run(n int, fn func(ctx context.Context, i int) error, opts RunOptions) error {
 	if n < 0 {
 		return fmt.Errorf("parallel: negative n %d", n)
 	}
-	if n == 0 {
-		return opts.context().Err()
-	}
-	if n > 1<<31-1 {
-		return fmt.Errorf("parallel: n %d exceeds the scheduler's 31-bit shard space", n)
-	}
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(opts.workers(), n)
 
 	ctx, cancel := context.WithCancel(opts.context())
 	defer cancel()
 
-	// Block-distribute [0, n) across the workers' deques.
-	blocks := make([]block, workers)
-	per, extra := n/workers, n%workers
-	lo := 0
-	for w := range blocks {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		blocks[w].v.Store(packRange(int32(lo), int32(hi)))
-		lo = hi
-	}
-
 	var (
+		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 		firstIdx int
-		claimed  atomic.Int64
-		done     atomic.Int64
 	)
 	record := func(i int, err error) {
 		mu.Lock()
@@ -177,7 +92,6 @@ func Run(n int, fn func(ctx context.Context, i int) error, opts RunOptions) erro
 		mu.Unlock()
 		cancel()
 	}
-
 	runShard := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -192,53 +106,16 @@ func Run(n int, fn func(ctx context.Context, i int) error, opts RunOptions) erro
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			own := &blocks[self]
-			for {
-				// Drain the worker's own block first.
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i, ok := own.claim()
-					if !ok {
-						break
-					}
-					claimed.Add(1)
-					runShard(int(i))
-					if d := done.Add(1); opts.OnProgress != nil {
-						opts.OnProgress(int(d), n)
-					}
-				}
-				// Steal the upper half of the largest remaining block. The
-				// scan is racy by design — a block can move mid-scan — so a
-				// failed round only proves nothing was *visible*; the claimed
-				// counter decides whether unassigned work still exists.
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				victim, best := -1, int32(0)
-				for v := range blocks {
-					if v == self {
-						continue
-					}
-					if r := blocks[v].remaining(); r > best {
-						victim, best = v, r
-					}
-				}
-				if victim >= 0 {
-					if lo, hi, ok := blocks[victim].stealFrom(); ok {
-						own.v.Store(packRange(lo, hi))
-						continue
-					}
-				}
-				if claimed.Load() >= int64(n) {
-					return // every index is claimed; nothing left to steal
-				}
-				runtime.Gosched()
+				runShard(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -248,9 +125,9 @@ func Run(n int, fn func(ctx context.Context, i int) error, opts RunOptions) erro
 	return opts.context().Err()
 }
 
-// MapShards runs fn over [0, n) with work stealing and returns the results in
-// index order — Run plus index-ordered collection. Like Map, the output is
-// bit-identical regardless of worker count or completion order.
+// MapShards runs fn over [0, n) and returns the results in index order — Run
+// plus index-ordered collection, so the output is bit-identical regardless of
+// worker count or completion order.
 func MapShards[T any](n int, fn func(ctx context.Context, i int) (T, error), opts RunOptions) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: negative n %d", n)
