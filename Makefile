@@ -9,7 +9,9 @@ FUZZTIME ?= 5s
 # stress repeats the concurrency/determinism tests to shake out rare
 # interleavings; raise for soak runs (e.g. STRESSCOUNT=50).
 STRESSCOUNT ?= 5
-# bench-json knobs: raise for quieter numbers (e.g. BENCHTIME=30x BENCHCOUNT=5).
+# bench-json knobs for the core benchmarks: raise for quieter numbers (e.g.
+# BENCHTIME=30x BENCHCOUNT=5). The sweep and server benchmarks always run at
+# 30x (see bench-json).
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 
@@ -65,17 +67,20 @@ bench-module:
 # Figure 4 sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, the
-# package of each entry, mean ns/op, B/op, allocs/op). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change
-# capture), it is embedded as the document's baseline section so the
-# before/after pair travels together.
+# package of each entry, mean ns/op, B/op, allocs/op). The sweep and server
+# benchmarks run at 30x: at 10x a round lasted 0.3–0.8 s, and the same
+# binary's throughput moved up to 2× between rounds with host load. When
+# artifacts/bench/BENCH_core_pre.txt exists (the pre-change capture), it is
+# embedded as the document's baseline section so the before/after pair
+# travels together.
 bench-json:
 	@mkdir -p artifacts/bench
-	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|FragmentationSweep|DynamicAppendStep' \
+	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|IndexCrossover|FragmentationSweep|DynamicAppendStep' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
-		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
+		-benchmem -benchtime=30x -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/server -run='^$$' -bench='ServerPlaceThroughput' \
-		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
+		-benchmem -benchtime=30x -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) run ./cmd/dvbpbench -benchjson artifacts/bench/BENCH_core_cur.txt \
 		$(if $(wildcard artifacts/bench/BENCH_core_pre.txt),-benchjson-baseline artifacts/bench/BENCH_core_pre.txt) \
 		-benchjson-out BENCH_core.json

@@ -54,7 +54,9 @@
 // behaviour.
 //
 // The engine owns index maintenance (insert on open, update on pack, depart
-// and migration move, remove on close/crash, rebuild on checkpoint restore);
-// policies only supply their key. See core.IndexedPolicy for the binding
-// contract.
+// and migration move, remove on close/crash). It builds the store from the
+// open bins once a run's peak open-bin count reaches a threshold, since the
+// scan is faster on smaller fleets, and again after a checkpoint restore of
+// such a run; policies only supply their key. See core.IndexedPolicy for
+// the binding contract.
 package binindex

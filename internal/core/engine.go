@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -27,6 +28,10 @@ type config struct {
 	observer     Observer
 	linearSelect bool
 	dynamic      bool
+	// indexPeak, when non-zero, replaces indexMinPeak as the peak open-bin
+	// count at which an IndexedPolicy's index is built. Only tests set it
+	// (withIndexPeak), to run the index on small fleets.
+	indexPeak int
 
 	// Failure/recovery configuration (see failure.go).
 	injector      FailureInjector
@@ -58,10 +63,11 @@ func WithAudit(a *Audit) Option {
 
 // WithLinearSelect makes the engine call every policy's own Select, the
 // O(open) scan, where it would otherwise take a fast path: the bin index for
-// Worst Fit and for Best Fit at d = 1 (IndexedPolicy) or the engine-held
-// open-load totals for AdaptiveHybrid. The scan is the differential oracle
-// both fast paths are tested against (DESIGN.md §11); production runs have
-// no reason to use this option.
+// Worst Fit and for Best Fit at d = 1 (IndexedPolicy) once the run's peak
+// has reached indexMinPeak open bins, or the engine-held open-load totals
+// for AdaptiveHybrid. The scan is the differential oracle both fast paths
+// are tested against (DESIGN.md §11); production runs have no reason to use
+// this option.
 func WithLinearSelect() Option {
 	return func(c *config) { c.linearSelect = true }
 }
@@ -311,12 +317,15 @@ type Engine struct {
 	// Fast Select paths, nil unless the policy takes one at the run's
 	// dimension and WithLinearSelect does not force the scan. The engine
 	// mirrors every change to the open set into them. idx, keyed by ixKey,
-	// answers an IndexedPolicy's Select with its leftmost feasible entry;
+	// answers an IndexedPolicy's Select with its leftmost feasible entry; it
+	// is built at the first dispatch after the run's peak open-bin count
+	// has reached ixFrom (buildIndex) and kept to the end of the run.
 	// totals holds the exact per-dimension sum of the open bins' loads,
 	// which tp reads in place of re-summing the bins (tot is its rounding
 	// scratch).
 	idx    *BinIndex
 	ixKey  func(*Bin) (float64, int64)
+	ixFrom int
 	tp     totalsPolicy
 	totals []vector.Acc
 	tot    vector.Vector
@@ -399,7 +408,7 @@ func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
 		case IndexedPolicy:
 			if fp.indexedAt(l.Dim) {
 				e.ixKey = fp.indexKey
-				e.idx = binindex.New[*Bin](l.Dim)
+				e.ixFrom = cmp.Or(cfg.indexPeak, indexMinPeak)
 			}
 		case totalsPolicy:
 			e.tp = fp
@@ -433,6 +442,29 @@ func (e *Engine) totalsSub(b *Bin) {
 func (e *Engine) totalsAdd(b *Bin) {
 	for j := range e.totals {
 		e.totals[j].Add(b.load[j])
+	}
+}
+
+// indexMinPeak is T, the size rule of DESIGN.md §11: the engine builds an
+// IndexedPolicy's bin index at the first dispatch after the run's peak
+// open-bin count (Result.MaxConcurrentBins) has reached it, and scans
+// before. Below it the index's upkeep on every event costs more than its
+// descent saves; BenchmarkIndexCrossover measures the crossover.
+const indexMinPeak = 256
+
+// buildIndex builds the bin index over the open bins, when the policy takes
+// it and the run's peak has reached ixFrom and it is not built yet. The
+// peak never falls, so the index is built once and kept. A snapshot carries
+// the peak, so a restored run builds its index at the same dispatch as the
+// uninterrupted run, and the treap's canonical shape makes the two indexes
+// identical. dispatch calls it after compact, so open holds no tombstones.
+func (e *Engine) buildIndex() {
+	if e.idx != nil || e.ixKey == nil || e.res.MaxConcurrentBins < e.ixFrom {
+		return
+	}
+	e.idx = binindex.New[*Bin](e.list.Dim)
+	for _, b := range e.open {
+		e.idxPut(b, true)
 	}
 }
 
@@ -595,6 +627,7 @@ func (e *Engine) compact() {
 // placed).
 func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool) (placed bool, binID int, opened bool, err error) {
 	e.compact()
+	e.buildIndex()
 	req := e.makeReq(it, now, attempt)
 	if e.cfg.observer != nil {
 		e.cfg.observer.BeforePack(req, e.open)

@@ -82,9 +82,39 @@ func dotProductScore(req Request, b *Bin) float64 {
 }
 
 // Select implements Policy: argmax residual·size among fitting bins; ties
-// break toward the earliest-opened bin.
+// break toward the earliest-opened bin. At d = 2 it runs dotProduct2, every
+// other d the shared scoredSelect.
 func (dp *DotProduct) Select(req Request, open []*Bin) *Bin {
+	if len(req.Size) == 2 && len(open) > 0 && len(open[0].load) == 2 {
+		return dotProduct2(open, req.Size[0], req.Size[1])
+	}
 	return scoredSelect(&dp.scan, req, open, dotProductScore)
+}
+
+// dotProduct2 is DotProduct's Select at d = 2 in one pass, the third
+// d = 2 loop beside policy.go's first and fitting. It scores every bin with
+// dotProductScore's expression and runs the fit test only on a bin whose
+// score beats the best so far: most bins fit, but few can win. A bin wins
+// under the conjunction fitting and scoredSelect apply together (it fits
+// and its score is strictly below the best fitting score before it), so the
+// choice and its earliest-opened tie-break are scoredSelect's, and the bins
+// examined count as fit checks, as in fitting.
+func dotProduct2(open []*Bin, s0, s1 float64) *Bin {
+	const limit = 1 + vector.Eps
+	var best *Bin
+	bestScore := math.Inf(1)
+	for _, b := range open {
+		l := b.load
+		_ = l[1]
+		dot := 0.0
+		dot += (1 - l[0]) * s0
+		dot += (1 - l[1]) * s1
+		if score := -dot; score < bestScore && !(l[0]+s0 > limit || l[1]+s1 > limit) {
+			best, bestScore = b, score
+		}
+	}
+	countFits(open, len(open))
+	return best
 }
 
 // OnPack implements Policy.

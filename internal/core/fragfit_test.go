@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -152,5 +154,116 @@ func TestConcurrentFragmentationPolicies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDotProductLoopMatchesScoredSelect checks DotProduct's d = 2 loop
+// against the shared scoredSelect with dotProductScore, the loop every other
+// d runs, on random fleets: the same bin and the same fit-check count for
+// every request. Loads come from a tenths grid (equal scores, sums that land
+// on the capacity), sit exactly on 1+Eps or one ulp over it against the
+// request, or repeat an earlier bin's load, with the dimensions swapped when
+// the request is symmetric, so equal scores tie. The test requires each of
+// those cases to have decided some request, and requests that no bin fits;
+// it also runs the d ≠ 2 fallback.
+func TestDotProductLoopMatchesScoredSelect(t *testing.T) {
+	const limit = 1 + vector.Eps
+	r := rand.New(rand.NewSource(9))
+	dp := NewDotProduct()
+	var scan fitScan
+	var exactWins, overBeaten, ties, noneFits int
+	for trial := 0; trial < 4000; trial++ {
+		d := 2
+		if trial%5 == 4 {
+			d = []int{1, 3, 5}[r.Intn(3)]
+		}
+		size := vector.New(d)
+		for j := range size {
+			size[j] = float64(1+r.Intn(9)) / 10
+			if r.Intn(3) == 0 {
+				size[j] = 0.01 + 0.9*r.Float64()
+			}
+		}
+		if d == 2 && r.Intn(2) == 0 {
+			size[1] = size[0]
+		}
+		probe := &fitProbe{armed: true}
+		open := make([]*Bin, r.Intn(30))
+		for i := range open {
+			load := vector.New(d)
+			switch k := r.Intn(6); {
+			case k == 0 && i > 0:
+				copy(load, open[r.Intn(i)].load)
+				if d == 2 && size[0] == size[1] && r.Intn(2) == 0 {
+					load[0], load[1] = load[1], load[0]
+				}
+			case k <= 2:
+				for j := range load {
+					load[j] = float64(r.Intn(11)) / 10
+				}
+			default:
+				// One dimension on the capacity against this request, or one
+				// ulp over it; the others anywhere.
+				for j := range load {
+					load[j] = r.Float64()
+				}
+				j := r.Intn(d)
+				load[j] = limit - size[j]
+				if load[j]+size[j] != limit {
+					load[j] = float64(r.Intn(11)) / 10
+				} else if k == 5 {
+					load[j] = math.Nextafter(load[j], 2)
+				}
+			}
+			b := newBin(i, d, 0, nil, nil)
+			b.probe = probe
+			if err := b.pack(i, load); err != nil {
+				t.Fatal(err)
+			}
+			open[i] = b
+		}
+		req := Request{ID: 1 << 20, Size: size}
+
+		probe.n = 0
+		want := scoredSelect(&scan, req, open, dotProductScore)
+		wantChecks := probe.n
+		probe.n = 0
+		got := dp.Select(req, open)
+		if got != want || probe.n != wantChecks {
+			t.Fatalf("trial %d (d=%d, %d bins, size %v): Select chose %v with %d fit checks, scoredSelect %v with %d",
+				trial, d, len(open), size, got, probe.n, want, wantChecks)
+		}
+
+		if d != 2 || len(open) == 0 {
+			continue
+		}
+		if want == nil {
+			noneFits++
+			continue
+		}
+		best := dotProductScore(req, want)
+		for j := range size {
+			if want.load[j]+size[j] == limit {
+				exactWins++
+				break
+			}
+		}
+		for _, b := range open {
+			s := dotProductScore(req, b)
+			switch {
+			case s < best && !b.load.FitsWithin(size):
+				if b.load[0]+size[0] > limit && b.load[0]+size[0] == math.Nextafter(limit, 2) ||
+					b.load[1]+size[1] > limit && b.load[1]+size[1] == math.Nextafter(limit, 2) {
+					overBeaten++
+				}
+			case s == best && b.ID > want.ID && b.load.FitsWithin(size):
+				ties++
+			}
+		}
+	}
+	t.Logf("exact-capacity winners %d, ulp-over bins passed over %d, ties %d, no fit %d", exactWins, overBeaten, ties, noneFits)
+	if exactWins == 0 || overBeaten == 0 || ties == 0 || noneFits == 0 {
+		t.Errorf("a case went untested: exact-capacity winners %d, ulp-over bins passed over %d, ties %d, no fit %d",
+			exactWins, overBeaten, ties, noneFits)
 	}
 }

@@ -3,19 +3,20 @@ package core
 import "dvbp/internal/binindex"
 
 // BinIndex is the engine-owned indexed bin store over the open bins (see
-// internal/binindex). The engine maintains it on every open, pack, departure,
-// migration move and close, and answers an IndexedPolicy's Select with its
-// leftmost feasible entry.
+// internal/binindex). Once it is built (indexMinPeak), the engine maintains
+// it on every open, pack, departure, migration move and close, and answers
+// an IndexedPolicy's Select with its leftmost feasible entry.
 type BinIndex = binindex.Store[*Bin]
 
 // IndexedPolicy is implemented by the two policies whose Select is a
 // load-ordered argmax/argmin — Best Fit and Worst Fit — and which the engine
 // therefore serves from the indexed bin store instead of calling Select, in
-// the dimensions where the index beats the scan (unless WithLinearSelect
-// forces the scan). The policy supplies only its key: the
-// engine keys every open bin with it, and the leftmost feasible entry in key
-// order is the decision. The contract, specified in DESIGN.md §11 and
-// enforced by the differential suites, is bit-identical decisions:
+// the dimensions where the index beats the scan, once the run's peak has
+// reached indexMinPeak open bins (unless WithLinearSelect forces the scan).
+// The policy supplies only its key: the engine keys every open bin with it,
+// and the leftmost feasible entry in key order is the decision. The
+// contract, specified in DESIGN.md §11 and enforced by the differential
+// suites, is bit-identical decisions:
 //
 //	leftmost feasible entry under indexKey == Select(req, open)
 //
@@ -28,8 +29,9 @@ type IndexedPolicy interface {
 	// pure function of the bin's load and ID.
 	indexKey(b *Bin) (kf float64, ks int64)
 	// indexedAt reports whether the engine serves the policy from the index
-	// at dimension d; otherwise the engine calls its Select, the scan. The
-	// rule is fixed by measurement (DESIGN.md §11).
+	// at dimension d, once the run's peak has reached indexMinPeak;
+	// otherwise the engine calls its Select, the scan. The rule is fixed by
+	// measurement (DESIGN.md §11).
 	indexedAt(d int) bool
 }
 

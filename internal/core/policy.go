@@ -60,11 +60,11 @@ type Policy interface {
 
 // The two loops below, first and fitScan.fitting, test every bin that the
 // scanning Selects (First/Last Fit, Best/Worst Fit, Random Fit, the scored
-// family) examine, and are the only code specialised by dimension: d = 2 is
-// unrolled, every other d goes through vector.FitsWithin. The unrolled test
-// is FitsWithin's exactly (load[j] + size[j] > 1+Eps rejects, on the same
-// float64 values), and every bin examined counts as one fit check, as a
-// Bin.Fits call does.
+// family) examine, and together with DotProduct's dotProduct2 (fragfit.go)
+// are the only code specialised by dimension: d = 2 is unrolled, every
+// other d goes through vector.FitsWithin. The unrolled test is FitsWithin's
+// exactly (load[j] + size[j] > 1+Eps rejects, on the same float64 values),
+// and every bin examined counts as one fit check, as a Bin.Fits call does.
 
 // first returns the index of the first bin in open, stepping k by step (±1)
 // until end, that an item of the given size fits, or end when none does: the

@@ -87,24 +87,31 @@ func primePolicy(t *testing.T, p Policy) []*Bin {
 // state, Select must not allocate for any of the seven standard policies or
 // the four fragmentation-aware ones. This is the regression fence for the
 // per-Select map rebuild MoveToFront used to do, for the scan scratch the
-// weighing policies keep (fitScan), and for any future policy tempted to
-// build scratch state per decision.
+// weighing policies keep (fitScan), for DotProduct's one-pass d = 2 loop
+// (the primed fleet is d = 2; a d = 5 fleet pins its scoredSelect
+// fallback), and for any future policy tempted to build scratch state per
+// decision.
 func TestSelectSteadyStateAllocs(t *testing.T) {
+	pin := func(t *testing.T, p Policy, req Request, open []*Bin) {
+		t.Helper()
+		// Warm once: lazily-grown internal state (if any) settles here.
+		p.Select(req, open)
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Select(req, open)
+		})
+		if allocs != 0 {
+			t.Errorf("%s.Select allocates %v per call in steady state, want 0", p.Name(), allocs)
+		}
+	}
 	for _, p := range append(StandardPolicies(1), FragmentationAwarePolicies(1)...) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			open := primePolicy(t, p)
-			req := Request{ID: 5000, Size: vector.Of(0.05, 0.05)}
-			// Warm once: lazily-grown internal state (if any) settles here.
-			p.Select(req, open)
-			allocs := testing.AllocsPerRun(100, func() {
-				p.Select(req, open)
-			})
-			if allocs != 0 {
-				t.Errorf("%s.Select allocates %v per call in steady state, want 0", p.Name(), allocs)
-			}
+			pin(t, p, Request{ID: 5000, Size: vector.Of(0.05, 0.05)}, primePolicy(t, p))
 		})
 	}
+	t.Run("DotProduct-d=5", func(t *testing.T) {
+		pin(t, NewDotProduct(), Request{ID: 5000, Size: vector.Uniform(5, 0.05)}, fleet(8, 5, 1))
+	})
 }
 
 // TestSimulateSteadyStateEventAllocs pins the engine end to end: on the churn

@@ -489,14 +489,15 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		return nil, corruptf("MoveToFront recency list covers %d bins, %d are open", len(mf.pos), len(e.open))
 	}
 
-	// Rebuild the fast paths' mirrors of the open set. Keys and totals are
-	// computed from the restored loads, which the limb check above proved
-	// bit-identical to the original run's. The treap's shape is a pure
-	// function of its contents, so insertion order does not matter and the
-	// rebuilt index counts the same fit checks as the uninterrupted run's;
-	// Acc sums are order-independent, so the totals round identically too.
+	// Rebuild the held totals from the restored loads, which the limb check
+	// above proved bit-identical to the original run's; Acc sums are
+	// order-independent, so they round identically too. The bin index is
+	// not rebuilt here: the restored result carries the run's peak open-bin
+	// count, so the next dispatch builds the index exactly when the
+	// uninterrupted run had it (buildIndex). The treap's shape is a pure
+	// function of its contents, so that index counts the same fit checks as
+	// the uninterrupted run's.
 	for _, b := range e.open {
-		e.idxPut(b, true)
 		e.totalsAdd(b)
 	}
 	if err := e.auditOpenSet(); err != nil {

@@ -19,7 +19,8 @@ const (
 	MetricBinsClosed = "dvbp_bins_closed_total"
 	// MetricFitChecks counts feasibility evaluations performed inside
 	// policy Select: on the scan path, one per bin the policy tested; on
-	// the indexed path (Worst Fit, and Best Fit at d = 1), the bin store's
+	// the indexed path (Worst Fit, and Best Fit at d = 1, once a run's peak
+	// reaches the engine's index threshold), the bin store's
 	// per-entry fit checks plus subtree prune evaluations (O(1)
 	// residual-bucket mask rejections evaluate no load vector and are not
 	// counted). Engine-internal feasibility re-checks are excluded. See

@@ -18,7 +18,9 @@
 // Derived structures are deliberately absent from the on-disk format. In
 // particular the engine's indexed bin store (internal/binindex) and its
 // held open-load totals are rebuilt from the snapshot's open-bin set on
-// restore; because the store's shape is a pure function of its contents
+// restore (the index at the next dispatch, when the snapshot's peak
+// open-bin count has reached the engine's threshold); because the store's
+// shape is a pure function of its contents
 // (DESIGN.md §11), the rebuilt index is structurally identical to the one
 // the crashed process held, down to the fit-check counts it produces —
 // which is what lets a restored run emit byte-identical metrics, not just
