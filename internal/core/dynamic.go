@@ -24,28 +24,6 @@ func WithDynamicArrivals() Option {
 	return func(c *config) { c.dynamic = true }
 }
 
-// validateList applies the list validation appropriate to the run mode:
-// dynamic runs may (and usually do) start empty, and number their items by
-// list index — the k-th item has ID k, as the k-th item record of a
-// tenant's op log does — so the ID AppendArrival hands out next is free.
-func validateList(l *item.List, dynamic bool) error {
-	var err error
-	if !dynamic {
-		err = l.Validate()
-	} else if err = l.ValidateDynamic(); err == nil {
-		for i, it := range l.Items {
-			if it.ID != i {
-				err = fmt.Errorf("item %d: at list index %d; a dynamic run numbers its items by list index", it.ID, i)
-				break
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("core: invalid input: %w", err)
-	}
-	return nil
-}
-
 // AppendArrival admits one more item into a dynamic run and returns its
 // assigned ID (the next list index). The arrival must not be in the engine's
 // past: it has to be at or after both the previous arrival and the most
@@ -165,7 +143,7 @@ func (e *Engine) Stats() EngineStats {
 		Clock:           e.lastTime,
 		Items:           e.list.Len(),
 		ArrivalsPending: len(e.arrivals) - e.ai,
-		Placements:      len(e.res.Placements),
+		Placements:      e.placements,
 		Served:          e.served,
 		OpenBins:        len(e.open) - e.holes,
 		BinsOpened:      e.nextBinID,

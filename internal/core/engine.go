@@ -42,6 +42,22 @@ type config struct {
 
 	// Live-migration configuration (see migrate.go); nil when disabled.
 	migrate *migrateConfig
+
+	// history replaces the default history when historySet (WithHistory).
+	history    History
+	historySet bool
+}
+
+// newConfig applies opts and fills the defaults they imply.
+func newConfig(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.injector != nil && cfg.retry == nil {
+		cfg.retry = retryNow{}
+	}
+	return cfg
 }
 
 // WithClairvoyance exposes item departure times to the policy (Request.
@@ -267,7 +283,8 @@ type Engine struct {
 
 	// arrivals holds the indices of list.Items in (Arrival, SeqNo) order;
 	// the items themselves are read in place (arrivals.go). shape folds
-	// span(R) and μ over the same order.
+	// span(R) and μ over the same order. A static run shares arrivals with
+	// its Instance and never writes it; a dynamic run owns it and appends.
 	arrivals []int32
 	ai       int // next arrival index
 	shape    shape
@@ -281,13 +298,16 @@ type Engine struct {
 	retrySeq   int64
 	waitq      []queuedDispatch
 
-	res       *Result
-	nextBinID int
-	binsByID  map[int]*Bin
-	byID      map[int]int32 // item ID -> list index, built on first lookup (item)
-	attempts  map[int]int   // item ID -> eviction count (allocated on first crash)
-	served    int
-	eventSeq  int64
+	res  *Result
+	hist History // the run's records go here; nil keeps none (history.go)
+	// placements counts committed placements whatever the history keeps.
+	placements int
+	nextBinID  int
+	binsByID   map[int]*Bin
+	byID       map[int]int32 // item ID -> list index, built on first lookup (item)
+	attempts   map[int]int   // item ID -> eviction count (allocated on first crash)
+	served     int
+	eventSeq   int64
 
 	// Spare lists (closeBinAt): the zeroed accumulators of closed bins and
 	// the emptied item maps of bins that closed empty, which the next bins
@@ -352,40 +372,34 @@ type Engine struct {
 // included, so the caller must not mutate the list during the run. A dynamic
 // run grows the list itself (AppendArrival).
 func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := validateList(l, cfg.dynamic); err != nil {
+	cfg := newConfig(opts)
+	in, err := prepare(l, cfg.dynamic)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.injector != nil && cfg.retry == nil {
-		cfg.retry = retryNow{}
-	}
-	if err := acquirePolicy(p); err != nil {
-		return nil, err
-	}
-	p.Reset()
-	return newEngineShell(l, p, cfg), nil
+	return in.newEngine(p, cfg)
 }
 
-// newEngineShell builds the run scaffolding shared by NewEngine and
-// RestoreEngine: the policy is already acquired and reset; the arrival order
-// is built, but no events have been primed.
-func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
+// newEngineShell builds the run scaffolding shared by NewEngine,
+// Instance.Simulate and RestoreEngine: the policy is already acquired and
+// reset, the instance prepared, but no events have been primed.
+func newEngineShell(in *Instance, p Policy, cfg config) *Engine {
+	l := in.list
 	e := &Engine{
 		cfg:      cfg,
 		p:        p,
 		list:     l,
-		arrivals: l.ArrivalOrder(),
+		arrivals: in.arrivals,
+		shape:    in.shape,
 		binsByID: make(map[int]*Bin),
-	}
-	for _, i := range e.arrivals {
-		e.shape.add(l.Items[i].Arrival, l.Items[i].Departure)
 	}
 	e.res = &Result{
 		Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: e.shape.span(), Mu: e.shape.mu(),
-		Outcomes: make(map[int]Outcome, l.Len()),
+	}
+	e.hist = cfg.history
+	if !cfg.historySet {
+		e.res.Outcomes = make(map[int]Outcome, l.Len())
+		e.hist = (*resultHistory)(e.res)
 	}
 	if so, ok := cfg.observer.(SelectObserver); ok {
 		e.selObs = so
@@ -536,7 +550,9 @@ func (e *Engine) AppendOpenBins(dst []*Bin) []*Bin {
 // AppendPlacements appends the committed placements from index from on to
 // dst, clamping from into [0, total], and returns the extended slice and the
 // total committed so far. It copies only the suffix, so a listing costs
-// O(answer) where Snapshot would deep-copy the whole run.
+// O(answer) where Snapshot would deep-copy the whole run. It lists what the
+// default history keeps; a run given another history (WithHistory) keeps
+// none here, so it returns dst and 0.
 func (e *Engine) AppendPlacements(dst []Placement, from int) ([]Placement, int) {
 	all := e.res.Placements
 	from = min(max(from, 0), len(all))
@@ -568,7 +584,9 @@ func (e *Engine) makeReq(it item.Item, now float64, attempt int) Request {
 // keeps its map, because BinCrashed observers read it after the close. The
 // load vector is never handed on: observers may read it later.
 func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
-	e.res.Bins = append(e.res.Bins, BinUsage{BinID: b.ID, OpenedAt: b.OpenedAt, ClosedAt: t, Packed: b.PackedItems(), Crashed: crashed})
+	if e.hist != nil {
+		e.hist.RecordBin(BinUsage{BinID: b.ID, OpenedAt: b.OpenedAt, ClosedAt: t, Packed: b.PackedItems(), Crashed: crashed})
+	}
 	e.res.Cost += t - b.OpenedAt
 	e.open[b.openIdx] = nil
 	e.holes++
@@ -677,7 +695,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 				}
 			} else {
 				e.res.Rejected++
-				e.res.Outcomes[it.ID] = OutcomeRejected
+				e.outcome(it.ID, OutcomeRejected)
 				if e.fObs != nil {
 					e.fObs.ItemRejected(req, now, false)
 				}
@@ -723,7 +741,10 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 		e.cfg.observer.AfterPack(req, b, opened)
 	}
 
-	e.res.Placements = append(e.res.Placements, Placement{ItemID: it.ID, BinID: b.ID, Opened: opened, Time: now, Attempt: attempt})
+	e.placements++
+	if e.hist != nil {
+		e.hist.RecordPlacement(Placement{ItemID: it.ID, BinID: b.ID, Opened: opened, Time: now, Attempt: attempt})
+	}
 	if attempt > 0 {
 		e.res.Retries++
 	}
@@ -745,7 +766,7 @@ func (e *Engine) drainQueue(t float64) error {
 	for _, q := range e.waitq {
 		if t > q.deadline || t >= q.it.Departure {
 			e.res.TimedOut++
-			e.res.Outcomes[q.it.ID] = OutcomeTimedOut
+			e.outcome(q.it.ID, OutcomeTimedOut)
 			if e.fObs != nil {
 				e.fObs.ItemRejected(e.makeReq(q.it, t, q.attempt), t, true)
 			}
@@ -793,7 +814,7 @@ func (e *Engine) handleDeparture(t float64, ev departure) (binID int, err error)
 		b.auditCrossCheckLoad()
 	}
 	e.served++
-	e.res.Outcomes[ev.itemID] = OutcomeServed
+	e.outcome(ev.itemID, OutcomeServed)
 	if b.Empty() {
 		e.closeBinAt(b, t, false)
 	} else {
@@ -851,7 +872,7 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 		} else {
 			e.res.ItemsLost++
 			e.res.LostUsageTime += it.Departure - t
-			e.res.Outcomes[id] = OutcomeLost
+			e.outcome(id, OutcomeLost)
 			if e.fObs != nil {
 				e.fObs.ItemEvicted(req, b, t, it.Departure)
 				e.fObs.ItemLost(req, t)
@@ -970,7 +991,7 @@ func (e *Engine) Finish() (*Result, error) {
 	// fleet free, so entries can remain only if they were already expired.
 	for _, q := range e.waitq {
 		e.res.TimedOut++
-		e.res.Outcomes[q.it.ID] = OutcomeTimedOut
+		e.outcome(q.it.ID, OutcomeTimedOut)
 		if e.fObs != nil {
 			t := math.Min(q.deadline, q.it.Departure)
 			e.fObs.ItemRejected(e.makeReq(q.it, t, q.attempt), t, true)
@@ -995,7 +1016,9 @@ func (e *Engine) Finish() (*Result, error) {
 		e.res.Items = e.list.Len()
 	}
 	e.res.BinsOpened = e.nextBinID
-	e.res.sortBins()
+	if e.keepsResult() {
+		e.res.sortBins()
+	}
 	e.finished = true
 	e.Close()
 	return e.res, nil
@@ -1022,6 +1045,11 @@ func Simulate(l *item.List, p Policy, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run()
+}
+
+// run steps the engine to the end and finishes it.
+func (e *Engine) run() (*Result, error) {
 	defer e.Close()
 	for {
 		_, ok, err := e.Step()

@@ -52,6 +52,8 @@ type Result struct {
 	// MaxConcurrentBins is the peak number of simultaneously open bins.
 	MaxConcurrentBins int
 	// Placements maps each item (by index in input order of IDs) to its bin.
+	// It, Bins and Outcomes are what the default history keeps; all three
+	// are nil for a run given another history (WithHistory).
 	Placements []Placement
 	// Bins holds per-bin usage records, ascending by BinID.
 	Bins []BinUsage

@@ -161,8 +161,10 @@ func cloneResult(r *Result) *Result {
 }
 
 // Snapshot captures the engine's complete state at the current event
-// boundary. It fails on a poisoned or finished engine, and for stateful
-// policies that implement no PolicyStateCodec (see CheckpointablePolicy).
+// boundary. It fails on a poisoned or finished engine, on a run without the
+// default history (WithHistory: the snapshot carries the partial Result),
+// and for stateful policies that implement no PolicyStateCodec (see
+// CheckpointablePolicy).
 // The engine is unchanged apart from compaction of its open-bin slice, which
 // the next dispatch would perform anyway.
 func (e *Engine) Snapshot() (*Snapshot, error) {
@@ -171,6 +173,9 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	}
 	if e.finished {
 		return nil, fmt.Errorf("core: cannot snapshot a finished engine")
+	}
+	if !e.keepsResult() {
+		return nil, fmt.Errorf("core: cannot snapshot a run without the default history (WithHistory)")
 	}
 	ps, err := marshalPolicyState(e.p)
 	if err != nil {
@@ -259,14 +264,17 @@ func corruptf(format string, args ...any) error {
 // bin IDs, duplicated active items, accumulator limbs that disagree with the
 // active multiset — and violations surface as errors, never panics, so
 // corrupted checkpoint files degrade gracefully. Like NewEngine, the returned
-// engine owns p until Finish or Close.
+// engine owns p until Finish or Close. A restored run keeps the default
+// history, which the snapshot's partial Result seeds, so WithHistory is
+// refused.
 func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := validateList(l, cfg.dynamic); err != nil {
+	cfg := newConfig(opts)
+	in, err := prepare(l, cfg.dynamic)
+	if err != nil {
 		return nil, err
+	}
+	if cfg.historySet {
+		return nil, fmt.Errorf("core: cannot restore a run without the default history (WithHistory)")
 	}
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -283,14 +291,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.Result == nil {
 		return nil, corruptf("missing partial result")
 	}
-	if cfg.injector != nil && cfg.retry == nil {
-		cfg.retry = retryNow{}
-	}
-	if err := acquirePolicy(p); err != nil {
+	e, err := in.newEngine(p, cfg)
+	if err != nil {
 		return nil, err
 	}
-	p.Reset()
-	e := newEngineShell(l, p, cfg)
 	ok := false
 	defer func() {
 		if !ok {
@@ -477,6 +481,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	}
 
 	e.res = cloneResult(s.Result)
+	e.hist = (*resultHistory)(e.res)
+	e.placements = len(e.res.Placements)
 
 	resolve := func(id int) *Bin { return e.binsByID[id] }
 	if err := unmarshalPolicyState(p, s.PolicyState, resolve); err != nil {

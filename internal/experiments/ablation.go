@@ -34,6 +34,7 @@ func (c AblationConfig) workloadConfig() workload.UniformConfig {
 }
 
 // runPolicySet measures mean cost/LB for a fixed list of policy factories.
+// Every policy runs on one prepared instance and keeps no history.
 func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed int64) (core.Policy, error), opts ...core.Option) (map[string]stats.Summary, error) {
 	wcfg := cfg.workloadConfig()
 	if err := wcfg.Validate(); err != nil {
@@ -42,9 +43,13 @@ func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed 
 	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) ([]float64, error) {
 		// Observer scoping is per shard: views minted here are never shared
 		// between concurrent shards.
-		opts := append(cfg.observerOpts(), opts...)
+		opts := append(cfg.costOnlyOpts(), opts...)
 		seed := parallel.SeedFor(cfg.Seed, i)
 		l, err := workload.Uniform(wcfg, seed)
+		if err != nil {
+			return nil, err
+		}
+		in, err := core.NewInstance(l)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +60,7 @@ func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed 
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Simulate(l, p, opts...)
+			res, err := in.Simulate(p, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -126,13 +131,19 @@ func RunBillingAblation(cfg AblationConfig, quantum float64) ([]BillingRow, erro
 		if err != nil {
 			return trial{}, err
 		}
+		// The billed cost reads every bin's usage, so the runs keep their
+		// history.
+		in, err := core.NewInstance(l)
+		if err != nil {
+			return trial{}, err
+		}
 		tr := trial{usage: make([]float64, len(names)), billed: make([]float64, len(names))}
 		for pi, n := range names {
 			p, err := core.NewPolicy(n, seed)
 			if err != nil {
 				return trial{}, err
 			}
-			res, err := core.Simulate(l, p, cfg.observerOpts()...)
+			res, err := in.Simulate(p, cfg.observerOpts()...)
 			if err != nil {
 				return trial{}, err
 			}

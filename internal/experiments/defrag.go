@@ -155,6 +155,10 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
+			in, err := core.NewInstance(l)
+			if err != nil {
+				return shardOut{}, err
+			}
 			lb := lowerbound.IntegralBound(l)
 			up, err := offline.BestUpperEstimate(l)
 			if err != nil {
@@ -188,11 +192,11 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 							shared = rs.ForRun()
 						}
 					}
-					opts := []core.Option{core.WithObserver(fragTee{tr: ft, obs: shared})}
+					opts := []core.Option{core.WithObserver(fragTee{tr: ft, obs: shared}), core.WithHistory(nil)}
 					if leg.migrating {
 						opts = append(opts, migOpt)
 					}
-					res, err := core.Simulate(l, p, opts...)
+					res, err := in.Simulate(p, opts...)
 					if err != nil {
 						return shardOut{}, err
 					}

@@ -119,12 +119,18 @@ func (c Figure4Config) cellSeed(d, mu int) int64 {
 	return c.Seed ^ (int64(d) << 32) ^ (int64(mu) << 16)
 }
 
-// figure4Instance runs one task: it generates instance i of cell and bounds
-// it once, then writes each policy's cost/LB ratio to out[policyIdx].
+// figure4Instance runs one task: it generates instance i of cell, prepares
+// it and bounds it once, then writes each policy's cost/LB ratio to
+// out[policyIdx]. A ratio reads only the run's cost, so the runs keep no
+// history.
 func figure4Instance(cfg Figure4Config, cell figure4Cell, i int, out []float64) error {
 	wcfg := workload.UniformConfig{D: cell.d, N: cfg.N, Mu: cell.mu, T: cfg.T, B: cfg.B}
 	seed := parallel.SeedFor(cfg.cellSeed(cell.d, cell.mu), i)
 	l, err := workload.Uniform(wcfg, seed)
+	if err != nil {
+		return err
+	}
+	in, err := core.NewInstance(l)
 	if err != nil {
 		return err
 	}
@@ -137,7 +143,7 @@ func figure4Instance(cfg Figure4Config, cell figure4Cell, i int, out []float64) 
 		if err != nil {
 			return err
 		}
-		r, err := core.Simulate(l, p, cfg.observerOpts()...)
+		r, err := in.Simulate(p, cfg.costOnlyOpts()...)
 		if err != nil {
 			return err
 		}

@@ -183,6 +183,10 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 			if err != nil {
 				return nil, err
 			}
+			in, err := core.NewInstance(l)
+			if err != nil {
+				return nil, err
+			}
 			lb := lowerbound.IntegralBound(l)
 			out[ti] = make([]cell, len(names))
 			for pi, n := range names {
@@ -198,7 +202,7 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 						shared = rs.ForRun()
 					}
 				}
-				res, err := core.Simulate(l, p, core.WithObserver(fragTee{tr: ft, obs: shared}))
+				res, err := in.Simulate(p, core.WithObserver(fragTee{tr: ft, obs: shared}), core.WithHistory(nil))
 				if err != nil {
 					return nil, err
 				}

@@ -43,6 +43,12 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 		if err != nil {
 			return trial{}, err
 		}
+		// analysis.Quality reads the placements and bin records, so the runs
+		// keep their history.
+		in, err := core.NewInstance(l)
+		if err != nil {
+			return trial{}, err
+		}
 		tr := trial{
 			util:  make([]float64, len(names)),
 			strag: make([]float64, len(names)),
@@ -54,7 +60,7 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 			if err != nil {
 				return trial{}, err
 			}
-			res, err := core.Simulate(l, p, cfg.observerOpts()...)
+			res, err := in.Simulate(p, cfg.observerOpts()...)
 			if err != nil {
 				return trial{}, err
 			}

@@ -48,3 +48,10 @@ func (rc RunControl) observerOpts() []core.Option {
 	}
 	return []core.Option{core.WithObserver(o)}
 }
+
+// costOnlyOpts is observerOpts for a run whose caller reads only the
+// Result's scalars: the run keeps no history (core.WithHistory(nil)), so it
+// pays for no placement, bin or outcome records.
+func (rc RunControl) costOnlyOpts() []core.Option {
+	return append(rc.observerOpts(), core.WithHistory(nil))
+}

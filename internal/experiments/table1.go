@@ -229,6 +229,10 @@ func RunUpperBoundCheck(cfg UpperBoundCheckConfig) ([]UpperBoundViolation, int, 
 		if err != nil {
 			return trial{}, err
 		}
+		in, err := core.NewInstance(l)
+		if err != nil {
+			return trial{}, err
+		}
 		mu := l.Mu()
 		var tr trial
 		for _, name := range []string{"MoveToFront", "FirstFit", "NextFit"} {
@@ -236,7 +240,7 @@ func RunUpperBoundCheck(cfg UpperBoundCheckConfig) ([]UpperBoundViolation, int, 
 			if err != nil {
 				return trial{}, err
 			}
-			res, err := core.Simulate(l, p, cfg.observerOpts()...)
+			res, err := in.Simulate(p, cfg.costOnlyOpts()...)
 			if err != nil {
 				return trial{}, err
 			}

@@ -88,13 +88,17 @@ func RunTrueRatio(cfg TrueRatioConfig) (*TrueRatioResult, error) {
 			}
 			return trial{}, err
 		}
+		in, err := core.NewInstance(l)
+		if err != nil {
+			return trial{}, err
+		}
 		tr := trial{opt: opt, lb: lowerbound.IntegralBound(l), costs: make([]float64, len(names))}
 		for pi, n := range names {
 			p, err := core.NewPolicy(n, seed)
 			if err != nil {
 				return trial{}, err
 			}
-			res, err := core.Simulate(l, p, cfg.observerOpts()...)
+			res, err := in.Simulate(p, cfg.costOnlyOpts()...)
 			if err != nil {
 				return trial{}, err
 			}
