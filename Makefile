@@ -15,9 +15,9 @@ STRESSCOUNT ?= 5
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 
-.PHONY: ci fmt vet test race stress build bench bench-smoke bench-module bench-json fuzz-smoke docs-check artifacts artifacts-check
+.PHONY: ci fmt vet test race stress build bench bench-smoke bench-module bench-json fuzz-smoke docs-check deps-check artifacts artifacts-check artifacts-full-check
 
-ci: fmt vet docs-check artifacts-check race stress bench-smoke bench-module fuzz-smoke
+ci: fmt vet docs-check deps-check artifacts-check race stress bench-smoke bench-module fuzz-smoke
 
 # gofmt -l prints offending files; fail when the list is non-empty.
 fmt:
@@ -89,7 +89,7 @@ bench-json:
 # The cheap experiments whose CSVs are committed under artifacts/ and quoted
 # by EXPERIMENTS.md, and the flags they are generated with (about 2 s in
 # all). Figure 4's full grid takes about a minute at -workers 2 and is
-# regenerated by hand (EXPERIMENTS.md, "Regenerating the committed results").
+# checked on demand by artifacts-full-check.
 ARTIFACT_EXPERIMENTS = table1 trueratio quality ablation-bestfit ablation-clairvoyant ablation-billing
 ARTIFACT_FLAGS = -seed 1
 
@@ -118,9 +118,29 @@ artifacts-check:
 		echo "artifacts-check: regenerated results differ from artifacts/:$${bad:- none written}"; exit 1; fi; \
 	echo "artifacts-check ok ($$n files)"
 
-# Documentation gate: every internal package must carry a doc.go overview,
-# and every "DESIGN.md §N" reference in the top-level docs must point at a
-# "## N." section DESIGN.md actually has.
+# artifacts-full-check adds what artifacts-check leaves out: Figure 4's full
+# grid (about a minute at -workers 2) and every dvbpfigs output, regenerated
+# into a temporary directory and compared byte for byte with artifacts/ and
+# artifacts/figures/. A committed figure that dvbpfigs no longer writes fails
+# too. It runs on demand, not in `make ci`.
+artifacts-full-check: artifacts-check
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) build -o "$$out/bin/" ./cmd/dvbpbench ./cmd/dvbpfigs || exit 1; \
+	"$$out/bin/dvbpbench" -experiment fig4 -workers 2 $(ARTIFACT_FLAGS) -out "$$out/artifacts" > /dev/null || exit 1; \
+	"$$out/bin/dvbpfigs" -workers 2 -out "$$out/artifacts/figures" > /dev/null || exit 1; \
+	n=0; bad=""; for f in "$$out"/artifacts/*.* "$$out"/artifacts/figures/*; do \
+		rel=$${f#"$$out"/}; n=$$((n+1)); cmp -s "$$f" "$$rel" || bad="$$bad $$rel"; \
+	done; \
+	for f in artifacts/figures/*; do [ -f "$$out/$$f" ] || bad="$$bad $$f(stale)"; done; \
+	if [ $$n -eq 0 ] || [ -n "$$bad" ]; then \
+		echo "artifacts-full-check: regenerated results differ from artifacts/:$${bad:- none written}"; exit 1; fi; \
+	echo "artifacts-full-check ok ($$n files)"
+
+# Documentation gate: every internal package must carry a doc.go overview;
+# every "DESIGN.md §N" reference in the top-level docs must point at a
+# "## N." section DESIGN.md actually has; and every Test, Benchmark, Fuzz or
+# Example name that README.md, DESIGN.md or EXPERIMENTS.md cites must be
+# defined by some _test.go (a trailing * cites every name with that prefix).
 docs-check:
 	@missing=""; for d in internal/*/; do \
 		[ -f "$$d"doc.go ] || missing="$$missing $$d"; \
@@ -131,7 +151,27 @@ docs-check:
 		grep -q "^## $$n\." DESIGN.md || bad="$$bad $$n"; \
 	done; \
 	if [ -n "$$bad" ]; then echo "docs-check: broken DESIGN.md section references:$$bad"; exit 1; fi
+	@set -f; defs=$$(find . -name '*_test.go' -not -path './.bench_build/*' \
+			-exec grep -hoE '^func (Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*' {} + | sed 's/^func //'); \
+	bad=""; for n in $$(grep -hoE '\b(Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*\*?' \
+			README.md DESIGN.md EXPERIMENTS.md | sort -u); do \
+		case "$$n" in \
+		*\*) echo "$$defs" | grep -q "^$${n%\*}" || bad="$$bad $$n" ;; \
+		*) echo "$$defs" | grep -qx "$$n" || bad="$$bad $$n" ;; \
+		esac; \
+	done; \
+	if [ -n "$$bad" ]; then echo "docs-check: cited tests that no _test.go defines:$$bad"; exit 1; fi
 	@echo "docs-check ok"
+
+# Dependency gate: every internal package must be a dependency of a command
+# under cmd/ or of the benchmark module (perfbench/), so no package lives on
+# only for the dvbp facade, an example or its own tests.
+deps-check:
+	@pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	used=$$($(GO) list -deps ./cmd/... && cd perfbench && $(GO) list -deps ./...) || exit 1; \
+	bad=""; for p in $$pkgs; do echo "$$used" | grep -qx "$$p" || bad="$$bad $$p"; done; \
+	if [ -n "$$bad" ]; then echo "deps-check: internal packages that no command or perfbench needs:$$bad"; exit 1; fi; \
+	echo "deps-check ok"
 
 # Short differential-fuzz pass: the clean engine, the engine under fault
 # injection, the fault-schedule parsers, and the persistence layer's op-log

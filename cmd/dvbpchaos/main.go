@@ -29,13 +29,10 @@ import (
 	"dvbp/internal/cli"
 	"dvbp/internal/core"
 	"dvbp/internal/faults"
-	"dvbp/internal/item"
 	"dvbp/internal/metrics"
 	"dvbp/internal/migrate"
-	"dvbp/internal/persist"
 	"dvbp/internal/report"
 	"dvbp/internal/vfs"
-	"dvbp/internal/workload"
 )
 
 // run is one policy's clean-vs-faulty comparison, shaped for JSON output.
@@ -119,6 +116,16 @@ func main() {
 	if *ckptDir != "" && *all {
 		fatal(fmt.Errorf("-checkpoint-dir persists a single run; it cannot be combined with -all"))
 	}
+	// Disk chaos rides the same seam the tests use: an injector over the real
+	// filesystem fails the planned operations, and the persist layer's
+	// absorb-and-retry machinery has to ride them out. The final result must
+	// be byte-identical to a clean run — the disk weather on stderr shows
+	// what was survived. -disk-faults needs -checkpoint-dir, which runs a
+	// single policy, so one injector serves the whole run.
+	var diskFS vfs.FS
+	if len(diskPlan) > 0 {
+		diskFS = vfs.NewInjector(vfs.OS{}, diskPlan...)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -127,7 +134,7 @@ func main() {
 		defer cancel()
 	}
 
-	l, err := loadInstance(*tracePath, *d, *n, *mu, *horizon, *binSize, *seed)
+	l, err := cli.LoadInstance(*tracePath, *d, *n, *mu, *horizon, *binSize, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -167,13 +174,9 @@ func main() {
 			collectors[p.Name()] = col
 			opts = append(opts, core.WithObserver(col))
 		}
-		var col *metrics.Collector
-		if *metricsF {
-			col = collectors[p.Name()]
-		}
-		faulty, err := faultyRun(ctx, l, p, opts, chaosRun{
-			dir: *ckptDir, every: *ckptEvery, restore: *restoreF, killAt: *killAt,
-			seed: *seed, faults: plan.String(), migration: mig.String(), col: col, diskPlan: diskPlan,
+		faulty, err := cli.RunPolicy(ctx, l, p, opts, cli.RunConfig{
+			Tool: "dvbpchaos", Dir: *ckptDir, Every: *ckptEvery, Restore: *restoreF, KillAt: *killAt,
+			FS: diskFS, Seed: *seed, Faults: plan.String(), Migration: mig.String(), Col: collectors[p.Name()],
 		})
 		if err != nil {
 			fatal(err)
@@ -230,96 +233,6 @@ func main() {
 	}
 }
 
-// chaosRun shapes the faulty leg of one comparison: plain in-memory
-// simulation, or one persisted through internal/persist — which is what
-// -kill-at crashes mid-flight and -restore brings back.
-type chaosRun struct {
-	dir       string
-	every     int64
-	restore   bool
-	killAt    int64
-	seed      int64
-	faults    string
-	migration string
-	col       *metrics.Collector
-	diskPlan  []vfs.Fault
-}
-
-// faultyRun executes the faulty leg. In checkpoint mode the op log gets a
-// digest mark of the committed events at every sync; -kill-at then dies with
-// os.Exit, deliberately skipping every flush and sync, so the directory is
-// left exactly as a SIGKILL would leave it.
-func faultyRun(ctx context.Context, l *item.List, p core.Policy, opts []core.Option, rc chaosRun) (*core.Result, error) {
-	if rc.dir == "" {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return core.Simulate(l, p, opts...)
-	}
-	pcfg := persist.Config{Dir: rc.dir, Every: rc.every}
-	if rc.col != nil {
-		pcfg.Aux = []persist.AuxCodec{rc.col.Registry()}
-	}
-	var inj *vfs.Injector
-	if len(rc.diskPlan) > 0 {
-		// Disk chaos rides the same seam the tests use: an injector over the
-		// real filesystem fails the planned operations, and the persist
-		// layer's absorb-and-retry machinery has to ride them out. The final
-		// result must be byte-identical to a clean run — the plan summary on
-		// stderr shows what was survived.
-		inj = vfs.NewInjector(vfs.OS{}, rc.diskPlan...)
-		pcfg.FS = inj
-	}
-	var s *persist.Session
-	if rc.restore {
-		rec, err := persist.Recover(l, pcfg, opts...)
-		if err != nil {
-			return nil, err
-		}
-		for _, ce := range rec.Corruptions {
-			fmt.Fprintln(os.Stderr, "dvbpchaos: tolerated:", ce)
-		}
-		fmt.Fprintf(os.Stderr, "dvbpchaos: resumed at event %d (snapshot %d + %d replayed)\n",
-			rec.Session.Engine().EventSeq(), rec.SnapshotSeq, rec.Replayed)
-		s = rec.Session
-	} else {
-		e, err := core.NewEngine(l, p, opts...)
-		if err != nil {
-			return nil, err
-		}
-		meta := persist.NewRunMeta(l, p.Name(), rc.seed, rc.faults)
-		meta.Migration = rc.migration
-		s, err = persist.Begin(e, meta, pcfg)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	for {
-		if rc.killAt >= 0 && s.Engine().EventSeq() >= rc.killAt {
-			fmt.Fprintf(os.Stderr, "dvbpchaos: kill-at %d reached: dying without cleanup\n", rc.killAt)
-			os.Exit(cli.ExitKilled)
-		}
-		if err := ctx.Err(); err != nil {
-			s.Close()
-			return nil, err
-		}
-		_, ok, err := s.Step()
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		if !ok {
-			if inj != nil {
-				st := s.TakeIOStats()
-				fmt.Fprintf(os.Stderr, "dvbpchaos: disk weather: %d absorbed sync failures, %d skipped checkpoints\n",
-					st.SyncFailures, st.CheckpointsSkipped)
-			}
-			return s.Finish()
-		}
-	}
-}
-
 // flush writes the comparison, as JSON or as the human-readable header+table.
 func flush(out output, asJSON bool) error {
 	if asJSON {
@@ -358,21 +271,6 @@ func flush(out output, asJSON bool) error {
 	}
 	fmt.Print(t.Render())
 	return nil
-}
-
-func loadInstance(path string, d, n, mu, horizon, binSize int, seed int64) (*item.List, error) {
-	if path == "" {
-		return workload.Uniform(workload.UniformConfig{D: d, N: n, Mu: mu, T: horizon, B: binSize}, seed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		return workload.ReadJSON(f)
-	}
-	return workload.ReadCSV(f)
 }
 
 func fatal(err error) {

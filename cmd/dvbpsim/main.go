@@ -25,14 +25,11 @@ import (
 	"dvbp/internal/core"
 	"dvbp/internal/exactopt"
 	"dvbp/internal/faults"
-	"dvbp/internal/item"
 	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
 	"dvbp/internal/migrate"
 	"dvbp/internal/offline"
-	"dvbp/internal/persist"
 	"dvbp/internal/report"
-	"dvbp/internal/workload"
 )
 
 func main() {
@@ -97,7 +94,7 @@ func main() {
 		defer cancel()
 	}
 
-	l, err := loadInstance(*tracePath, *d, *n, *mu, *horizon, *binSize, *seed)
+	l, err := cli.LoadInstance(*tracePath, *d, *n, *mu, *horizon, *binSize, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,9 +168,10 @@ func main() {
 			collectors[p.Name()] = col
 			opts = append(opts, core.WithObserver(col))
 		}
-		rc := runConfig{dir: *ckptDir, every: *ckptEvery, restore: *restoreF,
-			seed: *seed, faults: faultStr, migration: mig.String(), col: collectors[p.Name()]}
-		res, err := runPolicy(ctx, l, p, opts, rc)
+		res, err := cli.RunPolicy(ctx, l, p, opts, cli.RunConfig{
+			Tool: "dvbpsim", Dir: *ckptDir, Every: *ckptEvery, Restore: *restoreF, KillAt: -1,
+			Seed: *seed, Faults: faultStr, Migration: mig.String(), Col: collectors[p.Name()],
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -221,91 +219,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runConfig shapes one policy's run: plain in-memory simulation, or a
-// persisted (and possibly resumed) one.
-type runConfig struct {
-	dir       string
-	every     int64
-	restore   bool
-	seed      int64
-	faults    string
-	migration string
-	col       *metrics.Collector
-}
-
-// runPolicy executes one policy over l, persisting and/or resuming through
-// internal/persist when a checkpoint directory is configured. The context is
-// checked between events, so an expired -timeout leaves the checkpoint
-// directory in a resumable state.
-func runPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Option, rc runConfig) (*core.Result, error) {
-	if rc.dir == "" {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return core.Simulate(l, p, opts...)
-	}
-	pcfg := persist.Config{Dir: rc.dir, Every: rc.every}
-	if rc.col != nil {
-		pcfg.Aux = []persist.AuxCodec{rc.col.Registry()}
-	}
-	var s *persist.Session
-	if rc.restore {
-		// Recover rebuilds the engine (and policy) from the run's own
-		// metadata; the -policy flag only matters for fresh runs.
-		rec, err := persist.Recover(l, pcfg, opts...)
-		if err != nil {
-			return nil, err
-		}
-		for _, ce := range rec.Corruptions {
-			fmt.Fprintln(os.Stderr, "dvbpsim: tolerated:", ce)
-		}
-		fmt.Fprintf(os.Stderr, "dvbpsim: resumed at event %d (snapshot %d + %d replayed)\n",
-			rec.Session.Engine().EventSeq(), rec.SnapshotSeq, rec.Replayed)
-		s = rec.Session
-	} else {
-		e, err := core.NewEngine(l, p, opts...)
-		if err != nil {
-			return nil, err
-		}
-		meta := persist.NewRunMeta(l, p.Name(), rc.seed, rc.faults)
-		meta.Migration = rc.migration
-		s, err = persist.Begin(e, meta, pcfg)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			s.Close()
-			return nil, err
-		}
-		_, ok, err := s.Step()
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		if !ok {
-			return s.Finish()
-		}
-	}
-}
-
-func loadInstance(path string, d, n, mu, horizon, binSize int, seed int64) (*item.List, error) {
-	if path == "" {
-		return workload.Uniform(workload.UniformConfig{D: d, N: n, Mu: mu, T: horizon, B: binSize}, seed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		return workload.ReadJSON(f)
-	}
-	return workload.ReadCSV(f)
 }
 
 func fatal(err error) {

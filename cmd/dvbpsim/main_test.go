@@ -5,11 +5,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dvbp/internal/cli"
 	"dvbp/internal/workload"
 )
 
 func TestLoadInstanceGenerates(t *testing.T) {
-	l, err := loadInstance("", 2, 50, 5, 100, 10, 1)
+	l, err := cli.LoadInstance("", 2, 50, 5, 100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestLoadInstanceFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := loadInstance(csvPath, 0, 0, 0, 0, 0, 0)
+	got, err := cli.LoadInstance(csvPath, 0, 0, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestLoadInstanceFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err = loadInstance(jsonPath, 0, 0, 0, 0, 0, 0)
+	got, err = cli.LoadInstance(jsonPath, 0, 0, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +54,10 @@ func TestLoadInstanceFromFiles(t *testing.T) {
 		t.Errorf("json items = %d", got.Len())
 	}
 
-	if _, err := loadInstance(filepath.Join(dir, "missing.csv"), 0, 0, 0, 0, 0, 0); err == nil {
+	if _, err := cli.LoadInstance(filepath.Join(dir, "missing.csv"), 0, 0, 0, 0, 0, 0); err == nil {
 		t.Error("missing file accepted")
 	}
-	if _, err := loadInstance("", 0, 0, 0, 0, 0, 1); err == nil {
+	if _, err := cli.LoadInstance("", 0, 0, 0, 0, 0, 1); err == nil {
 		t.Error("invalid generator config accepted")
 	}
 }

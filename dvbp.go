@@ -18,8 +18,6 @@
 //     models) with CSV/JSON trace round-tripping;
 //   - the Section 6 adversarial constructions with competitive-ratio
 //     certificates;
-//   - a cloud-billing simulation layer (servers, VM requests, pay-as-you-go
-//     tariffs);
 //   - a fault-injection and failure-recovery layer: deterministic crash
 //     schedules (seeded MTBF or explicit traces), eviction with retry
 //     backoff, and finite fleets with admission control (see cmd/dvbpchaos);
@@ -42,7 +40,6 @@ package dvbp
 import (
 	"dvbp/internal/adversary"
 	"dvbp/internal/clairvoyant"
-	"dvbp/internal/cloudsim"
 	"dvbp/internal/core"
 	"dvbp/internal/faults"
 	"dvbp/internal/item"
@@ -99,15 +96,6 @@ func WithClairvoyance() Option { return core.WithClairvoyance() }
 
 // WithAudit records every packing decision into a, for invariant checking.
 func WithAudit(a *Audit) Option { return core.WithAudit(a) }
-
-// WithLinearSelect makes every policy run its own O(n) Select scan. By
-// default Worst Fit, and Best Fit at d = 1, are served from the indexed bin
-// store and AdaptiveHybrid reads engine-held load totals (DESIGN.md §11);
-// every other policy, Best Fit at d ≥ 2 included, scans either way.
-// Decisions are bit-identical with or without it; the scan survives as the
-// differential oracle and for apples-to-apples measurements against those
-// two fast paths.
-func WithLinearSelect() Option { return core.WithLinearSelect() }
 
 // Observer receives engine lifecycle callbacks during a simulation
 // (BeforePack, AfterPack, BinClosed). Attaching one never changes results.
@@ -306,25 +294,3 @@ func ParseCrashTrace(s string) (*CrashTrace, error) { return faults.ParseTrace(s
 // FaultPlan bundles an injector, retry policy and fleet limits into the
 // Option set a chaos run needs; see cmd/dvbpchaos for the CLI counterpart.
 type FaultPlan = faults.Plan
-
-// CloudConfig configures the cloud-billing simulation layer.
-type CloudConfig = cloudsim.Config
-
-// CloudRequest is a VM/session request in native resource units.
-type CloudRequest = cloudsim.Request
-
-// CloudBilling is a pay-as-you-go tariff (quantum + unit price).
-type CloudBilling = cloudsim.Billing
-
-// CloudReport is the outcome of a cloud simulation.
-type CloudReport = cloudsim.Report
-
-// RunCloud dispatches cloud requests online and reports usage and billing.
-func RunCloud(cfg CloudConfig, reqs []CloudRequest) (*CloudReport, error) {
-	return cloudsim.Run(cfg, reqs)
-}
-
-// CompareCloud runs the same request stream under several policies.
-func CompareCloud(cfg CloudConfig, reqs []CloudRequest, policies []Policy) ([]*CloudReport, error) {
-	return cloudsim.Compare(cfg, reqs, policies)
-}

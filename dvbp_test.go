@@ -110,35 +110,6 @@ func TestFacadeAdversarial(t *testing.T) {
 	}
 }
 
-func TestFacadeCloud(t *testing.T) {
-	cfg := dvbp.CloudConfig{
-		Capacity: dvbp.Vec(64, 256),
-		Policy:   dvbp.NewMoveToFront(),
-		Billing:  dvbp.CloudBilling{Quantum: 1, PricePerUnit: 2},
-	}
-	reqs := []dvbp.CloudRequest{
-		{ID: 1, Arrive: 0, Duration: 1.5, Demand: dvbp.Vec(32, 64)},
-		{ID: 2, Arrive: 0.5, Duration: 1, Demand: dvbp.Vec(16, 64)},
-	}
-	rep, err := dvbp.RunCloud(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ServersRented != 1 {
-		t.Errorf("servers = %d, want 1", rep.ServersRented)
-	}
-	if rep.BilledCost != 4 { // 1.5h usage -> 2 started hours * 2
-		t.Errorf("billed = %v, want 4", rep.BilledCost)
-	}
-	reports, err := dvbp.CompareCloud(cfg, reqs, dvbp.StandardPolicies(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 7 {
-		t.Errorf("reports = %d", len(reports))
-	}
-}
-
 func TestFacadeAudit(t *testing.T) {
 	l := dvbp.NewList(1)
 	l.Add(0, 1, dvbp.Vec(0.5))

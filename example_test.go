@@ -55,25 +55,6 @@ func ExampleTheoremEightInstance() {
 	// Output: bins=16 certified CR >= 8.89 (target 2mu = 20)
 }
 
-// ExampleRunCloud dispatches VM requests onto billed servers.
-func ExampleRunCloud() {
-	cfg := dvbp.CloudConfig{
-		Capacity: dvbp.Vec(64, 256), // 64 vCPU, 256 GiB
-		Policy:   dvbp.NewMoveToFront(),
-		Billing:  dvbp.CloudBilling{Quantum: 1, PricePerUnit: 3},
-	}
-	reqs := []dvbp.CloudRequest{
-		{ID: 1, Arrive: 0, Duration: 2.5, Demand: dvbp.Vec(32, 128)},
-		{ID: 2, Arrive: 1, Duration: 1.0, Demand: dvbp.Vec(32, 128)},
-	}
-	rep, err := dvbp.RunCloud(cfg, reqs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("servers=%d usage=%.1fh bill=$%.0f\n", rep.ServersRented, rep.UsageTime, rep.BilledCost)
-	// Output: servers=1 usage=2.5h bill=$9
-}
-
 // ExampleSimulate_clairvoyant enables the clairvoyant extension: departure
 // times become visible to the policy.
 func ExampleSimulate_clairvoyant() {

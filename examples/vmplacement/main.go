@@ -45,8 +45,8 @@ func main() {
 
 	// Physical servers: 128 vCPU, 512 GiB RAM, 100k IOPS, 25 Gbit/s. The
 	// generator emits normalised demands, so capacity is 1^d here; a real
-	// deployment would use dvbp.RunCloud with native units (see the
-	// cloudgaming example).
+	// deployment would divide each request's native demand by the server's
+	// capacity before packing it.
 	lb := dvbp.LowerBounds(trace)
 	up, err := dvbp.OfflineBestEstimate(trace)
 	if err != nil {

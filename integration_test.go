@@ -2,7 +2,6 @@ package dvbp_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"dvbp"
@@ -104,47 +103,6 @@ func TestEndToEndTheoremDecompositions(t *testing.T) {
 	}
 	if err := analysis.VerifyFFDecomposition(ff); err != nil {
 		t.Errorf("Claim 4 on spike workload: %v", err)
-	}
-}
-
-// TestEndToEndCloudBillingMatchesEngineCost: at per-second billing with unit
-// price the cloud bill must equal the engine's MinUsageTime cost exactly.
-func TestEndToEndCloudBillingMatchesEngineCost(t *testing.T) {
-	l, err := workload.Sessions(workload.SessionConfig{
-		D: 2, Horizon: 100, Rate: 2,
-		MeanDuration: 5, Alpha: 2.3, MinDuration: 1, MaxDuration: 50,
-	}, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Convert to cloud requests in native units (capacity 10 per dim).
-	cap := dvbp.Vec(10, 10)
-	var reqs []dvbp.CloudRequest
-	for _, it := range l.Items {
-		reqs = append(reqs, dvbp.CloudRequest{
-			ID:       it.ID,
-			Arrive:   it.Arrival,
-			Duration: it.Duration(),
-			Demand:   dvbp.Vec(it.Size[0]*10, it.Size[1]*10),
-		})
-	}
-	rep, err := dvbp.RunCloud(dvbp.CloudConfig{
-		Capacity: cap,
-		Policy:   dvbp.NewFirstFit(),
-		Billing:  dvbp.CloudBilling{Quantum: 0, PricePerUnit: 1},
-	}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Simulate(l, core.NewFirstFit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep.UsageTime-res.Cost) > 1e-6 || math.Abs(rep.BilledCost-res.Cost) > 1e-6 {
-		t.Errorf("cloud usage %v / bill %v != engine cost %v", rep.UsageTime, rep.BilledCost, res.Cost)
-	}
-	if rep.ServersRented != res.BinsOpened {
-		t.Errorf("servers %d != bins %d", rep.ServersRented, res.BinsOpened)
 	}
 }
 

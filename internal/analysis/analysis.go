@@ -186,18 +186,3 @@ func VerifyFFDecomposition(res *core.Result) error {
 	}
 	return nil
 }
-
-// CostSplit summarises where an algorithm's cost went.
-type CostSplit struct {
-	// Covering is the part of the cost that any algorithm must pay
-	// (= span(R) for a single-interval activity hull).
-	Covering float64
-	// Overhead is cost − Covering: the bins-open-in-parallel surplus that
-	// competitive analysis charges against μ and d.
-	Overhead float64
-}
-
-// SplitCost returns the covering/overhead split for any result.
-func SplitCost(res *core.Result) CostSplit {
-	return CostSplit{Covering: res.Span, Overhead: res.Cost - res.Span}
-}

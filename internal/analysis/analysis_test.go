@@ -161,14 +161,6 @@ func TestClaim4OnRandomInstances(t *testing.T) {
 	}
 }
 
-func TestSplitCost(t *testing.T) {
-	res := &core.Result{Cost: 12, Span: 5}
-	s := SplitCost(res)
-	if s.Covering != 5 || s.Overhead != 7 {
-		t.Errorf("SplitCost = %+v", s)
-	}
-}
-
 // TestTheorem2BoundViaDecomposition: the decomposition certifies the
 // structure of the Theorem 2 bound on every instance:
 // cost = Σℓ(P) + Σℓ(Q) with Σℓ(P) = span ≤ OPT.

@@ -260,25 +260,9 @@ func TestResultHelpers(t *testing.T) {
 	if _, ok := res.PlacementOf(99); ok {
 		t.Error("PlacementOf(99) should be !ok")
 	}
-	bi := res.BinItems()
-	if len(bi[0]) != 1 || bi[0][0] != 0 {
-		t.Errorf("BinItems = %v", bi)
-	}
-	if got := res.NormalizedCost(2); math.Abs(got-2) > 1e-12 {
-		t.Errorf("NormalizedCost = %v", got)
-	}
 	if res.String() == "" {
 		t.Error("String empty")
 	}
-}
-
-func TestNormalizedCostPanicsOnBadLB(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	(&Result{Cost: 1}).NormalizedCost(0)
 }
 
 // randomList builds a reproducible random instance.

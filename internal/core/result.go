@@ -154,25 +154,6 @@ func (r *Result) PlacementOf(itemID int) (Placement, bool) {
 	return Placement{}, false
 }
 
-// BinItems returns, for each bin ID, the item IDs packed into it in packing
-// order.
-func (r *Result) BinItems() map[int][]int {
-	m := make(map[int][]int)
-	for _, p := range r.Placements {
-		m[p.BinID] = append(m[p.BinID], p.ItemID)
-	}
-	return m
-}
-
-// NormalizedCost returns Cost / lb, the experimental performance measure the
-// paper plots in Figure 4 (lb is a lower bound on OPT). It panics if lb <= 0.
-func (r *Result) NormalizedCost(lb float64) float64 {
-	if lb <= 0 {
-		panic("core: non-positive lower bound")
-	}
-	return r.Cost / lb
-}
-
 // String renders a human-readable summary.
 func (r *Result) String() string {
 	var b strings.Builder

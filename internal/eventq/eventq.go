@@ -63,19 +63,6 @@ func (q *Queue[T]) Pop() (e Event[T], ok bool) {
 	return e, true
 }
 
-// PopUntil removes and returns, in order, every event with Time <= t.
-func (q *Queue[T]) PopUntil(t float64) []Event[T] {
-	var out []Event[T]
-	for {
-		e, ok := q.Peek()
-		if !ok || e.Time > t {
-			return out
-		}
-		q.Pop()
-		out = append(out, e)
-	}
-}
-
 func (q *Queue[T]) less(i, j int) bool {
 	if q.h[i].Time != q.h[j].Time {
 		return q.h[i].Time < q.h[j].Time

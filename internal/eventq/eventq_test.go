@@ -59,28 +59,6 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
-func TestPopUntil(t *testing.T) {
-	var q Queue[int]
-	for i := 1; i <= 5; i++ {
-		q.PushAt(float64(i), int64(i), i)
-	}
-	got := q.PopUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("PopUntil(3) returned %d events", len(got))
-	}
-	for i, e := range got {
-		if e.Payload != i+1 {
-			t.Errorf("event %d payload = %d", i, e.Payload)
-		}
-	}
-	if q.Len() != 2 {
-		t.Errorf("remaining = %d, want 2", q.Len())
-	}
-	if more := q.PopUntil(0); len(more) != 0 {
-		t.Errorf("PopUntil(0) = %d events, want 0", len(more))
-	}
-}
-
 // Property: popping everything yields events sorted by (Time, Seq).
 func TestHeapProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(31))

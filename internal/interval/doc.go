@@ -5,6 +5,6 @@
 // interval I(r) = [a(r), e(r)), and the cost of a packing as the sum over
 // bins of span(R_i) — the measure of the union of the active intervals of the
 // items placed in the bin. This package provides exactly those operations:
-// interval length, intersection, union measure (span), and merged interval
+// interval length, hull, union measure (span), coverage and merged interval
 // sets.
 package interval

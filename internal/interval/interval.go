@@ -28,30 +28,6 @@ func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
 // Contains reports whether t ∈ [Lo, Hi).
 func (iv Interval) Contains(t float64) bool { return t >= iv.Lo && t < iv.Hi }
 
-// Intersect returns the intersection of iv and other (possibly empty).
-func (iv Interval) Intersect(other Interval) Interval {
-	lo := iv.Lo
-	if other.Lo > lo {
-		lo = other.Lo
-	}
-	hi := iv.Hi
-	if other.Hi < hi {
-		hi = other.Hi
-	}
-	return Interval{Lo: lo, Hi: hi}
-}
-
-// Overlaps reports whether iv and other share at least one point.
-func (iv Interval) Overlaps(other Interval) bool {
-	return !iv.Empty() && !other.Empty() && iv.Lo < other.Hi && other.Lo < iv.Hi
-}
-
-// Touches reports whether iv and other overlap or abut (share an endpoint),
-// i.e. whether their union is a single interval.
-func (iv Interval) Touches(other Interval) bool {
-	return !iv.Empty() && !other.Empty() && iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 // Hull returns the smallest interval containing both iv and other. Empty
 // operands are ignored; the hull of two empty intervals is empty.
 func (iv Interval) Hull(other Interval) Interval {

@@ -46,39 +46,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want Interval
-	}{
-		{New(0, 2), New(1, 3), New(1, 2)},
-		{New(0, 1), New(1, 2), New(1, 1)}, // abutting -> empty
-		{New(0, 1), New(2, 3), New(2, 1)}, // disjoint -> empty
-		{New(0, 4), New(1, 2), New(1, 2)}, // nested
-	}
-	for _, c := range cases {
-		got := c.a.Intersect(c.b)
-		if got.Length() != c.want.Length() || (!got.Empty() && got != c.want) {
-			t.Errorf("Intersect(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestOverlapsTouches(t *testing.T) {
-	if New(0, 1).Overlaps(New(1, 2)) {
-		t.Error("abutting intervals do not overlap")
-	}
-	if !New(0, 1).Touches(New(1, 2)) {
-		t.Error("abutting intervals touch")
-	}
-	if !New(0, 2).Overlaps(New(1, 3)) {
-		t.Error("overlapping intervals should overlap")
-	}
-	if New(0, 0).Overlaps(New(0, 1)) || New(0, 0).Touches(New(0, 1)) {
-		t.Error("empty interval overlaps/touches nothing")
-	}
-}
-
 func TestHull(t *testing.T) {
 	got := New(0, 1).Hull(New(3, 4))
 	if got != New(0, 4) {

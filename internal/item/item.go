@@ -274,15 +274,6 @@ func (l *List) Clone() *List {
 	return c
 }
 
-// ScaleDurations multiplies every item's duration by f, keeping arrivals
-// fixed. Used by experiment sweeps to vary μ on a fixed arrival pattern.
-func (l *List) ScaleDurations(f float64) {
-	for i := range l.Items {
-		it := &l.Items[i]
-		it.Departure = it.Arrival + it.Duration()*f
-	}
-}
-
 // TimeSpaceUtilization returns Σ_r ‖s(r)‖∞ · ℓ(I(r)), the numerator of the
 // Lemma 1(ii) lower bound.
 func (l *List) TimeSpaceUtilization() float64 {

@@ -210,18 +210,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestScaleDurations(t *testing.T) {
-	l := NewList(1)
-	l.Add(1, 3, v(0.5)) // duration 2
-	l.ScaleDurations(2.5)
-	if got := l.Items[0].Departure; got != 6 {
-		t.Errorf("Departure = %v, want 6", got)
-	}
-	if l.Items[0].Arrival != 1 {
-		t.Error("ScaleDurations must not move arrivals")
-	}
-}
-
 func TestTimeSpaceUtilization(t *testing.T) {
 	l := NewList(2)
 	l.Add(0, 2, v(0.5, 0.25)) // ‖s‖∞=0.5, ℓ=2 -> 1.0

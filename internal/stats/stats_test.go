@@ -29,7 +29,7 @@ func TestAccumulatorKnownValues(t *testing.T) {
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.StdDev() != 0 || a.StdErr() != 0 || a.N() != 0 {
+	if a.Mean() != 0 || a.StdDev() != 0 || a.N() != 0 {
 		t.Error("empty accumulator should be all zeros")
 	}
 }
@@ -39,17 +39,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	a.Add(3)
 	if a.Mean() != 3 || a.Variance() != 0 || a.Min() != 3 || a.Max() != 3 {
 		t.Error("single-observation stats wrong")
-	}
-}
-
-func TestStdErr(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{1, 2, 3, 4} {
-		a.Add(x)
-	}
-	want := a.StdDev() / 2 // sqrt(4) = 2
-	if math.Abs(a.StdErr()-want) > 1e-12 {
-		t.Errorf("StdErr = %v, want %v", a.StdErr(), want)
 	}
 }
 

@@ -109,15 +109,6 @@ func (v Vector) SubInPlace(u Vector) {
 	}
 }
 
-// Scale returns c·v as a new vector.
-func (v Vector) Scale(c float64) Vector {
-	w := make(Vector, len(v))
-	for i := range v {
-		w[i] = c * v[i]
-	}
-	return w
-}
-
 // MaxNorm returns the L∞ norm max_j v_j. Section 2 of the paper writes this
 // as ‖v‖∞; it drives capacity checks and the Lemma 1 bounds. The norm of the
 // 0-dimensional vector is 0.
@@ -179,18 +170,6 @@ func (v Vector) FitsWithin(u Vector) bool {
 func (v Vector) LeqCapacity() bool {
 	for _, x := range v {
 		if x > 1+Eps {
-			return false
-		}
-	}
-	return true
-}
-
-// Dominates reports whether v_j ≥ u_j for every dimension j.
-// It panics if dimensions differ.
-func (v Vector) Dominates(u Vector) bool {
-	v.mustMatch(u)
-	for i := range v {
-		if v[i] < u[i] {
 			return false
 		}
 	}

@@ -102,7 +102,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		func() { Of(1).AddInPlace(Of(1, 2)) },
 		func() { Of(1).SubInPlace(Of(1, 2)) },
 		func() { Of(1).FitsWithin(Of(1, 2)) },
-		func() { Of(1).Dominates(Of(1, 2)) },
 		func() { Of(1).Max(Of(1, 2)) },
 	}
 	for i, f := range cases {
@@ -114,14 +113,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestScale(t *testing.T) {
-	v := Of(1, 2, 3)
-	got := v.Scale(0.5)
-	if !got.Equal(Of(0.5, 1, 1.5), 1e-15) {
-		t.Errorf("Scale = %v", got)
 	}
 }
 
@@ -213,15 +204,6 @@ func TestLeqCapacity(t *testing.T) {
 	}
 	if Of(1.001, 0.5).LeqCapacity() {
 		t.Error("LeqCapacity accepted infeasible load")
-	}
-}
-
-func TestDominates(t *testing.T) {
-	if !Of(0.5, 0.5).Dominates(Of(0.5, 0.4)) {
-		t.Error("Dominates false negative")
-	}
-	if Of(0.5, 0.3).Dominates(Of(0.5, 0.4)) {
-		t.Error("Dominates false positive")
 	}
 }
 
@@ -339,7 +321,11 @@ func TestProposition1Homogeneity(t *testing.T) {
 		d := int(dRaw%8) + 1
 		c := float64(cRaw) / 1000
 		v := randomVectors(r, 1, d)[0]
-		return math.Abs(v.Scale(c).MaxNorm()-c*v.MaxNorm()) < 1e-9*(1+c)
+		cv := make(Vector, d)
+		for i := range v {
+			cv[i] = c * v[i]
+		}
+		return math.Abs(cv.MaxNorm()-c*v.MaxNorm()) < 1e-9*(1+c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
