@@ -138,9 +138,15 @@ artifacts-full-check: artifacts-check
 
 # Documentation gate: every internal package must carry a doc.go overview;
 # every "DESIGN.md §N" reference in the top-level docs must point at a
-# "## N." section DESIGN.md actually has; and every Test, Benchmark, Fuzz or
+# "## N." section DESIGN.md actually has; every Test, Benchmark, Fuzz or
 # Example name that README.md, DESIGN.md or EXPERIMENTS.md cites must be
-# defined by some _test.go (a trailing * cites every name with that prefix).
+# defined by some _test.go (a trailing * cites every name with that prefix);
+# and every -flag that a fenced code block in DOC_FLAG_FILES passes to one of
+# DOC_FLAG_CMDS (continuation lines joined, # comments dropped) must be one
+# the command's -h lists.
+DOC_FLAG_CMDS = dvbpsim dvbpchaos dvbpbench dvbpfigs dvbpserver
+DOC_FLAG_FILES = README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md
+
 docs-check:
 	@missing=""; for d in internal/*/; do \
 		[ -f "$$d"doc.go ] || missing="$$missing $$d"; \
@@ -161,6 +167,28 @@ docs-check:
 		esac; \
 	done; \
 	if [ -n "$$bad" ]; then echo "docs-check: cited tests that no _test.go defines:$$bad"; exit 1; fi
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for c in $(DOC_FLAG_CMDS); do \
+		$(GO) build -o "$$bin/$$c" ./cmd/$$c || exit 1; \
+		"$$bin/$$c" -h 2>&1 | sed -n "s/^  -\([A-Za-z0-9_-]*\).*/$$c \1/p"; \
+	done > "$$bin/flags"; \
+	bad=$$(awk ' \
+		FNR == NR { ok[$$1 " " $$2] = 1; cmd[$$1] = 1; next } \
+		FNR == 1 { fence = 0; buf = "" } \
+		/^[ \t]*```/ { fence = !fence; buf = ""; next } \
+		!fence { next } \
+		{ if (buf == "") at = FNR; line = buf $$0; buf = ""; \
+		  if (line ~ /\\[ \t]*$$/) { sub(/\\[ \t]*$$/, " ", line); buf = line; next } \
+		  sub(/(^|[ \t])#.*/, "", line); n = split(line, tok, /[ \t]+/); cur = ""; seg = 1; \
+		  for (i = 1; i <= n; i++) { t = tok[i]; if (t == "") continue; \
+		    if (t ~ /^(\||\|\||&&|;|&|>|>>|<|2>&1|\$$)$$/) { cur = ""; seg = 1; continue } \
+		    if (seg) { if (t ~ /^[A-Za-z_][A-Za-z0-9_]*=/) continue; seg = 0; \
+		      if (t == "go" && tok[i+1] == "run") { for (i += 2; i <= n && tok[i] ~ /^-/; i++) ; t = tok[i] } \
+		      gsub(/"/, "", t); sub(/.*\//, "", t); if (t in cmd) cur = t; continue } \
+		    if (cur != "" && t ~ /^--?[A-Za-z]/) { f = t; sub(/^--?/, "", f); sub(/=.*/, "", f); \
+		      if (!((cur " " f) in ok)) print " " FILENAME ":" at ": " cur " -" f } } }' \
+		"$$bin/flags" $(DOC_FLAG_FILES)) || exit 1; \
+	if [ -n "$$bad" ]; then echo "docs-check: flags the commands do not have:$$bad"; exit 1; fi
 	@echo "docs-check ok"
 
 # Dependency gate: every internal package must be a dependency of a command

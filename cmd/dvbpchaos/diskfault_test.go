@@ -7,16 +7,16 @@ import (
 )
 
 // TestDiskFaultsAbsorbedByteIdentical is the -disk-faults acceptance check:
-// a run whose op-log syncs, snapshot writes, and directory fsyncs fail on
-// schedule must absorb every planned fault (ride-out, skip, retry-later) and
-// still print stdout byte-identical to a clean run — the disk weather is
+// a run whose op-log writes and fsyncs fail on schedule must absorb every
+// planned fault (the records stay buffered and a later barrier retries them)
+// and still print stdout byte-identical to a clean run — the disk weather is
 // reported on stderr, never in the results.
 func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
 	}
 	bin := buildChaos(t)
-	base := append([]string{"-policy", "FirstFit", "-json", "-checkpoint-every", "32"}, chaosArgs...)
+	base := append([]string{"-policy", "FirstFit", "-json"}, chaosArgs...)
 
 	clean, _, code := runChaos(t, bin, append(append([]string{}, base...), "-checkpoint-dir", t.TempDir())...)
 	if code != 0 {
@@ -26,10 +26,10 @@ func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 	// Begin consumes the first operation of each kind (the op log's create,
 	// its header and meta write, fsync and directory sync) and is rightly
 	// fatal there — a run that can't establish durability must not start.
-	// These indices all land at runtime, where the absorb machinery has to
-	// ride them out: op-log batch syncs, checkpoint temp writes, snapshot
-	// renames' directory syncs.
-	plan := "sync:5:eio,sync:6:enospc,syncdir:4:eio,write:8:enospc,sync:10:eio"
+	// These five faults all land on the op-log writes and fsyncs of batch
+	// barriers, the only disk operations a running persisted run performs,
+	// where the absorb machinery has to ride them out.
+	plan := "sync:2:eio,write:3:enospc,sync:4:enospc,write:6:eio,sync:7:eio"
 	faulty, stderr, code := runChaos(t, bin, append(append([]string{}, base...),
 		"-checkpoint-dir", t.TempDir(), "-disk-faults", plan)...)
 	if code != 0 {
@@ -38,8 +38,8 @@ func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 	if faulty != clean {
 		t.Fatalf("disk faults changed the results\n--- clean ---\n%s\n--- faulty ---\n%s", clean, faulty)
 	}
-	if !strings.Contains(stderr, "disk weather:") {
-		t.Fatalf("no disk weather report on stderr:\n%s", stderr)
+	if !strings.Contains(stderr, "disk weather: 5 absorbed sync failures") {
+		t.Fatalf("the five planned faults were not all absorbed:\n%s", stderr)
 	}
 
 	// A malformed plan is a usage error, not a crash.
@@ -56,16 +56,15 @@ func TestDiskFaultsAbsorbedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointDirKeepsOneSnapshot: a persisted run leaves its op log and
-// one snapshot behind, whatever its length — every checkpoint deletes the
-// ones before it — and restoring the finished directory reproduces stdout
-// byte for byte.
-func TestCheckpointDirKeepsOneSnapshot(t *testing.T) {
+// TestCheckpointDirHoldsOnlyOpLog: a persisted run writes its op log and
+// nothing else, and restoring the finished directory re-steps the whole run
+// from event 0 to stdout byte-identical to an unpersisted run.
+func TestCheckpointDirHoldsOnlyOpLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
 	}
 	bin := buildChaos(t)
-	base := append([]string{"-policy", "MoveToFront", "-json", "-checkpoint-every", "16"}, chaosArgs...)
+	base := append([]string{"-policy", "MoveToFront", "-json", "-metrics"}, chaosArgs...)
 	plain, _, code := runChaos(t, bin, base...)
 	if code != 0 {
 		t.Fatalf("plain run exited %d", code)
@@ -86,8 +85,8 @@ func TestCheckpointDirKeepsOneSnapshot(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 || names[0] != "ops.dvbp" || !strings.HasPrefix(names[1], "snap-") {
-		t.Fatalf("checkpoint directory holds %v, want ops.dvbp and one snapshot", names)
+	if len(names) != 1 || names[0] != "ops.dvbp" {
+		t.Fatalf("checkpoint directory holds %v, want only ops.dvbp", names)
 	}
 
 	restored, stderr, code := runChaos(t, bin, append(append([]string{}, base...),
@@ -98,4 +97,5 @@ func TestCheckpointDirKeepsOneSnapshot(t *testing.T) {
 	if restored != plain {
 		t.Fatalf("restore diverged\n--- plain ---\n%s\n--- restored ---\n%s", plain, restored)
 	}
+	requireReplayedFromStart(t, stderr)
 }

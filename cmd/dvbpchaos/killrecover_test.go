@@ -6,8 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,11 +42,25 @@ func runChaos(t *testing.T, bin string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
+// resumeNotice matches the restore notice of a run that re-stepped its op
+// log from event 0, the only way a persisted CLI run resumes.
+var resumeNotice = regexp.MustCompile(`resumed at event (\d+) \(snapshot 0 \+ (\d+) replayed\)`)
+
+// requireReplayedFromStart fails unless stderr reports a restore that
+// re-stepped the run from event 0.
+func requireReplayedFromStart(t *testing.T, stderr string) {
+	t.Helper()
+	m := resumeNotice.FindStringSubmatch(stderr)
+	if m == nil || m[1] != m[2] {
+		t.Fatalf("restore stderr lacks a from-the-start resume notice:\n%s", stderr)
+	}
+}
+
 // TestKillAtAndRestore is the end-to-end crash torture at the process level:
 // the faulty run is killed with a hard os.Exit at several event indices (no
-// flush, no sync — a synthetic SIGKILL), then restored, and the restored run's
-// stdout (tables, JSON, metrics) must be byte-identical to an uninterrupted
-// run with the same flags.
+// flush, no sync — a synthetic SIGKILL), then restored by re-stepping its op
+// log, and the restored run's stdout (tables, JSON, metrics) must be
+// byte-identical to an uninterrupted run with the same flags.
 func TestKillAtAndRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -59,7 +73,7 @@ func TestKillAtAndRestore(t *testing.T) {
 		t.Fatalf("reference run exited %d", code)
 	}
 
-	// Checkpointing itself must not change the observable output.
+	// Persisting the run must not change the observable output.
 	ckptRef := t.TempDir()
 	out, _, code := runChaos(t, bin, append(append([]string{}, base...), "-checkpoint-dir", ckptRef)...)
 	if code != 0 {
@@ -72,7 +86,7 @@ func TestKillAtAndRestore(t *testing.T) {
 	for _, killAt := range []int64{0, 1, 17, 64, 150, 333} {
 		dir := t.TempDir()
 		args := append(append([]string{}, base...),
-			"-checkpoint-dir", dir, "-checkpoint-every", "32", "-kill-at", strconv.FormatInt(killAt, 10))
+			"-checkpoint-dir", dir, "-kill-at", strconv.FormatInt(killAt, 10))
 		_, stderr, code := runChaos(t, bin, args...)
 		if code != 3 {
 			t.Fatalf("kill-at %d: exit %d, want 3\nstderr: %s", killAt, code, stderr)
@@ -85,9 +99,7 @@ func TestKillAtAndRestore(t *testing.T) {
 		if out != wantOut {
 			t.Fatalf("restore after kill-at %d diverged:\n--- want ---\n%s\n--- got ---\n%s", killAt, wantOut, out)
 		}
-		if !strings.Contains(stderr, "resumed at event") {
-			t.Errorf("restore stderr lacks the resume notice: %s", stderr)
-		}
+		requireReplayedFromStart(t, stderr)
 	}
 }
 
@@ -112,7 +124,7 @@ func TestSIGKILLAndRestore(t *testing.T) {
 
 	dir := t.TempDir()
 	log := filepath.Join(dir, "ops.dvbp")
-	cmd := exec.Command(bin, append(append([]string{}, args...), "-checkpoint-dir", dir, "-checkpoint-every", "512")...)
+	cmd := exec.Command(bin, append(append([]string{}, args...), "-checkpoint-dir", dir)...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +168,7 @@ func TestKillAtAndRestoreFragPolicies(t *testing.T) {
 		for _, killAt := range []int64{1, 97} {
 			dir := t.TempDir()
 			args := append(append([]string{}, base...),
-				"-checkpoint-dir", dir, "-checkpoint-every", "32", "-kill-at", strconv.FormatInt(killAt, 10))
+				"-checkpoint-dir", dir, "-kill-at", strconv.FormatInt(killAt, 10))
 			if _, stderr, code := runChaos(t, bin, args...); code != 3 {
 				t.Fatalf("%s kill-at %d: exit %d, want 3\nstderr: %s", policy, killAt, code, stderr)
 			}

@@ -83,9 +83,8 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the comparison as JSON instead of a table")
 		metricsF  = flag.Bool("metrics", false, "dump JSON + Prometheus metric snapshots per policy")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none); partial results are flushed on expiry")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist the faulty run (op log + snapshots) into this directory; single policy only")
-		ckptEvery = flag.Int64("checkpoint-every", 64, "events between automatic snapshots when -checkpoint-dir is set (0 = none: -restore re-steps the run from its start)")
-		restoreF  = flag.Bool("restore", false, "resume the faulty run persisted in -checkpoint-dir instead of starting fresh")
+		ckptDir   = flag.String("checkpoint-dir", "", "persist the faulty run's op log into this directory; single policy only")
+		restoreF  = flag.Bool("restore", false, "resume the faulty run persisted in -checkpoint-dir, re-stepping it from its start against the log's digest marks")
 		killAt    = flag.Int64("kill-at", -1, "crash on purpose (exit 3, no cleanup) once this many events are persisted; requires -checkpoint-dir")
 		diskF     = flag.String("disk-faults", "", "inject disk faults into the persisted run: comma-separated kind:n:errno triples (kinds "+strings.Join(vfs.SortedKinds(), "/")+", errnos eio/enospc), e.g. 'sync:2:eio,write:5:enospc'; requires -checkpoint-dir")
 	)
@@ -175,8 +174,8 @@ func main() {
 			opts = append(opts, core.WithObserver(col))
 		}
 		faulty, err := cli.RunPolicy(ctx, l, p, opts, cli.RunConfig{
-			Tool: "dvbpchaos", Dir: *ckptDir, Every: *ckptEvery, Restore: *restoreF, KillAt: *killAt,
-			FS: diskFS, Seed: *seed, Faults: plan.String(), Migration: mig.String(), Col: collectors[p.Name()],
+			Tool: "dvbpchaos", Dir: *ckptDir, Restore: *restoreF, KillAt: *killAt,
+			FS: diskFS, Seed: *seed, Faults: plan.String(), Migration: mig.String(),
 		})
 		if err != nil {
 			fatal(err)

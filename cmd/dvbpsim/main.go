@@ -50,9 +50,8 @@ func main() {
 		metricsF  = flag.Bool("metrics", false, "collect engine metrics per policy and dump JSON + Prometheus snapshots")
 		list      = flag.Bool("list", false, "list policy names and exit")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); on expiry the exit code is 2 and a checkpointed run stays resumable")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist the run (op log + snapshots) into this directory; single policy only")
-		ckptEvery = flag.Int64("checkpoint-every", 256, "events between automatic snapshots when -checkpoint-dir is set (0 = none: -restore re-steps the run from its start)")
-		restoreF  = flag.Bool("restore", false, "resume the run persisted in -checkpoint-dir instead of starting fresh")
+		ckptDir   = flag.String("checkpoint-dir", "", "persist the run's op log into this directory; single policy only")
+		restoreF  = flag.Bool("restore", false, "resume the run persisted in -checkpoint-dir, re-stepping it from its start against the log's digest marks")
 	)
 	var spec faults.Spec
 	spec.Register(flag.CommandLine, "")
@@ -169,8 +168,8 @@ func main() {
 			opts = append(opts, core.WithObserver(col))
 		}
 		res, err := cli.RunPolicy(ctx, l, p, opts, cli.RunConfig{
-			Tool: "dvbpsim", Dir: *ckptDir, Every: *ckptEvery, Restore: *restoreF, KillAt: -1,
-			Seed: *seed, Faults: faultStr, Migration: mig.String(), Col: collectors[p.Name()],
+			Tool: "dvbpsim", Dir: *ckptDir, Restore: *restoreF, KillAt: -1,
+			Seed: *seed, Faults: faultStr, Migration: mig.String(),
 		})
 		if err != nil {
 			fatal(err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -42,9 +43,10 @@ func runSim(t *testing.T, bin string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestSimCheckpointRestore: checkpointing must not change the output, an
-// expired -timeout must exit 2 leaving the directory resumable, and -restore
-// must complete the run with stdout byte-identical to an uninterrupted one.
+// TestSimCheckpointRestore: persisting must not change the output and
+// leaves only the op log, an expired -timeout must exit 2 leaving the
+// directory resumable, and -restore must re-step the run from event 0 to
+// stdout byte-identical to an uninterrupted one.
 func TestSimCheckpointRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -64,11 +66,14 @@ func TestSimCheckpointRestore(t *testing.T) {
 	if out != wantOut {
 		t.Fatalf("checkpointed run output differs:\n--- plain ---\n%s\n--- checkpointed ---\n%s", wantOut, out)
 	}
+	if entries, err := os.ReadDir(ckpt); err != nil || len(entries) != 1 || entries[0].Name() != "ops.dvbp" {
+		t.Fatalf("checkpoint directory holds %v (err %v), want only ops.dvbp", entries, err)
+	}
 
 	// Interrupt a fresh checkpointed run via -timeout, then resume it.
 	dir := t.TempDir()
 	_, stderr, code := runSim(t, bin, append(append([]string{}, simArgs...),
-		"-checkpoint-dir", dir, "-checkpoint-every", "32", "-timeout", "1ns")...)
+		"-checkpoint-dir", dir, "-timeout", "1ns")...)
 	if code != 2 {
 		t.Fatalf("timed-out run exited %d, want 2\nstderr: %s", code, stderr)
 	}
@@ -79,8 +84,8 @@ func TestSimCheckpointRestore(t *testing.T) {
 	if out != wantOut {
 		t.Fatalf("restored run diverged:\n--- want ---\n%s\n--- got ---\n%s", wantOut, out)
 	}
-	if !strings.Contains(stderr, "resumed at event") {
-		t.Errorf("restore stderr lacks the resume notice: %s", stderr)
+	if !strings.Contains(stderr, "resumed at event 0 (snapshot 0 + 0 replayed)") {
+		t.Errorf("restore stderr lacks the from-the-start resume notice: %s", stderr)
 	}
 }
 

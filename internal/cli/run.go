@@ -8,7 +8,6 @@ import (
 
 	"dvbp/internal/core"
 	"dvbp/internal/item"
-	"dvbp/internal/metrics"
 	"dvbp/internal/persist"
 	"dvbp/internal/vfs"
 	"dvbp/internal/workload"
@@ -34,11 +33,12 @@ func LoadInstance(path string, d, n, mu, horizon, binSize int, seed int64) (*ite
 
 // RunConfig shapes one policy's run: a plain in-memory simulation when Dir
 // is empty, otherwise one persisted through internal/persist and, with
-// Restore, resumed from Dir.
+// Restore, resumed from Dir. A persisted run writes only its op log, and a
+// restore re-steps it from event 0, checking every digest mark and feeding
+// every observer in opts (a -metrics collector) every event.
 type RunConfig struct {
 	Tool    string // prefixes every line the run writes to stderr
 	Dir     string // checkpoint directory; "" simulates in memory
-	Every   int64  // events between automatic snapshots
 	Restore bool   // resume the run persisted in Dir instead of starting fresh
 	// KillAt makes the run exit with ExitKilled once this many events are
 	// persisted, skipping every flush and sync, so Dir is left exactly as a
@@ -52,8 +52,6 @@ type RunConfig struct {
 	Seed      int64
 	Faults    string
 	Migration string
-	// Col, when set, is checkpointed beside the engine.
-	Col *metrics.Collector
 }
 
 // RunPolicy runs p over l as rc says. The context is checked between
@@ -66,10 +64,7 @@ func RunPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 		}
 		return core.Simulate(l, p, opts...)
 	}
-	pcfg := persist.Config{Dir: rc.Dir, Every: rc.Every, FS: rc.FS}
-	if rc.Col != nil {
-		pcfg.Aux = []persist.AuxCodec{rc.Col.Registry()}
-	}
+	pcfg := persist.Config{Dir: rc.Dir, FS: rc.FS}
 	var s *persist.Session
 	if rc.Restore {
 		// Recover rebuilds the engine (and policy) from the run's own
@@ -114,8 +109,7 @@ func RunPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 		if !ok {
 			if rc.FS != nil {
 				st := s.TakeIOStats()
-				fmt.Fprintf(os.Stderr, "%s: disk weather: %d absorbed sync failures, %d skipped checkpoints\n",
-					rc.Tool, st.SyncFailures, st.CheckpointsSkipped)
+				fmt.Fprintf(os.Stderr, "%s: disk weather: %d absorbed sync failures\n", rc.Tool, st.SyncFailures)
 			}
 			return s.Finish()
 		}

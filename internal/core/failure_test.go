@@ -37,6 +37,17 @@ type fixedRetry struct{ wait float64 }
 func (f fixedRetry) Name() string      { return "fixed-test" }
 func (f fixedRetry) Delay(int) float64 { return f.wait }
 
+// faultyOpts is the failure configuration the differential tests run
+// under: faults with a retry ladder plus capped admission with a queue, so
+// runs carry pending crashes, retries and wait-queue entries.
+func faultyOpts() []Option {
+	return []Option{
+		WithFaults(hashInj{seed: 11, mean: 9}, fixedRetry{wait: 1.5}),
+		WithMaxBins(3),
+		WithAdmissionQueue(6),
+	}
+}
+
 func TestCrashEvictImmediateRetry(t *testing.T) {
 	l := list(t, 1, []float64{0, 10, 0.5})
 	res := mustSimulate(t, l, NewFirstFit(), WithFaults(traceInj{0: 4}, nil))

@@ -34,7 +34,7 @@ func historyScenarios() []struct {
 		opts []Option
 	}{
 		{"clean", nil},
-		{"faults", snapshotOpts()},
+		{"faults", faultyOpts()},
 		{"migration", []Option{WithMigration(testConsolidator{}, 3, MigrationBudget{MaxMoves: 4})}},
 	}
 }
@@ -186,7 +186,7 @@ func TestInstanceSimulateMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range [][]Option{nil, snapshotOpts()} {
+		for _, opts := range [][]Option{nil, faultyOpts()} {
 			for _, p := range registryPolicies(9) {
 				want := mustSimulate(t, l, p, opts...)
 				got, err := in.Simulate(p, opts...)
@@ -311,7 +311,7 @@ func TestSnapshotRefusesRunWithoutHistory(t *testing.T) {
 // Result; the server's tenant status reads it after every recovery.
 func TestRestoredStatsCountPlacements(t *testing.T) {
 	l := randomList(31, 120, 2, 15)
-	e, err := NewEngine(l, NewBestFit(MaxLoad()), snapshotOpts()...)
+	e, err := NewEngine(l, NewBestFit(MaxLoad()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRestoredStatsCountPlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreEngine(l, NewBestFit(MaxLoad()), snap, snapshotOpts()...)
+	r, err := RestoreEngine(l, NewBestFit(MaxLoad()), snap)
 	if err != nil {
 		t.Fatal(err)
 	}

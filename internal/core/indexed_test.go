@@ -103,9 +103,9 @@ func TestIndexedSelectMatchesLinearScanUnderFaults(t *testing.T) {
 			l := randomList(seed, 250, d, 20)
 			for _, name := range policyNamesWith(t) {
 				want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, seed),
-					append(snapshotOpts(), WithLinearSelect())...))
+					append(faultyOpts(), WithLinearSelect())...))
 				p := newPolicyT(t, name, seed)
-				res, indexed := simulateRoutes(t, l, p, 2, snapshotOpts()...)
+				res, indexed := simulateRoutes(t, l, p, 2, faultyOpts()...)
 				if got := resultJSON(t, res); got != want {
 					t.Errorf("%s seed=%d d=%d: indexed result diverges from linear scan under faults", name, seed, d)
 				}
@@ -119,15 +119,14 @@ func TestIndexedSelectMatchesLinearScanUnderFaults(t *testing.T) {
 // persistence layer: an indexed engine snapshotted mid-run and restored into
 // a fresh engine (index rebuilt from the snapshot, never serialised) must
 // finish with the same result as an uninterrupted linear-scan run. The
-// index is built once the fleet has reached 2 bins (the cap is 3), so every
-// cut but the first lands after the build.
+// index is built once the fleet has reached 2 bins, so the later cuts land
+// after the build.
 func TestIndexedSelectMatchesLinearAcrossRestore(t *testing.T) {
 	for _, d := range []int{1, 2, 5} {
 		l := randomList(600, 200, d, 20)
 		for _, name := range policyNamesWith(t) {
-			want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, 600),
-				append(snapshotOpts(), WithLinearSelect())...))
-			opts := append(snapshotOpts(), withIndexPeak(2))
+			want := resultJSON(t, mustSimulate(t, l, newPolicyT(t, name, 600), WithLinearSelect()))
+			opts := []Option{withIndexPeak(2)}
 
 			for _, cut := range []int{0, 1, 37, 150} {
 				e, err := NewEngine(l, newPolicyT(t, name, 600), opts...)
@@ -174,7 +173,7 @@ func TestIndexedAuditOracle(t *testing.T) {
 			for _, name := range policyNamesWith(t) {
 				var a Audit
 				p := newPolicyT(t, name, seed)
-				_, indexed := simulateRoutes(t, l, p, 8, WithAudit(&a), snapshotOpts()[0])
+				_, indexed := simulateRoutes(t, l, p, 8, WithAudit(&a), faultyOpts()[0])
 				requireIndexed(t, p, d, indexed, "audited run")
 			}
 		}
@@ -475,13 +474,10 @@ func TestIndexFitChecksHandComputed(t *testing.T) {
 // open-set mutation: packs into fresh and existing bins, departures, crash
 // closes with evictions and retries, migration moves and drains, and
 // checkpoint restores. After each of them the held totals must round to
-// exactly a fresh vector.Acc sum over the open bins.
+// exactly a fresh vector.Acc sum over the open bins. Only a fault-free,
+// non-migrating run snapshots, so the restores get a run of their own.
 func TestOpenLoadTotalsTrackMutations(t *testing.T) {
 	l := randomList(800, 300, 2, 20)
-	opts := []Option{
-		snapshotOpts()[0], // crashes, evictions and retries
-		WithMigration(testConsolidator{}, 3, MigrationBudget{MaxMoves: 4}),
-	}
 	check := func(e *Engine, after string) {
 		t.Helper()
 		fresh := make([]vector.Acc, l.Dim)
@@ -496,47 +492,62 @@ func TestOpenLoadTotalsTrackMutations(t *testing.T) {
 			}
 		}
 	}
-	e, err := NewEngine(l, NewAdaptiveHybrid(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[EventClass]int{}
-	restores := 0
-	for {
-		if e.EventSeq()%97 == 50 {
-			s, err := e.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Close()
-			if e, err = RestoreEngine(l, NewAdaptiveHybrid(), s, opts...); err != nil {
-				t.Fatal(err)
-			}
-			restores++
-			check(e, "restore")
-		}
-		rec, ok, err := e.Step()
+	for _, run := range []struct {
+		opts    []Option
+		classes []EventClass
+		restore bool
+	}{
+		{
+			opts: []Option{
+				faultyOpts()[0], // crashes, evictions and retries
+				WithMigration(testConsolidator{}, 3, MigrationBudget{MaxMoves: 4}),
+			},
+			classes: []EventClass{EventArrival, EventDeparture, EventCrash, EventRetry, EventMigration},
+		},
+		{classes: []EventClass{EventArrival, EventDeparture}, restore: true},
+	} {
+		e, err := NewEngine(l, NewAdaptiveHybrid(), run.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		seen := map[EventClass]int{}
+		restores := 0
+		for {
+			if run.restore && e.EventSeq()%97 == 50 {
+				s, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Close()
+				if e, err = RestoreEngine(l, NewAdaptiveHybrid(), s); err != nil {
+					t.Fatal(err)
+				}
+				restores++
+				check(e, "restore")
+			}
+			rec, ok, err := e.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			seen[rec.Class]++
+			check(e, rec.Class.String())
 		}
-		seen[rec.Class]++
-		check(e, rec.Class.String())
-	}
-	if _, err := e.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []EventClass{EventArrival, EventDeparture, EventCrash, EventRetry, EventMigration} {
-		if seen[c] == 0 {
-			t.Errorf("no %s events: the workload misses a mutation site", c)
+		if _, err := e.Finish(); err != nil {
+			t.Fatal(err)
 		}
+		for _, c := range run.classes {
+			if seen[c] == 0 {
+				t.Errorf("no %s events: the workload misses a mutation site", c)
+			}
+		}
+		if run.restore && restores == 0 {
+			t.Error("no restore: the workload misses a mutation site")
+		}
+		t.Logf("events by class %v, %d restores", seen, restores)
 	}
-	if restores == 0 {
-		t.Error("no restore: the workload misses a mutation site")
-	}
-	t.Logf("events by class %v, %d restores", seen, restores)
 }
 
 // policyNamesWith lists the canonical registry names the differentials run

@@ -7,8 +7,9 @@ package core
 // cost. The paper's model makes placements irrevocable; this seam relaxes
 // that assumption as a measured extension (DESIGN.md §14) while preserving
 // every determinism contract the engine is built on: a migrated run is a pure
-// function of (instance, policy, options), snapshot/restore is exact
-// mid-pass, and a zero budget is bit-identical to an unmodified run.
+// function of (instance, policy, options), so recovery re-steps it from its
+// op log (a migrating run is never snapshotted), and a zero budget is
+// bit-identical to an unmodified run.
 
 import (
 	"fmt"

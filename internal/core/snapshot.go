@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"strings"
 
 	"dvbp/internal/item"
 )
@@ -17,8 +17,15 @@ import (
 // handed the same item list, a policy of the same name, and the same Options
 // as the original run; the snapshot records only what a deterministic re-run
 // from time zero would have accumulated by EventSeq. The persistence layer
-// stores the identifying metadata (workload hash, policy name, fault plan)
-// alongside and refuses mismatched restores.
+// stores the identifying metadata (workload hash, policy name) alongside and
+// refuses mismatched restores.
+//
+// Only the run a placement server tenant holds is snapshotted: fault-free,
+// uncapped and irrevocable, so its whole state is the open bins, the pending
+// departures, the policy's state and the partial Result. A run configured
+// with WithFaults, WithMaxBins, WithAdmissionQueue or an enabled
+// WithMigration is refused (Snapshot, RestoreEngine) and resumes by
+// re-stepping its op log from the start (DESIGN.md §10).
 type Snapshot struct {
 	// EventSeq is the number of events committed before the capture.
 	EventSeq int64
@@ -29,8 +36,6 @@ type Snapshot struct {
 	NextBinID int
 	// Served is the number of items that have departed normally.
 	Served int
-	// RetrySeq is the tie-break sequence counter of the retry queue.
-	RetrySeq int64
 
 	// Dim and Items identify the instance shape, cross-checked on restore.
 	Dim   int
@@ -44,51 +49,12 @@ type Snapshot struct {
 	// Bins are the open bins in opening order (ascending ID).
 	Bins []BinSnapshot
 
-	// Pending event queues, each in delivery order.
+	// Departures are the pending departure events in delivery order.
 	Departures []DepartureSnapshot
-	Crashes    []CrashSnapshot
-	Retries    []RetrySnapshot
 
-	// WaitQueue is the admission queue in FIFO order.
-	WaitQueue []QueuedSnapshot
-
-	// Attempts maps item ID to its eviction count so far (nil when no crash
-	// has happened).
-	Attempts map[int]int
-
-	// Result is a deep copy of the partial result accumulated so far — the
-	// usage-time cost of already-closed bins, placements, outcomes, and all
-	// failure counters.
+	// Result is a deep copy of the partial result accumulated so far: the
+	// usage-time cost of already-closed bins, placements and outcomes.
 	Result *Result
-
-	// Migration is the consolidation-pass state (nil iff the run was built
-	// without WithMigration). Capturing the staged moves is what makes a
-	// SIGKILL between two moves of one pass recoverable: the restored engine
-	// resumes the pass mid-plan instead of replanning against a half-applied
-	// state.
-	Migration *MigrationSnapshot
-}
-
-// MigrationSnapshot captures the engine's migration state (DESIGN.md §14).
-type MigrationSnapshot struct {
-	// NextPass is the 1-based number of the next consolidation pass to
-	// attempt (pass n fires at period·n).
-	NextPass int64
-	// PassTime is the staged pass's instant (meaningful only when Pending is
-	// non-empty).
-	PassTime float64
-	// Pending are the staged moves not yet committed, in application order.
-	Pending []MigrationMove
-	// Redirects are the live departure-queue redirections of migrated items,
-	// ascending by Seq.
-	Redirects []RedirectSnapshot
-}
-
-// RedirectSnapshot maps one departure-queue key (depSeq: item-ID major,
-// attempt minor) to the bin the item currently occupies.
-type RedirectSnapshot struct {
-	Seq   int64
-	BinID int
 }
 
 // BinSnapshot captures one open bin.
@@ -115,36 +81,8 @@ type DepartureSnapshot struct {
 	// attempt minor).
 	Seq    int64
 	ItemID int
-	// BinID is the bin the item was packed into. It may reference a bin that
-	// has since crashed; such stale entries are preserved (the engine skips
-	// them when they fire, and dropping them would change nothing but the
-	// queue's internal state the determinism check compares).
+	// BinID is the bin the item was packed into.
 	BinID int
-}
-
-// CrashSnapshot is one pending fault-injection crash event. BinID may
-// reference a bin that already closed naturally (the engine ignores the
-// event when it fires).
-type CrashSnapshot struct {
-	Time  float64
-	BinID int
-}
-
-// RetrySnapshot is one pending re-dispatch of an evicted item.
-type RetrySnapshot struct {
-	Time float64
-	// Seq is the retry queue's tie-break sequence (assignment order).
-	Seq     int64
-	ItemID  int
-	Attempt int
-}
-
-// QueuedSnapshot is one admission-queue entry.
-type QueuedSnapshot struct {
-	ItemID   int
-	Attempt  int
-	QueuedAt float64
-	Deadline float64
 }
 
 // cloneResult deep-copies a partial result so the snapshot cannot alias the
@@ -160,11 +98,31 @@ func cloneResult(r *Result) *Result {
 	return &c
 }
 
+// unsnapshottable names the options that keep a run out of snapshots, or
+// returns "" when the run's state is what Snapshot carries.
+func (c *config) unsnapshottable() string {
+	var opts []string
+	if c.injector != nil {
+		opts = append(opts, "WithFaults")
+	}
+	if c.maxBins > 0 {
+		opts = append(opts, "WithMaxBins")
+	}
+	if c.queueWhenFull {
+		opts = append(opts, "WithAdmissionQueue")
+	}
+	if c.migrate != nil {
+		opts = append(opts, "WithMigration")
+	}
+	return strings.Join(opts, ", ")
+}
+
 // Snapshot captures the engine's complete state at the current event
-// boundary. It fails on a poisoned or finished engine, on a run without the
-// default history (WithHistory: the snapshot carries the partial Result),
-// and for stateful policies that implement no PolicyStateCodec (see
-// CheckpointablePolicy).
+// boundary. It fails on a poisoned or finished engine, on a run configured
+// with faults, a bin cap, an admission queue or migration (see Snapshot), on
+// a run without the default history (WithHistory: the snapshot carries the
+// partial Result), and for stateful policies that implement no
+// PolicyStateCodec (see CheckpointablePolicy).
 // The engine is unchanged apart from compaction of its open-bin slice, which
 // the next dispatch would perform anyway.
 func (e *Engine) Snapshot() (*Snapshot, error) {
@@ -173,6 +131,9 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	}
 	if e.finished {
 		return nil, fmt.Errorf("core: cannot snapshot a finished engine")
+	}
+	if opts := e.cfg.unsnapshottable(); opts != "" {
+		return nil, fmt.Errorf("core: cannot snapshot a run configured with %s; it resumes by replay", opts)
 	}
 	if !e.keepsResult() {
 		return nil, fmt.Errorf("core: cannot snapshot a run without the default history (WithHistory)")
@@ -188,7 +149,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		ArrivalIdx:  e.ai,
 		NextBinID:   e.nextBinID,
 		Served:      e.served,
-		RetrySeq:    e.retrySeq,
 		Dim:         e.list.Dim,
 		Items:       e.list.Len(),
 		PolicyName:  e.p.Name(),
@@ -214,36 +174,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	for _, ev := range e.departures.Sorted() {
 		s.Departures = append(s.Departures, DepartureSnapshot{Time: ev.Time, Seq: ev.Seq, ItemID: ev.Payload.itemID, BinID: ev.Payload.binID})
 	}
-	for _, ev := range e.crashes.Sorted() {
-		s.Crashes = append(s.Crashes, CrashSnapshot{Time: ev.Time, BinID: ev.Payload})
-	}
-	for _, ev := range e.retries.Sorted() {
-		s.Retries = append(s.Retries, RetrySnapshot{Time: ev.Time, Seq: ev.Seq, ItemID: ev.Payload.it.ID, Attempt: ev.Payload.attempt})
-	}
-	for _, q := range e.waitq {
-		s.WaitQueue = append(s.WaitQueue, QueuedSnapshot{ItemID: q.it.ID, Attempt: q.attempt, QueuedAt: q.queuedAt, Deadline: q.deadline})
-	}
-	if e.attempts != nil {
-		s.Attempts = make(map[int]int, len(e.attempts))
-		for k, v := range e.attempts {
-			s.Attempts[k] = v
-		}
-	}
-	if e.cfg.migrate != nil {
-		m := &MigrationSnapshot{
-			NextPass: e.migPass,
-			Pending:  append([]MigrationMove(nil), e.pendingMoves...),
-		}
-		if len(e.pendingMoves) > 0 {
-			m.PassTime = e.passTime
-		}
-		m.Redirects = make([]RedirectSnapshot, 0, len(e.redirects))
-		for seq, binID := range e.redirects {
-			m.Redirects = append(m.Redirects, RedirectSnapshot{Seq: seq, BinID: binID})
-		}
-		sort.Slice(m.Redirects, func(i, j int) bool { return m.Redirects[i].Seq < m.Redirects[j].Seq })
-		s.Migration = m
-	}
 	return s, nil
 }
 
@@ -266,12 +196,15 @@ func corruptf(format string, args ...any) error {
 // corrupted checkpoint files degrade gracefully. Like NewEngine, the returned
 // engine owns p until Finish or Close. A restored run keeps the default
 // history, which the snapshot's partial Result seeds, so WithHistory is
-// refused.
+// refused, and so are the options Snapshot refuses.
 func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	in, err := prepare(l, cfg.dynamic)
 	if err != nil {
 		return nil, err
+	}
+	if opts := cfg.unsnapshottable(); opts != "" {
+		return nil, fmt.Errorf("core: cannot restore a run configured with %s; it resumes by replay", opts)
 	}
 	if cfg.historySet {
 		return nil, fmt.Errorf("core: cannot restore a run without the default history (WithHistory)")
@@ -304,14 +237,13 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.ArrivalIdx < 0 || s.ArrivalIdx > len(e.arrivals) {
 		return nil, corruptf("arrival index %d outside [0, %d]", s.ArrivalIdx, len(e.arrivals))
 	}
-	if s.EventSeq < 0 || s.NextBinID < 0 || s.Served < 0 || s.RetrySeq < 0 {
+	if s.EventSeq < 0 || s.NextBinID < 0 || s.Served < 0 {
 		return nil, corruptf("negative progress counter")
 	}
 	e.ai = s.ArrivalIdx
 	e.eventSeq = s.EventSeq
 	e.nextBinID = s.NextBinID
 	e.served = s.Served
-	e.retrySeq = s.RetrySeq
 
 	// Rebuild the open bins. Active sizes come from the instance; the
 	// accumulator limbs are rebuilt from the active multiset (the same pure
@@ -362,11 +294,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		e.binsByID[b.ID] = b
 	}
 
-	// Re-prime the event queues. Pushing in delivery order reproduces the
-	// original delivery order exactly: pop order is a pure function of the
-	// (Time, Seq) multiset, and each queue's Seq is reconstructible
-	// (departures are keyed by item ID, crashes by bin ID, retries carry
-	// their assigned sequence).
+	// Re-prime the departure queue. Pushing in delivery order reproduces
+	// the original delivery order exactly: pop order is a pure function of
+	// the (Time, Seq) multiset, and each Seq is reconstructible from its
+	// item (depSeq).
 	for i, d := range s.Departures {
 		if _, known := e.item(d.ItemID); !known {
 			return nil, corruptf("departure %d references unknown item %d", i, d.ItemID)
@@ -375,109 +306,6 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			return nil, corruptf("departure %d has sequence %d inconsistent with item %d", i, d.Seq, d.ItemID)
 		}
 		e.departures.PushAt(d.Time, d.Seq, departure{itemID: d.ItemID, binID: d.BinID})
-	}
-	for i, c := range s.Crashes {
-		if cfg.injector == nil {
-			return nil, corruptf("crash event %d in a snapshot restored without fault injection", i)
-		}
-		e.crashes.PushAt(c.Time, int64(c.BinID), c.BinID)
-	}
-	for i, r := range s.Retries {
-		it, known := e.item(r.ItemID)
-		if !known {
-			return nil, corruptf("retry %d references unknown item %d", i, r.ItemID)
-		}
-		if r.Seq <= 0 || r.Seq > s.RetrySeq {
-			return nil, corruptf("retry %d has sequence %d outside (0, %d]", i, r.Seq, s.RetrySeq)
-		}
-		if r.Attempt < 1 {
-			return nil, corruptf("retry %d has attempt %d < 1", i, r.Attempt)
-		}
-		e.retries.PushAt(r.Time, r.Seq, retryDispatch{it: it, attempt: r.Attempt})
-	}
-	for i, q := range s.WaitQueue {
-		it, known := e.item(q.ItemID)
-		if !known {
-			return nil, corruptf("queue entry %d references unknown item %d", i, q.ItemID)
-		}
-		e.waitq = append(e.waitq, queuedDispatch{it: it, attempt: q.Attempt, queuedAt: q.QueuedAt, deadline: q.Deadline})
-	}
-	if s.Attempts != nil {
-		e.attempts = make(map[int]int, len(s.Attempts))
-		for id, n := range s.Attempts {
-			if _, known := e.item(id); !known {
-				return nil, corruptf("attempt count for unknown item %d", id)
-			}
-			if n < 1 {
-				return nil, corruptf("item %d has attempt count %d < 1", id, n)
-			}
-			e.attempts[id] = n
-		}
-	}
-
-	// Migration state travels with the snapshot exactly when the run is
-	// configured for it, mirroring the crash-event/injector pairing above.
-	if cfg.migrate == nil && s.Migration != nil {
-		return nil, corruptf("migration state in a snapshot restored without WithMigration")
-	}
-	if cfg.migrate != nil {
-		m := s.Migration
-		if m == nil {
-			return nil, corruptf("snapshot of a migrating run carries no migration state")
-		}
-		if m.NextPass < 1 {
-			return nil, corruptf("migration pass counter %d < 1", m.NextPass)
-		}
-		if len(m.Pending) > cfg.migrate.budget.MaxMoves {
-			return nil, corruptf("%d staged moves exceed the per-pass budget %d", len(m.Pending), cfg.migrate.budget.MaxMoves)
-		}
-		for i, mv := range m.Pending {
-			if mv.From == mv.To {
-				return nil, corruptf("staged move %d relocates item %d from bin %d to itself", i, mv.ItemID, mv.From)
-			}
-			from, known := e.binsByID[mv.From]
-			if !known {
-				return nil, corruptf("staged move %d names unknown source bin %d", i, mv.From)
-			}
-			if _, known := e.binsByID[mv.To]; !known {
-				return nil, corruptf("staged move %d names unknown target bin %d", i, mv.To)
-			}
-			if _, active := from.active[mv.ItemID]; !active {
-				return nil, corruptf("staged move %d: item %d is not active in bin %d", i, mv.ItemID, mv.From)
-			}
-		}
-		e.migPass = m.NextPass
-		if len(m.Pending) > 0 {
-			e.pendingMoves = append([]MigrationMove(nil), m.Pending...)
-			e.passTime = m.PassTime
-		}
-		prevSeq := int64(-1)
-		for i, r := range m.Redirects {
-			if r.Seq <= prevSeq {
-				return nil, corruptf("redirect %d out of sequence order", i)
-			}
-			prevSeq = r.Seq
-			itemID := int(r.Seq >> 32)
-			if _, known := e.item(itemID); !known {
-				return nil, corruptf("redirect %d references unknown item %d", i, itemID)
-			}
-			if cfg.injector == nil {
-				// Without crashes a redirected item is always active in its
-				// redirect target; with them the target may legitimately be a
-				// bin that has since crashed (the stale-skip path).
-				b, known := e.binsByID[r.BinID]
-				if !known {
-					return nil, corruptf("redirect %d references unknown bin %d", i, r.BinID)
-				}
-				if _, active := b.active[itemID]; !active {
-					return nil, corruptf("redirect %d: item %d is not active in bin %d", i, itemID, r.BinID)
-				}
-			}
-			if e.redirects == nil {
-				e.redirects = make(map[int64]int, len(m.Redirects))
-			}
-			e.redirects[r.Seq] = r.BinID
-		}
 	}
 
 	e.res = cloneResult(s.Result)

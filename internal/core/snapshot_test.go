@@ -9,17 +9,6 @@ import (
 	"dvbp/internal/item"
 )
 
-// snapshotOpts is the option set the snapshot tests run under: faults with a
-// retry ladder plus capped admission with a queue, so snapshots carry pending
-// crashes, retries, and wait-queue entries — every piece of engine state.
-func snapshotOpts() []Option {
-	return []Option{
-		WithFaults(hashInj{seed: 11, mean: 9}, fixedRetry{wait: 1.5}),
-		WithMaxBins(3),
-		WithAdmissionQueue(6),
-	}
-}
-
 // stepAll drives e to completion, returning the committed records and result.
 func stepAll(t *testing.T, e *Engine) ([]EventRecord, *Result) {
 	t.Helper()
@@ -61,7 +50,7 @@ func TestSnapshotRestoreEveryEventIndex(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			// Reference: uninterrupted run.
-			ref, err := NewEngine(l, p, snapshotOpts()...)
+			ref, err := NewEngine(l, p)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -74,7 +63,7 @@ func TestSnapshotRestoreEveryEventIndex(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewPolicy: %v", err)
 			}
-			e, err := NewEngine(l, p2, snapshotOpts()...)
+			e, err := NewEngine(l, p2)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -106,7 +95,7 @@ func TestSnapshotRestoreEveryEventIndex(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewPolicy: %v", err)
 				}
-				re, err := RestoreEngine(l, pk, s, snapshotOpts()...)
+				re, err := RestoreEngine(l, pk, s)
 				if err != nil {
 					t.Fatalf("RestoreEngine at event %d: %v", k, err)
 				}
@@ -253,7 +242,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 	take := func(t *testing.T) *Snapshot {
 		t.Helper()
 		p, _ := NewPolicy("MoveToFront", 1)
-		e, err := NewEngine(l, p, snapshotOpts()...)
+		e, err := NewEngine(l, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,13 +290,6 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		}, "disagree"},
 		{"acc-garbage", func(s *Snapshot) { s.Bins[0].Acc[0] = []byte{1, 2} }, "disagree"},
 		{"departure-unknown-item", func(s *Snapshot) { s.Departures[0].ItemID = 99999 }, "unknown item"},
-		{"retry-bad-seq", func(s *Snapshot) {
-			s.Retries = append(s.Retries, RetrySnapshot{Time: 1, Seq: s.RetrySeq + 1, ItemID: l.Items[0].ID, Attempt: 1})
-		}, "sequence"},
-		{"queue-unknown-item", func(s *Snapshot) {
-			s.WaitQueue = append(s.WaitQueue, QueuedSnapshot{ItemID: 99999, Attempt: 0})
-		}, "unknown item"},
-		{"attempts-unknown-item", func(s *Snapshot) { s.Attempts = map[int]int{99999: 1} }, "unknown item"},
 		{"policy-state-garbage", func(s *Snapshot) { s.PolicyState = []byte{0xFF, 0xFF, 0xFF} }, "MoveToFront state"},
 		{"policy-state-unknown-bin", func(s *Snapshot) {
 			p, _ := NewPolicy("MoveToFront", 1)
@@ -325,7 +307,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 			s := take(t)
 			tc.mutate(s)
 			p, _ := NewPolicy("MoveToFront", 1)
-			e, err := RestoreEngine(l, p, s, snapshotOpts()...)
+			e, err := RestoreEngine(l, p, s)
 			if err == nil {
 				e.Close()
 				t.Fatalf("RestoreEngine accepted corrupted snapshot")
@@ -337,32 +319,66 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCrashesWithoutInjector: a snapshot with pending crash
-// events cannot be restored into a fault-free configuration.
-func TestRestoreRejectsCrashesWithoutInjector(t *testing.T) {
+// TestSnapshotRefusesRunsThatResumeByReplay: Snapshot and RestoreEngine
+// refuse a run configured with faults, a bin cap, an admission queue or
+// enabled migration, and the error names the option; such a run resumes by
+// re-stepping its op log instead. A disabled WithMigration configures
+// nothing, so that run still snapshots.
+func TestSnapshotRefusesRunsThatResumeByReplay(t *testing.T) {
 	l := randomList(5, 30, 2, 20)
-	p, _ := NewPolicy("FirstFit", 1)
-	e, err := NewEngine(l, p, snapshotOpts()...)
+	step := func(e *Engine) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			if _, ok, err := e.Step(); err != nil || !ok {
+				t.Fatalf("Step %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	}
+	clean, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(clean)
+	snap, err := clean.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Close()
+
+	for _, tc := range []struct {
+		option string
+		opts   []Option
+	}{
+		{"WithFaults", []Option{WithFaults(hashInj{seed: 11, mean: 9}, fixedRetry{wait: 1.5})}},
+		{"WithMaxBins", []Option{WithMaxBins(3)}},
+		{"WithAdmissionQueue", []Option{WithAdmissionQueue(6)}},
+		{"WithMigration", []Option{WithMigration(testConsolidator{}, 3, MigrationBudget{MaxMoves: 4})}},
+	} {
+		e, err := NewEngine(l, NewFirstFit(), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step(e)
+		if _, err := e.Snapshot(); err == nil || !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("Snapshot under %s: err = %v, want a refusal naming it", tc.option, err)
+		}
+		e.Close()
+		re, err := RestoreEngine(l, NewFirstFit(), snap, tc.opts...)
+		if err == nil {
+			re.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("RestoreEngine under %s: err = %v, want a refusal naming it", tc.option, err)
+		}
+	}
+
+	e, err := NewEngine(l, NewFirstFit(), WithMigration(testConsolidator{}, 3, MigrationBudget{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	var s *Snapshot
-	for {
-		snap, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snap.Crashes) > 0 {
-			s = snap
-			break
-		}
-		if _, ok, err := e.Step(); err != nil || !ok {
-			t.Fatalf("never saw a pending crash (ok=%v err=%v)", ok, err)
-		}
-	}
-	p2, _ := NewPolicy("FirstFit", 1)
-	if _, err := RestoreEngine(l, p2, s); err == nil || !strings.Contains(err.Error(), "without fault injection") {
-		t.Fatalf("RestoreEngine without injector: err=%v", err)
+	step(e)
+	if _, err := e.Snapshot(); err != nil {
+		t.Errorf("Snapshot under a disabled WithMigration: %v", err)
 	}
 }

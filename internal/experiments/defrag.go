@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dvbp/internal/core"
-	"dvbp/internal/exactopt"
 	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
 	"dvbp/internal/migrate"
@@ -35,11 +34,6 @@ type DefragConfig struct {
 	// Migration is the budgeted consolidation configuration of the migrating
 	// leg. It must be enabled (non-empty planner, positive period and budget).
 	Migration migrate.Config
-	// Exact, when set, additionally brackets each instance against exact OPT
-	// (internal/exactopt). Instances whose peak concurrency exceeds
-	// exactopt.DefaultMaxActive are skipped — exact OPT is exponential — so
-	// the Exact summaries may aggregate fewer instances than the rest.
-	Exact bool
 	RunControl
 }
 
@@ -120,9 +114,6 @@ type DefragStudy struct {
 	// Offline is the per-trace offline bracket: BestUpperEstimate / LB, so
 	// every cell's ratios live in [1, Offline.Mean] up to estimator noise.
 	Offline []stats.Summary
-	// Exact is the per-trace exact bracket (OPT / LB), populated only when
-	// the config enables it; N counts the instances small enough to solve.
-	Exact []stats.Summary
 }
 
 // RunDefrag executes the study. Results are deterministic in (cfg.Seed,
@@ -145,7 +136,6 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 	type shardOut struct {
 		cells   [][]cell
 		offline []float64
-		exact   []float64 // NaN-free: -1 marks an infeasible instance
 	}
 	trials, err := parallel.MapShards(cfg.Instances, func(_ context.Context, i int) (shardOut, error) {
 		seed := parallel.SeedFor(cfg.Seed, i)
@@ -165,15 +155,6 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 				return shardOut{}, err
 			}
 			out.offline = append(out.offline, up.Cost/lb)
-			exact := -1.0
-			if cfg.Exact && exactopt.PeakActive(l) <= exactopt.DefaultMaxActive {
-				opt, err := exactopt.Opt(l, exactopt.Options{})
-				if err != nil {
-					return shardOut{}, err
-				}
-				exact = opt / lb
-			}
-			out.exact = append(out.exact, exact)
 			out.cells[ti] = make([]cell, len(names))
 			for pi, n := range names {
 				var c cell
@@ -227,15 +208,11 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 	study := &DefragStudy{Migration: cfg.Migration.String(), Policies: names}
 	for ti, tr := range traces {
 		study.Traces = append(study.Traces, tr.Name)
-		var off, ex stats.Accumulator
+		var off stats.Accumulator
 		for _, t := range trials {
 			off.Add(t.offline[ti])
-			if t.exact[ti] >= 0 {
-				ex.Add(t.exact[ti])
-			}
 		}
 		study.Offline = append(study.Offline, off.Summarize())
-		study.Exact = append(study.Exact, ex.Summarize())
 		row := make([]DefragCell, len(names))
 		for pi, n := range names {
 			var b, m, mt, bs, ms, mv, dr, mc stats.Accumulator
@@ -310,13 +287,9 @@ func (s *DefragStudy) Table(trace string) *report.Table {
 	if ti < 0 {
 		return &report.Table{Title: "unknown trace " + trace}
 	}
-	bracket := fmt.Sprintf("OPT in [1, %.4f]·LB", s.Offline[ti].Mean)
-	if ti < len(s.Exact) && s.Exact[ti].N > 0 {
-		bracket = fmt.Sprintf("%s, exact OPT %.4f·LB on %d instances", bracket, s.Exact[ti].Mean, s.Exact[ti].N)
-	}
 	t := &report.Table{
-		Title: fmt.Sprintf("Budgeted defragmentation on %s traces (%s; mean over instances; %s)",
-			trace, s.Migration, bracket),
+		Title: fmt.Sprintf("Budgeted defragmentation on %s traces (%s; mean over instances; OPT in [1, %.4f]·LB)",
+			trace, s.Migration, s.Offline[ti].Mean),
 		Headers: []string{
 			"policy", "base cost/LB", "mig cost/LB", "+migcost/LB", "Δcost",
 			"base strand·t", "mig strand·t", "Δstrand", "moves", "drained", "move cost",

@@ -47,6 +47,12 @@
 // Result.BinsOpened, dvbp_open_bins_peak == Result.MaxConcurrentBins and
 // dvbp_usage_time_total == Result.Cost (up to float formatting).
 //
+// A Registry is never serialised for restore. A persisted dvbpsim or
+// dvbpchaos run resumes by re-stepping its op log from event 0 with the
+// collector attached, so the collector sees every event again; under a
+// Manual clock the resumed run's metrics equal an uninterrupted run's byte
+// for byte.
+//
 // To share one Collector across concurrent simulations, give each run its own
 // view via ForRun (Collector implements RunScoper; the experiment harness
 // scopes shared observers automatically). Views feed the same registry —

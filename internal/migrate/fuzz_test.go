@@ -1,16 +1,17 @@
 package migrate
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"dvbp/internal/core"
+	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
 
-// fuzzReader decodes a ClusterState, plan and budget from arbitrary bytes.
-// It is total: any input, including empty, yields some (possibly malformed)
-// value — the fuzz target's job is proving ValidatePlan handles all of them
-// without panicking.
+// fuzzReader decodes an instance, a budget and a stream of migration plans
+// from arbitrary bytes. It is total: any input, including empty, yields some
+// value, and past the end of the data every byte reads as zero.
 type fuzzReader struct {
 	data []byte
 	pos  int
@@ -25,128 +26,161 @@ func (r *fuzzReader) byte() byte {
 	return b
 }
 
-// f64 decodes a float in roughly [-0.5, 1.5]: mostly in-range loads with a
-// tail of out-of-range values so the validator's range checks get exercised.
-func (r *fuzzReader) f64() float64 {
-	return float64(r.byte())/128.0 - 0.5
+// fuzzInstance decodes a small instance: d in 1..3, 1..12 items arriving in
+// [0, 4) with durations in [1, 7) and sizes in (0, 0.75].
+func fuzzInstance(r *fuzzReader) *item.List {
+	d := 1 + int(r.byte()%3)
+	l := item.NewList(d)
+	n := 1 + int(r.byte()%12)
+	for i := 0; i < n; i++ {
+		arr := float64(r.byte() % 4)
+		size := make(vector.Vector, d)
+		for j := range size {
+			size[j] = float64(1+r.byte()%48) / 64
+		}
+		l.Add(arr, arr+1+float64(r.byte()%6), size)
+	}
+	return l
 }
 
-func (r *fuzzReader) vec(d int) []float64 {
-	v := make([]float64, d)
-	for j := range v {
-		v[j] = r.f64()
-	}
-	return v
+// fuzzPlanner returns plans decoded from the fuzz bytes, resolved against
+// the view it is shown: most moves take an active item from its own bin to
+// another open bin, the rest use raw IDs that may name nothing, and a plan
+// breaks the move budget only when its length byte is 255. It records
+// whether any plan it returned broke the move budget.
+type fuzzPlanner struct {
+	r         *fuzzReader
+	overCount bool
 }
 
-func decodeFuzzInput(data []byte) (ClusterState, []core.MigrationMove, core.MigrationBudget, func(int) float64) {
-	r := &fuzzReader{data: data}
-	st := ClusterState{
-		Dim:   int(r.byte()%5) - 1, // -1..3: invalid dims included
-		Load:  map[int][]float64{},
-		Size:  map[int][]float64{},
-		BinOf: map[int]int{},
-	}
-	d := st.Dim
-	if d < 1 {
-		d = 1
-	}
-	nBins := int(r.byte() % 8)
-	for i := 0; i < nBins; i++ {
-		st.Load[int(r.byte()%8)] = r.vec(d + int(r.byte()%2)) // occasional dim mismatch
-	}
-	nItems := int(r.byte() % 8)
-	for i := 0; i < nItems; i++ {
-		id := int(r.byte() % 8)
-		st.Size[id] = r.vec(d)
-		if r.byte()%4 != 0 { // sometimes orphaned
-			st.BinOf[id] = int(r.byte() % 8)
+func (p *fuzzPlanner) Name() string { return "fuzz" }
+
+func (p *fuzzPlanner) PlanPass(view core.MigrationView, budget core.MigrationBudget) ([]core.MigrationMove, error) {
+	type slot struct{ item, bin int }
+	var active []slot
+	for _, b := range view.Bins {
+		for _, id := range b.ActiveItemIDs() {
+			active = append(active, slot{id, b.ID})
 		}
 	}
-	nMoves := int(r.byte() % 8)
-	plan := make([]core.MigrationMove, nMoves)
+	n := p.r.byte()
+	plan := make([]core.MigrationMove, int(n)%(budget.MaxMoves+1))
+	if n == 255 {
+		plan = make([]core.MigrationMove, budget.MaxMoves+1)
+	}
 	for i := range plan {
-		plan[i] = core.MigrationMove{
-			ItemID: int(r.byte() % 8),
-			From:   int(r.byte() % 8),
-			To:     int(r.byte() % 8),
+		mode := p.r.byte()
+		if len(active) > 0 && mode&7 != 0 {
+			a := active[int(p.r.byte())%len(active)]
+			plan[i].ItemID, plan[i].From = a.item, a.bin
+		} else {
+			plan[i].ItemID, plan[i].From = int(p.r.byte()%16), int(p.r.byte()%8)
+		}
+		if len(view.Bins) > 0 && mode&0x38 != 0 {
+			k := int(p.r.byte())
+			if plan[i].To = view.Bins[k%len(view.Bins)].ID; plan[i].To == plan[i].From {
+				plan[i].To = view.Bins[(k+1)%len(view.Bins)].ID
+			}
+		} else {
+			plan[i].To = int(p.r.byte() % 8)
 		}
 	}
-	budget := core.MigrationBudget{
-		MaxMoves: int(r.byte()%10) - 1,
-		MaxCost:  r.f64() * 10,
+	if len(plan) > budget.MaxMoves {
+		p.overCount = true
 	}
-	var costOf func(int) float64
-	switch r.byte() % 3 {
-	case 0:
-		costOf = nil
-	case 1:
-		costOf = func(itemID int) float64 { return float64(itemID) }
-	default:
-		costOf = func(int) float64 { return -1 } // invalid costs must be rejected
-	}
-	return st, plan, budget, costOf
+	return plan, nil
 }
 
-// FuzzMigrationPlan feeds adversarial cluster states and plans to
-// ValidatePlan. Properties: it never panics, rejections are structured
-// *PlanError values, and an accepted plan really is safe — independently
-// re-simulating it from the original state never overflows a bin, never
-// moves an unknown or twice-moved item, and respects the move budget.
+// passCheck holds every applied move to the engine's contracts: it changes
+// bins, it moves an item at most once per pass, the target stays within
+// 1+Eps in every dimension, and each pass (its moves share the pass
+// instant) stays within the move and cost budget.
+type passCheck struct {
+	core.BaseObserver
+	t      *testing.T
+	budget core.MigrationBudget
+	at     float64
+	moves  int
+	cost   float64
+	moved  map[int]bool
+}
+
+func (c *passCheck) ItemMigrated(itemID int, from, to *core.Bin, t, cost float64, drained bool) {
+	if c.moves == 0 || t != c.at {
+		c.at, c.moves, c.cost, c.moved = t, 0, 0, map[int]bool{}
+	}
+	c.moves++
+	c.cost += cost
+	if from.ID == to.ID || c.moved[itemID] {
+		c.t.Fatalf("pass at t=%v moved item %d from bin %d to bin %d (moved before: %v)", t, itemID, from.ID, to.ID, c.moved[itemID])
+	}
+	c.moved[itemID] = true
+	for j := 0; j < to.Dim(); j++ {
+		if to.LoadAt(j) > 1+vector.Eps {
+			c.t.Fatalf("move of item %d overflows bin %d in dimension %d: load %v", itemID, to.ID, j, to.LoadAt(j))
+		}
+	}
+	if c.moves > c.budget.MaxMoves {
+		c.t.Fatalf("pass at t=%v applied %d moves, budget %d", t, c.moves, c.budget.MaxMoves)
+	}
+	if c.budget.MaxCost > 0 && c.cost > c.budget.MaxCost {
+		c.t.Fatalf("pass at t=%v cost %v, budget %v", t, c.cost, c.budget.MaxCost)
+	}
+}
+
+// FuzzMigrationPlan runs the engine over a fuzzed instance with a planner
+// that returns fuzzed plans, so the engine's own plan checks
+// (checkMigrationPlan at planning, commitMove at apply) face adversarial
+// moves. Properties: the run never panics; a plan the engine rejects
+// poisons the run with an error, and one that breaks the move budget is
+// always rejected; and every pass the engine applies keeps each bin within
+// 1+Eps and the pass within its budget.
 func FuzzMigrationPlan(f *testing.F) {
-	// A valid two-bin state with a one-move plan, byte-for-byte:
-	// dim=2 → byte 3 (3%5-1=2); 2 bins; 2 items; 1 move; budget 5.
-	f.Add([]byte{3, 2, 0, 192, 192, 0, 1, 224, 224, 0, 2, 0, 32, 32, 1, 0, 1, 96, 96, 1, 1, 1, 0, 0, 1, 6, 128, 0})
+	// A run whose passes apply three moves and drain a bin.
+	f.Add([]byte{0x2d, 0xf4, 0xeb, 0x6a, 0xc, 0xbb, 0xc9, 0xbe, 0x85, 0xf5, 0x64, 0xb5, 0xae, 0xd6, 0x36, 0xc7,
+		0x46, 0x99, 0x67, 0xc3, 0xb4, 0xad, 0xca, 0xaa, 0x9f, 0x56, 0xe1, 0xd0, 0x9e, 0x50, 0x9f, 0xb4})
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add([]byte{3, 1, 1, 128, 128, 1, 1, 128, 128, 3, 1, 1, 1, 1, 1, 2, 200})
-	f.Add([]byte{4, 7, 0, 1, 2, 3, 4, 5, 6, 7, 7, 0, 1, 2, 3, 4, 5, 6, 7, 7, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 10, 64, 1})
+	f.Add([]byte{2, 6, 0, 40, 40, 5, 0, 20, 20, 5, 1, 40, 40, 5, 1, 20, 20, 5, 2, 40, 40, 5, 2, 20, 20, 5, 3, 9, 0, 2, 1, 1, 1, 2, 1, 0})
+	f.Add([]byte{1, 11, 0, 63, 0, 0, 63, 1, 0, 31, 2, 1, 31, 3, 1, 15, 4, 2, 15, 5, 2, 7, 0, 3, 7, 1, 3, 3, 2, 7, 1, 2, 6, 1, 3, 4, 5, 6, 7, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, plan, budget, costOf := decodeFuzzInput(data)
-		err := ValidatePlan(st, plan, budget, costOf)
+		r := &fuzzReader{data: data}
+		l := fuzzInstance(r)
+		budget := core.MigrationBudget{MaxMoves: 1 + int(r.byte()%6)}
+		if c := r.byte(); c%2 == 1 {
+			budget.MaxCost = float64(c) / 16
+		}
+		planner := &fuzzPlanner{r: r}
+		// Next Fit leaves half-empty bins behind, so many moves fit.
+		e, err := core.NewEngine(l, core.NewNextFit(),
+			core.WithMigration(planner, float64(1+r.byte()%2), budget),
+			core.WithObserver(&passCheck{t: t, budget: budget}))
 		if err != nil {
-			var pe *PlanError
-			if !errors.As(err, &pe) {
-				t.Fatalf("rejection is a %T (%v), want *PlanError", err, err)
-			}
-			if pe.Move < -1 || pe.Move >= len(plan) {
-				t.Fatalf("PlanError.Move = %d out of range for a %d-move plan", pe.Move, len(plan))
-			}
-			return
+			t.Fatalf("NewEngine: %v", err)
 		}
-		// Accepted: re-simulate independently and hold the validator to it.
-		if len(plan) > 0 && len(plan) > budget.MaxMoves {
-			t.Fatalf("accepted %d moves over budget %d", len(plan), budget.MaxMoves)
-		}
-		load := map[int][]float64{}
-		for id, l := range st.Load {
-			load[id] = append([]float64(nil), l...)
-		}
-		binOf := map[int]int{}
-		for id, b := range st.BinOf {
-			binOf[id] = b
-		}
-		moved := map[int]bool{}
-		for i, mv := range plan {
-			size, ok := st.Size[mv.ItemID]
-			if !ok || moved[mv.ItemID] || mv.From == mv.To || binOf[mv.ItemID] != mv.From {
-				t.Fatalf("accepted structurally invalid move %d: %+v", i, mv)
-			}
-			to, ok := load[mv.To]
-			if !ok {
-				t.Fatalf("accepted move %d into unknown bin %d", i, mv.To)
-			}
-			for j, s := range size {
-				load[mv.From][j] -= s
-				to[j] += s
-				if to[j] > 1 {
-					t.Fatalf("accepted plan overflows bin %d dim %d at move %d (%v)", mv.To, j, i, to[j])
+		defer e.Close()
+		for {
+			_, ok, err := e.Step()
+			if err != nil {
+				if !strings.Contains(err.Error(), "migration") {
+					t.Fatalf("run failed outside migration: %v", err)
 				}
+				if _, _, again := e.Step(); again == nil {
+					t.Fatalf("a rejected plan (%v) left the run steppable", err)
+				}
+				return
 			}
-			binOf[mv.ItemID] = mv.To
-			moved[mv.ItemID] = true
+			if !ok {
+				break
+			}
+		}
+		if planner.overCount {
+			t.Fatal("the engine ran a plan with more moves than the budget allows")
+		}
+		if _, err := e.Finish(); err != nil {
+			t.Fatalf("Finish: %v", err)
 		}
 	})
 }

@@ -88,7 +88,7 @@ func TestRecoverAlteredMarkDiverges(t *testing.T) {
 
 	l := testList(t, 40)
 	dir := t.TempDir()
-	referenceRun(t, l, "FirstFit", dir, 0)
+	referenceRun(t, l, "FirstFit", dir, 0, faultOpts())
 	rewriteRecords(t, filepath.Join(dir, opsFile), alter)
 	_, err := Recover(l, Config{Dir: dir}, faultOpts()...)
 	wantCorruption(t, err, "replay divergence")
@@ -137,7 +137,7 @@ func TestRecoverRefusesMarkPastEnd(t *testing.T) {
 
 	l := testList(t, 20)
 	dir = t.TempDir()
-	referenceRun(t, l, "FirstFit", dir, 0)
+	referenceRun(t, l, "FirstFit", dir, 0, faultOpts())
 	rewriteRecords(t, filepath.Join(dir, opsFile), func(recs [][]byte) [][]byte {
 		return append(recs, appendMark(nil, 1<<20, 0))
 	})
@@ -151,7 +151,7 @@ func TestRecoverRefusesMarkPastEnd(t *testing.T) {
 func TestRecoverSkipsSnapshotWithoutDigest(t *testing.T) {
 	l := testList(t, 40)
 	dir := t.TempDir()
-	want, _ := referenceRun(t, l, "MoveToFront", dir, 16)
+	want, _ := referenceRun(t, l, "MoveToFront", dir, 16, nil)
 	snaps, err := listSnapshots(vfs.OS{}, dir)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshots %v, %v; want exactly one", snaps, err)
@@ -159,7 +159,7 @@ func TestRecoverSkipsSnapshotWithoutDigest(t *testing.T) {
 	rewriteRecords(t, filepath.Join(dir, snaps[0].name), func(recs [][]byte) [][]byte {
 		return append(recs[:1:1], recs[2:]...) // the snapshot file as written before digests
 	})
-	rec, err := Recover(l, Config{Dir: dir, Every: 16}, faultOpts()...)
+	rec, err := Recover(l, Config{Dir: dir, Every: 16})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

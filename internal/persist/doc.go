@@ -1,7 +1,7 @@
 // Package persist is the crash-consistent checkpoint/restore layer for the
-// packing engine: one durable op log per run plus periodic full-state
-// snapshots, both stored in a versioned, CRC-checksummed, length-prefixed
-// record format.
+// packing engine: one durable op log per run plus, for a placement server
+// tenant, periodic engine snapshots, both stored in a versioned,
+// CRC-checksummed, length-prefixed record format.
 //
 // # Recovery model
 //
@@ -14,6 +14,13 @@
 // the newest snapshot that carries a digest (or starts a fresh engine) and
 // re-steps the engine to the position the log pins, comparing its own digest
 // at every mark it passes; a mismatch is a replay divergence.
+//
+// Only a run core.Engine.Snapshot accepts checkpoints: a server tenant's
+// fault-free, uncapped, irrevocable run. A persisted dvbpsim or dvbpchaos
+// run (faults, admission control, migration, a -metrics collector) writes
+// only its op log and resumes by re-stepping it from event 0, which feeds
+// every observer every event again; a snapshot file is exactly
+// meta | mark | engine snapshot, with no side state.
 //
 // Derived structures are deliberately absent from the on-disk format. In
 // particular the engine's indexed bin store (internal/binindex) and its
@@ -47,8 +54,8 @@
 //   - oplog.go: the op log's record codec (items, advances, marks) and
 //     ReadOpLog, which rebuilds a dynamic run's item list and watermark.
 //   - session.go: Session/Begin — the producer side: append ops, step the
-//     engine, sync with a digest mark, cut snapshots every N events and
-//     prune the older ones.
+//     engine, sync with a digest mark, cut snapshots every N events (Every,
+//     a server tenant's CheckpointEvery) and prune the older ones.
 //   - errors.go: the corruption/disk-full/transient/fatal error taxonomy.
 //   - recover.go: Recover — the consumer side described above.
 //

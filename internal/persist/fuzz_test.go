@@ -44,10 +44,10 @@ func snapshotCorpusSeeds() [][]byte {
 	enc := EncodeSnapshot(snap)
 	return [][]byte{
 		enc,
-		enc[:len(enc)/2],  // truncated
-		append(enc, 0xAA), // trailing byte
-		{0x01},            // bare version byte
-		{},                // empty
+		enc[:len(enc)/2],   // truncated
+		append(enc, 0xAA),  // trailing byte
+		{snapCodecVersion}, // bare version byte
+		{},                 // empty
 	}
 }
 
@@ -131,20 +131,17 @@ func FuzzOpLogDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode: the snapshot codec and the aux record parser must
-// survive arbitrary bytes — no panic, only *CorruptionError — and any
-// snapshot payload the codec accepts must re-encode to the identical bytes.
+// FuzzSnapshotDecode: the snapshot codec must survive arbitrary bytes — no
+// panic, only *CorruptionError — and any snapshot payload it accepts must
+// re-encode to the identical bytes.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, seed := range snapshotCorpusSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ce *CorruptionError
-		if _, _, err := decodeAux(data); err != nil && !errors.As(err, &ce) {
-			t.Fatalf("decodeAux: non-corruption error %T: %v", err, err)
-		}
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
+			var ce *CorruptionError
 			if !errors.As(err, &ce) {
 				t.Fatalf("DecodeSnapshot: non-corruption error %T: %v", err, err)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"dvbp/internal/core"
 	"dvbp/internal/item"
-	"dvbp/internal/metrics"
 	"dvbp/internal/migrate"
 	"dvbp/internal/vector"
 )
@@ -51,20 +50,20 @@ func migMeta(l *item.List) RunMeta {
 // TestTortureMigrationKillAndRecover SIGKILLs a migrating persisted run after
 // every event index — including every boundary inside the multi-move
 // consolidation pass — and requires recovery to resume to a byte-identical
-// result with byte-identical metrics. Moves are re-stepped from the last
-// snapshot and checked against the op log's digest marks, never half-applied.
+// result with byte-identical metrics. A migrating run takes no snapshots
+// (Every 0): recovery re-steps every move from the start against the op
+// log's digest marks, so no pass is ever resumed half-applied.
 func TestTortureMigrationKillAndRecover(t *testing.T) {
 	l := migList(8)
-	const every = 4
 
 	// Uninterrupted reference run.
-	refCol := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
+	refCol := newCollector()
 	e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), append(migOpts(t), core.WithObserver(refCol))...)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	refDir := t.TempDir()
-	s, err := Begin(e, migMeta(l), Config{Dir: refDir, Every: every, Aux: []AuxCodec{refCol.Registry()}})
+	s, err := Begin(e, migMeta(l), Config{Dir: refDir})
 	if err != nil {
 		e.Close()
 		t.Fatalf("Begin: %v", err)
@@ -85,10 +84,7 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 		t.Fatalf("reference finish: %v", err)
 	}
 	wantRes := resultJSON(t, res)
-	wantMet, err := refCol.Registry().MarshalAux()
-	if err != nil {
-		t.Fatalf("metrics marshal: %v", err)
-	}
+	wantMet := refCol.Snapshot().JSON()
 	if res.Migrations < 2 || res.BinsDrained == 0 {
 		t.Fatalf("reference run migrated %d items (drained %d) — not a migration torture", res.Migrations, res.BinsDrained)
 	}
@@ -105,12 +101,11 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 	// Kill after every event index (0 = before any event), then recover.
 	for kill := 0; kill <= len(refRecs); kill++ {
 		dir := t.TempDir()
-		col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), append(migOpts(t), core.WithObserver(col))...)
+		e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), append(migOpts(t), core.WithObserver(newCollector()))...)
 		if err != nil {
 			t.Fatalf("kill=%d NewEngine: %v", kill, err)
 		}
-		s, err := Begin(e, migMeta(l), Config{Dir: dir, Every: every, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}})
+		s, err := Begin(e, migMeta(l), Config{Dir: dir, SyncEvery: 1})
 		if err != nil {
 			e.Close()
 			t.Fatalf("kill=%d Begin: %v", kill, err)
@@ -128,9 +123,8 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 		s.log.f.Close()
 		s.engine.Close()
 
-		col2 := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		rec, err := Recover(l, Config{Dir: dir, Every: every, SyncEvery: 1, Aux: []AuxCodec{col2.Registry()}},
-			append(migOpts(t), core.WithObserver(col2))...)
+		col := newCollector()
+		rec, err := Recover(l, Config{Dir: dir, SyncEvery: 1}, append(migOpts(t), core.WithObserver(col))...)
 		if err != nil {
 			t.Fatalf("kill=%d recover: %v", kill, err)
 		}
@@ -144,12 +138,8 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 		if got := resultJSON(t, res); got != wantRes {
 			t.Fatalf("kill=%d: result diverged\n got %s\nwant %s", kill, got, wantRes)
 		}
-		mj, err := col2.Registry().MarshalAux()
-		if err != nil {
-			t.Fatalf("kill=%d metrics marshal: %v", kill, err)
-		}
-		if string(mj) != string(wantMet) {
-			t.Fatalf("kill=%d: metrics diverged\n got %s\nwant %s", kill, mj, wantMet)
+		if got := col.Snapshot().JSON(); got != wantMet {
+			t.Fatalf("kill=%d: metrics diverged\n got %s\nwant %s", kill, got, wantMet)
 		}
 	}
 }
@@ -157,18 +147,17 @@ func TestTortureMigrationKillAndRecover(t *testing.T) {
 // TestTortureMigrationTornOpLog cuts a completed migrating run's op log, with
 // a digest mark after every event, at random byte offsets — mid-record, at
 // marks inside a migration pass — and requires recovery to re-derive the
-// byte-identical final result from the surviving prefix.
+// byte-identical final result and metrics from the surviving prefix.
 func TestTortureMigrationTornOpLog(t *testing.T) {
 	l := migList(8)
-	const every = 4
 
 	refDir := t.TempDir()
-	refCol := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
+	refCol := newCollector()
 	e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), append(migOpts(t), core.WithObserver(refCol))...)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	s, err := Begin(e, migMeta(l), Config{Dir: refDir, Every: every, SyncEvery: 1, Aux: []AuxCodec{refCol.Registry()}})
+	s, err := Begin(e, migMeta(l), Config{Dir: refDir, SyncEvery: 1})
 	if err != nil {
 		e.Close()
 		t.Fatalf("Begin: %v", err)
@@ -178,6 +167,7 @@ func TestTortureMigrationTornOpLog(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	wantRes := resultJSON(t, res)
+	wantMet := refCol.Snapshot().JSON()
 
 	refLog, err := os.ReadFile(filepath.Join(refDir, opsFile))
 	if err != nil {
@@ -195,13 +185,9 @@ func TestTortureMigrationTornOpLog(t *testing.T) {
 		copyRun(t, refDir, dir)
 		cut := metaEnd + rng.Int63n(int64(len(refLog))-metaEnd+1)
 		truncate(t, filepath.Join(dir, opsFile), cut)
-		if trial%2 == 1 {
-			deleteRandomSnapshots(t, rng, dir)
-		}
 
-		col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		rec, err := Recover(l, Config{Dir: dir, Every: every, Aux: []AuxCodec{col.Registry()}},
-			append(migOpts(t), core.WithObserver(col))...)
+		col := newCollector()
+		rec, err := Recover(l, Config{Dir: dir}, append(migOpts(t), core.WithObserver(col))...)
 		if err != nil {
 			t.Fatalf("trial %d (cut %d): recover: %v", trial, cut, err)
 		}
@@ -212,16 +198,18 @@ func TestTortureMigrationTornOpLog(t *testing.T) {
 		if got := resultJSON(t, res); got != wantRes {
 			t.Fatalf("trial %d (cut %d): result diverged\n got %s\nwant %s", trial, cut, got, wantRes)
 		}
+		if got := col.Snapshot().JSON(); got != wantMet {
+			t.Fatalf("trial %d (cut %d): metrics diverged\n got %s\nwant %s", trial, cut, got, wantMet)
+		}
 	}
 }
 
 // TestTortureMigrationOptionMismatch: recovering a migrating run without
 // re-supplying WithMigration (or with a different planner) must fail loudly
-// — either at snapshot restore (migration state present, option absent) or
-// at the digest marks (regenerated events diverge) — never silently produce
-// a different packing. The run is killed mid-pass with snapshotting
-// effectively off, so recovery must re-plan the pass while re-stepping the
-// run from its start: that is the path a wrong planner poisons.
+// at the digest marks (regenerated events diverge), never silently produce
+// a different packing. The run is killed mid-pass, so recovery must re-plan
+// the pass while re-stepping the run from its start: that is the path a
+// wrong planner poisons.
 func TestTortureMigrationOptionMismatch(t *testing.T) {
 	l := migList(8)
 	dir := t.TempDir()
@@ -229,7 +217,7 @@ func TestTortureMigrationOptionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	cfg := Config{Dir: dir, Every: 1 << 30, SyncEvery: 1}
+	cfg := Config{Dir: dir, SyncEvery: 1}
 	s, err := Begin(e, migMeta(l), cfg)
 	if err != nil {
 		e.Close()

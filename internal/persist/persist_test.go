@@ -30,9 +30,11 @@ func testList(t *testing.T, n int) *item.List {
 	return l
 }
 
-// faultOpts is the engine configuration the persistence tests run under:
+// faultOpts is the engine configuration the replay tests run under:
 // crashes, retries, capped bins, and an admission queue, so every event class
-// shows up in the digest.
+// shows up in the digest. Such a run never checkpoints (core.Engine.Snapshot
+// refuses it), so it persists with Every 0 and recovers by replay; the
+// snapshot tests run fault-free.
 func faultOpts() []core.Option {
 	return []core.Option{
 		core.WithFaults(faults.MTBF{Mean: 30, Seed: 7}, faults.Fixed{Wait: 2.5}),
@@ -283,7 +285,7 @@ func TestRunMetaHashAndCheck(t *testing.T) {
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	l := testList(t, 60)
-	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
+	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -309,7 +311,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	l := testList(t, 40)
-	e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), faultOpts()...)
+	e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -324,6 +326,12 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	payload := EncodeSnapshot(snap)
+	// A version 2 payload, written before the snapshot shed its fault,
+	// queue and migration sections, is refused as an unsupported version.
+	v2 := append([]byte{2}, payload[1:]...)
+	if _, err := DecodeSnapshot(v2); err == nil || !strings.Contains(err.Error(), "unsupported snapshot codec version 2") {
+		t.Fatalf("version 2 payload: err = %v, want an unsupported-version refusal", err)
+	}
 	// Truncations at every prefix and single-byte flips throughout must all
 	// come back as structured corruption, never a panic or silent success of
 	// an inconsistent snapshot. (A flip may legitimately decode — e.g. in a
@@ -353,17 +361,23 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 
 // --- session + recovery ---
 
-// referenceRun completes an uninterrupted persisted run, with a digest mark
-// after every event, and returns its final result and metrics JSON.
-func referenceRun(t *testing.T, l *item.List, policy string, dir string, every int64) (string, string) {
+// newCollector returns a metrics collector on a Manual clock, whose
+// snapshot is a pure function of the events it observed.
+func newCollector() *metrics.Collector {
+	return metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
+}
+
+// referenceRun completes an uninterrupted persisted run under opts, with a
+// digest mark after every event and a checkpoint every `every` events, and
+// returns its final result and metrics JSON.
+func referenceRun(t *testing.T, l *item.List, policy string, dir string, every int64, opts []core.Option) (string, string) {
 	t.Helper()
-	col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-	opts := append(faultOpts(), core.WithObserver(col))
-	e, err := core.NewEngine(l, newTestPolicy(t, policy), opts...)
+	col := newCollector()
+	e, err := core.NewEngine(l, newTestPolicy(t, policy), append(opts, core.WithObserver(col))...)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), Config{Dir: dir, Every: every, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}})
+	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), Config{Dir: dir, Every: every, SyncEvery: 1})
 	if err != nil {
 		e.Close()
 		t.Fatalf("Begin: %v", err)
@@ -372,78 +386,105 @@ func referenceRun(t *testing.T, l *item.List, policy string, dir string, every i
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	mj, err := col.Registry().MarshalAux()
-	if err != nil {
-		t.Fatalf("metrics marshal: %v", err)
-	}
-	return resultJSON(t, res), string(mj)
+	return resultJSON(t, res), col.Snapshot().JSON()
 }
 
+// TestSessionRecoverResume kills a persisted run after k events and
+// recovers it. A faulty run takes no snapshots, so recovery re-steps it
+// from event 0 and a collector attached to the recovered run sees every
+// event: result and metrics both match the uninterrupted run's. A
+// fault-free run restores its newest snapshot and re-steps only the rest.
 func TestSessionRecoverResume(t *testing.T) {
 	l := testList(t, 80)
 	const policy = "MoveToFront"
-	wantRes, wantMet := referenceRun(t, l, policy, t.TempDir(), 16)
+	for _, tc := range tortureRuns(16) {
+		wantRes, wantMet := referenceRun(t, l, policy, t.TempDir(), tc.every, tc.opts)
+		for _, crashAfter := range []int64{0, 1, 15, 16, 17, 40, 97} {
+			dir := t.TempDir()
+			e, err := core.NewEngine(l, newTestPolicy(t, policy), append(tc.opts, core.WithObserver(newCollector()))...)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			cfg := Config{Dir: dir, Every: tc.every, SyncEvery: 1}
+			s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
+			if err != nil {
+				e.Close()
+				t.Fatalf("Begin: %v", err)
+			}
+			for i := int64(0); i < crashAfter; i++ {
+				if _, ok, err := s.Step(); err != nil || !ok {
+					t.Fatalf("%s crashAfter=%d step %d: ok=%v err=%v", tc.name, crashAfter, i, ok, err)
+				}
+			}
+			// Simulate a hard kill: drop the session on the floor, releasing
+			// only the descriptor and the policy guard. Nothing is flushed or
+			// synced beyond what already happened.
+			s.log.f.Close()
+			s.engine.Close()
 
-	for _, crashAfter := range []int64{0, 1, 15, 16, 17, 40, 97} {
-		dir := t.TempDir()
-		col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		opts := append(faultOpts(), core.WithObserver(col))
-		e, err := core.NewEngine(l, newTestPolicy(t, policy), opts...)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		cfg := Config{Dir: dir, Every: 16, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}}
-		s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
-		if err != nil {
-			e.Close()
-			t.Fatalf("Begin: %v", err)
-		}
-		for i := int64(0); i < crashAfter; i++ {
-			if _, ok, err := s.Step(); err != nil || !ok {
-				t.Fatalf("crashAfter=%d step %d: ok=%v err=%v", crashAfter, i, ok, err)
+			col := newCollector()
+			rec, err := Recover(l, cfg, append(tc.opts, core.WithObserver(col))...)
+			if err != nil {
+				t.Fatalf("%s crashAfter=%d Recover: %v", tc.name, crashAfter, err)
+			}
+			if got := rec.Session.Engine().EventSeq(); got != crashAfter {
+				t.Fatalf("%s crashAfter=%d: recovered at event %d", tc.name, crashAfter, got)
+			}
+			want := int64(0)
+			if tc.every > 0 {
+				want = crashAfter / tc.every * tc.every
+			}
+			if rec.SnapshotSeq != want || rec.Replayed != crashAfter-want {
+				t.Fatalf("%s crashAfter=%d: snapshot %d + %d replayed, want %d + %d", tc.name, crashAfter, rec.SnapshotSeq, rec.Replayed, want, crashAfter-want)
+			}
+			res, err := rec.Session.Run()
+			if err != nil {
+				t.Fatalf("%s crashAfter=%d resume: %v", tc.name, crashAfter, err)
+			}
+			if got := resultJSON(t, res); got != wantRes {
+				t.Fatalf("%s crashAfter=%d: result diverged\n got %s\nwant %s", tc.name, crashAfter, got, wantRes)
+			}
+			// A snapshot restore skips the events before it, so only a run
+			// re-stepped from event 0 shows its collector every event.
+			if got := col.Snapshot().JSON(); want == 0 && got != wantMet {
+				t.Fatalf("%s crashAfter=%d: metrics diverged\n got %s\nwant %s", tc.name, crashAfter, got, wantMet)
 			}
 		}
-		// Simulate a hard kill: drop the session on the floor, releasing only
-		// the descriptor and the policy guard. Nothing is flushed or synced
-		// beyond what already happened.
-		s.log.f.Close()
-		s.engine.Close()
+	}
+}
 
-		rcol := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		ropts := append(faultOpts(), core.WithObserver(rcol))
-		rcfg := cfg
-		rcfg.Aux = []AuxCodec{rcol.Registry()}
-		rec, err := Recover(l, rcfg, ropts...)
-		if err != nil {
-			t.Fatalf("crashAfter=%d Recover: %v", crashAfter, err)
+// TestCheckpointRefusesFaultyRun: a faulty run persisted with Every > 0
+// fails at its first checkpoint with the engine's refusal, naming the
+// option, instead of counting a skipped checkpoint and running on.
+func TestCheckpointRefusesFaultyRun(t *testing.T) {
+	l := testList(t, 40)
+	e, err := core.NewEngine(l, newTestPolicy(t, "FirstFit"), faultOpts()...)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s, err := Begin(e, NewRunMeta(l, "FirstFit", 1, "test"), Config{Dir: t.TempDir(), Every: 8, SyncEvery: 1})
+	if err != nil {
+		e.Close()
+		t.Fatalf("Begin: %v", err)
+	}
+	defer s.Close()
+	for i := 1; i < 8; i++ {
+		if _, ok, err := s.Step(); err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
 		}
-		if got := rec.Session.Engine().EventSeq(); got != crashAfter {
-			t.Fatalf("crashAfter=%d: recovered at event %d", crashAfter, got)
-		}
-		if want := (crashAfter / 16) * 16; rec.SnapshotSeq != want {
-			t.Fatalf("crashAfter=%d: restored from snapshot %d, want %d", crashAfter, rec.SnapshotSeq, want)
-		}
-		res, err := rec.Session.Run()
-		if err != nil {
-			t.Fatalf("crashAfter=%d resume: %v", crashAfter, err)
-		}
-		if got := resultJSON(t, res); got != wantRes {
-			t.Fatalf("crashAfter=%d: result diverged\n got %s\nwant %s", crashAfter, got, wantRes)
-		}
-		mj, err := rcol.Registry().MarshalAux()
-		if err != nil {
-			t.Fatalf("metrics marshal: %v", err)
-		}
-		if string(mj) != wantMet {
-			t.Fatalf("crashAfter=%d: metrics diverged\n got %s\nwant %s", crashAfter, mj, wantMet)
-		}
+	}
+	if _, _, err := s.Step(); err == nil || !strings.Contains(err.Error(), "WithFaults") {
+		t.Fatalf("step 8, the first checkpoint: err = %v, want the refusal naming WithFaults", err)
+	}
+	if st := s.TakeIOStats(); st.CheckpointsSkipped != 0 {
+		t.Fatalf("the refusal was counted as %d skipped checkpoints", st.CheckpointsSkipped)
 	}
 }
 
 func TestRecoverWithoutSnapshotsReplaysFromScratch(t *testing.T) {
 	l := testList(t, 50)
 	const policy = "BestFit"
-	wantRes, _ := referenceRun(t, l, policy, t.TempDir(), 0)
+	wantRes, _ := referenceRun(t, l, policy, t.TempDir(), 0, faultOpts())
 
 	dir := t.TempDir()
 	e, err := core.NewEngine(l, newTestPolicy(t, policy), faultOpts()...)
@@ -549,22 +590,7 @@ func TestBeginRejectsBadConfigs(t *testing.T) {
 	if _, err := Begin(e, NewRunMeta(l, "FirstFit", 1, ""), Config{}); err == nil {
 		t.Fatal("Begin accepted an empty directory")
 	}
-	dup := Config{Dir: t.TempDir(), Aux: []AuxCodec{dummyAux("a"), dummyAux("a")}}
-	if _, err := Begin(e, NewRunMeta(l, "FirstFit", 1, ""), dup); err == nil {
-		t.Fatal("Begin accepted duplicate aux keys")
-	}
-	empty := Config{Dir: t.TempDir(), Aux: []AuxCodec{dummyAux("")}}
-	if _, err := Begin(e, NewRunMeta(l, "FirstFit", 1, ""), empty); err == nil {
-		t.Fatal("Begin accepted an empty aux key")
-	}
 }
-
-// dummyAux is a minimal AuxCodec for configuration-validation tests.
-type dummyAux string
-
-func (d dummyAux) AuxKey() string                 { return string(d) }
-func (d dummyAux) MarshalAux() ([]byte, error)    { return []byte("x"), nil }
-func (d dummyAux) UnmarshalAux(data []byte) error { return nil }
 
 // --- file damage helpers ---
 

@@ -46,7 +46,8 @@ type Recovery struct {
 // Recovery: sweep temp-file orphans; read the op log, truncating at the
 // first torn record; restore the newest snapshot that decodes cleanly,
 // carries an event digest and matches the run (a fresh engine when none
-// does); re-step the engine to the position the log pins, comparing the
+// does, as for a faulty, capped or migrating run, which never checkpoints);
+// re-step the engine to the position the log pins, comparing the
 // rolling event digest at every mark it passes; then reopen the log for
 // appending, with any torn tail truncated away.
 //
@@ -57,9 +58,6 @@ type Recovery struct {
 func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("persist: no checkpoint directory configured")
-	}
-	if err := checkAuxKeys(cfg.Aux); err != nil {
-		return nil, err
 	}
 	fsys := vfs.OrOS(cfg.FS)
 	rec := &Recovery{}
@@ -246,7 +244,7 @@ func restoreNewest(fsys vfs.FS, l *item.List, meta RunMeta, cfg Config, opts []c
 			ce := &CorruptionError{Run: cfg.Label, Path: path, Offset: -1, Record: -1, Reason: why, Err: cause}
 			rec.Corruptions = append(rec.Corruptions, ce)
 		}
-		engine, mark, err := restoreSnapshotFile(fsys, path, l, meta, cfg, opts)
+		engine, mark, err := restoreSnapshotFile(fsys, path, l, meta, opts)
 		if err != nil {
 			skip("unusable snapshot", err)
 			continue
@@ -272,9 +270,9 @@ func restoreNewest(fsys vfs.FS, l *item.List, meta RunMeta, cfg Config, opts []c
 	return engine, eventDigest{}, nil
 }
 
-// restoreSnapshotFile loads one snapshot file into a restored engine,
-// applies its aux blobs, and returns the digest mark it carries.
-func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, cfg Config, opts []core.Option) (*core.Engine, Op, error) {
+// restoreSnapshotFile loads one snapshot file (meta | mark | engine
+// snapshot) into a restored engine and returns the digest mark it carries.
+func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, opts []core.Option) (*core.Engine, Op, error) {
 	var mark Op
 	fd, err := ReadFile(fsys, path)
 	if err != nil {
@@ -284,12 +282,16 @@ func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, c
 		return nil, mark, corrupt("expected a snapshot file, found kind %d", fd.Kind)
 	}
 	if fd.Torn != nil {
-		// Unlike the op log, a snapshot is all-or-nothing: a torn tail may
-		// have taken aux records with it, and partial aux state breaks the
-		// checkpoint-equals-replay contract.
+		// Unlike the op log, a snapshot is all-or-nothing.
 		return nil, mark, fd.Torn
 	}
-	if len(fd.Records) < 3 {
+	// The file is meta | mark | engine snapshot. A snapshot written before
+	// event digests holds the engine snapshot where the mark belongs, and
+	// its first byte is the codec version, never OpMark.
+	if recs := fd.Records; len(recs) < 2 || len(recs[1]) == 0 || OpKind(recs[1][0]) != OpMark {
+		return nil, mark, corrupt("snapshot carries no event digest")
+	}
+	if len(fd.Records) != 3 {
 		return nil, mark, corrupt("snapshot file has %d records, want meta + digest + snapshot", len(fd.Records))
 	}
 	fileMeta, err := decodeMeta(fd.Records[0])
@@ -298,11 +300,6 @@ func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, c
 	}
 	if !fileMeta.equal(meta) {
 		return nil, mark, corrupt("snapshot belongs to a different run (meta %+v, want %+v)", fileMeta, meta)
-	}
-	// A snapshot written before event digests holds the engine snapshot in
-	// this record, whose first byte is its codec version, never OpMark.
-	if p := fd.Records[1]; len(p) == 0 || OpKind(p[0]) != OpMark {
-		return nil, mark, corrupt("snapshot carries no event digest")
 	}
 	if mark, err = DecodeOp(fd.Records[1], meta.Dim); err != nil {
 		return nil, mark, err
@@ -318,30 +315,6 @@ func restoreSnapshotFile(fsys vfs.FS, path string, l *item.List, meta RunMeta, c
 	engine, err := core.RestoreEngine(l, p, snap, opts...)
 	if err != nil {
 		return nil, mark, err
-	}
-	byKey := make(map[string][]byte)
-	for _, payload := range fd.Records[3:] {
-		key, blob, err := decodeAux(payload)
-		if err != nil {
-			engine.Close()
-			return nil, mark, err
-		}
-		if _, dup := byKey[key]; dup {
-			engine.Close()
-			return nil, mark, corrupt("duplicate aux record %q", key)
-		}
-		byKey[key] = blob
-	}
-	for _, aux := range cfg.Aux {
-		blob, ok := byKey[aux.AuxKey()]
-		if !ok {
-			engine.Close()
-			return nil, mark, corrupt("snapshot carries no aux record %q", aux.AuxKey())
-		}
-		if err := aux.UnmarshalAux(blob); err != nil {
-			engine.Close()
-			return nil, mark, &CorruptionError{Path: path, Offset: -1, Record: -1, Reason: fmt.Sprintf("aux %q rejected its blob", aux.AuxKey()), Err: err}
-		}
 	}
 	return engine, mark, nil
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 
@@ -21,19 +20,6 @@ func snapName(eventSeq int64) string {
 	return fmt.Sprintf("%s%016d%s", snapPrefix, eventSeq, snapSuffix)
 }
 
-// AuxCodec lets a subsystem outside the engine (the metrics registry) ride
-// along in snapshots: Marshal captures its state at a checkpoint, Unmarshal
-// restores it before replay. The contract mirrors the engine's: aux state
-// captured at event k, plus replay of events k+1..n through the subsystem's
-// ordinary observer callbacks, must equal the uninterrupted state at n.
-type AuxCodec interface {
-	// AuxKey names the blob inside snapshot files; keys must be unique
-	// within a session.
-	AuxKey() string
-	MarshalAux() ([]byte, error)
-	UnmarshalAux(data []byte) error
-}
-
 // Config shapes a persistence session.
 type Config struct {
 	// Dir is the checkpoint directory (created if missing).
@@ -45,13 +31,14 @@ type Config struct {
 	Label string
 	// Every takes an automatic checkpoint after this many events; 0 disables
 	// automatic checkpoints (recovery then re-steps the run from its start).
+	// Only a run core.Engine.Snapshot accepts can checkpoint: a faulty,
+	// capped or migrating run fails at its first checkpoint, so it persists
+	// with Every 0.
 	Every int64
 	// SyncEvery is how many events Step commits between automatic op-log
 	// fsyncs (default 64; SyncManual leaves every fsync to explicit Sync
 	// calls).
 	SyncEvery int
-	// Aux subsystems checkpointed alongside the engine.
-	Aux []AuxCodec
 	// FS is the filesystem seam every file operation goes through; nil means
 	// the real filesystem. Tests inject vfs.Mem or a vfs.Injector here.
 	FS vfs.FS
@@ -76,7 +63,7 @@ type IOStats struct {
 // Session couples a stepping engine to its op log, the run's one durable
 // log: a dynamic run's inputs go in before the engine steps them, every
 // barrier adds a digest mark of the events committed so far, and checkpoints
-// capture engine + aux state between events. The caller owns the engine's
+// capture the engine's state between events. The caller owns the engine's
 // lifecycle through the session (Step/Finish/Close), never directly.
 type Session struct {
 	cfg    Config
@@ -101,9 +88,6 @@ func Begin(e *core.Engine, meta RunMeta, cfg Config) (*Session, error) {
 	}
 	if !core.CheckpointablePolicy(e.Policy()) {
 		return nil, fmt.Errorf("persist: policy %s carries state but implements no PolicyStateCodec", e.Policy().Name())
-	}
-	if err := checkAuxKeys(cfg.Aux); err != nil {
-		return nil, err
 	}
 	fsys := vfs.OrOS(cfg.FS)
 	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -151,7 +135,8 @@ func (s *Session) AppendOp(payload []byte) { s.log.Append(payload) }
 // checkpoint paths are absorbed and counted in IOStats, not returned: the
 // appended records stay buffered and the next barrier retries them, a skipped
 // checkpoint just means the next interval tries again. An error from Step is
-// therefore always corruption or fatal.
+// therefore corruption, a fatal I/O error, or a checkpoint the engine
+// refuses (core.Engine.Snapshot).
 func (s *Session) Step() (rec core.EventRecord, ok bool, err error) {
 	rec, ok, err = s.engine.Step()
 	if err != nil || !ok {
@@ -218,8 +203,9 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// Checkpoint captures the engine and aux state at the current event boundary,
-// with the event digest there, into an atomically-written snapshot file.
+// Checkpoint captures the engine's state at the current event boundary, with
+// the event digest there, into an atomically-written snapshot file
+// (meta | mark | engine snapshot).
 // Once it is durable every older snapshot is deleted. The op log needs no
 // sync first: a dynamic run's ops are durable before the engine steps them,
 // and a static snapshot pins its own position.
@@ -232,13 +218,6 @@ func (s *Session) Checkpoint() error {
 	content = appendRecord(content, encodeMeta(s.meta))
 	content = appendRecord(content, appendMark(nil, snap.EventSeq, s.digest.sum))
 	content = appendRecord(content, EncodeSnapshot(snap))
-	for _, aux := range s.cfg.Aux {
-		blob, err := aux.MarshalAux()
-		if err != nil {
-			return fmt.Errorf("persist: aux %q: %w", aux.AuxKey(), err)
-		}
-		content = appendRecord(content, encodeAux(aux.AuxKey(), blob))
-	}
 	if err := WriteFileAtomic(s.fsys, filepath.Join(s.cfg.Dir, snapName(snap.EventSeq)), content); err != nil {
 		return err
 	}
@@ -289,34 +268,4 @@ func (s *Session) Run() (*core.Result, error) {
 		}
 	}
 	return s.Finish()
-}
-
-// Aux record payload: uvarint key length | key | blob.
-func encodeAux(key string, blob []byte) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(key)))
-	out = append(out, key...)
-	return append(out, blob...)
-}
-
-func decodeAux(payload []byte) (key string, blob []byte, err error) {
-	n, w := binary.Uvarint(payload)
-	if w <= 0 || n > uint64(len(payload)-w) {
-		return "", nil, corrupt("malformed aux record")
-	}
-	return string(payload[w : w+int(n)]), payload[w+int(n):], nil
-}
-
-func checkAuxKeys(aux []AuxCodec) error {
-	seen := make(map[string]bool, len(aux))
-	for _, a := range aux {
-		k := a.AuxKey()
-		if k == "" {
-			return fmt.Errorf("persist: empty aux key")
-		}
-		if seen[k] {
-			return fmt.Errorf("persist: duplicate aux key %q", k)
-		}
-		seen[k] = true
-	}
-	return nil
 }

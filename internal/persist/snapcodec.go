@@ -17,9 +17,12 @@ import (
 // cross-references, accumulator integrity) happens in core.RestoreEngine.
 
 // snapCodecVersion versions the snapshot payload independently of the file
-// framing. Version 2 added the migration section and the Result migration
-// counters (DESIGN.md §14).
-const snapCodecVersion = 2
+// framing. Version 3 carries only what a server tenant's run holds (open
+// bins, pending departures, policy state, partial Result); version 2's
+// fault, queue, migration and failure-counter sections are gone, and a v2
+// payload is refused like any unknown version, so recovery re-steps the op
+// log past it.
+const snapCodecVersion = 3
 
 // EncodeSnapshot serialises an engine snapshot.
 func EncodeSnapshot(s *core.Snapshot) []byte {
@@ -29,7 +32,6 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	b.varint(int64(s.ArrivalIdx))
 	b.varint(int64(s.NextBinID))
 	b.varint(int64(s.Served))
-	b.varint(s.RetrySeq)
 	b.varint(int64(s.Dim))
 	b.varint(int64(s.Items))
 	b.str(s.PolicyName)
@@ -57,58 +59,8 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 		b.varint(int64(d.ItemID))
 		b.varint(int64(d.BinID))
 	}
-	b.uvarint(uint64(len(s.Crashes)))
-	for _, c := range s.Crashes {
-		b.f64(c.Time)
-		b.varint(int64(c.BinID))
-	}
-	b.uvarint(uint64(len(s.Retries)))
-	for _, r := range s.Retries {
-		b.f64(r.Time)
-		b.varint(r.Seq)
-		b.varint(int64(r.ItemID))
-		b.varint(int64(r.Attempt))
-	}
-	b.uvarint(uint64(len(s.WaitQueue)))
-	for _, q := range s.WaitQueue {
-		b.varint(int64(q.ItemID))
-		b.varint(int64(q.Attempt))
-		b.f64(q.QueuedAt)
-		b.f64(q.Deadline)
-	}
-
-	// Attempts in ascending item-ID order so encoded bytes are deterministic.
-	b.uvarint(uint64(len(s.Attempts)))
-	ids := make([]int, 0, len(s.Attempts))
-	for id := range s.Attempts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		b.varint(int64(id))
-		b.varint(int64(s.Attempts[id]))
-	}
 
 	encodeResult(b, s.Result)
-
-	// Migration section, guarded by a presence flag so nil (migration
-	// disabled) round-trips distinguishably from the empty state.
-	b.bool(s.Migration != nil)
-	if m := s.Migration; m != nil {
-		b.varint(m.NextPass)
-		b.f64(m.PassTime)
-		b.uvarint(uint64(len(m.Pending)))
-		for _, mv := range m.Pending {
-			b.varint(int64(mv.ItemID))
-			b.varint(int64(mv.From))
-			b.varint(int64(mv.To))
-		}
-		b.uvarint(uint64(len(m.Redirects)))
-		for _, r := range m.Redirects {
-			b.varint(r.Seq)
-			b.varint(int64(r.BinID))
-		}
-	}
 	return b.buf
 }
 
@@ -121,18 +73,6 @@ func encodeResult(b *benc, r *core.Result) {
 	b.varint(int64(r.MaxConcurrentBins))
 	b.f64(r.Span)
 	b.f64(r.Mu)
-	b.varint(int64(r.Crashes))
-	b.varint(int64(r.Evictions))
-	b.varint(int64(r.Retries))
-	b.varint(int64(r.ItemsLost))
-	b.varint(int64(r.Rejected))
-	b.varint(int64(r.TimedOut))
-	b.varint(int64(r.QueuedPlaced))
-	b.f64(r.QueueDelay)
-	b.f64(r.LostUsageTime)
-	b.varint(int64(r.Migrations))
-	b.f64(r.MigrationCost)
-	b.varint(int64(r.BinsDrained))
 
 	b.uvarint(uint64(len(r.Placements)))
 	for _, p := range r.Placements {
@@ -176,7 +116,6 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 	s.ArrivalIdx = d.int()
 	s.NextBinID = d.int()
 	s.Served = d.int()
-	s.RetrySeq = d.varint()
 	s.Dim = d.int()
 	s.Items = d.int()
 	s.PolicyName = d.str()
@@ -205,60 +144,7 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 	for i := 0; i < nDep && d.fail == nil; i++ {
 		s.Departures = append(s.Departures, core.DepartureSnapshot{Time: d.f64(), Seq: d.varint(), ItemID: d.int(), BinID: d.int()})
 	}
-	nCr := d.count(9)
-	for i := 0; i < nCr && d.fail == nil; i++ {
-		s.Crashes = append(s.Crashes, core.CrashSnapshot{Time: d.f64(), BinID: d.int()})
-	}
-	nRe := d.count(11)
-	for i := 0; i < nRe && d.fail == nil; i++ {
-		s.Retries = append(s.Retries, core.RetrySnapshot{Time: d.f64(), Seq: d.varint(), ItemID: d.int(), Attempt: d.int()})
-	}
-	nQ := d.count(18)
-	for i := 0; i < nQ && d.fail == nil; i++ {
-		s.WaitQueue = append(s.WaitQueue, core.QueuedSnapshot{ItemID: d.int(), Attempt: d.int(), QueuedAt: d.f64(), Deadline: d.f64()})
-	}
-	nAt := d.count(2)
-	if nAt > 0 && d.fail == nil {
-		s.Attempts = make(map[int]int, nAt)
-		prev := 0
-		for i := 0; i < nAt && d.fail == nil; i++ {
-			id := d.int()
-			n := d.int()
-			// Strictly ascending item IDs — the order the encoder emits — so
-			// the codec stays a bijection (and duplicates are impossible).
-			if i > 0 && id <= prev {
-				return nil, corrupt("snapshot attempt counts out of item order at item %d", id)
-			}
-			prev = id
-			s.Attempts[id] = n
-		}
-	}
-
 	s.Result = decodeResult(d)
-
-	if d.bool() {
-		m := &core.MigrationSnapshot{}
-		m.NextPass = d.varint()
-		m.PassTime = d.f64()
-		nMv := d.count(3)
-		for i := 0; i < nMv && d.fail == nil; i++ {
-			m.Pending = append(m.Pending, core.MigrationMove{ItemID: d.int(), From: d.int(), To: d.int()})
-		}
-		nRd := d.count(2)
-		prev := int64(-1)
-		for i := 0; i < nRd && d.fail == nil; i++ {
-			r := core.RedirectSnapshot{Seq: d.varint(), BinID: d.int()}
-			// Strictly ascending Seq — the order the encoder emits — so the
-			// codec stays a bijection.
-			if r.Seq <= prev {
-				d.fatal("migration redirects out of sequence order at %d", r.Seq)
-				break
-			}
-			prev = r.Seq
-			m.Redirects = append(m.Redirects, r)
-		}
-		s.Migration = m
-	}
 	if d.fail != nil {
 		return nil, d.fail
 	}
@@ -278,18 +164,6 @@ func decodeResult(d *bdec) *core.Result {
 	r.MaxConcurrentBins = d.int()
 	r.Span = d.f64()
 	r.Mu = d.f64()
-	r.Crashes = d.int()
-	r.Evictions = d.int()
-	r.Retries = d.int()
-	r.ItemsLost = d.int()
-	r.Rejected = d.int()
-	r.TimedOut = d.int()
-	r.QueuedPlaced = d.int()
-	r.QueueDelay = d.f64()
-	r.LostUsageTime = d.f64()
-	r.Migrations = d.int()
-	r.MigrationCost = d.f64()
-	r.BinsDrained = d.int()
 
 	nPl := d.count(6)
 	for i := 0; i < nPl && d.fail == nil; i++ {

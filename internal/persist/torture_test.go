@@ -10,97 +10,110 @@ import (
 	"testing"
 
 	"dvbp/internal/core"
-	"dvbp/internal/metrics"
 	"dvbp/internal/vfs"
 )
+
+// tortureRun is one persisted run shape: its engine options and its
+// checkpoint interval.
+type tortureRun struct {
+	name  string
+	opts  []core.Option
+	every int64
+}
+
+// tortureRuns are the two persisted shapes the kill tortures cover: a
+// faulty run, which takes no snapshots and recovers by replay from event 0,
+// and a fault-free run that checkpoints every `every` events.
+func tortureRuns(every int64) []tortureRun {
+	return []tortureRun{{"faulty", faultOpts(), 0}, {"fault-free", nil, every}}
+}
 
 // TestTortureKillAndRecover is the crash-consistency torture loop: a run is
 // persisted to completion once, then killed at dozens of random points — the
 // op log cut at an arbitrary BYTE offset (not a record boundary), snapshots
 // randomly deleted, random bits flipped — and recovered. Every recovery must
-// either resume to a byte-identical final result (and byte-identical metrics
-// under a deterministic clock), or fail with a structured corruption error
-// when the damage removed the run's identity. It must never panic and never
-// produce a silently different packing.
+// either resume to a byte-identical final result (and, when it re-stepped
+// the run from event 0, byte-identical metrics under a deterministic
+// clock), or fail with a structured corruption error when the damage
+// removed the run's identity. It must never panic and never produce a
+// silently different packing.
 func TestTortureKillAndRecover(t *testing.T) {
 	l := testList(t, 80)
 	const policy = "MoveToFront"
-	const every = 16
-
-	// Uninterrupted reference run, keeping its directory as the template.
-	refDir := t.TempDir()
-	wantRes, wantMet := referenceRun(t, l, policy, refDir, every)
-	refLog, err := os.ReadFile(filepath.Join(refDir, opsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFD, err := ReadFile(nil, filepath.Join(refDir, opsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refFD.Records) < 2 {
-		t.Fatalf("reference op log has %d records", len(refFD.Records))
-	}
-	// metaEnd is the first byte after the run-meta record: any cut at or past
-	// it leaves a recoverable log.
-	metaEnd := refFD.Offsets[1]
-
-	rng := rand.New(rand.NewSource(987654321))
-	const trials = 64
-	recovered := 0
-	for trial := 0; trial < trials; trial++ {
-		dir := t.TempDir()
-		copyRun(t, refDir, dir)
-		mode := trial % 4
-		cut := metaEnd + rng.Int63n(int64(len(refLog))-metaEnd+1)
-		metaIntact := true
-		switch mode {
-		case 0: // kill: cut the op log at a random byte
-			truncate(t, filepath.Join(dir, opsFile), cut)
-		case 1: // kill + lose snapshots
-			truncate(t, filepath.Join(dir, opsFile), cut)
-			deleteRandomSnapshots(t, rng, dir)
-		case 2: // bit flip anywhere in the op log
-			off := rng.Int63n(int64(len(refLog)))
-			flipByte(t, filepath.Join(dir, opsFile), off)
-			// A flip inside the header or the meta record destroys the run's
-			// identity; anywhere else only truncates the usable suffix.
-			metaIntact = off >= metaEnd
-		case 3: // bit flip inside a random snapshot file
-			flipRandomSnapshot(t, rng, dir)
-		}
-
-		col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		cfg := Config{Dir: dir, Every: every, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}}
-		rec, err := Recover(l, cfg, append(faultOpts(), core.WithObserver(col))...)
+	for _, run := range tortureRuns(16) {
+		// Uninterrupted reference run, keeping its directory as the template.
+		refDir := t.TempDir()
+		wantRes, wantMet := referenceRun(t, l, policy, refDir, run.every, run.opts)
+		refLog, err := os.ReadFile(filepath.Join(refDir, opsFile))
 		if err != nil {
-			if metaIntact {
-				t.Fatalf("trial %d (mode %d): recovery failed with the meta intact: %v", trial, mode, err)
+			t.Fatal(err)
+		}
+		refFD, err := ReadFile(nil, filepath.Join(refDir, opsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refFD.Records) < 2 {
+			t.Fatalf("%s: reference op log has %d records", run.name, len(refFD.Records))
+		}
+		// metaEnd is the first byte after the run-meta record: any cut at or
+		// past it leaves a recoverable log.
+		metaEnd := refFD.Offsets[1]
+
+		rng := rand.New(rand.NewSource(987654321))
+		const trials = 64
+		recovered := 0
+		for trial := 0; trial < trials; trial++ {
+			dir := t.TempDir()
+			copyRun(t, refDir, dir)
+			mode := trial % 4
+			cut := metaEnd + rng.Int63n(int64(len(refLog))-metaEnd+1)
+			metaIntact := true
+			switch mode {
+			case 0: // kill: cut the op log at a random byte
+				truncate(t, filepath.Join(dir, opsFile), cut)
+			case 1: // kill + lose snapshots
+				truncate(t, filepath.Join(dir, opsFile), cut)
+				deleteRandomSnapshots(t, rng, dir)
+			case 2: // bit flip anywhere in the op log
+				off := rng.Int63n(int64(len(refLog)))
+				flipByte(t, filepath.Join(dir, opsFile), off)
+				// A flip inside the header or the meta record destroys the
+				// run's identity; anywhere else only truncates the usable
+				// suffix.
+				metaIntact = off >= metaEnd
+			case 3: // bit flip inside a random snapshot file
+				flipRandomSnapshot(t, rng, dir)
 			}
-			var ce *CorruptionError
-			if !errors.As(err, &ce) && !strings.Contains(err.Error(), "persist:") {
-				t.Fatalf("trial %d: unstructured recovery failure: %v", trial, err)
+
+			col := newCollector()
+			cfg := Config{Dir: dir, Every: run.every, SyncEvery: 1}
+			rec, err := Recover(l, cfg, append(run.opts, core.WithObserver(col))...)
+			if err != nil {
+				if metaIntact {
+					t.Fatalf("%s trial %d (mode %d): recovery failed with the meta intact: %v", run.name, trial, mode, err)
+				}
+				var ce *CorruptionError
+				if !errors.As(err, &ce) && !strings.Contains(err.Error(), "persist:") {
+					t.Fatalf("%s trial %d: unstructured recovery failure: %v", run.name, trial, err)
+				}
+				continue
 			}
-			continue
+			fromStart := rec.SnapshotSeq == 0
+			res, err := rec.Session.Run()
+			if err != nil {
+				t.Fatalf("%s trial %d (mode %d): resume failed: %v", run.name, trial, mode, err)
+			}
+			if got := resultJSON(t, res); got != wantRes {
+				t.Fatalf("%s trial %d (mode %d): result diverged\n got %s\nwant %s", run.name, trial, mode, got, wantRes)
+			}
+			if got := col.Snapshot().JSON(); fromStart && got != wantMet {
+				t.Fatalf("%s trial %d (mode %d): metrics diverged\n got %s\nwant %s", run.name, trial, mode, got, wantMet)
+			}
+			recovered++
 		}
-		res, err := rec.Session.Run()
-		if err != nil {
-			t.Fatalf("trial %d (mode %d): resume failed: %v", trial, mode, err)
+		if recovered < trials*3/4 {
+			t.Fatalf("%s: only %d/%d trials recovered — damage modes are too destructive to exercise recovery", run.name, recovered, trials)
 		}
-		if got := resultJSON(t, res); got != wantRes {
-			t.Fatalf("trial %d (mode %d): result diverged\n got %s\nwant %s", trial, mode, got, wantRes)
-		}
-		mj, err := col.Registry().MarshalAux()
-		if err != nil {
-			t.Fatalf("trial %d: metrics marshal: %v", trial, err)
-		}
-		if string(mj) != wantMet {
-			t.Fatalf("trial %d (mode %d): metrics diverged\n got %s\nwant %s", trial, mode, mj, wantMet)
-		}
-		recovered++
-	}
-	if recovered < trials*3/4 {
-		t.Fatalf("only %d/%d trials recovered — damage modes are too destructive to exercise recovery", recovered, trials)
 	}
 }
 
@@ -110,55 +123,53 @@ func TestTortureKillAndRecover(t *testing.T) {
 func TestTortureRepeatedCrashes(t *testing.T) {
 	l := testList(t, 80)
 	const policy = "RandomFit"
-	wantRes, _ := referenceRun(t, l, policy, t.TempDir(), 8)
+	for _, run := range tortureRuns(8) {
+		wantRes, _ := referenceRun(t, l, policy, t.TempDir(), run.every, run.opts)
 
-	dir := t.TempDir()
-	col := metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-	cfg := Config{Dir: dir, Every: 8, SyncEvery: 1, Aux: []AuxCodec{col.Registry()}}
-	e, err := core.NewEngine(l, newTestPolicy(t, policy), append(faultOpts(), core.WithObserver(col))...)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
-	if err != nil {
-		e.Close()
-		t.Fatalf("Begin: %v", err)
-	}
-	rng := rand.New(rand.NewSource(1357))
-	for round := 0; ; round++ {
-		// Step a random distance, then crash without closing cleanly.
-		steps := 5 + rng.Intn(20)
-		done := false
-		for i := 0; i < steps; i++ {
-			_, ok, err := s.Step()
-			if err != nil {
-				t.Fatalf("round %d step: %v", round, err)
+		cfg := Config{Dir: t.TempDir(), Every: run.every, SyncEvery: 1}
+		e, err := core.NewEngine(l, newTestPolicy(t, policy), run.opts...)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
+		if err != nil {
+			e.Close()
+			t.Fatalf("Begin: %v", err)
+		}
+		rng := rand.New(rand.NewSource(1357))
+		for round := 0; ; round++ {
+			// Step a random distance, then crash without closing cleanly.
+			steps := 5 + rng.Intn(20)
+			done := false
+			for i := 0; i < steps; i++ {
+				_, ok, err := s.Step()
+				if err != nil {
+					t.Fatalf("%s round %d step: %v", run.name, round, err)
+				}
+				if !ok {
+					done = true
+					break
+				}
 			}
-			if !ok {
-				done = true
+			if done {
+				res, err := s.Finish()
+				if err != nil {
+					t.Fatalf("%s Finish: %v", run.name, err)
+				}
+				if got := resultJSON(t, res); got != wantRes {
+					t.Fatalf("%s: result diverged after %d crashes\n got %s\nwant %s", run.name, round, got, wantRes)
+				}
 				break
 			}
-		}
-		if done {
-			res, err := s.Finish()
-			if err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-			if got := resultJSON(t, res); got != wantRes {
-				t.Fatalf("result diverged after %d crashes\n got %s\nwant %s", round, got, wantRes)
-			}
-			return
-		}
-		s.log.f.Close()
-		s.engine.Close()
+			s.log.f.Close()
+			s.engine.Close()
 
-		col = metrics.NewCollector(metrics.WithClock(&metrics.Manual{}))
-		cfg.Aux = []AuxCodec{col.Registry()}
-		rec, err := Recover(l, cfg, append(faultOpts(), core.WithObserver(col))...)
-		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
+			rec, err := Recover(l, cfg, run.opts...)
+			if err != nil {
+				t.Fatalf("%s round %d recover: %v", run.name, round, err)
+			}
+			s = rec.Session
 		}
-		s = rec.Session
 	}
 }
 

@@ -34,93 +34,92 @@ func tortureCrashOK(err error) bool {
 	return errors.As(err, &ce) && strings.Contains(ce.Reason, "no run meta record survived")
 }
 
-// staticTortureCfg is the session shape shared by the static sweep: automatic
-// checkpoints, each pruning the one before it, and frequent fsync batching so
-// crash points land between marks as well as inside batches.
-func staticTortureCfg(fsys vfs.FS) Config {
-	return Config{Dir: "run", Every: 8, SyncEvery: 2, FS: fsys}
-}
-
-// runStaticTorture drives one fresh static run to completion on fsys.
-func runStaticTorture(t *testing.T, l *item.List, fsys vfs.FS) (*core.Result, error) {
-	t.Helper()
-	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), staticTortureCfg(fsys))
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	return s.Run()
-}
-
 // TestDiskTortureCrashPointsStatic records how many mutating FS operations an
-// uninterrupted checkpointing run performs, then replays the run once per
+// uninterrupted persisted run performs, then replays the run once per
 // operation index with a simulated power loss at exactly that operation —
 // cycling lost/flushed/torn crash modes — recovers, finishes, and demands the
-// byte-identical result every single time.
+// byte-identical result every single time. It sweeps a faulty run, which
+// recovers by replay, and a fault-free run with automatic checkpoints, each
+// pruning the one before it; frequent fsync batching lands crash points
+// between marks as well as inside batches.
 func TestDiskTortureCrashPointsStatic(t *testing.T) {
 	l := testList(t, 40)
-
-	base := vfs.NewMem()
-	res, err := runStaticTorture(t, l, base)
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	want := resultJSON(t, res)
-	total := base.Ops()
-	if total < 50 {
-		t.Fatalf("baseline run performed only %d mutating FS ops — the sweep would prove nothing", total)
-	}
-
-	fallbacks, recovered := 0, 0
-	for i := int64(1); i <= total; i++ {
-		m := vfs.NewMem()
-		m.SetCrashPoint(i, vfs.CrashMode(i%3), 1+7*i)
-		_, err := runStaticTorture(t, l, m)
-		if err == nil {
-			t.Fatalf("crash point %d/%d never fired", i, total)
+	for _, tr := range tortureRuns(8) {
+		cfg := func(fsys vfs.FS) Config {
+			return Config{Dir: "run", Every: tr.every, SyncEvery: 2, FS: fsys}
 		}
-		if !errors.Is(err, vfs.ErrCrashed) {
-			t.Fatalf("crash point %d: run died of %v, want ErrCrashed", i, err)
-		}
-		if !m.Crashed() {
-			t.Fatalf("crash point %d: error without a crash", i)
-		}
-		m.Restart()
-
-		var got string
-		rec, rerr := Recover(l, staticTortureCfg(m), faultOpts()...)
-		if rerr != nil {
-			if !tortureCrashOK(rerr) {
-				t.Fatalf("crash point %d/%d (mode %s): recovery failed: %v", i, total, vfs.CrashMode(i%3), rerr)
-			}
-			// Nothing durable survived; a fresh run is the honest restart.
-			res, err := runStaticTorture(t, l, m)
+		// runOnce drives one fresh static run to completion on fsys.
+		runOnce := func(fsys vfs.FS) (*core.Result, error) {
+			e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), tr.opts...)
 			if err != nil {
-				t.Fatalf("crash point %d: fresh restart failed: %v", i, err)
+				t.Fatalf("NewEngine: %v", err)
 			}
-			got = resultJSON(t, res)
-			fallbacks++
-		} else {
-			res, err := rec.Session.Run()
+			s, err := Begin(e, NewRunMeta(l, "MoveToFront", 1, "test"), cfg(fsys))
 			if err != nil {
-				t.Fatalf("crash point %d/%d: resumed run failed: %v", i, total, err)
+				e.Close()
+				return nil, err
 			}
-			got = resultJSON(t, res)
-			recovered++
+			return s.Run()
 		}
-		if got != want {
-			t.Fatalf("crash point %d/%d (mode %s): result diverged\n got %s\nwant %s",
-				i, total, vfs.CrashMode(i%3), got, want)
+
+		base := vfs.NewMem()
+		res, err := runOnce(base)
+		if err != nil {
+			t.Fatalf("%s baseline run: %v", tr.name, err)
 		}
+		want := resultJSON(t, res)
+		total := base.Ops()
+		if total < 50 {
+			t.Fatalf("%s baseline run performed only %d mutating FS ops — the sweep would prove nothing", tr.name, total)
+		}
+
+		fallbacks, recovered := 0, 0
+		for i := int64(1); i <= total; i++ {
+			m := vfs.NewMem()
+			m.SetCrashPoint(i, vfs.CrashMode(i%3), 1+7*i)
+			_, err := runOnce(m)
+			if err == nil {
+				t.Fatalf("%s crash point %d/%d never fired", tr.name, i, total)
+			}
+			if !errors.Is(err, vfs.ErrCrashed) {
+				t.Fatalf("%s crash point %d: run died of %v, want ErrCrashed", tr.name, i, err)
+			}
+			if !m.Crashed() {
+				t.Fatalf("%s crash point %d: error without a crash", tr.name, i)
+			}
+			m.Restart()
+
+			var got string
+			rec, rerr := Recover(l, cfg(m), tr.opts...)
+			if rerr != nil {
+				if !tortureCrashOK(rerr) {
+					t.Fatalf("%s crash point %d/%d (mode %s): recovery failed: %v", tr.name, i, total, vfs.CrashMode(i%3), rerr)
+				}
+				// Nothing durable survived; a fresh run is the honest restart.
+				res, err := runOnce(m)
+				if err != nil {
+					t.Fatalf("%s crash point %d: fresh restart failed: %v", tr.name, i, err)
+				}
+				got = resultJSON(t, res)
+				fallbacks++
+			} else {
+				res, err := rec.Session.Run()
+				if err != nil {
+					t.Fatalf("%s crash point %d/%d: resumed run failed: %v", tr.name, i, total, err)
+				}
+				got = resultJSON(t, res)
+				recovered++
+			}
+			if got != want {
+				t.Fatalf("%s crash point %d/%d (mode %s): result diverged\n got %s\nwant %s",
+					tr.name, i, total, vfs.CrashMode(i%3), got, want)
+			}
+		}
+		if recovered == 0 {
+			t.Fatalf("%s: all %d crash points fell back to fresh runs — recovery was never exercised", tr.name, total)
+		}
+		t.Logf("%s: swept %d crash points: %d recovered, %d legitimate fresh restarts", tr.name, total, recovered, fallbacks)
 	}
-	if recovered == 0 {
-		t.Fatalf("all %d crash points fell back to fresh runs — recovery was never exercised", total)
-	}
-	t.Logf("swept %d crash points: %d recovered, %d legitimate fresh restarts", total, recovered, fallbacks)
 }
 
 // dynTortureMeta is the dynamic sweep's run identity.
@@ -301,7 +300,7 @@ func TestCheckpointPrunesOlderSnapshots(t *testing.T) {
 	const every = 8
 
 	run := func(every int64, m *vfs.Mem, each func(seq int64)) string {
-		e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
+		e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
@@ -378,7 +377,7 @@ func (w *renameWatch) Rename(oldpath, newpath string) error {
 // a second that must succeed. Then it finishes the run.
 func driveRenameFault(t *testing.T, l *item.List, fsys vfs.FS) (firstErr error, res *core.Result, err error) {
 	t.Helper()
-	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"), faultOpts()...)
+	e, err := core.NewEngine(l, newTestPolicy(t, "MoveToFront"))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -461,7 +460,7 @@ func TestCheckpointRenameFaultsAreRecoverable(t *testing.T) {
 				}
 				m.Restart()
 				cfg := Config{Dir: "d", Every: 4, FS: m}
-				rec, err := Recover(l, cfg, faultOpts()...)
+				rec, err := Recover(l, cfg)
 				if err != nil {
 					if !tortureCrashOK(err) {
 						t.Fatalf("crash point %d/%d (mode %s): recovery failed: %v", i, total, vfs.CrashMode(i%3), err)
@@ -575,13 +574,13 @@ func TestCreateSyncsParentDir(t *testing.T) {
 func TestRecoverSweepsOrphanTempFiles(t *testing.T) {
 	l := testList(t, 40)
 	dir := t.TempDir()
-	referenceRun(t, l, "MoveToFront", dir, 16)
+	referenceRun(t, l, "MoveToFront", dir, 16, nil)
 	for _, name := range []string{"snap-0000000000000016.dvbp.tmp-1", "snap-0000000000000032.dvbp.tmp-9"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half-written"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec, err := Recover(l, Config{Dir: dir, Every: 16}, faultOpts()...)
+	rec, err := Recover(l, Config{Dir: dir, Every: 16})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"dvbp/internal/core"
 	"dvbp/internal/metrics"
+	"dvbp/internal/persist"
 )
 
 // TestStoreRecoverAcknowledgedPlacements is the package-level crash story:
@@ -218,6 +221,86 @@ func TestStoreOpensParentDataDir(t *testing.T) {
 		if got, err := os.ReadFile(filepath.Join(root, name, "wal.dvbp")); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: the leftover wal.dvbp was touched (err %v)", name, err)
 		}
+	}
+}
+
+// TestStoreOpensV2SnapshotDataDir opens a data directory whose tenant
+// snapshot was written with snapshot codec version 2, before snapshots shed
+// their fault, queue and migration sections (testdata/v2-snapshot-store: one
+// MoveToFront tenant checkpointing every 4 events, with the
+// acknowledgements it got). Recovery refuses the snapshot as an
+// unsupported version, reports it, and re-steps the op log from event 0;
+// the tenant then lists every acknowledged placement and accepts a new one.
+func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "v2-snapshot-store")
+	var recorded struct {
+		Places   []PlaceResult   `json:"places"`
+		Advances []AdvanceResult `json:"advances"`
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "acks.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	const name = "snapped"
+
+	// What recovery makes of the tenant's directory, on a copy of its own.
+	probe := t.TempDir()
+	copyTree(t, filepath.Join(src, "data", name), probe)
+	logged, err := persist.ReadOpLog(nil, filepath.Join(probe, opsFile), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := persist.Recover(logged.List, persist.Config{Dir: probe, Label: name, Every: 4}, core.WithDynamicArrivals())
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.SnapshotSeq != 0 || rec.Replayed == 0 || len(rec.Corruptions) != 1 ||
+		!strings.Contains(rec.Corruptions[0].Error(), "unsupported snapshot codec version 2") {
+		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v; want the v2 snapshot refused and the op log re-stepped",
+			rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+	}
+	if err := rec.Session.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	copyTree(t, filepath.Join(src, "data"), root)
+	reg := metrics.NewRegistry()
+	store, err := OpenStore(root, Limits{}, reg)
+	if err != nil {
+		t.Fatalf("OpenStore on a directory with a v2 snapshot: %v", err)
+	}
+	defer store.Close()
+	url := newLocalServer(t, New(store, reg))
+	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value != 1 {
+		t.Fatalf("recovery reported %g corruptions, want the one refused snapshot", got.Value)
+	}
+
+	var pl PlacementsResult
+	mustStatus(t, http.StatusOK, call(t, "GET", url+"/v1/tenants/"+name+"/placements", nil, &pl), "placements")
+	if len(pl.Placements) != len(recorded.Places) {
+		t.Fatalf("%d placements listed, %d acknowledged", len(pl.Placements), len(recorded.Places))
+	}
+	for i, a := range recorded.Places {
+		if want := (PlacementRecord{Item: a.Item, Bin: a.Bin, Time: a.Time}); pl.Placements[i] != want {
+			t.Fatalf("placement %d = %+v, acknowledged %+v", i, pl.Placements[i], want)
+		}
+	}
+	var st TenantStatus
+	mustStatus(t, http.StatusOK, call(t, "GET", url+"/v1/tenants/"+name, nil, &st), "status")
+	for _, a := range recorded.Advances {
+		if st.Watermark < a.To {
+			t.Fatalf("watermark %g behind the acknowledged advance to %g", st.Watermark, a.To)
+		}
+	}
+	var pr PlaceResult
+	mustStatus(t, http.StatusOK, call(t, "POST", url+"/v1/tenants/"+name+"/place",
+		placeBody{Duration: f(1), Size: []float64{0.25, 0.25}}, &pr), "new placement")
+	if pr.Item != len(recorded.Places) {
+		t.Fatalf("new placement got item %d, want %d", pr.Item, len(recorded.Places))
 	}
 }
 
