@@ -72,7 +72,10 @@ type Policy = core.Policy
 // Request is the non-clairvoyant view of an arriving item that policies see.
 type Request = core.Request
 
-// Bin is an open bin as exposed to policies (read-only).
+// Bin is an open bin as exposed to policies (read-only). A *Bin is valid
+// only until the callbacks of the event that closed it return; the engine
+// may then reuse it for a new bin under a new ID, so code that needs a bin
+// past its close keeps its ID instead.
 type Bin = core.Bin
 
 // Result is a simulation outcome: total usage-time cost, bins opened,

@@ -44,9 +44,9 @@ type RunConfig struct {
 	// persisted, skipping every flush and sync, so Dir is left exactly as a
 	// SIGKILL would leave it; −1 never kills.
 	KillAt int64
-	// FS is the checkpoint filesystem; nil means the OS. Any other FS is
-	// taken to be a fault injector, and a finished run reports on stderr
-	// the disk faults it absorbed.
+	// FS is the checkpoint filesystem; nil means the OS. When it is a
+	// *vfs.Injector, a finished run reports on stderr the disk faults it
+	// absorbed.
 	FS vfs.FS
 	// Seed, Faults and Migration are recorded in a fresh run's meta.
 	Seed      int64
@@ -107,7 +107,7 @@ func RunPolicy(ctx context.Context, l *item.List, p core.Policy, opts []core.Opt
 			return nil, err
 		}
 		if !ok {
-			if rc.FS != nil {
+			if _, ok := rc.FS.(*vfs.Injector); ok {
 				st := s.TakeIOStats()
 				fmt.Fprintf(os.Stderr, "%s: disk weather: %d absorbed sync failures\n", rc.Tool, st.SyncFailures)
 			}

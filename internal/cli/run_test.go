@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvbp/internal/core"
@@ -90,4 +93,53 @@ func TestRunPolicyCancelledRunResumes(t *testing.T) {
 			t.Errorf("cancel at %d: restored run's metrics differ from the uninterrupted run's\n got %s\nwant %s", cancelAt, got, wantMet)
 		}
 	}
+}
+
+// TestRunPolicyDiskWeatherFollowsInjector: a finished persisted run reports
+// the disk faults it absorbed when its filesystem is a fault injector, and
+// says nothing about disk weather on a plain filesystem.
+func TestRunPolicyDiskWeatherFollowsInjector(t *testing.T) {
+	l, err := workload.Uniform(workload.UniformConfig{D: 2, N: 40, Mu: 8, T: 30, B: 20}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fs   vfs.FS
+		want bool
+	}{
+		{"mem", vfs.NewMem(), false},
+		{"injector", vfs.NewInjector(vfs.NewMem()), true},
+	} {
+		stderr := captureStderr(t, func() {
+			rc := RunConfig{Tool: "test", Dir: "run", KillAt: -1, FS: tc.fs}
+			if _, err := RunPolicy(context.Background(), l, core.NewFirstFit(), nil, rc); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if got := strings.Contains(stderr, "test: disk weather: 0 absorbed sync failures"); got != tc.want {
+			t.Errorf("%s: stderr %q reports disk weather: %v, want %v", tc.name, stderr, got, tc.want)
+		}
+	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	func() {
+		defer func() { os.Stderr = saved; w.Close() }()
+		f()
+	}()
+	return <-done
 }

@@ -10,6 +10,12 @@ import (
 // Bin is an open server/bin during simulation. Policies receive bins
 // read-only: they may inspect load and metadata but must mutate nothing; all
 // packing goes through the engine.
+//
+// A *Bin handed to a policy or an observer is valid only until the callbacks
+// of the event that closed it return. From the next dispatch on, the engine
+// may reopen the same struct as a new bin under a new ID, within the run or
+// in a later run over the same Instance. Whoever needs a bin past its close
+// keeps its ID or copies what it reads.
 type Bin struct {
 	// ID numbers bins by opening order, starting at 0. A smaller ID means an
 	// earlier opening time (First Fit's order).
@@ -50,23 +56,30 @@ type fitProbe struct {
 	n     int
 }
 
-// newBin returns an empty bin. acc and active, when non-nil, are a closed
-// bin's zeroed accumulators and emptied item map, taken off the engine's
-// spare lists; only what is nil is allocated. The load vector is always
-// fresh, because observers may still read a closed bin's load.
-func newBin(id int, d int, openedAt float64, acc []vector.Acc, active map[int]vector.Vector) *Bin {
-	if acc == nil {
-		acc = make([]vector.Acc, d)
-	}
-	if active == nil {
-		active = make(map[int]vector.Vector)
-	}
+// newBin returns an empty bin.
+func newBin(id int, d int, openedAt float64) *Bin {
 	return &Bin{
 		ID:       id,
 		OpenedAt: openedAt,
 		load:     vector.New(d),
-		acc:      acc,
-		active:   active,
+		acc:      make([]vector.Acc, d),
+		active:   make(map[int]vector.Vector),
+	}
+}
+
+// reopen turns a closed bin into an empty bin with a new ID, in place. A bin
+// that crashed still holds its items and load, which its close callbacks
+// read, so everything is cleared here rather than at the close. Only a
+// crashed bin's item map needs clearing; clear on a large emptied map
+// would still sweep its whole capacity.
+func (b *Bin) reopen(id int, openedAt float64) {
+	b.ID, b.OpenedAt, b.packed = id, openedAt, 0
+	clear(b.load)
+	for j := range b.acc {
+		b.acc[j].Reset()
+	}
+	if len(b.active) > 0 {
+		clear(b.active)
 	}
 }
 
@@ -134,9 +147,6 @@ func (b *Bin) pack(itemID int, size vector.Vector) error {
 	}
 	b.active[itemID] = size
 	b.packed++
-	// Ranging over load, not acc: a closed bin's acc is nil (it went to the
-	// engine's spare list), so a stale pack or remove that gets this far
-	// panics instead of writing into the limbs another bin now owns.
 	for j := range b.load {
 		b.acc[j].Add(size[j])
 		b.load[j] = b.acc[j].Round()

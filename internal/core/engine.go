@@ -91,6 +91,11 @@ func WithLinearSelect() Option {
 // Observer receives engine lifecycle callbacks; used by instrumentation such
 // as the Theorem 2 leading-interval decomposition. Any method may be nil-safe
 // no-op via BaseObserver.
+//
+// A *Bin a callback receives is valid only until the callbacks of the event
+// that closed it return: from the next dispatch on, the engine may reuse it
+// under a new ID (see Bin). An observer that needs a bin later keeps its ID
+// or copies what it reads.
 type Observer interface {
 	// BeforePack fires when an item is about to be dispatched, after all
 	// events at or before the dispatch time have been processed. Under
@@ -309,12 +314,10 @@ type Engine struct {
 	served     int
 	eventSeq   int64
 
-	// Spare lists (closeBinAt): the zeroed accumulators of closed bins and
-	// the emptied item maps of bins that closed empty, which the next bins
-	// to open take first. Neither list holds more than the run's peak number
-	// of open bins, and neither is snapshot state.
-	spareAcc    [][]vector.Acc
-	spareActive []map[int]vector.Vector
+	// spare holds the closed bins the next bins to open reuse (closeBinAt,
+	// openBin): those the run took from its Instance (Instance.Simulate)
+	// and those it closed itself. It is not snapshot state.
+	spare []*Bin
 
 	probe  *fitProbe
 	selObs SelectObserver
@@ -578,11 +581,12 @@ func (e *Engine) makeReq(it item.Item, now float64, attempt int) Request {
 // O(burst·open) repeated splicing would. The slice is compacted (order
 // preserved) before the next dispatch consults the policy.
 //
-// Once the policy and the observer have seen the close, the bin's
-// accumulators go, zeroed, onto the spare list the next bin to open takes
-// from, and so does its item map when the bin closed empty. A crashed bin
-// keeps its map, because BinCrashed observers read it after the close. The
-// load vector is never handed on: observers may read it later.
+// Once the policy and the observer have seen the close, the bin goes onto
+// the spare list unchanged, so a crashed bin keeps its items and a drained
+// one its state for the BinCrashed, ItemEvicted and ItemMigrated callbacks
+// that follow; openBin clears it when it reuses it. Every later event
+// resolves its bin by ID, and a reused bin has a new one, so no stale event
+// reaches it.
 func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	if e.hist != nil {
 		e.hist.RecordBin(BinUsage{BinID: b.ID, OpenedAt: b.OpenedAt, ClosedAt: t, Packed: b.PackedItems(), Crashed: crashed})
@@ -599,25 +603,25 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	if e.cfg.observer != nil {
 		e.cfg.observer.BinClosed(b, t)
 	}
-	for j := range b.acc {
-		b.acc[j].Reset()
-	}
-	e.spareAcc = append(e.spareAcc, b.acc)
-	b.acc = nil
-	if !crashed {
-		e.spareActive = append(e.spareActive, b.active)
-		b.active = nil
-	}
+	e.spare = append(e.spare, b)
 }
 
-// popSpare takes the most recently pushed entry off a spare list, or returns
-// nil when the list is empty.
-func popSpare[T any](list *[]T) (v T) {
-	if n := len(*list); n > 0 {
-		v = (*list)[n-1]
-		*list = (*list)[:n-1]
+// openBin opens the next bin at time now: the most recently closed spare
+// bin, reopened in place, or a new one when the spare list is empty.
+func (e *Engine) openBin(now float64) *Bin {
+	var b *Bin
+	if n := len(e.spare); n > 0 {
+		b, e.spare = e.spare[n-1], e.spare[:n-1]
+		b.reopen(e.nextBinID, now)
+	} else {
+		b = newBin(e.nextBinID, e.list.Dim, now)
 	}
-	return v
+	b.openIdx = len(e.open)
+	b.probe = e.probe
+	e.nextBinID++
+	e.open = append(e.open, b)
+	e.binsByID[b.ID] = b
+	return b
 }
 
 func (e *Engine) compact() {
@@ -630,9 +634,6 @@ func (e *Engine) compact() {
 			b.openIdx = len(live)
 			live = append(live, b)
 		}
-	}
-	for i := len(live); i < len(e.open); i++ {
-		e.open[i] = nil // release closed bins to the GC
 	}
 	e.open = live
 	e.holes = 0
@@ -702,19 +703,14 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 			}
 			return false, -1, false, nil
 		}
-		b = newBin(e.nextBinID, e.list.Dim, now, popSpare(&e.spareAcc), popSpare(&e.spareActive))
-		b.openIdx = len(e.open)
-		b.probe = e.probe
-		e.nextBinID++
-		e.open = append(e.open, b)
-		e.binsByID[b.ID] = b
+		b = e.openBin(now)
 		opened = true
 		if e.cfg.injector != nil {
 			if at, ok := e.cfg.injector.BinOpened(b.ID, now); ok && !math.IsNaN(at) && at > now {
 				e.crashes.PushAt(at, int64(b.ID), b.ID)
 			}
 		}
-	} else if _, known := e.binsByID[b.ID]; !known {
+	} else if e.binsByID[b.ID] != b {
 		return false, -1, false, fmt.Errorf("core: policy %s returned closed or foreign bin %d", e.p.Name(), b.ID)
 	}
 	if e.cfg.audit != nil {

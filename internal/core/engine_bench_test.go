@@ -25,14 +25,21 @@ func churnInstance(n int) *item.List {
 	return l
 }
 
+// BenchmarkBinChurnClose makes cost-only runs over one Instance, so from the
+// second run on every bin reopens one an earlier run handed on, and what a
+// run allocates is its scaffolding: the open-bin slice, the bin map and the
+// event queue.
 func BenchmarkBinChurnClose(b *testing.B) {
 	for _, n := range []int{1000, 2000, 4000, 8000} {
-		l := churnInstance(n)
+		in, err := NewInstance(churnInstance(n))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := NewNextFit() // O(1) Select, isolating close cost
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Simulate(l, p)
+				res, err := in.Simulate(p, WithHistory(nil))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dvbp/internal/item"
@@ -204,18 +205,29 @@ func TestEngineRejectsUnfitChoice(t *testing.T) {
 	}
 }
 
-// foreignPolicy returns a bin the engine doesn't know.
-type foreignPolicy struct{ *FirstFit }
-
-func (foreignPolicy) Name() string { return "Foreign" }
-func (foreignPolicy) Select(req Request, open []*Bin) *Bin {
-	return newBin(999, req.Size.Dim(), 0, nil, nil)
+// foreignPolicy lets the engine open the first bin, then returns a bin of
+// its own making with the given ID.
+type foreignPolicy struct {
+	*FirstFit
+	id int
 }
 
+func (foreignPolicy) Name() string { return "Foreign" }
+func (f foreignPolicy) Select(req Request, open []*Bin) *Bin {
+	if len(open) == 0 {
+		return nil
+	}
+	return newBin(f.id, req.Size.Dim(), 0)
+}
+
+// TestEngineRejectsForeignBin: the engine refuses a bin it does not hold,
+// whether its ID is unknown or that of an open bin.
 func TestEngineRejectsForeignBin(t *testing.T) {
-	l := list(t, 1, []float64{0, 2, 0.5})
-	if _, err := Simulate(l, foreignPolicy{NewFirstFit()}); err == nil {
-		t.Error("policy returning foreign bin: want error")
+	l := list(t, 1, []float64{0, 2, 0.5}, []float64{1, 2, 0.3})
+	for _, id := range []int{999, 0} {
+		if _, err := Simulate(l, foreignPolicy{NewFirstFit(), id}); err == nil || !strings.Contains(err.Error(), "foreign bin") {
+			t.Errorf("policy returning a foreign bin with ID %d: err = %v, want a refusal", id, err)
+		}
 	}
 }
 

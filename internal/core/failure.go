@@ -56,6 +56,10 @@ func (retryNow) Delay(int) float64 { return 0 }
 // Note that under admission control a BeforePack callback is not always
 // followed by AfterPack: a dispatch that is queued or rejected fires
 // ItemQueued or ItemRejected instead.
+//
+// The crashed bin BinCrashed and ItemEvicted receive still holds its evicted
+// items and their load, and it is valid until those callbacks return (see
+// Bin): the engine may reopen it for the next dispatch under a new ID.
 type FailureObserver interface {
 	// BinCrashed fires when fault injection forcibly closes a bin at time t,
 	// after the bin's BinClosed callback. evicted is the number of items

@@ -18,7 +18,7 @@ func fleet(n, d int, seed int64) []*Bin {
 	open := make([]*Bin, n)
 	size := vector.New(d)
 	for i := range open {
-		b := newBin(i, d, 0, nil, nil)
+		b := newBin(i, d, 0)
 		for j := range size {
 			size[j] = float64(30+r.Intn(70)) / 100
 		}

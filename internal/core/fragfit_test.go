@@ -12,7 +12,7 @@ import (
 // fragBin builds an open bin with the given load for direct Select tests.
 func fragBin(t *testing.T, id int, load ...float64) *Bin {
 	t.Helper()
-	b := newBin(id, len(load), 0, nil, nil)
+	b := newBin(id, len(load), 0)
 	if err := b.pack(1000+id, vector.Of(load...)); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDotProductLoopMatchesScoredSelect(t *testing.T) {
 					load[j] = math.Nextafter(load[j], 2)
 				}
 			}
-			b := newBin(i, d, 0, nil, nil)
+			b := newBin(i, d, 0)
 			b.probe = probe
 			if err := b.pack(i, load); err != nil {
 				t.Fatal(err)

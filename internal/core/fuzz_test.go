@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"dvbp/internal/item"
@@ -9,12 +11,15 @@ import (
 
 // FuzzSimulate decodes a byte string into an item list and checks the engine
 // invariants hold for every policy: no error on valid input, cost ≥ span,
-// every item placed exactly once, bin records consistent.
+// every item placed exactly once, bin records consistent. For every policy
+// that can be checkpointed it also snapshots a second run before event
+// snapAt (modulo the run's length), restores the snapshot and requires the
+// restored run to finish with the uninterrupted run's Result.
 func FuzzSimulate(f *testing.F) {
-	f.Add([]byte{10, 1, 5, 3, 20, 2, 7, 9, 50, 10, 1, 1})
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{10, 1, 5, 3, 0, 20, 2, 7, 9, 0x9E, 50, 10, 1, 1, 0xE0}, uint16(3))
+	f.Add([]byte{0, 0, 0, 0}, uint16(0))
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255}, uint16(65535))
+	f.Fuzz(func(t *testing.T, data []byte, snapAt uint16) {
 		l := decodeInstance(data)
 		if l == nil {
 			return
@@ -33,8 +38,48 @@ func FuzzSimulate(f *testing.F) {
 			if len(res.Bins) != res.BinsOpened {
 				t.Fatalf("%s: bin record mismatch", p.Name())
 			}
+			if CheckpointablePolicy(p) {
+				// A fault-free run commits an arrival and a departure per item.
+				restoreAt(t, l, p, int(snapAt)%(2*l.Len()+1), res)
+			}
 		}
 	})
+}
+
+// restoreAt runs p over l to event k, snapshots the run, restores the
+// snapshot into a fresh engine and requires it to finish with want.
+func restoreAt(t *testing.T, l *item.List, p Policy, k int, want *Result) {
+	t.Helper()
+	e, err := NewEngine(l, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < k; i++ {
+		if _, ok, err := e.Step(); err != nil || !ok {
+			t.Fatalf("%s: step %d: ok=%v err=%v", p.Name(), i, ok, err)
+		}
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: Snapshot at event %d: %v", p.Name(), k, err)
+	}
+	q, err := NewPolicy(p.Name(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreEngine(l, q, s)
+	if err != nil {
+		t.Fatalf("%s: RestoreEngine at event %d: %v on %v", p.Name(), k, err, l.Items)
+	}
+	defer r.Close()
+	got, err := r.run()
+	if err != nil {
+		t.Fatalf("%s: restored at event %d: %v", p.Name(), k, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: restored at event %d: result %s, uninterrupted %s", p.Name(), k, got, want)
+	}
 }
 
 // FuzzSimulateFaulty decodes an item list plus a fault configuration from the
@@ -43,8 +88,8 @@ func FuzzSimulate(f *testing.F) {
 // conservation, and structural bin invariants under crash/evict/retry and
 // admission control.
 func FuzzSimulateFaulty(f *testing.F) {
-	f.Add([]byte{3, 9, 1, 2, 10, 1, 5, 3, 20, 2, 7, 9, 50, 10, 1, 1})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 9, 1, 2, 10, 1, 5, 3, 0, 20, 2, 7, 9, 0, 50, 10, 1, 1, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
@@ -124,20 +169,33 @@ func checkFaultStructure(t *testing.T, label string, res *Result, maxBins int) {
 	}
 }
 
-// decodeInstance maps fuzz bytes onto a small valid instance: groups of four
-// bytes become (arrival, duration, size0, size1) with all values scaled into
-// range. Returns nil when the input is too short.
+// decodeInstance maps fuzz bytes onto a small valid instance: groups of five
+// bytes become (arrival, duration, size0, size1, binades) with all values
+// scaled into range. A size byte gives k/100 for k in 1..100; the binades
+// byte gives each dimension a nibble n that leaves its size alone below 8,
+// scales it by 2^(-5(n-7)), down to 2^-35, from 8 to 14, and zeroes it at
+// 15. Sizes then mix magnitudes whose exact sums span many accumulator
+// limbs, some below 2^-30. Returns nil when the input is too short.
 func decodeInstance(data []byte) *item.List {
-	if len(data) < 4 {
+	if len(data) < 5 {
 		return nil
 	}
+	size := func(b, n byte) float64 {
+		s := float64(1+b%100) / 100
+		switch {
+		case n == 15:
+			return 0
+		case n >= 8:
+			return math.Ldexp(s, -5*int(n-7))
+		}
+		return s
+	}
 	l := item.NewList(2)
-	for i := 0; i+3 < len(data) && l.Len() < 64; i += 4 {
+	for i := 0; i+4 < len(data) && l.Len() < 64; i += 5 {
 		arrival := float64(data[i] % 32)
 		duration := 1 + float64(data[i+1]%16)
-		s0 := float64(1+data[i+2]%100) / 100
-		s1 := float64(1+data[i+3]%100) / 100
-		l.Add(arrival, arrival+duration, vector.Of(s0, s1))
+		binades := data[i+4]
+		l.Add(arrival, arrival+duration, vector.Of(size(data[i+2], binades&15), size(data[i+3], binades>>4)))
 	}
 	return l
 }

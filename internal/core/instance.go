@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"dvbp/internal/item"
 )
@@ -10,9 +11,15 @@ import (
 // NewInstance validates it, sorts its arrival order and folds span(R) and μ
 // over that order. Runs read all three and write none, so one Instance can
 // drive many policies in sequence, or in concurrent goroutines, and each run
-// pays only for its own events (Instance.Simulate). Simulate and a static
-// NewEngine prepare an Instance of their own, so every run validates and
+// pays only for its own events (Instance.Simulate). Simulate, NewEngine and
+// RestoreEngine prepare an Instance of their own, so every run validates and
 // orders its list through the same code.
+//
+// Runs also pass their bins on: a run takes the closed bins the Instance
+// holds, reuses them before it allocates new ones, and hands all of its bins
+// back when it finishes, so a run over a warm Instance opens bins without
+// allocating. The Instance therefore keeps up to the largest peak of open
+// bins any of its runs reached.
 //
 // The Instance reads the list in place, item sizes included: the caller must
 // not mutate the list while runs over it may start or are in progress.
@@ -22,26 +29,27 @@ type Instance struct {
 	// shape folds span(R) and μ over the same order (arrivals.go).
 	arrivals []int32
 	shape    shape
+
+	// mu guards spare, the closed bins the next run takes (takeSpare,
+	// putSpare), so a bin is never in two live runs.
+	mu    sync.Mutex
+	spare []*Bin
 }
 
 // NewInstance validates a static list and prepares it for shared runs. It
 // refuses exactly the lists Simulate refuses, with the same errors.
 func NewInstance(l *item.List) (*Instance, error) {
-	in, err := prepare(l, false)
-	if err != nil {
-		return nil, err
-	}
-	return &in, nil
+	return prepare(l, false)
 }
 
 // prepare validates l for the run mode and orders its arrivals. A dynamic
 // run's Instance is its own: the engine grows its arrival order as items are
 // appended.
-func prepare(l *item.List, dynamic bool) (Instance, error) {
+func prepare(l *item.List, dynamic bool) (*Instance, error) {
 	if err := validateList(l, dynamic); err != nil {
-		return Instance{}, err
+		return nil, err
 	}
-	in := Instance{list: l, arrivals: l.ArrivalOrder()}
+	in := &Instance{list: l, arrivals: l.ArrivalOrder()}
 	for _, i := range in.arrivals {
 		in.shape.add(l.Items[i].Arrival, l.Items[i].Departure)
 	}
@@ -84,7 +92,32 @@ func (in *Instance) Simulate(p Policy, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.run()
+	e.spare = in.takeSpare()
+	res, err := e.run()
+	// Once the run has finished, every bin it had is closed and on its spare
+	// list; a failed run's spare list holds closed bins only.
+	in.putSpare(e.spare)
+	return res, err
+}
+
+// takeSpare hands a starting run every closed bin the Instance holds.
+func (in *Instance) takeSpare() []*Bin {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	s := in.spare
+	in.spare = nil
+	return s
+}
+
+// putSpare takes back a finished run's bins. Of two runs that overlapped,
+// the Instance keeps the larger set, so it never holds more bins than one
+// run had.
+func (in *Instance) putSpare(s []*Bin) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(s) > len(in.spare) {
+		in.spare = s
+	}
 }
 
 // newEngine starts a run of p over the instance: it takes the policy-reuse

@@ -83,7 +83,9 @@ type MigrationPlanner interface {
 // FailureObserver): when the attached Observer also implements it, the engine
 // reports every applied move. ItemMigrated fires after the item has been
 // re-packed into to (both bins' loads reflect the move); a move that drains
-// its source fires the source's BinClosed callback first.
+// its source fires the source's BinClosed callback first. A drained source
+// is valid until ItemMigrated returns (see Bin): the engine may reopen it
+// for the next dispatch under a new ID.
 type MigrationObserver interface {
 	// ItemMigrated fires at pass time t after the item moved from from to to.
 	// cost is the move's MigrationMoveCost. drained reports that the move

@@ -62,7 +62,7 @@ func TestMoveToFrontRecencyOrder(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(bins) == 0: // open a new bin
-			b := newBin(nextID, 1, 0, nil, nil)
+			b := newBin(nextID, 1, 0)
 			nextID++
 			bins[b.ID] = b
 			mf.OnPack(req, b, true)
@@ -106,12 +106,12 @@ func TestMoveToFrontSelectScansRecencyOrder(t *testing.T) {
 	mf := NewMoveToFront()
 	req := Request{Size: vector.Of(0.1)}
 
-	full := newBin(0, 1, 0, nil, nil)
+	full := newBin(0, 1, 0)
 	if err := full.pack(100, vector.Of(0.95)); err != nil {
 		t.Fatal(err)
 	}
-	roomy := newBin(1, 1, 0, nil, nil)
-	spare := newBin(2, 1, 0, nil, nil)
+	roomy := newBin(1, 1, 0)
+	spare := newBin(2, 1, 0)
 	// Recency: full (leader), then roomy, then spare.
 	mf.OnPack(req, spare, true)
 	mf.OnPack(req, roomy, true)
@@ -137,7 +137,7 @@ func TestMoveToFrontReset(t *testing.T) {
 	mf := NewMoveToFront()
 	req := Request{Size: vector.Of(0.1)}
 	for i := 0; i < 8; i++ {
-		mf.OnPack(req, newBin(i, 1, 0, nil, nil), true)
+		mf.OnPack(req, newBin(i, 1, 0), true)
 	}
 	mf.Reset()
 	if mf.LeaderID() != -1 {
@@ -146,7 +146,7 @@ func TestMoveToFrontReset(t *testing.T) {
 	if got := mf.Select(req, nil); got != nil {
 		t.Fatalf("Select after Reset = %v, want nil", got)
 	}
-	b := newBin(99, 1, 0, nil, nil)
+	b := newBin(99, 1, 0)
 	mf.OnPack(req, b, true)
 	if mf.LeaderID() != 99 {
 		t.Fatalf("LeaderID = %d, want 99", mf.LeaderID())

@@ -40,6 +40,12 @@ type Request struct {
 //   - OnClose is called when a bin's last item departs, before any subsequent
 //     Select.
 //
+// A *Bin the engine hands a policy is valid only until the callbacks of the
+// event that closed it return: from the next dispatch on, the engine may
+// reuse it under a new ID. A policy that remembers bins past OnClose keys
+// them by ID, as Next Fit and Harmonic Fit do, or drops them in OnClose, as
+// Move To Front does.
+//
 // Policies must return either nil or a bin from open that Fits the request's
 // size. Returning an unfit bin is a policy bug; the engine reports it as an
 // error rather than packing infeasibly.

@@ -126,7 +126,7 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 				return false, nil
 			}
 			opened = true
-			target = &frBin{bin: newBin(len(bins), l.Dim, now, nil, nil)}
+			target = &frBin{bin: newBin(len(bins), l.Dim, now)}
 			bins = append(bins, target)
 			if cfg.injector != nil {
 				if at, ok := cfg.injector.BinOpened(target.bin.ID, now); ok && !math.IsNaN(at) && at > now {

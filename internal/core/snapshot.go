@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
 	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
 
 // Snapshot is a complete, self-contained capture of an Engine's state at an
@@ -70,7 +70,10 @@ type BinSnapshot struct {
 	// (vector.Acc.AppendBinary payloads), one per dimension. Restore
 	// cross-checks it against the accumulator rebuilt from ActiveIDs: the
 	// limbs are a pure function of the active multiset, so any divergence
-	// means the snapshot is corrupt.
+	// means the snapshot is corrupt. The limb window is not: it keeps every
+	// limb written since the bin opened, so the check compares limbs by
+	// value (vector.Acc.Equal), and the restored bin keeps the snapshot's
+	// window, as the uninterrupted run does.
 	Acc [][]byte
 }
 
@@ -248,9 +251,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// Rebuild the open bins. Active sizes come from the instance; the
 	// accumulator limbs are rebuilt from the active multiset (the same pure
 	// function the live engine maintains incrementally) and then compared
-	// byte-for-byte against the snapshot's captured limbs — a free integrity
+	// limb by limb against the snapshot's captured limbs — a free integrity
 	// check on both the item set and the recorded loads.
 	activeOwner := make(map[int]int, len(s.Bins))
+	var captured vector.Acc
 	prevID := -1
 	for _, bs := range s.Bins {
 		if bs.ID <= prevID {
@@ -269,7 +273,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		if bs.Packed < len(bs.ActiveIDs) {
 			return nil, corruptf("bin %d packed %d < %d active", bs.ID, bs.Packed, len(bs.ActiveIDs))
 		}
-		b := newBin(bs.ID, l.Dim, bs.OpenedAt, nil, nil)
+		b := newBin(bs.ID, l.Dim, bs.OpenedAt)
 		b.packed = bs.Packed
 		for _, id := range bs.ActiveIDs {
 			it, known := e.item(id)
@@ -284,9 +288,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		}
 		b.refreshLoadFromActive()
 		for j := range b.acc {
-			if got := b.acc[j].AppendBinary(nil); !bytes.Equal(got, bs.Acc[j]) {
+			if captured.UnmarshalBinary(bs.Acc[j]) != nil || !captured.Equal(&b.acc[j]) {
 				return nil, corruptf("bin %d dimension %d: snapshot load limbs disagree with active item set", bs.ID, j)
 			}
+			b.acc[j] = captured
 		}
 		b.openIdx = len(e.open)
 		b.probe = e.probe

@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
 
 // stepAll drives e to completion, returning the committed records and result.
@@ -237,6 +239,51 @@ func TestSnapshotAfterFinishFails(t *testing.T) {
 // TestRestoreRejectsInconsistentSnapshots corrupts a valid snapshot in every
 // structural way the restore path validates and checks each one surfaces as
 // an error (never a panic, never a silently wrong engine).
+// TestRestoreAcceptsWidenedLimbWindow: item 1 is so small that its
+// mantissa sits in limbs item 0 does not touch, and it departs first. Bin 0's
+// accumulator window still covers those limbs, now zero, so the snapshot's
+// limb bytes differ from those of an accumulator rebuilt from item 0 alone,
+// though both hold the same sum. Restore must accept the snapshot, keep its
+// window, so a snapshot of the restored engine equals the original, and
+// finish as the uninterrupted run does.
+func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
+	l := list(t, 1, []float64{0, 10, 0.5}, []float64{0, 1, 1e-12}, []float64{2, 3, 0.9})
+	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
+	e, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 3; i++ {
+		if _, ok, err := e.Step(); err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh vector.Acc
+	fresh.Add(0.5)
+	if len(snap.Bins) != 1 || string(snap.Bins[0].Acc[0]) == string(fresh.AppendBinary(nil)) {
+		t.Fatal("the test needs a snapshot whose limb window is wider than its items'")
+	}
+	r, err := RestoreEngine(l, NewFirstFit(), snap)
+	if err != nil {
+		t.Fatalf("RestoreEngine: %v", err)
+	}
+	again, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, snap) {
+		t.Errorf("snapshot of the restored engine differs from the one it was restored from:\n got %+v\nwant %+v", again.Bins, snap.Bins)
+	}
+	if _, res := stepAll(t, r); resultJSON(t, res) != want {
+		t.Errorf("restored run finished with %s, want %s", resultJSON(t, res), want)
+	}
+}
+
 func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 	l := randomList(5, 30, 2, 20)
 	take := func(t *testing.T) *Snapshot {

@@ -15,6 +15,8 @@ import (
 	"dvbp/internal/faults"
 	"dvbp/internal/item"
 	"dvbp/internal/metrics"
+	"dvbp/internal/vector"
+	"dvbp/internal/vfs"
 	"dvbp/internal/workload"
 )
 
@@ -521,6 +523,59 @@ func TestRecoverWithoutSnapshotsReplaysFromScratch(t *testing.T) {
 	}
 	if got := resultJSON(t, res); got != wantRes {
 		t.Fatalf("result diverged\n got %s\nwant %s", got, wantRes)
+	}
+}
+
+// TestRecoverRestoresSnapshotAfterTinyItemDeparts: a bin's accumulator
+// window keeps the limbs of an item far smaller than its neighbours after
+// that item departs, so the snapshot serialises zero limbs at the window's
+// edge that an accumulator rebuilt from the remaining items does not have.
+// The snapshot is valid all the same: recovery must restore it, tolerate
+// nothing, and finish the run as the uninterrupted run does.
+func TestRecoverRestoresSnapshotAfterTinyItemDeparts(t *testing.T) {
+	l := item.NewList(1)
+	l.Add(0, 10, vector.Of(0.5))
+	l.Add(0, 1, vector.Of(1e-12))
+	l.Add(2, 3, vector.Of(0.9))
+	const policy = "FirstFit"
+	want, err := core.Simulate(l, newTestPolicy(t, policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(l, newTestPolicy(t, policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Dir: "run", Every: 3, SyncEvery: 1, FS: vfs.NewMem()}
+	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
+	if err != nil {
+		e.Close()
+		t.Fatal(err)
+	}
+	// Arrivals 0 and 1 share bin 0, item 1 departs at t = 1, and the third
+	// step checkpoints; the fourth places item 2.
+	for i := 0; i < 4; i++ {
+		if _, ok, err := s.Step(); err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(l, cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rec.Corruptions) != 0 || rec.SnapshotSeq != 3 || rec.Replayed != 1 {
+		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v, want snapshot 3 + 1 and none",
+			rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+	}
+	got, err := rec.Session.Run()
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
+		t.Fatalf("result diverged\n got %s\nwant %s", a, b)
 	}
 }
 

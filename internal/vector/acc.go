@@ -256,6 +256,31 @@ func (a *Acc) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// Equal reports whether a and b hold the same limbs. The limbs are a pure
+// function of the accumulated multiset, so two accumulators that saw the
+// same values compare equal whatever else they saw and removed since their
+// last Reset. Their limb windows may differ: a window keeps every limb
+// written since the last Reset, including limbs a later Sub left at zero.
+// Every limb outside a window is zero, so comparing over the union of the
+// two windows compares everything.
+func (a *Acc) Equal(b *Acc) bool {
+	lo, hi := a.lo, a.hi
+	switch {
+	case !a.used && !b.used:
+		return true
+	case !a.used:
+		lo, hi = b.lo, b.hi
+	case b.used:
+		lo, hi = min(lo, b.lo), max(hi, b.hi)
+	}
+	for i := lo; i <= hi; i++ {
+		if a.limb[i] != b.limb[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // IsZero reports whether the exact accumulated sum is zero. Unlike comparing
 // Round() against 0, this is exact even when cancellation leaves a sum too
 // small to represent.

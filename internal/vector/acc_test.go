@@ -187,6 +187,45 @@ func TestAccNegativeAndZero(t *testing.T) {
 	}
 }
 
+// TestAccEqualIgnoresWindow: a value that was added and removed again
+// widens the limb window and leaves zero limbs at its edge, so the two
+// accumulators below serialise differently, yet they hold the same multiset
+// and must compare equal; a different multiset must not.
+func TestAccEqualIgnoresWindow(t *testing.T) {
+	var wide, fresh, other, empty Acc
+	wide.Add(0.5)
+	wide.Add(1e-12)
+	wide.Sub(1e-12)
+	fresh.Add(0.5)
+	other.Add(0.5)
+	other.Add(1e-12)
+	if string(wide.AppendBinary(nil)) == string(fresh.AppendBinary(nil)) {
+		t.Fatal("the test needs accumulators whose windows differ")
+	}
+	for _, c := range []struct {
+		a, b *Acc
+		want bool
+	}{
+		{&wide, &fresh, true},
+		{&fresh, &wide, true},
+		{&wide, &other, false},
+		{&other, &fresh, false},
+		{&empty, &empty, true},
+		{&empty, &fresh, false},
+		{&fresh, &empty, false},
+	} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.a.Round(), c.b.Round(), got, c.want)
+		}
+	}
+	var cancelled Acc
+	cancelled.Add(0.25)
+	cancelled.Sub(0.25)
+	if !cancelled.Equal(&empty) || !empty.Equal(&cancelled) {
+		t.Error("an accumulator whose values all cancelled should equal the zero value")
+	}
+}
+
 func TestAccReset(t *testing.T) {
 	var a Acc
 	a.Add(1e300)
