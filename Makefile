@@ -204,11 +204,13 @@ deps-check:
 # Short differential-fuzz pass: the clean engine, the engine under fault
 # injection, the fault-schedule parsers, and the persistence layer's op-log
 # and snapshot decoders (seed corpus committed under internal/persist/testdata).
-# Each fuzzer gets FUZZTIME.
+# Each fuzzer gets FUZZTIME, and each minimization of a new input at most 1s:
+# at Go's default of 60s a soak run (raised FUZZTIME) spends most of its time
+# minimizing instead of executing inputs.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzSimulate$$' -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzSimulateFaulty$$' -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
-	$(GO) test -run='^$$' -fuzz='^FuzzMigrationPlan$$' -fuzztime=$(FUZZTIME) ./internal/migrate
-	$(GO) test -run='^$$' -fuzz='^FuzzOpLogDecode$$' -fuzztime=$(FUZZTIME) ./internal/persist
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzSimulate$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzSimulateFaulty$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/faults
+	$(GO) test -run='^$$' -fuzz='^FuzzMigrationPlan$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/migrate
+	$(GO) test -run='^$$' -fuzz='^FuzzOpLogDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/persist

@@ -41,6 +41,9 @@ type Bin struct {
 	// openIdx is the bin's current index in the engine's open slice, kept
 	// up to date by the engine so closing a bin needs no linear scan.
 	openIdx int
+	// ixKey is the key the bin is filed under in Worst Fit's bin index,
+	// while the engine keeps one (binIndex).
+	ixKey float64
 	// probe, when armed by the engine around Policy.Select, counts fit
 	// checks for the SelectObserver instrumentation seam.
 	probe *fitProbe

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"dvbp/internal/binindex"
 	"dvbp/internal/eventq"
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
@@ -29,7 +28,7 @@ type config struct {
 	linearSelect bool
 	dynamic      bool
 	// indexPeak, when non-zero, replaces indexMinPeak as the peak open-bin
-	// count at which an IndexedPolicy's index is built. Only tests set it
+	// count at which Worst Fit's bin index is built. Only tests set it
 	// (withIndexPeak), to run the index on small fleets.
 	indexPeak int
 
@@ -71,19 +70,19 @@ func WithClairvoyance() Option {
 // invariant checking in tests. Audit mode also arms the fast-path oracle: on
 // either fast Select path (the bin index or the held open-load totals) every
 // decision is re-derived through the policy's own Select and compared, and
-// after every mutation of the open set the index's structural invariants are
-// re-validated and the held totals are checked against a fresh sum.
+// after every mutation of the open set the index is checked to file every
+// open bin once, in order, under its current key, and the held totals are
+// checked against a fresh sum.
 func WithAudit(a *Audit) Option {
 	return func(c *config) { c.audit = a }
 }
 
 // WithLinearSelect makes the engine call every policy's own Select, the
 // O(open) scan, where it would otherwise take a fast path: the bin index for
-// Worst Fit and for Best Fit at d = 1 (IndexedPolicy) once the run's peak
-// has reached indexMinPeak open bins, or the engine-held open-load totals
-// for AdaptiveHybrid. The scan is the differential oracle both fast paths
-// are tested against (DESIGN.md §11); production runs have no reason to use
-// this option.
+// Worst Fit once the run's peak has reached indexMinPeak open bins, or the
+// engine-held open-load totals for AdaptiveHybrid. The scan is the
+// differential oracle both fast paths are tested against (DESIGN.md §11);
+// production runs have no reason to use this option.
 func WithLinearSelect() Option {
 	return func(c *config) { c.linearSelect = true }
 }
@@ -122,13 +121,12 @@ func WithObserver(o Observer) Option {
 //
 // chosen is Select's return value: nil means the policy declined every open
 // bin and the engine opened a fresh one. fitChecks counts the feasibility
-// evaluations the decision performed: on the linear path these are the
-// policy's own Bin.Fits calls and the bins its shared scan loops tested (one
-// check per bin examined), on the indexed path the bin store's per-entry
-// and subtree-prune evaluations (its O(1) bucket-mask rejections are not
-// counted — they evaluate no load vector). The engine's feasibility re-check
-// while packing is never included. Runs whose observer does not implement
-// SelectObserver pay no counting overhead.
+// evaluations the decision performed, one per bin tested: on the linear path
+// the policy's own Bin.Fits calls and the bins its shared scan loops tested,
+// on Worst Fit's indexed path the bins its walk tested, up to and including
+// the first that fits. The engine's feasibility re-check while packing is
+// never included. Runs whose observer does not implement SelectObserver pay
+// no counting overhead.
 type SelectObserver interface {
 	// AfterSelect fires after Policy.Select returns, before the item is
 	// packed (and before any new bin is opened).
@@ -337,17 +335,17 @@ type Engine struct {
 	passTime     float64
 	redirects    map[int64]int
 
-	// Fast Select paths, nil unless the policy takes one at the run's
-	// dimension and WithLinearSelect does not force the scan. The engine
-	// mirrors every change to the open set into them. idx, keyed by ixKey,
-	// answers an IndexedPolicy's Select with its leftmost feasible entry; it
-	// is built at the first dispatch after the run's peak open-bin count
-	// has reached ixFrom (buildIndex) and kept to the end of the run.
+	// Fast Select paths, nil unless the policy takes one and
+	// WithLinearSelect does not force the scan. The engine mirrors every
+	// change to the open set into them. idx, keyed by ixKey (Worst Fit's
+	// load measure), answers Worst Fit's Select with its first fitting
+	// entry; it is built at the first dispatch after the run's peak open-bin
+	// count has reached ixFrom (buildIndex) and kept to the end of the run.
 	// totals holds the exact per-dimension sum of the open bins' loads,
 	// which tp reads in place of re-summing the bins (tot is its rounding
 	// scratch).
-	idx    *BinIndex
-	ixKey  func(*Bin) (float64, int64)
+	idx    *binIndex
+	ixKey  func(*Bin) float64
 	ixFrom int
 	tp     totalsPolicy
 	totals []vector.Acc
@@ -357,9 +355,9 @@ type Engine struct {
 
 	// lastTime is the time of the most recent committed event — the floor
 	// below which a dynamic run must not admit new arrivals (AppendArrival).
-	// It is not snapshotted: replay re-establishes it event by event, and the
-	// dynamic caller owns the authoritative admission watermark (DESIGN.md
-	// §12).
+	// It is not snapshotted: RestoreEngine derives it from the arrivals
+	// committed and the items still open, and replay re-establishes it event
+	// by event.
 	lastTime float64
 
 	err      error // sticky: the engine is poisoned after any Step error
@@ -422,11 +420,9 @@ func newEngineShell(in *Instance, p Policy, cfg config) *Engine {
 	}
 	if !cfg.linearSelect {
 		switch fp := p.(type) {
-		case IndexedPolicy:
-			if fp.indexedAt(l.Dim) {
-				e.ixKey = fp.indexKey
-				e.ixFrom = cmp.Or(cfg.indexPeak, indexMinPeak)
-			}
+		case *WorstFit:
+			e.ixKey = fp.measure.eval
+			e.ixFrom = cmp.Or(cfg.indexPeak, indexMinPeak)
 		case totalsPolicy:
 			e.tp = fp
 			e.totals = make([]vector.Acc, l.Dim)
@@ -462,52 +458,48 @@ func (e *Engine) totalsAdd(b *Bin) {
 	}
 }
 
-// indexMinPeak is T, the size rule of DESIGN.md §11: the engine builds an
-// IndexedPolicy's bin index at the first dispatch after the run's peak
-// open-bin count (Result.MaxConcurrentBins) has reached it, and scans
-// before. Below it the index's upkeep on every event costs more than its
-// descent saves; BenchmarkIndexCrossover measures the crossover.
+// indexMinPeak is T, the size rule of DESIGN.md §11: the engine builds
+// Worst Fit's bin index at the first dispatch after the run's peak open-bin
+// count (Result.MaxConcurrentBins) has reached it, and scans before. Below
+// it the index's upkeep on every event costs more than its walk saves;
+// BenchmarkIndexCrossover measures the crossover.
 const indexMinPeak = 256
 
 // buildIndex builds the bin index over the open bins, when the policy takes
 // it and the run's peak has reached ixFrom and it is not built yet. The
 // peak never falls, so the index is built once and kept. A snapshot carries
 // the peak, so a restored run builds its index at the same dispatch as the
-// uninterrupted run, and the treap's canonical shape makes the two indexes
-// identical. dispatch calls it after compact, so open holds no tombstones.
+// uninterrupted run, and the index's layout, a pure function of the open
+// set, makes the two identical. dispatch calls it after compact, so open
+// holds no tombstones.
 func (e *Engine) buildIndex() {
 	if e.idx != nil || e.ixKey == nil || e.res.MaxConcurrentBins < e.ixFrom {
 		return
 	}
-	e.idx = binindex.New[*Bin](e.list.Dim)
-	for _, b := range e.open {
-		e.idxPut(b, true)
-	}
+	e.idx = newBinIndex(e.ixKey, e.open)
 }
 
 // idxPut mirrors a just-packed, departed-from or migration-touched bin into
-// the index: inserted when fresh, re-keyed otherwise.
+// the index: inserted when fresh, re-filed otherwise.
 func (e *Engine) idxPut(b *Bin, fresh bool) {
-	if e.idx == nil {
-		return
-	}
-	kf, ks := e.ixKey(b)
-	if fresh {
-		e.idx.Insert(kf, ks, b.ID, b.load, b)
-	} else {
-		e.idx.Update(b.ID, kf, ks, b.load)
+	switch {
+	case e.idx == nil:
+	case fresh:
+		e.idx.insert(b)
+	default:
+		e.idx.update(b)
 	}
 }
 
 // auditOpenSet re-validates the fast paths' mirrors of the open set after a
-// mutation (audit mode only): the index's structural invariants, and the
-// held totals against a fresh exact sum over the open bins.
+// mutation (audit mode only): the index against the open bins, and the held
+// totals against a fresh exact sum over the open bins.
 func (e *Engine) auditOpenSet() error {
 	if e.cfg.audit == nil {
 		return nil
 	}
 	if e.idx != nil {
-		if err := e.idx.Validate(); err != nil {
+		if err := e.idx.validate(e.binsByID); err != nil {
 			return err
 		}
 	}
@@ -596,7 +588,7 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	e.holes++
 	delete(e.binsByID, b.ID)
 	if e.idx != nil {
-		e.idx.Remove(b.ID)
+		e.idx.remove(b)
 	}
 	e.totalsSub(b)
 	e.p.OnClose(b)
@@ -657,8 +649,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 	var b *Bin
 	switch {
 	case e.idx != nil:
-		e.idx.ResetChecks()
-		b, _ = e.idx.FirstFeasible(req.Size)
+		b = e.idx.first(req.Size)
 	case e.tp != nil:
 		for j := range e.totals {
 			e.tot[j] = e.totals[j].Round()
@@ -669,11 +660,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 	}
 	if e.probe != nil {
 		e.probe.armed = false
-		n := e.probe.n
-		if e.idx != nil {
-			n += e.idx.Checks()
-		}
-		e.selObs.AfterSelect(req, b, n)
+		e.selObs.AfterSelect(req, b, e.probe.n)
 	}
 	if e.cfg.audit != nil && (e.idx != nil || e.tp != nil) {
 		// Per-decision oracle: the policy's own scan must agree with the

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dvbp/internal/binindex"
 	"dvbp/internal/vector"
 	"dvbp/internal/workload"
 )
@@ -30,15 +29,11 @@ func fleet(n, d int, seed int64) []*Bin {
 	return open
 }
 
-// fleetIndex builds the indexed store over open under the policy's key, as
-// the engine keeps it.
-func fleetIndex(p IndexedPolicy, open []*Bin) *BinIndex {
-	ix := binindex.New[*Bin](len(open[0].load))
-	for _, b := range open {
-		kf, ks := p.indexKey(b)
-		ix.Insert(kf, ks, b.ID, b.load, b)
-	}
-	return ix
+// fleetIndex builds Worst Fit's bin index over open, sorting it once as the
+// engine's buildIndex does: inserting 10⁵ bins one at a time would cost a
+// quadratic total of memmoves.
+func fleetIndex(wf *WorstFit, open []*Bin) *binIndex {
+	return newBinIndex(wf.measure.eval, open)
 }
 
 // fleetSizes cycles item sizes from small (most bins fit; Best Fit's
@@ -47,17 +42,17 @@ func fleetIndex(p IndexedPolicy, open []*Bin) *BinIndex {
 var fleetSizes = []float64{0.05, 0.15, 0.35, 0.55}
 
 // fleetCases are the (policy, d) pairs the fleet benchmark and its guard
-// cover: both indexed policies at d = 1, 2 and 5, on the scan and the
-// index, and DotProduct at d = 2, whose Select has its own d = 2 loop and
-// no index.
+// cover: Best Fit and Worst Fit at d = 1, 2 and 5, Worst Fit on the scan
+// and the index, and DotProduct at d = 2, whose Select has its own d = 2
+// loop.
 var fleetCases = []struct {
 	policy string
 	d      int
 }{{"BestFit", 1}, {"BestFit", 2}, {"BestFit", 5}, {"WorstFit", 1}, {"WorstFit", 2}, {"WorstFit", 5}, {"DotProduct", 2}}
 
 // BenchmarkFleetSelect times one policy decision over a fleet of n open
-// bins, the policy's own Select scan (mode=linear) against the indexed
-// store (mode=indexed, IndexedPolicy only): the claim of DESIGN.md §11.
+// bins, the policy's own Select scan (mode=linear) against Worst Fit's bin
+// index (mode=indexed, Worst Fit only): the claim of DESIGN.md §11.
 // ns/op is the per-item Select cost. Each fleet is built inside its own
 // sub-benchmark, so a -bench filter that skips a rung never allocates it.
 // Fleet sizes above 10⁴ are skipped in -short mode so `make ci` stays fast,
@@ -70,17 +65,17 @@ func BenchmarkFleetSelect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ip, indexed := p.(IndexedPolicy)
+		wf, indexed := p.(*WorstFit)
 		for _, n := range []int{10_000, 100_000} {
-			if (testing.Short() || !indexed) && n > 10_000 {
+			if (testing.Short() || tc.policy == "DotProduct") && n > 10_000 {
 				continue
 			}
 			b.Run(fmt.Sprintf("policy=%s/d=%d/n=%d", tc.policy, tc.d, n), func(b *testing.B) {
 				open := fleet(n, tc.d, 42)
-				var ix *BinIndex
+				var ix *binIndex
 				modes := []string{"linear"}
 				if indexed {
-					ix = fleetIndex(ip, open)
+					ix = fleetIndex(wf, open)
 					modes = append(modes, "indexed")
 				}
 				req := Request{Size: vector.New(tc.d)}
@@ -96,7 +91,7 @@ func BenchmarkFleetSelect(b *testing.B) {
 							if mode == "linear" {
 								chosen = p.Select(req, open)
 							} else {
-								chosen, _ = ix.FirstFeasible(req.Size)
+								chosen = ix.first(req.Size)
 							}
 							if chosen != nil {
 								hits++
@@ -113,22 +108,25 @@ func BenchmarkFleetSelect(b *testing.B) {
 }
 
 // TestFleetSelectAgreement guards the benchmark itself: on the exact fleets
-// BenchmarkFleetSelect times, the scan and the index must choose the
+// BenchmarkFleetSelect times, Worst Fit's scan and index must choose the
 // same bin for every probe size (a divergence would mean the benchmark
 // compares two different computations), and DotProduct's d = 2 loop must
-// choose what scoredSelect does.
+// choose what scoredSelect does. Best Fit has only its scan.
 func TestFleetSelectAgreement(t *testing.T) {
 	var scan fitScan
 	for _, tc := range fleetCases {
+		if tc.policy == "BestFit" {
+			continue
+		}
 		p, err := NewPolicy(tc.policy, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		open := fleet(10_000, tc.d, 42)
-		ip, indexed := p.(IndexedPolicy)
-		var ix *BinIndex
+		wf, indexed := p.(*WorstFit)
+		var ix *binIndex
 		if indexed {
-			ix = fleetIndex(ip, open)
+			ix = fleetIndex(wf, open)
 		}
 		req := Request{Size: vector.New(tc.d)}
 		answered := 0
@@ -139,7 +137,7 @@ func TestFleetSelectAgreement(t *testing.T) {
 			lin := p.Select(req, open)
 			var other *Bin
 			if indexed {
-				other, _ = ix.FirstFeasible(req.Size)
+				other = ix.first(req.Size)
 			} else {
 				other = scoredSelect(&scan, req, open, dotProductScore)
 			}
@@ -157,11 +155,11 @@ func TestFleetSelectAgreement(t *testing.T) {
 }
 
 // crossoverCases are the routes the size rule switches (DESIGN.md §11):
-// Worst Fit at every d and Best Fit at d = 1.
+// Worst Fit at every d.
 var crossoverCases = []struct {
 	policy string
 	d      int
-}{{"WorstFit", 1}, {"WorstFit", 2}, {"WorstFit", 5}, {"BestFit", 1}}
+}{{"WorstFit", 1}, {"WorstFit", 2}, {"WorstFit", 5}}
 
 // BenchmarkIndexCrossover is the sweep that fixes indexMinPeak: whole runs
 // of the paper's uniform model (μ = 200, T = 1000, B = 100, as in Figure 4)

@@ -334,10 +334,72 @@ func TestRestoredStatsCountPlacements(t *testing.T) {
 	}
 	defer r.Close()
 	got, want := r.Stats(), e.Stats()
-	// The clock is not snapshot state: replay re-establishes it.
-	got.Clock = want.Clock
 	if got != want || want.Placements == 0 {
 		t.Errorf("restored Stats %+v, uninterrupted %+v", got, want)
+	}
+}
+
+// TestRestoredClockMatchesUninterrupted: a run restored from a snapshot
+// taken after any event reports the uninterrupted run's clock, the time of
+// the last committed event, which the snapshot does not carry.
+func TestRestoredClockMatchesUninterrupted(t *testing.T) {
+	l := randomList(32, 60, 2, 15)
+	e, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for {
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreEngine(l, NewFirstFit(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Stats().Clock, e.Stats().Clock; got != want {
+			t.Fatalf("restored after event %d: clock %v, uninterrupted %v", e.EventSeq(), got, want)
+		}
+		r.Close()
+		if _, ok, err := e.Step(); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			break
+		}
+	}
+}
+
+// TestRestoredEngineRefusesPastArrival: after a departure at t = 5 has
+// committed, an arrival at 4.5 is in the engine's past, for a dynamic
+// engine restored from a snapshot as for the live one.
+func TestRestoredEngineRefusesPastArrival(t *testing.T) {
+	live, err := NewEngine(item.NewList(1), NewFirstFit(), WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if _, err := appendAndPlace(live, item.Item{Arrival: 0, Departure: 5, Size: vector.Of(0.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok, err := live.Step(); err != nil || !ok || rec.Class != EventDeparture || rec.Time != 5 {
+		t.Fatalf("Step = %+v, %v, %v; want the departure at 5", rec, ok, err)
+	}
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := item.NewList(1)
+	l.Add(0, 5, vector.Of(0.5))
+	restored, err := RestoreEngine(l, NewFirstFit(), snap, WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	for name, e := range map[string]*Engine{"live": live, "restored": restored} {
+		if _, err := e.AppendArrival(4.5, 6, vector.Of(0.5)); err == nil || !strings.Contains(err.Error(), "in the engine's past") {
+			t.Errorf("%s engine: AppendArrival at 4.5 after the departure at 5: err %v, want it refused as in the engine's past", name, err)
+		}
 	}
 }
 

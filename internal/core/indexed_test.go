@@ -12,9 +12,9 @@ import (
 	"dvbp/internal/vector"
 )
 
-// withIndexPeak is the test seam of the size rule: the engine builds an
-// IndexedPolicy's bin index at the first dispatch after the run's peak
-// open-bin count reaches peak, instead of indexMinPeak. The differential
+// withIndexPeak is the test seam of the size rule: the engine builds Worst
+// Fit's bin index at the first dispatch after the run's peak open-bin count
+// reaches peak, instead of indexMinPeak. The differential
 // suites below lower it so that their small fleets run on the index.
 func withIndexPeak(peak int) Option {
 	return func(c *config) { c.indexPeak = peak }
@@ -57,19 +57,18 @@ func stepRoutes(t *testing.T, e *Engine) (*Result, int) {
 	return res, indexed
 }
 
-// requireIndexed fails the test when a policy that takes the index at d ran
-// no decision on it, which would leave the index side of a differential
-// suite untested.
+// requireIndexed fails the test when Worst Fit ran no decision on the
+// index, which would leave the index side of a differential suite untested.
 func requireIndexed(t *testing.T, p Policy, d, indexed int, what string) {
 	t.Helper()
-	if ip, ok := p.(IndexedPolicy); ok && ip.indexedAt(d) && indexed == 0 {
+	if _, ok := p.(*WorstFit); ok && indexed == 0 {
 		t.Errorf("%s d=%d %s: the bin index answered no decision", p.Name(), d, what)
 	}
 }
 
 // TestIndexedSelectMatchesLinearScan is the core bit-identity contract of
 // DESIGN.md §11: for every policy and instance, the default engine path
-// (the bin index for Best/Worst Fit, the held open-load totals for
+// (the bin index for Worst Fit, the held open-load totals for
 // AdaptiveHybrid, the policy's own scan for the rest) and the
 // WithLinearSelect scan produce byte-identical results — identical
 // placements, bins, cost, and counters. The index is built once the fleet
@@ -161,8 +160,9 @@ func TestIndexedSelectMatchesLinearAcrossRestore(t *testing.T) {
 
 // TestIndexedAuditOracle arms the per-decision oracle: under WithAudit the
 // engine re-derives every fast-path decision with the policy's own scan,
-// re-validates the store's structural invariants and checks the held
-// open-load totals against a fresh sum after every mutation, so a single
+// checks that the index files every open bin once, in (key, ID) order,
+// under its current key, and checks the held open-load totals against a
+// fresh sum after every mutation, so a single
 // run per policy sweeps thousands of equivalence checks. Crashes are on, so
 // crash closes and evictions are among the audited mutations. The index is
 // built once the fleet has reached 8 bins.
@@ -185,7 +185,7 @@ func TestIndexedAuditOracle(t *testing.T) {
 // delay, so they re-dispatch inside the same event that removed the crashed
 // bin from the index — and the later retries land in the bin the earlier
 // retries just opened. The index must see the removal before the insert and
-// serve the re-packs from a consistent tree; audit mode cross-checks every
+// serve the re-packs from a consistent index; audit mode cross-checks every
 // one of those decisions against the linear scan. The fleet never holds
 // more than one bin, so the index is built from a peak of 1.
 func TestIndexedCrashRetrySameEvent(t *testing.T) {
@@ -269,12 +269,12 @@ func TestLinearSelectOptionForcesScan(t *testing.T) {
 }
 
 // TestSelectPathRouting pins which Select path the engine takes for every
-// policy the registry advertises, at d = 1, 2 and 5: for Best Fit at d = 1
-// only and for Worst Fit at every d, under every load measure, the scan
-// while the run's peak is below indexMinPeak and the bin index from the
-// dispatch after the peak reaches it; the held open-load totals for
-// AdaptiveHybrid; and the policy's own scan for everything else, at any
-// fleet size (DESIGN.md §11 has the measurements behind the rule).
+// policy the registry advertises, at d = 1, 2 and 5: for Worst Fit, under
+// every load measure, the scan while the run's peak is below indexMinPeak
+// and the bin index from the dispatch after the peak reaches it; the held
+// open-load totals for AdaptiveHybrid; and the policy's own scan for
+// everything else, Best Fit under every measure included, at any fleet size
+// (DESIGN.md §11 has the measurements behind the rule).
 // Parameter placeholders (<p>, <K>) are filled with representative values.
 func TestSelectPathRouting(t *testing.T) {
 	for _, d := range []int{1, 2, 5} {
@@ -312,7 +312,7 @@ func TestSelectPathRouting(t *testing.T) {
 				e.Close()
 				want := "scan"
 				switch name := p.Name(); {
-				case strings.HasPrefix(name, "BestFit") && d == 1, strings.HasPrefix(name, "WorstFit"):
+				case strings.HasPrefix(name, "WorstFit"):
 					want = "index"
 				case name == "AdaptiveHybrid":
 					want = "totals"
@@ -442,13 +442,10 @@ func TestIndexBuildAcrossRestore(t *testing.T) {
 // arrive in order and stay. The default path scans a fleet this small and
 // tests every open bin: 0, 1, 2 and 2 checks. With the index built from a
 // peak of one bin, the first decision still scans (no bin is open, 0
-// checks) and the store then counts its own feasibility evaluations. Keys
-// are (load, binID), and bin0's priority hash beats bin1's, so bin0 is the
-// root whenever both are indexed: 1 (bin0 alone fails), 1 (bin1 keys after
-// bin0 at equal load, so bin0's left subtree is empty and bin0 itself
-// fits), 1 (bin0 now keys last at 0.9, bin1 at 0.6 sits in its left
-// subtree, the 0.5 item's residual bucket mask prunes that subtree in O(1),
-// which is not a load evaluation, and bin0 at the root fails).
+// checks), and the walk then tests bins in (load, ID) order up to the first
+// that fits: 1 (bin0 at 0.6 alone fails), 1 (bin0 and bin1 both at 0.6,
+// bin0 first by ID, and it fits), 2 (bin1 at 0.6, then bin0 at 0.9, and
+// neither fits).
 func TestIndexFitChecksHandComputed(t *testing.T) {
 	l := item.NewList(1)
 	for k, s := range []float64{0.6, 0.6, 0.3, 0.5} {
@@ -459,7 +456,7 @@ func TestIndexFitChecksHandComputed(t *testing.T) {
 		want []int
 	}{
 		{nil, []int{0, 1, 2, 2}},
-		{[]Option{withIndexPeak(1)}, []int{0, 1, 1, 1}},
+		{[]Option{withIndexPeak(1)}, []int{0, 1, 1, 2}},
 	} {
 		var log selectLog
 		mustSimulate(t, l, NewWorstFit(MaxLoad()), append(tc.opts, WithObserver(&log))...)

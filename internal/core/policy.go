@@ -66,15 +66,17 @@ type Policy interface {
 
 // The two loops below, first and fitScan.fitting, test every bin that the
 // scanning Selects (First/Last Fit, Best/Worst Fit, Random Fit, the scored
-// family) examine, and together with DotProduct's dotProduct2 (fragfit.go)
-// are the only code specialised by dimension: d = 2 is unrolled, every
-// other d goes through vector.FitsWithin. The unrolled test is FitsWithin's
-// exactly (load[j] + size[j] > 1+Eps rejects, on the same float64 values),
-// and every bin examined counts as one fit check, as a Bin.Fits call does.
+// family) and Worst Fit's index walk (binIndex.first) examine, and together
+// with DotProduct's dotProduct2 (fragfit.go) are the only code specialised
+// by dimension: d = 2 is unrolled, every other d goes through
+// vector.FitsWithin. The unrolled test is FitsWithin's exactly (load[j] +
+// size[j] > 1+Eps rejects, on the same float64 values), and every bin
+// examined counts as one fit check, as a Bin.Fits call does.
 
 // first returns the index of the first bin in open, stepping k by step (±1)
 // until end, that an item of the given size fits, or end when none does: the
-// scan of the Selects that stop at the first fitting bin.
+// scan of the Selects that stop at the first fitting bin, and the walk of
+// Worst Fit's index.
 func first(open []*Bin, k, end, step int, size vector.Vector) int {
 	if k == end {
 		return k

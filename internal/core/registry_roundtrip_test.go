@@ -125,27 +125,37 @@ func TestSimulateSteadyStateEventAllocs(t *testing.T) {
 		t.Skip("allocation accounting run")
 	}
 	const bins, k = 4, 16
-	run := func(churn int, p Policy) float64 {
+	run := func(churn int, p Policy, opts []Option) float64 {
 		l := churnHotPathInstance(2, bins, k, churn)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Simulate(l, p); err != nil {
+			if _, err := Simulate(l, p, opts...); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	for _, name := range []string{"FirstFit", "MoveToFront", "BestFit"} {
-		p, err := NewPolicy(name, 1)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"FirstFit", nil},
+		{"MoveToFront", nil},
+		{"BestFit", nil},
+		// Worst Fit on its bin index: every pack and departure re-files a
+		// bin, in place.
+		{"WorstFit", []Option{withIndexPeak(1)}},
+	} {
+		p, err := NewPolicy(tc.name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		short := run(64, p)
-		long := run(192, p)
+		short := run(64, p, tc.opts)
+		long := run(192, p, tc.opts)
 		// 128 extra churn items = 256 extra steady-state events. Allow the
 		// slack of amortised slice growth (placements, departure queue).
 		perEvent := (long - short) / 256
 		if perEvent > 0.1 {
-			t.Errorf("%s: %.2f allocs per steady-state event (short=%v long=%v), want ~0",
-				name, perEvent, short, long)
+			t.Errorf("%s (%d options): %.2f allocs per steady-state event (short=%v long=%v), want ~0",
+				tc.name, len(tc.opts), perEvent, short, long)
 		}
 	}
 }

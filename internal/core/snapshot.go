@@ -313,6 +313,19 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		e.departures.PushAt(d.Time, d.Seq, departure{itemID: d.ItemID, binID: d.BinID})
 	}
 
+	// The clock is the time of the last committed event. A snapshotted run
+	// commits only arrivals and departures, and every item it dispatched was
+	// placed, so that is the later of the last committed arrival and the
+	// departures of the dispatched items no open bin holds any more.
+	for _, k := range e.arrivals[:e.ai] {
+		it := &e.list.Items[k]
+		t := it.Arrival
+		if _, active := activeOwner[it.ID]; !active {
+			t = it.Departure
+		}
+		e.lastTime = max(e.lastTime, t)
+	}
+
 	e.res = cloneResult(s.Result)
 	e.hist = (*resultHistory)(e.res)
 	e.placements = len(e.res.Placements)
@@ -333,8 +346,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// order-independent, so they round identically too. The bin index is
 	// not rebuilt here: the restored result carries the run's peak open-bin
 	// count, so the next dispatch builds the index exactly when the
-	// uninterrupted run had it (buildIndex). The treap's shape is a pure
-	// function of its contents, so that index counts the same fit checks as
+	// uninterrupted run had it (buildIndex). The index's layout is a pure
+	// function of the open set, so that index counts the same fit checks as
 	// the uninterrupted run's.
 	for _, b := range e.open {
 		e.totalsAdd(b)

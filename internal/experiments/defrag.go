@@ -166,14 +166,7 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 						return shardOut{}, err
 					}
 					ft := metrics.NewFragTracker(cfg.D, nil)
-					var shared core.Observer
-					if cfg.Observer != nil {
-						shared = cfg.Observer
-						if rs, ok := shared.(metrics.RunScoper); ok {
-							shared = rs.ForRun()
-						}
-					}
-					opts := []core.Option{core.WithObserver(fragTee{tr: ft, obs: shared}), core.WithHistory(nil)}
+					opts := []core.Option{core.WithObserver(newFragTee(ft, cfg.Observer)), core.WithHistory(nil)}
 					if leg.migrating {
 						opts = append(opts, migOpt)
 					}

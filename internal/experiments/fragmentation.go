@@ -129,6 +129,32 @@ type fragTee struct {
 	obs core.Observer
 }
 
+// fragSelectTee is a fragTee whose shared observer also counts fit checks.
+type fragSelectTee struct {
+	fragTee
+	so core.SelectObserver
+}
+
+// newFragTee returns the observer one frag or defrag run attaches: its
+// tracker tr, teed with the experiment-wide observer obs (nil for none),
+// scoped to the run when obs is a metrics.RunScoper. The tee takes
+// AfterSelect only when obs does, so a run without a fit-check counter
+// never makes the engine count fit checks.
+func newFragTee(tr *metrics.FragTracker, obs core.Observer) core.Observer {
+	if rs, ok := obs.(metrics.RunScoper); ok {
+		obs = rs.ForRun()
+	}
+	t := fragTee{tr: tr, obs: obs}
+	if so, ok := obs.(core.SelectObserver); ok {
+		return fragSelectTee{fragTee: t, so: so}
+	}
+	return t
+}
+
+func (t fragSelectTee) AfterSelect(req core.Request, chosen *core.Bin, fitChecks int) {
+	t.so.AfterSelect(req, chosen, fitChecks)
+}
+
 func (t fragTee) BeforePack(req core.Request, open []*core.Bin) {
 	t.tr.BeforePack(req, open)
 	if t.obs != nil {
@@ -195,14 +221,7 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 					return nil, err
 				}
 				ft := metrics.NewFragTracker(cfg.D, nil)
-				var shared core.Observer
-				if cfg.Observer != nil {
-					shared = cfg.Observer
-					if rs, ok := shared.(metrics.RunScoper); ok {
-						shared = rs.ForRun()
-					}
-				}
-				res, err := in.Simulate(p, core.WithObserver(fragTee{tr: ft, obs: shared}), core.WithHistory(nil))
+				res, err := in.Simulate(p, core.WithObserver(newFragTee(ft, cfg.Observer)), core.WithHistory(nil))
 				if err != nil {
 					return nil, err
 				}

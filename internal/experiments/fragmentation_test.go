@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"dvbp/internal/core"
+	"dvbp/internal/metrics"
+	"dvbp/internal/parallel"
 )
 
 func TestFragConfigValidate(t *testing.T) {
@@ -65,6 +69,51 @@ func TestRunFragDeterminism(t *testing.T) {
 	}
 	if a.Chart().SVG() == "" {
 		t.Error("empty chart")
+	}
+}
+
+// TestFragCountsFitChecks pins that a metrics.Collector passed as
+// FragConfig.Observer sees every frag run's fit checks through the run's
+// fragmentation tee: the count is not zero, and it equals the count of the
+// same runs with the collector attached directly.
+func TestFragCountsFitChecks(t *testing.T) {
+	cfg := DefaultFrag()
+	cfg.Instances, cfg.Horizon = 2, 30
+	fitChecks := func(c *metrics.Collector) float64 {
+		t.Helper()
+		m, ok := c.Snapshot().Find(metrics.MetricFitChecks)
+		if !ok {
+			t.Fatalf("%s missing", metrics.MetricFitChecks)
+		}
+		return m.Value
+	}
+	teed := metrics.NewCollector()
+	cfg.Observer = teed
+	if _, err := RunFrag(cfg); err != nil {
+		t.Fatal(err)
+	}
+	direct := metrics.NewCollector()
+	for i := 0; i < cfg.Instances; i++ {
+		seed := parallel.SeedFor(cfg.Seed, i)
+		for _, tr := range cfg.fragTraces() {
+			l, err := tr.Gen(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range FragPolicyNames() {
+				p, err := core.NewPolicy(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := core.Simulate(l, p, core.WithObserver(direct.ForRun())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	got, want := fitChecks(teed), fitChecks(direct)
+	if got == 0 || got != want {
+		t.Errorf("frag runs counted %v fit checks through the tee, %v with the collector attached directly", got, want)
 	}
 }
 

@@ -18,13 +18,11 @@ const (
 	// MetricBinsClosed counts bins whose last item departed.
 	MetricBinsClosed = "dvbp_bins_closed_total"
 	// MetricFitChecks counts feasibility evaluations performed inside
-	// policy Select: on the scan path, one per bin the policy tested; on
-	// the indexed path (Worst Fit, and Best Fit at d = 1, once a run's peak
-	// reaches the engine's index threshold), the bin store's
-	// per-entry fit checks plus subtree prune evaluations (O(1)
-	// residual-bucket mask rejections evaluate no load vector and are not
-	// counted). Engine-internal feasibility re-checks are excluded. See
-	// DESIGN.md §11.
+	// policy Select, one per bin tested: on the scan path, each bin the
+	// policy tested; on Worst Fit's indexed path (once a run's peak reaches
+	// the engine's index threshold), each bin its walk in (load, ID) order
+	// tested, up to and including the first that fits. Engine-internal
+	// feasibility re-checks are excluded. See DESIGN.md §11.
 	MetricFitChecks = "dvbp_fit_checks_total"
 	// MetricOpenBins gauges the currently open bin population.
 	MetricOpenBins = "dvbp_open_bins"
