@@ -64,19 +64,24 @@ bench-module:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
-# Figure 4 sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
-# placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
-# clients), then write BENCH_core.json (benchstat-comparable names, the
-# package of each entry, mean ns/op, B/op, allocs/op). The sweep and server
-# benchmarks run at 30x: at 10x a round lasted 0.3–0.8 s, and the same
-# binary's throughput moved up to 2× between rounds with host load. When
-# artifacts/bench/BENCH_core_pre.txt exists (the pre-change capture), it is
-# embedded as the document's baseline section so the before/after pair
-# travels together.
+# fleet-scale Select benchmark, the Figure 4 sweep throughput benchmark
+# (shards/sec at 1 and 8 workers) and the placement-server benchmark
+# (req/sec with p50/p99 latency at 1 and 8 clients), then write
+# BENCH_core.json (benchstat-comparable names, the package of each entry,
+# mean ns/op, B/op, allocs/op). FleetSelect runs for 0.2 s per row: its rows
+# take 0.4 µs to 3 ms per select, and at a fixed 10x a sub-µs row timed 4 µs
+# in all, timer and first-touch cost included; its fleets are built outside
+# the timed loop. The sweep and server benchmarks run at 30x: at 10x a round
+# lasted 0.3–0.8 s, and the same binary's throughput moved up to 2× between
+# rounds with host load. When artifacts/bench/BENCH_core_pre.txt exists (the
+# pre-change capture), it is embedded as the document's baseline section so
+# the before/after pair travels together.
 bench-json:
 	@mkdir -p artifacts/bench
-	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|IndexCrossover|FragmentationSweep|DynamicAppendStep' \
+	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|IndexCrossover|FragmentationSweep|DynamicAppendStep' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
+	$(GO) test ./internal/core -run='^$$' -bench='FleetSelect' \
+		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
 		-benchmem -benchtime=30x -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/server -run='^$$' -bench='ServerPlaceThroughput' \

@@ -1,20 +1,66 @@
 package core
 
 import (
+	"fmt"
 	"math"
-
-	"dvbp/internal/item"
 )
 
 // The engine reads its item list in place: every item lives only in
 // list.Items. On top of the list it keeps the arrival order as a permutation
-// of list indices, span(R) and μ folded in that order, and an ID index that
-// is built only when something looks an item up by ID.
+// of list indices, span(R) and μ folded in that order, the slot table, and
+// an ID index that is built only when something looks a static run's item
+// up by ID.
 
-// item returns the item with the given ID. The ID index is built from the
-// list on first use. Only crash eviction, migration and RestoreEngine's
-// checks look items up by ID, so a fault-free run never builds it.
-func (e *Engine) item(id int) (item.Item, bool) {
+// itemSlot is one item's entry in a run's slot table (Engine.slots): the
+// arena slot (Engine.bins) of the bin holding the item, 0 for none; the
+// item's position in that bin's items; and its placement attempt, its
+// eviction count, which a live departure entry's depSeq carries. The zero
+// entry is an item in no bin at attempt 0.
+type itemSlot struct{ bin, pos, attempt int32 }
+
+// pack puts item i (a list index) into b at the given placement attempt,
+// checking that it fits and is in no bin already.
+func (e *Engine) pack(b *Bin, i int32, attempt int) error {
+	it := &e.list.Items[i]
+	if !b.Fits(it.Size) {
+		return fmt.Errorf("bin %d: item %d of size %v does not fit load %v", b.ID, it.ID, it.Size, b.load)
+	}
+	if e.slots[i].bin != 0 {
+		return fmt.Errorf("bin %d: item %d already packed", b.ID, it.ID)
+	}
+	e.place(b, i, int32(attempt))
+	b.packed++
+	return nil
+}
+
+// place records item i in b, its slot and b's load, unchecked.
+func (e *Engine) place(b *Bin, i int32, attempt int32) {
+	e.slots[i] = itemSlot{bin: b.slot, pos: int32(len(b.items)), attempt: attempt}
+	b.items = append(b.items, i)
+	b.add(e.list.Items[i].Size)
+}
+
+// unpack takes item i out of the bin its slot names, which must be one,
+// moving that bin's last item into its position.
+func (e *Engine) unpack(i int32) {
+	s := &e.slots[i]
+	b := e.bins[s.bin]
+	last := b.items[len(b.items)-1]
+	b.items[s.pos] = last
+	e.slots[last].pos = s.pos
+	b.items = b.items[:len(b.items)-1]
+	s.bin = 0
+	b.sub(e.list.Items[i].Size)
+}
+
+// index returns the list index of the item with the given ID. A dynamic
+// run numbers its items by list index; a static run's ID index is built
+// from the list on first use. Only migration and RestoreEngine look items
+// up by ID, so a run without them never builds it.
+func (e *Engine) index(id int) (int32, bool) {
+	if e.cfg.dynamic {
+		return int32(id), id >= 0 && id < len(e.list.Items)
+	}
 	if e.byID == nil {
 		e.byID = make(map[int]int32, len(e.list.Items))
 		for i, it := range e.list.Items {
@@ -22,10 +68,7 @@ func (e *Engine) item(id int) (item.Item, bool) {
 		}
 	}
 	i, ok := e.byID[id]
-	if !ok {
-		return item.Item{}, false
-	}
-	return e.list.Items[i], true
+	return i, ok
 }
 
 // shape folds span(R) and μ over items taken in non-decreasing arrival

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"dvbp/internal/item"
 	"dvbp/internal/vector"
 )
 
@@ -34,13 +36,18 @@ type Bin struct {
 	// (Best/Worst Fit compare loads with exact float comparisons) rely on,
 	// previously bought by re-summing all k active items in canonical order
 	// on every event; acc makes each event O(d) instead of O(k·log k + k·d).
-	acc    []vector.Acc
-	active map[int]vector.Vector // item ID -> size, for departure handling
-	packed int                   // total items ever packed into this bin
+	acc []vector.Acc
+	// items holds the active items' indices into list, in no particular
+	// order; the engine's slot table records each one's position.
+	items  []int32
+	list   *item.List
+	packed int // total items ever packed into this bin
 
 	// openIdx is the bin's current index in the engine's open slice, kept
 	// up to date by the engine so closing a bin needs no linear scan.
 	openIdx int
+	// slot is the bin's index in its run's bin arena (Engine.bins).
+	slot int32
 	// ixKey is the key the bin is filed under in Worst Fit's bin index,
 	// while the engine keeps one (binIndex).
 	ixKey float64
@@ -66,23 +73,18 @@ func newBin(id int, d int, openedAt float64) *Bin {
 		OpenedAt: openedAt,
 		load:     vector.New(d),
 		acc:      make([]vector.Acc, d),
-		active:   make(map[int]vector.Vector),
 	}
 }
 
 // reopen turns a closed bin into an empty bin with a new ID, in place. A bin
 // that crashed still holds its items and load, which its close callbacks
-// read, so everything is cleared here rather than at the close. Only a
-// crashed bin's item map needs clearing; clear on a large emptied map
-// would still sweep its whole capacity.
+// read, so everything is cleared here rather than at the close.
 func (b *Bin) reopen(id int, openedAt float64) {
 	b.ID, b.OpenedAt, b.packed = id, openedAt, 0
+	b.items = b.items[:0]
 	clear(b.load)
 	for j := range b.acc {
 		b.acc[j].Reset()
-	}
-	if len(b.active) > 0 {
-		clear(b.active)
 	}
 }
 
@@ -116,76 +118,53 @@ func (b *Bin) Fits(size vector.Vector) bool {
 }
 
 // ActiveItems returns the number of currently active items.
-func (b *Bin) ActiveItems() int { return len(b.active) }
+func (b *Bin) ActiveItems() int { return len(b.items) }
 
 // PackedItems returns the number of items ever packed into the bin.
 func (b *Bin) PackedItems() int { return b.packed }
 
 // ActiveItemIDs returns the IDs of the active items in ascending order.
 func (b *Bin) ActiveItemIDs() []int {
-	return b.appendActiveItemIDs(make([]int, 0, len(b.active)))
-}
-
-// appendActiveItemIDs appends the active item IDs to dst in ascending order
-// and returns the extended slice. The engine passes a reused scratch slice so
-// eviction handling stays allocation-free in steady state.
-func (b *Bin) appendActiveItemIDs(dst []int) []int {
-	n := len(dst)
-	for id := range b.active {
-		dst = append(dst, id)
+	ids := make([]int, len(b.items))
+	for k, i := range b.items {
+		ids[k] = b.list.Items[i].ID
 	}
-	sort.Ints(dst[n:])
-	return dst
+	slices.Sort(ids)
+	return ids
 }
 
 // Empty reports whether the bin has no active items (and should close).
-func (b *Bin) Empty() bool { return len(b.active) == 0 }
+func (b *Bin) Empty() bool { return len(b.items) == 0 }
 
-func (b *Bin) pack(itemID int, size vector.Vector) error {
-	if !b.Fits(size) {
-		return fmt.Errorf("bin %d: item %d of size %v does not fit load %v", b.ID, itemID, size, b.load)
-	}
-	if _, dup := b.active[itemID]; dup {
-		return fmt.Errorf("bin %d: item %d already packed", b.ID, itemID)
-	}
-	b.active[itemID] = size
-	b.packed++
+// add folds size into the bin's load; sub takes it out again.
+func (b *Bin) add(size vector.Vector) {
 	for j := range b.load {
 		b.acc[j].Add(size[j])
 		b.load[j] = b.acc[j].Round()
 	}
-	return nil
 }
 
-func (b *Bin) remove(itemID int) error {
-	size, ok := b.active[itemID]
-	if !ok {
-		return fmt.Errorf("bin %d: item %d not active", b.ID, itemID)
-	}
-	delete(b.active, itemID)
+func (b *Bin) sub(size vector.Vector) {
 	for j := range b.load {
 		b.acc[j].Sub(size[j])
 		b.load[j] = b.acc[j].Round()
 	}
-	return nil
 }
 
-// refreshLoadFromActive rebuilds the accumulators and cached load from the
-// active map alone. The naive reference implementations use it after editing
-// a bin's active set wholesale: because the accumulator state is a pure
-// function of the active multiset, the result is bit-identical to the
-// engine's incrementally-maintained load.
-func (b *Bin) refreshLoadFromActive() {
+// refill replaces the bin's active items with items, list indices into l,
+// and rebuilds its accumulators and cached load from them alone. The naive
+// reference simulators use it after editing their own item set of a bin
+// wholesale: because the accumulator state is a pure function of the active
+// multiset, the result is bit-identical to the engine's incrementally
+// maintained load.
+func (b *Bin) refill(l *item.List, items []int32) {
+	b.list, b.items = l, items
+	clear(b.load)
 	for j := range b.acc {
 		b.acc[j].Reset()
 	}
-	for _, size := range b.active {
-		for j := range b.acc {
-			b.acc[j].Add(size[j])
-		}
-	}
-	for j := range b.acc {
-		b.load[j] = b.acc[j].Round()
+	for _, i := range items {
+		b.add(l.Items[i].Size)
 	}
 }
 
@@ -195,10 +174,11 @@ func (b *Bin) refreshLoadFromActive() {
 // cross-check: the exact accumulator must agree with this naive canonical sum
 // to within its worst-case rounding error.
 func (b *Bin) canonicalLoad() vector.Vector {
-	ids := b.ActiveItemIDs()
+	items := slices.Clone(b.items)
+	slices.SortFunc(items, func(x, y int32) int { return cmp.Compare(b.list.Items[x].ID, b.list.Items[y].ID) })
 	load := vector.New(b.load.Dim())
-	for _, id := range ids {
-		load.AddInPlace(b.active[id])
+	for _, i := range items {
+		load.AddInPlace(b.list.Items[i].Size)
 	}
 	return load
 }
@@ -210,17 +190,17 @@ func (b *Bin) canonicalLoad() vector.Vector {
 // snapshots, so the O(k·d) recompute does not change the audit cost class.
 func (b *Bin) auditCrossCheckLoad() {
 	want := b.canonicalLoad()
-	tol := float64(len(b.active)+1) * 1e-15
+	tol := float64(len(b.items)+1) * 1e-15
 	for j, got := range b.load {
 		if diff := got - want[j]; diff > tol || diff < -tol {
 			panic(fmt.Sprintf(
 				"bin %d: incremental load[%d]=%g drifted from canonical recompute %g (tol %g, %d active)",
-				b.ID, j, got, want[j], tol, len(b.active)))
+				b.ID, j, got, want[j], tol, len(b.items)))
 		}
 	}
 }
 
 // String renders a compact description for debugging.
 func (b *Bin) String() string {
-	return fmt.Sprintf("bin{id=%d, opened=%g, load=%v, active=%d}", b.ID, b.OpenedAt, b.load, len(b.active))
+	return fmt.Sprintf("bin{id=%d, opened=%g, load=%v, active=%d}", b.ID, b.OpenedAt, b.load, len(b.items))
 }

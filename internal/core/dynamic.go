@@ -53,13 +53,11 @@ func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (
 	if arrival < e.lastTime {
 		return 0, fmt.Errorf("core: arrival %g is in the engine's past (last committed event at %g)", arrival, e.lastTime)
 	}
-	// The ID is the new item's list index, and the arrival order only grows
-	// at its end.
+	// The ID is the new item's list index, and the arrival order and the
+	// slot table only grow at their ends.
 	e.list.Items = append(e.list.Items, it)
 	e.arrivals = append(e.arrivals, int32(id))
-	if e.byID != nil {
-		e.byID[id] = int32(id)
-	}
+	e.slots = append(e.slots, itemSlot{})
 	e.shape.add(arrival, departure)
 	e.res.Items = e.list.Len()
 	return id, nil

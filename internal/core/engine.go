@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"dvbp/internal/eventq"
 	"dvbp/internal/item"
@@ -158,11 +159,6 @@ func (BaseObserver) AfterPack(Request, *Bin, bool) {}
 // BinClosed implements Observer.
 func (BaseObserver) BinClosed(*Bin, float64) {}
 
-type departure struct {
-	itemID int
-	binID  int
-}
-
 // depSeq is the departure queue's tie-break key: item-ID major, placement
 // attempt minor. Item IDs alone are not unique — an item evicted by a crash
 // and re-placed has one stale entry per earlier placement sharing its
@@ -171,22 +167,22 @@ type departure struct {
 // breaking snapshot/restore bit-identity. With the attempt in the low bits,
 // same-instant departures of distinct items still fire in ascending item-ID
 // order (the engine's documented tie-break) and an item's stale entries
-// deterministically precede its live one. Item.Validate bounds IDs to
-// [0, item.MaxID], so the shift cannot overflow and no two items share a
-// key.
+// deterministically precede its live one, the entry whose attempt is its
+// slot's. Item.Validate bounds IDs to [0, item.MaxID], so the shift cannot
+// overflow and no two items share a key.
 func depSeq(itemID, attempt int) int64 {
 	return int64(itemID)<<32 | int64(uint32(attempt))
 }
 
 // retryDispatch is a scheduled re-dispatch of an evicted item.
 type retryDispatch struct {
-	it      item.Item
+	i       int32 // list index
 	attempt int
 }
 
 // queuedDispatch is one admission-queue entry, FIFO by enqueue order.
 type queuedDispatch struct {
-	it       item.Item
+	i        int32 // list index
 	attempt  int
 	queuedAt float64
 	deadline float64 // absolute drop time (inclusive)
@@ -295,8 +291,14 @@ type Engine struct {
 	open  []*Bin // opening order (ascending ID); may hold tombstones until compacted
 	holes int    // tombstone (nil) count in open
 
-	departures eventq.Queue[departure]
-	crashes    eventq.Queue[int] // payload: bin ID
+	// slots is the run's item-slot table, one entry per list index
+	// (itemSlot). bins is the run's bin arena: every bin struct the run
+	// holds, open or spare, at its Bin.slot; entry 0 is nil.
+	slots []itemSlot
+	bins  []*Bin
+
+	departures eventq.Queue[int32] // payload: list index
+	crashes    eventq.Queue[int]   // payload: bin ID
 	retries    eventq.Queue[retryDispatch]
 	retrySeq   int64
 	waitq      []queuedDispatch
@@ -306,15 +308,13 @@ type Engine struct {
 	// placements counts committed placements whatever the history keeps.
 	placements int
 	nextBinID  int
-	binsByID   map[int]*Bin
-	byID       map[int]int32 // item ID -> list index, built on first lookup (item)
-	attempts   map[int]int   // item ID -> eviction count (allocated on first crash)
+	byID       map[int]int32 // static item ID -> list index, built on first lookup (index)
 	served     int
 	eventSeq   int64
 
 	// spare holds the closed bins the next bins to open reuse (closeBinAt,
-	// openBin): those the run took from its Instance (Instance.Simulate)
-	// and those it closed itself. It is not snapshot state.
+	// openBin): those the run took from its Instance and those it closed
+	// itself. It is not snapshot state.
 	spare []*Bin
 
 	probe  *fitProbe
@@ -327,13 +327,10 @@ type Engine struct {
 	// is nil).
 	// migPass is the 1-based number of the next consolidation pass to
 	// attempt (pass n fires at period·n); pendingMoves are the staged moves
-	// of the in-progress pass at passTime, committed one per Step; redirects
-	// maps a moved item's live departure-queue key (depSeq) to its current
-	// bin.
+	// of the in-progress pass at passTime, committed one per Step.
 	migPass      int64
 	pendingMoves []MigrationMove
 	passTime     float64
-	redirects    map[int64]int
 
 	// Fast Select paths, nil unless the policy takes one and
 	// WithLinearSelect does not force the scan. The engine mirrors every
@@ -350,8 +347,6 @@ type Engine struct {
 	tp     totalsPolicy
 	totals []vector.Acc
 	tot    vector.Vector
-
-	evictIDs []int // scratch reused across crashes
 
 	// lastTime is the time of the most recent committed event — the floor
 	// below which a dynamic run must not admit new arrivals (AppendArrival).
@@ -378,22 +373,17 @@ func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.newEngine(p, cfg)
+	return in.newEngine(p, cfg, in.takeKit())
 }
 
 // newEngineShell builds the run scaffolding shared by NewEngine,
-// Instance.Simulate and RestoreEngine: the policy is already acquired and
-// reset, the instance prepared, but no events have been primed.
-func newEngineShell(in *Instance, p Policy, cfg config) *Engine {
+// Instance.Simulate and RestoreEngine on the parts k lends it: the policy is
+// already acquired and reset, the instance prepared, but no events have been
+// primed.
+func newEngineShell(in *Instance, p Policy, cfg config, k *runKit) *Engine {
 	l := in.list
-	e := &Engine{
-		cfg:      cfg,
-		p:        p,
-		list:     l,
-		arrivals: in.arrivals,
-		shape:    in.shape,
-		binsByID: make(map[int]*Bin),
-	}
+	e := &Engine{cfg: cfg, p: p, list: l, arrivals: in.arrivals, shape: in.shape}
+	e.slots, e.bins, e.spare, e.open, e.departures = k.slots, k.bins, k.spare, k.open, k.deps
 	e.res = &Result{
 		Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: e.shape.span(), Mu: e.shape.mu(),
 	}
@@ -499,7 +489,7 @@ func (e *Engine) auditOpenSet() error {
 		return nil
 	}
 	if e.idx != nil {
-		if err := e.idx.validate(e.binsByID); err != nil {
+		if err := e.idx.validate(e.open, len(e.open)-e.holes); err != nil {
 			return err
 		}
 	}
@@ -558,7 +548,7 @@ func (e *Engine) AppendPlacements(dst []Placement, from int) ([]Placement, int) 
 func (e *Engine) Policy() Policy { return e.p }
 
 // makeReq shapes the Request a policy sees for a dispatch of it at now.
-func (e *Engine) makeReq(it item.Item, now float64, attempt int) Request {
+func (e *Engine) makeReq(it *item.Item, now float64, attempt int) Request {
 	req := Request{ID: it.ID, SeqNo: it.SeqNo, Arrival: now, Size: it.Size, Attempt: attempt}
 	if e.cfg.clairvoyant {
 		req.Departure = it.Departure
@@ -576,9 +566,9 @@ func (e *Engine) makeReq(it item.Item, now float64, attempt int) Request {
 // Once the policy and the observer have seen the close, the bin goes onto
 // the spare list unchanged, so a crashed bin keeps its items and a drained
 // one its state for the BinCrashed, ItemEvicted and ItemMigrated callbacks
-// that follow; openBin clears it when it reuses it. Every later event
-// resolves its bin by ID, and a reused bin has a new one, so no stale event
-// reaches it.
+// that follow; openBin clears it when it reuses it. No stale event reaches
+// a reused bin: a departure finds its bin through the item's slot, and a
+// crash or a migration move by ID among the open bins.
 func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	if e.hist != nil {
 		e.hist.RecordBin(BinUsage{BinID: b.ID, OpenedAt: b.OpenedAt, ClosedAt: t, Packed: b.PackedItems(), Crashed: crashed})
@@ -586,7 +576,6 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	e.res.Cost += t - b.OpenedAt
 	e.open[b.openIdx] = nil
 	e.holes++
-	delete(e.binsByID, b.ID)
 	if e.idx != nil {
 		e.idx.remove(b)
 	}
@@ -598,22 +587,34 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	e.spare = append(e.spare, b)
 }
 
-// openBin opens the next bin at time now: the most recently closed spare
-// bin, reopened in place, or a new one when the spare list is empty.
-func (e *Engine) openBin(now float64) *Bin {
+// openBin appends an open bin with the given ID to the open set: the most
+// recently closed spare bin, reopened in place, or a new one in a new arena
+// slot when the spare list is empty.
+func (e *Engine) openBin(id int, openedAt float64) *Bin {
 	var b *Bin
 	if n := len(e.spare); n > 0 {
 		b, e.spare = e.spare[n-1], e.spare[:n-1]
-		b.reopen(e.nextBinID, now)
+		b.reopen(id, openedAt)
 	} else {
-		b = newBin(e.nextBinID, e.list.Dim, now)
+		b = newBin(id, e.list.Dim, openedAt)
+		b.list, b.slot = e.list, int32(len(e.bins))
+		e.bins = append(e.bins, b)
 	}
 	b.openIdx = len(e.open)
 	b.probe = e.probe
-	e.nextBinID++
 	e.open = append(e.open, b)
-	e.binsByID[b.ID] = b
 	return b
+}
+
+// binByID returns the open bin with the given ID, or nil: a binary search
+// of the compacted open slice, which is in ascending ID order.
+func (e *Engine) binByID(id int) *Bin {
+	e.compact()
+	k, found := slices.BinarySearchFunc(e.open, id, func(b *Bin, id int) int { return cmp.Compare(b.ID, id) })
+	if !found {
+		return nil
+	}
+	return e.open[k]
 }
 
 func (e *Engine) compact() {
@@ -631,14 +632,15 @@ func (e *Engine) compact() {
 	e.holes = 0
 }
 
-// dispatch runs one packing decision for it at time now. It returns
-// placed=false when admission control turned the dispatch away (queued,
-// rejected, or — for fromQueue dispatches — left in the queue). binID and
-// opened describe the landed placement (binID is -1 when nothing was
-// placed).
-func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool) (placed bool, binID int, opened bool, err error) {
+// dispatch runs one packing decision for item i (a list index) at time
+// now. It returns placed=false when admission control turned the dispatch
+// away (queued, rejected, or — for fromQueue dispatches — left in the
+// queue). binID and opened describe the landed placement (binID is -1 when
+// nothing was placed).
+func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (placed bool, binID int, opened bool, err error) {
 	e.compact()
 	e.buildIndex()
+	it := &e.list.Items[i]
 	req := e.makeReq(it, now, attempt)
 	if e.cfg.observer != nil {
 		e.cfg.observer.BeforePack(req, e.open)
@@ -677,7 +679,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 				return false, -1, false, nil // stays queued; caller keeps the entry
 			}
 			if e.cfg.queueWhenFull {
-				e.waitq = append(e.waitq, queuedDispatch{it: it, attempt: attempt, queuedAt: now, deadline: now + e.cfg.queueDeadline})
+				e.waitq = append(e.waitq, queuedDispatch{i: i, attempt: attempt, queuedAt: now, deadline: now + e.cfg.queueDeadline})
 				if e.fObs != nil {
 					e.fObs.ItemQueued(req, now)
 				}
@@ -690,14 +692,15 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 			}
 			return false, -1, false, nil
 		}
-		b = e.openBin(now)
+		b = e.openBin(e.nextBinID, now)
+		e.nextBinID++
 		opened = true
 		if e.cfg.injector != nil {
 			if at, ok := e.cfg.injector.BinOpened(b.ID, now); ok && !math.IsNaN(at) && at > now {
 				e.crashes.PushAt(at, int64(b.ID), b.ID)
 			}
 		}
-	} else if e.binsByID[b.ID] != b {
+	} else if b.openIdx >= len(e.open) || e.open[b.openIdx] != b {
 		return false, -1, false, fmt.Errorf("core: policy %s returned closed or foreign bin %d", e.p.Name(), b.ID)
 	}
 	if e.cfg.audit != nil {
@@ -706,7 +709,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 		e.cfg.audit.record(req, b, opened, e.open)
 	}
 	e.totalsSub(b) // a fresh bin's load is zero
-	if err := b.pack(it.ID, it.Size); err != nil {
+	if err := e.pack(b, i, attempt); err != nil {
 		return false, -1, false, fmt.Errorf("core: policy %s chose unfit bin: %w", e.p.Name(), err)
 	}
 	e.totalsAdd(b)
@@ -731,7 +734,7 @@ func (e *Engine) dispatch(it item.Item, attempt int, now float64, fromQueue bool
 	if attempt > 0 {
 		e.res.Retries++
 	}
-	e.departures.PushAt(it.Departure, depSeq(it.ID, attempt), departure{itemID: it.ID, binID: b.ID})
+	e.departures.PushAt(it.Departure, depSeq(it.ID, attempt), i)
 	if live := len(e.open) - e.holes; live > e.res.MaxConcurrentBins {
 		e.res.MaxConcurrentBins = live
 	}
@@ -747,15 +750,16 @@ func (e *Engine) drainQueue(t float64) error {
 	}
 	kept := e.waitq[:0]
 	for _, q := range e.waitq {
-		if t > q.deadline || t >= q.it.Departure {
+		it := &e.list.Items[q.i]
+		if t > q.deadline || t >= it.Departure {
 			e.res.TimedOut++
-			e.outcome(q.it.ID, OutcomeTimedOut)
+			e.outcome(it.ID, OutcomeTimedOut)
 			if e.fObs != nil {
-				e.fObs.ItemRejected(e.makeReq(q.it, t, q.attempt), t, true)
+				e.fObs.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
 			}
 			continue
 		}
-		placed, _, _, err := e.dispatch(q.it, q.attempt, t, true)
+		placed, _, _, err := e.dispatch(q.i, q.attempt, t, true)
 		if err != nil {
 			return err
 		}
@@ -763,7 +767,7 @@ func (e *Engine) drainQueue(t float64) error {
 			e.res.QueuedPlaced++
 			e.res.QueueDelay += t - q.queuedAt
 			if e.fObs != nil {
-				e.fObs.ItemDequeued(e.makeReq(q.it, t, q.attempt), q.queuedAt, t)
+				e.fObs.ItemDequeued(e.makeReq(it, t, q.attempt), q.queuedAt, t)
 			}
 			continue
 		}
@@ -778,51 +782,53 @@ func (e *Engine) drainQueue(t float64) error {
 	return nil
 }
 
-// handleDeparture processes one departure event. binID reports the bin the
-// departure actually mutated (-1 when the event was stale: the bin crashed
-// and the item was evicted before its departure fired).
-func (e *Engine) handleDeparture(t float64, ev departure) (binID int, err error) {
-	b, ok := e.binsByID[ev.binID]
-	if !ok {
-		if e.cfg.injector != nil {
-			return -1, nil // stale: the bin crashed and the item was evicted
-		}
-		return -1, fmt.Errorf("core: departure from unknown bin %d", ev.binID)
+// handleDeparture processes the departure entry seq of item i (a list
+// index). binID reports the bin the departure actually mutated (-1 when the
+// entry was stale: a crash evicted the item after the placement the entry
+// belongs to, so the item's slot holds a later attempt).
+func (e *Engine) handleDeparture(t float64, seq int64, i int32) (binID int, err error) {
+	s := e.slots[i]
+	live := uint32(s.attempt) == uint32(seq)
+	if !live && e.cfg.injector != nil {
+		return -1, nil // stale
 	}
+	if !live || s.bin == 0 {
+		return -1, fmt.Errorf("core: departure of item %d from unknown bin", e.list.Items[i].ID)
+	}
+	b := e.bins[s.bin]
+	binID = b.ID
 	e.totalsSub(b)
-	if err := b.remove(ev.itemID); err != nil {
-		return -1, fmt.Errorf("core: %w", err)
-	}
+	e.unpack(i)
 	if e.cfg.audit != nil {
 		b.auditCrossCheckLoad()
 	}
+	id := e.list.Items[i].ID
 	e.served++
-	e.outcome(ev.itemID, OutcomeServed)
+	e.outcome(id, OutcomeServed)
 	if b.Empty() {
 		e.closeBinAt(b, t, false)
 	} else {
 		e.totalsAdd(b)
 		e.idxPut(b, false)
 		if e.dObs != nil {
-			e.dObs.ItemDeparted(ev.itemID, b, t)
+			e.dObs.ItemDeparted(id, b, t)
 		}
 	}
 	if err := e.auditOpenSet(); err != nil {
 		return -1, err
 	}
-	return ev.binID, e.drainQueue(t)
+	return binID, e.drainQueue(t)
 }
 
 func (e *Engine) handleCrash(t float64, binID int) error {
-	b, ok := e.binsByID[binID]
-	if !ok {
+	b := e.binByID(binID)
+	if b == nil {
 		return nil // the bin closed naturally before its crash fired
 	}
-	// Ascending ID: deterministic eviction order. The scratch slice is
-	// reused across crashes so eviction handling does not allocate once
-	// it has grown to the largest eviction burst.
-	e.evictIDs = b.appendActiveItemIDs(e.evictIDs[:0])
-	evicted := e.evictIDs
+	// Ascending ID: deterministic eviction order. The crashed bin's item
+	// list is sorted in place; its items leave their slots below.
+	evicted := b.items
+	slices.SortFunc(evicted, func(x, y int32) int { return cmp.Compare(e.list.Items[x].ID, e.list.Items[y].ID) })
 	e.res.Crashes++
 	e.closeBinAt(b, t, true)
 	if err := e.auditOpenSet(); err != nil {
@@ -831,13 +837,15 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 	if e.fObs != nil {
 		e.fObs.BinCrashed(b, t, len(evicted))
 	}
-	if e.attempts == nil {
-		e.attempts = make(map[int]int)
-	}
-	for _, id := range evicted {
-		it, _ := e.item(id)
-		e.attempts[id]++
-		attempt := e.attempts[id]
+	for _, i := range evicted {
+		// The crashed bin keeps its items for the callbacks, but the item's
+		// slot lets go of it, and the eviction starts the item's next
+		// placement attempt, so its pending departure entry goes stale.
+		s := &e.slots[i]
+		s.bin = 0
+		s.attempt++
+		attempt := int(s.attempt)
+		it := &e.list.Items[i]
 		e.res.Evictions++
 		req := e.makeReq(it, t, attempt)
 		delay := e.cfg.retry.Delay(attempt)
@@ -848,14 +856,14 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 		if retryAt < it.Departure {
 			e.res.LostUsageTime += retryAt - t
 			e.retrySeq++
-			e.retries.PushAt(retryAt, e.retrySeq, retryDispatch{it: it, attempt: attempt})
+			e.retries.PushAt(retryAt, e.retrySeq, retryDispatch{i: i, attempt: attempt})
 			if e.fObs != nil {
 				e.fObs.ItemEvicted(req, b, t, retryAt)
 			}
 		} else {
 			e.res.ItemsLost++
 			e.res.LostUsageTime += it.Departure - t
-			e.outcome(id, OutcomeLost)
+			e.outcome(it.ID, OutcomeLost)
 			if e.fObs != nil {
 				e.fObs.ItemEvicted(req, b, t, it.Departure)
 				e.fObs.ItemLost(req, t)
@@ -916,31 +924,21 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	switch class {
 	case evDeparture:
 		ev, _ := e.departures.Pop()
-		if len(e.redirects) > 0 {
-			// A migrated item's live entry still names its old bin; rewrite
-			// and consume the redirect (stale entries from earlier
-			// placements carry different attempt bits, so only the live
-			// entry matches).
-			if nb, hit := e.redirects[ev.Seq]; hit {
-				delete(e.redirects, ev.Seq)
-				ev.Payload.binID = nb
-			}
-		}
-		rec.ItemID = ev.Payload.itemID
-		rec.BinID, err = e.handleDeparture(ev.Time, ev.Payload)
+		rec.ItemID = e.list.Items[ev.Payload].ID
+		rec.BinID, err = e.handleDeparture(ev.Time, ev.Seq, ev.Payload)
 	case evCrash:
 		ev, _ := e.crashes.Pop()
 		rec.BinID = ev.Payload
 		err = e.handleCrash(ev.Time, ev.Payload)
 	case evRetry:
 		ev, _ := e.retries.Pop()
-		rec.ItemID = ev.Payload.it.ID
-		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(ev.Payload.it, ev.Payload.attempt, ev.Time, false)
+		rec.ItemID = e.list.Items[ev.Payload.i].ID
+		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(ev.Payload.i, ev.Payload.attempt, ev.Time, false)
 	case evArrival:
-		it := e.list.Items[e.arrivals[e.ai]]
+		i := e.arrivals[e.ai]
 		e.ai++
-		rec.ItemID = it.ID
-		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(it, 0, it.Arrival, false)
+		rec.ItemID = e.list.Items[i].ID
+		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(i, 0, t, false)
 	}
 	if err != nil {
 		e.err = err
@@ -973,11 +971,12 @@ func (e *Engine) Finish() (*Result, error) {
 	// Defensive sweep: the final bin close drains the queue with the whole
 	// fleet free, so entries can remain only if they were already expired.
 	for _, q := range e.waitq {
+		it := &e.list.Items[q.i]
 		e.res.TimedOut++
-		e.outcome(q.it.ID, OutcomeTimedOut)
+		e.outcome(it.ID, OutcomeTimedOut)
 		if e.fObs != nil {
-			t := math.Min(q.deadline, q.it.Departure)
-			e.fObs.ItemRejected(e.makeReq(q.it, t, q.attempt), t, true)
+			t := math.Min(q.deadline, it.Departure)
+			e.fObs.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
 		}
 	}
 	e.waitq = nil

@@ -21,7 +21,7 @@ func fleet(n, d int, seed int64) []*Bin {
 		for j := range size {
 			size[j] = float64(30+r.Intn(70)) / 100
 		}
-		if err := b.pack(i, size); err != nil {
+		if err := testPack(b, i, size); err != nil {
 			panic(err)
 		}
 		open[i] = b

@@ -13,7 +13,7 @@ import (
 func fragBin(t *testing.T, id int, load ...float64) *Bin {
 	t.Helper()
 	b := newBin(id, len(load), 0)
-	if err := b.pack(1000+id, vector.Of(load...)); err != nil {
+	if err := testPack(b, 1000+id, vector.Of(load...)); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -217,7 +217,7 @@ func TestDotProductLoopMatchesScoredSelect(t *testing.T) {
 			}
 			b := newBin(i, d, 0)
 			b.probe = probe
-			if err := b.pack(i, load); err != nil {
+			if err := testPack(b, i, load); err != nil {
 				t.Fatal(err)
 			}
 			open[i] = b

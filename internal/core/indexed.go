@@ -95,17 +95,18 @@ func (x *binIndex) first(size vector.Vector) *Bin {
 	return nil
 }
 
-// validate checks the index against the open bins (audit mode): every open
-// bin appears exactly once, in strictly ascending (key, ID) order, under its
-// current key. Strict order rules out a repeated entry, so entries that are
-// all open and as many as the open bins are each open bin once.
-func (x *binIndex) validate(open map[int]*Bin) error {
-	if len(x.bins) != len(open) {
-		return fmt.Errorf("core: bin index holds %d entries for %d open bins", len(x.bins), len(open))
+// validate checks the index against the open slice (audit mode), which
+// holds live open bins among its tombstones: every open bin appears exactly
+// once, in strictly ascending (key, ID) order, under its current key.
+// Strict order rules out a repeated entry, so entries that are all open and
+// as many as the open bins are each open bin once.
+func (x *binIndex) validate(open []*Bin, live int) error {
+	if len(x.bins) != live {
+		return fmt.Errorf("core: bin index holds %d entries for %d open bins", len(x.bins), live)
 	}
 	for i, b := range x.bins {
 		switch {
-		case open[b.ID] != b:
+		case b.openIdx >= len(open) || open[b.openIdx] != b:
 			return fmt.Errorf("core: bin index entry %d is bin %d, which is not open", i, b.ID)
 		case b.ixKey != x.key(b):
 			return fmt.Errorf("core: bin %d is filed under key %v, its load gives %v", b.ID, b.ixKey, x.key(b))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dvbp/internal/eventq"
 	"dvbp/internal/item"
 )
 
@@ -15,11 +16,12 @@ import (
 // RestoreEngine prepare an Instance of their own, so every run validates and
 // orders its list through the same code.
 //
-// Runs also pass their bins on: a run takes the closed bins the Instance
-// holds, reuses them before it allocates new ones, and hands all of its bins
-// back when it finishes, so a run over a warm Instance opens bins without
-// allocating. The Instance therefore keeps up to the largest peak of open
-// bins any of its runs reached.
+// Runs also pass their scaffolding on: a run takes the slot table, the bins,
+// the open-bin slice and the departure queue's backing array the Instance
+// holds, reuses them before it allocates new ones, and hands them all back
+// empty when it finishes, so a run over a warm Instance neither regrows its
+// scaffolding nor allocates a bin. The Instance therefore keeps up to the
+// largest peak of open bins any of its runs reached.
 //
 // The Instance reads the list in place, item sizes included: the caller must
 // not mutate the list while runs over it may start or are in progress.
@@ -30,10 +32,27 @@ type Instance struct {
 	arrivals []int32
 	shape    shape
 
-	// mu guards spare, the closed bins the next run takes (takeSpare,
-	// putSpare), so a bin is never in two live runs.
-	mu    sync.Mutex
+	// mu guards kit, the parts the next run takes (takeKit, putKit), so
+	// no part is ever in two live runs; nil while a run holds them.
+	mu  sync.Mutex
+	kit *runKit
+}
+
+// runKit is the scaffolding a run borrows from its Instance: the slot table
+// (one zero entry per list index), the bin arena with every bin closed and
+// on the spare list, and an empty open-bin slice and departure queue that
+// keep their capacity.
+type runKit struct {
+	slots []itemSlot
+	bins  []*Bin
 	spare []*Bin
+	open  []*Bin
+	deps  eventq.Queue[int32]
+}
+
+// newKit returns the parts of a run over n items that has none to take.
+func newKit(n int) *runKit {
+	return &runKit{slots: make([]itemSlot, n), bins: []*Bin{nil}}
 }
 
 // NewInstance validates a static list and prepares it for shared runs. It
@@ -49,7 +68,7 @@ func prepare(l *item.List, dynamic bool) (*Instance, error) {
 	if err := validateList(l, dynamic); err != nil {
 		return nil, err
 	}
-	in := &Instance{list: l, arrivals: l.ArrivalOrder()}
+	in := &Instance{list: l, arrivals: l.ArrivalOrder(), kit: newKit(len(l.Items))}
 	for _, i := range in.arrivals {
 		in.shape.add(l.Items[i].Arrival, l.Items[i].Departure)
 	}
@@ -88,44 +107,54 @@ func (in *Instance) Simulate(p Policy, opts ...Option) (*Result, error) {
 	if cfg.dynamic {
 		return nil, fmt.Errorf("core: WithDynamicArrivals on a shared Instance; a dynamic run grows its own list, start it with NewEngine")
 	}
-	e, err := in.newEngine(p, cfg)
+	k := in.takeKit()
+	e, err := in.newEngine(p, cfg, k)
 	if err != nil {
+		in.putKit(k)
 		return nil, err
 	}
-	e.spare = in.takeSpare()
 	res, err := e.run()
-	// Once the run has finished, every bin it had is closed and on its spare
-	// list; a failed run's spare list holds closed bins only.
-	in.putSpare(e.spare)
+	if err == nil {
+		// Every item has left its bin and every bin is closed and spare;
+		// clearing the slot table resets the items' eviction counts. A
+		// failed run's parts are dropped.
+		clear(e.slots)
+		*k = runKit{slots: e.slots, bins: e.bins, spare: e.spare, open: e.open[:0], deps: e.departures}
+		in.putKit(k)
+	}
 	return res, err
 }
 
-// takeSpare hands a starting run every closed bin the Instance holds.
-func (in *Instance) takeSpare() []*Bin {
+// takeKit hands a starting run the Instance's parts, or new ones while
+// another run holds them.
+func (in *Instance) takeKit() *runKit {
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	s := in.spare
-	in.spare = nil
-	return s
+	k := in.kit
+	in.kit = nil
+	in.mu.Unlock()
+	if k == nil {
+		k = newKit(len(in.list.Items))
+	}
+	return k
 }
 
-// putSpare takes back a finished run's bins. Of two runs that overlapped,
-// the Instance keeps the larger set, so it never holds more bins than one
-// run had.
-func (in *Instance) putSpare(s []*Bin) {
+// putKit takes back a finished run's parts. Of two runs that overlapped,
+// the Instance keeps the parts with more bins, so it never holds more bins
+// than one run had.
+func (in *Instance) putKit(k *runKit) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if len(s) > len(in.spare) {
-		in.spare = s
+	if in.kit == nil || len(k.bins) > len(in.kit.bins) {
+		in.kit = k
 	}
 }
 
-// newEngine starts a run of p over the instance: it takes the policy-reuse
-// guard, resets the policy and builds the engine.
-func (in *Instance) newEngine(p Policy, cfg config) (*Engine, error) {
+// newEngine starts a run of p over the instance on the parts k lends it: it
+// takes the policy-reuse guard, resets the policy and builds the engine.
+func (in *Instance) newEngine(p Policy, cfg config, k *runKit) (*Engine, error) {
 	if err := acquirePolicy(p); err != nil {
 		return nil, err
 	}
 	p.Reset()
-	return newEngineShell(in, p, cfg), nil
+	return newEngineShell(in, p, cfg, k), nil
 }

@@ -12,8 +12,10 @@ package core
 // bit-identical to an unmodified run.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"dvbp/internal/vector"
 )
@@ -168,14 +170,14 @@ func (e *Engine) planMigrationPass(passAt float64) ([]MigrationMove, error) {
 		Dim:  e.list.Dim,
 		Bins: e.open,
 		Size: func(id int) vector.Vector {
-			if it, ok := e.item(id); ok {
-				return it.Size
+			if i, ok := e.index(id); ok {
+				return e.list.Items[i].Size
 			}
 			return nil
 		},
 		Departure: func(id int) float64 {
-			if it, ok := e.item(id); ok {
-				return it.Departure
+			if i, ok := e.index(id); ok {
+				return e.list.Items[i].Departure
 			}
 			return math.NaN()
 		},
@@ -201,34 +203,53 @@ func (e *Engine) checkMigrationPlan(moves []MigrationMove, passAt float64) error
 	if len(moves) > budget.MaxMoves {
 		return fmt.Errorf("plan has %d moves, budget allows %d", len(moves), budget.MaxMoves)
 	}
-	seen := make(map[int]int, len(moves))
+	first, dup := repeatedMove(moves)
 	cost := 0.0
 	for i, mv := range moves {
-		if prev, dup := seen[mv.ItemID]; dup {
-			return fmt.Errorf("moves %d and %d both relocate item %d", prev, i, mv.ItemID)
+		if i == dup {
+			return fmt.Errorf("moves %d and %d both relocate item %d", first, i, mv.ItemID)
 		}
-		seen[mv.ItemID] = i
 		if mv.From == mv.To {
 			return fmt.Errorf("move %d relocates item %d from bin %d to itself", i, mv.ItemID, mv.From)
 		}
-		from, ok := e.binsByID[mv.From]
-		if !ok {
+		from := e.binByID(mv.From)
+		if from == nil {
 			return fmt.Errorf("move %d names unknown source bin %d", i, mv.From)
 		}
-		if _, ok := e.binsByID[mv.To]; !ok {
+		if e.binByID(mv.To) == nil {
 			return fmt.Errorf("move %d names unknown target bin %d", i, mv.To)
 		}
-		size, active := from.active[mv.ItemID]
-		if !active {
+		k, known := e.index(mv.ItemID)
+		if !known || e.slots[k].bin != from.slot {
 			return fmt.Errorf("move %d: item %d is not active in bin %d", i, mv.ItemID, mv.From)
 		}
-		it, _ := e.item(mv.ItemID)
-		cost += MigrationMoveCost(size, it.Departure-passAt)
+		it := &e.list.Items[k]
+		cost += MigrationMoveCost(it.Size, it.Departure-passAt)
 	}
 	if budget.MaxCost > 0 && cost > budget.MaxCost {
 		return fmt.Errorf("plan costs %g, budget allows %g", cost, budget.MaxCost)
 	}
 	return nil
+}
+
+// repeatedMove returns the first move of a plan that relocates an item an
+// earlier move already relocates (dup; -1 when every item moves once) and
+// that item's first move. A stable sort of the move indices by item puts
+// each item's moves together in plan order, so each adjacent pair of one
+// item's moves is a candidate, and its first pair holds its smallest dup.
+func repeatedMove(moves []MigrationMove) (first, dup int) {
+	order := make([]int, len(moves))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(moves[a].ItemID, moves[b].ItemID) })
+	first, dup = -1, -1
+	for k := 1; k < len(order); k++ {
+		if a, b := order[k-1], order[k]; moves[a].ItemID == moves[b].ItemID && (dup < 0 || b < dup) {
+			first, dup = a, b
+		}
+	}
+	return first, dup
 }
 
 // stepMove commits the next staged migration move as this Step's event.
@@ -256,27 +277,29 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 		e.pendingMoves = nil
 	}
 	t := e.passTime
-	from, ok := e.binsByID[mv.From]
-	if !ok {
+	from := e.binByID(mv.From)
+	if from == nil {
 		return -1, -1, fmt.Errorf("core: migration move from unknown bin %d", mv.From)
 	}
-	to, ok := e.binsByID[mv.To]
-	if !ok {
+	to := e.binByID(mv.To)
+	if to == nil {
 		return -1, -1, fmt.Errorf("core: migration move to unknown bin %d", mv.To)
 	}
-	size, active := from.active[mv.ItemID]
-	if !active {
+	k, known := e.index(mv.ItemID)
+	if !known || e.slots[k].bin != from.slot {
 		return -1, -1, fmt.Errorf("core: migration move of item %d not active in bin %d", mv.ItemID, mv.From)
 	}
-	if !to.Fits(size) {
-		return -1, -1, fmt.Errorf("core: migration move of item %d (size %v) overflows bin %d (load %v)", mv.ItemID, size, to.ID, to.load)
+	it := &e.list.Items[k]
+	if !to.Fits(it.Size) {
+		return -1, -1, fmt.Errorf("core: migration move of item %d (size %v) overflows bin %d (load %v)", mv.ItemID, it.Size, to.ID, to.load)
 	}
 	e.totalsSub(from)
 	e.totalsSub(to)
-	if err := from.remove(mv.ItemID); err != nil {
-		return -1, -1, fmt.Errorf("core: %w", err)
-	}
-	if err := to.pack(mv.ItemID, size); err != nil {
+	// The item keeps its attempt, so its live departure entry, which holds
+	// only the item, finds it in to through its slot.
+	attempt := int(e.slots[k].attempt)
+	e.unpack(k)
+	if err := e.pack(to, k, attempt); err != nil {
 		return -1, -1, fmt.Errorf("core: %w", err)
 	}
 	e.totalsAdd(to)
@@ -284,22 +307,9 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 		from.auditCrossCheckLoad()
 		to.auditCrossCheckLoad()
 	}
-	it, _ := e.item(mv.ItemID)
-	cost := MigrationMoveCost(size, it.Departure-t)
+	cost := MigrationMoveCost(it.Size, it.Departure-t)
 	e.res.Migrations++
 	e.res.MigrationCost += cost
-
-	// The item's live departure entry still names the old bin; redirect it.
-	// Stale entries from earlier placements carry different attempt bits, so
-	// only the live entry matches.
-	attempt := 0
-	if e.attempts != nil {
-		attempt = e.attempts[mv.ItemID]
-	}
-	if e.redirects == nil {
-		e.redirects = make(map[int64]int)
-	}
-	e.redirects[depSeq(mv.ItemID, attempt)] = to.ID
 
 	e.idxPut(to, false)
 	drained := from.Empty()

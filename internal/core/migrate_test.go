@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -525,5 +527,107 @@ func TestMigrationHostilePlans(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRepeatedMoveMatchesFirstSeen: repeatedMove names the pair a plan walk
+// with a map of first moves names, the first move that repeats an item and
+// that item's first move, on random plans over few items.
+func TestRepeatedMoveMatchesFirstSeen(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for n := 0; n < 2000; n++ {
+		moves := make([]MigrationMove, r.Intn(8))
+		for i := range moves {
+			moves[i].ItemID = r.Intn(6)
+		}
+		wantFirst, wantDup := -1, -1
+		seen := map[int]int{}
+		for i, mv := range moves {
+			if f, ok := seen[mv.ItemID]; ok {
+				wantFirst, wantDup = f, i
+				break
+			}
+			seen[mv.ItemID] = i
+		}
+		if first, dup := repeatedMove(moves); first != wantFirst || dup != wantDup {
+			t.Fatalf("plan %v: repeatedMove = (%d, %d), want (%d, %d)", moves, first, dup, wantFirst, wantDup)
+		}
+	}
+}
+
+// TestEvictedReplacedMigratedItemDepartsOnce runs a hand-built trace under
+// WithFaults and WithMigration together. Item 0 lands in bin 0, which
+// crashes at t = 1; the item is re-placed at t = 2 into bin 2 (bin 1 is too
+// full then), and the consolidation pass at t = 4 moves it into bin 1,
+// draining bin 2. At t = 10 the item has two departure entries: the stale
+// one from its first placement must change nothing, and the live one must
+// take it out of bin 1, the bin it was migrated to, exactly once. A
+// departure that skipped the attempt comparison would take the item out on
+// the stale entry and then fail on the live one.
+func TestEvictedReplacedMigratedItemDepartsOnce(t *testing.T) {
+	l := list(t, 1,
+		[]float64{0, 10, 0.5},   // item 0: evicted, re-placed, migrated
+		[]float64{1.5, 20, 0.3}, // item 1: bin 1 until the end
+		[]float64{1.5, 3, 0.4},  // item 2: fills bin 1 past item 0 until t = 3
+	)
+	opts := []Option{
+		WithFaults(traceInj{0: 1}, fixedRetry{wait: 1}),
+		WithMigration(&fixedPlanner{plan: []MigrationMove{{ItemID: 0, From: 2, To: 1}}}, 4, MigrationBudget{MaxMoves: 1}),
+	}
+	e, err := NewEngine(l, NewFirstFit(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var departures []EventRecord
+	for {
+		rec, ok, err := e.Step()
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if !ok {
+			break
+		}
+		if rec.Class != EventDeparture || rec.ItemID != 0 {
+			continue
+		}
+		departures = append(departures, rec)
+		// Bin 1 holds items 1 and 0 until the live entry fires.
+		open := e.AppendOpenBins(nil)
+		if len(open) != 1 || open[0].ID != 1 {
+			t.Fatalf("after departure entry %d of item 0: open bins %v, want bin 1 only", len(departures), open)
+		}
+		want := []int{0, 1}
+		if len(departures) == 2 {
+			want = []int{1}
+		}
+		if got := open[0].ActiveItemIDs(); !slices.Equal(got, want) {
+			t.Fatalf("after departure entry %d of item 0: bin 1 holds %v, want %v", len(departures), got, want)
+		}
+	}
+	if len(departures) != 2 || departures[0].BinID != -1 || departures[1].BinID != 1 {
+		t.Fatalf("item 0's departure entries %+v: want a stale one (bin -1), then the live one from bin 1", departures)
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes != 1 || res.Evictions != 1 || res.Retries != 1 || res.Migrations != 1 || res.BinsDrained != 1 || res.BinsOpened != 3 {
+		t.Fatalf("crashes %d, evictions %d, retries %d, migrations %d, drained %d, bins %d; want 1, 1, 1, 1, 1, 3",
+			res.Crashes, res.Evictions, res.Retries, res.Migrations, res.BinsDrained, res.BinsOpened)
+	}
+	for _, it := range l.Items {
+		if res.Outcomes[it.ID] != OutcomeServed {
+			t.Errorf("item %d: outcome %v, want served", it.ID, res.Outcomes[it.ID])
+		}
+	}
+	// Bin 0 [0, 1) crashed, bin 1 [1.5, 20) closes at item 1's departure,
+	// bin 2 [2, 4) drained.
+	closed := map[int]float64{}
+	for _, b := range res.Bins {
+		closed[b.BinID] = b.ClosedAt
+	}
+	if want := map[int]float64{0: 1, 1: 20, 2: 4}; !reflect.DeepEqual(closed, want) || res.Cost != 21.5 {
+		t.Fatalf("bins closed at %v with cost %v, want %v and 21.5", closed, res.Cost, want)
 	}
 }

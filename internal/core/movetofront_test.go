@@ -107,7 +107,7 @@ func TestMoveToFrontSelectScansRecencyOrder(t *testing.T) {
 	req := Request{Size: vector.Of(0.1)}
 
 	full := newBin(0, 1, 0)
-	if err := full.pack(100, vector.Of(0.95)); err != nil {
+	if err := testPack(full, 100, vector.Of(0.95)); err != nil {
 		t.Fatal(err)
 	}
 	roomy := newBin(1, 1, 0)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,23 @@ import (
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
 )
+
+// testPack packs an item of the given ID and size into a bin built outside
+// a run, which keeps its own item list: the item must fit, and the bin
+// counts it among its active and packed items as a run's pack does.
+func testPack(b *Bin, id int, size vector.Vector) error {
+	if !b.Fits(size) {
+		return fmt.Errorf("bin %d: item %d of size %v does not fit load %v", b.ID, id, size, b.load)
+	}
+	if b.list == nil {
+		b.list = item.NewList(b.Dim())
+	}
+	b.list.Items = append(b.list.Items, item.Item{ID: id, Size: size})
+	b.items = append(b.items, int32(len(b.list.Items)-1))
+	b.packed++
+	b.add(size)
+	return nil
+}
 
 // TestScanLoopsMatchBinFits checks the shared scan loops of policy.go
 // against Bin.Fits, bin by bin, on random fleets at d = 1, 2, 3 and 5. Loads
@@ -36,7 +54,7 @@ func TestScanLoopsMatchBinFits(t *testing.T) {
 			for i := range open {
 				b := newBin(i, d, 0)
 				b.probe = probe
-				if err := b.pack(i, tenths(d)); err != nil {
+				if err := testPack(b, i, tenths(d)); err != nil {
 					t.Fatal(err)
 				}
 				open[i] = b

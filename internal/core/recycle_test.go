@@ -212,7 +212,7 @@ func TestInstanceHandsOnSpareBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := slices.Clone(in.spare)
+	held := slices.Clone(in.kit.bins[1:])
 	if len(held) != first.MaxConcurrentBins {
 		t.Fatalf("the Instance holds %d bins after a run whose peak was %d", len(held), first.MaxConcurrentBins)
 	}
@@ -225,9 +225,32 @@ func TestInstanceHandsOnSpareBins(t *testing.T) {
 			t.Errorf("%s over a warm Instance differs from Simulate", p.Name())
 		}
 		for _, b := range held {
-			if !slices.Contains(in.spare, b) {
+			if !slices.Contains(in.kit.bins, b) {
 				t.Fatalf("%s: a bin the Instance held before the run is gone after it", p.Name())
 			}
 		}
+	}
+}
+
+// TestWarmRunAllocsFlat: a cost-only run over an Instance that an earlier
+// run has warmed allocates as many objects at n = 8000 as at n = 1000. The
+// run takes its slot table, bins, open-bin slice and departure queue from
+// the Instance and hands them back empty, so nothing it allocates grows
+// with the run.
+func TestWarmRunAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		in, err := NewInstance(churnInstance(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewNextFit()
+		return testing.AllocsPerRun(3, func() { // after one warming run
+			if _, err := in.Simulate(p, WithHistory(nil)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Errorf("a warm cost-only run allocates %v objects at n = 1000 and %v at n = 8000, want equal", small, large)
 	}
 }

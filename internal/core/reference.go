@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dvbp/internal/item"
-	"dvbp/internal/vector"
 )
 
 // SimulateReference is a deliberately naive, from-scratch implementation of
@@ -25,14 +24,14 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 	p.Reset()
 
 	arrivals := l.SortedByArrival()
-	itemByID := make(map[int]item.Item, l.Len())
-	for _, it := range l.Items {
-		itemByID[it.ID] = it
+	indexOf := make(map[int]int32, l.Len())
+	for k, it := range l.Items {
+		indexOf[it.ID] = int32(k)
 	}
 
 	type refBin struct {
-		bin      *Bin // the policy-facing view (load kept in sync)
-		itemIDs  []int
+		bin      *Bin    // the policy-facing view (items and load kept in sync)
+		items    []int32 // list indices of every item ever packed
 		closedAt float64 // +Inf while open
 		closed   bool
 	}
@@ -42,8 +41,8 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 	// closeTime recomputes a bin's close time from its items.
 	closeTime := func(rb *refBin) float64 {
 		last := 0.0
-		for _, id := range rb.itemIDs {
-			if d := itemByID[id].Departure; d > last {
+		for _, k := range rb.items {
+			if d := l.Items[k].Departure; d > last {
 				last = d
 			}
 		}
@@ -62,15 +61,13 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 			if rb.closed {
 				continue
 			}
-			active := make(map[int]vector.Vector)
-			for _, id := range rb.itemIDs {
-				it := itemByID[id]
-				if it.ActiveAt(t) {
-					active[id] = it.Size
+			var active []int32
+			for _, k := range rb.items {
+				if l.Items[k].ActiveAt(t) {
+					active = append(active, k)
 				}
 			}
-			rb.bin.active = active
-			rb.bin.refreshLoadFromActive()
+			rb.bin.refill(l, active)
 		}
 	}
 
@@ -100,7 +97,7 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 			c.rb.closed = true
 			c.rb.closedAt = c.t
 			res.Bins = append(res.Bins, BinUsage{
-				BinID: c.rb.bin.ID, OpenedAt: c.rb.bin.OpenedAt, ClosedAt: c.t, Packed: len(c.rb.itemIDs),
+				BinID: c.rb.bin.ID, OpenedAt: c.rb.bin.OpenedAt, ClosedAt: c.t, Packed: len(c.rb.items),
 			})
 			res.Cost += c.t - c.rb.bin.OpenedAt
 			p.OnClose(c.rb.bin)
@@ -141,10 +138,10 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 				return nil, fmt.Errorf("core: reference: policy %s chose unfit bin %d", p.Name(), chosen.ID)
 			}
 		}
-		target.itemIDs = append(target.itemIDs, it.ID)
-		target.bin.active[it.ID] = it.Size
+		k := indexOf[it.ID]
+		target.items = append(target.items, k)
 		target.bin.packed++
-		target.bin.refreshLoadFromActive()
+		target.bin.refill(l, append(target.bin.items, k))
 		p.OnPack(req, target.bin, opened)
 
 		res.Placements = append(res.Placements, Placement{ItemID: it.ID, BinID: target.bin.ID, Opened: opened, Time: it.Arrival})

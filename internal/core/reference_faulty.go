@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"dvbp/internal/item"
 )
@@ -18,9 +20,9 @@ import (
 //	ties within a class broken by item ID / bin ID / eviction order / SeqNo.
 //
 // Policies are driven through identical Select/OnPack/OnClose sequences
-// (including failed admission-queue attempts), so even seeded RandomFit must
-// agree bit for bit. Observer and audit options are not supported here; only
-// clairvoyance and the failure options are honoured.
+// (including admission-queue dispatches that fail), so even seeded
+// RandomFit must agree bit for bit. Observer and audit options are not
+// supported here; only clairvoyance and the failure options are honoured.
 //
 // It intentionally shares no bookkeeping code with Simulate; keep it that
 // way, or the oracle stops being independent.
@@ -58,20 +60,25 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 	}
 	type frBin struct {
 		bin      *Bin
+		items    []int32 // the reference's own item set: list indices
 		closed   bool
 		crashAt  float64
 		hasCrash bool
 	}
+	indexOf := make(map[int]int32, l.Len())
+	for k, it := range l.Items {
+		indexOf[it.ID] = int32(k)
+	}
 
 	var (
-		bins     []*frBin
-		deps     []pendingDeparture
-		rets     []pendingRetry
-		retrySeq int64
-		waitq    []pendingQueue
-		attempts = make(map[int]int)
-		served   int
-		res      = &Result{
+		bins      []*frBin
+		deps      []pendingDeparture
+		rets      []pendingRetry
+		retrySeq  int64
+		waitq     []pendingQueue
+		evictions = make(map[int]int)
+		served    int
+		res       = &Result{
 			Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: l.Span(), Mu: l.Mu(),
 			Outcomes: make(map[int]Outcome, l.Len()),
 		}
@@ -147,11 +154,11 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 				return false, fmt.Errorf("core: faulty reference: policy %s chose unfit bin %d", p.Name(), chosen.ID)
 			}
 		}
-		target.bin.active[it.ID] = it.Size
+		target.items = append(target.items, indexOf[it.ID])
 		target.bin.packed++
 		// From-scratch rebuild through the exact accumulator: bit-identical
 		// to the fast engine's incremental load by order-independence.
-		target.bin.refreshLoadFromActive()
+		target.bin.refill(l, slices.Clone(target.items))
 		p.OnPack(req, target.bin, opened)
 
 		res.Placements = append(res.Placements, Placement{ItemID: it.ID, BinID: target.bin.ID, Opened: opened, Time: now, Attempt: attempt})
@@ -246,18 +253,22 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 			if target == nil {
 				return nil, fmt.Errorf("core: faulty reference: departure from closed bin %d", d.binID)
 			}
-			delete(target.bin.active, d.itemID)
-			target.bin.refreshLoadFromActive()
+			target.items = slices.DeleteFunc(target.items, func(k int32) bool { return l.Items[k].ID == d.itemID })
+			target.bin.refill(l, slices.Clone(target.items))
 			served++
 			res.Outcomes[d.itemID] = OutcomeServed
-			if len(target.bin.active) == 0 {
+			if len(target.items) == 0 {
 				closeAt(target, d.t, false)
 			}
 			if err := drainQueue(d.t); err != nil {
 				return nil, err
 			}
 		case clsCrash:
-			evicted := crashBin.bin.ActiveItemIDs()
+			var evicted []int
+			for _, k := range crashBin.items {
+				evicted = append(evicted, l.Items[k].ID)
+			}
+			sort.Ints(evicted)
 			res.Crashes++
 			closeAt(crashBin, t, true)
 			for _, id := range evicted {
@@ -269,9 +280,9 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 						break
 					}
 				}
-				it := itemByIDSlow(l, id)
-				attempts[id]++
-				attempt := attempts[id]
+				it := l.Items[indexOf[id]]
+				evictions[id]++
+				attempt := evictions[id]
 				res.Evictions++
 				delay := cfg.retry.Delay(attempt)
 				if !(delay > 0) {
@@ -321,14 +332,4 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 	res.BinsOpened = len(bins)
 	res.sortBins()
 	return res, nil
-}
-
-// itemByIDSlow is the oracle's deliberately naive item lookup.
-func itemByIDSlow(l *item.List, id int) item.Item {
-	for _, it := range l.Items {
-		if it.ID == id {
-			return it
-		}
-	}
-	panic(fmt.Sprintf("core: faulty reference: unknown item %d", id))
 }

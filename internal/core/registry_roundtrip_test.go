@@ -73,7 +73,7 @@ func primePolicy(t *testing.T, p Policy) []*Bin {
 		b := newBin(i, 2, 0)
 		// Mixed loads so load-driven policies have real argmax/argmin work.
 		load := 0.1 + 0.08*float64(i)
-		if err := b.pack(1000+i, vector.Of(load, load/2)); err != nil {
+		if err := testPack(b, 1000+i, vector.Of(load, load/2)); err != nil {
 			t.Fatal(err)
 		}
 		b.openIdx = len(open)

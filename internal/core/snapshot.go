@@ -174,8 +174,12 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		s.Bins = append(s.Bins, bs)
 	}
 
+	// A snapshotted run is fault-free, so every pending entry is its item's
+	// live one and the item's slot names the bin it departs from.
 	for _, ev := range e.departures.Sorted() {
-		s.Departures = append(s.Departures, DepartureSnapshot{Time: ev.Time, Seq: ev.Seq, ItemID: ev.Payload.itemID, BinID: ev.Payload.binID})
+		s.Departures = append(s.Departures, DepartureSnapshot{
+			Time: ev.Time, Seq: ev.Seq, ItemID: e.list.Items[ev.Payload].ID, BinID: e.bins[e.slots[ev.Payload].bin].ID,
+		})
 	}
 	return s, nil
 }
@@ -195,11 +199,12 @@ func corruptf(format string, args ...any) error {
 //
 // Every structural claim the snapshot makes is validated — unknown item or
 // bin IDs, duplicated active items, accumulator limbs that disagree with the
-// active multiset — and violations surface as errors, never panics, so
-// corrupted checkpoint files degrade gracefully. Like NewEngine, the returned
-// engine owns p until Finish or Close. A restored run keeps the default
-// history, which the snapshot's partial Result seeds, so WithHistory is
-// refused, and so are the options Snapshot refuses.
+// active multiset, a departure entry whose bin does not hold its item, an
+// active item without exactly one — and violations surface as errors, never
+// panics, so corrupted checkpoint files degrade gracefully. Like NewEngine,
+// the returned engine owns p until Finish or Close. A restored run keeps the
+// default history, which the snapshot's partial Result seeds, so
+// WithHistory is refused, and so are the options Snapshot refuses.
 func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	in, err := prepare(l, cfg.dynamic)
@@ -227,7 +232,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.Result == nil {
 		return nil, corruptf("missing partial result")
 	}
-	e, err := in.newEngine(p, cfg)
+	e, err := in.newEngine(p, cfg, in.takeKit())
 	if err != nil {
 		return nil, err
 	}
@@ -252,9 +257,10 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// accumulator limbs are rebuilt from the active multiset (the same pure
 	// function the live engine maintains incrementally) and then compared
 	// limb by limb against the snapshot's captured limbs — a free integrity
-	// check on both the item set and the recorded loads.
-	activeOwner := make(map[int]int, len(s.Bins))
+	// check on both the item set and the recorded loads. Until its departure
+	// entry is read below, an active item's slot holds attempt -1.
 	var captured vector.Acc
+	active := 0
 	prevID := -1
 	for _, bs := range s.Bins {
 		if bs.ID <= prevID {
@@ -273,44 +279,53 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		if bs.Packed < len(bs.ActiveIDs) {
 			return nil, corruptf("bin %d packed %d < %d active", bs.ID, bs.Packed, len(bs.ActiveIDs))
 		}
-		b := newBin(bs.ID, l.Dim, bs.OpenedAt)
-		b.packed = bs.Packed
+		b := e.openBin(bs.ID, bs.OpenedAt)
 		for _, id := range bs.ActiveIDs {
-			it, known := e.item(id)
+			i, known := e.index(id)
 			if !known {
 				return nil, corruptf("bin %d holds unknown item %d", bs.ID, id)
 			}
-			if owner, dup := activeOwner[id]; dup {
-				return nil, corruptf("item %d active in bins %d and %d", id, owner, bs.ID)
+			if owner := e.slots[i].bin; owner != 0 {
+				return nil, corruptf("item %d active in bins %d and %d", id, e.bins[owner].ID, bs.ID)
 			}
-			activeOwner[id] = bs.ID
-			b.active[id] = it.Size
+			e.place(b, i, -1)
+			active++
 		}
-		b.refreshLoadFromActive()
+		b.packed = bs.Packed
 		for j := range b.acc {
 			if captured.UnmarshalBinary(bs.Acc[j]) != nil || !captured.Equal(&b.acc[j]) {
 				return nil, corruptf("bin %d dimension %d: snapshot load limbs disagree with active item set", bs.ID, j)
 			}
 			b.acc[j] = captured
 		}
-		b.openIdx = len(e.open)
-		b.probe = e.probe
-		e.open = append(e.open, b)
-		e.binsByID[b.ID] = b
 	}
 
 	// Re-prime the departure queue. Pushing in delivery order reproduces
 	// the original delivery order exactly: pop order is a pure function of
 	// the (Time, Seq) multiset, and each Seq is reconstructible from its
-	// item (depSeq).
+	// item (depSeq). A snapshotted run is fault-free, so each active item
+	// has exactly one entry, at attempt 0, naming the bin that holds it.
 	for i, d := range s.Departures {
-		if _, known := e.item(d.ItemID); !known {
+		k, known := e.index(d.ItemID)
+		if !known {
 			return nil, corruptf("departure %d references unknown item %d", i, d.ItemID)
 		}
-		if d.Seq>>32 != int64(d.ItemID) {
+		if d.Seq != depSeq(d.ItemID, 0) {
 			return nil, corruptf("departure %d has sequence %d inconsistent with item %d", i, d.Seq, d.ItemID)
 		}
-		e.departures.PushAt(d.Time, d.Seq, departure{itemID: d.ItemID, binID: d.BinID})
+		sl := &e.slots[k]
+		if sl.bin == 0 || e.bins[sl.bin].ID != d.BinID {
+			return nil, corruptf("departure %d names bin %d, which does not hold item %d", i, d.BinID, d.ItemID)
+		}
+		if sl.attempt != -1 {
+			return nil, corruptf("item %d has two pending departures", d.ItemID)
+		}
+		sl.attempt = 0
+		active--
+		e.departures.PushAt(d.Time, d.Seq, k)
+	}
+	if active != 0 {
+		return nil, corruptf("%d active items have no pending departure", active)
 	}
 
 	// The clock is the time of the last committed event. A snapshotted run
@@ -320,7 +335,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	for _, k := range e.arrivals[:e.ai] {
 		it := &e.list.Items[k]
 		t := it.Arrival
-		if _, active := activeOwner[it.ID]; !active {
+		if e.slots[k].bin == 0 {
 			t = it.Departure
 		}
 		e.lastTime = max(e.lastTime, t)
@@ -330,7 +345,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	e.hist = (*resultHistory)(e.res)
 	e.placements = len(e.res.Placements)
 
-	resolve := func(id int) *Bin { return e.binsByID[id] }
+	resolve := e.binByID
 	if err := unmarshalPolicyState(p, s.PolicyState, resolve); err != nil {
 		return nil, err
 	}

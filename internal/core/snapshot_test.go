@@ -337,6 +337,19 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		}, "disagree"},
 		{"acc-garbage", func(s *Snapshot) { s.Bins[0].Acc[0] = []byte{1, 2} }, "disagree"},
 		{"departure-unknown-item", func(s *Snapshot) { s.Departures[0].ItemID = 99999 }, "unknown item"},
+		{"departure-wrong-bin", func(s *Snapshot) {
+			// Another open bin's ID, or a closed one's when only one is open.
+			other := s.NextBinID
+			for _, bs := range s.Bins {
+				if bs.ID != s.Departures[0].BinID {
+					other = bs.ID
+				}
+			}
+			s.Departures[0].BinID = other
+		}, "does not hold item"},
+		{"departure-twice", func(s *Snapshot) { s.Departures = append(s.Departures, s.Departures[0]) }, "two pending departures"},
+		{"departure-missing", func(s *Snapshot) { s.Departures = s.Departures[1:] }, "no pending departure"},
+		{"departure-stale-attempt", func(s *Snapshot) { s.Departures[0].Seq++ }, "inconsistent with item"},
 		{"policy-state-garbage", func(s *Snapshot) { s.PolicyState = []byte{0xFF, 0xFF, 0xFF} }, "MoveToFront state"},
 		{"policy-state-unknown-bin", func(s *Snapshot) {
 			p, _ := NewPolicy("MoveToFront", 1)

@@ -232,7 +232,34 @@ func TestStoreOpensParentDataDir(t *testing.T) {
 // unsupported version, reports it, and re-steps the op log from event 0;
 // the tenant then lists every acknowledged placement and accepts a new one.
 func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
-	src := filepath.Join("testdata", "v2-snapshot-store")
+	openSnapshotFixture(t, "v2-snapshot-store", "snapped", 1, func(rec *persist.Recovery) bool {
+		return rec.SnapshotSeq == 0 && rec.Replayed > 0 && len(rec.Corruptions) == 1 &&
+			strings.Contains(rec.Corruptions[0].Error(), "unsupported snapshot codec version 2")
+	})
+}
+
+// TestStoreOpensV3SnapshotDataDir opens a data directory written with
+// snapshot codec version 3 by a server from before the engine kept an
+// item-slot table (testdata/v3-snapshot-store: one FirstFit tenant checkpointing
+// every 4 events, 30 acknowledged placements and an advance, five bins open
+// in its snapshot at event 52). Recovery restores the snapshot, which
+// passes every restore check, and re-steps only the two events after it;
+// the tenant then lists every acknowledged placement and accepts a new one.
+func TestStoreOpensV3SnapshotDataDir(t *testing.T) {
+	openSnapshotFixture(t, "v3-snapshot-store", "firstfit", 0, func(rec *persist.Recovery) bool {
+		return rec.SnapshotSeq == 52 && rec.Replayed == 2 && len(rec.Corruptions) == 0
+	})
+}
+
+// openSnapshotFixture recovers the tenant name of the committed data
+// directory testdata/fixture with its acknowledgements in acks.json:
+// recovered must accept what persist.Recover makes of the tenant's
+// directory, and the store must report corruptions corruptions. The tenant
+// must then list every acknowledged placement, keep its watermark at or
+// past every acknowledged advance, and accept a new placement.
+func openSnapshotFixture(t *testing.T, fixture, name string, corruptions float64, recovered func(*persist.Recovery) bool) {
+	t.Helper()
+	src := filepath.Join("testdata", fixture)
 	var recorded struct {
 		Places   []PlaceResult   `json:"places"`
 		Advances []AdvanceResult `json:"advances"`
@@ -244,7 +271,6 @@ func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
 	if err := json.Unmarshal(raw, &recorded); err != nil {
 		t.Fatal(err)
 	}
-	const name = "snapped"
 
 	// What recovery makes of the tenant's directory, on a copy of its own.
 	probe := t.TempDir()
@@ -257,10 +283,8 @@ func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if rec.SnapshotSeq != 0 || rec.Replayed == 0 || len(rec.Corruptions) != 1 ||
-		!strings.Contains(rec.Corruptions[0].Error(), "unsupported snapshot codec version 2") {
-		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v; want the v2 snapshot refused and the op log re-stepped",
-			rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+	if !recovered(rec) {
+		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v", rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
 	}
 	if err := rec.Session.Close(); err != nil {
 		t.Fatal(err)
@@ -271,12 +295,12 @@ func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
 	reg := metrics.NewRegistry()
 	store, err := OpenStore(root, Limits{}, reg)
 	if err != nil {
-		t.Fatalf("OpenStore on a directory with a v2 snapshot: %v", err)
+		t.Fatalf("OpenStore on %s: %v", fixture, err)
 	}
 	defer store.Close()
 	url := newLocalServer(t, New(store, reg))
-	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value != 1 {
-		t.Fatalf("recovery reported %g corruptions, want the one refused snapshot", got.Value)
+	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value != corruptions {
+		t.Fatalf("recovery reported %g corruptions, want %g", got.Value, corruptions)
 	}
 
 	var pl PlacementsResult

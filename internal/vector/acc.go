@@ -108,49 +108,18 @@ func (a *Acc) Round() float64 {
 	if !a.used {
 		return 0
 	}
-	// Carry-propagate the window into canonical base-2^32 digits. digits[j]
-	// holds the digit of limb index lo+j; a trailing positive carry extends
-	// above the window (at most a few digits).
-	var digits [numAccLimbs + 3]uint32
-	n, carry := a.propagate(&digits, 1)
-	neg := false
-	if carry < 0 {
+	hi, lo, h, sticky, neg := a.top(1)
+	if neg {
 		// The exact value is negative (possible for a general caller even
-		// though bin loads never are): canonicalise the magnitude instead.
-		neg = true
-		n, carry = a.propagate(&digits, -1)
-	}
-	for carry > 0 {
-		d := carry & 0xFFFFFFFF
-		digits[n] = uint32(d)
-		n++
-		carry >>= 32
-	}
-	h := n - 1
-	for h >= 0 && digits[h] == 0 {
-		h--
+		// though bin loads never are): round the magnitude instead.
+		hi, lo, h, sticky, _ = a.top(-1)
 	}
 	if h < 0 {
 		return 0
 	}
-	// Assemble the top four digits into a 128-bit window A (the leading digit
-	// is non-zero, so A has 97..128 significant bits — enough for a 53-bit
-	// mantissa plus round and sticky) and fold everything below into sticky.
-	dig := func(j int) uint64 {
-		if j < 0 {
-			return 0
-		}
-		return uint64(digits[j])
-	}
-	hi := dig(h)<<32 | dig(h-1)
-	lo := dig(h-2)<<32 | dig(h-3)
-	sticky := false
-	for j := 0; j <= h-4; j++ {
-		if digits[j] != 0 {
-			sticky = true
-			break
-		}
-	}
+	// hi and lo hold the top four digits, a 128-bit window A (the leading
+	// digit is non-zero, so A has 97..128 significant bits — enough for a
+	// 53-bit mantissa plus round and sticky); everything below is in sticky.
 	length := 64 + bits.Len64(hi)
 	shift := length - 53
 	var mant uint64
@@ -167,27 +136,74 @@ func (a *Acc) Round() float64 {
 		restNonzero = lo&(1<<rb-1) != 0
 	}
 	if roundBit && (restNonzero || sticky || mant&1 == 1) {
-		mant++ // mant may reach 2^53; float64(2^53) is still exact
+		mant++ // mant may reach 2^53, which is 2^52 one binade up
 	}
-	v := math.Ldexp(float64(mant), 32*(int(a.lo)+h-3)-1074+shift)
+	// The value is mant·2^exp with mant in [2^52, 2^53]. A normal result is
+	// assembled from its bits; a subnormal or overflowing one goes through
+	// Ldexp, which rounds it again or saturates it to Inf.
+	exp := 32*(int(a.lo)+h-3) - 1074 + shift
+	if mant == 1<<53 {
+		mant, exp = 1<<52, exp+1
+	}
+	var v float64
+	if be := exp + 1075; be >= 1 && be <= 2046 {
+		v = math.Float64frombits(uint64(be)<<52 | mant&(1<<52-1))
+	} else {
+		v = math.Ldexp(float64(mant), exp)
+	}
 	if neg {
 		v = -v
 	}
 	return v
 }
 
-// propagate writes sign·limbs as partially-canonical digits (each in
-// [0, 2^32)) and returns the digit count and the final carry. A negative
-// final carry means sign·value < 0.
-func (a *Acc) propagate(digits *[numAccLimbs + 3]uint32, sign int64) (n int, carry int64) {
-	for i := a.lo; i <= a.hi; i++ {
-		t := sign*a.limb[i] + carry
-		d := t & 0xFFFFFFFF
-		carry = (t - d) >> 32
-		digits[n] = uint32(d)
-		n++
+// top runs the carry pass over sign·limbs, turning them into canonical
+// base-2^32 digits from the lowest up, and keeps only the four digits that
+// end at the highest non-zero one, as hi (that digit and the one below) and
+// lo (the next two; zero below the first digit). h is the top digit's
+// position above limb lo, -1 when every digit is zero, and sticky reports a
+// non-zero digit below the four. A positive final carry extends the digits
+// above the limb window; a negative one means sign·value < 0 (neg), and the
+// digits mean nothing.
+func (a *Acc) top(sign int64) (hi, lo uint64, h int, sticky, neg bool) {
+	h = -1
+	var carry int64
+	n := int(a.hi-a.lo) + 1
+	for j := 0; ; j++ {
+		var d int64
+		switch {
+		case j < n:
+			t := sign*a.limb[int(a.lo)+j] + carry
+			d = t & 0xFFFFFFFF
+			carry = (t - d) >> 32
+		case carry > 0:
+			d = carry & 0xFFFFFFFF
+			carry >>= 32
+		default:
+			return hi, lo, h, sticky, carry < 0
+		}
+		if d == 0 {
+			continue
+		}
+		// Slide the window up to end at digit j; the digits between the
+		// old top and j are zero.
+		switch j - h {
+		case 1:
+			sticky = sticky || uint32(lo) != 0
+			lo, hi = lo>>32|hi<<32, hi>>32
+		case 2:
+			sticky = sticky || lo != 0
+			lo, hi = hi, 0
+		case 3:
+			sticky = sticky || lo != 0 || uint32(hi) != 0
+			lo, hi = hi>>32, 0
+		default:
+			sticky = sticky || lo|hi != 0
+			lo, hi = 0, 0
+		}
+		hi |= uint64(d) << 32
+		h = j
 	}
-	return n, carry
 }
 
 // Reset clears the accumulator to zero, touching only the limb window in use.
