@@ -93,8 +93,9 @@ bench-json:
 
 # The cheap experiments whose CSVs are committed under artifacts/ and quoted
 # by EXPERIMENTS.md, and the flags they are generated with (about 2 s in
-# all). Figure 4's full grid takes about a minute at -workers 2 and is
-# checked on demand by artifacts-full-check.
+# all; the eight dvbpfigs outputs under artifacts/figures/ take about as
+# long again). Figure 4's full grid takes about a minute at -workers 2 and
+# is checked on demand by artifacts-full-check.
 ARTIFACT_EXPERIMENTS = table1 trueratio quality ablation-bestfit ablation-clairvoyant ablation-billing
 ARTIFACT_FLAGS = -seed 1
 
@@ -106,9 +107,10 @@ gen-artifacts = bin=$$(mktemp -d) && $(GO) build -o "$$bin/dvbpbench" ./cmd/dvbp
 	done; rm -rf "$$bin"
 
 # artifacts regenerates the committed CSVs in place; artifacts-check
-# regenerates them into a temporary directory and fails on any file whose
-# bytes differ from the committed one, so a change that moves a paper number
-# cannot pass `make ci` unnoticed.
+# regenerates them and every dvbpfigs output into a temporary directory and
+# fails on any file whose bytes differ from the committed one, or on a
+# committed figure that dvbpfigs no longer writes, so a change that moves a
+# paper number or a figure cannot pass `make ci` unnoticed.
 artifacts:
 	@$(call gen-artifacts,artifacts)
 	@echo "regenerated the cheap experiments' CSVs in artifacts/"
@@ -116,27 +118,27 @@ artifacts:
 artifacts-check:
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(call gen-artifacts,"$$out") || exit 1; \
-	n=0; bad=""; for f in "$$out"/*.csv; do \
-		n=$$((n+1)); cmp -s "$$f" "artifacts/$${f##*/}" || bad="$$bad $${f##*/}"; \
+	$(GO) build -o "$$out/bin/" ./cmd/dvbpfigs || exit 1; \
+	"$$out/bin/dvbpfigs" -workers 2 -out "$$out/figures" > /dev/null || exit 1; \
+	n=0; bad=""; for f in "$$out"/*.csv "$$out"/figures/*; do \
+		rel=artifacts/$${f#"$$out"/}; n=$$((n+1)); cmp -s "$$f" "$$rel" || bad="$$bad $$rel"; \
 	done; \
+	for f in artifacts/figures/*; do [ -f "$$out/$${f#artifacts/}" ] || bad="$$bad $$f(stale)"; done; \
 	if [ $$n -eq 0 ] || [ -n "$$bad" ]; then \
 		echo "artifacts-check: regenerated results differ from artifacts/:$${bad:- none written}"; exit 1; fi; \
 	echo "artifacts-check ok ($$n files)"
 
 # artifacts-full-check adds what artifacts-check leaves out: Figure 4's full
-# grid (about a minute at -workers 2) and every dvbpfigs output, regenerated
-# into a temporary directory and compared byte for byte with artifacts/ and
-# artifacts/figures/. A committed figure that dvbpfigs no longer writes fails
-# too. It runs on demand, not in `make ci`.
+# grid (about a minute at -workers 2), regenerated into a temporary
+# directory and compared byte for byte with artifacts/. It runs on demand,
+# not in `make ci`.
 artifacts-full-check: artifacts-check
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
-	$(GO) build -o "$$out/bin/" ./cmd/dvbpbench ./cmd/dvbpfigs || exit 1; \
+	$(GO) build -o "$$out/bin/" ./cmd/dvbpbench || exit 1; \
 	"$$out/bin/dvbpbench" -experiment fig4 -workers 2 $(ARTIFACT_FLAGS) -out "$$out/artifacts" > /dev/null || exit 1; \
-	"$$out/bin/dvbpfigs" -workers 2 -out "$$out/artifacts/figures" > /dev/null || exit 1; \
-	n=0; bad=""; for f in "$$out"/artifacts/*.* "$$out"/artifacts/figures/*; do \
+	n=0; bad=""; for f in "$$out"/artifacts/*.*; do \
 		rel=$${f#"$$out"/}; n=$$((n+1)); cmp -s "$$f" "$$rel" || bad="$$bad $$rel"; \
 	done; \
-	for f in artifacts/figures/*; do [ -f "$$out/$$f" ] || bad="$$bad $$f(stale)"; done; \
 	if [ $$n -eq 0 ] || [ -n "$$bad" ]; then \
 		echo "artifacts-full-check: regenerated results differ from artifacts/:$${bad:- none written}"; exit 1; fi; \
 	echo "artifacts-full-check ok ($$n files)"

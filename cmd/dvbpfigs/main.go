@@ -14,9 +14,11 @@
 //	gain chart plus a markdown report of every policy's migrating leg against
 //	its irrevocable baseline.
 //
-// Each figure is an independent shard and -workers renders them in
-// parallel. Every figure re-simulates its own policy instance from the seed,
-// so output bytes are identical for any worker count (DESIGN.md §9).
+// Each figure is an independent shard, except that a study's chart and
+// report are one shard over one run of the study, and -workers renders the
+// shards in parallel. Every shard re-simulates its own policy instances from
+// the seed, so output bytes are identical for any worker count (DESIGN.md
+// §9).
 //
 //	dvbpfigs -out figures
 package main
@@ -53,22 +55,31 @@ func main() {
 	fmt.Printf("wrote %d figures to %s/\n", wrote, *outDir)
 }
 
-// figure is one renderable output: a filename plus a self-contained renderer
+// figure is one shard: the files it writes plus a self-contained renderer
 // that re-simulates everything it needs (no shared mutable state, so shards
-// can run concurrently and in any order).
+// can run concurrently and in any order) and returns their contents in
+// names order.
 type figure struct {
-	name   string
-	render func() (string, error)
+	names  []string
+	render func() ([]string, error)
 }
 
-// figures lists the renderers in shard-index order.
+// one is the shard that writes a single file.
+func one(name string, render func() (string, error)) figure {
+	return figure{[]string{name}, func() ([]string, error) {
+		out, err := render()
+		return []string{out}, err
+	}}
+}
+
+// figures lists the shards in shard-index order.
 func figures(seed int64, n int) ([]figure, error) {
 	l, err := workload.Uniform(workload.UniformConfig{D: 1, N: n, Mu: 8, T: 40, B: 10}, seed)
 	if err != nil {
 		return nil, err
 	}
 	return []figure{
-		{"figure1_mtf_decomposition.svg", func() (string, error) {
+		one("figure1_mtf_decomposition.svg", func() (string, error) {
 			mtf := core.NewMoveToFront()
 			dec := analysis.NewMTFDecomposition(mtf)
 			res, err := core.Simulate(l, mtf, core.WithObserver(dec))
@@ -79,8 +90,8 @@ func figures(seed int64, n int) ([]figure, error) {
 				return "", err
 			}
 			return gantt.MTFFigure1(l, res, dec, gantt.Options{Title: "Figure 1: Move To Front leading/non-leading decomposition"}), nil
-		}},
-		{"figure2_ff_decomposition.svg", func() (string, error) {
+		}),
+		one("figure2_ff_decomposition.svg", func() (string, error) {
 			res, err := core.Simulate(l, core.NewFirstFit())
 			if err != nil {
 				return "", err
@@ -89,8 +100,8 @@ func figures(seed int64, n int) ([]figure, error) {
 				return "", err
 			}
 			return gantt.FFFigure2(l, res, gantt.Options{Title: "Figure 2: First Fit P/Q decomposition"}), nil
-		}},
-		{"figure3_theorem5_loads.svg", func() (string, error) {
+		}),
+		one("figure3_theorem5_loads.svg", func() (string, error) {
 			// Loads on the Theorem 5 instance at t=0.5 (R0 packed), t just
 			// after R1 lands, and deep in the long phase.
 			in, err := adversary.Theorem5(2, 3, 5)
@@ -104,49 +115,34 @@ func figures(seed int64, n int) ([]figure, error) {
 			return gantt.LoadFigure3(in.List, res, []float64{0.5, 0.9995, 3}, gantt.Options{
 				Title: "Figure 3: bin loads on the Theorem 5 instance (d=2, k=3, mu=5)",
 			}), nil
-		}},
-		{"packing_gantt.svg", func() (string, error) {
+		}),
+		one("packing_gantt.svg", func() (string, error) {
 			res, err := core.Simulate(l, core.NewMoveToFront())
 			if err != nil {
 				return "", err
 			}
 			return gantt.Packing(l, res, gantt.Options{Title: "Move To Front packing", ShowItemIDs: true}), nil
-		}},
-		{"fragmentation_ranking.svg", func() (string, error) {
+		}),
+		{[]string{"fragmentation_ranking.svg", "fragmentation_headtohead.md"}, func() ([]string, error) {
 			study, err := runFragStudy(seed)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return study.Chart().SVG(), nil
+			return []string{study.Chart().SVG(), fragMarkdown(study)}, nil
 		}},
-		{"fragmentation_headtohead.md", func() (string, error) {
-			study, err := runFragStudy(seed)
-			if err != nil {
-				return "", err
-			}
-			return fragMarkdown(study), nil
-		}},
-		{"defrag_gain.svg", func() (string, error) {
+		{[]string{"defrag_gain.svg", "defrag_study.md"}, func() ([]string, error) {
 			study, err := runDefragStudy(seed)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return study.Chart().SVG(), nil
-		}},
-		{"defrag_study.md", func() (string, error) {
-			study, err := runDefragStudy(seed)
-			if err != nil {
-				return "", err
-			}
-			return defragMarkdown(study), nil
+			return []string{study.Chart().SVG(), defragMarkdown(study)}, nil
 		}},
 	}, nil
 }
 
-// runFragStudy runs the fragmentation head-to-head at figure scale. Each
-// figure shard re-runs it independently (the figures contract: no shared
-// mutable state), with Workers=1 so output bytes do not depend on the outer
-// scheduler.
+// runFragStudy runs the fragmentation head-to-head at figure scale, once
+// for its chart and report, with Workers=1 so output bytes do not depend on
+// the outer scheduler.
 func runFragStudy(seed int64) (*experiments.FragStudy, error) {
 	cfg := experiments.DefaultFrag()
 	cfg.Instances = 20
@@ -225,18 +221,27 @@ func renderFigures(outDir string, seed int64, n, workers int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	wrote := 0
+	for _, f := range figs {
+		wrote += len(f.names)
+	}
 	err = parallel.Run(len(figs), func(_ context.Context, i int) error {
 		f := figs[i]
-		svg, err := f.render()
+		outs, err := f.render()
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.name, err)
+			return fmt.Errorf("%s: %w", strings.Join(f.names, ", "), err)
 		}
-		return os.WriteFile(filepath.Join(outDir, f.name), []byte(svg), 0o644)
+		for k, name := range f.names {
+			if err := os.WriteFile(filepath.Join(outDir, name), []byte(outs[k]), 0o644); err != nil {
+				return err
+			}
+		}
+		return nil
 	}, parallel.RunOptions{Workers: workers})
 	if err != nil {
 		return 0, err
 	}
-	return len(figs), nil
+	return wrote, nil
 }
 
 func fatal(err error) {

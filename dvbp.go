@@ -110,7 +110,8 @@ type Observer = core.Observer
 // override the callbacks they care about.
 type BaseObserver = core.BaseObserver
 
-// WithObserver attaches an Observer to a simulation.
+// WithObserver attaches an Observer to a simulation. Given more than once, it
+// attaches each observer, and they are called in option order.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
 
 // NewMoveToFront returns the Move To Front policy — the paper's recommended

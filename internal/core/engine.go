@@ -25,7 +25,7 @@ type Option func(*config)
 type config struct {
 	clairvoyant  bool
 	audit        *Audit
-	observer     Observer
+	observers    []Observer
 	linearSelect bool
 	dynamic      bool
 	// indexPeak, when non-zero, replaces indexMinPeak as the peak open-bin
@@ -90,7 +90,8 @@ func WithLinearSelect() Option {
 
 // Observer receives engine lifecycle callbacks; used by instrumentation such
 // as the Theorem 2 leading-interval decomposition. Any method may be nil-safe
-// no-op via BaseObserver.
+// no-op via BaseObserver. A run may attach several (WithObserver); each sees
+// every callback, in the order the options attached them.
 //
 // A *Bin a callback receives is valid only until the callbacks of the event
 // that closed it return: from the next dispatch on, the engine may reuse it
@@ -101,24 +102,36 @@ type Observer interface {
 	// events at or before the dispatch time have been processed. Under
 	// admission control (WithMaxBins) the dispatch may fail: the follow-up
 	// is then ItemQueued or ItemRejected (FailureObserver) instead of
-	// AfterPack.
+	// AfterPack, or nothing when a queued item's retry finds the fleet
+	// still full and it stays queued.
 	BeforePack(req Request, open []*Bin)
-	// AfterPack fires after the item is packed.
+	// AfterPack fires after the item is packed. It belongs to the dispatch
+	// whose BeforePack came last: no other dispatch begins between the two,
+	// so an observer can pair them without a key.
 	AfterPack(req Request, b *Bin, opened bool)
 	// BinClosed fires when a bin closes at time t — its last item departed,
 	// or fault injection crashed it (in which case BinCrashed follows).
 	BinClosed(b *Bin, t float64)
 }
 
-// WithObserver attaches an Observer to the run.
+// WithObserver attaches an Observer to the run; nil attaches nothing. It may
+// be given more than once: the engine calls every attached observer in
+// option order, and finds the optional extensions (SelectObserver,
+// FailureObserver, DepartureObserver, MigrationObserver) on each one
+// separately, so a plain observer beside an extended one sees only the
+// callbacks it implements.
 func WithObserver(o Observer) Option {
-	return func(c *config) { c.observer = o }
+	return func(c *config) {
+		if o != nil {
+			c.observers = append(c.observers, o)
+		}
+	}
 }
 
-// SelectObserver is an optional extension of Observer. When the attached
+// SelectObserver is an optional extension of Observer. When an attached
 // Observer also implements SelectObserver, the engine counts the fit checks
-// each Policy.Select performs and reports them after every decision — the
-// per-decision accounting the metrics layer records.
+// each Policy.Select performs and reports them after every decision to each
+// such observer — the per-decision accounting the metrics layer records.
 //
 // chosen is Select's return value: nil means the policy declined every open
 // bin and the engine opened a fresh one. fitChecks counts the feasibility
@@ -126,7 +139,7 @@ func WithObserver(o Observer) Option {
 // the policy's own Bin.Fits calls and the bins its shared scan loops tested,
 // on Worst Fit's indexed path the bins its walk tested, up to and including
 // the first that fits. The engine's feasibility re-check while packing is
-// never included. Runs whose observer does not implement SelectObserver pay
+// never included. Runs none of whose observers implements SelectObserver pay
 // no counting overhead.
 type SelectObserver interface {
 	// AfterSelect fires after Policy.Select returns, before the item is
@@ -317,11 +330,13 @@ type Engine struct {
 	// itself. It is not snapshot state.
 	spare []*Bin
 
+	// The attached observers that implement each extension, in option
+	// order; probe counts fit checks, and is nil when selObs is empty.
 	probe  *fitProbe
-	selObs SelectObserver
-	fObs   FailureObserver
-	dObs   DepartureObserver
-	mObs   MigrationObserver
+	selObs []SelectObserver
+	fObs   []FailureObserver
+	dObs   []DepartureObserver
+	mObs   []MigrationObserver
 
 	// Migration pass state (see migrate.go; all zero/nil when cfg.migrate
 	// is nil).
@@ -392,18 +407,10 @@ func newEngineShell(in *Instance, p Policy, cfg config, k *runKit) *Engine {
 		e.res.Outcomes = make(map[int]Outcome, l.Len())
 		e.hist = (*resultHistory)(e.res)
 	}
-	if so, ok := cfg.observer.(SelectObserver); ok {
-		e.selObs = so
+	e.selObs, e.fObs = implementing[SelectObserver](cfg.observers), implementing[FailureObserver](cfg.observers)
+	e.dObs, e.mObs = implementing[DepartureObserver](cfg.observers), implementing[MigrationObserver](cfg.observers)
+	if e.selObs != nil {
 		e.probe = &fitProbe{}
-	}
-	if fo, ok := cfg.observer.(FailureObserver); ok {
-		e.fObs = fo
-	}
-	if do, ok := cfg.observer.(DepartureObserver); ok {
-		e.dObs = do
-	}
-	if mo, ok := cfg.observer.(MigrationObserver); ok {
-		e.mObs = mo
 	}
 	if cfg.migrate != nil {
 		e.migPass = 1
@@ -420,6 +427,18 @@ func newEngineShell(in *Instance, p Policy, cfg config, k *runKit) *Engine {
 		}
 	}
 	return e
+}
+
+// implementing returns the observers that implement the extension T, in
+// order.
+func implementing[T any](obs []Observer) []T {
+	var out []T
+	for _, o := range obs {
+		if x, ok := o.(T); ok {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // totalsPolicy is implemented by policies whose Select reads the exact
@@ -563,7 +582,7 @@ func (e *Engine) makeReq(it *item.Item, now float64, attempt int) Request {
 // O(burst·open) repeated splicing would. The slice is compacted (order
 // preserved) before the next dispatch consults the policy.
 //
-// Once the policy and the observer have seen the close, the bin goes onto
+// Once the policy and the observers have seen the close, the bin goes onto
 // the spare list unchanged, so a crashed bin keeps its items and a drained
 // one its state for the BinCrashed, ItemEvicted and ItemMigrated callbacks
 // that follow; openBin clears it when it reuses it. No stale event reaches
@@ -581,8 +600,8 @@ func (e *Engine) closeBinAt(b *Bin, t float64, crashed bool) {
 	}
 	e.totalsSub(b)
 	e.p.OnClose(b)
-	if e.cfg.observer != nil {
-		e.cfg.observer.BinClosed(b, t)
+	for _, o := range e.cfg.observers {
+		o.BinClosed(b, t)
 	}
 	e.spare = append(e.spare, b)
 }
@@ -642,8 +661,8 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 	e.buildIndex()
 	it := &e.list.Items[i]
 	req := e.makeReq(it, now, attempt)
-	if e.cfg.observer != nil {
-		e.cfg.observer.BeforePack(req, e.open)
+	for _, o := range e.cfg.observers {
+		o.BeforePack(req, e.open)
 	}
 	if e.probe != nil {
 		e.probe.armed, e.probe.n = true, 0
@@ -662,7 +681,9 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 	}
 	if e.probe != nil {
 		e.probe.armed = false
-		e.selObs.AfterSelect(req, b, e.probe.n)
+		for _, o := range e.selObs {
+			o.AfterSelect(req, b, e.probe.n)
+		}
 	}
 	if e.cfg.audit != nil && (e.idx != nil || e.tp != nil) {
 		// Per-decision oracle: the policy's own scan must agree with the
@@ -680,14 +701,14 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 			}
 			if e.cfg.queueWhenFull {
 				e.waitq = append(e.waitq, queuedDispatch{i: i, attempt: attempt, queuedAt: now, deadline: now + e.cfg.queueDeadline})
-				if e.fObs != nil {
-					e.fObs.ItemQueued(req, now)
+				for _, o := range e.fObs {
+					o.ItemQueued(req, now)
 				}
 			} else {
 				e.res.Rejected++
 				e.outcome(it.ID, OutcomeRejected)
-				if e.fObs != nil {
-					e.fObs.ItemRejected(req, now, false)
+				for _, o := range e.fObs {
+					o.ItemRejected(req, now, false)
 				}
 			}
 			return false, -1, false, nil
@@ -723,8 +744,8 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 	if err := e.auditOpenSet(); err != nil {
 		return false, -1, false, err
 	}
-	if e.cfg.observer != nil {
-		e.cfg.observer.AfterPack(req, b, opened)
+	for _, o := range e.cfg.observers {
+		o.AfterPack(req, b, opened)
 	}
 
 	e.placements++
@@ -754,8 +775,8 @@ func (e *Engine) drainQueue(t float64) error {
 		if t > q.deadline || t >= it.Departure {
 			e.res.TimedOut++
 			e.outcome(it.ID, OutcomeTimedOut)
-			if e.fObs != nil {
-				e.fObs.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
+			for _, o := range e.fObs {
+				o.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
 			}
 			continue
 		}
@@ -766,8 +787,8 @@ func (e *Engine) drainQueue(t float64) error {
 		if placed {
 			e.res.QueuedPlaced++
 			e.res.QueueDelay += t - q.queuedAt
-			if e.fObs != nil {
-				e.fObs.ItemDequeued(e.makeReq(it, t, q.attempt), q.queuedAt, t)
+			for _, o := range e.fObs {
+				o.ItemDequeued(e.makeReq(it, t, q.attempt), q.queuedAt, t)
 			}
 			continue
 		}
@@ -810,8 +831,8 @@ func (e *Engine) handleDeparture(t float64, seq int64, i int32) (binID int, err 
 	} else {
 		e.totalsAdd(b)
 		e.idxPut(b, false)
-		if e.dObs != nil {
-			e.dObs.ItemDeparted(id, b, t)
+		for _, o := range e.dObs {
+			o.ItemDeparted(id, b, t)
 		}
 	}
 	if err := e.auditOpenSet(); err != nil {
@@ -834,8 +855,8 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 	if err := e.auditOpenSet(); err != nil {
 		return err
 	}
-	if e.fObs != nil {
-		e.fObs.BinCrashed(b, t, len(evicted))
+	for _, o := range e.fObs {
+		o.BinCrashed(b, t, len(evicted))
 	}
 	for _, i := range evicted {
 		// The crashed bin keeps its items for the callbacks, but the item's
@@ -857,16 +878,18 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 			e.res.LostUsageTime += retryAt - t
 			e.retrySeq++
 			e.retries.PushAt(retryAt, e.retrySeq, retryDispatch{i: i, attempt: attempt})
-			if e.fObs != nil {
-				e.fObs.ItemEvicted(req, b, t, retryAt)
+			for _, o := range e.fObs {
+				o.ItemEvicted(req, b, t, retryAt)
 			}
 		} else {
 			e.res.ItemsLost++
 			e.res.LostUsageTime += it.Departure - t
 			e.outcome(it.ID, OutcomeLost)
-			if e.fObs != nil {
-				e.fObs.ItemEvicted(req, b, t, it.Departure)
-				e.fObs.ItemLost(req, t)
+			for _, o := range e.fObs {
+				o.ItemEvicted(req, b, t, it.Departure)
+			}
+			for _, o := range e.fObs {
+				o.ItemLost(req, t)
 			}
 		}
 	}
@@ -974,9 +997,9 @@ func (e *Engine) Finish() (*Result, error) {
 		it := &e.list.Items[q.i]
 		e.res.TimedOut++
 		e.outcome(it.ID, OutcomeTimedOut)
-		if e.fObs != nil {
-			t := math.Min(q.deadline, it.Departure)
-			e.fObs.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
+		t := math.Min(q.deadline, it.Departure)
+		for _, o := range e.fObs {
+			o.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
 		}
 	}
 	e.waitq = nil

@@ -49,13 +49,14 @@ func (retryNow) Name() string      { return "immediate" }
 func (retryNow) Delay(int) float64 { return 0 }
 
 // FailureObserver is an optional extension of Observer (like
-// SelectObserver): when the attached Observer also implements it, the engine
-// reports every failure-path event. metrics.Collector implements it to give
-// eviction/retry/rejection/queue counters.
+// SelectObserver): when an attached Observer also implements it, the engine
+// reports every failure-path event to it. metrics.Collector implements it to
+// give eviction/retry/rejection/queue counters.
 //
 // Note that under admission control a BeforePack callback is not always
 // followed by AfterPack: a dispatch that is queued or rejected fires
-// ItemQueued or ItemRejected instead.
+// ItemQueued or ItemRejected instead, and a queued item's retry that finds
+// the fleet still full fires nothing and stays queued.
 //
 // The crashed bin BinCrashed and ItemEvicted receive still holds its evicted
 // items and their load, and it is valid until those callbacks return (see

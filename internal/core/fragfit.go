@@ -41,12 +41,13 @@ func FragmentationAwarePolicies(seed int64) []Policy {
 // scoredSelect is the shared linear Select of the scored family: the fitting
 // bin with the strictly smallest score wins, ties break toward the
 // earliest-opened bin (ascending scan + strict '<', the loadfit.go rule).
-// scan is the calling policy's scratch.
-func scoredSelect(scan *fitScan, req Request, open []*Bin, score func(Request, *Bin) float64) *Bin {
+// scan is the calling policy's scratch. A score reads only the bin's load
+// and the item's size.
+func scoredSelect(scan *fitScan, req Request, open []*Bin, score func(load, size vector.Vector) float64) *Bin {
 	var best *Bin
 	bestScore := math.Inf(1)
 	for _, i := range scan.fitting(open, req.Size) {
-		if s := score(req, open[i]); s < bestScore {
+		if s := score(open[i].load, req.Size); s < bestScore {
 			best, bestScore = open[i], s
 		}
 	}
@@ -73,10 +74,10 @@ func (*DotProduct) Reset() {}
 // is a pure function of the request and the open set.
 func (*DotProduct) policyIsStateless() {}
 
-func dotProductScore(req Request, b *Bin) float64 {
+func dotProductScore(load, size vector.Vector) float64 {
 	dot := 0.0
-	for j, s := range req.Size {
-		dot += (1 - b.load[j]) * s
+	for j, s := range size {
+		dot += (1 - load[j]) * s
 	}
 	return -dot // argmax alignment as argmin score
 }
@@ -141,13 +142,13 @@ func (*L2Residual) Reset() {}
 // policyIsStateless marks L2Residual for the §10 snapshot codec.
 func (*L2Residual) policyIsStateless() {}
 
-func l2ResidualScore(req Request, b *Bin) float64 {
+func l2ResidualScore(load, size vector.Vector) float64 {
 	// The squared norm has the same argmin as the norm and skips the sqrt;
 	// both paths compute the identical expression, so the comparison is
 	// bit-identical either way.
 	sum := 0.0
-	for j, s := range req.Size {
-		r := 1 - b.load[j] - s
+	for j, s := range size {
+		r := 1 - load[j] - s
 		sum += r * r
 	}
 	return sum
@@ -175,15 +176,10 @@ const (
 )
 
 // FARB packs an arriving item by a fragmentation-aware balance/fullness
-// score in the style of the FARB heuristic (SNIPPETS.md): for the
-// post-placement residual r' it minimises
-//
-//	0.5·(max_j r'_j − min_j r'_j)  +  0.3·mean_j r'_j  +  0.2·‖r'‖₂/√d
-//
-// i.e. prefer placements that leave residuals dimensionally balanced (low
-// spread — nothing stranded), full (low mean residual), and small in norm.
-// Every term lies in [0, 1], so the weights express the intended trade-off
-// directly.
+// score in the style of the FARB heuristic (SNIPPETS.md): it minimises
+// FARBScoreOf, i.e. prefers placements that leave residuals dimensionally
+// balanced (low spread — nothing stranded), full (low mean residual), and
+// small in norm.
 type FARB struct{ scan fitScan }
 
 // NewFARB returns a FARB policy.
@@ -198,12 +194,22 @@ func (*FARB) Reset() {}
 // policyIsStateless marks FARB for the §10 snapshot codec.
 func (*FARB) policyIsStateless() {}
 
-func farbScore(req Request, b *Bin) float64 {
-	d := len(req.Size)
+// FARBScoreOf is the FARB score of placing an item of the given size into
+// a bin with the given load: for the post-placement residual
+// r'_j = 1 − load_j − size_j,
+//
+//	0.5·(max_j r'_j − min_j r'_j)  +  0.3·mean_j r'_j  +  0.2·‖r'‖₂/√d
+//
+// Every term lies in [0, 1], so the weights express the intended trade-off
+// directly. The FARB policy ranks the fitting bins by it, and so does the
+// farb-score migration planner (internal/migrate) over the loads it
+// simulates.
+func FARBScoreOf(load, size vector.Vector) float64 {
+	d := len(size)
 	minR, maxR := math.Inf(1), math.Inf(-1)
 	sum, sumSq := 0.0, 0.0
-	for j, s := range req.Size {
-		r := 1 - b.load[j] - s
+	for j, s := range size {
+		r := 1 - load[j] - s
 		if r < minR {
 			minR = r
 		}
@@ -222,7 +228,7 @@ func farbScore(req Request, b *Bin) float64 {
 // Select implements Policy: argmin FARB score among fitting bins; ties break
 // toward the earliest-opened bin.
 func (f *FARB) Select(req Request, open []*Bin) *Bin {
-	return scoredSelect(&f.scan, req, open, farbScore)
+	return scoredSelect(&f.scan, req, open, FARBScoreOf)
 }
 
 // OnPack implements Policy.
@@ -307,14 +313,14 @@ func (*AdaptiveHybrid) mode(n int, tot vector.Vector) int {
 	return hybridModeDot
 }
 
-func hybridScore(mode int) func(Request, *Bin) float64 {
+func hybridScore(mode int) func(load, size vector.Vector) float64 {
 	switch mode {
 	case hybridModeFARB:
-		return farbScore
+		return FARBScoreOf
 	case hybridModeBest:
 		// Best Fit under MaxLoad as an argmin score; same float64 value the
 		// linear BestFit evaluates, negated.
-		return func(_ Request, b *Bin) float64 { return -b.load.MaxNorm() }
+		return func(load, _ vector.Vector) float64 { return -load.MaxNorm() }
 	default:
 		return dotProductScore
 	}

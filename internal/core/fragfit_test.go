@@ -241,7 +241,7 @@ func TestDotProductLoopMatchesScoredSelect(t *testing.T) {
 			noneFits++
 			continue
 		}
-		best := dotProductScore(req, want)
+		best := dotProductScore(want.load, req.Size)
 		for j := range size {
 			if want.load[j]+size[j] == limit {
 				exactWins++
@@ -249,7 +249,7 @@ func TestDotProductLoopMatchesScoredSelect(t *testing.T) {
 			}
 		}
 		for _, b := range open {
-			s := dotProductScore(req, b)
+			s := dotProductScore(b.load, req.Size)
 			switch {
 			case s < best && !b.load.FitsWithin(size):
 				if b.load[0]+size[0] > limit && b.load[0]+size[0] == math.Nextafter(limit, 2) ||

@@ -82,8 +82,8 @@ type MigrationPlanner interface {
 }
 
 // MigrationObserver is an optional extension of Observer (like
-// FailureObserver): when the attached Observer also implements it, the engine
-// reports every applied move. ItemMigrated fires after the item has been
+// FailureObserver): when an attached Observer also implements it, the engine
+// reports every applied move to it. ItemMigrated fires after the item has been
 // re-packed into to (both bins' loads reflect the move); a move that drains
 // its source fires the source's BinClosed callback first. A drained source
 // is valid until ItemMigrated returns (see Bin): the engine may reopen it
@@ -323,8 +323,8 @@ func (e *Engine) commitMove() (itemID, binID int, err error) {
 	if err := e.auditOpenSet(); err != nil {
 		return -1, -1, err
 	}
-	if e.mObs != nil {
-		e.mObs.ItemMigrated(mv.ItemID, from, to, t, cost, drained)
+	for _, o := range e.mObs {
+		o.ItemMigrated(mv.ItemID, from, to, t, cost, drained)
 	}
 	// A drain freed a whole bin slot; even a plain move freed capacity in the
 	// source. Either can admit a queued dispatch.

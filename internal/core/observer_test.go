@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dvbp/internal/item"
@@ -160,6 +162,149 @@ func TestObservedRunResultIdentical(t *testing.T) {
 		}
 		if got := encode(baseOnly); string(got) != string(want) {
 			t.Errorf("%s: plain Observer run differs from unobserved run", p.Name())
+		}
+	}
+}
+
+// logObserver appends every callback it receives, extensions included, to a
+// log it may share with other observers, each line tagged with its name.
+type logObserver struct {
+	name string
+	log  *[]string
+}
+
+func (o *logObserver) add(format string, args ...any) {
+	*o.log = append(*o.log, o.name+" "+fmt.Sprintf(format, args...))
+}
+
+func (o *logObserver) BeforePack(req Request, open []*Bin) {
+	o.add("before %d/%d open=%d", req.ID, req.Attempt, len(open))
+}
+func (o *logObserver) AfterPack(req Request, b *Bin, opened bool) {
+	o.add("after %d/%d bin=%d new=%v", req.ID, req.Attempt, b.ID, opened)
+}
+func (o *logObserver) BinClosed(b *Bin, t float64) { o.add("closed %d@%g", b.ID, t) }
+func (o *logObserver) BinCrashed(b *Bin, t float64, evicted int) {
+	o.add("crashed %d@%g evicted=%d", b.ID, t, evicted)
+}
+func (o *logObserver) ItemEvicted(req Request, from *Bin, t, resumeAt float64) {
+	o.add("evicted %d from=%d@%g resume=%g", req.ID, from.ID, t, resumeAt)
+}
+func (o *logObserver) ItemLost(req Request, t float64) { o.add("lost %d@%g", req.ID, t) }
+func (o *logObserver) ItemRejected(req Request, t float64, timedOut bool) {
+	o.add("rejected %d@%g timeout=%v", req.ID, t, timedOut)
+}
+func (o *logObserver) ItemQueued(req Request, t float64) { o.add("queued %d@%g", req.ID, t) }
+func (o *logObserver) ItemDequeued(req Request, queuedAt, t float64) {
+	o.add("dequeued %d@%g since=%g", req.ID, t, queuedAt)
+}
+func (o *logObserver) ItemDeparted(itemID int, b *Bin, t float64) {
+	o.add("departed %d from=%d@%g", itemID, b.ID, t)
+}
+func (o *logObserver) ItemMigrated(itemID int, from, to *Bin, t, cost float64, drained bool) {
+	o.add("migrated %d %d->%d@%g drained=%v", itemID, from.ID, to.ID, t, drained)
+}
+
+// selectLogObserver is a logObserver that also takes the fit checks.
+type selectLogObserver struct{ logObserver }
+
+func (o *selectLogObserver) AfterSelect(req Request, chosen *Bin, fitChecks int) {
+	o.add("select %d fits=%d", req.ID, fitChecks)
+}
+
+// TestObserversCalledInOptionOrder attaches two observers to a run with
+// crashes, a capped fleet with an admission queue, and migration, so every
+// callback kind fires. Each observer must see the callbacks a lone observer
+// sees, each callback reaching the first observer and then the second before
+// the engine goes on. Fit checks are counted exactly when one of the two is
+// a SelectObserver, wherever it stands, and it sees the lone count.
+func TestObserversCalledInOptionOrder(t *testing.T) {
+	l := randomList(7, 120, 2, 20)
+	opts := []Option{
+		WithFaults(hashInj{seed: 3, mean: 12}, fixedRetry{wait: 1}),
+		WithMaxBins(4), WithAdmissionQueue(5),
+		WithMigration(testConsolidator{}, 4, MigrationBudget{MaxMoves: 5}),
+	}
+	// run steps a run with the given observers and reports whether the
+	// engine counted fit checks.
+	run := func(obs ...Observer) (counted bool) {
+		t.Helper()
+		o := slices.Clone(opts)
+		for _, ob := range obs {
+			o = append(o, WithObserver(ob))
+		}
+		e, err := NewEngine(l, NewFirstFit(), o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted = e.probe != nil
+		stepAll(t, e)
+		return counted
+	}
+	var solo, soloSelect []string
+	if run(&logObserver{"x", &solo}) {
+		t.Error("a lone plain observer made the engine count fit checks")
+	}
+	run(&selectLogObserver{logObserver{"x", &soloSelect}})
+	kinds := map[string]int{}
+	for _, e := range solo {
+		kinds[strings.Fields(e)[1]]++
+	}
+	for _, k := range []string{"before", "after", "closed", "crashed", "evicted", "lost",
+		"rejected", "queued", "dequeued", "departed", "migrated"} {
+		if kinds[k] == 0 {
+			t.Fatalf("the run fired no %q callback: %v", k, kinds)
+		}
+	}
+	untag := func(log []string, name string) []string {
+		var out []string
+		for _, e := range log {
+			if rest, ok := strings.CutPrefix(e, name+" "); ok {
+				out = append(out, rest)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name        string
+		first, last bool // the first or last observer is a SelectObserver
+	}{{"plain+plain", false, false}, {"select+plain", true, false}, {"plain+select", false, true}} {
+		var log []string
+		mk := func(name string, sel bool) Observer {
+			if sel {
+				return &selectLogObserver{logObserver{name, &log}}
+			}
+			return &logObserver{name, &log}
+		}
+		if counted := run(mk("a", tc.first), mk("b", tc.last)); counted != (tc.first || tc.last) {
+			t.Errorf("%s: engine counted fit checks = %v", tc.name, counted)
+		}
+		for _, o := range []struct {
+			name string
+			sel  bool
+		}{{"a", tc.first}, {"b", tc.last}} {
+			want := untag(solo, "x")
+			if o.sel {
+				want = untag(soloSelect, "x")
+			}
+			if got := untag(log, o.name); !slices.Equal(got, want) {
+				t.Errorf("%s: observer %s saw %d callbacks, a lone observer %d, or in another order", tc.name, o.name, len(got), len(want))
+			}
+		}
+		// Without the select lines, the log is each callback twice in a
+		// row: first to a, then to b.
+		var plain []string
+		for _, e := range log {
+			if !strings.Contains(e, " select ") {
+				plain = append(plain, e)
+			}
+		}
+		for i := 0; i+1 < len(plain); i += 2 {
+			a, aok := strings.CutPrefix(plain[i], "a ")
+			b, bok := strings.CutPrefix(plain[i+1], "b ")
+			if !aok || !bok || a != b {
+				t.Fatalf("%s: callbacks %d and %d are %q and %q, want one callback to a then b", tc.name, i, i+1, plain[i], plain[i+1])
+			}
 		}
 	}
 }

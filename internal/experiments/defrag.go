@@ -165,8 +165,8 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 					if err != nil {
 						return shardOut{}, err
 					}
-					ft := metrics.NewFragTracker(cfg.D, nil)
-					opts := []core.Option{core.WithObserver(newFragTee(ft, cfg.Observer)), core.WithHistory(nil)}
+					ft := metrics.NewFragTracker(cfg.D)
+					opts := append(cfg.costOnlyOpts(), core.WithObserver(ft))
 					if leg.migrating {
 						opts = append(opts, migOpt)
 					}

@@ -121,75 +121,6 @@ type RankFlip struct {
 	GapA, GapB     float64
 }
 
-// fragTee forwards engine callbacks to the per-run fragmentation tracker and
-// an optional shared observer (the -metrics collector), so attaching the
-// tracker does not displace experiment-wide instrumentation.
-type fragTee struct {
-	tr  *metrics.FragTracker
-	obs core.Observer
-}
-
-// fragSelectTee is a fragTee whose shared observer also counts fit checks.
-type fragSelectTee struct {
-	fragTee
-	so core.SelectObserver
-}
-
-// newFragTee returns the observer one frag or defrag run attaches: its
-// tracker tr, teed with the experiment-wide observer obs (nil for none),
-// scoped to the run when obs is a metrics.RunScoper. The tee takes
-// AfterSelect only when obs does, so a run without a fit-check counter
-// never makes the engine count fit checks.
-func newFragTee(tr *metrics.FragTracker, obs core.Observer) core.Observer {
-	if rs, ok := obs.(metrics.RunScoper); ok {
-		obs = rs.ForRun()
-	}
-	t := fragTee{tr: tr, obs: obs}
-	if so, ok := obs.(core.SelectObserver); ok {
-		return fragSelectTee{fragTee: t, so: so}
-	}
-	return t
-}
-
-func (t fragSelectTee) AfterSelect(req core.Request, chosen *core.Bin, fitChecks int) {
-	t.so.AfterSelect(req, chosen, fitChecks)
-}
-
-func (t fragTee) BeforePack(req core.Request, open []*core.Bin) {
-	t.tr.BeforePack(req, open)
-	if t.obs != nil {
-		t.obs.BeforePack(req, open)
-	}
-}
-
-func (t fragTee) AfterPack(req core.Request, b *core.Bin, opened bool) {
-	t.tr.AfterPack(req, b, opened)
-	if t.obs != nil {
-		t.obs.AfterPack(req, b, opened)
-	}
-}
-
-func (t fragTee) BinClosed(b *core.Bin, at float64) {
-	t.tr.BinClosed(b, at)
-	if t.obs != nil {
-		t.obs.BinClosed(b, at)
-	}
-}
-
-func (t fragTee) ItemDeparted(itemID int, b *core.Bin, at float64) {
-	t.tr.ItemDeparted(itemID, b, at)
-	if o, ok := t.obs.(core.DepartureObserver); ok {
-		o.ItemDeparted(itemID, b, at)
-	}
-}
-
-func (t fragTee) ItemMigrated(itemID int, from, to *core.Bin, at, cost float64, drained bool) {
-	t.tr.ItemMigrated(itemID, from, to, at, cost, drained)
-	if o, ok := t.obs.(core.MigrationObserver); ok {
-		o.ItemMigrated(itemID, from, to, at, cost, drained)
-	}
-}
-
 // RunFrag executes the head-to-head. Results are deterministic in (cfg.Seed,
 // cfg.Instances) for any Workers value.
 func RunFrag(cfg FragConfig) (*FragStudy, error) {
@@ -220,8 +151,8 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 				if err != nil {
 					return nil, err
 				}
-				ft := metrics.NewFragTracker(cfg.D, nil)
-				res, err := in.Simulate(p, core.WithObserver(newFragTee(ft, cfg.Observer)), core.WithHistory(nil))
+				ft := metrics.NewFragTracker(cfg.D)
+				res, err := in.Simulate(p, append(cfg.costOnlyOpts(), core.WithObserver(ft))...)
 				if err != nil {
 					return nil, err
 				}

@@ -21,12 +21,13 @@ type RunControl struct {
 	// means Background. On cancellation the run returns the context error.
 	Ctx context.Context
 	// Observer, when non-nil, is attached to every simulation the experiment
-	// runs (via core.WithObserver). Shards execute in parallel, so the
-	// observer must be safe for concurrent use; a shared metrics.Collector
-	// qualifies and aggregates counters across the whole experiment — each
-	// simulation gets its own run-scoped view (metrics.RunScoper) so
-	// concurrent engines never share per-run observer state. The observer
-	// does not affect packing results.
+	// runs (via core.WithObserver), before any observer the experiment
+	// attaches itself (the frag and defrag studies' FragTrackers). Shards
+	// execute in parallel, so the observer must be safe for concurrent use;
+	// a shared metrics.Collector qualifies and aggregates counters across
+	// the whole experiment — each simulation gets its own run-scoped view
+	// (metrics.RunScoper) so concurrent engines never share per-run observer
+	// state. The observer does not affect packing results.
 	Observer core.Observer
 }
 

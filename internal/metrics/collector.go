@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"dvbp/internal/core"
@@ -102,8 +102,9 @@ func WithClock(c Clock) CollectorOption {
 }
 
 // Collector records per-run engine series into a Registry. It implements
-// core.Observer and the optional core.SelectObserver extension; attach it
-// with core.WithObserver. See the package documentation for the exact
+// core.Observer and the optional SelectObserver, FailureObserver and
+// MigrationObserver extensions; attach it with core.WithObserver. See the
+// package documentation for the exact
 // Result correspondences and for the semantics of sharing one Collector
 // across concurrent simulations.
 type Collector struct {
@@ -137,13 +138,11 @@ type Collector struct {
 	binsDrained   *Counter
 	migrationCost *Gauge
 
-	mu     sync.Mutex
-	starts map[placeKey]time.Duration
+	// start is the clock reading, in nanoseconds, at the latest BeforePack.
+	// The engine fires a dispatch's AfterPack before it begins another, so
+	// one value pairs them within a run.
+	start atomic.Int64
 }
-
-// placeKey pairs the item identifiers that make a placement unique within
-// one run, for matching BeforePack to AfterPack.
-type placeKey struct{ id, seq int }
 
 var (
 	_ core.Observer          = (*Collector)(nil)
@@ -154,11 +153,7 @@ var (
 
 // NewCollector returns a Collector with a fresh Registry and wall clock.
 func NewCollector(opts ...CollectorOption) *Collector {
-	c := &Collector{
-		clock:  NewWallClock(),
-		reg:    NewRegistry(),
-		starts: make(map[placeKey]time.Duration),
-	}
+	c := &Collector{clock: NewWallClock(), reg: NewRegistry()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -200,42 +195,31 @@ func (c *Collector) ItemMigrated(itemID int, from, to *core.Bin, t, cost float64
 	}
 }
 
-// Registry returns the collector's registry, so callers can register
-// additional instruments alongside the engine series.
-func (c *Collector) Registry() *Registry { return c.reg }
-
 // Snapshot freezes the current state of every instrument.
 func (c *Collector) Snapshot() Snapshot { return c.reg.Snapshot() }
 
 // BeforePack implements core.Observer: it timestamps the placement start.
 func (c *Collector) BeforePack(req core.Request, open []*core.Bin) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	c.starts[placeKey{req.ID, req.SeqNo}] = now
-	c.mu.Unlock()
+	c.start.Store(int64(c.clock.Now()))
 }
 
 // AfterPack implements core.Observer: it counts the placement, observes its
-// wall time, and maintains the open-bin gauge and high-water mark.
+// wall time since the latest BeforePack, and maintains the open-bin gauge
+// and high-water mark.
 func (c *Collector) AfterPack(req core.Request, b *core.Bin, opened bool) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	key := placeKey{req.ID, req.SeqNo}
-	if start, ok := c.starts[key]; ok {
-		delete(c.starts, key)
-		if d := now - start; d >= 0 {
-			c.placementSeconds.Observe(d.Seconds())
-		}
-	}
-	c.mu.Unlock()
-	c.countPlacement(req, opened)
+	c.countPlacement(c.clock.Now()-time.Duration(c.start.Load()), req, opened)
 }
 
-// countPlacement is the per-run-state-free part of AfterPack, shared with
-// RunView. The open-bin gauge is adjusted atomically and its high-water mark
-// taken from the value this update installed, so the peak is correct even
-// when several runs feed the gauge concurrently.
-func (c *Collector) countPlacement(req core.Request, opened bool) {
+// countPlacement is AfterPack given the placement's wall time d, shared
+// with RunView. A negative d, which only concurrent runs sharing the
+// Collector's own start can produce, is not observed. The open-bin gauge is
+// adjusted atomically and its high-water mark taken from the value this
+// update installed, so the peak is correct even when several runs feed the
+// gauge concurrently.
+func (c *Collector) countPlacement(d time.Duration, req core.Request, opened bool) {
+	if d >= 0 {
+		c.placementSeconds.Observe(d.Seconds())
+	}
 	c.itemsPlaced.Inc()
 	if req.Attempt > 0 {
 		c.itemsRetried.Inc()
@@ -259,15 +243,6 @@ func (c *Collector) BinClosed(b *core.Bin, t float64) {
 func (c *Collector) AfterSelect(req core.Request, chosen *core.Bin, fitChecks int) {
 	c.fitChecks.Add(uint64(fitChecks))
 	c.fitChecksPerSelect.Observe(float64(fitChecks))
-}
-
-// dropStart discards the pending placement timestamp for a dispatch that did
-// not complete (queued or rejected instead of packed), so the starts map
-// cannot leak under admission control.
-func (c *Collector) dropStart(req core.Request) {
-	c.mu.Lock()
-	delete(c.starts, placeKey{req.ID, req.SeqNo})
-	c.mu.Unlock()
 }
 
 // BinCrashed implements core.FailureObserver. The usage-time accrual happened
@@ -296,13 +271,11 @@ func (c *Collector) ItemRejected(req core.Request, t float64, timedOut bool) {
 	} else {
 		c.itemsRejected.Inc()
 	}
-	c.dropStart(req)
 }
 
 // ItemQueued implements core.FailureObserver.
 func (c *Collector) ItemQueued(req core.Request, t float64) {
 	c.itemsQueued.Inc()
-	c.dropStart(req)
 }
 
 // ItemDequeued implements core.FailureObserver: the queue delay is simulated
@@ -325,22 +298,20 @@ var _ RunScoper = (*Collector)(nil)
 
 // ForRun returns a view of the collector for one simulation run. The view
 // feeds the same registry instruments as the collector, but keeps its own
-// BeforePack→AfterPack matching state: two concurrent runs may carry items
-// with identical (ID, SeqNo), and matching them through one shared map would
-// cross-pair timestamps between runs (corrupting the placement-latency
-// histogram). A view must observe a single simulation at a time; mint one per
-// run.
+// placement start time: two concurrent runs feeding the collector's one
+// start would cross-pair their BeforePack and AfterPack timestamps
+// (corrupting the placement-latency histogram). A view must observe a single
+// simulation at a time; mint one per run.
 func (c *Collector) ForRun() core.Observer {
-	return &RunView{Collector: c, starts: make(map[placeKey]time.Duration)}
+	return &RunView{Collector: c}
 }
 
 // RunView is a single-run view of a shared Collector; see ForRun. It
-// overrides exactly the methods that touch per-run matching state and
-// inherits the pure instrument updates.
+// overrides the two callbacks that time a placement and inherits the pure
+// instrument updates.
 type RunView struct {
 	*Collector
-	mu     sync.Mutex
-	starts map[placeKey]time.Duration
+	start time.Duration
 }
 
 var (
@@ -349,47 +320,12 @@ var (
 	_ core.FailureObserver = (*RunView)(nil)
 )
 
-// BeforePack implements core.Observer against the view's own matching state.
+// BeforePack implements core.Observer against the view's own start time.
 func (v *RunView) BeforePack(req core.Request, open []*core.Bin) {
-	now := v.Collector.clock.Now()
-	v.mu.Lock()
-	v.starts[placeKey{req.ID, req.SeqNo}] = now
-	v.mu.Unlock()
+	v.start = v.clock.Now()
 }
 
-// AfterPack implements core.Observer against the view's own matching state.
+// AfterPack implements core.Observer against the view's own start time.
 func (v *RunView) AfterPack(req core.Request, b *core.Bin, opened bool) {
-	now := v.Collector.clock.Now()
-	v.mu.Lock()
-	key := placeKey{req.ID, req.SeqNo}
-	if start, ok := v.starts[key]; ok {
-		delete(v.starts, key)
-		if d := now - start; d >= 0 {
-			v.Collector.placementSeconds.Observe(d.Seconds())
-		}
-	}
-	v.mu.Unlock()
-	v.Collector.countPlacement(req, opened)
-}
-
-func (v *RunView) dropStart(req core.Request) {
-	v.mu.Lock()
-	delete(v.starts, placeKey{req.ID, req.SeqNo})
-	v.mu.Unlock()
-}
-
-// ItemRejected implements core.FailureObserver against the view's own state.
-func (v *RunView) ItemRejected(req core.Request, t float64, timedOut bool) {
-	if timedOut {
-		v.Collector.itemsTimedOut.Inc()
-	} else {
-		v.Collector.itemsRejected.Inc()
-	}
-	v.dropStart(req)
-}
-
-// ItemQueued implements core.FailureObserver against the view's own state.
-func (v *RunView) ItemQueued(req core.Request, t float64) {
-	v.Collector.itemsQueued.Inc()
-	v.dropStart(req)
+	v.countPlacement(v.clock.Now()-v.start, req, opened)
 }

@@ -19,13 +19,11 @@ func observeOneEvent(c *Collector, req core.Request, b *core.Bin) {
 // TestCollectorHotPathAllocs pins the observer seam to zero steady-state
 // allocations: attaching a Collector must not reintroduce per-event garbage
 // on the engine hot path the incremental load accounting just cleared.
-// (The starts map inserts and deletes the same key per placement, so it
-// reaches a fixed size immediately; instruments are atomics.)
+// (The placement start is one atomic, and so is every instrument.)
 func TestCollectorHotPathAllocs(t *testing.T) {
 	c := NewCollector(WithClock(&Manual{}))
 	req := core.Request{ID: 1, SeqNo: 1}
 	b := &core.Bin{ID: 0}
-	// Warm-up: let the starts map allocate its first bucket.
 	observeOneEvent(c, req, b)
 	allocs := testing.AllocsPerRun(200, func() {
 		observeOneEvent(c, req, b)

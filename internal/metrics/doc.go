@@ -33,9 +33,10 @@
 //
 // # Collector
 //
-// Collector implements core.Observer (and the optional core.SelectObserver
-// extension) and records a per-run series into its Registry. Attach it with
-// core.WithObserver:
+// Collector implements core.Observer (and the optional core.SelectObserver,
+// core.FailureObserver and core.MigrationObserver extensions) and records a
+// per-run series into its Registry. Attach it with core.WithObserver, beside
+// any other observer the run takes (a FragTracker, say):
 //
 //	col := metrics.NewCollector()
 //	res, err := core.Simulate(l, core.NewFirstFit(), core.WithObserver(col))
@@ -53,13 +54,17 @@
 // Manual clock the resumed run's metrics equal an uninterrupted run's byte
 // for byte.
 //
+// A placement is timed from its BeforePack to its AfterPack. The engine fires
+// a dispatch's AfterPack before it begins another dispatch (a dispatch that
+// is queued or rejected instead fires no AfterPack), so one start time per
+// run pairs them: the Collector keeps one atomic, a run view one field.
+//
 // To share one Collector across concurrent simulations, give each run its own
 // view via ForRun (Collector implements RunScoper; the experiment harness
 // scopes shared observers automatically). Views feed the same registry —
 // counters and gauges aggregate across runs, dvbp_open_bins_peak becomes the
-// concurrent high-water mark — but each view matches BeforePack/AfterPack
-// pairs privately, so the placement-latency histogram stays exact even when
-// runs carry items with identical identifiers. Attaching the Collector itself
-// to concurrent runs is safe but cross-pairs those timestamps, corrupting the
-// latency histogram.
+// concurrent high-water mark — but each view keeps its own start time, so
+// the placement-latency histogram stays exact. Attaching the Collector itself
+// to concurrent runs is race-free, but the runs share its one start time,
+// which cross-pairs their timestamps and corrupts the latency histogram.
 package metrics

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"testing"
+	"time"
 
 	"dvbp/internal/core"
 	"dvbp/internal/faults"
@@ -60,28 +61,45 @@ func TestCollectorMatchesResultUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCollectorStartsMapDrainsUnderAdmissionControl: dispatches that are
-// queued or rejected must not leak pending placement timestamps.
-func TestCollectorStartsMapDrainsUnderAdmissionControl(t *testing.T) {
+// TestCollectorTimesEachDispatchUnderAdmissionControl runs the engine with
+// crashes, a capped fleet and an admission queue, so dispatches are queued,
+// retried from the queue, timed out and rejected between placements. The
+// clock advances one second per reading and a placement reads it twice
+// (BeforePack, AfterPack), so a latency timed from the dispatch's own
+// BeforePack is exactly one second, and one timed from an earlier dispatch
+// is at least two. Every placement must be observed once, at one second,
+// whether the collector is attached directly or through a run view.
+func TestCollectorTimesEachDispatchUnderAdmissionControl(t *testing.T) {
 	l, err := workload.Uniform(workload.UniformConfig{D: 2, N: 300, Mu: 8, T: 150, B: 100}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
-	res, err := core.Simulate(l, core.NewFirstFit(),
-		core.WithFaults(faults.MTBF{Mean: 10, Seed: 2}, faults.Fixed{Wait: 1}),
-		core.WithMaxBins(6), core.WithAdmissionQueue(2),
-		core.WithObserver(col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected+res.TimedOut == 0 {
-		t.Fatalf("admission paths not exercised: %s", res)
-	}
-	col.mu.Lock()
-	pending := len(col.starts)
-	col.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("%d placement timestamps leaked", pending)
+	for _, scoped := range []bool{false, true} {
+		col := NewCollector(WithClock(&sequencedClock{step: time.Second}))
+		var obs core.Observer = col
+		if scoped {
+			obs = col.ForRun()
+		}
+		res, err := core.Simulate(l, core.NewFirstFit(),
+			core.WithFaults(faults.MTBF{Mean: 10, Seed: 2}, faults.Fixed{Wait: 1}),
+			core.WithMaxBins(6), core.WithAdmissionQueue(2),
+			core.WithObserver(obs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := col.Snapshot()
+		if res.Rejected+res.TimedOut == 0 || res.Evictions == 0 || counterValue(t, s, MetricItemsQueued) == 0 {
+			t.Fatalf("admission and crash paths not exercised: %s", res)
+		}
+		hist, ok := s.Find(MetricPlacementSeconds)
+		if !ok {
+			t.Fatal("placement histogram missing")
+		}
+		// Each latency is at least one step, so a sum equal to the count
+		// means every one is exactly one step.
+		if n := len(res.Placements); hist.Count != uint64(n) || hist.Sum != float64(n) {
+			t.Errorf("ForRun=%v: %d placements observed, %g s in all; want %d placements of 1 s each",
+				scoped, hist.Count, hist.Sum, n)
+		}
 	}
 }

@@ -1,34 +1,10 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"dvbp/internal/core"
 )
-
-// Fragmentation metric names (DESIGN.md §13).
-const (
-	// MetricStrandedCapacity gauges the current stranded open capacity,
-	// summed over dimensions: Σ_bins Σ_d (residual_d − min_j residual_j).
-	MetricStrandedCapacity = "dvbp_stranded_capacity"
-	// MetricStrandedTime gauges the accrued stranded capacity·time integral,
-	// summed over dimensions (simulated units; see FragSummary).
-	MetricStrandedTime = "dvbp_stranded_capacity_time_total"
-	// MetricResidualImbalance is a histogram of the receiving bin's residual
-	// imbalance (max_j residual_j − min_j residual_j) after each placement.
-	MetricResidualImbalance = "dvbp_residual_imbalance"
-)
-
-// MetricStrandedTimeDim returns the per-dimension stranded capacity·time
-// gauge name (the Registry has no label support, so dimensions are suffixed).
-func MetricStrandedTimeDim(d int) string {
-	return fmt.Sprintf("dvbp_stranded_capacity_time_d%d_total", d)
-}
-
-// DefaultImbalanceBuckets are the residual-imbalance histogram bounds:
-// residuals live in [0, 1], so imbalance does too.
-var DefaultImbalanceBuckets = []float64{0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 1}
 
 // FragSnapshot is the instantaneous fragmentation state of an open-bin set.
 // It is a pure function of the bins' load vectors (FragOf) — independent of
@@ -112,8 +88,9 @@ type fragBinState struct {
 // it with core.WithObserver: it maintains a FragSnapshot incrementally (O(d)
 // per event) and accrues the time integrals between event timestamps —
 // stranded capacity·time per dimension, used and total bin·time, and
-// time-weighted residual imbalance. A tracker observes one run; construct
-// one per simulation (it is not safe for concurrent engines).
+// time-weighted residual imbalance, which Current and Summary report. A
+// tracker observes one run; construct one per simulation (it is not safe
+// for concurrent engines).
 //
 // The integrals are piecewise-constant sums in plain float64 — telemetry,
 // not part of any bit-identity contract. The instantaneous snapshot is the
@@ -123,7 +100,6 @@ type FragTracker struct {
 	core.BaseObserver
 
 	d     int
-	reg   *Registry
 	lastT float64
 	bins  map[int]*fragBinState
 
@@ -133,11 +109,6 @@ type FragTracker struct {
 	usedTime     []float64
 	strandedTime []float64
 	imbTime      float64
-
-	strandedCap  *Gauge
-	strandedTot  *Gauge
-	strandedDims []*Gauge
-	imbHist      *Histogram
 }
 
 var (
@@ -146,13 +117,10 @@ var (
 	_ core.MigrationObserver = (*FragTracker)(nil)
 )
 
-// NewFragTracker returns a tracker for d-dimensional runs. reg may be nil;
-// when given, the tracker publishes the stranded-capacity gauges and the
-// residual-imbalance histogram into it.
-func NewFragTracker(d int, reg *Registry) *FragTracker {
-	tr := &FragTracker{
+// NewFragTracker returns a tracker for d-dimensional runs.
+func NewFragTracker(d int) *FragTracker {
+	return &FragTracker{
 		d:    d,
-		reg:  reg,
 		bins: make(map[int]*fragBinState),
 		cur: FragSnapshot{
 			Load:     make([]float64, d),
@@ -161,18 +129,6 @@ func NewFragTracker(d int, reg *Registry) *FragTracker {
 		usedTime:     make([]float64, d),
 		strandedTime: make([]float64, d),
 	}
-	if reg != nil {
-		tr.strandedCap = reg.Gauge(MetricStrandedCapacity, "current stranded open capacity, summed over dimensions")
-		tr.strandedTot = reg.Gauge(MetricStrandedTime, "accrued stranded capacity·time, summed over dimensions")
-		tr.strandedDims = make([]*Gauge, d)
-		for j := 0; j < d; j++ {
-			tr.strandedDims[j] = reg.Gauge(MetricStrandedTimeDim(j),
-				fmt.Sprintf("accrued stranded capacity·time in dimension %d", j))
-		}
-		tr.imbHist = reg.Histogram(MetricResidualImbalance,
-			"receiving bin's residual imbalance after each placement", DefaultImbalanceBuckets...)
-	}
-	return tr
 }
 
 // advance accrues the integrals from the last observed event time to t.
@@ -192,7 +148,7 @@ func (tr *FragTracker) advance(t float64) {
 }
 
 // upsert installs a bin's fresh contribution, replacing its previous one.
-func (tr *FragTracker) upsert(b *core.Bin) float64 {
+func (tr *FragTracker) upsert(b *core.Bin) {
 	st, ok := tr.bins[b.ID]
 	if !ok {
 		st = &fragBinState{load: make([]float64, tr.d), stranded: make([]float64, tr.d)}
@@ -212,8 +168,6 @@ func (tr *FragTracker) upsert(b *core.Bin) float64 {
 		tr.cur.Load[j] += st.load[j]
 		tr.cur.Stranded[j] += st.stranded[j]
 	}
-	tr.publish()
-	return st.imb
 }
 
 // drop removes a closed bin's contribution.
@@ -229,31 +183,12 @@ func (tr *FragTracker) drop(binID int) {
 		tr.cur.Load[j] -= st.load[j]
 		tr.cur.Stranded[j] -= st.stranded[j]
 	}
-	tr.publish()
-}
-
-// publish refreshes the registry gauges, when a registry is attached.
-func (tr *FragTracker) publish() {
-	if tr.reg == nil {
-		return
-	}
-	cap, tot := 0.0, 0.0
-	for j := 0; j < tr.d; j++ {
-		cap += tr.cur.Stranded[j]
-		tot += tr.strandedTime[j]
-		tr.strandedDims[j].Set(tr.strandedTime[j])
-	}
-	tr.strandedCap.Set(cap)
-	tr.strandedTot.Set(tot)
 }
 
 // AfterPack implements core.Observer.
 func (tr *FragTracker) AfterPack(req core.Request, b *core.Bin, opened bool) {
 	tr.advance(req.Arrival)
-	imb := tr.upsert(b)
-	if tr.imbHist != nil {
-		tr.imbHist.Observe(imb)
-	}
+	tr.upsert(b)
 }
 
 // ItemDeparted implements core.DepartureObserver: a departure that leaves

@@ -81,7 +81,7 @@ func TestFragTrackerMatchesRecompute(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			l := fragList(seed, 120, d)
 			for _, p := range append(core.StandardPolicies(seed), core.FragmentationAwarePolicies(seed)...) {
-				tr := NewFragTracker(d, NewRegistry())
+				tr := NewFragTracker(d)
 				obs := &fragAuditObserver{t: t, d: d, tr: tr}
 				if _, err := core.Simulate(l, p, core.WithObserver(obs)); err != nil {
 					t.Fatalf("d=%d seed=%d %s: %v", d, seed, p.Name(), err)
@@ -100,7 +100,7 @@ func TestFragTrackerMatchesRecompute(t *testing.T) {
 func TestFragSummaryHandComputed(t *testing.T) {
 	l := item.NewList(2)
 	l.Add(0, 10, vector.Of(0.5, 0.25))
-	tr := NewFragTracker(2, NewRegistry())
+	tr := NewFragTracker(2)
 	if _, err := core.Simulate(l, core.NewFirstFit(), core.WithObserver(tr)); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFragSnapshotReorderInvariant(t *testing.T) {
 		// either way, split across bins in swapped order.
 		l.Add(0, 10, first)
 		l.Add(0, 10, second)
-		tr := NewFragTracker(2, nil)
+		tr := NewFragTracker(2)
 		eng, err := core.NewEngine(l, core.NewFirstFit(), core.WithObserver(tr))
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +168,7 @@ func TestFragSnapshotReorderInvariant(t *testing.T) {
 // crash: BinClosed precedes BinCrashed, so the open set never drifts.
 func TestFragTrackerUnderFaults(t *testing.T) {
 	l := fragList(7, 150, 2)
-	tr := NewFragTracker(2, NewRegistry())
+	tr := NewFragTracker(2)
 	obs := &fragAuditObserver{t: t, d: 2, tr: tr}
 	_, err := core.Simulate(l, core.NewBestFit(core.MaxLoad()), core.WithObserver(obs),
 		core.WithFaults(faults.MTBF{Mean: 40, Seed: 3}, faults.Fixed{Wait: 1}))

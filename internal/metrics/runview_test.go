@@ -11,8 +11,9 @@ import (
 // TestForRunIsolatesPlacementMatching drives two run views through
 // interleaved placements that carry IDENTICAL (ID, SeqNo) pairs — exactly
 // what two concurrent simulations of different instances produce. With a
-// shared map the BeforePack of run A would be paired with the AfterPack of
-// run B, fabricating latencies; per-run views must keep the pairs exact.
+// shared start time the AfterPack of run A would be timed from the
+// BeforePack of run B, fabricating latencies; per-run views must keep the
+// pairs exact.
 func TestForRunIsolatesPlacementMatching(t *testing.T) {
 	clock := &Manual{}
 	col := NewCollector(WithClock(clock))

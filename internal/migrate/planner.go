@@ -1,7 +1,6 @@
 package migrate
 
 import (
-	"math"
 	"sort"
 
 	"dvbp/internal/core"
@@ -195,10 +194,9 @@ func (DrainEmptiest) PlanPass(view core.MigrationView, budget core.MigrationBudg
 }
 
 // FARBScore consolidates like DrainEmptiest but places each relocated item
-// into the fitting bin minimising the FARB composite score of the
-// post-placement residual (0.5·spread + 0.3·mean + 0.2·L2/√d — the same
-// weights as the FARB packing policy), so drains also steer receiving bins
-// toward balanced residual shapes.
+// into the fitting bin minimising the FARB packing policy's score of the
+// post-placement residual (core.FARBScoreOf over the simulated load), so
+// drains also steer receiving bins toward balanced residual shapes.
 type FARBScore struct{}
 
 // Name implements core.MigrationPlanner.
@@ -224,7 +222,7 @@ func (FARBScore) PlanPass(view core.MigrationView, budget core.MigrationBudget) 
 			if exclude[b.ID] || !p.fits(b.ID, size) {
 				continue
 			}
-			s := farbScoreOf(p.load[b.ID], size)
+			s := core.FARBScoreOf(p.load[b.ID], size)
 			if !found || s < bestScore || (s == bestScore && b.ID < best) {
 				best, bestScore, found = b.ID, s, true
 			}
@@ -233,26 +231,6 @@ func (FARBScore) PlanPass(view core.MigrationView, budget core.MigrationBudget) 
 	}
 	drainGreedy(p, sources, pickMinFARB)
 	return p.moves, nil
-}
-
-// farbScoreOf scores placing size into a bin with the given simulated load:
-// the FARB composite over the post-placement residual vector.
-func farbScoreOf(load []float64, size vector.Vector) float64 {
-	minR, maxR := 2.0, -2.0
-	sum, sumSq := 0.0, 0.0
-	for j, s := range size {
-		r := 1 - load[j] - s
-		if r < minR {
-			minR = r
-		}
-		if r > maxR {
-			maxR = r
-		}
-		sum += r
-		sumSq += r * r
-	}
-	fd := float64(len(size))
-	return 0.5*(maxR-minR) + 0.3*(sum/fd) + 0.2*math.Sqrt(sumSq/fd)
 }
 
 // Stranded consolidates stranded capacity away: sources are ranked by their

@@ -206,13 +206,13 @@ func TestFarbScoreOf(t *testing.T) {
 	load := []float64{0.5, 0.5}
 	size := vector.Vector{0.25, 0.25}
 	want := 0.3*0.25 + 0.2*0.25
-	if got := farbScoreOf(load, size); !almost(got, want) {
-		t.Errorf("farbScoreOf = %v, want %v", got, want)
+	if got := core.FARBScoreOf(load, size); !almost(got, want) {
+		t.Errorf("FARBScoreOf = %v, want %v", got, want)
 	}
 	// Skewed residual scores strictly worse than balanced at equal mean.
-	skew := farbScoreOf([]float64{0.8, 0.2}, size)
-	if skew <= farbScoreOf(load, size) {
-		t.Errorf("skewed residual %v not worse than balanced %v", skew, farbScoreOf(load, size))
+	skew := core.FARBScoreOf([]float64{0.8, 0.2}, size)
+	if skew <= core.FARBScoreOf(load, size) {
+		t.Errorf("skewed residual %v not worse than balanced %v", skew, core.FARBScoreOf(load, size))
 	}
 }
 

@@ -56,7 +56,8 @@
 //     engine, sync with a digest mark, cut snapshots every N events (Every,
 //     a server tenant's CheckpointEvery) and prune the older ones.
 //   - errors.go: the corruption/disk-full/transient/fatal error taxonomy.
-//   - recover.go: Recover — the consumer side described above.
+//   - recover.go: Recover — the consumer side described above — and
+//     RecoverLogged, the same over an op log the caller has already read.
 //
 // The kill-and-recover torture tests (torture_test.go, vfs_torture_test.go
 // and cmd/dvbpchaos) exercise the full matrix: process kills at arbitrary

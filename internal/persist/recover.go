@@ -43,8 +43,8 @@ type Recovery struct {
 // admission control, observers) — the engine is deterministic in them, and
 // the digest marks catch a mismatch as a divergence.
 //
-// Recovery: sweep temp-file orphans; read the op log, truncating at the
-// first torn record; restore the newest snapshot that decodes cleanly,
+// Recovery: read the op log, truncating at the first torn record; sweep
+// temp-file orphans; restore the newest snapshot that decodes cleanly,
 // carries an event digest and matches the run (a fresh engine when none
 // does, as for a faulty, capped or migrating run, which never checkpoints);
 // re-step the engine to the position the log pins, comparing the
@@ -59,27 +59,33 @@ func Recover(l *item.List, cfg Config, opts ...core.Option) (*Recovery, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("persist: no checkpoint directory configured")
 	}
+	logged, err := ReadOpLog(cfg.FS, filepath.Join(cfg.Dir, opsFile), cfg.Label)
+	if err != nil {
+		return nil, fmt.Errorf("recovering %s: %w", cfg.Dir, err)
+	}
+	return RecoverLogged(l, logged, cfg, opts...)
+}
+
+// RecoverLogged is Recover given the op log of cfg.Dir as ReadOpLog
+// returned it, so a caller that reads the log first (a server tenant
+// rebuilds its item list and watermark from it) reads the file once.
+func RecoverLogged(l *item.List, logged *OpLogData, cfg Config, opts ...core.Option) (*Recovery, error) {
 	fsys := vfs.OrOS(cfg.FS)
-	rec := &Recovery{}
 
 	// 0. Sweep orphaned atomic-write temp files: a crash between CreateTemp
 	// and Rename leaves a ".tmp-" file that no future rename will claim.
 	// They are garbage by construction — the atomic-write protocol only
 	// renames a temp it just wrote — so deleting them is always safe.
-	rec.SweptTemp = sweepTempFiles(fsys, cfg.Dir)
+	rec := &Recovery{SweptTemp: sweepTempFiles(fsys, cfg.Dir)}
 
 	// 1. The op log: the run's identity, a dynamic run's inputs, and the
 	// digest marks. Every corruption it reports carries the run's label.
 	path := filepath.Join(cfg.Dir, opsFile)
-	logged, err := ReadOpLog(fsys, path, cfg.Label)
-	if err != nil {
-		return nil, fmt.Errorf("recovering %s: %w", cfg.Dir, err)
-	}
 	if logged.Torn != nil {
 		rec.Corruptions = append(rec.Corruptions, logged.Torn)
 	}
 	meta := logged.Meta
-	err = meta.check(l)
+	err := meta.check(l)
 	if err == nil && meta.Dynamic && !sameItems(l, logged.List) {
 		err = fmt.Errorf("persist: the supplied %d-item list is not the %d items %s logs", l.Len(), logged.List.Len(), path)
 	}

@@ -8,11 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 
 	"dvbp/internal/core"
 	"dvbp/internal/metrics"
 	"dvbp/internal/persist"
+	"dvbp/internal/vfs"
 )
 
 // TestStoreRecoverAcknowledgedPlacements is the package-level crash story:
@@ -350,5 +353,136 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreDeleteKeepsTenantWhenManifestWriteFails pins DELETE on a sick
+// disk: when the manifest cannot be rewritten (every rename fails with
+// ENOSPC, or every directory sync with EIO, after the rename took effect),
+// the DELETE answers the error and the tenant stays live with its data,
+// because a manifest that names a tenant whose directory is gone stops the
+// whole store from reopening, and one that lost a live tenant loses its
+// acknowledged placements. Once the disk heals, the store reopens with both
+// tenants and the placement acknowledged after the failed DELETE, and a
+// retried DELETE finishes.
+func TestStoreDeleteKeepsTenantWhenManifestWriteFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind vfs.FaultKind
+		err  error
+	}{
+		{"rename-enospc", vfs.FaultRename, syscall.ENOSPC},
+		{"syncdir-eio", vfs.FaultSyncDir, syscall.EIO},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			inj := vfs.NewInjector(vfs.OS{})
+			reg := metrics.NewRegistry()
+			store, err := OpenStore(root, Limits{FS: inj}, reg)
+			if err != nil {
+				t.Fatalf("OpenStore: %v", err)
+			}
+			url := newLocalServer(t, New(store, reg))
+			for _, name := range []string{"a", "b"} {
+				cfg := TenantConfig{Name: name, Dim: 2, Policy: "FirstFit", Seed: 1}
+				mustStatus(t, http.StatusCreated, call(t, "POST", url+"/v1/tenants", cfg, nil), "create "+name)
+			}
+			place := func(arrival float64) PlaceResult {
+				var pr PlaceResult
+				mustStatus(t, http.StatusOK, call(t, "POST", url+"/v1/tenants/a/place",
+					placeBody{Arrival: f(arrival), Duration: f(10), Size: []float64{0.5, 0.25}}, &pr), "place")
+				return pr
+			}
+			place(0)
+
+			inj.SetSticky(tc.err, tc.kind)
+			var refused struct {
+				Error string `json:"error"`
+			}
+			mustStatus(t, http.StatusInternalServerError, call(t, "DELETE", url+"/v1/tenants/a", nil, &refused), "delete on a sick disk")
+			if !strings.Contains(refused.Error, "writing manifest") {
+				t.Errorf("DELETE answered %q, want the manifest write error", refused.Error)
+			}
+			if _, err := os.Stat(filepath.Join(root, "a", opsFile)); err != nil {
+				t.Fatalf("a failed DELETE removed the tenant's data: %v", err)
+			}
+			acked := place(1) // the tenant still serves
+			inj.ClearSticky()
+			store.Close()
+
+			reg = metrics.NewRegistry()
+			store, err = OpenStore(root, Limits{FS: inj}, reg)
+			if err != nil {
+				t.Fatalf("reopening after a failed DELETE: %v", err)
+			}
+			defer store.Close()
+			url = newLocalServer(t, New(store, reg))
+			if got := store.List(); len(got) != 2 {
+				t.Fatalf("reopened store lists %+v, want tenants a and b", got)
+			}
+			var pls PlacementsResult
+			mustStatus(t, http.StatusOK, call(t, "GET", url+"/v1/tenants/a/placements", nil, &pls), "placements")
+			if want := (PlacementRecord{Item: acked.Item, Bin: acked.Bin, Time: acked.Time}); pls.Total != 2 || pls.Placements[1] != want {
+				t.Fatalf("reopened tenant lists %+v, want 2 placements, the second %+v", pls, want)
+			}
+			mustStatus(t, http.StatusOK, call(t, "DELETE", url+"/v1/tenants/a", nil, nil), "retried delete")
+			if _, err := os.Stat(filepath.Join(root, "a")); !os.IsNotExist(err) {
+				t.Errorf("retried DELETE left the tenant's directory: %v", err)
+			}
+			if got := store.List(); len(got) != 1 || got[0].Name != "b" {
+				t.Errorf("after the retried DELETE the store lists %+v, want only b", got)
+			}
+		})
+	}
+}
+
+// readCounter is a vfs.FS that counts ReadFile calls by path.
+type readCounter struct {
+	vfs.FS
+	mu    sync.Mutex
+	reads map[string]int
+}
+
+func (r *readCounter) ReadFile(name string) ([]byte, error) {
+	r.mu.Lock()
+	r.reads[name]++
+	r.mu.Unlock()
+	return r.FS.ReadFile(name)
+}
+
+// TestStoreOpenReadsEachOpLogOnce pins the cost of a server open: a tenant's
+// op log yields its item list, watermark and digest marks from one read,
+// whether the tenant restores a snapshot or re-steps from the start.
+func TestStoreOpenReadsEachOpLogOnce(t *testing.T) {
+	root := t.TempDir()
+	reg := metrics.NewRegistry()
+	store, err := OpenStore(root, Limits{}, reg)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	url := newLocalServer(t, New(store, reg))
+	tenants := []TenantConfig{
+		{Name: "snap", Dim: 2, Policy: "FirstFit", Seed: 1, CheckpointEvery: 8},
+		{Name: "nosnap", Dim: 2, Policy: "BestFit", Seed: 2},
+	}
+	for _, cfg := range tenants {
+		mustStatus(t, http.StatusCreated, call(t, "POST", url+"/v1/tenants", cfg, nil), "create")
+		for _, it := range stream(2, 40, 5) {
+			mustStatus(t, http.StatusOK, call(t, "POST", url+"/v1/tenants/"+cfg.Name+"/place",
+				placeBody{Arrival: f(it.arrival), Departure: f(it.departure), Size: it.size}, nil), "place")
+		}
+	}
+	store.Close()
+
+	fsys := &readCounter{FS: vfs.OS{}, reads: map[string]int{}}
+	reopened, err := OpenStore(root, Limits{FS: fsys}, metrics.NewRegistry())
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	reopened.Close()
+	for _, cfg := range tenants {
+		if n := fsys.reads[filepath.Join(root, cfg.Name, opsFile)]; n != 1 {
+			t.Errorf("%s: the open read %s %d times, want once", cfg.Name, opsFile, n)
+		}
 	}
 }

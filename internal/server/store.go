@@ -237,7 +237,7 @@ func (s *Store) recoverTenant(cfg TenantConfig) (*Tenant, error) {
 	if want := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, ""); logged.Meta != want {
 		return nil, fmt.Errorf("op log identity %+v disagrees with manifest %+v", logged.Meta, want)
 	}
-	rec, err := persist.Recover(logged.List, pcfg, core.WithDynamicArrivals())
+	rec, err := persist.RecoverLogged(logged.List, logged, pcfg, core.WithDynamicArrivals())
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +269,11 @@ func (s *Store) List() []TenantConfig {
 	return out
 }
 
-// Delete drains and removes a tenant: worker stopped, manifest updated,
-// directory deleted.
+// Delete drains and removes a tenant: manifest updated, worker stopped,
+// directory deleted. The directory goes only once the manifest no longer
+// names the tenant, since a manifest naming a tenant without one fails the
+// next OpenStore. When the manifest write fails, the tenant stays live and
+// a retried Delete can finish.
 func (s *Store) Delete(name string) *apiError {
 	s.mu.Lock()
 	t, ok := s.tenants[name]
@@ -279,16 +282,23 @@ func (s *Store) Delete(name string) *apiError {
 		return errf(http.StatusNotFound, "no_such_tenant", "no tenant %q", name)
 	}
 	delete(s.tenants, name)
-	merr := s.writeManifest()
+	if err := s.writeManifest(); err != nil {
+		// A write that failed after its rename (at the directory sync)
+		// left a manifest without the tenant: write it back in. The error
+		// is dropped because the DELETE already reports one, and on a disk
+		// that keeps refusing the same step the manifest then names the
+		// tenant (a refused rename leaves the old one in place).
+		s.tenants[name] = t
+		_ = s.writeManifest()
+		s.mu.Unlock()
+		return errf(http.StatusInternalServerError, "io", "writing manifest: %v", err)
+	}
 	s.m.tenants.Set(float64(len(s.tenants)))
 	s.mu.Unlock()
 
 	t.close()
 	if err := s.fs.RemoveAll(t.dir); err != nil {
 		return errf(http.StatusInternalServerError, "io", "removing tenant data: %v", err)
-	}
-	if merr != nil {
-		return errf(http.StatusInternalServerError, "io", "writing manifest: %v", merr)
 	}
 	return nil
 }
