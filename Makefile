@@ -2,7 +2,7 @@
 # the whole test suite under the race detector (the kill-and-recover,
 # crash-point, server and CLI tortures included), a repeated-run concurrency
 # stress pass, vet and tests of the benchmark module, and a short fuzz pass
-# over the engine, fault-schedule, and on-disk-format fuzzers.
+# over the engine, fault-schedule, on-disk-format and accumulator fuzzers.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -64,14 +64,16 @@ bench-module:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
-# fleet-scale Select benchmark, the Figure 4 sweep throughput benchmark
-# (shards/sec at 1 and 8 workers) and the placement-server benchmark
-# (req/sec with p50/p99 latency at 1 and 8 clients), then write
-# BENCH_core.json (benchstat-comparable names, the package of each entry,
-# mean ns/op, B/op, allocs/op). FleetSelect runs for 0.2 s per row: its rows
-# take 0.4 µs to 3 ms per select, and at a fixed 10x a sub-µs row timed 4 µs
-# in all, timer and first-touch cost included; its fleets are built outside
-# the timed loop. The sweep and server benchmarks run at 30x: at 10x a round
+# fleet-scale Select benchmark, the exact load accumulator's kernels (Add/Sub
+# and Round, in the two-word frame and spilled to limbs), the Figure 4 sweep
+# throughput benchmark (shards/sec at 1 and 8 workers) and the
+# placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
+# clients), then write BENCH_core.json (benchstat-comparable names, the
+# package of each entry, mean ns/op, B/op, allocs/op). FleetSelect and the
+# accumulator kernels run for 0.2 s per row: FleetSelect's rows take 0.4 µs
+# to 3 ms per select, and at a fixed 10x a sub-µs row timed 4 µs in all,
+# timer and first-touch cost included; its fleets are built outside the
+# timed loop. The sweep and server benchmarks run at 30x: at 10x a round
 # lasted 0.3–0.8 s, and the same binary's throughput moved up to 2× between
 # rounds with host load. When artifacts/bench/BENCH_core_pre.txt exists (the
 # pre-change capture), it is embedded as the document's baseline section so
@@ -81,6 +83,8 @@ bench-json:
 	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|IndexCrossover|FragmentationSweep|DynamicAppendStep' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/core -run='^$$' -bench='FleetSelect' \
+		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
+	$(GO) test ./internal/vector -run='^$$' -bench='^BenchmarkAcc(AddSub|Round)(Wide)?$$' \
 		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
 		-benchmem -benchtime=30x -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
@@ -209,8 +213,9 @@ deps-check:
 	echo "deps-check ok"
 
 # Short differential-fuzz pass: the clean engine, the engine under fault
-# injection, the fault-schedule parsers, and the persistence layer's op-log
-# and snapshot decoders (seed corpus committed under internal/persist/testdata).
+# injection, the fault-schedule parsers, the persistence layer's op-log and
+# snapshot decoders (seed corpus committed under internal/persist/testdata),
+# and the exact load accumulator against its math/big oracle.
 # Each fuzzer gets FUZZTIME, and each minimization of a new input at most 1s:
 # at Go's default of 60s a soak run (raised FUZZTIME) spends most of its time
 # minimizing instead of executing inputs.
@@ -221,3 +226,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrationPlan$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/migrate
 	$(GO) test -run='^$$' -fuzz='^FuzzOpLogDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzAcc$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/vector

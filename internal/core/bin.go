@@ -28,8 +28,8 @@ type Bin struct {
 	// load caches acc rounded to float64 per dimension; refreshed after
 	// every pack/remove so read paths stay plain slice loads.
 	load vector.Vector
-	// acc holds the exact per-dimension sum of the active item sizes. Its
-	// state is a pure function of the active multiset (integer limb sums are
+	// acc holds the exact per-dimension sum of the active item sizes. The
+	// sum is a pure function of the active multiset (integer sums are
 	// order-independent and removal cancels exactly), so load — its rounding
 	// — is bit-identical across any pack/depart history reaching the same
 	// active set. That is the determinism contract load-driven policies

@@ -66,14 +66,14 @@ type BinSnapshot struct {
 	// ActiveIDs are the currently active item IDs, ascending. The items'
 	// sizes are recovered from the instance on restore.
 	ActiveIDs []int
-	// Acc holds the exact per-dimension load accumulator state
-	// (vector.Acc.AppendBinary payloads), one per dimension. Restore
-	// cross-checks it against the accumulator rebuilt from ActiveIDs: the
-	// limbs are a pure function of the active multiset, so any divergence
-	// means the snapshot is corrupt. The limb window is not: it keeps every
-	// limb written since the bin opened, so the check compares limbs by
-	// value (vector.Acc.Equal), and the restored bin keeps the snapshot's
-	// window, as the uninterrupted run does.
+	// Acc holds the exact per-dimension load sums (vector.Acc.AppendBinary
+	// payloads), one per dimension. Restore cross-checks each against the
+	// sum of the ActiveIDs' sizes: the sum is a pure function of the active
+	// multiset, so any divergence means the snapshot is corrupt. The check
+	// compares sums (vector.Acc.Equal), not bytes, so a payload written
+	// before AppendBinary became canonical (a limb window wider than the
+	// sum's digits, limbs not carried) restores too, and a snapshot of the
+	// restored engine is the canonical one the uninterrupted run takes.
 	Acc [][]byte
 }
 
@@ -198,7 +198,7 @@ func corruptf(format string, args ...any) error {
 // replay verification is built on).
 //
 // Every structural claim the snapshot makes is validated — unknown item or
-// bin IDs, duplicated active items, accumulator limbs that disagree with the
+// bin IDs, duplicated active items, accumulator sums that disagree with the
 // active multiset, a departure entry whose bin does not hold its item, an
 // active item without exactly one — and violations surface as errors, never
 // panics, so corrupted checkpoint files degrade gracefully. Like NewEngine,
@@ -254,11 +254,13 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	e.served = s.Served
 
 	// Rebuild the open bins. Active sizes come from the instance; the
-	// accumulator limbs are rebuilt from the active multiset (the same pure
+	// accumulators are rebuilt from the active multiset (the same pure
 	// function the live engine maintains incrementally) and then compared
-	// limb by limb against the snapshot's captured limbs — a free integrity
-	// check on both the item set and the recorded loads. Until its departure
-	// entry is read below, an active item's slot holds attempt -1.
+	// with the snapshot's captured sums — a free integrity check on both the
+	// item set and the recorded loads. The rebuilt accumulators stay: they
+	// hold the captured sums, and captured is reused bin after bin. Until
+	// its departure entry is read below, an active item's slot holds
+	// attempt -1.
 	var captured vector.Acc
 	active := 0
 	prevID := -1
@@ -294,9 +296,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		b.packed = bs.Packed
 		for j := range b.acc {
 			if captured.UnmarshalBinary(bs.Acc[j]) != nil || !captured.Equal(&b.acc[j]) {
-				return nil, corruptf("bin %d dimension %d: snapshot load limbs disagree with active item set", bs.ID, j)
+				return nil, corruptf("bin %d dimension %d: snapshot load sums disagree with active item set", bs.ID, j)
 			}
-			b.acc[j] = captured
 		}
 	}
 
@@ -356,7 +357,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		return nil, corruptf("MoveToFront recency list covers %d bins, %d are open", len(mf.pos), len(e.open))
 	}
 
-	// Rebuild the held totals from the restored loads, which the limb check
+	// Rebuild the held totals from the restored loads, which the sum check
 	// above proved bit-identical to the original run's; Acc sums are
 	// order-independent, so they round identically too. The bin index is
 	// not rebuilt here: the restored result carries the run's peak open-bin

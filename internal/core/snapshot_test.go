@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"slices"
@@ -236,16 +237,15 @@ func TestSnapshotAfterFinishFails(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsInconsistentSnapshots corrupts a valid snapshot in every
-// structural way the restore path validates and checks each one surfaces as
-// an error (never a panic, never a silently wrong engine).
-// TestRestoreAcceptsWidenedLimbWindow: item 1 is so small that its
-// mantissa sits in limbs item 0 does not touch, and it departs first. Bin 0's
-// accumulator window still covers those limbs, now zero, so the snapshot's
-// limb bytes differ from those of an accumulator rebuilt from item 0 alone,
-// though both hold the same sum. Restore must accept the snapshot, keep its
-// window, so a snapshot of the restored engine equals the original, and
-// finish as the uninterrupted run does.
+// TestRestoreAcceptsWidenedLimbWindow: snapshots carry each bin's load sum
+// canonically now, but earlier engines wrote an accumulator's raw limbs.
+// Here item 1 is so small that its mantissa sits in limbs item 0 does not
+// touch, and it departs first; such an engine wrote bin 0's sum 0.5 with
+// item 1's limbs, now zero, still in its window (the bytes below are the
+// ones it wrote), and a sum of many items could leave limbs uncarried. Each
+// hand-built payload must restore, a snapshot of the restored engine must
+// equal the uninterrupted run's canonical one, and the run must finish as
+// the uninterrupted run does.
 func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
 	l := list(t, 1, []float64{0, 10, 0.5}, []float64{0, 1, 1e-12}, []float64{2, 3, 0.9})
 	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
@@ -259,31 +259,116 @@ func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
 			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	snap, err := e.Snapshot()
+	canonical, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fresh vector.Acc
-	fresh.Add(0.5)
-	if len(snap.Bins) != 1 || string(snap.Bins[0].Acc[0]) == string(fresh.AppendBinary(nil)) {
-		t.Fatal("the test needs a snapshot whose limb window is wider than its items'")
+	var half vector.Acc
+	half.Add(0.5)
+	if len(canonical.Bins) != 1 || string(canonical.Bins[0].Acc[0]) != string(half.AppendBinary(nil)) {
+		t.Fatalf("the snapshot should hold bin 0's sum 0.5 canonically, not %v", canonical.Bins)
+	}
+	// 0.5 is 2^17 in limb 33.
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"zero limbs at the window's edge", []byte{1, 30, 0, 33, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0}},
+		{"uncarried limb pair", limbPayload(32, 1<<32, 1<<17-1)},
+	} {
+		old, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Bins[0].Acc[0] = c.payload
+		r, err := RestoreEngine(l, NewFirstFit(), old)
+		if err != nil {
+			t.Fatalf("%s: RestoreEngine: %v", c.name, err)
+		}
+		again, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, canonical) {
+			t.Errorf("%s: snapshot of the restored engine differs from the uninterrupted run's:\n got %+v\nwant %+v", c.name, again.Bins, canonical.Bins)
+		}
+		if _, res := stepAll(t, r); resultJSON(t, res) != want {
+			t.Errorf("%s: restored run finished with %s, want %s", c.name, resultJSON(t, res), want)
+		}
+	}
+}
+
+// TestRestoreKeepsSpilledAccumulatorsApart: item sizes below the
+// accumulator's two-word frame spill two bins' sums into limbs. Restore
+// decodes every bin's captured sums through one scratch accumulator, so a
+// bin must not end up sharing that scratch's limbs: after restoring both
+// bins and packing into the first again, the engine must snapshot as the
+// uninterrupted run does and finish as it does.
+func TestRestoreKeepsSpilledAccumulatorsApart(t *testing.T) {
+	l := list(t, 2,
+		[]float64{0, 10, 0.5, 1e-35},
+		[]float64{0, 10, 0.6, 1e-36},
+		[]float64{1, 10, 0.3, 0.1},
+	)
+	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
+	steps := func(e *Engine, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, ok, err := e.Step(); err != nil || !ok {
+				t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	}
+	ref, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	steps(ref, 2)
+	snap, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Bins) != 2 {
+		t.Fatalf("the test needs two open bins, got %d", len(snap.Bins))
+	}
+	steps(ref, 1)
+	after, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := RestoreEngine(l, NewFirstFit(), snap)
 	if err != nil {
 		t.Fatalf("RestoreEngine: %v", err)
 	}
-	again, err := r.Snapshot()
+	steps(r, 1)
+	got, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, snap) {
-		t.Errorf("snapshot of the restored engine differs from the one it was restored from:\n got %+v\nwant %+v", again.Bins, snap.Bins)
+	if !reflect.DeepEqual(got, after) {
+		t.Errorf("restored engine snapshots as\n %+v\nwant %+v", got.Bins, after.Bins)
 	}
 	if _, res := stepAll(t, r); resultJSON(t, res) != want {
 		t.Errorf("restored run finished with %s, want %s", resultJSON(t, res), want)
 	}
 }
 
+// limbPayload builds a vector.Acc payload in its raw form: the limbs from
+// index lo up, each an 8-byte little-endian integer.
+func limbPayload(lo int, limbs ...int64) []byte {
+	hi := lo + len(limbs) - 1
+	p := []byte{1, byte(lo), byte(lo >> 8), byte(hi), byte(hi >> 8)}
+	for _, v := range limbs {
+		p = binary.LittleEndian.AppendUint64(p, uint64(v))
+	}
+	return p
+}
+
+// TestRestoreRejectsInconsistentSnapshots corrupts a valid snapshot in every
+// structural way the restore path validates and checks each one surfaces as
+// an error (never a panic, never a silently wrong engine).
 func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 	l := randomList(5, 30, 2, 20)
 	take := func(t *testing.T) *Snapshot {

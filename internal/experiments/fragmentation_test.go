@@ -73,9 +73,9 @@ func TestRunFragDeterminism(t *testing.T) {
 }
 
 // TestFragCountsFitChecks pins that a metrics.Collector passed as
-// FragConfig.Observer sees every frag run's fit checks through the run's
-// fragmentation tee: the count is not zero, and it equals the count of the
-// same runs with the collector attached directly.
+// FragConfig.Observer sees every frag run's fit checks as an observer beside
+// the run's FragTracker: the count is not zero, and it equals the count of
+// the same runs with the collector as their only observer.
 func TestFragCountsFitChecks(t *testing.T) {
 	cfg := DefaultFrag()
 	cfg.Instances, cfg.Horizon = 2, 30
@@ -87,8 +87,8 @@ func TestFragCountsFitChecks(t *testing.T) {
 		}
 		return m.Value
 	}
-	teed := metrics.NewCollector()
-	cfg.Observer = teed
+	beside := metrics.NewCollector()
+	cfg.Observer = beside
 	if _, err := RunFrag(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,9 @@ func TestFragCountsFitChecks(t *testing.T) {
 			}
 		}
 	}
-	got, want := fitChecks(teed), fitChecks(direct)
+	got, want := fitChecks(beside), fitChecks(direct)
 	if got == 0 || got != want {
-		t.Errorf("frag runs counted %v fit checks through the tee, %v with the collector attached directly", got, want)
+		t.Errorf("frag runs counted %v fit checks beside the FragTracker, %v with the collector alone", got, want)
 	}
 }
 

@@ -526,12 +526,15 @@ func TestRecoverWithoutSnapshotsReplaysFromScratch(t *testing.T) {
 	}
 }
 
-// TestRecoverRestoresSnapshotAfterTinyItemDeparts: a bin's accumulator
-// window keeps the limbs of an item far smaller than its neighbours after
-// that item departs, so the snapshot serialises zero limbs at the window's
-// edge that an accumulator rebuilt from the remaining items does not have.
-// The snapshot is valid all the same: recovery must restore it, tolerate
-// nothing, and finish the run as the uninterrupted run does.
+// TestRecoverRestoresSnapshotAfterTinyItemDeparts: a snapshot file written
+// before accumulator payloads became canonical holds a bin's raw limbs. Here
+// item 1 is far smaller than item 0 and departs before the checkpoint, and
+// such a snapshot kept item 1's limbs, now zero, at the window's edge (the
+// bytes below are the ones that engine wrote); a sum of many items could
+// also leave limbs uncarried. With either payload in place of the canonical
+// one, recovery must restore the snapshot, tolerate nothing, reach the
+// uninterrupted run's canonical snapshot at the same event, and finish the
+// run as the uninterrupted run does.
 func TestRecoverRestoresSnapshotAfterTinyItemDeparts(t *testing.T) {
 	l := item.NewList(1)
 	l.Add(0, 10, vector.Of(0.5))
@@ -542,40 +545,91 @@ func TestRecoverRestoresSnapshotAfterTinyItemDeparts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(l, newTestPolicy(t, policy))
+	// The uninterrupted run's snapshot after the event recovery replays.
+	ref, err := core.NewEngine(l, newTestPolicy(t, policy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Dir: "run", Every: 3, SyncEvery: 1, FS: vfs.NewMem()}
-	s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
-	if err != nil {
-		e.Close()
-		t.Fatal(err)
-	}
-	// Arrivals 0 and 1 share bin 0, item 1 departs at t = 1, and the third
-	// step checkpoints; the fourth places item 2.
 	for i := 0; i < 4; i++ {
-		if _, ok, err := s.Step(); err != nil || !ok {
+		if _, ok, err := ref.Step(); err != nil || !ok {
 			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	canonical, err := ref.Snapshot()
+	ref.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(l, cfg)
+	// 0.5 is 2^17 in limb 33.
+	zeroEdge := []byte{1, 30, 0, 33, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0}
+	uncarried := []byte{1, 32, 0, 33, 0,
+		0, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0} // 2^32, 2^17 − 1
+	for _, payload := range [][]byte{zeroEdge, uncarried} {
+		e, err := core.NewEngine(l, newTestPolicy(t, policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Dir: "run", Every: 3, SyncEvery: 1, FS: vfs.NewMem()}
+		s, err := Begin(e, NewRunMeta(l, policy, 1, "test"), cfg)
+		if err != nil {
+			e.Close()
+			t.Fatal(err)
+		}
+		// Arrivals 0 and 1 share bin 0, item 1 departs at t = 1, and the
+		// third step checkpoints; the fourth places item 2.
+		for i := 0; i < 4; i++ {
+			if _, ok, err := s.Step(); err != nil || !ok {
+				t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rewriteSnapshotAcc(t, cfg.FS, filepath.Join(cfg.Dir, snapName(3)), payload)
+		rec, err := Recover(l, cfg)
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if len(rec.Corruptions) != 0 || rec.SnapshotSeq != 3 || rec.Replayed != 1 {
+			t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v, want snapshot 3 + 1 and none",
+				rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+		}
+		if again, err := rec.Session.engine.Snapshot(); err != nil || !reflect.DeepEqual(again, canonical) {
+			t.Fatalf("recovered engine's snapshot (err %v) differs from the uninterrupted run's:\n got %+v\nwant %+v", err, again, canonical)
+		}
+		got, err := rec.Session.Run()
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
+			t.Fatalf("result diverged\n got %s\nwant %s", a, b)
+		}
+	}
+}
+
+// rewriteSnapshotAcc replaces the first open bin's first accumulator
+// payload in the snapshot file at path, keeping its meta and digest mark.
+func rewriteSnapshotAcc(t *testing.T, fsys vfs.FS, path string, payload []byte) {
+	t.Helper()
+	fd, err := ReadFile(fsys, path)
+	if err != nil || len(fd.Records) != 3 {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	snap, err := DecodeSnapshot(fd.Records[2])
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatal(err)
 	}
-	if len(rec.Corruptions) != 0 || rec.SnapshotSeq != 3 || rec.Replayed != 1 {
-		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v, want snapshot 3 + 1 and none",
-			rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+	if string(snap.Bins[0].Acc[0]) == string(payload) {
+		t.Fatal("the payload is already the one the engine wrote")
 	}
-	got, err := rec.Session.Run()
-	if err != nil {
-		t.Fatalf("resume: %v", err)
+	snap.Bins[0].Acc[0] = payload
+	content := appendHeader(nil, KindSnapshot)
+	for _, r := range [][]byte{fd.Records[0], fd.Records[1], EncodeSnapshot(snap)} {
+		content = appendRecord(content, r)
 	}
-	if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
-		t.Fatalf("result diverged\n got %s\nwant %s", a, b)
+	if err := WriteFileAtomic(fsys, path, content); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,24 +1,12 @@
 package vector
 
 import (
+	"encoding/binary"
 	"math"
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-// exactSum computes the correctly-rounded float64 sum of values using
-// math/big exact rational arithmetic — the oracle for Acc.Round.
-func exactSum(values []float64) float64 {
-	sum := new(big.Float).SetPrec(4096)
-	t := new(big.Float).SetPrec(4096)
-	for _, v := range values {
-		sum.Add(sum, t.SetFloat64(v))
-	}
-	f, _ := sum.Float64()
-	return f
-}
 
 func accOf(values []float64) *Acc {
 	var a Acc
@@ -87,12 +75,6 @@ func TestAccMatchesBigFloatRandom(t *testing.T) {
 		got := accOf(vals).Round()
 		want := exactSum(vals)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			// Subnormal results may legitimately double-round by one ulp;
-			// anything else is a bug.
-			if want != 0 && math.Abs(want) < math.Ldexp(1, -1022) &&
-				math.Abs(got-want) <= math.Ldexp(1, -1074) {
-				continue
-			}
 			t.Fatalf("iter %d: Acc(%v).Round() = %v (%#x), want %v (%#x)",
 				iter, vals, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
@@ -100,9 +82,10 @@ func TestAccMatchesBigFloatRandom(t *testing.T) {
 }
 
 // TestAccOrderIndependence is the determinism contract: the same multiset of
-// values produces a bit-identical accumulator state (and hence Round result)
-// regardless of insertion order, and regardless of how many other values were
-// added and exactly removed along the way.
+// values produces the same accumulator (Equal, the same wire bytes, the same
+// Round) regardless of insertion order, and regardless of how many other
+// values were added and exactly removed along the way, some of them below the
+// two-word frame's unit, so one history spills and the other does not.
 func TestAccOrderIndependence(t *testing.T) {
 	f := func(raw []uint16, permSeed int64) bool {
 		if len(raw) == 0 {
@@ -127,14 +110,16 @@ func TestAccOrderIndependence(t *testing.T) {
 		// a different history reaching the same active multiset.
 		for i, v := range perm {
 			noise := float64(i+1) / 7
+			if i%5 == 4 {
+				noise *= 0x1p-90
+			}
 			shuffled.Add(noise)
 			shuffled.Add(v)
 			shuffled.Sub(noise)
 		}
 
-		// The limb vector is the canonical state; the lo/hi window is just a
-		// conservative bound on touched limbs and may differ across histories.
-		return forward.limb == shuffled.limb &&
+		return forward.Equal(&shuffled) && shuffled.Equal(forward) &&
+			string(forward.AppendBinary(nil)) == string(shuffled.AppendBinary(nil)) &&
 			math.Float64bits(forward.Round()) == math.Float64bits(shuffled.Round())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -142,6 +127,9 @@ func TestAccOrderIndependence(t *testing.T) {
 	}
 }
 
+// TestAccSubRestoresExactState: adding and removing a value leaves the
+// accumulator holding what it held before, whether the value fits the
+// two-word frame or spills it.
 func TestAccSubRestoresExactState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var a Acc
@@ -149,13 +137,16 @@ func TestAccSubRestoresExactState(t *testing.T) {
 	for _, v := range base {
 		a.Add(v)
 	}
-	snapshot := a.limb
+	want := a.AppendBinary(nil)
 	for iter := 0; iter < 1000; iter++ {
-		v := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		v := math.Ldexp(rng.Float64(), rng.Intn(160)-100)
 		a.Add(v)
 		a.Sub(v)
 	}
-	if a.limb != snapshot {
+	if !a.spilled {
+		t.Fatal("the test needs values that spill the accumulator")
+	}
+	if got := a.AppendBinary(nil); string(got) != string(want) || !a.Equal(accOf(base)) {
 		t.Fatal("add/remove pairs perturbed the accumulator state")
 	}
 }
@@ -185,22 +176,52 @@ func TestAccNegativeAndZero(t *testing.T) {
 	if !a.IsZero() {
 		t.Error("adding zero changed the state")
 	}
+	// 2^13 + 2^13 − 2^14 is zero, but spilled limbs hold it as 2^32 in one
+	// limb and −1 in the next: only a carry shows the sum is zero.
+	for _, spill := range []float64{0, 1e-40} {
+		var c, empty Acc
+		c.Add(spill)
+		c.Sub(spill)
+		c.Add(0x1p13)
+		c.Add(0x1p13)
+		c.Sub(0x1p14)
+		if !c.IsZero() || !c.Equal(&empty) || string(c.AppendBinary(nil)) != "\x00" {
+			t.Errorf("2^13 + 2^13 − 2^14 (spilled %v): IsZero = %v, Equal(zero) = %v", c.spilled, c.IsZero(), c.Equal(&empty))
+		}
+	}
 }
 
-// TestAccEqualIgnoresWindow: a value that was added and removed again
-// widens the limb window and leaves zero limbs at its edge, so the two
-// accumulators below serialise differently, yet they hold the same multiset
-// and must compare equal; a different multiset must not.
+// TestAccEqualIgnoresWindow: equal multisets compare equal however they
+// were reached. wide saw a value below the two-word frame's unit added and
+// removed again, so it holds its sum in limbs while fresh holds the same sum
+// in the frame; both must compare equal and serialise identically, and a
+// different multiset must not compare equal. A payload in the older,
+// uncanonical form (a window with zero limbs at its edge, limbs not carried)
+// decodes to an accumulator equal to the canonical one.
 func TestAccEqualIgnoresWindow(t *testing.T) {
 	var wide, fresh, other, empty Acc
 	wide.Add(0.5)
-	wide.Add(1e-12)
-	wide.Sub(1e-12)
+	wide.Add(1e-40)
+	wide.Sub(1e-40)
 	fresh.Add(0.5)
 	other.Add(0.5)
 	other.Add(1e-12)
-	if string(wide.AppendBinary(nil)) == string(fresh.AppendBinary(nil)) {
-		t.Fatal("the test needs accumulators whose windows differ")
+	if !wide.spilled || fresh.spilled {
+		t.Fatal("the test needs accumulators in different representations")
+	}
+	if string(wide.AppendBinary(nil)) != string(fresh.AppendBinary(nil)) {
+		t.Error("equal sums serialise differently")
+	}
+	// 0.5 is 2^17 in limb 33; raw payloads may hold it as limbs 30..33 =
+	// 0, 0, 0, 2^17 or as limbs 32..33 = 2^32, 2^17 − 1.
+	for _, old := range [][]int64{{30, 0, 0, 0, 1 << 17}, {32, 1 << 32, 1<<17 - 1}} {
+		var back Acc
+		if err := back.UnmarshalBinary(limbPayload(int(old[0]), old[1:]...)); err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(&fresh) || back.spilled || string(back.AppendBinary(nil)) != string(fresh.AppendBinary(nil)) {
+			t.Errorf("limbs %v from %d decode to %v, not to 0.5 in the frame", old[1:], old[0], back.Round())
+		}
 	}
 	for _, c := range []struct {
 		a, b *Acc
@@ -213,6 +234,7 @@ func TestAccEqualIgnoresWindow(t *testing.T) {
 		{&empty, &empty, true},
 		{&empty, &fresh, false},
 		{&fresh, &empty, false},
+		{&empty, &wide, false},
 	} {
 		if got := c.a.Equal(c.b); got != c.want {
 			t.Errorf("Equal(%v, %v) = %v, want %v", c.a.Round(), c.b.Round(), got, c.want)
@@ -220,52 +242,114 @@ func TestAccEqualIgnoresWindow(t *testing.T) {
 	}
 	var cancelled Acc
 	cancelled.Add(0.25)
+	cancelled.Add(1e-40)
 	cancelled.Sub(0.25)
+	cancelled.Sub(1e-40)
 	if !cancelled.Equal(&empty) || !empty.Equal(&cancelled) {
 		t.Error("an accumulator whose values all cancelled should equal the zero value")
 	}
 }
 
-func TestAccReset(t *testing.T) {
-	var a Acc
-	a.Add(1e300)
-	a.Add(1e-300)
-	a.Reset()
-	var fresh Acc
-	if a != fresh {
-		t.Error("Reset did not restore the zero state")
+// limbPayload builds a payload in its raw form: the limbs from index lo up.
+func limbPayload(lo int, limbs ...int64) []byte {
+	hi := lo + len(limbs) - 1
+	p := []byte{1, byte(lo), byte(lo >> 8), byte(hi), byte(hi >> 8)}
+	for _, v := range limbs {
+		p = binary.LittleEndian.AppendUint64(p, uint64(v))
 	}
-	a.Add(0.5)
-	if got := a.Round(); got != 0.5 {
-		t.Errorf("after Reset: Round = %v, want 0.5", got)
+	return p
+}
+
+// TestAccReset: Reset yields an accumulator that behaves as a new one,
+// from the frame and from spilled limbs alike.
+func TestAccReset(t *testing.T) {
+	var fresh, half Acc
+	half.Add(0.5)
+	for _, vals := range [][]float64{{0.25, 0.5}, {1e300, 1e-300}} {
+		var a Acc
+		for _, v := range vals {
+			a.Add(v)
+		}
+		a.Reset()
+		if a.Round() != 0 || !a.IsZero() || !a.Equal(&fresh) || !fresh.Equal(&a) ||
+			string(a.AppendBinary(nil)) != string(fresh.AppendBinary(nil)) {
+			t.Errorf("after %v and Reset: Round = %v, IsZero = %v, not the zero value", vals, a.Round(), a.IsZero())
+		}
+		a.Add(0.5)
+		if got := a.Round(); got != 0.5 || !a.Equal(&half) || string(a.AppendBinary(nil)) != string(half.AppendBinary(nil)) {
+			t.Errorf("after %v, Reset and 0.5: Round = %v, want 0.5", vals, got)
+		}
+		if a.spilled {
+			t.Errorf("after %v, Reset and 0.5: the accumulator spilled", vals)
+		}
 	}
 }
 
 func TestAccPanicsOnNonFinite(t *testing.T) {
 	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Add(%v) did not panic", x)
+		for _, spilled := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Add(%v) did not panic (spilled %v)", x, spilled)
+					}
+				}()
+				var a Acc
+				if spilled {
+					a.Add(math.SmallestNonzeroFloat64)
 				}
+				a.Add(x)
 			}()
-			var a Acc
-			a.Add(x)
-		}()
+		}
 	}
 }
 
 func TestAccNoAllocs(t *testing.T) {
-	var a Acc
+	var a, w Acc
+	w.Add(math.SmallestNonzeroFloat64) // spilled: its limbs are allocated here
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Add(0.3)
 		_ = a.Round()
 		a.Sub(0.3)
+		w.Add(0.3)
+		_ = w.Round()
+		w.Sub(0.3)
 	})
 	if allocs != 0 {
 		t.Errorf("Add/Round/Sub allocated %v times per run, want 0", allocs)
 	}
+	w.Reset()
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Add(1e-40)
+		w.Reset()
+	}); allocs != 0 {
+		t.Errorf("a spill after Reset allocated %v times per run; the limbs are kept", allocs)
+	}
 }
+
+// TestAccAppendBinaryNoAllocs: AppendBinary writes straight from the
+// accumulator into dst, and Equal and UnmarshalBinary of an in-frame sum
+// allocate nothing either.
+func TestAccAppendBinaryNoAllocs(t *testing.T) {
+	var a, b Acc
+	for i := 0; i < 64; i++ {
+		a.Add(float64(i+1) / 100)
+	}
+	dst := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = a.AppendBinary(dst[:0])
+		if b.UnmarshalBinary(dst) != nil || !b.Equal(&a) {
+			t.Fatal("round trip failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendBinary/UnmarshalBinary/Equal allocated %v times per run, want 0", allocs)
+	}
+}
+
+// The benchmarks below keep their values in the two-word frame; the Wide
+// ones time the same work on an accumulator whose sum a tiny value, 1e-40,
+// spilled into limbs.
 
 func BenchmarkAccAddSub(b *testing.B) {
 	var a Acc
@@ -276,8 +360,27 @@ func BenchmarkAccAddSub(b *testing.B) {
 	}
 }
 
-func BenchmarkAccRound(b *testing.B) {
+func BenchmarkAccAddSubWide(b *testing.B) {
 	var a Acc
+	a.Add(1e-40)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Add(0.34375)
+		a.Sub(0.34375)
+	}
+}
+
+func BenchmarkAccRound(b *testing.B) {
+	benchmarkRound(b, 0)
+}
+
+func BenchmarkAccRoundWide(b *testing.B) {
+	benchmarkRound(b, 1e-40)
+}
+
+func benchmarkRound(b *testing.B, extra float64) {
+	var a Acc
+	a.Add(extra)
 	for i := 0; i < 64; i++ {
 		a.Add(float64(i+1) / 100)
 	}
