@@ -65,15 +65,16 @@ bench-module:
 
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
 # fleet-scale Select benchmark, the exact load accumulator's kernels (Add/Sub
-# and Round, in the two-word frame and spilled to limbs), the Figure 4 sweep
+# and Round, in the two-word frame and spilled to limbs), the Lemma 1(i)
+# bound's sweep over a 1000-item list, the Figure 4 sweep
 # throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, the
-# package of each entry, mean ns/op, B/op, allocs/op). FleetSelect and the
-# accumulator kernels run for 0.2 s per row: FleetSelect's rows take 0.4 µs
-# to 3 ms per select, and at a fixed 10x a sub-µs row timed 4 µs in all,
-# timer and first-touch cost included; its fleets are built outside the
-# timed loop. The sweep and server benchmarks run at 30x: at 10x a round
+# package of each entry, mean ns/op, B/op, allocs/op). FleetSelect, the
+# accumulator kernels and the bound run for 0.2 s per row: FleetSelect's
+# rows take 0.4 µs to 3 ms per select, and at a fixed 10x a sub-µs row timed
+# 4 µs in all, timer and first-touch cost included; its fleets are built
+# outside the timed loop. The sweep and server benchmarks run at 30x: at 10x a round
 # lasted 0.3–0.8 s, and the same binary's throughput moved up to 2× between
 # rounds with host load. When artifacts/bench/BENCH_core_pre.txt exists (the
 # pre-change capture), it is embedded as the document's baseline section so
@@ -85,6 +86,8 @@ bench-json:
 	$(GO) test ./internal/core -run='^$$' -bench='FleetSelect' \
 		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/vector -run='^$$' -bench='^BenchmarkAcc(AddSub|Round)(Wide)?$$' \
+		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
+	$(GO) test ./internal/lowerbound -run='^$$' -bench='^BenchmarkIntegralBound$$' \
 		-benchmem -benchtime=0.2s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
 		-benchmem -benchtime=30x -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt

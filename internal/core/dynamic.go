@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
@@ -75,22 +74,8 @@ func (e *Engine) PeekTime() (float64, bool) {
 		// A staged migration pass commits ahead of every other event.
 		return e.passTime, true
 	}
-	t, any := math.Inf(1), false
-	if ev, ok := e.departures.Peek(); ok {
-		t, any = ev.Time, true
-	}
-	if ev, ok := e.crashes.Peek(); ok && ev.Time < t {
-		t, any = ev.Time, true
-	}
-	if ev, ok := e.retries.Peek(); ok && ev.Time < t {
-		t, any = ev.Time, true
-	}
-	if e.ai < len(e.arrivals) {
-		if a := e.list.Items[e.arrivals[e.ai]].Arrival; a < t || !any {
-			t, any = a, true
-		}
-	}
-	return t, any
+	t, class, _ := e.next()
+	return t, class != evNone
 }
 
 // EngineStats is a cheap point-in-time view of a running engine, sized for a

@@ -172,7 +172,7 @@ func (BaseObserver) AfterPack(Request, *Bin, bool) {}
 // BinClosed implements Observer.
 func (BaseObserver) BinClosed(*Bin, float64) {}
 
-// depSeq is the departure queue's tie-break key: item-ID major, placement
+// depSeq is a departure entry's tie-break key: item-ID major, placement
 // attempt minor. Item IDs alone are not unique — an item evicted by a crash
 // and re-placed has one stale entry per earlier placement sharing its
 // departure time — and duplicate (Time, Seq) keys would make delivery order
@@ -181,8 +181,10 @@ func (BaseObserver) BinClosed(*Bin, float64) {}
 // same-instant departures of distinct items still fire in ascending item-ID
 // order (the engine's documented tie-break) and an item's stale entries
 // deterministically precede its live one, the entry whose attempt is its
-// slot's. Item.Validate bounds IDs to [0, item.MaxID], so the shift cannot
-// overflow and no two items share a key.
+// slot's. The attempt-0 keys are therefore in the order of a static run's
+// departure order, (Departure, ID), so Step merges that order's cursor with
+// the heap's entries on one key. Item.Validate bounds IDs to [0,
+// item.MaxID], so the shift cannot overflow and no two items share a key.
 func depSeq(itemID, attempt int) int64 {
 	return int64(itemID)<<32 | int64(uint32(attempt))
 }
@@ -310,6 +312,16 @@ type Engine struct {
 	slots []itemSlot
 	bins  []*Bin
 
+	// depOrder is a static run's departure order, shared with its Instance:
+	// list indices by (Departure, ID), the order of their attempt-0 depSeq
+	// keys. di is its cursor, the first entry not yet consumed (cursorDue).
+	// The departure of every first placement (attempt 0) is read from it,
+	// so departures, the heap, holds only the entries the Instance cannot
+	// know: the departures of re-placements after a crash (attempt ≥ 1)
+	// and, in a run without depOrder (dynamic or restored), every
+	// departure.
+	depOrder   []int32
+	di         int
 	departures eventq.Queue[int32] // payload: list index
 	crashes    eventq.Queue[int]   // payload: bin ID
 	retries    eventq.Queue[retryDispatch]
@@ -364,8 +376,9 @@ type Engine struct {
 	tot    vector.Vector
 
 	// lastTime is the time of the most recent committed event — the floor
-	// below which a dynamic run must not admit new arrivals (AppendArrival).
-	// It is not snapshotted: RestoreEngine derives it from the arrivals
+	// below which a dynamic run must not admit new arrivals (AppendArrival),
+	// and on a static run the instant up to which cursorDue consumes the
+	// departure entries it passes over. It is not snapshotted: RestoreEngine derives it from the arrivals
 	// committed and the items still open, and replay re-establishes it event
 	// by event.
 	lastTime float64
@@ -397,8 +410,8 @@ func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
 // primed.
 func newEngineShell(in *Instance, p Policy, cfg config, k *runKit) *Engine {
 	l := in.list
-	e := &Engine{cfg: cfg, p: p, list: l, arrivals: in.arrivals, shape: in.shape}
-	e.slots, e.bins, e.spare, e.open, e.departures = k.slots, k.bins, k.spare, k.open, k.deps
+	e := &Engine{cfg: cfg, p: p, list: l, arrivals: in.arrivals, depOrder: in.departures, shape: in.shape}
+	e.slots, e.bins, e.spare, e.open = k.slots, k.bins, k.spare, k.open
 	e.res = &Result{
 		Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: e.shape.span(), Mu: e.shape.mu(),
 	}
@@ -755,7 +768,10 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 	if attempt > 0 {
 		e.res.Retries++
 	}
-	e.departures.PushAt(it.Departure, depSeq(it.ID, attempt), i)
+	// A first placement's departure is already in the departure order.
+	if attempt > 0 || e.depOrder == nil {
+		e.departures.PushAt(it.Departure, depSeq(it.ID, attempt), i)
+	}
 	if live := len(e.open) - e.holes; live > e.res.MaxConcurrentBins {
 		e.res.MaxConcurrentBins = live
 	}
@@ -896,11 +912,11 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 	return e.drainQueue(t)
 }
 
-// Step commits the earliest pending event across the four sources, breaking
-// time ties by event class (departure < crash < re-dispatch < arrival) and,
-// within a class, by each queue's own deterministic sequence. It returns the
-// committed event's record; ok=false means no events remain (call Finish).
-// An error poisons the engine: every later Step and Finish returns it.
+// Step commits the earliest pending event, breaking time ties by event class
+// (departure < crash < re-dispatch < arrival) and, within a class, by its
+// source's own deterministic sequence (next). It returns the committed
+// event's record; ok=false means no events remain (call Finish). An error
+// poisons the engine: every later Step and Finish returns it.
 func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	if e.err != nil {
 		return EventRecord{}, false, e.err
@@ -911,21 +927,7 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	if len(e.pendingMoves) > 0 {
 		return e.stepMove()
 	}
-	t, class := math.Inf(1), evNone
-	if ev, ok := e.departures.Peek(); ok {
-		t, class = ev.Time, evDeparture
-	}
-	if ev, ok := e.crashes.Peek(); ok && (ev.Time < t || (ev.Time == t && evCrash < class)) {
-		t, class = ev.Time, evCrash
-	}
-	if ev, ok := e.retries.Peek(); ok && (ev.Time < t || (ev.Time == t && evRetry < class)) {
-		t, class = ev.Time, evRetry
-	}
-	if e.ai < len(e.arrivals) {
-		if a := e.list.Items[e.arrivals[e.ai]].Arrival; a < t || (a == t && evArrival < class) {
-			t, class = a, evArrival
-		}
-	}
+	t, class, k := e.next()
 	if class == evNone {
 		return EventRecord{}, false, nil
 	}
@@ -946,9 +948,17 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	rec = EventRecord{Seq: e.eventSeq, Class: EventClass(class), Time: t, ItemID: -1, BinID: -1}
 	switch class {
 	case evDeparture:
-		ev, _ := e.departures.Pop()
-		rec.ItemID = e.list.Items[ev.Payload].ID
-		rec.BinID, err = e.handleDeparture(ev.Time, ev.Seq, ev.Payload)
+		var i int32
+		var seq int64
+		if k >= 0 {
+			i, e.di = e.depOrder[k], k+1
+			seq = depSeq(e.list.Items[i].ID, 0)
+		} else {
+			ev, _ := e.departures.Pop()
+			i, seq = ev.Payload, ev.Seq
+		}
+		rec.ItemID = e.list.Items[i].ID
+		rec.BinID, err = e.handleDeparture(t, seq, i)
 	case evCrash:
 		ev, _ := e.crashes.Pop()
 		rec.BinID = ev.Payload
@@ -969,6 +979,69 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	}
 	e.lastTime = t
 	return rec, true, nil
+}
+
+// next finds the earliest pending event across the five sources: the
+// departure order's cursor and the departure heap, merged by (Time, Seq);
+// the crash heap; the retry heap; and the arrival order's cursor. It returns
+// the event's time and class (evNone when nothing is pending) and, for a
+// departure from the cursor, its index in depOrder (k is -1 otherwise).
+func (e *Engine) next() (t float64, class, k int) {
+	t, class = math.Inf(1), evNone
+	if ev, ok := e.crashes.Peek(); ok {
+		t, class = ev.Time, evCrash
+	}
+	if ev, ok := e.retries.Peek(); ok && (ev.Time < t || (ev.Time == t && evRetry < class)) {
+		t, class = ev.Time, evRetry
+	}
+	if e.ai < len(e.arrivals) {
+		if a := e.list.Items[e.arrivals[e.ai]].Arrival; a < t || (a == t && evArrival < class) {
+			t, class = a, evArrival
+		}
+	}
+	// Departures precede every other class at an instant, so one due by t
+	// comes first.
+	k = e.cursorDue(t)
+	ev, queued := e.departures.Peek()
+	queued = queued && ev.Time <= t
+	if k >= 0 {
+		it := &e.list.Items[e.depOrder[k]]
+		if !queued || it.Departure < ev.Time || (it.Departure == ev.Time && depSeq(it.ID, 0) < ev.Seq) {
+			return it.Departure, evDeparture, k
+		}
+	}
+	if queued {
+		return ev.Time, evDeparture, -1
+	}
+	return t, class, -1
+}
+
+// cursorDue returns the index in depOrder of the cursor's first entry that
+// is due by t and commits an event: its item holds a bin, or was evicted
+// since its first placement and the entry commits a stale departure. It
+// returns -1 when none is due by t. It passes over the entries of items that
+// hold no bin at attempt 0, which an engine queuing every departure never
+// queued: the item has arrived, since its departure is due, and was
+// rejected, timed out or still waits in the admission queue. A waiting item
+// may yet be placed before its departure, so a passed-over entry is consumed
+// only when the entry after it commits (Step) or an event at or after its
+// departure has committed (lastTime): the admission queue places no item at
+// or after its departure.
+func (e *Engine) cursorDue(t float64) int {
+	for k := e.di; k < len(e.depOrder); k++ {
+		i := e.depOrder[k]
+		d := e.list.Items[i].Departure
+		if d > t {
+			break
+		}
+		if s := e.slots[i]; s.bin != 0 || s.attempt != 0 {
+			return k
+		}
+		if k == e.di && d <= e.lastTime {
+			e.di++
+		}
+	}
+	return -1
 }
 
 // Finish seals the run: it sweeps expired admission-queue entries, verifies

@@ -4,24 +4,26 @@ import (
 	"fmt"
 	"sync"
 
-	"dvbp/internal/eventq"
 	"dvbp/internal/item"
 )
 
 // Instance is a static item list prepared once for any number of runs:
-// NewInstance validates it, sorts its arrival order and folds span(R) and μ
-// over that order. Runs read all three and write none, so one Instance can
-// drive many policies in sequence, or in concurrent goroutines, and each run
-// pays only for its own events (Instance.Simulate). Simulate, NewEngine and
+// NewInstance validates it, sorts its arrival and departure orders and folds
+// span(R) and μ over the arrival order. Runs read all of these and write
+// none, so one Instance can drive many policies in sequence, or in
+// concurrent goroutines, and each run pays only for its own events
+// (Instance.Simulate): a run reads its arrivals and the departures of its
+// first placements from the two orders through cursors, and queues only the
+// departures the Instance cannot know (Engine.Step). Simulate, NewEngine and
 // RestoreEngine prepare an Instance of their own, so every run validates and
 // orders its list through the same code.
 //
-// Runs also pass their scaffolding on: a run takes the slot table, the bins,
-// the open-bin slice and the departure queue's backing array the Instance
-// holds, reuses them before it allocates new ones, and hands them all back
-// empty when it finishes, so a run over a warm Instance neither regrows its
-// scaffolding nor allocates a bin. The Instance therefore keeps up to the
-// largest peak of open bins any of its runs reached.
+// Runs also pass their scaffolding on: a run takes the slot table, the bins
+// and the open-bin slice the Instance holds, reuses them before it allocates
+// new ones, and hands them all back empty when it finishes, so a run over a
+// warm Instance neither regrows its scaffolding nor allocates a bin. The
+// Instance therefore keeps up to the largest peak of open bins any of its
+// runs reached.
 //
 // The Instance reads the list in place, item sizes included: the caller must
 // not mutate the list while runs over it may start or are in progress.
@@ -29,8 +31,11 @@ type Instance struct {
 	list *item.List
 	// arrivals holds the indices of list.Items in (Arrival, SeqNo) order;
 	// shape folds span(R) and μ over the same order (arrivals.go).
-	arrivals []int32
-	shape    shape
+	// departures holds them in (Departure, ID) order; a dynamic run's
+	// Instance has none.
+	arrivals   []int32
+	departures []int32
+	shape      shape
 
 	// mu guards kit, the parts the next run takes (takeKit, putKit), so
 	// no part is ever in two live runs; nil while a run holds them.
@@ -40,14 +45,12 @@ type Instance struct {
 
 // runKit is the scaffolding a run borrows from its Instance: the slot table
 // (one zero entry per list index), the bin arena with every bin closed and
-// on the spare list, and an empty open-bin slice and departure queue that
-// keep their capacity.
+// on the spare list, and an empty open-bin slice that keeps its capacity.
 type runKit struct {
 	slots []itemSlot
 	bins  []*Bin
 	spare []*Bin
 	open  []*Bin
-	deps  eventq.Queue[int32]
 }
 
 // newKit returns the parts of a run over n items that has none to take.
@@ -61,18 +64,30 @@ func NewInstance(l *item.List) (*Instance, error) {
 	return prepare(l, false)
 }
 
-// prepare validates l for the run mode and orders its arrivals. A dynamic
-// run's Instance is its own: the engine grows its arrival order as items are
-// appended.
+// prepare validates l for the run mode and orders its arrivals and, for a
+// static run, its departures. A dynamic run's Instance is its own: the
+// engine grows its arrival order as items are appended, and queues every
+// departure.
 func prepare(l *item.List, dynamic bool) (*Instance, error) {
 	if err := validateList(l, dynamic); err != nil {
 		return nil, err
 	}
 	in := &Instance{list: l, arrivals: l.ArrivalOrder(), kit: newKit(len(l.Items))}
+	if !dynamic {
+		in.departures = l.DepartureOrder()
+	}
 	for _, i := range in.arrivals {
 		in.shape.add(l.Items[i].Arrival, l.Items[i].Departure)
 	}
 	return in, nil
+}
+
+// Orders returns the instance's arrival order, by (Arrival, SeqNo), and its
+// departure order, by (Departure, ID), as indices into its list's Items.
+// They are the slices its runs read, so the caller must not modify them;
+// lowerbound.IntegralBoundOf sweeps them.
+func (in *Instance) Orders() (arrivals, departures []int32) {
+	return in.arrivals, in.departures
 }
 
 // validateList applies the list validation appropriate to the run mode:
@@ -119,7 +134,7 @@ func (in *Instance) Simulate(p Policy, opts ...Option) (*Result, error) {
 		// clearing the slot table resets the items' eviction counts. A
 		// failed run's parts are dropped.
 		clear(e.slots)
-		*k = runKit{slots: e.slots, bins: e.bins, spare: e.spare, open: e.open[:0], deps: e.departures}
+		*k = runKit{slots: e.slots, bins: e.bins, spare: e.spare, open: e.open[:0]}
 		in.putKit(k)
 	}
 	return res, err

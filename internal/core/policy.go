@@ -68,10 +68,26 @@ type Policy interface {
 // scanning Selects (First/Last Fit, Best/Worst Fit, Random Fit, the scored
 // family) and Worst Fit's index walk (binIndex.first) examine, and together
 // with DotProduct's dotProduct2 (fragfit.go) are the only code specialised
-// by dimension: d = 2 is unrolled, every other d goes through
-// vector.FitsWithin. The unrolled test is FitsWithin's exactly (load[j] +
-// size[j] > 1+Eps rejects, on the same float64 values), and every bin
-// examined counts as one fit check, as a Bin.Fits call does.
+// by dimension: d = 1 and d = 2 are unrolled, and every other d runs fits, a
+// loop the compiler inlines, so no d pays a call per bin. Each applies
+// vector.FitsWithin's test exactly (load[j] + size[j] > 1+Eps rejects, on
+// the same float64 values), and every bin examined counts as one fit check,
+// as a Bin.Fits call does.
+
+// fitLimit is the capacity bound of vector.FitsWithin's test.
+const fitLimit = 1 + vector.Eps
+
+// fits is vector.FitsWithin's test without its dimension check, which keeps
+// it small enough to inline; load and size have one dimension count.
+func fits(load, size vector.Vector) bool {
+	load = load[:len(size)]
+	for j, s := range size {
+		if load[j]+s > fitLimit {
+			return false
+		}
+	}
+	return true
+}
 
 // first returns the index of the first bin in open, stepping k by step (±1)
 // until end, that an item of the given size fits, or end when none does: the
@@ -82,18 +98,22 @@ func first(open []*Bin, k, end, step int, size vector.Vector) int {
 		return k
 	}
 	start := k
-	if len(size) == 2 && len(open[k].load) == 2 {
-		const limit = 1 + vector.Eps
+	switch {
+	case len(size) == 1 && len(open[k].load) == 1:
+		s0 := size[0]
+		for ; k != end && open[k].load[0]+s0 > fitLimit; k += step {
+		}
+	case len(size) == 2 && len(open[k].load) == 2:
 		s0, s1 := size[0], size[1]
 		for ; k != end; k += step {
 			l := open[k].load
 			_ = l[1]
-			if !(l[0]+s0 > limit || l[1]+s1 > limit) {
+			if !(l[0]+s0 > fitLimit || l[1]+s1 > fitLimit) {
 				break
 			}
 		}
-	} else {
-		for ; k != end && !open[k].load.FitsWithin(size); k += step {
+	default:
+		for ; k != end && !fits(open[k].load, size); k += step {
 		}
 	}
 	n := (k - start) * step
@@ -111,9 +131,9 @@ type fitScan struct{ hits []int }
 
 // fitting returns the indices of the bins in open that an item of the given
 // size fits, ascending, in scratch that the next call overwrites: the scan
-// of the Selects that weigh every fitting bin. Indices are collected without
-// branching on the fit test, so a fleet where fitting and full bins
-// interleave costs no mispredictions.
+// of the Selects that weigh every fitting bin. At d = 1 and d = 2 indices
+// are collected without branching on the fit test, so a fleet where fitting
+// and full bins interleave costs no mispredictions.
 func (s *fitScan) fitting(open []*Bin, size vector.Vector) []int {
 	if len(open) == 0 {
 		return nil
@@ -123,8 +143,19 @@ func (s *fitScan) fitting(open []*Bin, size vector.Vector) []int {
 	}
 	hits := s.hits[:len(open)]
 	m := 0
-	if len(size) == 2 && len(open[0].load) == 2 {
-		const limit = 1 + vector.Eps
+	switch {
+	case len(size) == 1 && len(open[0].load) == 1:
+		s0 := size[0]
+		for i, b := range open {
+			hits[m] = i
+			// A conditional move, not a branch.
+			next := m + 1
+			if b.load[0]+s0 > fitLimit {
+				next = m
+			}
+			m = next
+		}
+	case len(size) == 2 && len(open[0].load) == 2:
 		s0, s1 := size[0], size[1]
 		for i, b := range open {
 			l := b.load
@@ -132,18 +163,18 @@ func (s *fitScan) fitting(open []*Bin, size vector.Vector) []int {
 			hits[m] = i
 			// Two conditional moves: a || would compile to branches.
 			next := m + 1
-			if l[0]+s0 > limit {
+			if l[0]+s0 > fitLimit {
 				next = m
 			}
-			if l[1]+s1 > limit {
+			if l[1]+s1 > fitLimit {
 				next = m
 			}
 			m = next
 		}
-	} else {
+	default:
 		for i, b := range open {
 			hits[m] = i
-			if b.load.FitsWithin(size) {
+			if fits(b.load, size) {
 				m++
 			}
 		}

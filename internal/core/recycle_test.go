@@ -234,9 +234,9 @@ func TestInstanceHandsOnSpareBins(t *testing.T) {
 
 // TestWarmRunAllocsFlat: a cost-only run over an Instance that an earlier
 // run has warmed allocates as many objects at n = 8000 as at n = 1000. The
-// run takes its slot table, bins, open-bin slice and departure queue from
-// the Instance and hands them back empty, so nothing it allocates grows
-// with the run.
+// run takes its slot table, bins and open-bin slice from the Instance and
+// hands them back empty, and reads its arrivals and departures from the
+// Instance's orders, so nothing it allocates grows with the run.
 func TestWarmRunAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		in, err := NewInstance(churnInstance(n))

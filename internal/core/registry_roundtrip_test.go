@@ -151,7 +151,7 @@ func TestSimulateSteadyStateEventAllocs(t *testing.T) {
 		short := run(64, p, tc.opts)
 		long := run(192, p, tc.opts)
 		// 128 extra churn items = 256 extra steady-state events. Allow the
-		// slack of amortised slice growth (placements, departure queue).
+		// slack of amortised slice growth (placements).
 		perEvent := (long - short) / 256
 		if perEvent > 0.1 {
 			t.Errorf("%s (%d options): %.2f allocs per steady-state event (short=%v long=%v), want ~0",

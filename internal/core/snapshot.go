@@ -175,7 +175,18 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	}
 
 	// A snapshotted run is fault-free, so every pending entry is its item's
-	// live one and the item's slot names the bin it departs from.
+	// live one and the item's slot names the bin it departs from. A run with
+	// a departure order holds them all there, as the entries from the cursor
+	// on whose item holds a bin (the others are items still to arrive); a
+	// run without one, dynamic or restored, holds them all in the heap.
+	for _, i := range e.depOrder[e.di:] {
+		if b := e.slots[i].bin; b != 0 {
+			it := &e.list.Items[i]
+			s.Departures = append(s.Departures, DepartureSnapshot{
+				Time: it.Departure, Seq: depSeq(it.ID, 0), ItemID: it.ID, BinID: e.bins[b].ID,
+			})
+		}
+	}
 	for _, ev := range e.departures.Sorted() {
 		s.Departures = append(s.Departures, DepartureSnapshot{
 			Time: ev.Time, Seq: ev.Seq, ItemID: e.list.Items[ev.Payload].ID, BinID: e.bins[e.slots[ev.Payload].bin].ID,
@@ -236,6 +247,9 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if err != nil {
 		return nil, err
 	}
+	// A restored run reads no departure order: the snapshot's pending
+	// departures, and those of the run's later placements, go into the heap.
+	e.depOrder = nil
 	ok := false
 	defer func() {
 		if !ok {
@@ -301,7 +315,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		}
 	}
 
-	// Re-prime the departure queue. Pushing in delivery order reproduces
+	// Re-prime the departure heap. Pushing in delivery order reproduces
 	// the original delivery order exactly: pop order is a pure function of
 	// the (Time, Seq) multiset, and each Seq is reconstructible from its
 	// item (depSeq). A snapshotted run is fault-free, so each active item

@@ -160,14 +160,14 @@ func TestSnapshotRoundTripFaultFree(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripMaxItemID: the departure queue packs the item ID into
+// TestSnapshotRoundTripMaxItemID: a departure entry packs the item ID into
 // the high half of its 64-bit key, and RestoreEngine checks the key against
 // the item. A list holding the largest valid ID must survive a mid-run
 // Snapshot/RestoreEngine round trip, and the next ID must be refused.
 func TestSnapshotRoundTripMaxItemID(t *testing.T) {
 	l := randomList(3, 12, 2, 10)
-	// Arriving first and departing last, the item is in the departure queue
-	// at any mid-run snapshot.
+	// Arriving first and departing last, the item's departure is pending at
+	// any mid-run snapshot.
 	l.Items[5].ID, l.Items[5].Arrival, l.Items[5].Departure = item.MaxID, 0, 200
 	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
 	e, err := NewEngine(l, NewFirstFit())

@@ -1,6 +1,10 @@
-// Package eventq provides a deterministic min-heap event queue used by the
-// simulation engines (packing engine, sweep-line lower bounds, cloud
-// simulator).
+// Package eventq provides a deterministic min-heap event queue. The packing
+// engine (internal/core) keeps its crashes, its retries and the departures
+// that its instance cannot order in advance in such queues: a dynamic run's
+// departures, a restored run's pending ones, and those of items re-placed
+// after a crash. A static run reads the other departures from its
+// instance's sorted departure order, and the Lemma 1 bound
+// (internal/lowerbound) sweeps sorted orders too.
 //
 // Events are ordered by time; ties are broken by an explicit sequence number
 // so that simulations are reproducible regardless of insertion order quirks.

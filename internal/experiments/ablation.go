@@ -6,7 +6,6 @@ import (
 
 	"dvbp/internal/clairvoyant"
 	"dvbp/internal/core"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/parallel"
 	"dvbp/internal/report"
 	"dvbp/internal/stats"
@@ -49,11 +48,10 @@ func runPolicySet(cfg AblationConfig, names []string, mk func(name string, seed 
 		if err != nil {
 			return nil, err
 		}
-		in, err := core.NewInstance(l)
+		in, lb, err := boundedInstance(l)
 		if err != nil {
 			return nil, err
 		}
-		lb := lowerbound.IntegralBound(l)
 		out := make([]float64, len(names))
 		for pi, n := range names {
 			p, err := mk(n, seed)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dvbp/internal/core"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
 	"dvbp/internal/migrate"
 	"dvbp/internal/offline"
@@ -145,11 +144,10 @@ func RunDefrag(cfg DefragConfig) (*DefragStudy, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
-			in, err := core.NewInstance(l)
+			in, lb, err := boundedInstance(l)
 			if err != nil {
 				return shardOut{}, err
 			}
-			lb := lowerbound.IntegralBound(l)
 			up, err := offline.BestUpperEstimate(l)
 			if err != nil {
 				return shardOut{}, err

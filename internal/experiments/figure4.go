@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dvbp/internal/core"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/parallel"
 	"dvbp/internal/report"
 	"dvbp/internal/stats"
@@ -130,11 +129,10 @@ func figure4Instance(cfg Figure4Config, cell figure4Cell, i int, out []float64) 
 	if err != nil {
 		return err
 	}
-	in, err := core.NewInstance(l)
+	in, lb, err := boundedInstance(l)
 	if err != nil {
 		return err
 	}
-	lb := lowerbound.IntegralBound(l)
 	if lb <= 0 {
 		return fmt.Errorf("non-positive lower bound")
 	}

@@ -7,7 +7,6 @@ import (
 
 	"dvbp/internal/core"
 	"dvbp/internal/item"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
 	"dvbp/internal/parallel"
 	"dvbp/internal/report"
@@ -140,11 +139,10 @@ func RunFrag(cfg FragConfig) (*FragStudy, error) {
 			if err != nil {
 				return nil, err
 			}
-			in, err := core.NewInstance(l)
+			in, lb, err := boundedInstance(l)
 			if err != nil {
 				return nil, err
 			}
-			lb := lowerbound.IntegralBound(l)
 			out[ti] = make([]cell, len(names))
 			for pi, n := range names {
 				p, err := core.NewPolicy(n, seed)

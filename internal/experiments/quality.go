@@ -5,7 +5,6 @@ import (
 
 	"dvbp/internal/analysis"
 	"dvbp/internal/core"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/parallel"
 	"dvbp/internal/report"
 	"dvbp/internal/stats"
@@ -45,7 +44,7 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 		}
 		// analysis.Quality reads the placements and bin records, so the runs
 		// keep their history.
-		in, err := core.NewInstance(l)
+		in, lb, err := boundedInstance(l)
 		if err != nil {
 			return trial{}, err
 		}
@@ -54,7 +53,6 @@ func RunQuality(cfg AblationConfig) ([]QualityRow, error) {
 			strag: make([]float64, len(names)),
 			ratio: make([]float64, len(names)),
 		}
-		lb := lowerbound.IntegralBound(l)
 		for pi, n := range names {
 			p, err := core.NewPolicy(n, seed)
 			if err != nil {

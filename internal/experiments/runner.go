@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"dvbp/internal/core"
+	"dvbp/internal/item"
+	"dvbp/internal/lowerbound"
 	"dvbp/internal/metrics"
 	"dvbp/internal/parallel"
 )
@@ -55,4 +57,17 @@ func (rc RunControl) observerOpts() []core.Option {
 // pays for no placement, bin or outcome records.
 func (rc RunControl) costOnlyOpts() []core.Option {
 	return append(rc.observerOpts(), core.WithHistory(nil))
+}
+
+// boundedInstance prepares a generated list for the runs of every policy and
+// computes its Lemma 1(i) bound over the arrival and departure orders those
+// runs read, so the list's events are sorted once for the bound and all the
+// runs together.
+func boundedInstance(l *item.List) (*core.Instance, float64, error) {
+	in, err := core.NewInstance(l)
+	if err != nil {
+		return nil, 0, err
+	}
+	arrivals, departures := in.Orders()
+	return in, lowerbound.IntegralBoundOf(l, arrivals, departures), nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"dvbp/internal/core"
 	"dvbp/internal/exactopt"
-	"dvbp/internal/lowerbound"
 	"dvbp/internal/parallel"
 	"dvbp/internal/report"
 	"dvbp/internal/stats"
@@ -88,11 +87,11 @@ func RunTrueRatio(cfg TrueRatioConfig) (*TrueRatioResult, error) {
 			}
 			return trial{}, err
 		}
-		in, err := core.NewInstance(l)
+		in, lb, err := boundedInstance(l)
 		if err != nil {
 			return trial{}, err
 		}
-		tr := trial{opt: opt, lb: lowerbound.IntegralBound(l), costs: make([]float64, len(names))}
+		tr := trial{opt: opt, lb: lb, costs: make([]float64, len(names))}
 		for pi, n := range names {
 			p, err := core.NewPolicy(n, seed)
 			if err != nil {

@@ -264,6 +264,29 @@ func (l *List) ArrivalOrder() []int32 {
 	return order
 }
 
+// DepartureOrder returns the indices of l.Items sorted by (Departure, ID):
+// the order in which an engine commits the departures of items it placed on
+// their first attempt, since departures at one instant fire in ascending
+// item ID.
+func (l *List) DepartureOrder() []int32 {
+	items := l.Items
+	order := make([]int32, len(items))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := &items[a], &items[b]
+		if x.Departure != y.Departure {
+			if x.Departure < y.Departure {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	return order
+}
+
 // Clone returns a deep copy of the list.
 func (l *List) Clone() *List {
 	c := &List{Dim: l.Dim, Items: make([]Item, len(l.Items))}

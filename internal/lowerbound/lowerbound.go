@@ -2,7 +2,6 @@ package lowerbound
 
 import (
 	"math"
-	"slices"
 
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
@@ -40,66 +39,56 @@ func Compute(l *item.List) Bounds {
 // where the integrand is additionally at least 1 whenever some item is active
 // (OPT keeps at least one bin open then — this is how (i) subsumes (iii)).
 //
-// The sweep visits arrival/departure points in time order; within a segment
-// between consecutive points the active set, and hence the load, is constant.
+// It sorts the list's arrival and departure orders and sweeps them
+// (IntegralBoundOf).
 func IntegralBound(l *item.List) float64 {
-	type ev struct {
-		t     float64
-		delta vector.Vector // +size on arrival, applied before segment
-		sign  float64
-	}
-	events := make([]ev, 0, 2*l.Len())
-	for _, it := range l.Items {
-		events = append(events,
-			ev{t: it.Arrival, delta: it.Size, sign: +1},
-			ev{t: it.Departure, delta: it.Size, sign: -1},
-		)
-	}
-	slices.SortFunc(events, func(a, b ev) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
-		}
-		// Departures first: intervals are half-open, so at time t a departing
-		// item no longer contributes.
-		switch {
-		case a.sign < b.sign:
-			return -1
-		case a.sign > b.sign:
-			return 1
-		}
-		return 0
-	})
+	return IntegralBoundOf(l, l.ArrivalOrder(), l.DepartureOrder())
+}
 
+// IntegralBoundOf is IntegralBound over orders the caller already holds, such
+// as a core.Instance's (Instance.Orders): arrivals, the indices of l.Items
+// by (Arrival, SeqNo), and departures, by (Departure, ID). One sweep merges
+// the two. Within a segment between consecutive event instants the active
+// set, and hence the load, is constant. At each instant it removes the
+// departing items first, in departure order, since intervals are half-open,
+// and then adds the arriving ones, in arrival order. Those orders fix the
+// order of the float additions, so the same orders give the same bound bit
+// for bit.
+func IntegralBoundOf(l *item.List, arrivals, departures []int32) float64 {
+	items := l.Items
 	load := vector.New(l.Dim)
 	active := 0
 	total := 0.0
-	for i := 0; i < len(events); {
-		t := events[i].t
-		for i < len(events) && events[i].t == t {
-			if events[i].sign > 0 {
-				load.AddInPlace(events[i].delta)
-				active++
-			} else {
-				load.SubInPlace(events[i].delta)
-				active--
-			}
-			i++
+	ai, di := 0, 0
+	// Every item departs after it arrives, so the departures end the sweep.
+	for di < len(departures) {
+		t := items[departures[di]].Departure
+		if ai < len(arrivals) {
+			t = min(t, items[arrivals[ai]].Arrival)
 		}
-		if i == len(events) {
+		for ; di < len(departures) && items[departures[di]].Departure == t; di++ {
+			load.SubInPlace(items[departures[di]].Size)
+			active--
+		}
+		for ; ai < len(arrivals) && items[arrivals[ai]].Arrival == t; ai++ {
+			load.AddInPlace(items[arrivals[ai]].Size)
+			active++
+		}
+		if di == len(departures) {
 			break
 		}
-		segLen := events[i].t - t
-		if segLen <= 0 || active == 0 {
+		next := items[departures[di]].Departure
+		if ai < len(arrivals) {
+			next = min(next, items[arrivals[ai]].Arrival)
+		}
+		if active == 0 {
 			continue
 		}
 		need := math.Ceil(load.MaxNorm() - ceilSlack)
 		if need < 1 {
 			need = 1
 		}
-		total += need * segLen
+		total += need * (next - t)
 	}
 	return total
 }

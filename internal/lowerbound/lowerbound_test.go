@@ -9,6 +9,7 @@ import (
 	"dvbp/internal/core"
 	"dvbp/internal/item"
 	"dvbp/internal/vector"
+	"dvbp/internal/workload"
 )
 
 func v(xs ...float64) vector.Vector { return vector.Of(xs...) }
@@ -174,27 +175,76 @@ func TestAlgorithmCostDominatesBounds(t *testing.T) {
 }
 
 // Property: IntegralBound equals a brute-force Riemann-style evaluation on
-// integral-grid instances.
+// integral-grid instances at d = 1, 2 and 5. Twenty-five items on 30
+// instants put several departures at one instant, and arrivals at the
+// instant of departures, on most instances; the test counts both and fails
+// if either is missing.
 func TestIntegralBoundAgainstBruteForce(t *testing.T) {
-	f := func(seedRaw uint16) bool {
-		r := rand.New(rand.NewSource(int64(seedRaw)))
-		l := item.NewList(2)
-		horizon := 30
-		for i := 0; i < 25; i++ {
-			a := float64(r.Intn(horizon - 1))
-			dur := float64(1 + r.Intn(5))
-			l.Add(a, a+dur, v(float64(1+r.Intn(10))/10, float64(1+r.Intn(10))/10))
+	for _, d := range []int{1, 2, 5} {
+		var jointDepartures, meetings int
+		f := func(seedRaw uint16) bool {
+			r := rand.New(rand.NewSource(int64(seedRaw)))
+			l := item.NewList(d)
+			horizon := 30
+			arrivals, departures := make([]int, horizon+5), make([]int, horizon+5)
+			for i := 0; i < 25; i++ {
+				a := r.Intn(horizon - 1)
+				dur := 1 + r.Intn(5)
+				size := vector.New(d)
+				for j := range size {
+					size[j] = float64(1+r.Intn(10)) / 10
+				}
+				l.Add(float64(a), float64(a+dur), size)
+				arrivals[a]++
+				departures[a+dur]++
+			}
+			for tt := range departures {
+				if departures[tt] > 1 {
+					jointDepartures++
+				}
+				if departures[tt] > 0 && arrivals[tt] > 0 {
+					meetings++
+				}
+			}
+			// All breakpoints are integers, so evaluating at t+0.5 per unit
+			// cell is exact.
+			brute := 0.0
+			for tt := 0; tt < horizon+10; tt++ {
+				brute += float64(BinDemandAt(l, float64(tt)+0.5))
+			}
+			return math.Abs(brute-IntegralBound(l)) < 1e-6
 		}
-		// All breakpoints are integers, so evaluating at t+0.5 per unit cell
-		// is exact.
-		brute := 0.0
-		for tt := 0; tt < horizon+10; tt++ {
-			brute += float64(BinDemandAt(l, float64(tt)+0.5))
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("d=%d: %v", d, err)
 		}
-		return math.Abs(brute-IntegralBound(l)) < 1e-6
+		if jointDepartures == 0 || meetings == 0 {
+			t.Errorf("d=%d: %d instants with joint departures and %d where arrivals meet departures, want both", d, jointDepartures, meetings)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+}
+
+// TestIntegralBoundOfInstanceOrders: on Figure 4 instances, the bound swept
+// over a core.Instance's orders, as the experiments compute it, equals
+// IntegralBound bit for bit.
+func TestIntegralBoundOfInstanceOrders(t *testing.T) {
+	for _, d := range []int{1, 2, 5} {
+		for _, mu := range []int{1, 10, 200} {
+			for seed := int64(1); seed <= 3; seed++ {
+				l, err := workload.Uniform(workload.PaperDefaults(d, mu), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in, err := core.NewInstance(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arrivals, departures := in.Orders()
+				got, want := IntegralBoundOf(l, arrivals, departures), IntegralBound(l)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("d=%d μ=%d seed %d: IntegralBoundOf over the Instance's orders = %v, IntegralBound = %v", d, mu, seed, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -53,11 +53,15 @@ func Uniform(cfg UniformConfig, seed int64) (*item.List, error) {
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(seed))
-	l := item.NewList(cfg.D)
+	l := &item.List{Dim: cfg.D, Items: make([]item.Item, 0, cfg.N)}
+	// One array holds every size. Each item's Size is a window of it whose
+	// capacity is its length, so an append to one size cannot overwrite the
+	// next.
+	sizes := make([]float64, cfg.N*cfg.D)
 	for i := 0; i < cfg.N; i++ {
 		arrival := float64(r.Intn(cfg.T - cfg.Mu + 1))
 		duration := float64(1 + r.Intn(cfg.Mu))
-		size := vector.New(cfg.D)
+		size := vector.Vector(sizes[i*cfg.D : (i+1)*cfg.D : (i+1)*cfg.D])
 		for j := range size {
 			size[j] = float64(1+r.Intn(cfg.B)) / float64(cfg.B)
 		}
