@@ -7,9 +7,9 @@ import (
 
 // The engine reads its item list in place: every item lives only in
 // list.Items. On top of the list it keeps the arrival order as a permutation
-// of list indices, span(R) and μ folded in that order, the slot table, and
-// an ID index that is built only when something looks a static run's item
-// up by ID.
+// of list indices, span(R) and μ folded in that order, the slot table, the
+// outcome table (Engine.outcomes), and an ID index that is built only when
+// something looks a static run's item up by ID.
 
 // itemSlot is one item's entry in a run's slot table (Engine.slots): the
 // arena slot (Engine.bins) of the bin holding the item, 0 for none; the

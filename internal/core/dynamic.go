@@ -29,6 +29,12 @@ func WithDynamicArrivals() Option {
 // recent committed event, so the grown run replays identically from scratch.
 // The item is not dispatched here — step the engine (through its session)
 // until the arrival event commits to learn the placement.
+//
+// The engine keeps a copy of size, so the caller may reuse it. The copy goes
+// into a chunk the run holds, with room for sizeChunkItems items' sizes, so
+// an append allocates no size of its own; the list's item keeps a window
+// into the chunk whose capacity ends with its size. The list and the run's
+// per-item arrays grow by doubling (push).
 func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (int, error) {
 	if !e.cfg.dynamic {
 		return 0, fmt.Errorf("core: AppendArrival on a static run (missing WithDynamicArrivals)")
@@ -40,7 +46,7 @@ func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (
 		return 0, fmt.Errorf("core: cannot append to a finished engine")
 	}
 	id := len(e.list.Items)
-	it := item.Item{ID: id, SeqNo: id, Arrival: arrival, Departure: departure, Size: size.Clone()}
+	it := item.Item{ID: id, SeqNo: id, Arrival: arrival, Departure: departure, Size: size}
 	if err := it.Validate(e.list.Dim); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
@@ -53,13 +59,35 @@ func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (
 		return 0, fmt.Errorf("core: arrival %g is in the engine's past (last committed event at %g)", arrival, e.lastTime)
 	}
 	// The ID is the new item's list index, and the arrival order and the
-	// slot table only grow at their ends.
-	e.list.Items = append(e.list.Items, it)
-	e.arrivals = append(e.arrivals, int32(id))
-	e.slots = append(e.slots, itemSlot{})
+	// per-item tables only grow at their ends.
+	it.Size = e.storeSize(size)
+	e.list.Items = push(e.list.Items, it)
+	e.arrivals = push(e.arrivals, int32(id))
+	e.slots = push(e.slots, itemSlot{})
+	if e.outcomes != nil {
+		e.outcomes = push(e.outcomes, 0)
+	}
 	e.shape.add(arrival, departure)
 	e.res.Items = e.list.Len()
 	return id, nil
+}
+
+// sizeChunkItems is how many items' sizes one of a dynamic run's size chunks
+// holds.
+const sizeChunkItems = 256
+
+// storeSize copies size into the run's current size chunk, opening a new
+// chunk when this one is full, and returns the copy. The copy's capacity
+// ends with it, so an append to it cannot reach the next item's size. A full
+// chunk is never regrown: it stays with the items whose sizes it holds.
+func (e *Engine) storeSize(size vector.Vector) vector.Vector {
+	d := len(size)
+	if cap(e.sizes)-len(e.sizes) < d {
+		e.sizes = make([]float64, 0, sizeChunkItems*d)
+	}
+	k := len(e.sizes)
+	e.sizes = append(e.sizes, size...)
+	return e.sizes[k : k+d : k+d]
 }
 
 // PeekTime returns the time of the earliest pending event, ok=false when the

@@ -303,3 +303,69 @@ func TestDynamicListNumberedByIndex(t *testing.T) {
 		t.Fatalf("static run over a list with ID 1: %v", err)
 	}
 }
+
+// TestDynamicRunAllocsPerAppend pins what a dynamic run allocates per
+// appended item: amortised nothing. It compares FirstFit runs over 1,024 and
+// 8,192 items of the churn family, whose four bins stay open throughout, so
+// the run opens no more bins at the longer length. AppendArrival copies each
+// size into a chunk shared by sizeChunkItems items, the per-item arrays and
+// the default history's records grow by doubling, and Finish builds the
+// outcome map presized, so the difference stays below one allocation per 64
+// items appended.
+func TestDynamicRunAllocsPerAppend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run")
+	}
+	const bins, k = 4, 16
+	allocs := func(n int) float64 {
+		items := churnHotPathInstance(2, bins, k, n-bins*k).Items
+		return testing.AllocsPerRun(3, func() {
+			e, err := NewEngine(item.NewList(2), NewFirstFit(), WithDynamicArrivals())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				if _, err := appendAndPlace(e, it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res := drain(t, e); res.BinsOpened != bins || len(res.Outcomes) != n {
+				t.Fatalf("n=%d: %d bins opened, %d outcomes; want %d and %d", n, res.BinsOpened, len(res.Outcomes), bins, n)
+			}
+		})
+	}
+	const short, long = 1024, 8192
+	a, b := allocs(short), allocs(long)
+	if per := (b - a) / (long - short); per >= 1.0/64 {
+		t.Errorf("%.4f allocations per appended item (%v at n=%d, %v at n=%d), want below 1/64", per, a, short, b, long)
+	}
+}
+
+// TestAppendArrivalCopiesSize: the engine keeps its own copy of an appended
+// item's size, so the caller may reuse its vector, and the copy's capacity
+// ends with it, so appending to one item's size cannot write into the next
+// one's.
+func TestAppendArrivalCopiesSize(t *testing.T) {
+	e, err := NewEngine(item.NewList(2), NewFirstFit(), WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	size := vector.Of(0.25, 0.5)
+	for i := 0; i < 2*sizeChunkItems+1; i++ {
+		if _, err := e.AppendArrival(float64(i), float64(i)+1, size); err != nil {
+			t.Fatal(err)
+		}
+		size[0], size[1] = 0.125, 0.75 // the caller reuses its vector
+	}
+	items := e.list.Items
+	if got := items[0].Size; got[0] != 0.25 || got[1] != 0.5 || cap(got) != 2 {
+		t.Fatalf("item 0's size is %v with capacity %d, want [0.25 0.5] with capacity 2", got, cap(got))
+	}
+	_ = append(items[0].Size, 1)
+	for i, it := range items[1:] {
+		if it.Size[0] != 0.125 || it.Size[1] != 0.75 || cap(it.Size) != 2 {
+			t.Fatalf("item %d's size is %v with capacity %d, want [0.125 0.75] with capacity 2", i+1, it.Size, cap(it.Size))
+		}
+	}
+}

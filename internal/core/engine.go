@@ -299,18 +299,25 @@ type Engine struct {
 	// the items themselves are read in place (arrivals.go). shape folds
 	// span(R) and μ over the same order. A static run shares arrivals with
 	// its Instance and never writes it; a dynamic run owns it and appends.
+	// sizes is a dynamic run's current size chunk, which AppendArrival
+	// copies the sizes of appended items into (storeSize).
 	arrivals []int32
 	ai       int // next arrival index
 	shape    shape
+	sizes    []float64
 
 	open  []*Bin // opening order (ascending ID); may hold tombstones until compacted
 	holes int    // tombstone (nil) count in open
 
 	// slots is the run's item-slot table, one entry per list index
 	// (itemSlot). bins is the run's bin arena: every bin struct the run
-	// holds, open or spare, at its Bin.slot; entry 0 is nil.
-	slots []itemSlot
-	bins  []*Bin
+	// holds, open or spare, at its Bin.slot; entry 0 is nil. outcomes holds,
+	// per list index, 1 + the item's terminal Outcome, or 0 while it has
+	// none; only a run that keeps the default history has it, and Finish
+	// and Snapshot build Result.Outcomes from it (outcomeMap).
+	slots    []itemSlot
+	bins     []*Bin
+	outcomes []uint8
 
 	// depOrder is a static run's departure order, shared with its Instance:
 	// list indices by (Departure, ID), the order of their attempt-0 depSeq
@@ -417,8 +424,12 @@ func newEngineShell(in *Instance, p Policy, cfg config, k *runKit) *Engine {
 	}
 	e.hist = cfg.history
 	if !cfg.historySet {
-		e.res.Outcomes = make(map[int]Outcome, l.Len())
 		e.hist = (*resultHistory)(e.res)
+		e.outcomes = make([]uint8, l.Len())
+		if !cfg.dynamic {
+			// A fault-free static run places each of its items once.
+			e.res.Placements = make([]Placement, 0, l.Len())
+		}
 	}
 	e.selObs, e.fObs = implementing[SelectObserver](cfg.observers), implementing[FailureObserver](cfg.observers)
 	e.dObs, e.mObs = implementing[DepartureObserver](cfg.observers), implementing[MigrationObserver](cfg.observers)
@@ -719,7 +730,7 @@ func (e *Engine) dispatch(i int32, attempt int, now float64, fromQueue bool) (pl
 				}
 			} else {
 				e.res.Rejected++
-				e.outcome(it.ID, OutcomeRejected)
+				e.outcome(i, OutcomeRejected)
 				for _, o := range e.fObs {
 					o.ItemRejected(req, now, false)
 				}
@@ -790,7 +801,7 @@ func (e *Engine) drainQueue(t float64) error {
 		it := &e.list.Items[q.i]
 		if t > q.deadline || t >= it.Departure {
 			e.res.TimedOut++
-			e.outcome(it.ID, OutcomeTimedOut)
+			e.outcome(q.i, OutcomeTimedOut)
 			for _, o := range e.fObs {
 				o.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
 			}
@@ -841,7 +852,7 @@ func (e *Engine) handleDeparture(t float64, seq int64, i int32) (binID int, err 
 	}
 	id := e.list.Items[i].ID
 	e.served++
-	e.outcome(id, OutcomeServed)
+	e.outcome(i, OutcomeServed)
 	if b.Empty() {
 		e.closeBinAt(b, t, false)
 	} else {
@@ -900,7 +911,7 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 		} else {
 			e.res.ItemsLost++
 			e.res.LostUsageTime += it.Departure - t
-			e.outcome(it.ID, OutcomeLost)
+			e.outcome(i, OutcomeLost)
 			for _, o := range e.fObs {
 				o.ItemEvicted(req, b, t, it.Departure)
 			}
@@ -1069,7 +1080,7 @@ func (e *Engine) Finish() (*Result, error) {
 	for _, q := range e.waitq {
 		it := &e.list.Items[q.i]
 		e.res.TimedOut++
-		e.outcome(it.ID, OutcomeTimedOut)
+		e.outcome(q.i, OutcomeTimedOut)
 		t := math.Min(q.deadline, it.Departure)
 		for _, o := range e.fObs {
 			o.ItemRejected(e.makeReq(it, t, q.attempt), t, true)
@@ -1095,7 +1106,14 @@ func (e *Engine) Finish() (*Result, error) {
 	}
 	e.res.BinsOpened = e.nextBinID
 	if e.keepsResult() {
-		e.res.sortBins()
+		var pending int
+		if e.res.Outcomes, pending = e.outcomeMap(e.list.Len()); pending != 0 {
+			return fail(fmt.Errorf("core: internal error: %d items finished without an outcome", pending))
+		}
+		if err := e.res.placeBins(); err != nil {
+			return fail(err)
+		}
+		slices.SortFunc(e.res.Placements, comparePlacements)
 	}
 	e.finished = true
 	e.Close()

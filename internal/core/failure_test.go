@@ -306,9 +306,6 @@ func faultyResultsEqual(t *testing.T, label string, a, b *Result) {
 		t.Errorf("%s: QueueDelay/LostUsageTime %v/%v vs %v/%v",
 			label, a.QueueDelay, a.LostUsageTime, b.QueueDelay, b.LostUsageTime)
 	}
-	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-		t.Errorf("%s: outcome maps disagree", label)
-	}
 }
 
 // TestFaultyReferenceAgreesOnHandCases pins the oracle to the same targeted

@@ -156,7 +156,7 @@ func TestHistoryReceivesEveryRecord(t *testing.T) {
 			h := &recordingHistory{}
 			got := mustSimulate(t, l, p, append(slices.Clone(sc.opts), WithHistory(h))...)
 			sorted := Result{Placements: slices.Clone(h.placements), Bins: slices.Clone(h.bins)}
-			sorted.sortBins()
+			sortRecords(&sorted)
 			if !slices.Equal(sorted.Placements, want.Placements) || !slices.Equal(sorted.Bins, want.Bins) {
 				t.Errorf("%s: history saw %d placements and %d bins, the default kept %d and %d, or their contents differ",
 					label, len(h.placements), len(h.bins), len(want.Placements), len(want.Bins))
@@ -424,9 +424,9 @@ func allocatedBytes(f func()) uint64 {
 // every item opens a bin and closes it again, and the run reopens the bin
 // it closed, or one an earlier run over the Instance handed on. As in
 // TestBinOpenCloseSteadyStateAllocs, the difference of two run lengths
-// cancels the setup. A placement, bin or outcome record kept on this path
-// costs at least the outcome map's ~16 bytes per item, well over the slack,
-// and so does a Bin allocated per opening.
+// cancels the setup. A placement or bin record kept on this path costs 40
+// bytes per item, well over the slack, and so does a Bin allocated per
+// opening.
 func TestCostOnlyRunBytesPerPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run")

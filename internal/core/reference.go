@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dvbp/internal/item"
@@ -157,7 +159,20 @@ func SimulateReference(l *item.List, p Policy) (*Result, error) {
 	}
 	processCloses(l.Hull().Hi)
 
+	// The model is fault-free: every item departs normally.
+	res.Outcomes = make(map[int]Outcome, l.Len())
+	for _, it := range l.Items {
+		res.Outcomes[it.ID] = OutcomeServed
+	}
 	res.BinsOpened = len(bins)
-	res.sortBins()
+	sortRecords(res)
 	return res, nil
+}
+
+// sortRecords orders a reference run's records as Result documents them, by
+// comparison sorts of its own: Finish places each bin record at its ID
+// instead, and an oracle that shared that placement would not check it.
+func sortRecords(r *Result) {
+	slices.SortFunc(r.Bins, func(a, b BinUsage) int { return cmp.Compare(a.BinID, b.BinID) })
+	slices.SortFunc(r.Placements, comparePlacements)
 }

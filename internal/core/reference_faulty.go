@@ -330,6 +330,6 @@ func SimulateFaultyReference(l *item.List, p Policy, opts ...Option) (*Result, e
 	}
 
 	res.BinsOpened = len(bins)
-	res.sortBins()
+	sortRecords(res)
 	return res, nil
 }

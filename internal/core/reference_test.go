@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// resultsEqual compares the externally observable parts of two Results.
+// resultsEqual compares the externally observable parts of two Results:
+// cost, bin counts, placements, bin records and outcomes.
 func resultsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.Cost != b.Cost {
@@ -34,6 +36,9 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 			t.Errorf("%s: bin record %d: %+v vs %+v", label, i, a.Bins[i], b.Bins[i])
 			return
 		}
+	}
+	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
+		t.Errorf("%s: outcomes of %d vs %d items, or they differ", label, len(a.Outcomes), len(b.Outcomes))
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -51,11 +50,14 @@ type Result struct {
 	BinsOpened int
 	// MaxConcurrentBins is the peak number of simultaneously open bins.
 	MaxConcurrentBins int
-	// Placements maps each item (by index in input order of IDs) to its bin.
-	// It, Bins and Outcomes are what the default history keeps; all three
-	// are nil for a run given another history (WithHistory).
+	// Placements holds one record per successful dispatch (an item evicted
+	// by a crash and placed again has one per placement), sorted by (Time,
+	// ItemID). It, Bins and Outcomes are what the default history keeps; all
+	// three are nil for a run given another history (WithHistory).
 	Placements []Placement
-	// Bins holds per-bin usage records, ascending by BinID.
+	// Bins holds one usage record per bin opened, at the index of its ID:
+	// Bins[k].BinID == k. Finish puts each record there, since every bin
+	// has closed exactly once by then.
 	Bins []BinUsage
 	// Span is span(R) for the input, recorded for convenience (cost of an
 	// idealised single-bin packing; also the Lemma 1(iii) lower bound).
@@ -104,7 +106,10 @@ type Result struct {
 	// BinsDrained counts bins closed because a migration move emptied them.
 	BinsDrained int
 
-	// Outcomes maps every input item ID to its terminal state.
+	// Outcomes maps every input item ID to its terminal state. The engine
+	// keeps each item's outcome as one byte in its per-item table while the
+	// run goes on, and Finish builds this map from those bytes once; a
+	// Snapshot's partial Result maps the items that have one so far.
 	Outcomes map[int]Outcome
 }
 
@@ -170,16 +175,37 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// sortBins normalises Bins/Placements ordering for deterministic output.
-func (r *Result) sortBins() {
-	slices.SortFunc(r.Bins, func(a, b BinUsage) int { return cmp.Compare(a.BinID, b.BinID) })
-	slices.SortFunc(r.Placements, func(a, b Placement) int {
-		if a.Time != b.Time {
-			if a.Time < b.Time {
-				return -1
-			}
-			return 1
+// comparePlacements orders placement records by (Time, ItemID), the order
+// of Result.Placements.
+func comparePlacements(a, b Placement) int {
+	if a.Time != b.Time {
+		if a.Time < b.Time {
+			return -1
 		}
-		return cmp.Compare(a.ItemID, b.ItemID)
-	})
+		return 1
+	}
+	return cmp.Compare(a.ItemID, b.ItemID)
+}
+
+// placeBins puts each bin record at the index of its ID, in place. Bins
+// must hold exactly one record per ID in [0, BinsOpened), as a finished run
+// does: every bin it opened has closed exactly once. Each swap moves a
+// record to the index of its ID, where it stays, so the pass swaps fewer
+// than len(Bins) times. Any other set of records is an internal error.
+func (r *Result) placeBins() error {
+	if len(r.Bins) != r.BinsOpened {
+		return fmt.Errorf("core: internal error: %d bin records for %d bins opened", len(r.Bins), r.BinsOpened)
+	}
+	for k := range r.Bins {
+		for id := r.Bins[k].BinID; id != k; id = r.Bins[k].BinID {
+			if id < 0 || id >= len(r.Bins) {
+				return fmt.Errorf("core: internal error: a record of bin %d, outside the %d bins opened", id, len(r.Bins))
+			}
+			if r.Bins[id].BinID == id {
+				return fmt.Errorf("core: internal error: two records of bin %d", id)
+			}
+			r.Bins[k], r.Bins[id] = r.Bins[id], r.Bins[k]
+		}
+	}
+	return nil
 }

@@ -53,7 +53,9 @@ type Snapshot struct {
 	Departures []DepartureSnapshot
 
 	// Result is a deep copy of the partial result accumulated so far: the
-	// usage-time cost of already-closed bins, placements and outcomes.
+	// usage-time cost of already-closed bins, the placements in commit
+	// order, the closed bins' records in the order they closed, and the
+	// outcomes of the items that have one.
 	Result *Result
 }
 
@@ -88,16 +90,14 @@ type DepartureSnapshot struct {
 	BinID int
 }
 
-// cloneResult deep-copies a partial result so the snapshot cannot alias the
-// live engine's accumulators.
+// cloneResult copies a partial result with its placement and bin records,
+// so that a snapshot and the live engine share none. Outcomes is left nil:
+// the live engine keeps its outcomes in its per-item table.
 func cloneResult(r *Result) *Result {
 	c := *r
 	c.Placements = append([]Placement(nil), r.Placements...)
 	c.Bins = append([]BinUsage(nil), r.Bins...)
-	c.Outcomes = make(map[int]Outcome, len(r.Outcomes))
-	for k, v := range r.Outcomes {
-		c.Outcomes[k] = v
-	}
+	c.Outcomes = nil
 	return &c
 }
 
@@ -158,6 +158,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		PolicyState: ps,
 		Result:      cloneResult(e.res),
 	}
+	// A snapshotted run is fault-free: its only outcomes are the served.
+	s.Result.Outcomes, _ = e.outcomeMap(e.served)
 
 	s.Bins = make([]BinSnapshot, 0, len(e.open))
 	for _, b := range e.open {
@@ -211,11 +213,14 @@ func corruptf(format string, args ...any) error {
 // Every structural claim the snapshot makes is validated — unknown item or
 // bin IDs, duplicated active items, accumulator sums that disagree with the
 // active multiset, a departure entry whose bin does not hold its item, an
-// active item without exactly one — and violations surface as errors, never
-// panics, so corrupted checkpoint files degrade gracefully. Like NewEngine,
-// the returned engine owns p until Finish or Close. A restored run keeps the
-// default history, which the snapshot's partial Result seeds, so
-// WithHistory is refused, and so are the options Snapshot refuses.
+// active item without exactly one, an outcome for an unknown or active
+// item, a closed-bin record that is not one per closed bin — and violations
+// surface as errors, never panics, so corrupted checkpoint files degrade
+// gracefully. Like NewEngine, the returned engine
+// owns p until Finish or Close. A restored run keeps the default history,
+// which the snapshot's partial Result seeds: its records, and its outcomes
+// written back into the per-item table. So WithHistory is refused, and so
+// are the options Snapshot refuses.
 func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	in, err := prepare(l, cfg.dynamic)
@@ -341,6 +346,46 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	}
 	if active != 0 {
 		return nil, corruptf("%d active items have no pending departure", active)
+	}
+
+	// The outcomes go back into the per-item table. A snapshotted run is
+	// fault-free, so each is the outcome of an item served: none for an item
+	// still active, and one for each item counted served.
+	for id, o := range s.Result.Outcomes {
+		k, known := e.index(id)
+		if !known {
+			return nil, corruptf("outcome for unknown item %d", id)
+		}
+		if b := e.slots[k].bin; b != 0 {
+			return nil, corruptf("outcome for item %d, which is active in bin %d", id, e.bins[b].ID)
+		}
+		if o != OutcomeServed {
+			return nil, corruptf("item %d has outcome %v, but a snapshotted run serves every item", id, o)
+		}
+		e.outcomes[k] = uint8(o) + 1
+	}
+	if n := len(s.Result.Outcomes); n != s.Served {
+		return nil, corruptf("%d outcomes for %d items served", n, s.Served)
+	}
+
+	// Every bin below the next bin ID is open or has closed once, leaving
+	// one record, so Finish finds one record per bin opened. Both counts
+	// are of decoded entries, which bounds the table.
+	if n := len(s.Result.Bins) + len(s.Bins); n != s.NextBinID {
+		return nil, corruptf("%d closed-bin records and %d open bins for %d bins opened", len(s.Result.Bins), len(s.Bins), s.NextBinID)
+	}
+	accounted := make([]bool, s.NextBinID)
+	for _, bs := range s.Bins {
+		accounted[bs.ID] = true
+	}
+	for _, u := range s.Result.Bins {
+		switch {
+		case u.BinID < 0 || u.BinID >= s.NextBinID:
+			return nil, corruptf("closed-bin record of bin %d, outside [0, %d)", u.BinID, s.NextBinID)
+		case accounted[u.BinID]:
+			return nil, corruptf("closed-bin record of bin %d, which is open or recorded twice", u.BinID)
+		}
+		accounted[u.BinID] = true
 	}
 
 	// The clock is the time of the last committed event. A snapshotted run

@@ -388,7 +388,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Bins) == 0 || len(s.Departures) == 0 {
+		if len(s.Bins) == 0 || len(s.Departures) == 0 || len(s.Result.Outcomes) == 0 || len(s.Result.Bins) == 0 {
 			t.Fatal("snapshot not interesting enough for corruption tests")
 		}
 		return s
@@ -446,6 +446,27 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"policy-state-misses-open-bin", func(s *Snapshot) {
 			s.PolicyState = []byte{0} // a well-formed, empty recency list
 		}, "recency list covers 0 bins"},
+		{"outcome-unknown-item", func(s *Snapshot) { s.Result.Outcomes[99999] = OutcomeServed }, "outcome for unknown item"},
+		{"outcome-active-item", func(s *Snapshot) { s.Result.Outcomes[s.Bins[0].ActiveIDs[0]] = OutcomeServed }, "active in bin"},
+		{"outcome-not-served", func(s *Snapshot) {
+			for id := range s.Result.Outcomes {
+				s.Result.Outcomes[id] = OutcomeLost
+				break
+			}
+		}, "serves every item"},
+		{"outcome-missing", func(s *Snapshot) {
+			for id := range s.Result.Outcomes {
+				delete(s.Result.Outcomes, id)
+				break
+			}
+		}, "items served"},
+		{"bin-record-missing", func(s *Snapshot) { s.Result.Bins = s.Result.Bins[1:] }, "closed-bin records"},
+		{"bin-record-twice", func(s *Snapshot) {
+			s.Result.Bins = append(s.Result.Bins, s.Result.Bins[0])
+			s.NextBinID++
+		}, "recorded twice"},
+		{"bin-record-of-open-bin", func(s *Snapshot) { s.Result.Bins[0].BinID = s.Bins[0].ID }, "which is open"},
+		{"bin-record-out-of-range", func(s *Snapshot) { s.Result.Bins[0].BinID = s.NextBinID }, "outside"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
