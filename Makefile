@@ -9,10 +9,9 @@ FUZZTIME ?= 5s
 # stress repeats the concurrency/determinism tests to shake out rare
 # interleavings; raise for soak runs (e.g. STRESSCOUNT=50).
 STRESSCOUNT ?= 5
-# bench-json knobs for the core benchmarks: raise for quieter numbers (e.g.
-# BENCHTIME=30x BENCHCOUNT=5). The sweep and server benchmarks always run at
-# 30x (see bench-json).
-BENCHTIME ?= 10x
+# bench-json's rounds per row: raise for quieter numbers (e.g.
+# BENCHCOUNT=5). Each group of rows runs for its own time or count (see
+# bench-json).
 BENCHCOUNT ?= 3
 
 .PHONY: ci fmt vet test race stress build bench bench-smoke bench-module bench-json fuzz-smoke docs-check deps-check artifacts artifacts-check artifacts-full-check
@@ -70,11 +69,15 @@ bench-module:
 # throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, the
-# package of each entry, mean ns/op, B/op, allocs/op). FleetSelect, the
-# accumulator kernels and the bound run for 0.2 s per row: FleetSelect's
-# rows take 0.4 µs to 3 ms per select, and at a fixed 10x a sub-µs row timed
-# 4 µs in all, timer and first-touch cost included; its fleets are built
-# outside the timed loop. DynamicAppendStep runs for 1 s per row: one op is
+# package of each entry, mean ns/op, B/op, allocs/op). The engine rows
+# (ChurnHotPath, SimulateUniform, BinChurnClose, IndexCrossover and
+# FragmentationSweep) run for 0.5 s per row: at a fixed 10x, BinChurnClose
+# read 14–46% slower on the side of a parent-and-change pair whose change
+# left its code alone, where 0.5 s rows of the same binaries overlapped.
+# FleetSelect, the accumulator kernels and the bound run for 0.2 s per
+# row: FleetSelect's rows take 0.4 µs to 3 ms per select, and at a fixed
+# 10x a sub-µs row timed 4 µs in all, timer and first-touch cost included;
+# its fleets are built outside the timed loop. DynamicAppendStep runs for 1 s per row: one op is
 # a 4,096-item stream, and at 30x two rounds of the same code on a 2-vCPU
 # VM read 1.0 and 1.7 µs per item. The sweep and server benchmarks run at
 # 30x: at 10x a round lasted 0.3–0.8 s, and the same binary's throughput
@@ -85,7 +88,7 @@ bench-module:
 bench-json:
 	@mkdir -p artifacts/bench
 	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|IndexCrossover|FragmentationSweep' \
-		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
+		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/core -run='^$$' -bench='DynamicAppendStep' \
 		-benchmem -benchtime=1s -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/core -run='^$$' -bench='FleetSelect' \

@@ -107,8 +107,8 @@ func (e *Engine) PeekTime() (float64, bool) {
 }
 
 // EngineStats is a cheap point-in-time view of a running engine, sized for a
-// status endpoint: counters and aggregates only, no per-item data. For the
-// full decision record use Snapshot (its Result is a deep copy).
+// status endpoint: counters and aggregates only, no per-item data. The
+// placement records are listed by AppendPlacements.
 type EngineStats struct {
 	// EventSeq is the number of committed events; Clock the time of the most
 	// recent one (0 before the first).

@@ -142,26 +142,42 @@ func TestDynamicSnapshotRestoreMidStream(t *testing.T) {
 }
 
 // TestAppendPlacementsMatchesSnapshot pins the listing accessor against the
-// deep copy it replaces: for every from, including ones outside [0, total],
-// it appends exactly the snapshot's placements from the clamped index on,
-// keeps dst's prefix, and reports the committed total.
+// placements a restore of the engine's snapshot rebuilds, which must name
+// the bins the arrivals' event records named: for every from, including
+// ones outside [0, total], it appends exactly those placements from the
+// clamped index on, keeps dst's prefix, and reports the committed total.
 func TestAppendPlacementsMatchesSnapshot(t *testing.T) {
 	src, err := workload.Uniform(workload.UniformConfig{D: 2, N: 60, Mu: 10, T: 30, B: 20}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, _ := NewPolicy("FirstFit", 1)
-	e, err := NewEngine(item.NewList(src.Dim), p, WithDynamicArrivals())
+	l := item.NewList(src.Dim)
+	e, err := NewEngine(l, p, WithDynamicArrivals())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	feedDynamic(t, e, src.SortedByArrival())
+	placed := feedDynamic(t, e, src.SortedByArrival())
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := snap.Result.Placements
+	p2, _ := NewPolicy("FirstFit", 1)
+	re, err := RestoreEngine(l, p2, snap, WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	all, _ := re.AppendPlacements(nil, 0)
+	if len(all) != len(placed) {
+		t.Fatalf("the restored engine lists %d placements, %d arrivals committed", len(all), len(placed))
+	}
+	for _, pl := range all {
+		if bin, ok := placed[pl.ItemID]; !ok || pl.BinID != bin {
+			t.Fatalf("restored placement %+v, the arrival's event record named bin %d", pl, bin)
+		}
+	}
 	head := Placement{ItemID: -1}
 	for _, from := range []int{-3, 0, 1, len(all) / 2, len(all), len(all) + 5} {
 		got, total := e.AppendPlacements([]Placement{head}, from)

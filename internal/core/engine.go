@@ -314,7 +314,7 @@ type Engine struct {
 	// holds, open or spare, at its Bin.slot; entry 0 is nil. outcomes holds,
 	// per list index, 1 + the item's terminal Outcome, or 0 while it has
 	// none; only a run that keeps the default history has it, and Finish
-	// and Snapshot build Result.Outcomes from it (outcomeMap).
+	// builds Result.Outcomes from it (outcomeMap).
 	slots    []itemSlot
 	bins     []*Bin
 	outcomes []uint8
@@ -578,9 +578,8 @@ func (e *Engine) AppendOpenBins(dst []*Bin) []*Bin {
 // AppendPlacements appends the committed placements from index from on to
 // dst, clamping from into [0, total], and returns the extended slice and the
 // total committed so far. It copies only the suffix, so a listing costs
-// O(answer) where Snapshot would deep-copy the whole run. It lists what the
-// default history keeps; a run given another history (WithHistory) keeps
-// none here, so it returns dst and 0.
+// O(answer). It lists what the default history keeps; a run given another
+// history (WithHistory) keeps none here, so it returns dst and 0.
 func (e *Engine) AppendPlacements(dst []Placement, from int) ([]Placement, int) {
 	all := e.res.Placements
 	from = min(max(from, 0), len(all))
@@ -1107,7 +1106,7 @@ func (e *Engine) Finish() (*Result, error) {
 	e.res.BinsOpened = e.nextBinID
 	if e.keepsResult() {
 		var pending int
-		if e.res.Outcomes, pending = e.outcomeMap(e.list.Len()); pending != 0 {
+		if e.res.Outcomes, pending = e.outcomeMap(); pending != 0 {
 			return fail(fmt.Errorf("core: internal error: %d items finished without an outcome", pending))
 		}
 		if err := e.res.placeBins(); err != nil {

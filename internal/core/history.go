@@ -32,8 +32,9 @@ type History interface {
 // sweep (one that reads only Result's scalars) saves the appends, the
 // per-item outcome table, Finish's placement sort and the outcome map that
 // way. A run without the default history cannot be snapshotted (Snapshot,
-// RestoreEngine), because a snapshot carries the partial Result, and it
-// lists no placements (AppendPlacements).
+// RestoreEngine), because a snapshot stores the bins of the placements and
+// the closed bins' records that it keeps, and it lists no placements
+// (AppendPlacements).
 func WithHistory(h History) Option {
 	return func(c *config) { c.history, c.historySet = h, true }
 }
@@ -67,10 +68,10 @@ func (e *Engine) outcome(i int32, o Outcome) {
 }
 
 // outcomeMap builds the Result.Outcomes map of the items that have reached
-// their terminal outcome, presized to n of them, from the per-item table.
+// their terminal outcome from the per-item table, presized to every item.
 // It also returns the number of items that have none yet.
-func (e *Engine) outcomeMap(n int) (m map[int]Outcome, pending int) {
-	m = make(map[int]Outcome, n)
+func (e *Engine) outcomeMap() (m map[int]Outcome, pending int) {
+	m = make(map[int]Outcome, len(e.outcomes))
 	for i, o := range e.outcomes {
 		if o == 0 {
 			pending++

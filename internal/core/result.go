@@ -108,8 +108,7 @@ type Result struct {
 
 	// Outcomes maps every input item ID to its terminal state. The engine
 	// keeps each item's outcome as one byte in its per-item table while the
-	// run goes on, and Finish builds this map from those bytes once; a
-	// Snapshot's partial Result maps the items that have one so far.
+	// run goes on, and Finish builds this map from those bytes once.
 	Outcomes map[int]Outcome
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dvbp/internal/item"
@@ -16,13 +17,19 @@ import (
 // A snapshot does NOT embed the instance or the run options. Restore is
 // handed the same item list, a policy of the same name, and the same Options
 // as the original run; the snapshot records only what a deterministic re-run
-// from time zero would have accumulated by EventSeq. The persistence layer
-// stores the identifying metadata (workload hash, policy name) alongside and
-// refuses mismatched restores.
+// from time zero would have accumulated by EventSeq and restore cannot
+// derive from the instance. The persistence layer stores the identifying
+// metadata (workload hash, policy name) alongside and refuses mismatched
+// restores.
 //
 // Only the run a placement server tenant holds is snapshotted: fault-free,
-// uncapped and irrevocable, so its whole state is the open bins, the pending
-// departures, the policy's state and the partial Result. A run configured
+// uncapped and irrevocable, so each committed arrival was placed once, in
+// arrival order, and each item still active departs at its first placement.
+// Beside its counters, its state is therefore the open bins, the policy's
+// state, the peak, the bin of each placement and the closed bins' records;
+// RestoreEngine derives the pending departures, the placement records, the
+// outcomes, the clock, the cost and the Result's header from them and the
+// instance. A run configured
 // with WithFaults, WithMaxBins, WithAdmissionQueue or an enabled
 // WithMigration is refused (Snapshot, RestoreEngine) and resumes by
 // re-stepping its op log from the start (DESIGN.md §10).
@@ -49,14 +56,14 @@ type Snapshot struct {
 	// Bins are the open bins in opening order (ascending ID).
 	Bins []BinSnapshot
 
-	// Departures are the pending departure events in delivery order.
-	Departures []DepartureSnapshot
-
-	// Result is a deep copy of the partial result accumulated so far: the
-	// usage-time cost of already-closed bins, the placements in commit
-	// order, the closed bins' records in the order they closed, and the
-	// outcomes of the items that have one.
-	Result *Result
+	// MaxConcurrentBins is the run's peak open-bin count so far.
+	MaxConcurrentBins int
+	// Placed holds the ID of the bin each committed arrival was packed
+	// into, in arrival order: one entry per arrival before ArrivalIdx.
+	Placed []int
+	// Closed holds the closed bins' usage records in the order the bins
+	// closed. A snapshotted run crashes no bin, so none is Crashed.
+	Closed []BinUsage
 }
 
 // BinSnapshot captures one open bin.
@@ -77,28 +84,6 @@ type BinSnapshot struct {
 	// sum's digits, limbs not carried) restores too, and a snapshot of the
 	// restored engine is the canonical one the uninterrupted run takes.
 	Acc [][]byte
-}
-
-// DepartureSnapshot is one pending departure event.
-type DepartureSnapshot struct {
-	Time float64
-	// Seq is the queue's tie-break key (depSeq: item-ID major, placement
-	// attempt minor).
-	Seq    int64
-	ItemID int
-	// BinID is the bin the item was packed into.
-	BinID int
-}
-
-// cloneResult copies a partial result with its placement and bin records,
-// so that a snapshot and the live engine share none. Outcomes is left nil:
-// the live engine keeps its outcomes in its per-item table.
-func cloneResult(r *Result) *Result {
-	c := *r
-	c.Placements = append([]Placement(nil), r.Placements...)
-	c.Bins = append([]BinUsage(nil), r.Bins...)
-	c.Outcomes = nil
-	return &c
 }
 
 // unsnapshottable names the options that keep a run out of snapshots, or
@@ -123,9 +108,9 @@ func (c *config) unsnapshottable() string {
 // Snapshot captures the engine's complete state at the current event
 // boundary. It fails on a poisoned or finished engine, on a run configured
 // with faults, a bin cap, an admission queue or migration (see Snapshot), on
-// a run without the default history (WithHistory: the snapshot carries the
-// partial Result), and for stateful policies that implement no
-// PolicyStateCodec (see CheckpointablePolicy).
+// a run without the default history (WithHistory: the snapshot's placements
+// and bin records are the ones it keeps), and for stateful policies that
+// implement no PolicyStateCodec (see CheckpointablePolicy).
 // The engine is unchanged apart from compaction of its open-bin slice, which
 // the next dispatch would perform anyway.
 func (e *Engine) Snapshot() (*Snapshot, error) {
@@ -148,20 +133,24 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	e.compact()
 
 	s := &Snapshot{
-		EventSeq:    e.eventSeq,
-		ArrivalIdx:  e.ai,
-		NextBinID:   e.nextBinID,
-		Served:      e.served,
-		Dim:         e.list.Dim,
-		Items:       e.list.Len(),
-		PolicyName:  e.p.Name(),
-		PolicyState: ps,
-		Result:      cloneResult(e.res),
+		EventSeq:          e.eventSeq,
+		ArrivalIdx:        e.ai,
+		NextBinID:         e.nextBinID,
+		Served:            e.served,
+		Dim:               e.list.Dim,
+		Items:             e.list.Len(),
+		PolicyName:        e.p.Name(),
+		PolicyState:       ps,
+		Bins:              make([]BinSnapshot, 0, len(e.open)),
+		MaxConcurrentBins: e.res.MaxConcurrentBins,
+		// A snapshotted run places each arrival once, as it commits, so
+		// its placements are in arrival order.
+		Placed: make([]int, len(e.res.Placements)),
+		Closed: slices.Clone(e.res.Bins),
 	}
-	// A snapshotted run is fault-free: its only outcomes are the served.
-	s.Result.Outcomes, _ = e.outcomeMap(e.served)
-
-	s.Bins = make([]BinSnapshot, 0, len(e.open))
+	for k, pl := range e.res.Placements {
+		s.Placed[k] = pl.BinID
+	}
 	for _, b := range e.open {
 		bs := BinSnapshot{
 			ID:        b.ID,
@@ -174,25 +163,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			bs.Acc[j] = b.acc[j].AppendBinary(nil)
 		}
 		s.Bins = append(s.Bins, bs)
-	}
-
-	// A snapshotted run is fault-free, so every pending entry is its item's
-	// live one and the item's slot names the bin it departs from. A run with
-	// a departure order holds them all there, as the entries from the cursor
-	// on whose item holds a bin (the others are items still to arrive); a
-	// run without one, dynamic or restored, holds them all in the heap.
-	for _, i := range e.depOrder[e.di:] {
-		if b := e.slots[i].bin; b != 0 {
-			it := &e.list.Items[i]
-			s.Departures = append(s.Departures, DepartureSnapshot{
-				Time: it.Departure, Seq: depSeq(it.ID, 0), ItemID: it.ID, BinID: e.bins[b].ID,
-			})
-		}
-	}
-	for _, ev := range e.departures.Sorted() {
-		s.Departures = append(s.Departures, DepartureSnapshot{
-			Time: ev.Time, Seq: ev.Seq, ItemID: e.list.Items[ev.Payload].ID, BinID: e.bins[e.slots[ev.Payload].bin].ID,
-		})
 	}
 	return s, nil
 }
@@ -210,17 +180,25 @@ func corruptf(format string, args ...any) error {
 // the original run's remaining events bit for bit (the determinism contract
 // replay verification is built on).
 //
+// Restore derives what the snapshot does not store. Each active item's
+// departure goes back into the queue at attempt 0. Each committed arrival's
+// placement record is rebuilt from the arrival order and its bin: the item,
+// its arrival time, attempt 0, and Opened when the bin is the next one to
+// open. Each committed arrival that no open bin holds has been served, and
+// the clock is the last of the committed arrivals and those departures. The
+// cost is the closed bins' records summed in close order, as the run summed
+// them, and the Result's header is the one the instance and the policy give.
+//
 // Every structural claim the snapshot makes is validated — unknown item or
 // bin IDs, duplicated active items, accumulator sums that disagree with the
-// active multiset, a departure entry whose bin does not hold its item, an
-// active item without exactly one, an outcome for an unknown or active
-// item, a closed-bin record that is not one per closed bin — and violations
-// surface as errors, never panics, so corrupted checkpoint files degrade
-// gracefully. Like NewEngine, the returned engine
-// owns p until Finish or Close. A restored run keeps the default history,
-// which the snapshot's partial Result seeds: its records, and its outcomes
-// written back into the per-item table. So WithHistory is refused, and so
-// are the options Snapshot refuses.
+// active multiset, placements that do not add up to the committed arrivals,
+// the bins opened, the open bins' items and the items served, a peak below
+// the open-bin count, a closed-bin record that is not one per closed bin —
+// and violations surface as errors, never panics, so corrupted checkpoint
+// files degrade gracefully. Like NewEngine, the returned engine owns p until
+// Finish or Close. A restored run keeps the default history, which the
+// rebuilt records seed, so WithHistory is refused, and so are the options
+// Snapshot refuses.
 func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	in, err := prepare(l, cfg.dynamic)
@@ -245,14 +223,11 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.PolicyName != p.Name() {
 		return nil, corruptf("policy mismatch: snapshot %q, supplied %q", s.PolicyName, p.Name())
 	}
-	if s.Result == nil {
-		return nil, corruptf("missing partial result")
-	}
 	e, err := in.newEngine(p, cfg, in.takeKit())
 	if err != nil {
 		return nil, err
 	}
-	// A restored run reads no departure order: the snapshot's pending
+	// A restored run reads no departure order: the active items'
 	// departures, and those of the run's later placements, go into the heap.
 	e.depOrder = nil
 	ok := false
@@ -277,9 +252,11 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// function the live engine maintains incrementally) and then compared
 	// with the snapshot's captured sums — a free integrity check on both the
 	// item set and the recorded loads. The rebuilt accumulators stay: they
-	// hold the captured sums, and captured is reused bin after bin. Until
-	// its departure entry is read below, an active item's slot holds
-	// attempt -1.
+	// hold the captured sums, and captured is reused bin after bin. Each
+	// active item departs at its first placement, so its departure goes into
+	// the heap at attempt 0. Pushing in any order reproduces the original
+	// delivery order exactly: pop order is a pure function of the (Time, Seq)
+	// multiset, and no two items share a key (depSeq).
 	var captured vector.Acc
 	active := 0
 	prevID := -1
@@ -309,7 +286,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			if owner := e.slots[i].bin; owner != 0 {
 				return nil, corruptf("item %d active in bins %d and %d", id, e.bins[owner].ID, bs.ID)
 			}
-			e.place(b, i, -1)
+			e.place(b, i, 0)
+			e.departures.PushAt(e.list.Items[i].Departure, depSeq(id, 0), i)
 			active++
 		}
 		b.packed = bs.Packed
@@ -319,91 +297,76 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			}
 		}
 	}
+	if s.MaxConcurrentBins < len(s.Bins) {
+		return nil, corruptf("peak of %d open bins, below the %d open", s.MaxConcurrentBins, len(s.Bins))
+	}
+	e.res.MaxConcurrentBins = s.MaxConcurrentBins
 
-	// Re-prime the departure heap. Pushing in delivery order reproduces
-	// the original delivery order exactly: pop order is a pure function of
-	// the (Time, Seq) multiset, and each Seq is reconstructible from its
-	// item (depSeq). A snapshotted run is fault-free, so each active item
-	// has exactly one entry, at attempt 0, naming the bin that holds it.
-	for i, d := range s.Departures {
-		k, known := e.index(d.ItemID)
-		if !known {
-			return nil, corruptf("departure %d references unknown item %d", i, d.ItemID)
-		}
-		if d.Seq != depSeq(d.ItemID, 0) {
-			return nil, corruptf("departure %d has sequence %d inconsistent with item %d", i, d.Seq, d.ItemID)
-		}
-		sl := &e.slots[k]
-		if sl.bin == 0 || e.bins[sl.bin].ID != d.BinID {
-			return nil, corruptf("departure %d names bin %d, which does not hold item %d", i, d.BinID, d.ItemID)
-		}
-		if sl.attempt != -1 {
-			return nil, corruptf("item %d has two pending departures", d.ItemID)
-		}
-		sl.attempt = 0
-		active--
-		e.departures.PushAt(d.Time, d.Seq, k)
+	// Rebuild the placement records, one per committed arrival in arrival
+	// order. Bins open in ID order, so a placement into the next bin to open
+	// opened it. In the same pass, mark served each committed arrival that no
+	// open bin holds, and take the clock: the time of the last committed
+	// event, which in a run that places every item it dispatches is the
+	// later of the last committed arrival and the served items' departures.
+	if len(s.Placed) != e.ai {
+		return nil, corruptf("%d placements for %d committed arrivals", len(s.Placed), e.ai)
 	}
-	if active != 0 {
-		return nil, corruptf("%d active items have no pending departure", active)
+	e.res.Placements = slices.Grow(e.res.Placements, e.ai)
+	opened, served := 0, 0
+	for k, i := range e.arrivals[:e.ai] {
+		it, id := &e.list.Items[i], s.Placed[k]
+		if id < 0 || id > opened {
+			return nil, corruptf("placement %d into bin %d, past the next bin to open, %d", k, id, opened)
+		}
+		e.res.Placements = append(e.res.Placements, Placement{ItemID: it.ID, BinID: id, Opened: id == opened, Time: it.Arrival})
+		if id == opened {
+			opened++
+		}
+		t := it.Arrival
+		if b := e.slots[i].bin; b == 0 {
+			t = it.Departure
+			e.outcomes[i] = uint8(OutcomeServed) + 1
+			served++
+		} else if e.bins[b].ID != id {
+			return nil, corruptf("item %d is active in bin %d, but its placement names bin %d", it.ID, e.bins[b].ID, id)
+		}
+		e.lastTime = max(e.lastTime, t)
 	}
-
-	// The outcomes go back into the per-item table. A snapshotted run is
-	// fault-free, so each is the outcome of an item served: none for an item
-	// still active, and one for each item counted served.
-	for id, o := range s.Result.Outcomes {
-		k, known := e.index(id)
-		if !known {
-			return nil, corruptf("outcome for unknown item %d", id)
-		}
-		if b := e.slots[k].bin; b != 0 {
-			return nil, corruptf("outcome for item %d, which is active in bin %d", id, e.bins[b].ID)
-		}
-		if o != OutcomeServed {
-			return nil, corruptf("item %d has outcome %v, but a snapshotted run serves every item", id, o)
-		}
-		e.outcomes[k] = uint8(o) + 1
+	e.placements = e.ai
+	if opened != s.NextBinID {
+		return nil, corruptf("placements open %d bins, but %d bins opened", opened, s.NextBinID)
 	}
-	if n := len(s.Result.Outcomes); n != s.Served {
-		return nil, corruptf("%d outcomes for %d items served", n, s.Served)
+	if served+active != e.ai {
+		return nil, corruptf("%d items served and %d active, but %d arrivals committed", served, active, e.ai)
+	}
+	if served != s.Served {
+		return nil, corruptf("%d committed arrivals left their bins, but %d items served", served, s.Served)
 	}
 
 	// Every bin below the next bin ID is open or has closed once, leaving
 	// one record, so Finish finds one record per bin opened. Both counts
-	// are of decoded entries, which bounds the table.
-	if n := len(s.Result.Bins) + len(s.Bins); n != s.NextBinID {
-		return nil, corruptf("%d closed-bin records and %d open bins for %d bins opened", len(s.Result.Bins), len(s.Bins), s.NextBinID)
+	// are of decoded entries, which bounds the table. The cost is summed
+	// over the records in close order, as closeBinAt summed it.
+	if n := len(s.Closed) + len(s.Bins); n != s.NextBinID {
+		return nil, corruptf("%d closed-bin records and %d open bins for %d bins opened", len(s.Closed), len(s.Bins), s.NextBinID)
 	}
 	accounted := make([]bool, s.NextBinID)
 	for _, bs := range s.Bins {
 		accounted[bs.ID] = true
 	}
-	for _, u := range s.Result.Bins {
+	for _, u := range s.Closed {
 		switch {
 		case u.BinID < 0 || u.BinID >= s.NextBinID:
 			return nil, corruptf("closed-bin record of bin %d, outside [0, %d)", u.BinID, s.NextBinID)
 		case accounted[u.BinID]:
 			return nil, corruptf("closed-bin record of bin %d, which is open or recorded twice", u.BinID)
+		case u.Crashed:
+			return nil, corruptf("closed-bin record of bin %d says it crashed, but a snapshotted run crashes none", u.BinID)
 		}
 		accounted[u.BinID] = true
+		e.res.Cost += u.ClosedAt - u.OpenedAt
 	}
-
-	// The clock is the time of the last committed event. A snapshotted run
-	// commits only arrivals and departures, and every item it dispatched was
-	// placed, so that is the later of the last committed arrival and the
-	// departures of the dispatched items no open bin holds any more.
-	for _, k := range e.arrivals[:e.ai] {
-		it := &e.list.Items[k]
-		t := it.Arrival
-		if e.slots[k].bin == 0 {
-			t = it.Departure
-		}
-		e.lastTime = max(e.lastTime, t)
-	}
-
-	e.res = cloneResult(s.Result)
-	e.hist = (*resultHistory)(e.res)
-	e.placements = len(e.res.Placements)
+	e.res.Bins = append(e.res.Bins, s.Closed...)
 
 	resolve := e.binByID
 	if err := unmarshalPolicyState(p, s.PolicyState, resolve); err != nil {
@@ -419,7 +382,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	// Rebuild the held totals from the restored loads, which the sum check
 	// above proved bit-identical to the original run's; Acc sums are
 	// order-independent, so they round identically too. The bin index is
-	// not rebuilt here: the restored result carries the run's peak open-bin
+	// not rebuilt here: the restored engine carries the run's peak open-bin
 	// count, so the next dispatch builds the index exactly when the
 	// uninterrupted run had it (buildIndex). The index's layout is a pure
 	// function of the open set, so that index counts the same fit checks as

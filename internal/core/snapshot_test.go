@@ -161,9 +161,10 @@ func TestSnapshotRoundTripFaultFree(t *testing.T) {
 }
 
 // TestSnapshotRoundTripMaxItemID: a departure entry packs the item ID into
-// the high half of its 64-bit key, and RestoreEngine checks the key against
-// the item. A list holding the largest valid ID must survive a mid-run
-// Snapshot/RestoreEngine round trip, and the next ID must be refused.
+// the high half of its 64-bit key, and RestoreEngine queues one for each
+// active item. A list holding the largest valid ID, active at a mid-run
+// snapshot, must survive a Snapshot/RestoreEngine round trip, and the next
+// ID must be refused.
 func TestSnapshotRoundTripMaxItemID(t *testing.T) {
 	l := randomList(3, 12, 2, 10)
 	// Arriving first and departing last, the item's departure is pending at
@@ -184,8 +185,8 @@ func TestSnapshotRoundTripMaxItemID(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Close()
-	if !slices.ContainsFunc(s.Departures, func(d DepartureSnapshot) bool { return d.ItemID == item.MaxID }) {
-		t.Fatal("snapshot holds no departure of the item with ID item.MaxID")
+	if !slices.ContainsFunc(s.Bins, func(b BinSnapshot) bool { return slices.Contains(b.ActiveIDs, item.MaxID) }) {
+		t.Fatal("the item with ID item.MaxID is not active in the snapshot")
 	}
 	re, err := RestoreEngine(l, NewFirstFit(), s)
 	if err != nil {
@@ -388,7 +389,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Bins) == 0 || len(s.Departures) == 0 || len(s.Result.Outcomes) == 0 || len(s.Result.Bins) == 0 {
+		if len(s.Bins) == 0 || len(s.Closed) < 2 || s.Served == 0 || s.ArrivalIdx == s.Items {
 			t.Fatal("snapshot not interesting enough for corruption tests")
 		}
 		return s
@@ -402,7 +403,6 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"policy-mismatch", func(s *Snapshot) { s.PolicyName = "FirstFit" }, "policy mismatch"},
 		{"dim-mismatch", func(s *Snapshot) { s.Dim = 3 }, "shape mismatch"},
 		{"items-mismatch", func(s *Snapshot) { s.Items++ }, "shape mismatch"},
-		{"nil-result", func(s *Snapshot) { s.Result = nil }, "missing partial result"},
 		{"arrival-overflow", func(s *Snapshot) { s.ArrivalIdx = s.Items + 1 }, "arrival index"},
 		{"negative-counter", func(s *Snapshot) { s.EventSeq = -1 }, "negative progress counter"},
 		{"bins-out-of-order", func(s *Snapshot) {
@@ -421,20 +421,6 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 			blob[len(blob)-1] ^= 0x40
 		}, "disagree"},
 		{"acc-garbage", func(s *Snapshot) { s.Bins[0].Acc[0] = []byte{1, 2} }, "disagree"},
-		{"departure-unknown-item", func(s *Snapshot) { s.Departures[0].ItemID = 99999 }, "unknown item"},
-		{"departure-wrong-bin", func(s *Snapshot) {
-			// Another open bin's ID, or a closed one's when only one is open.
-			other := s.NextBinID
-			for _, bs := range s.Bins {
-				if bs.ID != s.Departures[0].BinID {
-					other = bs.ID
-				}
-			}
-			s.Departures[0].BinID = other
-		}, "does not hold item"},
-		{"departure-twice", func(s *Snapshot) { s.Departures = append(s.Departures, s.Departures[0]) }, "two pending departures"},
-		{"departure-missing", func(s *Snapshot) { s.Departures = s.Departures[1:] }, "no pending departure"},
-		{"departure-stale-attempt", func(s *Snapshot) { s.Departures[0].Seq++ }, "inconsistent with item"},
 		{"policy-state-garbage", func(s *Snapshot) { s.PolicyState = []byte{0xFF, 0xFF, 0xFF} }, "MoveToFront state"},
 		{"policy-state-unknown-bin", func(s *Snapshot) {
 			p, _ := NewPolicy("MoveToFront", 1)
@@ -446,27 +432,48 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"policy-state-misses-open-bin", func(s *Snapshot) {
 			s.PolicyState = []byte{0} // a well-formed, empty recency list
 		}, "recency list covers 0 bins"},
-		{"outcome-unknown-item", func(s *Snapshot) { s.Result.Outcomes[99999] = OutcomeServed }, "outcome for unknown item"},
-		{"outcome-active-item", func(s *Snapshot) { s.Result.Outcomes[s.Bins[0].ActiveIDs[0]] = OutcomeServed }, "active in bin"},
-		{"outcome-not-served", func(s *Snapshot) {
-			for id := range s.Result.Outcomes {
-				s.Result.Outcomes[id] = OutcomeLost
-				break
+		{"peak-below-open", func(s *Snapshot) { s.MaxConcurrentBins = 0 }, "peak of 0 open bins"},
+		{"placement-extra", func(s *Snapshot) { s.Placed = append(s.Placed, 0) }, "placements for"},
+		{"placement-missing", func(s *Snapshot) { s.Placed = s.Placed[1:] }, "placements for"},
+		{"placement-past-next-bin", func(s *Snapshot) { s.Placed[0] = 12345 }, "past the next bin to open"},
+		{"placement-wrong-bin", func(s *Snapshot) {
+			// An active item's placement into a bin opened before it,
+			// pointed at another such bin, so the bins open as before.
+			order, opened := l.ArrivalOrder(), 0
+			for k, bin := range s.Placed {
+				id := l.Items[order[k]].ID
+				active := slices.ContainsFunc(s.Bins, func(b BinSnapshot) bool { return slices.Contains(b.ActiveIDs, id) })
+				if bin == opened {
+					opened++
+				} else if opened >= 2 && active {
+					s.Placed[k] = (bin + 1) % opened
+					return
+				}
 			}
-		}, "serves every item"},
-		{"outcome-missing", func(s *Snapshot) {
-			for id := range s.Result.Outcomes {
-				delete(s.Result.Outcomes, id)
-				break
+		}, "but its placement names bin"},
+		{"bins-opened-mismatch", func(s *Snapshot) { s.NextBinID++ }, "placements open"},
+		{"active-not-committed", func(s *Snapshot) {
+			// The next arrival, not committed yet, active in an open bin
+			// whose sums and packed count include it.
+			it := &l.Items[l.ArrivalOrder()[s.ArrivalIdx]]
+			b := &s.Bins[0]
+			b.ActiveIDs = append(b.ActiveIDs, it.ID)
+			b.Packed++
+			for j := range b.Acc {
+				var acc vector.Acc
+				if err := acc.UnmarshalBinary(b.Acc[j]); err != nil {
+					panic(err)
+				}
+				acc.Add(it.Size[j])
+				b.Acc[j] = acc.AppendBinary(nil)
 			}
-		}, "items served"},
-		{"bin-record-missing", func(s *Snapshot) { s.Result.Bins = s.Result.Bins[1:] }, "closed-bin records"},
-		{"bin-record-twice", func(s *Snapshot) {
-			s.Result.Bins = append(s.Result.Bins, s.Result.Bins[0])
-			s.NextBinID++
-		}, "recorded twice"},
-		{"bin-record-of-open-bin", func(s *Snapshot) { s.Result.Bins[0].BinID = s.Bins[0].ID }, "which is open"},
-		{"bin-record-out-of-range", func(s *Snapshot) { s.Result.Bins[0].BinID = s.NextBinID }, "outside"},
+		}, "items served and"},
+		{"served-count", func(s *Snapshot) { s.Served++ }, "left their bins"},
+		{"bin-record-missing", func(s *Snapshot) { s.Closed = s.Closed[1:] }, "closed-bin records"},
+		{"bin-record-twice", func(s *Snapshot) { s.Closed[1].BinID = s.Closed[0].BinID }, "recorded twice"},
+		{"bin-record-of-open-bin", func(s *Snapshot) { s.Closed[0].BinID = s.Bins[0].ID }, "which is open"},
+		{"bin-record-out-of-range", func(s *Snapshot) { s.Closed[0].BinID = s.NextBinID }, "outside"},
+		{"bin-record-crashed", func(s *Snapshot) { s.Closed[0].Crashed = true }, "crashes none"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

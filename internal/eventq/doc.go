@@ -4,7 +4,9 @@
 // departures, a restored run's pending ones, and those of items re-placed
 // after a crash. A static run reads the other departures from its
 // instance's sorted departure order, and the Lemma 1 bound
-// (internal/lowerbound) sweeps sorted orders too.
+// (internal/lowerbound) sweeps sorted orders too. Nothing serialises a
+// queue: an engine snapshot stores no departures, and a restored run pushes
+// each active item's departure again.
 //
 // Events are ordered by time; ties are broken by an explicit sequence number
 // so that simulations are reproducible regardless of insertion order quirks.

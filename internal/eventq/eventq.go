@@ -1,7 +1,5 @@
 package eventq
 
-import "sort"
-
 // Event carries a payload scheduled at a point in time. When two events share
 // a Time, the one with the smaller Seq is delivered first.
 type Event[T any] struct {
@@ -98,22 +96,4 @@ func (q *Queue[T]) down(i int) {
 		q.h[i], q.h[least] = q.h[least], q.h[i]
 		i = least
 	}
-}
-
-// Sorted returns a copy of all pending events in delivery order — ascending
-// (Time, Seq). The queue is unchanged. The persistence layer serialises
-// queues through it: re-Pushing the returned events into an empty queue
-// yields a queue with the identical delivery order (the heap's internal
-// layout may differ, but delivery order is a pure function of the event
-// multiset).
-func (q *Queue[T]) Sorted() []Event[T] {
-	out := make([]Event[T], len(q.h))
-	copy(out, q.h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
 }

@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 
 	"dvbp/internal/core"
 )
@@ -17,12 +16,14 @@ import (
 // cross-references, accumulator integrity) happens in core.RestoreEngine.
 
 // snapCodecVersion versions the snapshot payload independently of the file
-// framing. Version 3 carries only what a server tenant's run holds (open
-// bins, pending departures, policy state, partial Result); version 2's
-// fault, queue, migration and failure-counter sections are gone, and a v2
-// payload is refused like any unknown version, so recovery re-steps the op
-// log past it.
-const snapCodecVersion = 3
+// framing. Version 4 stores only what core.RestoreEngine cannot derive: the
+// progress counters, the policy state, the open bins, the peak, the bin of
+// each committed arrival and the closed bins' records, without the Crashed
+// flag a snapshotted run never sets. Version 3 also stored the pending
+// departures, a partial core.Result and the outcome of every served item,
+// and version 2 the fault, queue and migration sections; both are refused
+// like any unknown version, so recovery re-steps the op log past them.
+const snapCodecVersion = 4
 
 // EncodeSnapshot serialises an engine snapshot.
 func EncodeSnapshot(s *core.Snapshot) []byte {
@@ -52,54 +53,19 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 		}
 	}
 
-	b.uvarint(uint64(len(s.Departures)))
-	for _, d := range s.Departures {
-		b.f64(d.Time)
-		b.varint(d.Seq)
-		b.varint(int64(d.ItemID))
-		b.varint(int64(d.BinID))
+	b.varint(int64(s.MaxConcurrentBins))
+	b.uvarint(uint64(len(s.Placed)))
+	for _, id := range s.Placed {
+		b.varint(int64(id))
 	}
-
-	encodeResult(b, s.Result)
-	return b.buf
-}
-
-func encodeResult(b *benc, r *core.Result) {
-	b.str(r.Algorithm)
-	b.varint(int64(r.Dim))
-	b.varint(int64(r.Items))
-	b.f64(r.Cost)
-	b.varint(int64(r.BinsOpened))
-	b.varint(int64(r.MaxConcurrentBins))
-	b.f64(r.Span)
-	b.f64(r.Mu)
-
-	b.uvarint(uint64(len(r.Placements)))
-	for _, p := range r.Placements {
-		b.varint(int64(p.ItemID))
-		b.varint(int64(p.BinID))
-		b.bool(p.Opened)
-		b.f64(p.Time)
-		b.varint(int64(p.Attempt))
-	}
-	b.uvarint(uint64(len(r.Bins)))
-	for _, u := range r.Bins {
+	b.uvarint(uint64(len(s.Closed)))
+	for _, u := range s.Closed {
 		b.varint(int64(u.BinID))
 		b.f64(u.OpenedAt)
 		b.f64(u.ClosedAt)
 		b.varint(int64(u.Packed))
-		b.bool(u.Crashed)
 	}
-	b.uvarint(uint64(len(r.Outcomes)))
-	ids := make([]int, 0, len(r.Outcomes))
-	for id := range r.Outcomes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		b.varint(int64(id))
-		b.buf = append(b.buf, byte(r.Outcomes[id]))
-	}
+	return b.buf
 }
 
 // DecodeSnapshot is the inverse of EncodeSnapshot over untrusted bytes.
@@ -140,11 +106,15 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 		s.Bins = append(s.Bins, bin)
 	}
 
-	nDep := d.count(11)
-	for i := 0; i < nDep && d.fail == nil; i++ {
-		s.Departures = append(s.Departures, core.DepartureSnapshot{Time: d.f64(), Seq: d.varint(), ItemID: d.int(), BinID: d.int()})
+	s.MaxConcurrentBins = d.int()
+	s.Placed = make([]int, d.count(1))
+	for i := range s.Placed {
+		s.Placed[i] = d.int()
 	}
-	s.Result = decodeResult(d)
+	nClosed := d.count(18)
+	for i := 0; i < nClosed && d.fail == nil; i++ {
+		s.Closed = append(s.Closed, core.BinUsage{BinID: d.int(), OpenedAt: d.f64(), ClosedAt: d.f64(), Packed: d.int()})
+	}
 	if d.fail != nil {
 		return nil, d.fail
 	}
@@ -152,45 +122,6 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 		return nil, corrupt("snapshot has %d trailing bytes", len(d.buf))
 	}
 	return s, nil
-}
-
-func decodeResult(d *bdec) *core.Result {
-	r := &core.Result{}
-	r.Algorithm = d.str()
-	r.Dim = d.int()
-	r.Items = d.int()
-	r.Cost = d.f64()
-	r.BinsOpened = d.int()
-	r.MaxConcurrentBins = d.int()
-	r.Span = d.f64()
-	r.Mu = d.f64()
-
-	nPl := d.count(6)
-	for i := 0; i < nPl && d.fail == nil; i++ {
-		r.Placements = append(r.Placements, core.Placement{ItemID: d.int(), BinID: d.int(), Opened: d.bool(), Time: d.f64(), Attempt: d.int()})
-	}
-	nB := d.count(19)
-	for i := 0; i < nB && d.fail == nil; i++ {
-		r.Bins = append(r.Bins, core.BinUsage{BinID: d.int(), OpenedAt: d.f64(), ClosedAt: d.f64(), Packed: d.int(), Crashed: d.bool()})
-	}
-	nOut := d.count(2)
-	r.Outcomes = make(map[int]core.Outcome, nOut)
-	prev := 0
-	for i := 0; i < nOut && d.fail == nil; i++ {
-		id := d.int()
-		o := d.byte()
-		if o > byte(core.OutcomeTimedOut) {
-			d.fatal("unknown outcome %d for item %d", o, id)
-			break
-		}
-		if i > 0 && id <= prev {
-			d.fatal("outcomes out of item order at item %d", id)
-			break
-		}
-		prev = id
-		r.Outcomes[id] = core.Outcome(o)
-	}
-	return r
 }
 
 // benc is the append-only snapshot encoder.
@@ -206,13 +137,6 @@ func (b *benc) bytes(p []byte) {
 	b.buf = append(b.buf, p...)
 }
 func (b *benc) str(s string) { b.bytes([]byte(s)) }
-func (b *benc) bool(v bool) {
-	if v {
-		b.buf = append(b.buf, 1)
-	} else {
-		b.buf = append(b.buf, 0)
-	}
-}
 
 // bdec decodes the snapshot format from an untrusted slice. The first
 // failure latches into fail and turns every later read into a cheap no-op,
@@ -285,31 +209,6 @@ func (d *bdec) f64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
 	d.buf = d.buf[8:]
 	return v
-}
-
-func (d *bdec) byte() byte {
-	if d.fail != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fatal("truncated byte")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *bdec) bool() bool {
-	switch d.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fatal("malformed bool")
-		return false
-	}
 }
 
 func (d *bdec) bytes() []byte {

@@ -5,24 +5,24 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math/rand"
 	"testing"
 
 	"dvbp/internal/core"
 	"dvbp/internal/item"
+	"dvbp/internal/vector"
 )
 
 // TestSnapshotBytesGolden pins EncodeSnapshot's bytes at every checkpoint
 // of one static and one dynamic run: a snapshot before the first event and
 // after every 8th, each folded into a SHA-256 with its length. The expected
-// digests were taken from the engine before it kept its outcomes in a
-// per-item table and placed its bin records by ID, so they fail when a
-// snapshot's placements, bin records or outcomes gain, lose or reorder an
-// entry.
+// digests are codec version 4's, so they fail when a snapshot's open bins,
+// placements or bin records gain, lose or reorder an entry.
 func TestSnapshotBytesGolden(t *testing.T) {
 	const (
 		every      = 8
-		wantStatic = "965f5e2b7a555e559ebacd13c45aa592a8f06546dceb7740e8bd000c151d8988"
-		wantDyn    = "6ce7bf395b631f35d2199dc9eed0d40e46d3d20c6bcb6928b15b7f2d6e7fad1d"
+		wantStatic = "38ceac0878a607fe6729331ca86d02de1dda5364b24a40c3e134b0dc495926a9"
+		wantDyn    = "814fe8be09858611825e4853cc817c2fb3843ddad7e7712adf524b1006355db6"
 	)
 	l := testList(t, 120)
 	var h hash.Hash
@@ -94,5 +94,52 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	})
 	if got != wantDyn {
 		t.Errorf("dynamic FirstFit run: snapshot digest %s, want %s", got, wantDyn)
+	}
+}
+
+// TestSnapshotBytesPerPlacement bounds how fast a tenant's snapshot grows
+// with its age. A dynamic FirstFit run at d = 2 admits 10⁴ items, about a
+// dozen active at a time: inter-arrival times exponential with mean 1,
+// durations 1 + Exp(mean 11), sizes uniform in [0.05, 0.35] in each
+// dimension. Its encoded snapshot after the last arrival must take at most
+// 5 B per placement. Codec version 3, which also stored each placement's
+// full record and each served item's outcome, took 18.2 B.
+func TestSnapshotBytesPerPlacement(t *testing.T) {
+	const n, bound = 10_000, 5.0
+	r := rand.New(rand.NewSource(1))
+	e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "FirstFit"), core.WithDynamicArrivals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	now := 0.0
+	for k := 0; k < n; k++ {
+		now += r.ExpFloat64()
+		size := vector.Vector{0.05 + 0.3*r.Float64(), 0.05 + 0.3*r.Float64()}
+		id, err := e.AppendArrival(now, now+1+11*r.ExpFloat64(), size)
+		if err != nil {
+			t.Fatalf("AppendArrival: %v", err)
+		}
+		for {
+			rec, ok, err := e.Step()
+			if err != nil || !ok {
+				t.Fatalf("stepping to arrival %d: ok=%v err=%v", id, ok, err)
+			}
+			if rec.Class == core.EventArrival && rec.ItemID == id {
+				break
+			}
+		}
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Placed) != n {
+		t.Fatalf("the snapshot holds %d placements, want %d", len(s.Placed), n)
+	}
+	size := len(EncodeSnapshot(s))
+	t.Logf("%d B for %d placements, %d bins opened, %d open", size, n, s.NextBinID, len(s.Bins))
+	if per := float64(size) / n; per > bound {
+		t.Errorf("the snapshot takes %.2f B per placement, want at most %g", per, bound)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"os"
@@ -227,40 +228,41 @@ func TestStoreOpensParentDataDir(t *testing.T) {
 	}
 }
 
-// TestStoreOpensV2SnapshotDataDir opens a data directory whose tenant
-// snapshot was written with snapshot codec version 2, before snapshots shed
-// their fault, queue and migration sections (testdata/v2-snapshot-store: one
-// MoveToFront tenant checkpointing every 4 events, with the
-// acknowledgements it got). Recovery refuses the snapshot as an
-// unsupported version, reports it, and re-steps the op log from event 0;
-// the tenant then lists every acknowledged placement and accepts a new one.
-func TestStoreOpensV2SnapshotDataDir(t *testing.T) {
-	openSnapshotFixture(t, "v2-snapshot-store", "snapped", 1, func(rec *persist.Recovery) bool {
-		return rec.SnapshotSeq == 0 && rec.Replayed > 0 && len(rec.Corruptions) == 1 &&
-			strings.Contains(rec.Corruptions[0].Error(), "unsupported snapshot codec version 2")
-	})
+// TestStoreOpensOldSnapshotDataDirs opens data directories whose tenant
+// snapshot was written with an older snapshot codec version, one committed
+// fixture per version with the acknowledgements its tenant got, each
+// tenant checkpointing every 4 events:
+//   - testdata/v2-snapshot-store, one MoveToFront tenant, written before
+//     snapshots shed their fault, queue and migration sections;
+//   - testdata/v3-snapshot-store, one FirstFit tenant with 30 acknowledged
+//     placements and an advance, written before snapshots stopped storing
+//     what restore derives.
+//
+// Recovery refuses each snapshot as an unsupported version, reports it as
+// one tolerated corruption, and re-steps the tenant's op log from event 0.
+// The tenant must then list every acknowledged placement, keep its
+// watermark at or past every acknowledged advance, and accept a new
+// placement.
+func TestStoreOpensOldSnapshotDataDirs(t *testing.T) {
+	for _, tc := range []struct {
+		fixture, tenant string
+		version         int
+		events          int64
+	}{
+		{"v2-snapshot-store", "snapped", 2, 50},
+		{"v3-snapshot-store", "firstfit", 3, 54},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			openSnapshotFixture(t, tc.fixture, tc.tenant, tc.version, tc.events)
+		})
+	}
 }
 
-// TestStoreOpensV3SnapshotDataDir opens a data directory written with
-// snapshot codec version 3 by a server from before the engine kept an
-// item-slot table (testdata/v3-snapshot-store: one FirstFit tenant checkpointing
-// every 4 events, 30 acknowledged placements and an advance, five bins open
-// in its snapshot at event 52). Recovery restores the snapshot, which
-// passes every restore check, and re-steps only the two events after it;
-// the tenant then lists every acknowledged placement and accepts a new one.
-func TestStoreOpensV3SnapshotDataDir(t *testing.T) {
-	openSnapshotFixture(t, "v3-snapshot-store", "firstfit", 0, func(rec *persist.Recovery) bool {
-		return rec.SnapshotSeq == 52 && rec.Replayed == 2 && len(rec.Corruptions) == 0
-	})
-}
-
-// openSnapshotFixture recovers the tenant name of the committed data
-// directory testdata/fixture with its acknowledgements in acks.json:
-// recovered must accept what persist.Recover makes of the tenant's
-// directory, and the store must report corruptions corruptions. The tenant
-// must then list every acknowledged placement, keep its watermark at or
-// past every acknowledged advance, and accept a new placement.
-func openSnapshotFixture(t *testing.T, fixture, name string, corruptions float64, recovered func(*persist.Recovery) bool) {
+// openSnapshotFixture opens the committed data directory testdata/fixture,
+// whose tenant name wrote its snapshot with codec version version, and
+// checks it as TestStoreOpensOldSnapshotDataDirs says: recovery re-steps
+// events events from event 0.
+func openSnapshotFixture(t *testing.T, fixture, name string, version int, events int64) {
 	t.Helper()
 	src := filepath.Join("testdata", fixture)
 	var recorded struct {
@@ -286,8 +288,10 @@ func openSnapshotFixture(t *testing.T, fixture, name string, corruptions float64
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if !recovered(rec) {
-		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v", rec.SnapshotSeq, rec.Replayed, rec.Corruptions)
+	refused := fmt.Sprintf("unsupported snapshot codec version %d", version)
+	if rec.SnapshotSeq != 0 || rec.Replayed != events || len(rec.Corruptions) != 1 || !strings.Contains(rec.Corruptions[0].Error(), refused) {
+		t.Fatalf("recovered from snapshot %d + %d replayed with corruptions %v; want 0 + %d with the snapshot refused as %q",
+			rec.SnapshotSeq, rec.Replayed, rec.Corruptions, events, refused)
 	}
 	if err := rec.Session.Close(); err != nil {
 		t.Fatal(err)
@@ -302,8 +306,8 @@ func openSnapshotFixture(t *testing.T, fixture, name string, corruptions float64
 	}
 	defer store.Close()
 	url := newLocalServer(t, New(store, reg))
-	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value != corruptions {
-		t.Fatalf("recovery reported %g corruptions, want %g", got.Value, corruptions)
+	if got, _ := reg.Snapshot().Find("dvbp_server_recovery_corruptions_total"); got.Value != 1 {
+		t.Fatalf("recovery reported %g corruptions, want 1", got.Value)
 	}
 
 	var pl PlacementsResult
