@@ -10,8 +10,9 @@ import "slices"
 // EventRecord stream whatever the history does with them.
 //
 // A run's default history keeps everything in its Result: it appends
-// Placements and Bins in commit order, and the engine keeps each item's
-// outcome as one byte in its per-item table. Finish sorts Placements, puts
+// Placements and Bins in commit order (after the records RestoreEngine
+// rebuilds, in a restored run), and the engine keeps each item's outcome as
+// one byte in its per-item table. Finish sorts Placements, puts
 // each bin record at the index of its ID (every bin has closed exactly once
 // by then, so no sort is needed) and builds Outcomes from the per-item
 // bytes, as documented on Result. WithHistory replaces it.
@@ -32,9 +33,8 @@ type History interface {
 // sweep (one that reads only Result's scalars) saves the appends, the
 // per-item outcome table, Finish's placement sort and the outcome map that
 // way. A run without the default history cannot be snapshotted (Snapshot,
-// RestoreEngine), because a snapshot stores the bins of the placements and
-// the closed bins' records that it keeps, and it lists no placements
-// (AppendPlacements).
+// RestoreEngine), because a snapshot stores the bins of the placements that
+// it keeps, and it lists no placements (AppendPlacements).
 func WithHistory(h History) Option {
 	return func(c *config) { c.history, c.historySet = h, true }
 }

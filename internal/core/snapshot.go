@@ -1,12 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
 	"dvbp/internal/item"
-	"dvbp/internal/vector"
 )
 
 // Snapshot is a complete, self-contained capture of an Engine's state at an
@@ -24,12 +25,13 @@ import (
 //
 // Only the run a placement server tenant holds is snapshotted: fault-free,
 // uncapped and irrevocable, so each committed arrival was placed once, in
-// arrival order, and each item still active departs at its first placement.
+// arrival order, each item still active departs at its first placement, and
+// a bin is open from its first item's arrival to its last item's departure.
 // Beside its counters, its state is therefore the open bins, the policy's
-// state, the peak, the bin of each placement and the closed bins' records;
+// state, the peak, the cost so far and the bin of each placement;
 // RestoreEngine derives the pending departures, the placement records, the
-// outcomes, the clock, the cost and the Result's header from them and the
-// instance. A run configured
+// outcomes, the clock, the bins' records and the Result's header from them
+// and the instance. A run configured
 // with WithFaults, WithMaxBins, WithAdmissionQueue or an enabled
 // WithMigration is refused (Snapshot, RestoreEngine) and resumes by
 // re-stepping its op log from the start (DESIGN.md §10).
@@ -58,31 +60,27 @@ type Snapshot struct {
 
 	// MaxConcurrentBins is the run's peak open-bin count so far.
 	MaxConcurrentBins int
+	// Cost is the usage time of the bins closed so far (Result.Cost),
+	// summed in the order they closed.
+	Cost float64
 	// Placed holds the ID of the bin each committed arrival was packed
 	// into, in arrival order: one entry per arrival before ArrivalIdx.
 	Placed []int
-	// Closed holds the closed bins' usage records in the order the bins
-	// closed. A snapshotted run crashes no bin, so none is Crashed.
-	Closed []BinUsage
 }
 
-// BinSnapshot captures one open bin.
+// BinSnapshot captures one open bin. Its opening time and packed count are
+// derived on restore from the placements into it.
 type BinSnapshot struct {
-	ID       int
-	OpenedAt float64
-	// Packed is the number of items ever packed into the bin.
-	Packed int
+	ID int
 	// ActiveIDs are the currently active item IDs, ascending. The items'
 	// sizes are recovered from the instance on restore.
 	ActiveIDs []int
 	// Acc holds the exact per-dimension load sums (vector.Acc.AppendBinary
-	// payloads), one per dimension. Restore cross-checks each against the
-	// sum of the ActiveIDs' sizes: the sum is a pure function of the active
-	// multiset, so any divergence means the snapshot is corrupt. The check
-	// compares sums (vector.Acc.Equal), not bytes, so a payload written
-	// before AppendBinary became canonical (a limb window wider than the
-	// sum's digits, limbs not carried) restores too, and a snapshot of the
-	// restored engine is the canonical one the uninterrupted run takes.
+	// payloads), one per dimension. The payload is canonical, a function of
+	// the sum alone, and the sum a function of the active multiset, so
+	// restore compares each byte for byte with the payload of the sum it
+	// rebuilds from the ActiveIDs' sizes; any difference means the snapshot
+	// is corrupt.
 	Acc [][]byte
 }
 
@@ -143,10 +141,10 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		PolicyState:       ps,
 		Bins:              make([]BinSnapshot, 0, len(e.open)),
 		MaxConcurrentBins: e.res.MaxConcurrentBins,
+		Cost:              e.res.Cost,
 		// A snapshotted run places each arrival once, as it commits, so
 		// its placements are in arrival order.
 		Placed: make([]int, len(e.res.Placements)),
-		Closed: slices.Clone(e.res.Bins),
 	}
 	for k, pl := range e.res.Placements {
 		s.Placed[k] = pl.BinID
@@ -154,8 +152,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	for _, b := range e.open {
 		bs := BinSnapshot{
 			ID:        b.ID,
-			OpenedAt:  b.OpenedAt,
-			Packed:    b.packed,
 			ActiveIDs: b.ActiveItemIDs(),
 			Acc:       make([][]byte, len(b.acc)),
 		}
@@ -185,15 +181,18 @@ func corruptf(format string, args ...any) error {
 // placement record is rebuilt from the arrival order and its bin: the item,
 // its arrival time, attempt 0, and Opened when the bin is the next one to
 // open. Each committed arrival that no open bin holds has been served, and
-// the clock is the last of the committed arrivals and those departures. The
-// cost is the closed bins' records summed in close order, as the run summed
-// them, and the Result's header is the one the instance and the policy give.
+// the clock is the last of the committed arrivals and those departures. A
+// bin opened at the arrival of the placement that opened it, was packed once
+// per placement into it, and, unless it is open, closed at the latest
+// departure among them, which gives each bin's record. The cost is the
+// snapshot's, and the Result's header is the one the instance and the policy
+// give.
 //
 // Every structural claim the snapshot makes is validated — unknown item or
-// bin IDs, duplicated active items, accumulator sums that disagree with the
-// active multiset, placements that do not add up to the committed arrivals,
-// the bins opened, the open bins' items and the items served, a peak below
-// the open-bin count, a closed-bin record that is not one per closed bin —
+// bin IDs, duplicated active items, load sums whose canonical bytes differ
+// from those of the active multiset's, placements that do not add up to the
+// committed arrivals, the bins opened, the open bins' items and the items
+// served, a peak below the open-bin count, a negative or non-finite cost —
 // and violations surface as errors, never panics, so corrupted checkpoint
 // files degrade gracefully. Like NewEngine, the returned engine owns p until
 // Finish or Close. A restored run keeps the default history, which the
@@ -249,15 +248,15 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 
 	// Rebuild the open bins. Active sizes come from the instance; the
 	// accumulators are rebuilt from the active multiset (the same pure
-	// function the live engine maintains incrementally) and then compared
-	// with the snapshot's captured sums — a free integrity check on both the
-	// item set and the recorded loads. The rebuilt accumulators stay: they
-	// hold the captured sums, and captured is reused bin after bin. Each
+	// function the live engine maintains incrementally), and the canonical
+	// bytes of their sums are compared with the snapshot's — a free
+	// integrity check on both the item set and the recorded loads. Each
 	// active item departs at its first placement, so its departure goes into
 	// the heap at attempt 0. Pushing in any order reproduces the original
 	// delivery order exactly: pop order is a pure function of the (Time, Seq)
-	// multiset, and no two items share a key (depSeq).
-	var captured vector.Acc
+	// multiset, and no two items share a key (depSeq). A bin's opening time
+	// and packed count come from the placements below.
+	var sum []byte
 	active := 0
 	prevID := -1
 	for _, bs := range s.Bins {
@@ -274,10 +273,7 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		if len(bs.ActiveIDs) == 0 {
 			return nil, corruptf("bin %d is open but empty", bs.ID)
 		}
-		if bs.Packed < len(bs.ActiveIDs) {
-			return nil, corruptf("bin %d packed %d < %d active", bs.ID, bs.Packed, len(bs.ActiveIDs))
-		}
-		b := e.openBin(bs.ID, bs.OpenedAt)
+		b := e.openBin(bs.ID, 0)
 		for _, id := range bs.ActiveIDs {
 			i, known := e.index(id)
 			if !known {
@@ -290,9 +286,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 			e.departures.PushAt(e.list.Items[i].Departure, depSeq(id, 0), i)
 			active++
 		}
-		b.packed = bs.Packed
 		for j := range b.acc {
-			if captured.UnmarshalBinary(bs.Acc[j]) != nil || !captured.Equal(&b.acc[j]) {
+			if sum = b.acc[j].AppendBinary(sum[:0]); !bytes.Equal(sum, bs.Acc[j]) {
 				return nil, corruptf("bin %d dimension %d: snapshot load sums disagree with active item set", bs.ID, j)
 			}
 		}
@@ -301,27 +296,38 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		return nil, corruptf("peak of %d open bins, below the %d open", s.MaxConcurrentBins, len(s.Bins))
 	}
 	e.res.MaxConcurrentBins = s.MaxConcurrentBins
+	if s.Cost < 0 || math.IsNaN(s.Cost) || math.IsInf(s.Cost, 0) {
+		return nil, corruptf("cost %v is negative or not finite", s.Cost)
+	}
+	e.res.Cost = s.Cost
 
 	// Rebuild the placement records, one per committed arrival in arrival
-	// order. Bins open in ID order, so a placement into the next bin to open
-	// opened it. In the same pass, mark served each committed arrival that no
-	// open bin holds, and take the clock: the time of the last committed
-	// event, which in a run that places every item it dispatches is the
-	// later of the last committed arrival and the served items' departures.
+	// order, and each bin's record, indexed by ID. Bins open in ID order, so
+	// a placement into the next bin to open opened it, at the placement's
+	// arrival. A bin was packed once per placement into it and, once
+	// closed, closed at the latest departure among them: nothing but its
+	// items' departures empties a bin in a snapshotted run. In the same
+	// pass, mark served each committed arrival that no open bin holds, and
+	// take the clock: the time of the last committed event, which in a run
+	// that places every item it dispatches is the later of the last
+	// committed arrival and the served items' departures.
 	if len(s.Placed) != e.ai {
 		return nil, corruptf("%d placements for %d committed arrivals", len(s.Placed), e.ai)
 	}
 	e.res.Placements = slices.Grow(e.res.Placements, e.ai)
-	opened, served := 0, 0
+	var bins []BinUsage
+	served := 0
 	for k, i := range e.arrivals[:e.ai] {
 		it, id := &e.list.Items[i], s.Placed[k]
-		if id < 0 || id > opened {
-			return nil, corruptf("placement %d into bin %d, past the next bin to open, %d", k, id, opened)
+		if id < 0 || id > len(bins) {
+			return nil, corruptf("placement %d into bin %d, past the next bin to open, %d", k, id, len(bins))
 		}
-		e.res.Placements = append(e.res.Placements, Placement{ItemID: it.ID, BinID: id, Opened: id == opened, Time: it.Arrival})
-		if id == opened {
-			opened++
+		e.res.Placements = append(e.res.Placements, Placement{ItemID: it.ID, BinID: id, Opened: id == len(bins), Time: it.Arrival})
+		if id == len(bins) {
+			bins = push(bins, BinUsage{BinID: id, OpenedAt: it.Arrival, ClosedAt: it.Departure})
 		}
+		bins[id].Packed++
+		bins[id].ClosedAt = max(bins[id].ClosedAt, it.Departure)
 		t := it.Arrival
 		if b := e.slots[i].bin; b == 0 {
 			t = it.Departure
@@ -333,8 +339,8 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		e.lastTime = max(e.lastTime, t)
 	}
 	e.placements = e.ai
-	if opened != s.NextBinID {
-		return nil, corruptf("placements open %d bins, but %d bins opened", opened, s.NextBinID)
+	if len(bins) != s.NextBinID {
+		return nil, corruptf("placements open %d bins, but %d bins opened", len(bins), s.NextBinID)
 	}
 	if served+active != e.ai {
 		return nil, corruptf("%d items served and %d active, but %d arrivals committed", served, active, e.ai)
@@ -343,30 +349,19 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 		return nil, corruptf("%d committed arrivals left their bins, but %d items served", served, s.Served)
 	}
 
-	// Every bin below the next bin ID is open or has closed once, leaving
-	// one record, so Finish finds one record per bin opened. Both counts
-	// are of decoded entries, which bounds the table. The cost is summed
-	// over the records in close order, as closeBinAt summed it.
-	if n := len(s.Closed) + len(s.Bins); n != s.NextBinID {
-		return nil, corruptf("%d closed-bin records and %d open bins for %d bins opened", len(s.Closed), len(s.Bins), s.NextBinID)
-	}
-	accounted := make([]bool, s.NextBinID)
-	for _, bs := range s.Bins {
-		accounted[bs.ID] = true
-	}
-	for _, u := range s.Closed {
-		switch {
-		case u.BinID < 0 || u.BinID >= s.NextBinID:
-			return nil, corruptf("closed-bin record of bin %d, outside [0, %d)", u.BinID, s.NextBinID)
-		case accounted[u.BinID]:
-			return nil, corruptf("closed-bin record of bin %d, which is open or recorded twice", u.BinID)
-		case u.Crashed:
-			return nil, corruptf("closed-bin record of bin %d says it crashed, but a snapshotted run crashes none", u.BinID)
+	// The open bins, in ascending ID order, take their opening time and
+	// packed count from their records; every other bin has closed and
+	// keeps its record. Finish puts the records in ID order.
+	closed, k := bins[:0], 0
+	for _, u := range bins {
+		if k < len(e.open) && e.open[k].ID == u.BinID {
+			e.open[k].OpenedAt, e.open[k].packed = u.OpenedAt, u.Packed
+			k++
+			continue
 		}
-		accounted[u.BinID] = true
-		e.res.Cost += u.ClosedAt - u.OpenedAt
+		closed = append(closed, u)
 	}
-	e.res.Bins = append(e.res.Bins, s.Closed...)
+	e.res.Bins = closed
 
 	resolve := e.binByID
 	if err := unmarshalPolicyState(p, s.PolicyState, resolve); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -45,75 +46,105 @@ func resultJSON(t *testing.T, res *Result) string {
 // TestSnapshotRestoreEveryEventIndex is the core crash-consistency contract:
 // a snapshot taken between ANY two events, restored into a fresh engine (and
 // fresh policy instance), must regenerate the remaining event stream bit for
-// bit and finish with a byte-identical Result.
+// bit and finish with a byte-identical Result. It runs each policy twice:
+// over a static list, and in the dynamic mode a placement server's tenant
+// runs in, with the same items appended up front in arrival order.
 func TestSnapshotRestoreEveryEventIndex(t *testing.T) {
 	l := randomList(42, 40, 2, 20)
 	policies := append(append(StandardPolicies(7), NewHarmonicFit(3)), FragmentationAwarePolicies(7)...)
+	// start returns an engine over l's items: over l itself in the static
+	// mode, and in the dynamic mode over a new list it grows by appending
+	// them.
+	start := func(t *testing.T, p Policy, dynamic bool) *Engine {
+		t.Helper()
+		if !dynamic {
+			e, err := NewEngine(l, p)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			return e
+		}
+		e, err := NewEngine(item.NewList(l.Dim), p, WithDynamicArrivals())
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		for _, k := range l.ArrivalOrder() {
+			it := &l.Items[k]
+			if _, err := e.AppendArrival(it.Arrival, it.Departure, it.Size); err != nil {
+				t.Fatalf("AppendArrival: %v", err)
+			}
+		}
+		return e
+	}
 	for _, p := range policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			// Reference: uninterrupted run.
-			ref, err := NewEngine(l, p)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			refRecs, refRes := stepAll(t, ref)
-			wantJSON := resultJSON(t, refRes)
+			for _, mode := range []struct {
+				name    string
+				dynamic bool
+				opts    []Option
+			}{
+				{"static", false, nil},
+				{"dynamic", true, []Option{WithDynamicArrivals()}},
+			} {
+				t.Run(mode.name, func(t *testing.T) {
+					// Reference: uninterrupted run.
+					refRecs, refRes := stepAll(t, start(t, p, mode.dynamic))
+					wantJSON := resultJSON(t, refRes)
 
-			// Second pass: snapshot before every event, restore each snapshot
-			// into a fresh engine, run it out, compare.
-			p2, err := NewPolicy(p.Name(), 7)
-			if err != nil {
-				t.Fatalf("NewPolicy: %v", err)
-			}
-			e, err := NewEngine(l, p2)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			defer e.Close()
-			var snaps []*Snapshot
-			for {
-				s, err := e.Snapshot()
-				if err != nil {
-					t.Fatalf("Snapshot at event %d: %v", e.EventSeq(), err)
-				}
-				snaps = append(snaps, s)
-				_, ok, err := e.Step()
-				if err != nil {
-					t.Fatalf("Step: %v", err)
-				}
-				if !ok {
-					break
-				}
-			}
-			if got, want := len(snaps), len(refRecs)+1; got != want {
-				t.Fatalf("took %d snapshots, want %d", got, want)
-			}
-			if _, err := e.Finish(); err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-
-			for k, s := range snaps {
-				pk, err := NewPolicy(p.Name(), 999) // wrong seed on purpose: state codec must override it
-				if err != nil {
-					t.Fatalf("NewPolicy: %v", err)
-				}
-				re, err := RestoreEngine(l, pk, s)
-				if err != nil {
-					t.Fatalf("RestoreEngine at event %d: %v", k, err)
-				}
-				recs, res := stepAll(t, re)
-				if got, want := len(recs), len(refRecs)-k; got != want {
-					t.Fatalf("restore at %d replayed %d events, want %d", k, got, want)
-				}
-				for i, rec := range recs {
-					if rec != refRecs[k+i] {
-						t.Fatalf("restore at %d: event %d diverged:\n got %+v\nwant %+v", k, k+i, rec, refRecs[k+i])
+					// Second pass: snapshot before every event, restore each
+					// snapshot into a fresh engine, run it out, compare.
+					p2, err := NewPolicy(p.Name(), 7)
+					if err != nil {
+						t.Fatalf("NewPolicy: %v", err)
 					}
-				}
-				if got := resultJSON(t, res); got != wantJSON {
-					t.Fatalf("restore at %d: result diverged:\n got %s\nwant %s", k, got, wantJSON)
-				}
+					e := start(t, p2, mode.dynamic)
+					defer e.Close()
+					var snaps []*Snapshot
+					for {
+						s, err := e.Snapshot()
+						if err != nil {
+							t.Fatalf("Snapshot at event %d: %v", e.EventSeq(), err)
+						}
+						snaps = append(snaps, s)
+						_, ok, err := e.Step()
+						if err != nil {
+							t.Fatalf("Step: %v", err)
+						}
+						if !ok {
+							break
+						}
+					}
+					if got, want := len(snaps), len(refRecs)+1; got != want {
+						t.Fatalf("took %d snapshots, want %d", got, want)
+					}
+					if _, err := e.Finish(); err != nil {
+						t.Fatalf("Finish: %v", err)
+					}
+
+					for k, s := range snaps {
+						pk, err := NewPolicy(p.Name(), 999) // wrong seed on purpose: state codec must override it
+						if err != nil {
+							t.Fatalf("NewPolicy: %v", err)
+						}
+						re, err := RestoreEngine(e.list, pk, s, mode.opts...)
+						if err != nil {
+							t.Fatalf("RestoreEngine at event %d: %v", k, err)
+						}
+						recs, res := stepAll(t, re)
+						if got, want := len(recs), len(refRecs)-k; got != want {
+							t.Fatalf("restore at %d replayed %d events, want %d", k, got, want)
+						}
+						for i, rec := range recs {
+							if rec != refRecs[k+i] {
+								t.Fatalf("restore at %d: event %d diverged:\n got %+v\nwant %+v", k, k+i, rec, refRecs[k+i])
+							}
+						}
+						if got := resultJSON(t, res); got != wantJSON {
+							t.Fatalf("restore at %d: result diverged:\n got %s\nwant %s", k, got, wantJSON)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -238,16 +269,16 @@ func TestSnapshotAfterFinishFails(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsWidenedLimbWindow: snapshots carry each bin's load sum
-// canonically now, but earlier engines wrote an accumulator's raw limbs.
-// Here item 1 is so small that its mantissa sits in limbs item 0 does not
-// touch, and it departs first; such an engine wrote bin 0's sum 0.5 with
-// item 1's limbs, now zero, still in its window (the bytes below are the
-// ones it wrote), and a sum of many items could leave limbs uncarried. Each
-// hand-built payload must restore, a snapshot of the restored engine must
-// equal the uninterrupted run's canonical one, and the run must finish as
-// the uninterrupted run does.
-func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
+// TestRestoreRefusesNonCanonicalLoadSums: restore checks each open bin's
+// load sums by their canonical bytes, so a payload that holds the right sum
+// in another form is refused. Here item 1 is so small that its mantissa
+// sits in limbs item 0 does not touch, and it departs first; engines whose
+// payloads were not canonical wrote bin 0's sum 0.5 with item 1's limbs, now
+// zero, still in its window (the bytes below are the ones such an engine
+// wrote), and a sum of many items could leave limbs uncarried. Each
+// hand-built payload must be refused as a load-sum disagreement, while the
+// canonical snapshot restores and finishes as the uninterrupted run does.
+func TestRestoreRefusesNonCanonicalLoadSums(t *testing.T) {
 	l := list(t, 1, []float64{0, 10, 0.5}, []float64{0, 1, 1e-12}, []float64{2, 3, 0.9})
 	want := resultJSON(t, mustSimulate(t, l, NewFirstFit()))
 	e, err := NewEngine(l, NewFirstFit())
@@ -260,15 +291,8 @@ func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
 			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	canonical, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var half vector.Acc
 	half.Add(0.5)
-	if len(canonical.Bins) != 1 || string(canonical.Bins[0].Acc[0]) != string(half.AppendBinary(nil)) {
-		t.Fatalf("the snapshot should hold bin 0's sum 0.5 canonically, not %v", canonical.Bins)
-	}
 	// 0.5 is 2^17 in limb 33.
 	for _, c := range []struct {
 		name    string
@@ -282,30 +306,35 @@ func TestRestoreAcceptsWidenedLimbWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(old.Bins) != 1 || string(old.Bins[0].Acc[0]) != string(half.AppendBinary(nil)) {
+			t.Fatalf("the snapshot should hold bin 0's sum 0.5 canonically, not %v", old.Bins)
+		}
 		old.Bins[0].Acc[0] = c.payload
-		r, err := RestoreEngine(l, NewFirstFit(), old)
-		if err != nil {
-			t.Fatalf("%s: RestoreEngine: %v", c.name, err)
+		if r, err := RestoreEngine(l, NewFirstFit(), old); err == nil {
+			r.Close()
+			t.Errorf("%s: RestoreEngine accepted a non-canonical load sum", c.name)
+		} else if !strings.Contains(err.Error(), "disagree") {
+			t.Errorf("%s: error %q does not name the load-sum check", c.name, err)
 		}
-		again, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again, canonical) {
-			t.Errorf("%s: snapshot of the restored engine differs from the uninterrupted run's:\n got %+v\nwant %+v", c.name, again.Bins, canonical.Bins)
-		}
-		if _, res := stepAll(t, r); resultJSON(t, res) != want {
-			t.Errorf("%s: restored run finished with %s, want %s", c.name, resultJSON(t, res), want)
-		}
+	}
+	canonical, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreEngine(l, NewFirstFit(), canonical)
+	if err != nil {
+		t.Fatalf("RestoreEngine: %v", err)
+	}
+	if _, res := stepAll(t, r); resultJSON(t, res) != want {
+		t.Errorf("restored run finished with %s, want %s", resultJSON(t, res), want)
 	}
 }
 
 // TestRestoreKeepsSpilledAccumulatorsApart: item sizes below the
-// accumulator's two-word frame spill two bins' sums into limbs. Restore
-// decodes every bin's captured sums through one scratch accumulator, so a
-// bin must not end up sharing that scratch's limbs: after restoring both
-// bins and packing into the first again, the engine must snapshot as the
-// uninterrupted run does and finish as it does.
+// accumulator's two-word frame spill two bins' sums into limbs, and no two
+// bins may share them: after restoring both bins and packing into the first
+// again, the engine must snapshot as the uninterrupted run does and finish
+// as it does.
 func TestRestoreKeepsSpilledAccumulatorsApart(t *testing.T) {
 	l := list(t, 2,
 		[]float64{0, 10, 0.5, 1e-35},
@@ -389,7 +418,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Bins) == 0 || len(s.Closed) < 2 || s.Served == 0 || s.ArrivalIdx == s.Items {
+		if len(s.Bins) == 0 || s.NextBinID < len(s.Bins)+2 || s.Served == 0 || s.ArrivalIdx == s.Items {
 			t.Fatal("snapshot not interesting enough for corruption tests")
 		}
 		return s
@@ -414,7 +443,6 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"bin-id-overflow", func(s *Snapshot) { s.Bins[len(s.Bins)-1].ID = s.NextBinID }, "next bin ID"},
 		{"unknown-active-item", func(s *Snapshot) { s.Bins[0].ActiveIDs[0] = 99999 }, "unknown item"},
 		{"empty-open-bin", func(s *Snapshot) { s.Bins[0].ActiveIDs = nil }, "open but empty"},
-		{"packed-undercount", func(s *Snapshot) { s.Bins[0].Packed = 0 }, "packed"},
 		{"acc-dim-mismatch", func(s *Snapshot) { s.Bins[0].Acc = s.Bins[0].Acc[:1] }, "accumulator dimensions"},
 		{"acc-limb-flip", func(s *Snapshot) {
 			blob := s.Bins[0].Acc[0]
@@ -433,6 +461,8 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 			s.PolicyState = []byte{0} // a well-formed, empty recency list
 		}, "recency list covers 0 bins"},
 		{"peak-below-open", func(s *Snapshot) { s.MaxConcurrentBins = 0 }, "peak of 0 open bins"},
+		{"cost-negative", func(s *Snapshot) { s.Cost = -1 }, "negative or not finite"},
+		{"cost-nan", func(s *Snapshot) { s.Cost = math.NaN() }, "negative or not finite"},
 		{"placement-extra", func(s *Snapshot) { s.Placed = append(s.Placed, 0) }, "placements for"},
 		{"placement-missing", func(s *Snapshot) { s.Placed = s.Placed[1:] }, "placements for"},
 		{"placement-past-next-bin", func(s *Snapshot) { s.Placed[0] = 12345 }, "past the next bin to open"},
@@ -454,26 +484,19 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"bins-opened-mismatch", func(s *Snapshot) { s.NextBinID++ }, "placements open"},
 		{"active-not-committed", func(s *Snapshot) {
 			// The next arrival, not committed yet, active in an open bin
-			// whose sums and packed count include it.
+			// whose sums include it.
 			it := &l.Items[l.ArrivalOrder()[s.ArrivalIdx]]
 			b := &s.Bins[0]
 			b.ActiveIDs = append(b.ActiveIDs, it.ID)
-			b.Packed++
 			for j := range b.Acc {
 				var acc vector.Acc
-				if err := acc.UnmarshalBinary(b.Acc[j]); err != nil {
-					panic(err)
+				for _, id := range b.ActiveIDs {
+					acc.Add(l.Items[id].Size[j]) // l.Add numbers items by index
 				}
-				acc.Add(it.Size[j])
 				b.Acc[j] = acc.AppendBinary(nil)
 			}
 		}, "items served and"},
 		{"served-count", func(s *Snapshot) { s.Served++ }, "left their bins"},
-		{"bin-record-missing", func(s *Snapshot) { s.Closed = s.Closed[1:] }, "closed-bin records"},
-		{"bin-record-twice", func(s *Snapshot) { s.Closed[1].BinID = s.Closed[0].BinID }, "recorded twice"},
-		{"bin-record-of-open-bin", func(s *Snapshot) { s.Closed[0].BinID = s.Bins[0].ID }, "which is open"},
-		{"bin-record-out-of-range", func(s *Snapshot) { s.Closed[0].BinID = s.NextBinID }, "outside"},
-		{"bin-record-crashed", func(s *Snapshot) { s.Closed[0].Crashed = true }, "crashes none"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,11 +23,11 @@
 // meta | mark | engine snapshot, with no side state.
 //
 // Derived structures are deliberately absent from the on-disk format. An
-// engine snapshot stores the open bins, the policy's state, the bin of each
-// committed arrival and the closed bins' records, and core.RestoreEngine
-// derives the pending departures, the placement records, the outcomes, the
-// clock, the cost and the Result's header from them and the instance
-// (DESIGN.md §10). Worst Fit's bin index and the engine's held open-load
+// engine snapshot stores the open bins' items and load sums, the policy's
+// state, the cost so far and the bin of each committed arrival, and
+// core.RestoreEngine derives the pending departures, the placement records,
+// the bins' records, the outcomes, the clock and the Result's header from
+// them and the instance (DESIGN.md §10). Worst Fit's bin index and the engine's held open-load
 // totals are rebuilt from the snapshot's open-bin set on restore (the index
 // at the next dispatch, when the snapshot's peak open-bin count has reached
 // the engine's threshold); because the index's layout is a pure function of

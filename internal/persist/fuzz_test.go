@@ -19,15 +19,11 @@ import (
 // TestFuzzCorpusCommitted so `go test -fuzz` starts from meaningful
 // structures, not just empty input.
 func snapshotCorpusSeeds() [][]byte {
-	l := item.NewList(2)
-	l.Add(0, 6, vector.Vector{0.5, 0.25})
-	l.Add(1, 3, vector.Vector{0.25, 0.5})
-	l.Add(2, 5, vector.Vector{0.125, 0.125})
 	p, err := core.NewPolicy("MoveToFront", 1)
 	if err != nil {
 		panic(err)
 	}
-	e, err := core.NewEngine(l, p)
+	e, err := core.NewEngine(snapshotSeedList(), p)
 	if err != nil {
 		panic(err)
 	}
@@ -49,6 +45,16 @@ func snapshotCorpusSeeds() [][]byte {
 		{snapCodecVersion}, // bare version byte
 		{},                 // empty
 	}
+}
+
+// snapshotSeedList is the MoveToFront run's instance the snapshot seeds
+// come from, and the one FuzzSnapshotDecode restores them against.
+func snapshotSeedList() *item.List {
+	l := item.NewList(2)
+	l.Add(0, 6, vector.Vector{0.5, 0.25})
+	l.Add(1, 3, vector.Vector{0.25, 0.5})
+	l.Add(2, 5, vector.Vector{0.125, 0.125})
+	return l
 }
 
 func opLogCorpusSeeds() [][]byte {
@@ -133,11 +139,14 @@ func FuzzOpLogDecode(f *testing.F) {
 
 // FuzzSnapshotDecode: the snapshot codec must survive arbitrary bytes — no
 // panic, only *CorruptionError — and any snapshot payload it accepts must
-// re-encode to the identical bytes.
+// re-encode to the identical bytes. core.RestoreEngine must then survive
+// the accepted snapshot too, against the instance the seeds come from:
+// it may refuse it, but never panic.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, seed := range snapshotCorpusSeeds() {
 		f.Add(seed)
 	}
+	l := snapshotSeedList()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
@@ -149,6 +158,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if got := EncodeSnapshot(snap); string(got) != string(data) {
 			t.Fatalf("re-encode mismatch on %d-byte accepted payload", len(data))
+		}
+		p, err := core.NewPolicy("MoveToFront", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, err := core.RestoreEngine(l, p, snap); err == nil {
+			e.Close()
 		}
 	})
 }

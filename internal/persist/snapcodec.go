@@ -16,14 +16,15 @@ import (
 // cross-references, accumulator integrity) happens in core.RestoreEngine.
 
 // snapCodecVersion versions the snapshot payload independently of the file
-// framing. Version 4 stores only what core.RestoreEngine cannot derive: the
-// progress counters, the policy state, the open bins, the peak, the bin of
-// each committed arrival and the closed bins' records, without the Crashed
-// flag a snapshotted run never sets. Version 3 also stored the pending
-// departures, a partial core.Result and the outcome of every served item,
-// and version 2 the fault, queue and migration sections; both are refused
-// like any unknown version, so recovery re-steps the op log past them.
-const snapCodecVersion = 4
+// framing. Version 5 stores only what core.RestoreEngine cannot derive: the
+// progress counters, the policy state, the open bins' IDs, active items and
+// load sums, the peak, the cost and the bin of each committed arrival.
+// Version 4 also stored each open bin's opening time and packed count and
+// every closed bin's record, version 3 the pending departures, a partial
+// core.Result and the outcome of every served item, and version 2 the fault,
+// queue and migration sections; all three are refused like any unknown
+// version, so recovery re-steps the op log past them.
+const snapCodecVersion = 5
 
 // EncodeSnapshot serialises an engine snapshot.
 func EncodeSnapshot(s *core.Snapshot) []byte {
@@ -41,8 +42,6 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	b.uvarint(uint64(len(s.Bins)))
 	for _, bin := range s.Bins {
 		b.varint(int64(bin.ID))
-		b.f64(bin.OpenedAt)
-		b.varint(int64(bin.Packed))
 		b.uvarint(uint64(len(bin.ActiveIDs)))
 		for _, id := range bin.ActiveIDs {
 			b.varint(int64(id))
@@ -54,16 +53,10 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	}
 
 	b.varint(int64(s.MaxConcurrentBins))
+	b.f64(s.Cost)
 	b.uvarint(uint64(len(s.Placed)))
 	for _, id := range s.Placed {
 		b.varint(int64(id))
-	}
-	b.uvarint(uint64(len(s.Closed)))
-	for _, u := range s.Closed {
-		b.varint(int64(u.BinID))
-		b.f64(u.OpenedAt)
-		b.f64(u.ClosedAt)
-		b.varint(int64(u.Packed))
 	}
 	return b.buf
 }
@@ -89,12 +82,10 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 
 	// Each element consumes at least minElem bytes, so a count claiming more
 	// elements than remaining bytes is rejected before any allocation.
-	nBins := d.count(4)
+	nBins := d.count(3)
 	for i := 0; i < nBins && d.fail == nil; i++ {
 		var bin core.BinSnapshot
 		bin.ID = d.int()
-		bin.OpenedAt = d.f64()
-		bin.Packed = d.int()
 		nAct := d.count(1)
 		for j := 0; j < nAct && d.fail == nil; j++ {
 			bin.ActiveIDs = append(bin.ActiveIDs, d.int())
@@ -107,13 +98,10 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 	}
 
 	s.MaxConcurrentBins = d.int()
+	s.Cost = d.f64()
 	s.Placed = make([]int, d.count(1))
 	for i := range s.Placed {
 		s.Placed[i] = d.int()
-	}
-	nClosed := d.count(18)
-	for i := 0; i < nClosed && d.fail == nil; i++ {
-		s.Closed = append(s.Closed, core.BinUsage{BinID: d.int(), OpenedAt: d.f64(), ClosedAt: d.f64(), Packed: d.int()})
 	}
 	if d.fail != nil {
 		return nil, d.fail

@@ -12,9 +12,9 @@ import (
 )
 
 // BenchmarkServerPlaceThroughput measures the full request path — HTTP
-// decode, bounded queue, group commit with both fsync barriers, JSON
-// acknowledgement — at 1 and 8 concurrent clients, each driving its own
-// tenant. Alongside ns/op it reports req/sec and client-observed p50/p99
+// decode, bounded queue, group commit behind its one fsync barrier (the op
+// log's), JSON acknowledgement — at 1 and 8 concurrent clients, each
+// driving its own tenant over one kept-alive connection (call). Alongside ns/op it reports req/sec and client-observed p50/p99
 // latency; bench-json folds all three into BENCH_core.json so the serving
 // path's trajectory is tracked like the engine hot paths.
 func BenchmarkServerPlaceThroughput(b *testing.B) {

@@ -236,7 +236,10 @@ func TestStoreOpensParentDataDir(t *testing.T) {
 //     snapshots shed their fault, queue and migration sections;
 //   - testdata/v3-snapshot-store, one FirstFit tenant with 30 acknowledged
 //     placements and an advance, written before snapshots stopped storing
-//     what restore derives.
+//     what restore derives;
+//   - testdata/v4-snapshot-store, one FirstFit tenant with 30 acknowledged
+//     placements and an advance, written before snapshots stopped storing
+//     the closed bins' records.
 //
 // Recovery refuses each snapshot as an unsupported version, reports it as
 // one tolerated corruption, and re-steps the tenant's op log from event 0.
@@ -251,6 +254,7 @@ func TestStoreOpensOldSnapshotDataDirs(t *testing.T) {
 	}{
 		{"v2-snapshot-store", "snapped", 2, 50},
 		{"v3-snapshot-store", "firstfit", 3, 54},
+		{"v4-snapshot-store", "firstfit", 4, 56},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			openSnapshotFixture(t, tc.fixture, tc.tenant, tc.version, tc.events)

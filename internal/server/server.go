@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -285,13 +286,17 @@ func (s *Server) dispatchRead(r *http.Request, req *request) (response, *apiErro
 	return resp, nil
 }
 
-// decodeBody parses a JSON request body strictly (unknown fields rejected so
-// typos fail loudly instead of silently defaulting).
+// decodeBody parses a JSON request body strictly: one JSON value, with
+// nothing but white space after it, and unknown fields rejected so typos
+// fail loudly instead of silently defaulting.
 func decodeBody(r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return errf(http.StatusBadRequest, "bad_json", "decoding request body: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return errf(http.StatusBadRequest, "bad_json", "decoding request body: data after the JSON value")
 	}
 	return nil
 }

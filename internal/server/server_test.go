@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,31 +48,51 @@ func newLocalServer(t testing.TB, srv *Server) string {
 	return ts.URL
 }
 
+// testClient is the client call sends through. Its Transport keeps up to 64
+// idle connections per host, where http.DefaultClient keeps 2, so each of
+// up to 64 concurrent callers keeps its own connection alive.
+var testClient = func() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 64
+	return &http.Client{Transport: tr}
+}()
+
 // call issues one JSON request and decodes the JSON response, returning the
-// status code.
+// status code. It reads every response body to its end, decoded or not, so
+// the connection goes back to testClient's pool for the next call. A failed
+// request or response is reported with t.Errorf and returns status 0, which
+// every caller refuses, so concurrent clients may call it.
 func call(t testing.TB, method, url string, body any, out any) int {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			t.Fatalf("marshal: %v", err)
+			t.Errorf("marshal: %v", err)
+			return 0
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatalf("request: %v", err)
+		t.Errorf("request: %v", err)
+		return 0
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		t.Errorf("%s %s: %v", method, url, err)
+		return 0
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s %s: decoding response: %v", method, url, err)
+			t.Errorf("%s %s: decoding response: %v", method, url, err)
+			return 0
 		}
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Errorf("%s %s: reading response: %v", method, url, err)
+		return 0
 	}
 	return resp.StatusCode
 }
@@ -372,6 +395,132 @@ func TestServerValidationErrors(t *testing.T) {
 		advanceBody{To: 5}, &e), "stale advance")
 	if e.Code != "stale_advance" {
 		t.Fatalf("stale advance code %q", e.Code)
+	}
+}
+
+// TestServerRefusesTrailingData: a request body is one JSON value. Data
+// after it, even another well-formed value, is refused as 400 bad_json and
+// changes nothing; white space after it is fine.
+func TestServerRefusesTrailingData(t *testing.T) {
+	ts, _ := newTestServer(t, t.TempDir(), Limits{})
+	mustStatus(t, http.StatusCreated, call(t, "POST", ts.URL+"/v1/tenants",
+		TenantConfig{Name: "a", Dim: 1, Policy: "FirstFit"}, nil), "create")
+	post := func(path, body string) (int, errorBody) {
+		t.Helper()
+		resp, err := testClient.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var e errorBody
+		if resp.StatusCode >= 400 {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("POST %s: decoding error body: %v", path, err)
+			}
+		}
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, e
+	}
+	for _, c := range []struct{ what, path, body string }{
+		{"place then an object", "/v1/tenants/a/place", `{"arrival":1,"departure":2,"size":[0.5]} {"bogus":true}`},
+		{"place then an empty object", "/v1/tenants/a/place", `{"arrival":1,"departure":2,"size":[0.5]}{}`},
+		{"place then garbage", "/v1/tenants/a/place", `{"arrival":1,"departure":2,"size":[0.5]} x`},
+		{"advance then another", "/v1/tenants/a/advance", `{"to":3} {"to":4}`},
+		{"create then an array", "/v1/tenants", `{"name":"b","dim":1,"policy":"FirstFit"} []`},
+	} {
+		if code, e := post(c.path, c.body); code != http.StatusBadRequest || e.Code != "bad_json" {
+			t.Errorf("%s: status %d, code %q; want 400 bad_json", c.what, code, e.Code)
+		}
+	}
+	var st TenantStatus
+	mustStatus(t, http.StatusOK, call(t, "GET", ts.URL+"/v1/tenants/a", nil, &st), "status")
+	if st.Watermark != 0 || st.Placements != 0 {
+		t.Fatalf("refused requests moved the tenant: watermark %g, %d placements", st.Watermark, st.Placements)
+	}
+	mustStatus(t, http.StatusNotFound, call(t, "GET", ts.URL+"/v1/tenants/b", nil, nil), "refused tenant")
+
+	for _, c := range []struct {
+		what, path, body string
+		status           int
+	}{
+		{"place then white space", "/v1/tenants/a/place", "{\"arrival\":1,\"departure\":2,\"size\":[0.5]} \n\t ", http.StatusOK},
+		{"advance then a newline", "/v1/tenants/a/advance", "{\"to\":3}\n", http.StatusOK},
+		{"create then CRLF", "/v1/tenants", "{\"name\":\"b\",\"dim\":1,\"policy\":\"FirstFit\"}\r\n", http.StatusCreated},
+	} {
+		if code, e := post(c.path, c.body); code != c.status {
+			t.Errorf("%s: status %d (%+v), want %d", c.what, code, e, c.status)
+		}
+	}
+}
+
+// TestCallKeepsOneConnectionPerClient: call reads every response to its end
+// and sends through a client whose pool keeps an idle connection for each of
+// the throughput benchmark's concurrent clients, so a client reuses one
+// connection for all its calls, whether it decodes the responses or not, and
+// the benchmark times requests, not TCP handshakes. The server counts the
+// connections it accepts. Every client's first call waits at the server
+// until all clients have one in flight, so each client opens its own
+// connection then.
+func TestCallKeepsOneConnectionPerClient(t *testing.T) {
+	const clients, calls = 8, 20
+	reg := metrics.NewRegistry()
+	store, err := OpenStore(t.TempDir(), Limits{}, reg)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	defer store.Close()
+	srv := New(store, reg)
+	var arrived sync.WaitGroup
+	arrived.Add(clients)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/all-connected" {
+			arrived.Done()
+			arrived.Wait()
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	for c := 0; c < clients; c++ {
+		mustStatus(t, http.StatusCreated, call(t, "POST", ts.URL+"/v1/tenants",
+			TenantConfig{Name: fmt.Sprintf("c%d", c), Dim: 2, Policy: "FirstFit"}, nil), "create")
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if code := call(t, "GET", ts.URL+"/all-connected", nil, nil); code != http.StatusNoContent {
+				t.Errorf("client %d: first call: status %d", c, code)
+				return
+			}
+			base := fmt.Sprintf("%s/v1/tenants/c%d", ts.URL, c)
+			for i := 0; i < calls; i++ {
+				body := placeBody{Arrival: f(float64(i)), Duration: f(2), Size: []float64{0.1, 0.1}}
+				if code := call(t, "POST", base+"/place", body, nil); code != http.StatusOK {
+					t.Errorf("client %d: place %d: status %d", c, i, code)
+					return
+				}
+				var st TenantStatus
+				if code := call(t, "GET", base, nil, &st); code != http.StatusOK || st.Placements != i+1 {
+					t.Errorf("client %d: status after place %d: status %d, %d placements", c, i, code, st.Placements)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := conns.Load(); n > clients {
+		t.Errorf("%d clients making %d calls each opened %d connections, want at most one each", clients, 2*calls+1, n)
 	}
 }
 

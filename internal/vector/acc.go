@@ -2,7 +2,6 @@ package vector
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -26,9 +25,11 @@ import (
 // contributes an exact integer; integer addition is associative and
 // commutative, and a removed value cancels its own contribution exactly. The
 // sum is therefore a pure function of the multiset of currently-accumulated
-// values, and Round, IsZero, Equal and AppendBinary read nothing but the sum:
-// any history reaching the same active set gives identical results, which is
-// precisely the determinism contract.
+// values, and Round and AppendBinary read nothing but the sum: any history
+// reaching the same active set gives identical results, which is precisely
+// the determinism contract. Nothing decodes AppendBinary's payload: it is
+// canonical, so two sums are equal exactly when their payloads are, and a
+// restored engine compares payloads.
 //
 // Two representations hold that integer. While every value added since the
 // last Reset is a multiple of 2^-100 below 2^25 in magnitude, and the sum
@@ -205,29 +206,6 @@ func frameDigits(hi int64, lo uint64) (d [5]uint32, neg bool) {
 	}, neg
 }
 
-// frameOf is frameDigits' inverse. It reports false when the digits d (all
-// of them, lowest first) and sign neg hold a sum that is not a multiple of
-// the frame's unit or lies outside its range.
-func frameOf(d []uint32, neg bool) (hi int64, lo uint64, ok bool) {
-	for j, v := range d {
-		if v != 0 && (j < frameLimb || j > frameLimb+4) {
-			return 0, 0, false
-		}
-	}
-	f := d[frameLimb : frameLimb+5]
-	// f[4] holds the bits from 2^(128-frameOff) frame units up.
-	if f[0]&(1<<frameOff-1) != 0 || f[4] > 1<<(frameBits-(128-frameOff)) {
-		return 0, 0, false
-	}
-	w0 := uint64(f[0]) | uint64(f[1])<<32
-	w1 := uint64(f[2]) | uint64(f[3])<<32
-	h, l := w1>>frameOff|uint64(f[4])<<(64-frameOff), w0>>frameOff|w1<<(64-frameOff)
-	if neg {
-		h, l = neg128(h, l)
-	}
-	return int64(h), l, inBound(int64(h))
-}
-
 // Reset clears the accumulator to zero. It keeps spilled limbs for the next
 // spill.
 func (a *Acc) Reset() {
@@ -236,29 +214,6 @@ func (a *Acc) Reset() {
 		a.w.reset()
 		a.spilled = false
 	}
-}
-
-// IsZero reports whether the exact accumulated sum is zero. Unlike comparing
-// Round() against 0, this is exact even when cancellation leaves a sum too
-// small to represent.
-func (a *Acc) IsZero() bool {
-	if a.spilled {
-		_, _, h, _, neg := a.w.top(1)
-		return h < 0 && !neg
-	}
-	return a.hi == 0 && a.lo == 0
-}
-
-// Equal reports whether a and b hold the same exact sum. The sum is a pure
-// function of the accumulated multiset, so two accumulators that saw the
-// same values compare equal whatever else they saw and removed since their
-// last Reset, and whether or not either of them spilled.
-func (a *Acc) Equal(b *Acc) bool {
-	if !a.spilled && !b.spilled {
-		return a.hi == b.hi && a.lo == b.lo
-	}
-	var da, db [numAccLimbs + 2]uint32
-	return a.digits(&da) == b.digits(&db) && da == db
 }
 
 // digits writes the base-2^32 digits of the sum's magnitude into d, digit i
@@ -271,10 +226,6 @@ func (a *Acc) digits(d *[numAccLimbs + 2]uint32) (neg bool) {
 	copy(d[frameLimb:], f[:])
 	return neg
 }
-
-// accBinaryHeader is the byte size of the non-limb part of the Acc wire
-// format: the non-zero flag plus the lo and hi limb indices.
-const accBinaryHeader = 1 + 2 + 2
 
 // AppendBinary serialises the accumulator's exact sum onto dst and returns
 // the extended slice. The payload is canonical, a function of the sum alone:
@@ -305,60 +256,6 @@ func (a *Acc) AppendBinary(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, limb)
 	}
 	return dst
-}
-
-// UnmarshalBinary replaces the accumulator's state with the serialised sum
-// in data, which must be exactly one payload of AppendBinary's syntax. Any
-// limbs whose sum is the same value decode to the same accumulator, so
-// payloads written before the format became canonical (a window wider than
-// the sum's digits, limbs not carried into base-2^32 digits) still read. A
-// limb at or beyond ±2^62, which no sum of fewer than 2^30 values reaches,
-// and a sum whose digits would pass the last limb are refused. Malformed
-// input returns an error and leaves the accumulator reset; it never panics,
-// so arbitrary (possibly corrupted) checkpoint bytes are safe to feed
-// through it.
-func (a *Acc) UnmarshalBinary(data []byte) error {
-	a.Reset()
-	if len(data) == 1 && data[0] == 0 {
-		return nil
-	}
-	if len(data) < accBinaryHeader || data[0] != 1 {
-		return fmt.Errorf("vector: malformed Acc state (%d bytes)", len(data))
-	}
-	lo := int16(binary.LittleEndian.Uint16(data[1:]))
-	hi := int16(binary.LittleEndian.Uint16(data[3:]))
-	if lo < 0 || hi < lo || hi >= numAccLimbs {
-		return fmt.Errorf("vector: Acc limb window [%d, %d] out of range", lo, hi)
-	}
-	if want := accBinaryHeader + 8*(int(hi)-int(lo)+1); len(data) != want {
-		return fmt.Errorf("vector: Acc state is %d bytes, want %d for window [%d, %d]", len(data), want, lo, hi)
-	}
-	var w limbs
-	p := data[accBinaryHeader:]
-	for i := lo; i <= hi; i++ {
-		v := int64(binary.LittleEndian.Uint64(p))
-		if v >= 1<<62 || v <= -1<<62 {
-			return fmt.Errorf("vector: Acc limb %d is %d, out of range", i, v)
-		}
-		w.limb[i] = v
-		p = p[8:]
-	}
-	w.lo, w.hi, w.used = lo, hi, true
-	var d [numAccLimbs + 2]uint32
-	neg := w.digits(&d)
-	if d[numAccLimbs] != 0 || d[numAccLimbs+1] != 0 {
-		return fmt.Errorf("vector: Acc sum is past the last limb")
-	}
-	if hi, lo, ok := frameOf(d[:], neg); ok {
-		a.hi, a.lo = hi, lo
-		return nil
-	}
-	if a.w == nil {
-		a.w = new(limbs)
-	}
-	*a.w = w
-	a.spilled = true
-	return nil
 }
 
 // limbs is the spilled representation: the sum in units of 2^-1074 as

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestAccConcurrentReads pins the documented read contract: Round (and
-// IsZero) only read the accumulator and write locals, so any number of
-// goroutines may round one Acc concurrently — the experiment runner's shards
-// read bin loads while other readers snapshot them. Writes (Add/Sub/Reset)
+// TestAccConcurrentReads pins the documented read contract: Round and
+// AppendBinary only read the accumulator and write locals, so any number of
+// goroutines may round or serialise one Acc concurrently — the experiment
+// runner's shards read bin loads while other readers snapshot them. Writes (Add/Sub/Reset)
 // still require external synchronisation. Run under -race.
 func TestAccConcurrentReads(t *testing.T) {
 	var a Acc
@@ -18,20 +18,21 @@ func TestAccConcurrentReads(t *testing.T) {
 		a.Add(1e-12)
 		a.Sub(0.25)
 	}
-	want := a.Round()
+	want, wantBytes := a.Round(), string(a.AppendBinary(nil))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for k := 0; k < 2000; k++ {
 				if got := a.Round(); got != want {
 					t.Errorf("concurrent Round = %v, want %v", got, want)
 					return
 				}
-				if a.IsZero() {
-					t.Error("IsZero = true on non-zero accumulator")
+				if buf = a.AppendBinary(buf[:0]); string(buf) != wantBytes {
+					t.Errorf("concurrent AppendBinary = % x, want % x", buf, wantBytes)
 					return
 				}
 			}
